@@ -2,11 +2,12 @@
 #define TUFFY_BENCH_BENCH_COMMON_H_
 
 // Shared workload scales and helpers for the experiment harness. Every
-// bench binary regenerates one table or figure of the paper (see
-// DESIGN.md for the experiment index). Scales are chosen so the full
-// suite completes in minutes on a laptop while preserving the paper's
-// qualitative shapes (who wins, by roughly what factor, where crossovers
-// fall); absolute numbers are not expected to match the 2011 testbed.
+// bench binary regenerates one table or figure of the paper (see the
+// `bench/` paragraph of README.md for the index). Scales are chosen so
+// the full suite completes in minutes on a laptop while preserving the
+// paper's qualitative shapes (who wins, by roughly what factor, where
+// crossovers fall); absolute numbers are not expected to match the 2011
+// testbed.
 
 #include <cstdio>
 #include <string>

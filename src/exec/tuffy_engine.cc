@@ -8,9 +8,7 @@
 #include "ground/top_down_grounder.h"
 #include "infer/component_walksat.h"
 #include "infer/disk_walksat.h"
-#include "infer/exact/exact_solver.h"
 #include "infer/gauss_seidel.h"
-#include "infer/mcsat.h"
 #include "mrf/bin_packing.h"
 #include "mrf/components.h"
 #include "mrf/partitioner.h"
@@ -79,7 +77,11 @@ Status TuffyEngine::RunSearch(EngineResult* result) {
     return Status::OK();
   }
 
-  switch (options_.search_mode) {
+  // The marginal task (Appendix A.5) always runs per component: exact
+  // marginals where a component is tractable, MC-SAT elsewhere, no MAP
+  // search.
+  const bool marginal = options_.task == InferenceTask::kMarginal;
+  switch (marginal ? SearchMode::kComponentAware : options_.search_mode) {
     case SearchMode::kInMemory: {
       Problem whole = MakeWholeProblem(num_atoms, clauses);
       // The a-priori charge uses the flat-layout constant (arena + state
@@ -130,10 +132,7 @@ Status TuffyEngine::RunSearch(EngineResult* result) {
           batches[packing.bin_of_item[i]].push_back(i);
         }
       } else {
-        batches.resize(components.num_components());
-        for (size_t i = 0; i < components.num_components(); ++i) {
-          batches[i].push_back(i);
-        }
+        for (size_t i = 0; i < sizes.size(); ++i) batches.push_back({i});
       }
 
       std::unique_ptr<ClauseWarehouse> warehouse;
@@ -144,82 +143,69 @@ Status TuffyEngine::RunSearch(EngineResult* result) {
                                     options_.loading_io_latency_us));
       }
 
-      result->truth.assign(num_atoms, 0);
+      // One pool and one search clock for the whole Run; a batch only
+      // decides which components are resident. A Run is epoch 0, like a
+      // serving session's cold start.
+      ComponentSolverOptions sopts;
+      sopts.total_flips = options_.total_flips;
+      sopts.mrf_atoms = num_atoms;
+      sopts.seed = options_.seed;
+      sopts.p_random = options_.p_random;
+      sopts.hard_weight = options_.hard_weight;
+      sopts.init_random = options_.init_random;
+      sopts.use_exact = options_.exact_fast_path;
+      sopts.marginals = marginal;
+      sopts.mcsat_samples = options_.mcsat_samples;
+      sopts.mcsat_burn_in = options_.mcsat_burn_in;
+      std::unique_ptr<ThreadPool> pool = MakeWorkerPool(options_.num_threads);
+      ComponentSearchResult cr;
+      cr.truth.assign(num_atoms, 0);
+      if (marginal) cr.marginals.assign(num_atoms, 0.0);
       uint64_t batch_peak = 0;
-      int batch_index = 0;
       for (const std::vector<size_t>& batch : batches) {
         if (batch.empty()) continue;
-        // Load this batch's clauses (through the warehouse if enabled).
-        std::vector<uint32_t> batch_clause_ids;
-        uint64_t batch_atoms = 0;
+        // Load the batch's clauses (through the warehouse if enabled),
+        // renumbering its components' clause ids into them.
+        ComponentSet resident;
+        std::vector<uint32_t> ids;
         uint64_t batch_size = 0;
         for (size_t comp : batch) {
-          batch_clause_ids.insert(batch_clause_ids.end(),
-                                  components.clauses[comp].begin(),
-                                  components.clauses[comp].end());
-          batch_atoms += components.atoms[comp].size();
+          resident.atoms.push_back(components.atoms[comp]);
+          std::vector<uint32_t>& local = resident.clauses.emplace_back();
+          for (uint32_t ci : components.clauses[comp]) {
+            local.push_back(static_cast<uint32_t>(ids.size()));
+            ids.push_back(ci);
+          }
           batch_size += sizes[comp];
         }
         Timer load_timer;
-        std::vector<GroundClause> batch_clauses;
+        std::vector<GroundClause> loaded;
         if (warehouse != nullptr) {
-          TUFFY_ASSIGN_OR_RETURN(batch_clauses,
-                                 warehouse->Load(batch_clause_ids));
+          TUFFY_ASSIGN_OR_RETURN(loaded, warehouse->Load(ids));
         } else {
-          batch_clauses.reserve(batch_clause_ids.size());
-          for (uint32_t ci : batch_clause_ids) {
-            batch_clauses.push_back(clauses[ci]);
-          }
+          loaded.reserve(ids.size());
+          for (uint32_t ci : ids) loaded.push_back(clauses[ci]);
         }
         result->load_seconds += load_timer.ElapsedSeconds();
-
-        // Batch-local component set (clause ids index batch_clauses).
-        ComponentSet batch_components;
-        batch_components.atoms.reserve(batch.size());
-        batch_components.clauses.resize(batch.size());
-        uint32_t next_clause = 0;
-        for (size_t k = 0; k < batch.size(); ++k) {
-          size_t comp = batch[k];
-          batch_components.atoms.push_back(components.atoms[comp]);
-          for (size_t j = 0; j < components.clauses[comp].size(); ++j) {
-            batch_components.clauses[k].push_back(next_clause++);
-          }
-        }
 
         batch_peak = std::max(batch_peak, batch_size * kBytesPerSizeUnit);
         ScopedMemCharge charge(MemCategory::kSearch,
                                batch_size * kBytesPerSizeUnit);
-
-        ComponentSearchOptions copts;
-        copts.total_flips = std::max<uint64_t>(
-            1, options_.total_flips * batch_atoms / num_atoms);
-        copts.rounds = options_.rounds;
-        copts.num_threads = options_.num_threads;
-        copts.p_random = options_.p_random;
-        copts.hard_weight = options_.hard_weight;
-        copts.timeout_seconds = options_.timeout_seconds;
-        copts.init_random = options_.init_random;
-        copts.use_exact = options_.exact_fast_path;
-        ComponentSearchResult cr = RunComponentWalkSat(
-            num_atoms, batch_clauses, batch_components, copts,
-            DeriveSeed(options_.seed,
-                       0x6261746368ull + static_cast<uint64_t>(batch_index)));
-        batch_peak = std::max<uint64_t>(batch_peak, cr.state_bytes);
-        for (size_t comp : batch) {
-          for (AtomId a : components.atoms[comp]) {
-            result->truth[a] = cr.truth[a];
-          }
-        }
-        result->flips += cr.flips;
-        result->exact_components += cr.exact_components;
-        double offset = timer.ElapsedSeconds() - cr.seconds;
-        for (const TracePoint& tp : cr.trace) {
-          result->trace.push_back(
-              TracePoint{tp.seconds + offset, tp.flips, tp.cost});
-        }
-        ++batch_index;
+        SolveComponents(sopts, marginal ? 0 : options_.rounds,
+                        options_.timeout_seconds, loaded, resident,
+                        pool.get(), timer, &cr);
       }
-      result->peak_search_bytes = batch_peak;
+      // The marginal task's MAP-style fields get a thresholded state.
+      for (size_t a = 0; a < cr.marginals.size(); ++a) {
+        cr.truth[a] = cr.marginals[a] >= 0.5 ? 1 : 0;
+      }
+      result->truth = std::move(cr.truth);
+      result->marginals = std::move(cr.marginals);
+      result->flips = cr.flips;
+      result->exact_components = cr.exact_components;
+      result->trace = std::move(cr.trace);
+      result->peak_search_bytes =
+          std::max<uint64_t>(batch_peak, cr.state_bytes);
       break;
     }
 
@@ -310,69 +296,7 @@ Result<EngineResult> TuffyEngine::Run() {
   MemTracker::Global().Allocate(MemCategory::kClauseTable,
                                 result.clause_table_bytes);
 
-  Status st;
-  if (options_.task == InferenceTask::kMarginal) {
-    // Marginal inference (Appendix A.5): MC-SAT over the ground MRF.
-    Timer search_timer;
-    const size_t n = result.grounding.atoms.num_atoms();
-    if (n > 0) {
-      const std::vector<GroundClause>& gclauses =
-          result.grounding.clauses.clauses();
-      McSatOptions mopts;
-      mopts.num_samples = options_.mcsat_samples;
-      mopts.burn_in = options_.mcsat_burn_in;
-      mopts.hard_weight = options_.hard_weight;
-      // Tractable components get exact marginals; the rest go to MC-SAT.
-      // When nothing is tractable (or the fast path is off) this is the
-      // historical whole-problem MC-SAT, bit for bit.
-      std::vector<uint32_t> rest_clauses;
-      std::vector<AtomId> rest_atoms;
-      bool any_exact = false;
-      if (options_.exact_fast_path) {
-        result.marginals.assign(n, 0.0);
-        ComponentSet comps = DetectComponents(n, gclauses);
-        for (size_t i = 0; i < comps.num_components(); ++i) {
-          SubProblem sub =
-              BuildSubProblem(gclauses, comps.clauses[i], comps.atoms[i]);
-          ExactSolveResult ex = TrySolveExact(sub.problem,
-                                              options_.hard_weight,
-                                              /*want_marginals=*/true);
-          if (ex.solved) {
-            any_exact = true;
-            ++result.exact_components;
-            for (size_t j = 0; j < sub.global_atom.size(); ++j) {
-              result.marginals[sub.global_atom[j]] = ex.marginals[j];
-            }
-          } else {
-            rest_clauses.insert(rest_clauses.end(), comps.clauses[i].begin(),
-                                comps.clauses[i].end());
-            rest_atoms.insert(rest_atoms.end(), comps.atoms[i].begin(),
-                              comps.atoms[i].end());
-          }
-        }
-      }
-      if (!any_exact) {
-        Problem whole = MakeWholeProblem(n, gclauses);
-        McSatResult mr = RunMcSat(whole, mopts, options_.seed);
-        result.marginals = std::move(mr.marginals);
-      } else if (!rest_atoms.empty()) {
-        SubProblem rest = BuildSubProblem(gclauses, rest_clauses, rest_atoms);
-        McSatResult mr = RunMcSat(rest.problem, mopts, options_.seed);
-        for (size_t j = 0; j < rest.global_atom.size(); ++j) {
-          result.marginals[rest.global_atom[j]] = mr.marginals[j];
-        }
-      }
-      // The MAP-style fields still get a best-effort thresholded state.
-      result.truth.assign(n, 0);
-      for (size_t a = 0; a < n; ++a) {
-        result.truth[a] = result.marginals[a] >= 0.5 ? 1 : 0;
-      }
-    }
-    result.search_seconds = search_timer.ElapsedSeconds();
-    st = Status::OK();
-  } else {
-    st = RunSearch(&result);
-  }
+  Status st = RunSearch(&result);
   MemTracker::Global().Release(MemCategory::kClauseTable,
                                result.clause_table_bytes);
   TUFFY_RETURN_IF_ERROR(st);

@@ -36,7 +36,8 @@ enum class SearchMode {
   kDisk,
 };
 
-/// Which inference task to run (Section 2.2 / Appendix A.5).
+/// Which inference task to run (Section 2.2 / Appendix A.5). kMarginal
+/// always solves per component (search_mode selects kMap's search).
 enum class InferenceTask { kMap, kMarginal };
 
 struct EngineOptions {

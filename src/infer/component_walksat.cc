@@ -3,118 +3,79 @@
 #include <algorithm>
 #include <memory>
 
-#include "infer/exact/exact_solver.h"
-#include "util/thread_pool.h"
-#include "util/timer.h"
-
 namespace tuffy {
 
 ComponentSearchResult RunComponentWalkSat(
     size_t num_atoms, const std::vector<GroundClause>& clauses,
     const ComponentSet& components, const ComponentSearchOptions& options,
     uint64_t seed) {
-  Timer timer;
+  Timer clock;
+  ComponentSolverOptions sopts;
+  sopts.total_flips = options.total_flips;
+  sopts.mrf_atoms = num_atoms;
+  sopts.seed = seed;
+  sopts.p_random = options.p_random;
+  sopts.hard_weight = options.hard_weight;
+  sopts.init_random = options.init_random;
+  sopts.use_exact = options.use_exact;
+  std::unique_ptr<ThreadPool> pool = MakeWorkerPool(options.num_threads);
   ComponentSearchResult result;
   result.truth.assign(num_atoms, 0);
-
-  const size_t k = components.num_components();
-  // Per-component sub-problems ("loading") and resumable searchers.
-  std::vector<SubProblem> subs(k);
-  std::vector<std::unique_ptr<Rng>> rngs(k);
-  std::vector<std::unique_ptr<IncrementalWalkSat>> searchers(k);
-  std::vector<uint64_t> budget(k, 0);
-
-  std::vector<uint8_t> exact(k, 0);
-  std::vector<double> exact_cost(k, 0.0);
-
-  uint64_t total_atoms = num_atoms > 0 ? num_atoms : 1;
-  for (size_t i = 0; i < k; ++i) {
-    subs[i] =
-        BuildSubProblem(clauses, components.clauses[i], components.atoms[i]);
-    // Tractable components skip WalkSAT entirely: the exact solver is
-    // deterministic, so bit-identity across thread counts is preserved,
-    // and per-component seeds stay keyed by component index either way.
-    if (options.use_exact) {
-      ExactSolveResult ex = TrySolveExact(subs[i].problem,
-                                          options.hard_weight,
-                                          /*want_marginals=*/false);
-      if (ex.solved) {
-        exact[i] = 1;
-        exact_cost[i] = ex.map_cost;
-        for (size_t j = 0; j < subs[i].global_atom.size(); ++j) {
-          result.truth[subs[i].global_atom[j]] = ex.truth[j];
-        }
-        ++result.exact_components;
-        continue;
-      }
-    }
-    rngs[i] = std::make_unique<Rng>(DeriveSeed(seed, i));
-    // Constructing the searcher here (still on this thread) builds the
-    // sub-problem's CSR clause arena; the thread-pool workers below only
-    // ever read it.
-    WalkSatOptions wopts;
-    wopts.p_random = options.p_random;
-    wopts.hard_weight = options.hard_weight;
-    wopts.init_random = options.init_random;
-    searchers[i] = std::make_unique<IncrementalWalkSat>(&subs[i].problem,
-                                                        wopts, rngs[i].get());
-    budget[i] = options.total_flips * components.atoms[i].size() / total_atoms;
-    if (budget[i] == 0) budget[i] = 1;
-    result.state_bytes += subs[i].problem.arena().EstimateBytes() +
-                          searchers[i]->state_bytes();
-  }
-
-  int rounds = std::max(1, options.rounds);
-  std::unique_ptr<ThreadPool> pool;
-  if (options.num_threads > 1) {
-    pool = std::make_unique<ThreadPool>(options.num_threads);
-  }
-
-  for (int round = 0; round < rounds; ++round) {
-    if (timer.ElapsedSeconds() > options.timeout_seconds) break;
-    for (size_t i = 0; i < k; ++i) {
-      uint64_t chunk = budget[i] / rounds;
-      if (round == rounds - 1) chunk = budget[i] - chunk * (rounds - 1);
-      if (chunk == 0) continue;
-      if (pool != nullptr) {
-        IncrementalWalkSat* searcher = searchers[i].get();
-        pool->Submit([searcher, chunk] { searcher->RunFlips(chunk); });
-      } else {
-        searchers[i]->RunFlips(chunk);
-      }
-    }
-    if (pool != nullptr) pool->WaitIdle();
-    double total_best = 0.0;
-    uint64_t total_flips = 0;
-    for (size_t i = 0; i < k; ++i) {
-      if (exact[i]) {
-        total_best += exact_cost[i];
-        continue;
-      }
-      total_best += searchers[i]->best_cost();
-      total_flips += searchers[i]->flips();
-    }
-    result.trace.push_back(
-        TracePoint{timer.ElapsedSeconds(), total_flips, total_best});
-  }
-
-  // Merge per-component bests into the global assignment.
-  result.cost = 0.0;
-  result.flips = 0;
-  for (size_t i = 0; i < k; ++i) {
-    if (exact[i]) {
-      result.cost += exact_cost[i];  // truth already scattered above
-      continue;
-    }
-    result.cost += searchers[i]->best_cost();
-    result.flips += searchers[i]->flips();
-    const std::vector<uint8_t>& best = searchers[i]->best_truth();
-    for (size_t j = 0; j < subs[i].global_atom.size(); ++j) {
-      result.truth[subs[i].global_atom[j]] = best[j];
-    }
-  }
-  result.seconds = timer.ElapsedSeconds();
+  SolveComponents(sopts, std::max(1, options.rounds), options.timeout_seconds,
+                  clauses, components, pool.get(), clock, &result);
+  result.seconds = clock.ElapsedSeconds();
   return result;
+}
+
+void SolveComponents(const ComponentSolverOptions& options, int rounds,
+                     double timeout_seconds,
+                     const std::vector<GroundClause>& clauses,
+                     const ComponentSet& components, ThreadPool* pool,
+                     const Timer& clock, ComponentSearchResult* result) {
+  // Every solver stays resident until the merge; each task touches only
+  // its own.
+  std::vector<std::unique_ptr<ComponentSolver>> solvers(
+      components.num_components());
+  {
+    TaskGroup group(pool);
+    for (size_t i = 0; i < solvers.size(); ++i) {
+      group.Submit([&, i] {
+        solvers[i] = std::make_unique<ComponentSolver>(
+            options, clauses, components.clauses[i], components.atoms[i]);
+        solvers[i]->SampleMarginals();
+      });
+    }
+  }
+  for (int round = 0; round < rounds; ++round) {
+    if (clock.ElapsedSeconds() > timeout_seconds) break;
+    {
+      TaskGroup group(pool);
+      for (const std::unique_ptr<ComponentSolver>& s : solvers) {
+        if (s->exact()) continue;
+        ComponentSolver* solver = s.get();
+        group.Submit([solver, round, rounds] {
+          solver->SearchRound(round, rounds);
+        });
+      }
+    }
+    TracePoint point{clock.ElapsedSeconds(), result->flips, result->cost};
+    for (const std::unique_ptr<ComponentSolver>& s : solvers) {
+      point.flips += s->flips();
+      point.cost += s->cost();
+    }
+    result->trace.push_back(point);
+  }
+
+  size_t state_bytes = 0;
+  for (const std::unique_ptr<ComponentSolver>& s : solvers) {
+    s->Scatter(result->truth.empty() ? nullptr : &result->truth,
+               result->marginals.empty() ? nullptr : &result->marginals);
+    result->cost += s->cost();
+    result->flips += s->flips();
+    result->exact_components += s->exact() ? 1 : 0;
+    state_bytes += s->state_bytes();
+  }
+  result->state_bytes = std::max(result->state_bytes, state_bytes);
 }
 
 }  // namespace tuffy

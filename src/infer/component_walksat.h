@@ -4,8 +4,11 @@
 #include <cstdint>
 #include <vector>
 
+#include "infer/component_solver.h"
 #include "infer/walksat.h"
 #include "mrf/components.h"
+#include "util/thread_pool.h"
+#include "util/timer.h"
 
 namespace tuffy {
 
@@ -32,6 +35,8 @@ struct ComponentSearchOptions {
 struct ComponentSearchResult {
   /// Global best assignment (concatenated per-component bests).
   std::vector<uint8_t> truth;
+  /// Per-atom marginals, when the solve asked for them.
+  std::vector<double> marginals;
   /// Sum of per-component best costs.
   double cost = 0.0;
   uint64_t flips = 0;
@@ -51,11 +56,23 @@ struct ComponentSearchResult {
 /// Component-aware WalkSAT: each MRF component is searched independently
 /// with its own best-state tracking, which by Theorem 3.1 can be
 /// exponentially faster than whole-MRF WalkSAT. Components are scheduled
-/// weighted-round-robin and can run on a thread pool.
+/// weighted-round-robin on a pool of options.num_threads workers, from
+/// the seeds an engine Run with EngineOptions::seed = `seed` uses.
 ComponentSearchResult RunComponentWalkSat(
     size_t num_atoms, const std::vector<GroundClause>& clauses,
     const ComponentSet& components, const ComponentSearchOptions& options,
     uint64_t seed);
+
+/// RunComponentWalkSat's scheduler on a caller-owned `pool` (null =
+/// inline), also run per FFD batch and for the marginal task by
+/// TuffyEngine: a ComponentSolver per component, its MC-SAT if asked,
+/// then `rounds` round-robin rounds while `clock` < `timeout_seconds`.
+/// Adds into `result`, scattering into result->truth/marginals if sized.
+void SolveComponents(const ComponentSolverOptions& options, int rounds,
+                     double timeout_seconds,
+                     const std::vector<GroundClause>& clauses,
+                     const ComponentSet& components, ThreadPool* pool,
+                     const Timer& clock, ComponentSearchResult* result);
 
 }  // namespace tuffy
 

@@ -9,13 +9,10 @@
 
 #include "durability/serialize.h"
 #include "durability/snapshot.h"
-#include "infer/exact/exact_solver.h"
-#include "infer/mcsat.h"
-#include "infer/walksat.h"
+#include "infer/component_solver.h"
 #include "obs/flight_recorder.h"
 #include "obs/metrics.h"
 #include "util/logging.h"
-#include "util/rng.h"
 #include "util/string_util.h"
 #include "util/timer.h"
 
@@ -203,18 +200,18 @@ InferenceSession::InferenceSession(const MlnProgram& program,
       grounder_(program, options.grounding, options.optimizer),
       traces_(std::max<uint32_t>(1, options.trace_ring)) {}
 
+void InferenceSession::UsePool(ThreadPool* shared_pool) {
+  owned_pool_ =
+      shared_pool != nullptr ? nullptr : MakeWorkerPool(options_.num_threads);
+  pool_ = shared_pool != nullptr ? shared_pool : owned_pool_.get();
+}
+
 Status InferenceSession::Open(const EvidenceDb& initial_evidence,
                               ThreadPool* shared_pool) {
   if (open_) return Status::Internal("session already open");
   TUFFY_RETURN_IF_ERROR(ValidateSessionOptions(options_));
 
-  if (shared_pool != nullptr) {
-    pool_ = shared_pool;
-  } else if (options_.num_threads > 1) {
-    owned_pool_ = std::make_unique<ThreadPool>(options_.num_threads);
-    pool_ = owned_pool_.get();
-  }
-
+  UsePool(shared_pool);
   TUFFY_RETURN_IF_ERROR(grounder_.Initialize(initial_evidence));
 
   const size_t num_atoms = grounder_.atoms().num_atoms();
@@ -584,12 +581,7 @@ Result<std::unique_ptr<InferenceSession>> InferenceSession::Recover(
     rstats.records_skipped = session->wal_records_;
   }
 
-  if (shared_pool != nullptr) {
-    session->pool_ = shared_pool;
-  } else if (options.num_threads > 1) {
-    session->owned_pool_ = std::make_unique<ThreadPool>(options.num_threads);
-    session->pool_ = session->owned_pool_.get();
-  }
+  session->UsePool(shared_pool);
 
   // Replay the WAL suffix through the normal delta path. Bit-identity
   // with the original session holds because every source of order in
@@ -671,12 +663,7 @@ Result<std::unique_ptr<InferenceSession>> InferenceSession::BootstrapFollower(
   const uint64_t program_fp = ProgramFingerprint(program);
   const uint64_t options_fp = OptionsFingerprint(options);
   auto session = std::make_unique<InferenceSession>(program, options);
-  if (shared_pool != nullptr) {
-    session->pool_ = shared_pool;
-  } else if (options.num_threads > 1) {
-    session->owned_pool_ = std::make_unique<ThreadPool>(options.num_threads);
-    session->pool_ = session->owned_pool_.get();
-  }
+  session->UsePool(shared_pool);
   // Restore before touching the disk: a snapshot from a primary with a
   // different program or inference options is refused by the fingerprint
   // checks, leaving the directory empty rather than wedged.
@@ -742,11 +729,18 @@ void InferenceSession::SearchComponents(const std::vector<size_t>& dirty,
   result->components_total = comps_.num_components();
   result->components_dirty = dirty.size();
 
-  const uint64_t total_atoms =
-      std::max<size_t>(grounder_.atoms().num_atoms(), 1);
-  // Two decorrelated per-epoch streams: one for search, one for MC-SAT.
-  const uint64_t search_base = DeriveSeed(options_.seed, 2 * epoch_);
-  const uint64_t mcsat_base = DeriveSeed(options_.seed, 2 * epoch_ + 1);
+  ComponentSolverOptions sopts;
+  sopts.total_flips = options_.total_flips;
+  sopts.mrf_atoms = grounder_.atoms().num_atoms();
+  sopts.seed = options_.seed;
+  sopts.epoch = epoch_;
+  sopts.p_random = options_.p_random;
+  sopts.hard_weight = options_.hard_weight;
+  sopts.init_random = options_.init_random;
+  sopts.use_exact = options_.exact_fast_path;
+  sopts.marginals = options_.track_marginals;
+  sopts.mcsat_samples = options_.mcsat_samples;
+  sopts.mcsat_burn_in = options_.mcsat_burn_in;
 
   const int search_span = trace != nullptr ? trace->BeginSpan("search") : -1;
   // Workers stamp their component's slot; slots become child spans after
@@ -757,22 +751,45 @@ void InferenceSession::SearchComponents(const std::vector<size_t>& dirty,
 
   TaskGroup group(pool_);
   for (size_t i = 0; i < dirty.size(); ++i) {
-    const size_t c = dirty[i];
-    uint64_t budget = std::max<uint64_t>(
-        1, options_.total_flips * comps_.atoms[c].size() / total_atoms);
-    // Keyed by the component's smallest atom id — stable across thread
-    // counts and scheduling order, so results are bit-identical for any
-    // num_threads.
-    const uint64_t comp_key = comps_.atoms[c][0];
-    const uint64_t search_seed = DeriveSeed(search_base, comp_key);
-    const uint64_t mcsat_seed = DeriveSeed(mcsat_base, comp_key);
-    ComponentTiming* timing = timings.empty() ? nullptr : &timings[i];
-    uint8_t* exact_flag = &exact_flags[i];
-    group.Submit(
-        [this, c, budget, cold, search_seed, mcsat_seed, timing, exact_flag] {
-          SearchOneComponent(c, budget, cold, search_seed, mcsat_seed, timing,
-                             exact_flag);
-        });
+    group.Submit([&, i] {
+      const size_t c = dirty[i];
+      ComponentTiming* timing = timings.empty() ? nullptr : &timings[i];
+      if (timing != nullptr) timing->start_ns = TraceNowNs();
+      if (comps_.clauses[c].empty()) {
+        // Clause-less singleton: nothing to search. The atom is either
+        // evidence-determined (it left every clause when the evidence
+        // fixed it — report that truth) or genuinely unconstrained (false
+        // default, marginal exactly 1/2, matching an atom absent from a
+        // fresh MRF).
+        comp_cost_[c] = 0.0;
+        comp_flips_[c] = 0;
+        for (AtomId a : comps_.atoms[c]) {
+          Truth t =
+              grounder_.evidence().Lookup(program_, grounder_.atoms().atom(a));
+          truth_[a] = t == Truth::kTrue ? 1 : 0;
+          if (options_.track_marginals) {
+            marginals_[a] =
+                t == Truth::kTrue ? 1.0 : (t == Truth::kFalse ? 0.0 : 0.5);
+          }
+        }
+      } else {
+        // Warm runs start from the session's current MAP truth (atoms new
+        // this epoch default to false).
+        ComponentSolver solver(sopts, grounder_.clauses(), comps_.clauses[c],
+                               comps_.atoms[c], cold ? nullptr : &truth_);
+        solver.SearchRound(0, 1);
+        const uint64_t mcsat_start_ns = timing != nullptr ? TraceNowNs() : 0;
+        if (solver.SampleMarginals() && timing != nullptr) {
+          timing->mcsat_start_ns = mcsat_start_ns;
+          timing->mcsat_end_ns = TraceNowNs();
+        }
+        comp_cost_[c] = solver.cost();
+        comp_flips_[c] = solver.flips();
+        solver.Scatter(&truth_, &marginals_);
+        exact_flags[i] = solver.exact();
+      }
+      if (timing != nullptr) timing->end_ns = TraceNowNs();
+    });
   }
   group.Wait();
 
@@ -804,97 +821,6 @@ void InferenceSession::SearchComponents(const std::vector<size_t>& dirty,
   static Counter* flips = MetricsRegistry::Global().GetCounter("search.flips");
   researched->Add(dirty.size());
   flips->Add(result->flips);
-}
-
-void InferenceSession::SearchOneComponent(size_t comp, uint64_t budget,
-                                          bool cold, uint64_t search_seed,
-                                          uint64_t mcsat_seed,
-                                          ComponentTiming* timing,
-                                          uint8_t* exact_flag) {
-  if (timing != nullptr) timing->start_ns = TraceNowNs();
-  const std::vector<AtomId>& comp_atoms = comps_.atoms[comp];
-  if (comps_.clauses[comp].empty()) {
-    // Clause-less singleton: nothing to search. The atom is either
-    // evidence-determined (it left every clause when the evidence fixed
-    // it — report that truth) or genuinely unconstrained (false default,
-    // marginal exactly 1/2, matching an atom absent from a fresh MRF).
-    comp_cost_[comp] = 0.0;
-    comp_flips_[comp] = 0;
-    for (AtomId a : comp_atoms) {
-      Truth t = grounder_.evidence().Lookup(program_, grounder_.atoms().atom(a));
-      truth_[a] = t == Truth::kTrue ? 1 : 0;
-      if (options_.track_marginals) {
-        marginals_[a] =
-            t == Truth::kTrue ? 1.0 : (t == Truth::kFalse ? 0.0 : 0.5);
-      }
-    }
-    if (timing != nullptr) timing->end_ns = TraceNowNs();
-    return;
-  }
-
-  SubProblem sub =
-      BuildSubProblem(grounder_.clauses(), comps_.clauses[comp], comp_atoms);
-
-  if (options_.exact_fast_path) {
-    // Tractable fragment: exact MAP (and marginals) in linear time, no
-    // flips. Deterministic, so warm vs cold and thread count cannot
-    // change the answer; the per-component seeds stay derived either
-    // way, so sampler components are unaffected by the routing.
-    ExactSolveResult ex = TrySolveExact(sub.problem, options_.hard_weight,
-                                        options_.track_marginals);
-    if (ex.solved) {
-      comp_cost_[comp] = ex.map_cost;
-      comp_flips_[comp] = 0;
-      for (size_t i = 0; i < comp_atoms.size(); ++i) {
-        truth_[comp_atoms[i]] = ex.truth[i];
-        if (options_.track_marginals) {
-          marginals_[comp_atoms[i]] = ex.marginals[i];
-        }
-      }
-      if (exact_flag != nullptr) *exact_flag = 1;
-      if (timing != nullptr) timing->end_ns = TraceNowNs();
-      return;
-    }
-  }
-
-  WalkSatOptions wopts;
-  wopts.p_random = options_.p_random;
-  wopts.hard_weight = options_.hard_weight;
-  std::vector<uint8_t> init(comp_atoms.size());
-  if (cold) {
-    wopts.init_random = options_.init_random;
-  } else {
-    // Warm start from the session's current MAP truth (atoms new this
-    // epoch default to false).
-    for (size_t i = 0; i < comp_atoms.size(); ++i) {
-      init[i] = truth_[comp_atoms[i]];
-    }
-    wopts.initial = &init;
-  }
-
-  Rng rng(search_seed);
-  IncrementalWalkSat search(&sub.problem, wopts, &rng);
-  search.RunFlips(budget);
-  comp_cost_[comp] = search.best_cost();
-  comp_flips_[comp] = search.flips();
-  const std::vector<uint8_t>& best = search.best_truth();
-  for (size_t i = 0; i < comp_atoms.size(); ++i) {
-    truth_[comp_atoms[i]] = best[i];
-  }
-
-  if (options_.track_marginals) {
-    if (timing != nullptr) timing->mcsat_start_ns = TraceNowNs();
-    McSatOptions mopts;
-    mopts.num_samples = options_.mcsat_samples;
-    mopts.burn_in = options_.mcsat_burn_in;
-    mopts.hard_weight = options_.hard_weight;
-    McSatResult mr = RunMcSat(sub.problem, mopts, mcsat_seed);
-    for (size_t i = 0; i < comp_atoms.size(); ++i) {
-      marginals_[comp_atoms[i]] = mr.marginals[i];
-    }
-    if (timing != nullptr) timing->mcsat_end_ns = TraceNowNs();
-  }
-  if (timing != nullptr) timing->end_ns = TraceNowNs();
 }
 
 double InferenceSession::map_cost() const {

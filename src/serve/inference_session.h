@@ -295,9 +295,10 @@ class InferenceSession {
   void SearchComponents(const std::vector<size_t>& dirty, bool cold,
                         DeltaApplyResult* result,
                         TraceBuilder* trace = nullptr);
-  void SearchOneComponent(size_t comp, uint64_t budget, bool cold,
-                          uint64_t search_seed, uint64_t mcsat_seed,
-                          ComponentTiming* timing, uint8_t* exact_flag);
+
+  /// Runs parallel work on `shared_pool`, or on a pool of
+  /// options.num_threads workers owned by this session when it is null.
+  void UsePool(ThreadPool* shared_pool);
 
   /// Closes the root span, pushes the finished trace into the ring,
   /// logs it if the delta breached slow_delta_seconds, and stamps the

@@ -6,11 +6,7 @@
 namespace tuffy {
 
 SessionManager::SessionManager(SessionManagerOptions options)
-    : options_(options) {
-  if (options_.num_threads > 1) {
-    pool_ = std::make_unique<ThreadPool>(options_.num_threads);
-  }
-}
+    : options_(options), pool_(MakeWorkerPool(options.num_threads)) {}
 
 SessionManager::~SessionManager() {
   std::unique_lock<std::mutex> lock(mu_);

@@ -69,6 +69,11 @@ void ThreadPool::WorkerLoop() {
   }
 }
 
+std::unique_ptr<ThreadPool> MakeWorkerPool(int num_threads) {
+  if (num_threads <= 1) return nullptr;
+  return std::make_unique<ThreadPool>(static_cast<size_t>(num_threads));
+}
+
 void TaskGroup::Submit(std::function<void()> task) {
   if (pool_ == nullptr) {
     task();

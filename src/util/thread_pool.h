@@ -5,6 +5,7 @@
 #include <cstddef>
 #include <deque>
 #include <functional>
+#include <memory>
 #include <mutex>
 #include <thread>
 #include <vector>
@@ -40,6 +41,10 @@ class ThreadPool {
   size_t in_flight_ = 0;
   bool shutdown_ = false;
 };
+
+/// A pool of `num_threads` workers, or null for one thread: TaskGroup
+/// then runs tasks inline, with no worker hand-off.
+std::unique_ptr<ThreadPool> MakeWorkerPool(int num_threads);
 
 /// Completion tracking for one client's batch of tasks on a *shared*
 /// ThreadPool. Several serving sessions submit work to the same pool

@@ -45,19 +45,24 @@ TEST(DeterminismTest, EngineComponentModeThreadCountInvariant) {
   auto ds = MakeRcDataset(p);
   ASSERT_TRUE(ds.ok());
 
-  EngineOptions opts;
-  opts.search_mode = SearchMode::kComponentAware;
-  opts.total_flips = 30000;
-  opts.num_threads = 1;
-  TuffyEngine serial(ds.value().program, ds.value().evidence, opts);
-  opts.num_threads = 4;
-  TuffyEngine parallel(ds.value().program, ds.value().evidence, opts);
-  auto rs = serial.Run();
-  auto rp = parallel.Run();
-  ASSERT_TRUE(rs.ok());
-  ASSERT_TRUE(rp.ok());
-  EXPECT_EQ(rs.value().truth, rp.value().truth);
-  EXPECT_EQ(rs.value().search_cost, rp.value().search_cost);
+  for (InferenceTask task : {InferenceTask::kMap, InferenceTask::kMarginal}) {
+    EngineOptions opts;
+    opts.search_mode = SearchMode::kComponentAware;
+    opts.task = task;
+    opts.total_flips = 30000;
+    opts.mcsat_samples = 100;
+    opts.num_threads = 1;
+    TuffyEngine serial(ds.value().program, ds.value().evidence, opts);
+    opts.num_threads = 4;
+    TuffyEngine parallel(ds.value().program, ds.value().evidence, opts);
+    auto rs = serial.Run();
+    auto rp = parallel.Run();
+    ASSERT_TRUE(rs.ok());
+    ASSERT_TRUE(rp.ok());
+    EXPECT_EQ(rs.value().truth, rp.value().truth);
+    EXPECT_EQ(rs.value().search_cost, rp.value().search_cost);
+    EXPECT_EQ(rs.value().marginals, rp.value().marginals);
+  }
 }
 
 TEST(DeterminismTest, SessionThreadCountInvariantAcrossDeltas) {

@@ -135,6 +135,43 @@ TEST(EngineTest, BatchLoadingReducesPageReads) {
             ru.value().grounding.clauses.num_clauses());
 }
 
+// Memory budget and batch loading are scheduling knobs, never semantics
+// knobs: an FFD batch decides which components are resident, while each
+// component's seeds and flip budget depend only on the component and the
+// whole MRF.
+TEST(EngineTest, BatchingNeverChangesTheAnswer) {
+  RcParams p;
+  p.num_clusters = 12;
+  p.papers_per_cluster = 5;
+  auto ds = MakeRcDataset(p);
+  ASSERT_TRUE(ds.ok());
+  EngineOptions opts;
+  opts.search_mode = SearchMode::kComponentAware;
+  opts.total_flips = 60000;
+  opts.num_threads = 2;
+  auto run = [&](const EngineOptions& o) {
+    auto r = TuffyEngine(ds.value().program, ds.value().evidence, o).Run();
+    EXPECT_TRUE(r.ok()) << r.status().ToString();
+    return r.TakeValue();
+  };
+  const EngineResult one_batch = run(opts);
+
+  EngineOptions per_component = opts;
+  per_component.batch_loading = false;
+  EngineOptions budgeted = opts;
+  budgeted.memory_budget_bytes = one_batch.peak_search_bytes / 4;
+  const EngineResult budgeted_run = run(budgeted);
+  // No batch holds more than a third of the search state: at least three
+  // batches.
+  ASSERT_LE(3 * budgeted_run.peak_search_bytes, one_batch.peak_search_bytes);
+
+  for (const EngineResult& r : {run(per_component), budgeted_run}) {
+    EXPECT_EQ(r.truth, one_batch.truth);
+    EXPECT_EQ(r.flips, one_batch.flips);
+    EXPECT_EQ(r.total_cost, one_batch.total_cost);
+  }
+}
+
 TEST(EngineTest, TimeoutRespected) {
   Dataset ds = SmallRc();
   EngineOptions opts;

@@ -229,6 +229,51 @@ TEST(ExactOracleTest, WalkSatReachesExactMapCost) {
   }
 }
 
+// Routing forest components to the exact solver leaves the sampled ones
+// alone: a cyclic component keeps its seeds and flip budget, so its truth
+// and flips are bit-identical with the fast path on or off.
+TEST(ExactOracleTest, ExactRoutingLeavesCyclicComponentAlone) {
+  TractableMrfParams params = VariedTractableParams(5);
+  params.num_components = 4;
+  size_t forest_atoms = 0;
+  std::vector<GroundClause> clauses = MakeTractableMrf(params, &forest_atoms);
+  // The cyclic component: an 8-ring of "exactly one of two neighbours"
+  // pairs, satisfiable only by alternation.
+  const size_t ring = 8;
+  for (size_t i = 0; i < ring; ++i) {
+    const AtomId a = static_cast<AtomId>(forest_atoms + i);
+    const AtomId b = static_cast<AtomId>(forest_atoms + (i + 1) % ring);
+    clauses.push_back(GroundClause{{MakeLit(a, true), MakeLit(b, true)}, 1.0});
+    clauses.push_back(
+        GroundClause{{MakeLit(a, false), MakeLit(b, false)}, 1.0});
+  }
+  const size_t num_atoms = forest_atoms + ring;
+  ComponentSet comps = DetectComponents(num_atoms, clauses);
+  ComponentSet forest = comps;
+  forest.atoms.pop_back();  // components are ordered by smallest atom
+  forest.clauses.pop_back();
+  ASSERT_EQ(comps.atoms.back().front(), forest_atoms);
+
+  ComponentSearchOptions copts;
+  copts.total_flips = 50000;
+  copts.hard_weight = kHardWeight;
+  ComponentSearchResult on =
+      RunComponentWalkSat(num_atoms, clauses, comps, copts, 3);
+  copts.use_exact = false;
+  ComponentSearchResult off =
+      RunComponentWalkSat(num_atoms, clauses, comps, copts, 3);
+  ComponentSearchResult forest_off =
+      RunComponentWalkSat(num_atoms, clauses, forest, copts, 3);
+
+  // Exact components spend no flips, so `on` counts the ring's alone.
+  EXPECT_EQ(on.exact_components, forest.num_components());
+  EXPECT_GT(on.flips, 0u);
+  EXPECT_EQ(on.flips, off.flips - forest_off.flips);
+  for (AtomId a : comps.atoms.back()) {
+    EXPECT_EQ(on.truth[a], off.truth[a]) << "atom " << a;
+  }
+}
+
 TEST(ExactOracleTest, McSatMarginalsWithinToleranceOfExact) {
   size_t programs = 0;
   for (uint64_t idx = 0; idx < 100; ++idx) {
