@@ -16,18 +16,10 @@
 //   -o FILE        write results to FILE instead of stdout
 //   -marginal      marginal inference (MC-SAT) instead of MAP
 //   -session       open a long-lived serving session instead of a batch
-//                  run, then read delta commands from stdin (see
-//                  docs/SERVING.md):
-//                    assert pred(a,b) [false]   stage an assertion
-//                    retract pred(a,b)          stage a retraction
-//                    apply                      apply staged delta
-//                    cost                       print current MAP cost
-//                    query PRED                 print true atoms of PRED
-//                    marginals PRED             per-atom P(true) (-marginal)
-//                    stats                      session counters
-//                    recover                    drop resident state and
-//                                               rebuild from -wal_dir
-//                    quit
+//                  run, then read REPL commands from stdin. The REPL is
+//                  the same under -session, -connect and -follow; its
+//                  command table is in docs/SERVING.md ("tuffy_cli
+//                  REPL").
 //   -learnwt       learn clause weights from the evidence: the -q
 //                  predicates become training labels, the rest stays
 //                  conditioning evidence
@@ -61,18 +53,18 @@
 //                  text without stopping (a poor man's scrape; see
 //                  docs/OBSERVABILITY.md). Fatal signals dump the
 //                  flight recorder — to stderr, and to
-//                  <wal_dir>/flight_recorder.txt when durable. Session
-//                  knobs (-flips, -seed, -marginal, -wal_dir,
-//                  -snapshot_every, -no_fsync, -threads, -budget) apply
-//                  to every served session.
+//                  <wal_dir>/flight_recorder.txt when durable. Served
+//                  sessions take the options a -session takes (-flips,
+//                  -seed, -marginal, -snapshot_every, ...); -wal_dir is
+//                  their durability root (one directory per session),
+//                  -threads the worker count, and -budget bounds their
+//                  summed resident bytes.
 //   -connect HOST:PORT
 //                  drive a remote -serve process instead of an
-//                  in-process session: same REPL commands as -session,
-//                  sent over the binary wire protocol, plus `metrics`
-//                  (server-wide registry text) and `trace` (recent
-//                  delta span trees for this session). The local
-//                  program (-i/-gen, for atom names and the fingerprint
-//                  check) must match the server's.
+//                  in-process session: the same REPL, each command sent
+//                  as one wire request. The local program (-i/-gen, for
+//                  atom names and the fingerprint check) must match the
+//                  server's.
 //   -follow HOST:PORT
 //                  run as a hot standby of the durable primary at
 //                  HOST:PORT (docs/DURABILITY.md, "Replication &
@@ -80,13 +72,12 @@
 //                  its shipped WAL records into a local replica rooted
 //                  at -wal_dir (required), print "replicated to N"
 //                  progress on stderr, and reconnect with backoff when
-//                  the primary goes quiet. The REPL serves read-only
-//                  queries (cost/query/marginals/status) plus `promote`
-//                  — operator failover that seals the local WAL and
-//                  makes apply work locally. Combine with -serve PORT
-//                  to also front the replica over TCP (deltas are
-//                  refused with a retryable not-primary error until
-//                  promotion).
+//                  the primary goes quiet. The same REPL reads the
+//                  replica, plus `status` and `promote` (operator
+//                  failover: seals the local WAL and makes apply work
+//                  locally). Combine with -serve PORT to also front the
+//                  replica over TCP (deltas are refused with a
+//                  retryable not-primary error until promotion).
 //   -crash_at SPEC arm a fault point before running, e.g.
 //                  'wal.append.mid_record=crash@2' (see
 //                  util/fault_points.h). The process _Exit()s with
@@ -104,7 +95,9 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <functional>
 #include <iostream>
+#include <map>
 #include <string>
 #include <thread>
 #include <vector>
@@ -114,6 +107,7 @@
 #include "exec/tuffy_engine.h"
 #include "mln/io.h"
 #include "net/client.h"
+#include "net/replies.h"
 #include "net/server.h"
 #include "obs/flight_recorder.h"
 #include "obs/metrics.h"
@@ -209,29 +203,23 @@ const char* DefaultQueryPred(const std::string& name) {
 bool ParseArgs(int argc, char** argv, CliArgs* args) {
   for (int i = 1; i < argc; ++i) {
     std::string a = argv[i];
-    auto next = [&]() -> const char* {
-      return i + 1 < argc ? argv[++i] : nullptr;
+    // The value of a flag that takes one; a missing value fails the parse.
+    bool missing = false;
+    auto v = [&]() -> const char* {
+      if (i + 1 < argc) return argv[++i];
+      missing = true;
+      return "";
     };
     if (a == "-i") {
-      const char* v = next();
-      if (!v) return false;
-      args->program_file = v;
+      args->program_file = v();
     } else if (a == "-e") {
-      const char* v = next();
-      if (!v) return false;
-      args->evidence_file = v;
+      args->evidence_file = v();
     } else if (a == "-q") {
-      const char* v = next();
-      if (!v) return false;
-      args->query_preds.push_back(v);
+      args->query_preds.push_back(v());
     } else if (a == "-o") {
-      const char* v = next();
-      if (!v) return false;
-      args->output_file = v;
+      args->output_file = v();
     } else if (a == "-gen") {
-      const char* v = next();
-      if (!v) return false;
-      args->gen_dataset = v;
+      args->gen_dataset = v();
     } else if (a == "-marginal") {
       args->marginal = true;
       args->engine.task = InferenceTask::kMarginal;
@@ -243,9 +231,7 @@ bool ParseArgs(int argc, char** argv, CliArgs* args) {
     } else if (a == "-learnwt") {
       args->learn = true;
     } else if (a == "-algo") {
-      const char* v = next();
-      if (!v) return false;
-      std::string algo = v;
+      std::string algo = v();
       if (algo == "vp") {
         args->learnwt.algorithm = LearnAlgorithm::kVotedPerceptron;
       } else if (algo == "dn") {
@@ -254,29 +240,17 @@ bool ParseArgs(int argc, char** argv, CliArgs* args) {
         return false;
       }
     } else if (a == "-epochs") {
-      const char* v = next();
-      if (!v) return false;
-      args->learnwt.max_epochs = std::atoi(v);
+      args->learnwt.max_epochs = std::atoi(v());
     } else if (a == "-lr") {
-      const char* v = next();
-      if (!v) return false;
-      args->learnwt.learning_rate = std::atof(v);
+      args->learnwt.learning_rate = std::atof(v());
     } else if (a == "-flips") {
-      const char* v = next();
-      if (!v) return false;
-      args->engine.total_flips = std::strtoull(v, nullptr, 10);
+      args->engine.total_flips = std::strtoull(v(), nullptr, 10);
     } else if (a == "-threads") {
-      const char* v = next();
-      if (!v) return false;
-      args->engine.num_threads = std::atoi(v);
+      args->engine.num_threads = std::atoi(v());
     } else if (a == "-budget") {
-      const char* v = next();
-      if (!v) return false;
-      args->engine.memory_budget_bytes = std::strtoull(v, nullptr, 10);
+      args->engine.memory_budget_bytes = std::strtoull(v(), nullptr, 10);
     } else if (a == "-mode") {
-      const char* v = next();
-      if (!v) return false;
-      std::string mode = v;
+      std::string mode = v();
       if (mode == "component") {
         args->engine.search_mode = SearchMode::kComponentAware;
       } else if (mode == "memory") {
@@ -289,43 +263,30 @@ bool ParseArgs(int argc, char** argv, CliArgs* args) {
         return false;
       }
     } else if (a == "-wal_dir") {
-      const char* v = next();
-      if (!v) return false;
-      args->engine.wal_dir = v;
+      args->engine.wal_dir = v();
     } else if (a == "-snapshot_every") {
-      const char* v = next();
-      if (!v) return false;
       args->engine.snapshot_every =
-          static_cast<uint32_t>(std::strtoul(v, nullptr, 10));
+          static_cast<uint32_t>(std::strtoul(v(), nullptr, 10));
     } else if (a == "-no_fsync") {
       args->engine.wal_fsync = false;
     } else if (a == "-serve") {
-      const char* v = next();
-      if (!v) return false;
       args->serve = true;
-      args->serve_port = static_cast<uint16_t>(std::strtoul(v, nullptr, 10));
+      args->serve_port = static_cast<uint16_t>(std::strtoul(v(), nullptr, 10));
     } else if (a == "-connect") {
-      const char* v = next();
-      if (!v) return false;
-      args->connect = v;
+      args->connect = v();
     } else if (a == "-follow") {
-      const char* v = next();
-      if (!v) return false;
-      args->follow = v;
+      args->follow = v();
     } else if (a == "-crash_at") {
-      const char* v = next();
-      if (!v) return false;
-      args->crash_at = v;
+      args->crash_at = v();
     } else if (a == "-topdown") {
       args->engine.grounding_mode = GroundingMode::kTopDown;
     } else if (a == "-seed") {
-      const char* v = next();
-      if (!v) return false;
-      args->engine.seed = std::strtoull(v, nullptr, 10);
+      args->engine.seed = std::strtoull(v(), nullptr, 10);
     } else {
       std::fprintf(stderr, "unknown flag: %s\n", a.c_str());
       return false;
     }
+    if (missing) return false;
   }
   if (!args->gen_dataset.empty()) {
     if (args->query_preds.empty()) {
@@ -395,7 +356,10 @@ int RunLearn(const CliArgs& args, const MlnProgram& program,
   return EmitOutput(args, out);
 }
 
-// ----------------------------------------------------------- -session
+// ---------------------------------------------------------------- REPL
+
+/// The session every REPL mode drives (and -follow replicates).
+constexpr const char* kReplSession = "cli";
 
 /// Parses "pred(arg1, arg2, ...)" against the program's symbol table.
 bool ParseAtomSpec(const MlnProgram& program, const std::string& spec,
@@ -446,23 +410,10 @@ bool ParseAtomSpec(const MlnProgram& program, const std::string& spec,
   return true;
 }
 
-void PrintRecoveryStats(const RecoveryStats& rs) {
-  std::fprintf(stderr,
-               "recovered: snapshot %llu (%zu tried), %llu/%llu records "
-               "replayed (%llu from snapshot), %llu bytes scanned, "
-               "%llu torn tail bytes truncated\n",
-               (unsigned long long)rs.snapshot_seq, rs.snapshots_tried,
-               (unsigned long long)rs.records_replayed,
-               (unsigned long long)rs.wal_records_total,
-               (unsigned long long)rs.records_skipped,
-               (unsigned long long)rs.bytes_scanned,
-               (unsigned long long)rs.truncated_bytes);
-}
-
-/// Handles "assert pred(...) [true|false]" / "retract pred(...)" for
-/// both the in-process and the -connect REPL. Anything after the
-/// closing paren must be a recognized truth flag — silently dropping a
-/// typo like "False" would stage the opposite of what the user meant.
+/// Handles "assert pred(...) [true|false]" / "retract pred(...)".
+/// Anything after the closing paren must be a recognized truth flag —
+/// silently dropping a typo like "False" would stage the opposite of
+/// what the user meant.
 void StageEdit(const MlnProgram& program, const std::string& cmd,
                const std::string& rest, EvidenceDelta* staged) {
   size_t close = rest.rfind(')');
@@ -498,38 +449,124 @@ void StageEdit(const MlnProgram& program, const std::string& cmd,
                staged->assertions.size(), staged->retractions.size());
 }
 
-/// Interactive serving session: reads delta commands from stdin.
-int RunSession(const CliArgs& args, const MlnProgram& program,
-               const EvidenceDb& evidence) {
-  TuffyEngine engine(program, evidence, args.engine);
-  std::unique_ptr<InferenceSession> sess;
-  auto session = engine.OpenSession();
-  if (session.ok()) {
-    sess = session.TakeValue();
-  } else if (session.status().code() == StatusCode::kAlreadyExists) {
-    // The -wal_dir already holds a session: pick up where it left off.
-    RecoveryStats rs;
-    auto recovered = engine.RecoverSession(&rs);
-    if (!recovered.ok()) {
-      std::fprintf(stderr, "session recovery failed: %s\n",
-                   recovered.status().ToString().c_str());
-      return 1;
-    }
-    sess = recovered.TakeValue();
-    PrintRecoveryStats(rs);
-  } else {
-    std::fprintf(stderr, "session open failed: %s\n",
-                 session.status().ToString().c_str());
-    return 1;
+/// Prints one reply: answers (atoms, marginals, metrics) to stdout,
+/// status lines to stderr.
+void PrintReply(const MlnProgram& program, const std::string& cmd,
+                const NetRequest& req, const NetResponse& r) {
+  switch (r.type) {
+    case MsgType::kError:
+      std::fprintf(stderr, "%s: %s%s: %s\n", cmd.c_str(),
+                   WireErrorName(r.error), r.retryable ? " (retryable)" : "",
+                   r.message.c_str());
+      break;
+    case MsgType::kOpenReply:
+      std::fprintf(stderr,
+                   "%s session '%s': %llu atoms, %llu clauses, "
+                   "%llu components, cost %.2f\n",
+                   r.attached ? "re-attached to" : "opened",
+                   req.session.c_str(), (unsigned long long)r.num_atoms,
+                   (unsigned long long)r.num_clauses,
+                   (unsigned long long)r.num_components, r.map_cost);
+      break;
+    case MsgType::kDeltaReply:
+      std::fprintf(stderr,
+                   "%s: cost %.4f, seq %llu, %llu/%llu components "
+                   "re-searched, %llu flips\n",
+                   r.no_op ? "no-op" : "applied", r.map_cost,
+                   (unsigned long long)r.seq,
+                   (unsigned long long)r.components_dirty,
+                   (unsigned long long)r.components_total,
+                   (unsigned long long)r.flips);
+      break;
+    case MsgType::kMapReply:
+      if (req.predicate.empty()) {
+        std::fprintf(stderr, "map cost: %.4f\n", r.map_cost);
+      }
+      for (const GroundAtom& atom : r.atoms) {
+        std::printf("%s\n", AtomStore::AtomName(program, atom).c_str());
+      }
+      break;
+    case MsgType::kMarginalsReply:
+      for (const auto& [atom, p] : r.marginals) {
+        std::printf("%.4f\t%s\n", p,
+                    AtomStore::AtomName(program, atom).c_str());
+      }
+      break;
+    case MsgType::kRecoverReply:
+      std::fprintf(stderr,
+                   "recovered: snapshot %llu (%zu tried), %llu/%llu records "
+                   "replayed (%llu from snapshot), %llu bytes scanned, "
+                   "%llu torn tail bytes truncated\n"
+                   "map cost after recovery: %.4f\n",
+                   (unsigned long long)r.recovery.snapshot_seq,
+                   r.recovery.snapshots_tried,
+                   (unsigned long long)r.recovery.records_replayed,
+                   (unsigned long long)r.recovery.wal_records_total,
+                   (unsigned long long)r.recovery.records_skipped,
+                   (unsigned long long)r.recovery.bytes_scanned,
+                   (unsigned long long)r.recovery.truncated_bytes, r.map_cost);
+      break;
+    case MsgType::kStatsReply:
+      for (const auto& [key, value] : r.stats) {
+        std::fprintf(stderr, "%s = %g\n", key.c_str(), value);
+      }
+      break;
+    case MsgType::kMetricsReply:
+      std::fputs(r.message.c_str(), stdout);
+      break;
+    case MsgType::kTraceReply:
+      std::fputs(r.message.c_str(), stderr);
+      break;
+    default:
+      break;
   }
-  std::fprintf(stderr,
-               "session open: %zu atoms, %zu clauses, %zu components, "
-               "cost %.2f\n> ",
-               sess->atoms().num_atoms(), sess->clauses().size(),
-               sess->num_components(), sess->map_cost());
+  std::fflush(stdout);
+}
 
+/// Where the REPL's requests go: a wire Client (-connect), the REPL's own
+/// session (-session), or a hot standby (-follow). A non-OK Result means
+/// the backend itself is gone — a lost connection, a failed in-place
+/// recovery — and ends the REPL; a kError reply is an answer like any
+/// other.
+using Backend = std::function<Result<NetResponse>(const NetRequest&)>;
+
+/// The one REPL of -session, -connect and -follow. assert/retract stage
+/// an edit locally; every other command becomes one request to
+/// `backend`, and PrintReply prints the reply. `mode_command` sees each
+/// command first and returns true for the mode-specific ones it handled
+/// (-follow's status/promote). With `open`, the REPL starts by opening
+/// or re-attaching to the session.
+int RunRepl(const MlnProgram& program, const Backend& backend, bool open,
+            const std::function<bool(const std::string&)>& mode_command =
+                nullptr) {
+  auto send = [&](const std::string& cmd, const NetRequest& req) {
+    Result<NetResponse> r = backend(req);
+    if (r.ok()) {
+      PrintReply(program, cmd, req, r.value());
+    } else {
+      std::fprintf(stderr, "%s failed: %s\n", cmd.c_str(),
+                   r.status().ToString().c_str());
+    }
+    return r;
+  };
+  if (open) {
+    NetRequest req;
+    req.type = MsgType::kOpenSession;
+    req.session = kReplSession;
+    req.program_fp = ProgramFingerprint(program);
+    auto r = send("open", req);
+    if (!r.ok() || r.value().type != MsgType::kOpenReply) return 1;
+  }
+  // The request each command sends (docs/SERVING.md, "tuffy_cli REPL").
+  static const std::map<std::string, MsgType> kRequests = {
+      {"apply", MsgType::kApplyDelta}, {"cost", MsgType::kQueryMap},
+      {"query", MsgType::kQueryMap},   {"marginals", MsgType::kQueryMarginals},
+      {"stats", MsgType::kStats},      {"recover", MsgType::kRecover},
+      {"metrics", MsgType::kMetrics},  {"trace", MsgType::kTrace},
+  };
   EvidenceDelta staged;
   std::string line;
+  std::fprintf(stderr, "> ");
   while (std::getline(std::cin, line)) {
     while (!line.empty() && (line.back() == '\n' || line.back() == '\r')) {
       line.pop_back();
@@ -537,99 +574,96 @@ int RunSession(const CliArgs& args, const MlnProgram& program,
     size_t sp = line.find(' ');
     std::string cmd = line.substr(0, sp);
     std::string rest = sp == std::string::npos ? "" : line.substr(sp + 1);
-
-    if (cmd.empty()) {
+    auto request = kRequests.find(cmd);
+    if (cmd.empty() || (mode_command && mode_command(cmd))) {
     } else if (cmd == "assert" || cmd == "retract") {
       StageEdit(program, cmd, rest, &staged);
-    } else if (cmd == "apply") {
-      auto r = sess->ApplyDelta(staged);
-      staged = EvidenceDelta{};
-      if (!r.ok()) {
-        std::fprintf(stderr, "delta failed: %s\n",
-                     r.status().ToString().c_str());
-      } else {
-        std::fprintf(
-            stderr,
-            "%s: %zu rules re-ground, +%zu/-%zu/~%zu clauses, %zu/%zu "
-            "components re-searched, %.3fs ground + %.3fs search, "
-            "cost %.2f\n",
-            r.value().edits.no_op ? "no-op" : "applied",
-            r.value().edits.rules_reground, r.value().edits.clauses_added,
-            r.value().edits.clauses_removed,
-            r.value().edits.clauses_reweighted, r.value().components_dirty,
-            r.value().components_total, r.value().edits.ground_seconds,
-            r.value().search_seconds, r.value().map_cost);
-      }
-    } else if (cmd == "cost") {
-      std::fprintf(stderr, "map cost: %.4f\n", sess->map_cost());
-    } else if (cmd == "query") {
-      auto atoms =
-          ExtractTrueAtoms(program, sess->atoms(), sess->truth(), rest);
-      if (!atoms.ok()) {
-        std::fprintf(stderr, "%s\n", atoms.status().ToString().c_str());
-      } else {
-        for (const GroundAtom& atom : atoms.value()) {
-          AtomId id;
-          if (sess->atoms().Find(atom, &id)) {
-            std::printf("%s\n", sess->atoms().AtomName(program, id).c_str());
-          }
-        }
-        std::fflush(stdout);
-      }
-    } else if (cmd == "marginals") {
-      if (sess->marginals().empty()) {
-        std::fprintf(stderr, "session opened without -marginal\n");
-      } else {
-        auto pid = program.FindPredicate(rest);
-        if (!pid.ok()) {
-          std::fprintf(stderr, "unknown predicate %s\n", rest.c_str());
-        } else {
-          for (AtomId a = 0; a < sess->atoms().num_atoms(); ++a) {
-            if (sess->atoms().atom(a).pred != pid.value()) continue;
-            std::printf("%.4f\t%s\n", sess->marginals()[a],
-                        sess->atoms().AtomName(program, a).c_str());
-          }
-          std::fflush(stdout);
-        }
-      }
-    } else if (cmd == "recover") {
-      if (args.engine.wal_dir.empty()) {
-        std::fprintf(stderr, "recover needs -wal_dir\n");
-      } else {
-        // Drop the resident state on the floor — the WAL is the record —
-        // and rebuild from disk, exactly as a restarted process would.
-        sess.reset();
-        RecoveryStats rs;
-        auto recovered = engine.RecoverSession(&rs);
-        if (!recovered.ok()) {
-          std::fprintf(stderr, "recovery failed: %s\n",
-                       recovered.status().ToString().c_str());
-          return 1;
-        }
-        sess = recovered.TakeValue();
-        PrintRecoveryStats(rs);
-        std::fprintf(stderr, "map cost after recovery: %.4f\n",
-                     sess->map_cost());
-      }
-    } else if (cmd == "stats") {
-      const SessionStats& st = sess->stats();
-      std::fprintf(stderr,
-                   "deltas %zu (no-op %zu), components re-searched %zu, "
-                   "flips %llu, resident %zu bytes\n",
-                   st.deltas_applied, st.no_op_deltas,
-                   st.components_researched,
-                   static_cast<unsigned long long>(st.flips),
-                   sess->EstimateBytes());
     } else if (cmd == "quit" || cmd == "exit") {
       break;
+    } else if (request != kRequests.end()) {
+      NetRequest req;
+      req.type = request->second;
+      req.session = kReplSession;
+      if (cmd == "query" || cmd == "marginals") req.predicate = rest;
+      if (req.type == MsgType::kApplyDelta) req.delta = staged;
+      auto r = send(cmd, req);
+      if (!r.ok()) return 1;
+      // A delta refused with a retryable error (overload, a replica not
+      // yet promoted) stays staged for the next apply.
+      if (req.type == MsgType::kApplyDelta && !r.value().retryable) {
+        staged = EvidenceDelta{};
+      }
     } else {
       std::fprintf(stderr,
                    "commands: assert A [false] | retract A | apply | cost "
-                   "| query P | marginals P | recover | stats | quit\n");
+                   "| query P | marginals P | stats | recover | metrics "
+                   "| trace | quit; -follow adds status | promote\n");
     }
     std::fprintf(stderr, "> ");
   }
   return 0;
+}
+
+/// Splits the HOST:PORT of -connect and -follow; false (after saying
+/// why) when it is malformed.
+bool ParseHostPort(const char* flag, const std::string& addr,
+                   std::string* host, uint16_t* port) {
+  size_t colon = addr.rfind(':');
+  if (colon == std::string::npos || colon + 1 == addr.size()) {
+    std::fprintf(stderr, "%s expects HOST:PORT, got '%s'\n", flag,
+                 addr.c_str());
+    return false;
+  }
+  *host = addr.substr(0, colon);
+  *port = static_cast<uint16_t>(
+      std::strtoul(addr.c_str() + colon + 1, nullptr, 10));
+  return true;
+}
+
+/// -session: the REPL over an in-process session, opened through the
+/// engine — or recovered, when -wal_dir already holds one.
+int RunSession(const CliArgs& args, const MlnProgram& program,
+               const EvidenceDb& evidence) {
+  TuffyEngine engine(program, evidence, args.engine);
+  auto opened = engine.OpenSession();
+  if (!opened.ok() && opened.status().code() == StatusCode::kAlreadyExists) {
+    RecoveryStats rs;
+    opened = engine.RecoverSession(&rs);
+    if (opened.ok()) {
+      PrintReply(program, "recover", NetRequest{},
+                 RecoverReply(*opened.value(), rs));
+    }
+  }
+  if (!opened.ok()) {
+    std::fprintf(stderr, "session open failed: %s\n",
+                 opened.status().ToString().c_str());
+    return 1;
+  }
+  std::unique_ptr<InferenceSession> sess = opened.TakeValue();
+  auto local = [&](const NetRequest& req) -> Result<NetResponse> {
+    switch (req.type) {
+      case MsgType::kApplyDelta: {
+        TraceBuilder trace(req.session);
+        return DeltaReply(sess->ApplyDelta(req.delta, &trace));
+      }
+      case MsgType::kRecover: {
+        if (args.engine.wal_dir.empty()) {
+          return ErrorReply(Status::InvalidArgument("recover needs -wal_dir"));
+        }
+        // Drop the resident state on the floor — the WAL is the record —
+        // and rebuild from disk, exactly as a restarted process would.
+        sess.reset();
+        RecoveryStats rs;
+        TUFFY_ASSIGN_OR_RETURN(sess, engine.RecoverSession(&rs));
+        return RecoverReply(*sess, rs);
+      }
+      case MsgType::kMetrics:
+        return MetricsReply();
+      default:
+        return ReadReply(program, *sess, req);
+    }
+  };
+  return RunRepl(program, local, /*open=*/true);
 }
 
 // ------------------------------------------------------ -serve/-connect
@@ -655,9 +689,7 @@ int RunServe(const CliArgs& args, const MlnProgram& program,
   ServerOptions opts;
   opts.port = args.serve_port;
   opts.num_workers = args.engine.num_threads > 1 ? args.engine.num_threads : 2;
-  opts.session.total_flips = args.engine.total_flips;
-  opts.session.seed = args.engine.seed;
-  opts.session.track_marginals = args.marginal;
+  opts.session = TranslateSessionOptions(args.engine);
   opts.memory_budget_bytes = args.engine.memory_budget_bytes;
   opts.durability_root = args.engine.wal_dir;
   opts.snapshot_every = args.engine.snapshot_every;
@@ -689,205 +721,48 @@ int RunServe(const CliArgs& args, const MlnProgram& program,
   return 0;
 }
 
-std::string FormatAtom(const MlnProgram& program, const GroundAtom& atom) {
-  std::string out = program.predicate(atom.pred).name + "(";
-  for (size_t i = 0; i < atom.args.size(); ++i) {
-    if (i > 0) out += ", ";
-    out += program.symbols().SymbolName(atom.args[i]);
-  }
-  out += ")";
-  return out;
-}
-
-/// The -session REPL, but the session lives in a remote -serve process
-/// and every command travels as one wire request.
+/// -connect: the REPL over a session in a remote -serve process. Every
+/// request rides CallWithRetry, so retryable refusals (overload
+/// shedding, a replica not yet promoted) are retried with backoff
+/// instead of bouncing back to the user.
 int RunConnect(const CliArgs& args, const MlnProgram& program) {
-  size_t colon = args.connect.rfind(':');
-  if (colon == std::string::npos || colon + 1 == args.connect.size()) {
-    std::fprintf(stderr, "-connect expects HOST:PORT, got '%s'\n",
-                 args.connect.c_str());
-    return 2;
-  }
-  const std::string host = args.connect.substr(0, colon);
-  const uint16_t port = static_cast<uint16_t>(
-      std::strtoul(args.connect.c_str() + colon + 1, nullptr, 10));
+  std::string host;
+  uint16_t port = 0;
+  if (!ParseHostPort("-connect", args.connect, &host, &port)) return 2;
   Client client;
   Status st = client.Connect(host, port);
   if (!st.ok()) {
     std::fprintf(stderr, "connect failed: %s\n", st.ToString().c_str());
     return 1;
   }
-
-  // A kError reply is a *successful* call at the transport level; a
-  // non-OK Result means the connection itself is gone. The REPL keeps
-  // going on wire errors (except at open) and dies on transport ones.
-  auto call = [&](const char* what,
-                  Result<NetResponse> r) -> Result<NetResponse> {
-    if (!r.ok()) {
-      std::fprintf(stderr, "%s: connection lost: %s\n", what,
-                   r.status().ToString().c_str());
-      return r;
-    }
-    if (r.value().type == MsgType::kError) {
-      std::fprintf(stderr, "%s: %s%s: %s\n", what,
-                   WireErrorName(r.value().error),
-                   r.value().retryable ? " (retryable)" : "",
-                   r.value().message.c_str());
-    }
-    return r;
-  };
-
-  const std::string session = "cli";
-  auto open = call("open", client.OpenSession(
-                               session, ProgramFingerprint(program)));
-  if (!open.ok() || open.value().type != MsgType::kOpenReply) return 1;
-  std::fprintf(stderr,
-               "%s session '%s' on %s: %llu atoms, %llu clauses, "
-               "%llu components, cost %.2f\n> ",
-               open.value().attached ? "re-attached to" : "opened",
-               session.c_str(), args.connect.c_str(),
-               (unsigned long long)open.value().num_atoms,
-               (unsigned long long)open.value().num_clauses,
-               (unsigned long long)open.value().num_components,
-               open.value().map_cost);
-
-  EvidenceDelta staged;
-  std::string line;
-  while (std::getline(std::cin, line)) {
-    while (!line.empty() && (line.back() == '\n' || line.back() == '\r')) {
-      line.pop_back();
-    }
-    size_t sp = line.find(' ');
-    std::string cmd = line.substr(0, sp);
-    std::string rest = sp == std::string::npos ? "" : line.substr(sp + 1);
-
-    if (cmd.empty()) {
-    } else if (cmd == "assert" || cmd == "retract") {
-      StageEdit(program, cmd, rest, &staged);
-    } else if (cmd == "apply") {
-      // Retryable refusals (overload shedding, a not-yet-promoted
-      // replica) are retried with backoff instead of bouncing back to
-      // the user.
-      NetRequest req;
-      req.type = MsgType::kApplyDelta;
-      req.session = session;
-      req.delta = staged;
-      auto r = call("apply", client.CallWithRetry(req));
-      if (!r.ok()) return 1;
-      if (r.value().type == MsgType::kDeltaReply) {
-        staged = EvidenceDelta{};
-        const NetResponse& d = r.value();
-        std::fprintf(stderr,
-                     "%s: seq %llu, %llu/%llu components re-searched, "
-                     "%llu flips, cost %.2f\n",
-                     d.no_op ? "no-op" : "applied",
-                     (unsigned long long)d.seq,
-                     (unsigned long long)d.components_dirty,
-                     (unsigned long long)d.components_total,
-                     (unsigned long long)d.flips, d.map_cost);
-      }
-      // On a retryable wire error the delta stays staged: "apply" again.
-    } else if (cmd == "cost") {
-      auto r = call("cost", client.QueryMap(session, ""));
-      if (!r.ok()) return 1;
-      if (r.value().type == MsgType::kMapReply) {
-        std::fprintf(stderr, "map cost: %.4f\n", r.value().map_cost);
-      }
-    } else if (cmd == "query") {
-      auto r = call("query", client.QueryMap(session, rest));
-      if (!r.ok()) return 1;
-      if (r.value().type == MsgType::kMapReply) {
-        for (const GroundAtom& atom : r.value().atoms) {
-          std::printf("%s\n", FormatAtom(program, atom).c_str());
-        }
-        std::fflush(stdout);
-      }
-    } else if (cmd == "marginals") {
-      auto r = call("marginals", client.QueryMarginals(session, rest));
-      if (!r.ok()) return 1;
-      if (r.value().type == MsgType::kMarginalsReply) {
-        for (const auto& [atom, p] : r.value().marginals) {
-          std::printf("%.4f\t%s\n", p, FormatAtom(program, atom).c_str());
-        }
-        std::fflush(stdout);
-      }
-    } else if (cmd == "recover") {
-      auto r = call("recover", client.Recover(session));
-      if (!r.ok()) return 1;
-      if (r.value().type == MsgType::kRecoverReply) {
-        PrintRecoveryStats(r.value().recovery);
-        std::fprintf(stderr, "map cost after recovery: %.4f\n",
-                     r.value().map_cost);
-      }
-    } else if (cmd == "stats") {
-      auto r = call("stats", client.Stats(session));
-      if (!r.ok()) return 1;
-      if (r.value().type == MsgType::kStatsReply) {
-        for (const auto& [key, value] : r.value().stats) {
-          std::fprintf(stderr, "%s = %g\n", key.c_str(), value);
-        }
-      }
-    } else if (cmd == "metrics") {
-      auto r = call("metrics", client.Metrics());
-      if (!r.ok()) return 1;
-      if (r.value().type == MsgType::kMetricsReply) {
-        std::fputs(r.value().message.c_str(), stdout);
-        std::fflush(stdout);
-      }
-    } else if (cmd == "trace") {
-      auto r = call("trace", client.Trace(session));
-      if (!r.ok()) return 1;
-      if (r.value().type == MsgType::kTraceReply) {
-        std::fputs(r.value().message.c_str(), stderr);
-      }
-    } else if (cmd == "quit" || cmd == "exit") {
-      break;
-    } else {
-      std::fprintf(stderr,
-                   "commands: assert A [false] | retract A | apply | cost "
-                   "| query P | marginals P | recover | stats | metrics "
-                   "| trace | quit\n");
-    }
-    std::fprintf(stderr, "> ");
-  }
-  client.Disconnect();
-  return 0;
+  return RunRepl(
+      program, [&](const NetRequest& req) { return client.CallWithRetry(req); },
+      /*open=*/true);
 }
 
 // --------------------------------------------------------------- -follow
 
 /// Hot standby: stream the primary's WAL into a local replica, print
-/// replication progress, and serve a read-only REPL with an operator
-/// `promote` command. With -serve PORT, the replica is also fronted over
-/// TCP (queries served, deltas refused with kNotPrimary until promoted).
+/// replication progress, and run the REPL over the replica — the same
+/// replica path a fronting Server uses — plus the operator's `status`
+/// and `promote`. With -serve PORT, the replica is also fronted over TCP
+/// (queries served, deltas refused with kNotPrimary until promoted).
 int RunFollow(const CliArgs& args, const MlnProgram& program,
               const EvidenceDb& evidence) {
   if (args.engine.wal_dir.empty()) {
     std::fprintf(stderr, "-follow needs -wal_dir for the local copy\n");
     return 2;
   }
-  size_t colon = args.follow.rfind(':');
-  if (colon == std::string::npos || colon + 1 == args.follow.size()) {
-    std::fprintf(stderr, "-follow expects HOST:PORT, got '%s'\n",
-                 args.follow.c_str());
+  FollowerOptions fopts;
+  if (!ParseHostPort("-follow", args.follow, &fopts.primary_host,
+                     &fopts.primary_port)) {
     return 2;
   }
   InstallFlightRecorderCrashHandlers();
   FlightRecorder::Global().SetDumpPath(
       (args.engine.wal_dir + "/flight_recorder.txt").c_str());
-
-  FollowerOptions fopts;
-  fopts.primary_host = args.follow.substr(0, colon);
-  fopts.primary_port = static_cast<uint16_t>(
-      std::strtoul(args.follow.c_str() + colon + 1, nullptr, 10));
-  fopts.session = "cli";
-  fopts.session_options.total_flips = args.engine.total_flips;
-  fopts.session_options.seed = args.engine.seed;
-  fopts.session_options.track_marginals = args.marginal;
-  fopts.session_options.num_threads = args.engine.num_threads;
-  fopts.session_options.wal_dir = args.engine.wal_dir;
-  fopts.session_options.snapshot_every = args.engine.snapshot_every;
-  fopts.session_options.wal_fsync = args.engine.wal_fsync;
+  fopts.session = kReplSession;
+  fopts.session_options = TranslateSessionOptions(args.engine);
 
   FollowerManager follower(program, fopts);
   Status started = follower.Start();
@@ -898,14 +773,15 @@ int RunFollow(const CliArgs& args, const MlnProgram& program,
   std::fprintf(stderr, "following %s from position %llu\n",
                args.follow.c_str(),
                (unsigned long long)follower.position());
+  ReplicaSession* replica = follower.replica();
 
   // Optional TCP front end over the replica.
   std::unique_ptr<Server> front;
   if (args.serve) {
     ServerOptions sopts;
     sopts.port = args.serve_port;
-    sopts.replica = follower.replica();
-    sopts.replica_session = fopts.session;
+    sopts.replica = replica;
+    sopts.replica_session = kReplSession;
     front = std::make_unique<Server>(program, evidence, sopts);
     Status fs = front->Start();
     if (!fs.ok()) {
@@ -930,8 +806,8 @@ int RunFollow(const CliArgs& args, const MlnProgram& program,
            st == FollowerState::kBootstrapping)) {
         double cost = 0.0;
         {
-          std::lock_guard<std::mutex> lock(follower.replica()->mu());
-          InferenceSession* s = follower.replica()->session();
+          std::lock_guard<std::mutex> lock(replica->mu());
+          InferenceSession* s = replica->session();
           if (s != nullptr) cost = s->map_cost();
         }
         std::fprintf(stderr, "replicated to %llu (cost %.4f)\n",
@@ -943,20 +819,8 @@ int RunFollow(const CliArgs& args, const MlnProgram& program,
     }
   });
 
-  EvidenceDelta staged;
-  std::string line;
-  int rc = 0;
-  ReplicaSession* replica = follower.replica();
-  while (std::getline(std::cin, line)) {
-    while (!line.empty() && (line.back() == '\n' || line.back() == '\r')) {
-      line.pop_back();
-    }
-    size_t sp = line.find(' ');
-    std::string cmd = line.substr(0, sp);
-    std::string rest = sp == std::string::npos ? "" : line.substr(sp + 1);
-
-    if (cmd.empty()) {
-    } else if (cmd == "status") {
+  auto follow_command = [&](const std::string& cmd) {
+    if (cmd == "status") {
       std::fprintf(stderr,
                    "state %s, position %llu, primary committed %llu, "
                    "reconnects %llu%s\n",
@@ -965,87 +829,26 @@ int RunFollow(const CliArgs& args, const MlnProgram& program,
                    (unsigned long long)follower.primary_committed(),
                    (unsigned long long)follower.reconnects(),
                    replica->promoted() ? ", promoted" : "");
-    } else if (cmd == "cost") {
-      std::lock_guard<std::mutex> lock(replica->mu());
-      InferenceSession* s = replica->session();
-      if (s == nullptr) {
-        std::fprintf(stderr, "no replicated state yet\n");
-      } else {
-        std::fprintf(stderr, "map cost: %.4f\n", s->map_cost());
-      }
-    } else if (cmd == "query") {
-      std::lock_guard<std::mutex> lock(replica->mu());
-      InferenceSession* s = replica->session();
-      if (s == nullptr) {
-        std::fprintf(stderr, "no replicated state yet\n");
-      } else {
-        auto atoms = ExtractTrueAtoms(program, s->atoms(), s->truth(), rest);
-        if (!atoms.ok()) {
-          std::fprintf(stderr, "%s\n", atoms.status().ToString().c_str());
-        } else {
-          for (const GroundAtom& atom : atoms.value()) {
-            AtomId id;
-            if (s->atoms().Find(atom, &id)) {
-              std::printf("%s\n", s->atoms().AtomName(program, id).c_str());
-            }
-          }
-          std::fflush(stdout);
-        }
-      }
-    } else if (cmd == "marginals") {
-      std::lock_guard<std::mutex> lock(replica->mu());
-      InferenceSession* s = replica->session();
-      if (s == nullptr || s->marginals().empty()) {
-        std::fprintf(stderr, "no marginals (follow with -marginal and a "
-                             "marginal-tracking primary)\n");
-      } else {
-        auto pid = program.FindPredicate(rest);
-        if (!pid.ok()) {
-          std::fprintf(stderr, "unknown predicate %s\n", rest.c_str());
-        } else {
-          for (AtomId a = 0; a < s->atoms().num_atoms(); ++a) {
-            if (s->atoms().atom(a).pred != pid.value()) continue;
-            std::printf("%.4f\t%s\n", s->marginals()[a],
-                        s->atoms().AtomName(program, a).c_str());
-          }
-          std::fflush(stdout);
-        }
-      }
-    } else if (cmd == "assert" || cmd == "retract") {
-      StageEdit(program, cmd, rest, &staged);
-    } else if (cmd == "apply") {
-      auto r = replica->ApplyDelta(staged);
-      if (!r.ok()) {
-        // Pre-promotion this is the not-primary refusal: the staged
-        // delta survives, ready to re-apply after `promote`.
-        std::fprintf(stderr, "delta refused: %s\n",
-                     r.status().ToString().c_str());
-      } else {
-        staged = EvidenceDelta{};
-        std::fprintf(stderr, "applied: cost %.4f at position %llu\n",
-                     r.value().map_cost,
-                     (unsigned long long)follower.position());
-      }
-    } else if (cmd == "promote") {
-      auto promoted = follower.Promote();
-      if (!promoted.ok()) {
-        std::fprintf(stderr, "promote failed: %s\n",
-                     promoted.status().ToString().c_str());
-      } else {
-        std::fprintf(stderr, "promoted at %llu\n",
-                     (unsigned long long)promoted.value());
-        std::fflush(stderr);
-      }
-    } else if (cmd == "quit" || cmd == "exit") {
-      break;
-    } else {
-      std::fprintf(stderr,
-                   "commands: status | cost | query P | marginals P | "
-                   "assert A [false] | retract A | apply | promote | "
-                   "quit\n");
+      return true;
     }
-    std::fprintf(stderr, "> ");
-  }
+    if (cmd != "promote") return false;
+    auto promoted = follower.Promote();
+    if (!promoted.ok()) {
+      std::fprintf(stderr, "promote failed: %s\n",
+                   promoted.status().ToString().c_str());
+    } else {
+      std::fprintf(stderr, "promoted at %llu\n",
+                   (unsigned long long)promoted.value());
+      std::fflush(stderr);
+    }
+    return true;
+  };
+  auto on_replica = [&](const NetRequest& req) {
+    return req.type == MsgType::kMetrics
+               ? MetricsReply()
+               : ReplicaReply(program, replica, kReplSession, req);
+  };
+  const int rc = RunRepl(program, on_replica, /*open=*/false, follow_command);
   monitor_stop.store(true, std::memory_order_release);
   monitor.join();
   if (front != nullptr) front->Stop();

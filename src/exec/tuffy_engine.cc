@@ -343,8 +343,6 @@ Result<LearnResult> TuffyEngine::Learn(const LearnOptions& learn_options) {
   return LearnWeights(program_, grounding, split.labels, learn_options);
 }
 
-namespace {
-
 SessionOptions TranslateSessionOptions(const EngineOptions& options) {
   SessionOptions sopts;
   sopts.total_flips = options.total_flips;
@@ -364,8 +362,6 @@ SessionOptions TranslateSessionOptions(const EngineOptions& options) {
   sopts.wal_fsync = options.wal_fsync;
   return sopts;
 }
-
-}  // namespace
 
 Result<std::unique_ptr<InferenceSession>> TuffyEngine::OpenSession() const {
   TUFFY_RETURN_IF_ERROR(ValidateEngineOptions(options_));

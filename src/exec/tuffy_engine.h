@@ -92,6 +92,14 @@ struct EngineOptions {
   bool wal_fsync = true;
 };
 
+/// The session knobs an engine's options imply: search budgets, seed,
+/// threads, grounding and optimizer settings, MC-SAT budgets (marginals
+/// are tracked when task == kMarginal), and durability. OpenSession and
+/// RecoverSession use it, and so does every front end that opens
+/// sessions on the engine's behalf (tuffy_cli -serve and -follow), so a
+/// session means the same thing however it is reached.
+SessionOptions TranslateSessionOptions(const EngineOptions& options);
+
 /// Validates the engine knobs up front (negative sampling budgets, bad
 /// probabilities, non-positive hard weight, ...) so a misconfiguration
 /// fails with a Status instead of silently misbehaving mid-run.

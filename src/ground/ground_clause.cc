@@ -20,12 +20,12 @@ bool AtomStore::Find(const GroundAtom& atom, AtomId* out) const {
   return true;
 }
 
-std::string AtomStore::AtomName(const MlnProgram& program, AtomId id) const {
-  const GroundAtom& a = atoms_[id];
-  std::string out = program.predicate(a.pred).name + "(";
-  for (size_t i = 0; i < a.args.size(); ++i) {
+std::string AtomStore::AtomName(const MlnProgram& program,
+                                const GroundAtom& atom) {
+  std::string out = program.predicate(atom.pred).name + "(";
+  for (size_t i = 0; i < atom.args.size(); ++i) {
     if (i > 0) out += ", ";
-    out += program.symbols().SymbolName(a.args[i]);
+    out += program.symbols().SymbolName(atom.args[i]);
   }
   out += ")";
   return out;

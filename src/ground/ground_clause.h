@@ -51,7 +51,13 @@ class AtomStore {
   size_t num_atoms() const { return atoms_.size(); }
 
   /// Pretty-prints atom `id` using the program's symbol table.
-  std::string AtomName(const MlnProgram& program, AtomId id) const;
+  std::string AtomName(const MlnProgram& program, AtomId id) const {
+    return AtomName(program, atoms_[id]);
+  }
+  /// Pretty-prints any ground atom, interned here or not (the atoms of a
+  /// wire reply, say).
+  static std::string AtomName(const MlnProgram& program,
+                              const GroundAtom& atom);
 
  private:
   std::unordered_map<GroundAtom, AtomId, GroundAtomHash> ids_;

@@ -56,16 +56,19 @@ Result<bool> DiskWalkSat::ScanForViolated(Rng* rng, double* total_cost,
   *total_cost = 0.0;
   uint64_t violated_seen = 0;
   Status st = file_->Scan([&](RecordId, const char* bytes) {
-    const ClauseRecord* rec = reinterpret_cast<const ClauseRecord*>(bytes);
-    if (IsViolated(*rec)) {
-      *total_cost += rec->abs_eff_weight;
+    // Heap-page slots sit at record-size offsets and need not be aligned
+    // for the record's doubles: copy the record out instead of casting.
+    ClauseRecord rec;
+    std::memcpy(&rec, bytes, sizeof(rec));
+    if (IsViolated(rec)) {
+      *total_cost += rec.abs_eff_weight;
       ++violated_seen;
       // Reservoir sampling keeps each violated clause with equal
       // probability in a single pass.
       if (rng->Uniform(violated_seen) == 0) {
-        out->lits.assign(rec->lits, rec->lits + rec->num_lits);
-        out->weight = rec->weight;
-        out->hard = rec->hard != 0;
+        out->lits.assign(rec.lits, rec.lits + rec.num_lits);
+        out->weight = rec.weight;
+        out->hard = rec.hard != 0;
       }
     }
     return Status::OK();
@@ -126,9 +129,10 @@ Status DiskWalkSat::ComputeDeltas(const std::vector<AtomId>& candidates,
     }
   };
   TUFFY_RETURN_IF_ERROR(file_->Scan([&](RecordId, const char* bytes) {
-    const ClauseRecord* rec = reinterpret_cast<const ClauseRecord*>(bytes);
-    account(rec->lits, rec->num_lits, rec->weight, rec->hard != 0,
-            rec->abs_eff_weight);
+    ClauseRecord rec;
+    std::memcpy(&rec, bytes, sizeof(rec));  // unaligned slot; see above
+    account(rec.lits, rec.num_lits, rec.weight, rec.hard != 0,
+            rec.abs_eff_weight);
     return Status::OK();
   }));
   for (size_t oi = 0; oi < overflow_.size(); ++oi) {

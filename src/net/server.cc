@@ -14,7 +14,7 @@
 #include <utility>
 
 #include "durability/snapshot.h"
-#include "exec/tuffy_engine.h"
+#include "net/replies.h"
 #include "obs/flight_recorder.h"
 #include "obs/trace.h"
 #include "repl/repl_protocol.h"
@@ -390,10 +390,8 @@ void Server::HandlePayload(uint64_t conn_id, const std::string& payload) {
   // kMetrics is likewise answered inline (and ignores any session
   // name): a scrape must observe a server whose job queue is saturated.
   if (req.type == MsgType::kMetrics) {
-    NetResponse resp;
-    resp.type = MsgType::kMetricsReply;
+    NetResponse resp = MetricsReply();
     resp.request_id = req.request_id;
-    resp.message = MetricsRegistry::Global().RenderText();
     SendToConnection(conn_id, EncodeFrame(EncodeResponse(resp)));
     std::lock_guard<std::mutex> lock(metrics_mu_);
     ++counters_.responses;
@@ -756,122 +754,44 @@ void Server::SweepConnections(double now) {
 // --------------------------------------------------------- job bodies
 
 NetResponse Server::Execute(const NetRequest& request, TraceBuilder* trace) {
-  if (options_.replica != nullptr) return ExecuteReplica(request, trace);
+  if (request.type == MsgType::kOpenSession && request.program_fp != 0 &&
+      request.program_fp != program_fp_) {
+    return ErrorReply(Status::InvalidArgument(StrFormat(
+        "program fingerprint mismatch: client %llx, server %llx — the "
+        "wire carries numeric ids, so both ends must load the same program",
+        (unsigned long long)request.program_fp,
+        (unsigned long long)program_fp_)));
+  }
+  if (options_.replica != nullptr) {
+    return ReplicaReply(program_, options_.replica, options_.replica_session,
+                        request, trace);
+  }
   NetResponse resp;
-  resp.request_id = request.request_id;
-  auto error_from = [&](const Status& status) {
-    resp.type = MsgType::kError;
-    resp.error = WireErrorFromStatus(status);
-    resp.retryable = WireErrorRetryable(resp.error);
-    resp.message = status.ToString();
-  };
-
   switch (request.type) {
     case MsgType::kOpenSession: {
-      if (request.program_fp != 0 && request.program_fp != program_fp_) {
-        resp.type = MsgType::kError;
-        resp.error = WireError::kInvalidArgument;
-        resp.message = StrFormat(
-            "program fingerprint mismatch: client %llx, server %llx — "
-            "the wire carries numeric ids, so both ends must load the "
-            "same program",
-            (unsigned long long)request.program_fp,
-            (unsigned long long)program_fp_);
-        break;
-      }
-      InferenceSession* session = nullptr;
-      auto existing = manager_->Get(request.session);
-      if (existing.ok()) {
-        // Re-attach: the session survived its previous client.
-        session = existing.value();
-        resp.attached = true;
-      } else {
-        auto opened = manager_->Open(request.session, program_, evidence_,
-                                     options_.session);
-        if (!opened.ok()) {
-          error_from(opened.status());
-          break;
-        }
-        session = opened.value();
-      }
-      resp.type = MsgType::kOpenReply;
-      resp.num_atoms = session->atoms().num_atoms();
-      resp.num_clauses = session->clauses().size();
-      resp.num_components = session->num_components();
-      resp.map_cost = session->map_cost();
-      break;
-    }
-    case MsgType::kApplyDelta: {
-      auto r = manager_->ApplyDelta(request.session, request.delta, trace);
-      if (!r.ok()) {
-        error_from(r.status());
-        break;
-      }
-      const DeltaApplyResult& d = r.value();
-      resp.type = MsgType::kDeltaReply;
-      resp.no_op = d.edits.no_op;
-      resp.seq = d.seq;
-      resp.components_dirty = d.components_dirty;
-      resp.components_total = d.components_total;
-      resp.flips = d.flips;
-      resp.map_cost = d.map_cost;
-      break;
-    }
-    case MsgType::kQueryMap: {
+      // Re-attach when the session survived its previous client.
       auto session = manager_->Get(request.session);
+      const bool attached = session.ok();
+      if (!attached) {
+        session = manager_->Open(request.session, program_, evidence_,
+                                 options_.session);
+      }
       if (!session.ok()) {
-        error_from(session.status());
+        resp = ErrorReply(session.status());
         break;
       }
-      resp.type = MsgType::kMapReply;
-      resp.map_cost = session.value()->map_cost();
-      if (!request.predicate.empty()) {
-        auto atoms = ExtractTrueAtoms(program_, session.value()->atoms(),
-                                      session.value()->truth(),
-                                      request.predicate);
-        if (!atoms.ok()) {
-          error_from(atoms.status());
-          break;
-        }
-        resp.atoms = atoms.TakeValue();
-      }
+      resp = ReadReply(program_, *session.value(), request);
+      resp.attached = attached;
       break;
     }
-    case MsgType::kQueryMarginals: {
-      auto session = manager_->Get(request.session);
-      if (!session.ok()) {
-        error_from(session.status());
-        break;
-      }
-      const std::vector<double>& marginals = session.value()->marginals();
-      if (marginals.empty()) {
-        error_from(Status::InvalidArgument(
-            "session does not track marginals (server opened it without "
-            "track_marginals)"));
-        break;
-      }
-      PredicateId pid = kInvalidPredicate;
-      if (!request.predicate.empty()) {
-        auto found = program_.FindPredicate(request.predicate);
-        if (!found.ok()) {
-          error_from(found.status());
-          break;
-        }
-        pid = found.value();
-      }
-      resp.type = MsgType::kMarginalsReply;
-      const AtomStore& atoms = session.value()->atoms();
-      for (AtomId a = 0; a < atoms.num_atoms() && a < marginals.size();
-           ++a) {
-        if (pid != kInvalidPredicate && atoms.atom(a).pred != pid) continue;
-        resp.marginals.emplace_back(atoms.atom(a), marginals[a]);
-      }
+    case MsgType::kApplyDelta:
+      resp = DeltaReply(
+          manager_->ApplyDelta(request.session, request.delta, trace));
       break;
-    }
     case MsgType::kCloseSession: {
       Status closed = manager_->Close(request.session);
       if (!closed.ok()) {
-        error_from(closed);
+        resp = ErrorReply(closed);
         break;
       }
       resp.type = MsgType::kCloseReply;
@@ -881,61 +801,16 @@ NetResponse Server::Execute(const NetRequest& request, TraceBuilder* trace) {
       RecoveryStats stats;
       auto recovered = manager_->Recover(request.session, program_,
                                          options_.session, &stats);
-      if (!recovered.ok()) {
-        error_from(recovered.status());
-        break;
-      }
-      resp.type = MsgType::kRecoverReply;
-      resp.recovery = stats;
-      resp.map_cost = recovered.value()->map_cost();
-      break;
-    }
-    case MsgType::kStats: {
-      auto snap = manager_->Stats(request.session);
-      if (!snap.ok()) {
-        error_from(snap.status());
-        break;
-      }
-      const SessionStatsSnapshot& s = snap.value();
-      resp.type = MsgType::kStatsReply;
-      resp.stats = {
-          {"deltas_applied", static_cast<double>(s.stats.deltas_applied)},
-          {"no_op_deltas", static_cast<double>(s.stats.no_op_deltas)},
-          {"components_researched",
-           static_cast<double>(s.stats.components_researched)},
-          {"flips", static_cast<double>(s.stats.flips)},
-          {"arena_rebuilds", static_cast<double>(s.stats.arena_rebuilds)},
-          {"resident_bytes", static_cast<double>(s.charged_bytes)},
-          {"num_atoms", static_cast<double>(s.num_atoms)},
-          {"num_clauses", static_cast<double>(s.num_clauses)},
-          {"num_components", static_cast<double>(s.num_components)},
-          {"map_cost", s.map_cost},
-      };
-      break;
-    }
-    case MsgType::kTrace: {
-      // Routed through the session's lane like any session request, so
-      // reading the ring never races an ApplyDelta on this session.
-      auto session = manager_->Get(request.session);
-      if (!session.ok()) {
-        error_from(session.status());
-        break;
-      }
-      resp.type = MsgType::kTraceReply;
-      std::string text;
-      for (const DeltaTrace& t : session.value()->RecentTraces()) {
-        text += t.Render();
-      }
-      if (text.empty()) {
-        text = "no traces recorded for session " + request.session + "\n";
-      }
-      resp.message = std::move(text);
+      resp = recovered.ok() ? RecoverReply(*recovered.value(), stats)
+                            : ErrorReply(recovered.status());
       break;
     }
     default: {
-      resp.type = MsgType::kError;
-      resp.error = WireError::kUnknownMessage;
-      resp.message = "unhandled request tag";
+      // Reads. kTrace goes through the session's lane like any session
+      // request, so reading the trace ring never races an ApplyDelta.
+      auto session = manager_->Get(request.session);
+      resp = session.ok() ? ReadReply(program_, *session.value(), request)
+                          : ErrorReply(session.status());
       break;
     }
   }
@@ -945,141 +820,6 @@ NetResponse Server::Execute(const NetRequest& request, TraceBuilder* trace) {
     static Gauge* sessions_gauge =
         MetricsRegistry::Global().GetGauge("net.sessions.open");
     sessions_gauge->Set(static_cast<int64_t>(manager_->num_sessions()));
-  }
-  return resp;
-}
-
-NetResponse Server::ExecuteReplica(const NetRequest& request,
-                                   TraceBuilder* trace) {
-  (void)trace;  // replica deltas trace inside the session like any other
-  ReplicaSession* replica = options_.replica;
-  NetResponse resp;
-  resp.request_id = request.request_id;
-  auto error_from = [&](const Status& status) {
-    resp.type = MsgType::kError;
-    resp.error = WireErrorFromStatus(status);
-    resp.retryable = WireErrorRetryable(resp.error);
-    resp.message = status.ToString();
-  };
-  if (request.session != options_.replica_session) {
-    error_from(Status::NotFound(StrFormat(
-        "this replica serves only session '%s'",
-        options_.replica_session.c_str())));
-    return resp;
-  }
-
-  switch (request.type) {
-    case MsgType::kApplyDelta: {
-      // ReplicaSession does the not-primary gating: before promotion
-      // this maps to kNotPrimary (retryable, names the primary).
-      auto r = replica->ApplyDelta(request.delta);
-      if (!r.ok()) {
-        error_from(r.status());
-        break;
-      }
-      const DeltaApplyResult& d = r.value();
-      resp.type = MsgType::kDeltaReply;
-      resp.no_op = d.edits.no_op;
-      resp.seq = d.seq;
-      resp.components_dirty = d.components_dirty;
-      resp.components_total = d.components_total;
-      resp.flips = d.flips;
-      resp.map_cost = d.map_cost;
-      break;
-    }
-    case MsgType::kOpenSession: {
-      std::lock_guard<std::mutex> lock(replica->mu());
-      InferenceSession* s = replica->session();
-      if (s == nullptr) {
-        error_from(Status::Unavailable(
-            "replica has no state yet (still bootstrapping)"));
-        break;
-      }
-      resp.type = MsgType::kOpenReply;
-      resp.attached = true;  // the replicated state pre-exists any client
-      resp.num_atoms = s->atoms().num_atoms();
-      resp.num_clauses = s->clauses().size();
-      resp.num_components = s->num_components();
-      resp.map_cost = s->map_cost();
-      break;
-    }
-    case MsgType::kQueryMap: {
-      std::lock_guard<std::mutex> lock(replica->mu());
-      InferenceSession* s = replica->session();
-      if (s == nullptr) {
-        error_from(Status::Unavailable("replica has no state yet"));
-        break;
-      }
-      resp.type = MsgType::kMapReply;
-      resp.map_cost = s->map_cost();
-      if (!request.predicate.empty()) {
-        auto atoms = ExtractTrueAtoms(program_, s->atoms(), s->truth(),
-                                      request.predicate);
-        if (!atoms.ok()) {
-          error_from(atoms.status());
-          break;
-        }
-        resp.atoms = atoms.TakeValue();
-      }
-      break;
-    }
-    case MsgType::kQueryMarginals: {
-      std::lock_guard<std::mutex> lock(replica->mu());
-      InferenceSession* s = replica->session();
-      if (s == nullptr) {
-        error_from(Status::Unavailable("replica has no state yet"));
-        break;
-      }
-      const std::vector<double>& marginals = s->marginals();
-      if (marginals.empty()) {
-        error_from(Status::InvalidArgument(
-            "replica session does not track marginals"));
-        break;
-      }
-      PredicateId pid = kInvalidPredicate;
-      if (!request.predicate.empty()) {
-        auto found = program_.FindPredicate(request.predicate);
-        if (!found.ok()) {
-          error_from(found.status());
-          break;
-        }
-        pid = found.value();
-      }
-      resp.type = MsgType::kMarginalsReply;
-      const AtomStore& atoms = s->atoms();
-      for (AtomId a = 0; a < atoms.num_atoms() && a < marginals.size();
-           ++a) {
-        if (pid != kInvalidPredicate && atoms.atom(a).pred != pid) continue;
-        resp.marginals.emplace_back(atoms.atom(a), marginals[a]);
-      }
-      break;
-    }
-    case MsgType::kStats: {
-      std::lock_guard<std::mutex> lock(replica->mu());
-      InferenceSession* s = replica->session();
-      if (s == nullptr) {
-        error_from(Status::Unavailable("replica has no state yet"));
-        break;
-      }
-      resp.type = MsgType::kStatsReply;
-      resp.stats = {
-          {"deltas_applied", static_cast<double>(s->stats().deltas_applied)},
-          {"flips", static_cast<double>(s->stats().flips)},
-          {"num_atoms", static_cast<double>(s->atoms().num_atoms())},
-          {"num_clauses", static_cast<double>(s->clauses().size())},
-          {"num_components", static_cast<double>(s->num_components())},
-          {"map_cost", s->map_cost()},
-          {"position", static_cast<double>(replica->position())},
-          {"promoted", replica->promoted() ? 1.0 : 0.0},
-      };
-      break;
-    }
-    default: {
-      error_from(Status::InvalidArgument(
-          "request not supported on a replica (queries, deltas, stats "
-          "only)"));
-      break;
-    }
   }
   return resp;
 }

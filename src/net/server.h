@@ -195,11 +195,11 @@ class Server {
   /// PumpLane). The worker builds the delta trace — lane queue wait
   /// span, then the session's ApplyDelta spans — and records latency.
   void SubmitJob(Job job);
-  /// Worker-side: executes one request against the session manager.
-  /// `trace` is non-null only for kApplyDelta jobs.
+  /// Worker-side: executes one request against the session manager, or
+  /// against the replica in replica-fronting mode, answering through the
+  /// shared builders in net/replies.h. `trace` is non-null only for
+  /// kApplyDelta jobs.
   NetResponse Execute(const NetRequest& request, TraceBuilder* trace);
-  /// Worker-side request execution in replica-fronting mode.
-  NetResponse ExecuteReplica(const NetRequest& request, TraceBuilder* trace);
   NetResponse ServerStatsResponse(uint64_t request_id);
   void Wake();
 

@@ -74,13 +74,13 @@ Result<DeltaApplyResult> ReplicaSession::ApplyShippedRecord(
 }
 
 Result<DeltaApplyResult> ReplicaSession::ApplyDelta(
-    const EvidenceDelta& delta) {
+    const EvidenceDelta& delta, TraceBuilder* trace) {
   if (!promoted_.load(std::memory_order_acquire)) return NotPrimaryError();
   std::lock_guard<std::mutex> lock(mu_);
   if (session_ == nullptr) {
     return Status::Internal("promoted replica lost its session");
   }
-  Result<DeltaApplyResult> applied = session_->ApplyDelta(delta);
+  Result<DeltaApplyResult> applied = session_->ApplyDelta(delta, trace);
   position_.store(session_->wal_base() + session_->wal_records(),
                   std::memory_order_release);
   return applied;

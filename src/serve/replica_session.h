@@ -56,8 +56,10 @@ class ReplicaSession {
   /// Client-facing delta entry point. Before promotion: refused with
   /// Status::Unavailable (wire: kNotPrimary, retryable) naming the
   /// primary. After: applied to the local session, which logs it as its
-  /// own — the replica's timeline continues the primary's.
-  Result<DeltaApplyResult> ApplyDelta(const EvidenceDelta& delta);
+  /// own — the replica's timeline continues the primary's. `trace` is
+  /// passed through to InferenceSession::ApplyDelta.
+  Result<DeltaApplyResult> ApplyDelta(const EvidenceDelta& delta,
+                                      TraceBuilder* trace = nullptr);
 
   /// Seals the local WAL (fsync) and flips the session writable.
   /// InvalidArgument when no state has arrived yet; AlreadyExists on a

@@ -181,24 +181,6 @@ Status SessionManager::Close(const std::string& name) {
   return Status::OK();
 }
 
-Result<SessionStatsSnapshot> SessionManager::Stats(
-    const std::string& name) const {
-  std::lock_guard<std::mutex> lock(mu_);
-  auto it = sessions_.find(name);
-  if (it == sessions_.end() || it->second.session == nullptr) {
-    return Status::NotFound("no session: " + name);
-  }
-  const InferenceSession& session = *it->second.session;
-  SessionStatsSnapshot snap;
-  snap.stats = session.stats();
-  snap.charged_bytes = it->second.charged_bytes;
-  snap.num_atoms = session.atoms().num_atoms();
-  snap.num_clauses = session.clauses().size();
-  snap.num_components = session.num_components();
-  snap.map_cost = session.map_cost();
-  return snap;
-}
-
 size_t SessionManager::num_sessions() const {
   std::lock_guard<std::mutex> lock(mu_);
   return sessions_.size();

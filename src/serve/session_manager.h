@@ -36,22 +36,6 @@ struct SessionManagerOptions {
   bool wal_fsync = true;
 };
 
-/// Point-in-time counters of one managed session, for operator surfaces
-/// (the network front end's kStats message, the CLI). The session-level
-/// fields are read from the live InferenceSession, so a caller that may
-/// race with ApplyDelta on the same session must serialize — the net
-/// server's one-in-flight-job-per-session lane provides exactly that.
-struct SessionStatsSnapshot {
-  SessionStats stats;
-  /// Manager-side admission charge (last re-measured resident bytes) —
-  /// cheap to read, no model walk.
-  size_t charged_bytes = 0;
-  size_t num_atoms = 0;
-  size_t num_clauses = 0;
-  size_t num_components = 0;
-  double map_cost = 0.0;
-};
-
 /// Owns the concurrent serving state: named long-lived sessions, the
 /// shared ThreadPool their dirty-component re-search and MC-SAT refresh
 /// run on, and MemTracker-backed admission control over resident session
@@ -99,10 +83,6 @@ class SessionManager {
   /// in-flight ApplyDelta calls on the session drain (they hold a pin,
   /// not the manager lock), so teardown never races live work.
   Status Close(const std::string& name);
-
-  /// Counters of the named session (see SessionStatsSnapshot's racing
-  /// caveat). NotFound if absent.
-  Result<SessionStatsSnapshot> Stats(const std::string& name) const;
 
   size_t num_sessions() const;
   /// Summed measured resident bytes across open sessions.

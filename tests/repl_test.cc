@@ -15,6 +15,7 @@
 #include <chrono>
 #include <cstring>
 #include <functional>
+#include <map>
 #include <memory>
 #include <string>
 #include <thread>
@@ -382,7 +383,8 @@ TEST_F(ReplTest, PromotionRefusalsProtectTheTimeline) {
 }
 
 // A replica fronted by its own server answers reads from replicated
-// state and refuses writes with kNotPrimary (retryable, naming the
+// state exactly as the primary answers them (both run the shared reply
+// builders) and refuses writes with kNotPrimary (retryable, naming the
 // primary). Client::CallWithRetry rides that flag straight across a
 // concurrent promotion.
 TEST_F(ReplTest, NotPrimaryOverTheWireUntilPromotion) {
@@ -402,10 +404,61 @@ TEST_F(ReplTest, NotPrimaryOverTheWireUntilPromotion) {
   Client fc;
   ASSERT_TRUE(fc.Connect("127.0.0.1", front.port()).ok());
 
-  // Reads serve the live replicated state.
-  auto q = fc.QueryMap(kSession);
-  ASSERT_TRUE(q.ok());
-  ASSERT_EQ(q.value().type, MsgType::kMapReply) << q.value().message;
+  // Reads serve the live replicated state, answered as the primary
+  // answers them.
+  auto ask_both = [&](MsgType type, const std::string& predicate,
+                      NetResponse* front_reply, NetResponse* primary_reply) {
+    NetRequest req;
+    req.type = type;
+    req.session = kSession;
+    req.predicate = predicate;
+    auto f = fc.Call(req);
+    auto p = client_.Call(req);
+    ASSERT_TRUE(f.ok()) << f.status().ToString();
+    ASSERT_TRUE(p.ok()) << p.status().ToString();
+    *front_reply = f.TakeValue();
+    *primary_reply = p.TakeValue();
+  };
+  NetResponse f, p;
+  ASSERT_NO_FATAL_FAILURE(ask_both(MsgType::kOpenSession, "", &f, &p));
+  ASSERT_EQ(f.type, MsgType::kOpenReply) << f.message;
+  ASSERT_EQ(p.type, MsgType::kOpenReply) << p.message;
+  EXPECT_TRUE(f.attached);
+  EXPECT_EQ(f.num_atoms, p.num_atoms);
+  EXPECT_EQ(f.num_clauses, p.num_clauses);
+  EXPECT_EQ(f.num_components, p.num_components);
+  EXPECT_EQ(f.map_cost, p.map_cost);
+
+  ASSERT_NO_FATAL_FAILURE(ask_both(MsgType::kQueryMap, "label", &f, &p));
+  ASSERT_EQ(f.type, MsgType::kMapReply) << f.message;
+  ASSERT_EQ(p.type, MsgType::kMapReply) << p.message;
+  EXPECT_EQ(f.map_cost, p.map_cost);
+  EXPECT_FALSE(p.atoms.empty());
+  EXPECT_EQ(f.atoms, p.atoms);
+
+  // Neither session tracks marginals: the same refusal from both.
+  ASSERT_NO_FATAL_FAILURE(
+      ask_both(MsgType::kQueryMarginals, "label", &f, &p));
+  ASSERT_EQ(f.type, MsgType::kError);
+  ASSERT_EQ(p.type, MsgType::kError);
+  EXPECT_EQ(f.error, p.error);
+  EXPECT_EQ(p.error, WireError::kInvalidArgument);
+
+  ASSERT_NO_FATAL_FAILURE(ask_both(MsgType::kStats, "", &f, &p));
+  ASSERT_EQ(f.type, MsgType::kStatsReply) << f.message;
+  ASSERT_EQ(p.type, MsgType::kStatsReply) << p.message;
+  std::map<std::string, double> primary_stats(p.stats.begin(), p.stats.end());
+  std::map<std::string, double> front_stats(f.stats.begin(), f.stats.end());
+  // The replica carries every key the primary does, with equal values,
+  // plus its replication position and promotion flag.
+  for (const auto& [key, value] : primary_stats) {
+    ASSERT_EQ(front_stats.count(key), 1u) << key;
+    EXPECT_EQ(front_stats[key], value) << key;
+  }
+  ASSERT_EQ(front_stats.count("position"), 1u);
+  ASSERT_EQ(front_stats.count("promoted"), 1u);
+  EXPECT_EQ(front_stats["position"], deltas_.size() - 1.0);
+  EXPECT_EQ(front_stats["promoted"], 0.0);
 
   // Writes bounce with the retryable not-primary error.
   auto d = fc.ApplyDelta(kSession, deltas_.back());
