@@ -38,9 +38,9 @@ void RunJoin(benchmark::State& state) {
   Table l = MakeIntTable("l", rows, rows / 4 + 1, 1);
   Table r = MakeIntTable("r", rows, rows / 4 + 1, 2);
   for (auto _ : state) {
-    auto join = std::make_unique<JoinOp>(std::make_unique<SeqScanOp>(&l),
-                                         std::make_unique<SeqScanOp>(&r),
-                                         std::vector<JoinKey>{{0, 0}});
+    auto join = std::make_unique<JoinOp>(
+        std::make_unique<SeqScanOp>(RefTo(l)),
+        std::make_unique<SeqScanOp>(RefTo(r)), std::vector<JoinKey>{{0, 0}});
     auto out = ExecuteToTable(join.get(), "out");
     benchmark::DoNotOptimize(out.value().num_rows());
   }

@@ -2,63 +2,14 @@
 
 #include <unordered_set>
 
-#include "util/string_util.h"
-
 namespace tuffy {
-
-std::string PredicateTableName(const std::string& name) {
-  return "pred_" + name;
-}
 
 std::string DomainTableName(const std::string& type) {
   return "_dom_" + type;
 }
 
-namespace {
-
-/// Materializes one evidence atom as a (truth, arg0, ..., argK-1) row —
-/// shared by bulk loading and per-predicate refresh.
-void AppendEvidenceRow(Table* table, const GroundAtom& atom, bool truth) {
-  Row row;
-  row.reserve(atom.args.size() + 1);
-  row.push_back(Datum(static_cast<int64_t>(truth ? 1 : 0)));
-  for (ConstantId c : atom.args) row.push_back(Datum(static_cast<int64_t>(c)));
-  table->Append(std::move(row));
-}
-
-}  // namespace
-
-Schema PredicateTableSchema(const Predicate& pred) {
-  std::vector<Column> cols;
-  cols.push_back(Column{"truth", ColumnType::kInt64});
-  for (int i = 0; i < pred.arity(); ++i) {
-    cols.push_back(Column{StrFormat("arg%d", i), ColumnType::kInt64});
-  }
-  return Schema(std::move(cols));
-}
-
-void AppendAtomRow(Table* table, const GroundAtom& atom) {
-  AppendEvidenceRow(table, atom, /*truth=*/true);
-}
-
-Status LoadMlnTables(
-    const MlnProgram& program, const EvidenceDb& evidence, Catalog* catalog,
-    std::unordered_map<PredicateId, uint64_t>* true_counts) {
-  // Predicate tables.
-  std::vector<Table*> pred_tables(program.num_predicates(), nullptr);
-  for (const Predicate& pred : program.predicates()) {
-    TUFFY_ASSIGN_OR_RETURN(
-        Table * t, catalog->CreateTable(PredicateTableName(pred.name),
-                                        PredicateTableSchema(pred)));
-    pred_tables[pred.id] = t;
-  }
-  for (const auto& [atom, truth] : evidence.entries()) {
-    AppendEvidenceRow(pred_tables[atom.pred], atom, truth);
-    if (true_counts != nullptr && truth) ++(*true_counts)[atom.pred];
-  }
-  for (Table* t : pred_tables) t->Analyze();
-
-  // Domain tables, one per distinct type name used by any predicate.
+Status LoadMlnTables(const MlnProgram& program,
+                     const EvidenceDb& /*evidence*/, Catalog* catalog) {
   std::unordered_set<std::string> types;
   for (const Predicate& pred : program.predicates()) {
     for (const std::string& t : pred.arg_types) types.insert(t);
@@ -72,42 +23,6 @@ Status LoadMlnTables(
       t->Append({Datum(static_cast<int64_t>(c))});
     }
     t->Analyze();
-  }
-  return Status::OK();
-}
-
-void AppendSideRows(Table* table, const IdTable& rows, bool truth) {
-  for (size_t r = 0; r < rows.num_rows(); ++r) {
-    Row row;
-    row.reserve(rows.num_cols() + 1);
-    row.push_back(Datum(static_cast<int64_t>(truth ? 1 : 0)));
-    for (size_t c = 0; c < rows.num_cols(); ++c) {
-      row.push_back(Datum(rows.col(c)[r]));
-    }
-    table->Append(std::move(row));
-  }
-}
-
-Status RefreshPredicateTables(
-    const MlnProgram& program, const EvidenceSideTables& side_tables,
-    const std::vector<PredicateId>& predicates, Catalog* catalog,
-    std::unordered_map<PredicateId, uint64_t>* true_counts,
-    size_t* rows_written) {
-  for (PredicateId pid : predicates) {
-    const Predicate& pred = program.predicate(pid);
-    TUFFY_ASSIGN_OR_RETURN(
-        Table * t, catalog->GetTable(PredicateTableName(pred.name)));
-    t->Clear();
-    const IdTable& true_rows = side_tables.true_rows(pid);
-    const IdTable& false_rows = side_tables.false_rows(pid);
-    t->Reserve(true_rows.num_rows() + false_rows.num_rows());
-    AppendSideRows(t, true_rows, /*truth=*/true);
-    AppendSideRows(t, false_rows, /*truth=*/false);
-    t->Analyze();
-    if (true_counts != nullptr) (*true_counts)[pid] = true_rows.num_rows();
-    if (rows_written != nullptr) {
-      *rows_written += true_rows.num_rows() + false_rows.num_rows();
-    }
   }
   return Status::OK();
 }

@@ -1,66 +1,28 @@
 #ifndef TUFFY_GROUND_ATOM_LOADER_H_
 #define TUFFY_GROUND_ATOM_LOADER_H_
 
-#include <unordered_map>
+#include <string>
 
 #include "mln/model.h"
 #include "ra/catalog.h"
-#include "storage/evidence_side_tables.h"
 #include "util/status.h"
 
 namespace tuffy {
 
-/// Name of the relation holding predicate `name`'s atoms.
-std::string PredicateTableName(const std::string& name);
 /// Name of the relation enumerating the domain of `type`.
 std::string DomainTableName(const std::string& type);
 
-/// The (truth, arg0, ..., argK-1) layout of a predicate's atom table —
-/// the single definition shared by bulk loading, per-predicate refresh,
-/// and the serving layer's transient delta relations.
-Schema PredicateTableSchema(const Predicate& pred);
-
-/// Appends `atom`'s argument tuple to a predicate-layout table with
-/// truth = 1 (used for delta/union side tables whose rows are all
-/// "present").
-void AppendAtomRow(Table* table, const GroundAtom& atom);
-
-/// Appends every row of an evidence-side-table relation to a
-/// predicate-layout table with the given truth value — the one
-/// definition of "side-table rows as (truth, arg0, ...) tuples", shared
-/// by the per-predicate refresh and the serving layer's union
-/// relations.
-void AppendSideRows(Table* table, const IdTable& rows, bool truth);
-
-/// Bulk-loads the MLN data into the relational engine (Section 3.1):
-/// one table per predicate with schema (truth, arg0, ..., argK-1) holding
-/// the explicit evidence rows (truth: 0 = false, 1 = true), and one
-/// single-column table per type enumerating its domain. All tables are
-/// ANALYZEd so the optimizer has statistics.
+/// Loads the MLN's type domains into the relational engine (Section
+/// 3.1): one single-column table `_dom_<type>` per type any predicate
+/// uses, enumerating its constants, ANALYZEd so the optimizer has
+/// statistics. These are the relations a rule's otherwise-unbound
+/// universal variables range over.
 ///
-/// `true_counts`, if non-null, receives the number of true evidence rows
-/// per predicate (used for selectivity estimation).
-Status LoadMlnTables(
-    const MlnProgram& program, const EvidenceDb& evidence, Catalog* catalog,
-    std::unordered_map<PredicateId, uint64_t>* true_counts = nullptr);
-
-/// Re-materializes the atom tables of just `predicates` from the
-/// evidence **side tables** (clear, re-append, re-ANALYZE), leaving
-/// every other table untouched. This is the delta path of a long-lived
-/// serving session: after an evidence delta only the touched predicates'
-/// tables — not the whole catalog — are refreshed, and the rows come
-/// from the touched predicates' side tables, so the cost is proportional
-/// to those relations' sizes and never to |evidence| (the old
-/// implementation scanned the whole evidence map once per delta).
-/// `true_counts`, if non-null, has those predicates' entries reset from
-/// the side tables; `rows_written`, if non-null, is incremented by the
-/// number of rows materialized (the bench/test observable for
-/// delta-maintenance cost).
-Status RefreshPredicateTables(
-    const MlnProgram& program, const EvidenceSideTables& side_tables,
-    const std::vector<PredicateId>& predicates, Catalog* catalog,
-    std::unordered_map<PredicateId, uint64_t>* true_counts = nullptr,
-    size_t* rows_written = nullptr);
+/// The evidence is not loaded here: binding literals scan the evidence
+/// side tables in place (storage/evidence_side_tables.h), so `evidence`
+/// is unused and kept only so existing callers stay source-compatible.
+Status LoadMlnTables(const MlnProgram& program, const EvidenceDb& evidence,
+                     Catalog* catalog);
 
 }  // namespace tuffy
 

@@ -26,8 +26,8 @@ BottomUpGrounder::BottomUpGrounder(const MlnProgram& program,
 
 Result<RuleBindingQuery> BuildRuleBindingQuery(
     const MlnProgram& program, int clause_idx, const Catalog& catalog,
-    const std::unordered_map<PredicateId, uint64_t>& true_counts,
-    const EvidenceSideTables* side_tables, const DeltaBindingSpec* delta) {
+    const EvidenceSideTables& side_tables, bool plan_antijoins,
+    const DeltaBindingSpec* delta) {
   const Clause& clause = program.clauses()[clause_idx];
   RuleBindingQuery out;
   std::vector<uint8_t> is_binding_ref(clause.literals.size(), 0);
@@ -55,21 +55,25 @@ Result<RuleBindingQuery> BuildRuleBindingQuery(
   std::vector<Site> var_site(clause.num_vars);
   std::vector<JoinCondition>& joins = query.joins;
 
-  /// Adds one literal as a binding relation over `table` (predicate-table
-  /// layout: truth, arg0, ...). Constants and repeated variables become
-  /// pushed-down filters; shared variables become join conditions. When
-  /// `skip_existential` is set (the delta occurrence of a rule),
-  /// existential argument positions are left unconstrained.
-  auto add_binding_ref = [&](const Literal& lit, const Table* table,
-                             const std::string& alias, double selectivity,
-                             bool skip_existential) {
+  /// Adds one literal as a binding relation over columnar rows of the
+  /// predicate's arguments (arg0, ..., argK-1). Constants and repeated
+  /// variables become pushed-down filters; shared variables become join
+  /// conditions. When `skip_existential` is set (the delta occurrence of
+  /// a rule), existential argument positions are left unconstrained.
+  auto add_binding_ref = [&](const Literal& lit,
+                             std::vector<const IdTable*> segments,
+                             const TableStats* stats, std::string label,
+                             bool skip_existential) -> Status {
+    if (stats->columns.size() != lit.args.size()) {
+      return Status::Internal(StrFormat(
+          "binding relation %s is not analyzed", label.c_str()));
+    }
     int ref_idx = static_cast<int>(query.tables.size());
     std::vector<ExprPtr> filters;
-    // truth = 1 (column 0).
-    filters.push_back(Eq(Col(0, "truth"), Val(Datum(int64_t{1}))));
+    double selectivity = 1.0;
     for (size_t i = 0; i < lit.args.size(); ++i) {
       const Term& t = lit.args[i];
-      int col = static_cast<int>(i) + 1;
+      int col = static_cast<int>(i);
       if (!t.is_var) {
         filters.push_back(Eq(Col(col), Val(Datum(static_cast<int64_t>(t.id)))));
         selectivity *= 0.1;
@@ -88,20 +92,23 @@ Result<RuleBindingQuery> BuildRuleBindingQuery(
       }
     }
     TableRef ref;
-    ref.table = table;
-    ref.alias = alias;
-    ref.filter = And(std::move(filters));
+    ref.segments = std::move(segments);
+    ref.stats = stats;
+    ref.label = std::move(label);
+    if (!filters.empty()) ref.filter = And(std::move(filters));
     ref.selectivity = std::max(selectivity, 1e-9);
     query.tables.push_back(std::move(ref));
+    return Status::OK();
   };
 
   // Delta occurrence first, so its (few) rows anchor the variable sites
   // and every other relation semi-joins against it.
   if (delta != nullptr && delta->delta_lit >= 0) {
     const Literal& lit = clause.literals[delta->delta_lit];
-    add_binding_ref(lit, delta->delta_table,
-                    "delta_" + program.predicate(lit.pred).name,
-                    /*selectivity=*/1.0, /*skip_existential=*/true);
+    TUFFY_RETURN_IF_ERROR(add_binding_ref(
+        lit, delta->delta->segments, &delta->delta->stats,
+        "delta_" + program.predicate(lit.pred).name,
+        /*skip_existential=*/true));
   }
 
   // Binding literals: negative literals over closed-world predicates with
@@ -118,25 +125,21 @@ Result<RuleBindingQuery> BuildRuleBindingQuery(
     }
     if (has_exist) continue;
 
-    const Table* table = nullptr;
-    double selectivity = 1.0;
-    if (delta != nullptr && delta->overrides != nullptr &&
-        delta->overrides->count(lit.pred) > 0) {
-      table = delta->overrides->at(lit.pred);
-    } else {
-      TUFFY_ASSIGN_OR_RETURN(Table * t,
-                             catalog.GetTable(PredicateTableName(pred.name)));
-      table = t;
-      uint64_t rows = table->num_rows();
-      if (rows > 0) {
-        auto it = true_counts.find(pred.id);
-        uint64_t true_rows = it == true_counts.end() ? 0 : it->second;
-        selectivity =
-            static_cast<double>(true_rows) / static_cast<double>(rows);
-      }
+    const DeltaRelation* u = nullptr;
+    if (delta != nullptr && delta->unions != nullptr) {
+      auto it = delta->unions->find(lit.pred);
+      if (it != delta->unions->end()) u = &it->second;
     }
-    add_binding_ref(lit, table, pred.name, selectivity,
-                    /*skip_existential=*/false);
+    if (u != nullptr) {
+      TUFFY_RETURN_IF_ERROR(add_binding_ref(lit, u->segments, &u->stats,
+                                            "union_" + pred.name,
+                                            /*skip_existential=*/false));
+    } else {
+      TUFFY_RETURN_IF_ERROR(add_binding_ref(
+          lit, {&side_tables.true_rows(pred.id)},
+          &side_tables.true_stats(pred.id), "ev_true_" + pred.name,
+          /*skip_existential=*/false));
+    }
     is_binding_ref[li] = 1;
     if (delta == nullptr && li < 64) out.binding_lit_mask |= uint64_t{1} << li;
   }
@@ -147,12 +150,7 @@ Result<RuleBindingQuery> BuildRuleBindingQuery(
     const std::string& type = clause.var_types[v];
     TUFFY_ASSIGN_OR_RETURN(Table * dom, catalog.GetTable(DomainTableName(type)));
     int ref_idx = static_cast<int>(query.tables.size());
-    TableRef ref;
-    ref.table = dom;
-    ref.alias = "dom_" + (static_cast<size_t>(v) < clause.var_names.size()
-                              ? clause.var_names[v]
-                              : StrFormat("v%d", v));
-    query.tables.push_back(std::move(ref));
+    query.tables.push_back(RefTo(*dom));
     var_site[v] = Site{ref_idx, 0};
   }
 
@@ -169,7 +167,7 @@ Result<RuleBindingQuery> BuildRuleBindingQuery(
   // Evidence-satisfaction anti-joins (see the header comment). Probe
   // columns index the query *output*: output column i binds
   // out.out_vars[i].
-  if (side_tables != nullptr && delta == nullptr && !query.outputs.empty() &&
+  if (plan_antijoins && delta == nullptr && !query.outputs.empty() &&
       (clause.hard || clause.weight >= 0.0)) {
     std::vector<int> var_out(clause.num_vars, -1);
     for (size_t i = 0; i < out.out_vars.size(); ++i) {
@@ -183,9 +181,8 @@ Result<RuleBindingQuery> BuildRuleBindingQuery(
         if (t.is_var && var_out[t.id] < 0) resolvable = false;  // existential
       }
       if (!resolvable) continue;
-      const IdTable& build = lit.positive
-                                 ? side_tables->true_rows(lit.pred)
-                                 : side_tables->false_rows(lit.pred);
+      const IdTable& build = lit.positive ? side_tables.true_rows(lit.pred)
+                                          : side_tables.false_rows(lit.pred);
       if (build.num_rows() == 0) continue;
       AntiJoinRef ref;
       ref.build = &build;
@@ -206,17 +203,16 @@ Result<RuleBindingQuery> BuildRuleBindingQuery(
   return out;
 }
 
-Status GroundClauseCandidates(
-    const MlnProgram& program, int clause_idx, const Catalog& catalog,
-    const std::unordered_map<PredicateId, uint64_t>& true_counts,
-    const OptimizerOptions& optimizer_options, GroundingContext* ctx,
-    std::string* explain, const EvidenceSideTables* side_tables) {
+Status GroundClauseCandidates(const MlnProgram& program, int clause_idx,
+                              const Catalog& catalog,
+                              const EvidenceSideTables& side_tables,
+                              const OptimizerOptions& optimizer_options,
+                              GroundingContext* ctx, std::string* explain) {
   const Clause& clause = program.clauses()[clause_idx];
   TUFFY_ASSIGN_OR_RETURN(
       RuleBindingQuery rq,
-      BuildRuleBindingQuery(
-          program, clause_idx, catalog, true_counts,
-          optimizer_options.enable_antijoin_pruning ? side_tables : nullptr));
+      BuildRuleBindingQuery(program, clause_idx, catalog, side_tables,
+                            optimizer_options.enable_antijoin_pruning));
   if (rq.trivial) {
     ctx->AddCandidate(clause_idx, Assignment(clause.num_vars, -1));
     return Status::OK();
@@ -337,17 +333,20 @@ Status CollectBindings(
 Result<GroundingResult> BottomUpGrounder::Ground() {
   Timer timer;
   Catalog catalog;
-  true_counts_.clear();
   explain_.clear();
-  TUFFY_RETURN_IF_ERROR(
-      LoadMlnTables(program_, evidence_, &catalog, &true_counts_));
+  TUFFY_RETURN_IF_ERROR(LoadMlnTables(program_, evidence_, &catalog));
 
-  // Evidence side tables for this run: anti-join build relations and the
-  // pattern-count index read per-predicate rows from here instead of
-  // scanning the evidence map. Read-only while rules ground, so sharing
-  // across worker threads is safe.
+  // Evidence side tables for this run: binding literals scan their true
+  // rows in place (in evidence-map order, which Rebuild preserves), and
+  // the anti-join build relations and the pattern-count index read
+  // per-predicate rows from here instead of scanning the evidence map.
+  // The stats are computed here, before any rule plans. Read-only while
+  // rules ground, so sharing across worker threads is safe.
   EvidenceSideTables side_tables(program_.num_predicates());
   side_tables.Rebuild(evidence_);
+  for (const Predicate& pred : program_.predicates()) {
+    if (pred.closed_world) side_tables.AnalyzeTrueRows(pred);
+  }
   GroundingOptions opts = ground_options_;
   opts.side_tables = &side_tables;
 
@@ -368,9 +367,9 @@ Result<GroundingResult> BottomUpGrounder::Ground() {
   std::vector<Status> statuses(num_rules, Status::OK());
   auto ground_rule = [&](int r) {
     locals[r] = std::make_unique<GroundingContext>(program_, evidence_, opts);
-    statuses[r] = GroundClauseCandidates(program_, r, catalog, true_counts_,
+    statuses[r] = GroundClauseCandidates(program_, r, catalog, side_tables,
                                          optimizer_options_, locals[r].get(),
-                                         &explains[r], &side_tables);
+                                         &explains[r]);
   };
   auto absorb_rule = [&](int r) -> Status {
     TUFFY_RETURN_IF_ERROR(statuses[r]);

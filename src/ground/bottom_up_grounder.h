@@ -15,18 +15,19 @@
 namespace tuffy {
 
 /// Tuffy's bottom-up grounding (Section 3.1 / Algorithm 2): each MLN
-/// clause is compiled to a select-project-join query over the predicate
-/// evidence tables and the domain tables, and the relational optimizer
+/// clause is compiled to a select-project-join query over the evidence
+/// side tables and the domain tables, and the relational optimizer
 /// chooses join order and join algorithms. The query enumerates candidate
 /// variable bindings; the shared GroundingContext then resolves evidence
 /// truth per literal, expands existential quantifiers, and applies the
 /// lazy-inference closure.
 ///
 /// Binding relations per clause: each negative literal over a
-/// closed-world predicate joins that predicate's true evidence rows (a
-/// violable clause needs those atoms true); every other universal
-/// variable ranges over its type's domain table. Constants and repeated
-/// variables become pushed-down filters.
+/// closed-world predicate joins that predicate's true evidence rows —
+/// the side table itself, scanned in place (a violable clause needs
+/// those atoms true); every other universal variable ranges over its
+/// type's domain table. Constants and repeated variables become
+/// pushed-down filters.
 ///
 /// Execution is batch-at-a-time whenever the optimizer can emit a
 /// vectorized plan (see OptimizerOptions::enable_vectorized), and
@@ -50,7 +51,6 @@ class BottomUpGrounder {
   const EvidenceDb& evidence_;
   GroundingOptions ground_options_;
   OptimizerOptions optimizer_options_;
-  std::unordered_map<PredicateId, uint64_t> true_counts_;
   std::string explain_;
 };
 
@@ -71,62 +71,68 @@ struct RuleBindingQuery {
   uint64_t binding_lit_mask = 0;
 };
 
-/// Relation-substitution hooks for binding-level delta grounding (the
-/// serving path). `delta_lit` designates one literal occurrence of the
-/// clause as the *delta occurrence*: it always joins `delta_table` (the
-/// changed atoms of its predicate, in predicate-table layout with
-/// truth = 1), whether or not it would normally be a binding literal,
-/// and its existentially-quantified argument positions are left
-/// unconstrained. Every other binding literal over a predicate present
-/// in `overrides` reads the substitute relation (old-or-new true rows)
-/// instead of the catalog table, which makes the query enumerate a
-/// superset of the bindings whose ground clause could have changed.
-struct DeltaBindingSpec {
-  int delta_lit = -1;
-  const Table* delta_table = nullptr;
-  const std::unordered_map<PredicateId, const Table*>* overrides = nullptr;
+/// Columnar rows the binding-level delta path substitutes into a rule's
+/// binding query: segments read in order as one relation, and their
+/// ANALYZE statistics.
+struct DeltaRelation {
+  std::vector<const IdTable*> segments;
+  TableStats stats;
 };
 
-/// Compiles the binding query of clause `clause_idx` against the loaded
-/// predicate/domain tables. `true_counts` drives selectivity estimation
-/// (see LoadMlnTables); `delta`, if non-null, applies the substitutions
-/// above.
+/// Relation-substitution hooks for binding-level delta grounding (the
+/// serving path). `delta_lit` designates one literal occurrence of the
+/// clause as the *delta occurrence*: it always joins `delta` (the
+/// changed atoms of its predicate), whether or not it would normally be
+/// a binding literal, and its existentially-quantified argument
+/// positions are left unconstrained. Every other binding literal over a
+/// predicate present in `unions` reads that union (the delta's new-true
+/// rows, then the pre-mutation true side table) instead of the side
+/// table alone, which makes the query enumerate a superset of the
+/// bindings whose ground clause could have changed.
+struct DeltaBindingSpec {
+  int delta_lit = -1;
+  const DeltaRelation* delta = nullptr;
+  const std::unordered_map<PredicateId, DeltaRelation>* unions = nullptr;
+};
+
+/// Compiles the binding query of clause `clause_idx`: binding literals
+/// scan `side_tables`' true rows (with their true_stats, which must be
+/// current for every closed-world predicate) and free variables scan
+/// `catalog`'s domain tables (see LoadMlnTables). `delta`, if non-null,
+/// applies the substitutions above.
 ///
-/// `side_tables`, if non-null, additionally plans **anti-joins** against
-/// the evidence side tables: for every resolvable literal (no
-/// existential argument, not a binding literal), output bindings whose
-/// literal atom the evidence makes true — positive literals against the
-/// predicate's explicit-true rows, negative ones against its
-/// explicit-false rows — are pruned inside the query, because such a
-/// clause is satisfied by evidence and resolution would discard it
-/// anyway. Clauses with a negative soft weight are exempt (their
-/// satisfied groundings contribute fixed cost, which resolution must
-/// see), as are delta compilations (the affected-binding superset must
-/// stay independent of the satisfaction state). Pruning therefore never
-/// changes the ground clause store — only how many rows reach
-/// resolution.
+/// `plan_antijoins` additionally plans **anti-joins** against the
+/// evidence side tables: for every resolvable literal (no existential
+/// argument, not a binding literal), output bindings whose literal atom
+/// the evidence makes true — positive literals against the predicate's
+/// explicit-true rows, negative ones against its explicit-false rows —
+/// are pruned inside the query, because such a clause is satisfied by
+/// evidence and resolution would discard it anyway. Clauses with a
+/// negative soft weight are exempt (their satisfied groundings
+/// contribute fixed cost, which resolution must see), as are delta
+/// compilations (the affected-binding superset must stay independent of
+/// the satisfaction state). Pruning therefore never changes the ground
+/// clause store — only how many rows reach resolution.
 Result<RuleBindingQuery> BuildRuleBindingQuery(
     const MlnProgram& program, int clause_idx, const Catalog& catalog,
-    const std::unordered_map<PredicateId, uint64_t>& true_counts,
-    const EvidenceSideTables* side_tables = nullptr,
+    const EvidenceSideTables& side_tables, bool plan_antijoins,
     const DeltaBindingSpec* delta = nullptr);
 
 /// Compiles and runs the binding query of one first-order clause against
-/// already-loaded predicate/domain tables, feeding every candidate
+/// the loaded domain tables and side tables, feeding every candidate
 /// variable assignment into `ctx` (whole chunks at a time on the
 /// vectorized path). This is the per-rule unit of bottom-up grounding;
 /// BottomUpGrounder::Ground runs it for every clause, and the serving
 /// layer's DeltaGrounder re-runs it for just the rules a delta touches.
 /// `explain`, if non-null, receives the plan's EXPLAIN text (plus
 /// per-operator ANALYZE lines when optimizer_options.analyze is set).
-/// `side_tables`, if non-null and optimizer_options.enable_antijoin_pruning
-/// is set, turns on in-plan evidence-satisfaction pruning (see
-/// BuildRuleBindingQuery).
-Status GroundClauseCandidates(
-    const MlnProgram& program, int clause_idx, const Catalog& catalog,
-    const std::unordered_map<PredicateId, uint64_t>& true_counts,
-    const OptimizerOptions& optimizer_options, GroundingContext* ctx,
-    std::string* explain, const EvidenceSideTables* side_tables = nullptr);
+/// optimizer_options.enable_antijoin_pruning turns on in-plan
+/// evidence-satisfaction pruning (see BuildRuleBindingQuery).
+Status GroundClauseCandidates(const MlnProgram& program, int clause_idx,
+                              const Catalog& catalog,
+                              const EvidenceSideTables& side_tables,
+                              const OptimizerOptions& optimizer_options,
+                              GroundingContext* ctx, std::string* explain);
 
 /// Runs an already-built binding query, appending every candidate
 /// assignment to `out` (deduplicating against `seen` when non-null).

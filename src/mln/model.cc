@@ -36,6 +36,11 @@ const std::vector<ConstantId>& SymbolTable::Domain(
   return it == domains_.end() ? kEmpty : it->second;
 }
 
+bool SymbolTable::InDomain(ConstantId id, const std::string& type) const {
+  auto it = domain_members_.find(type);
+  return it != domain_members_.end() && it->second.count(id) > 0;
+}
+
 // ------------------------------------------------------------- MlnProgram
 
 Result<PredicateId> MlnProgram::AddPredicate(Predicate pred) {

@@ -98,6 +98,10 @@ class SymbolTable {
   /// All constants registered under `type` (empty vector if none).
   const std::vector<ConstantId>& Domain(const std::string& type) const;
 
+  /// True when `id` is registered under `type` (false for any id outside
+  /// the table, negative ones included).
+  bool InDomain(ConstantId id, const std::string& type) const;
+
  private:
   std::unordered_map<std::string, ConstantId> ids_;
   std::vector<std::string> names_;
@@ -174,8 +178,8 @@ struct GroundAtomHash {
   }
 };
 
-/// Three-valued evidence truth (the `truth` attribute of the atom tables
-/// in Section 3.1).
+/// Three-valued evidence truth (the `truth` attribute of Section 3.1's
+/// atom tables; here the side table an atom's row lives in).
 enum class Truth : int8_t { kFalse = 0, kTrue = 1, kUnknown = 2 };
 
 /// Observer of explicit evidence mutations. Derived structures that

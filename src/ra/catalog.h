@@ -11,8 +11,9 @@
 
 namespace tuffy {
 
-/// Name → relation mapping for the embedded engine. The grounding
-/// compiler registers one atom table per MLN predicate here.
+/// Name → relation mapping for the embedded engine. Grounding registers
+/// one domain table per type here (LoadMlnTables); the evidence is not
+/// copied in — binding literals scan the evidence side tables in place.
 class Catalog {
  public:
   Catalog() = default;

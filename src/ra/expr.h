@@ -17,8 +17,8 @@ const char* CompareOpToString(CompareOp op);
 /// A scalar expression evaluated over a single row. Supports the forms
 /// grounding needs: column references, literals, comparisons, and boolean
 /// connectives. SQL three-valued logic is simplified to two-valued with
-/// NULL comparing unequal to everything (sufficient because atom tables
-/// never contain NULL join keys).
+/// NULL comparing unequal to everything (sufficient because grounding's
+/// relations are interned ids and never contain NULL join keys).
 class Expr {
  public:
   virtual ~Expr() = default;

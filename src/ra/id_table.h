@@ -9,15 +9,20 @@ namespace tuffy {
 
 class Table;
 
-/// Columnar mirror of a relation whose attributes are all interned
-/// constant ids (kInt64, no NULLs): one flat int64 vector per column.
-/// This is the storage format the batch executor scans — no per-row
-/// vector, no per-cell variant tag, one contiguous array per attribute
-/// (Section 3.1's atom tables, laid out the way a column store would).
+/// Columnar relation whose attributes are all interned constant ids
+/// (kInt64, no NULLs): one flat int64 vector per column. This is the
+/// storage format both executors scan — no per-row vector, no per-cell
+/// variant tag, one contiguous array per attribute (Section 3.1's
+/// relations, laid out the way a column store would).
 ///
-/// An IdTable is a derived view: Table::Analyze builds and caches one
-/// when the schema qualifies, and any mutation invalidates it. The
-/// row-oriented Table API stays authoritative for display and tests.
+/// Two kinds of owner: Table::Analyze builds one as the columnar mirror
+/// of a row-oriented Table (the domain tables), and the evidence side
+/// tables own theirs outright and mutate them per evidence delta. The
+/// side tables' true-row IdTables are the relations grounding's binding
+/// literals join, so their row order is read by binding scans and feeds
+/// candidate order: it is a function of the mutation history (appends
+/// land last, removals swap the last row into the hole), and snapshots
+/// preserve it.
 class IdTable {
  public:
   IdTable() = default;
@@ -35,10 +40,8 @@ class IdTable {
   static bool Build(const Table& table, IdTable* out);
 
   // ---- Incremental mutation (the evidence side tables own IdTables
-  // directly and keep them current per evidence delta, instead of
-  // rebuilding a Table mirror from scratch). Removal swaps with the last
-  // row, so row order is maintenance-history-dependent; consumers must
-  // not rely on it (the anti-join build side is order-insensitive).
+  // directly and keep them current per evidence delta). Removal swaps
+  // with the last row, so row order depends on the mutation history.
 
   /// Resets to `num_cols` empty columns.
   void Init(size_t num_cols) {
@@ -79,6 +82,30 @@ class IdTable {
   std::vector<std::vector<int64_t>> cols_;
   bool narrow_ = true;
 };
+
+/// Per-column statistics used by the optimizer's cardinality estimator
+/// (PostgreSQL's pg_statistic, in miniature).
+struct ColumnStats {
+  uint64_t num_distinct = 0;
+};
+
+/// ANALYZE output for one relation. `columns.size()` is the relation's
+/// width, also when it has no rows.
+struct TableStats {
+  uint64_t num_rows = 0;
+  std::vector<ColumnStats> columns;
+};
+
+/// ANALYZE over columnar rows: the row count and per-column distinct
+/// counts of the concatenation of `segments` (in order), a relation of
+/// `num_cols` columns. A segment with no rows may have zero columns.
+/// num_distinct is exact up to 8192 rows; above that it is a sampled
+/// GEE estimate from a fixed-seed 4096-row sample, so ANALYZE stays
+/// cheap on large relations and its output is a pure function of the
+/// rows and their order — never of the run, the thread count, or how
+/// the rows are split into segments.
+TableStats AnalyzeColumns(const std::vector<const IdTable*>& segments,
+                          size_t num_cols);
 
 }  // namespace tuffy
 

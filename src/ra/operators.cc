@@ -35,7 +35,17 @@ void AppendAnalyze(PhysicalOp* root, int depth, std::string* out) {
 
 // ---------------------------------------------------------------- SeqScan
 
+SeqScanOp::SeqScanOp(const TableRef& ref)
+    : segments_(ref.segments), label_(ref.label) {
+  std::vector<Column> cols;
+  for (size_t c = 0; c < ref.num_cols(); ++c) {
+    cols.push_back(Column{StrFormat("c%zu", c), ColumnType::kInt64});
+  }
+  schema_ = Schema(std::move(cols));
+}
+
 Status SeqScanOp::Open() {
+  segment_ = 0;
   pos_ = 0;
   rows_produced_ = 0;
   return Status::OK();
@@ -43,8 +53,18 @@ Status SeqScanOp::Open() {
 
 Result<bool> SeqScanOp::Next(Row* out) {
   MaybeTimer t(this);
-  if (pos_ >= table_->num_rows()) return false;
-  *out = table_->row(pos_++);
+  while (segment_ < segments_.size() &&
+         pos_ >= segments_[segment_]->num_rows()) {
+    ++segment_;
+    pos_ = 0;
+  }
+  if (segment_ >= segments_.size()) return false;
+  const IdTable& rows = *segments_[segment_];
+  out->clear();
+  for (size_t c = 0; c < schema_.num_columns(); ++c) {
+    out->push_back(Datum(rows.col(c)[pos_]));
+  }
+  ++pos_;
   ++rows_produced_;
   return true;
 }
@@ -474,121 +494,6 @@ Result<bool> AntiJoinOp::Next(Row* out) {
 void AntiJoinOp::Close() {
   child_->Close();
   keys_.clear();
-}
-
-// ------------------------------------------------------------------- Sort
-
-Status SortOp::Open() {
-  rows_produced_ = 0;
-  MaybeTimer t(this);
-  TUFFY_RETURN_IF_ERROR(child_->Open());
-  rows_.clear();
-  Row row;
-  while (true) {
-    auto has = child_->Next(&row);
-    if (!has.ok()) return has.status();
-    if (!has.value()) break;
-    rows_.push_back(row);
-  }
-  std::sort(rows_.begin(), rows_.end(), [this](const Row& a, const Row& b) {
-    for (int c : sort_cols_) {
-      if (a[c] < b[c]) return true;
-      if (b[c] < a[c]) return false;
-    }
-    return false;
-  });
-  pos_ = 0;
-  return Status::OK();
-}
-
-Result<bool> SortOp::Next(Row* out) {
-  MaybeTimer t(this);
-  if (pos_ >= rows_.size()) return false;
-  *out = rows_[pos_++];
-  ++rows_produced_;
-  return true;
-}
-
-void SortOp::Close() {
-  child_->Close();
-  rows_.clear();
-}
-
-// --------------------------------------------------------------- Distinct
-
-Status DistinctOp::Open() {
-  rows_produced_ = 0;
-  seen_.clear();
-  return child_->Open();
-}
-
-Result<bool> DistinctOp::Next(Row* out) {
-  MaybeTimer t(this);
-  while (true) {
-    TUFFY_ASSIGN_OR_RETURN(bool has, child_->Next(out));
-    if (!has) return false;
-    auto [it, inserted] = seen_.emplace(*out, true);
-    if (inserted) {
-      ++rows_produced_;
-      return true;
-    }
-  }
-}
-
-void DistinctOp::Close() {
-  child_->Close();
-  seen_.clear();
-}
-
-// ---------------------------------------------------------- HashAggregate
-
-HashAggregateOp::HashAggregateOp(PhysicalOpPtr child,
-                                 std::vector<int> group_cols)
-    : child_(std::move(child)), group_cols_(std::move(group_cols)) {
-  const Schema& in = child_->output_schema();
-  std::vector<Column> cols;
-  for (int c : group_cols_) cols.push_back(in.column(c));
-  cols.push_back(Column{"count", ColumnType::kInt64});
-  schema_ = Schema(std::move(cols));
-}
-
-Status HashAggregateOp::Open() {
-  rows_produced_ = 0;
-  MaybeTimer t(this);
-  TUFFY_RETURN_IF_ERROR(child_->Open());
-  std::unordered_map<Row, int64_t, KeyHash> groups;
-  Row row;
-  while (true) {
-    auto has = child_->Next(&row);
-    if (!has.ok()) return has.status();
-    if (!has.value()) break;
-    Row key;
-    key.reserve(group_cols_.size());
-    for (int c : group_cols_) key.push_back(row[c]);
-    ++groups[std::move(key)];
-  }
-  results_.clear();
-  results_.reserve(groups.size());
-  for (auto& [key, count] : groups) {
-    Row out = key;
-    out.push_back(Datum(count));
-    results_.push_back(std::move(out));
-  }
-  pos_ = 0;
-  return Status::OK();
-}
-
-Result<bool> HashAggregateOp::Next(Row* out) {
-  MaybeTimer t(this);
-  if (pos_ >= results_.size()) return false;
-  *out = results_[pos_++];
-  ++rows_produced_;
-  return true;
-}
-
-void HashAggregateOp::Close() {
-  child_->Close();
-  results_.clear();
 }
 
 // --------------------------------------------------------------- Executor

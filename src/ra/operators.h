@@ -69,19 +69,24 @@ void EnableAnalyze(PhysicalOp* root);
 /// — the EXPLAIN ANALYZE rendering of a Volcano plan.
 void AppendAnalyze(PhysicalOp* root, int depth, std::string* out);
 
-/// Full scan of a materialized table.
+/// Full scan of a columnar relation (see TableRef): its IdTable
+/// segments in order, each row widened to a Row of int64 Datums. The
+/// Volcano plan's only leaf; the batch plan's is VecScanOp.
 class SeqScanOp final : public PhysicalOp {
  public:
-  explicit SeqScanOp(const Table* table) : table_(table) {}
+  explicit SeqScanOp(const TableRef& ref);
 
   Status Open() override;
   Result<bool> Next(Row* out) override;
   void Close() override {}
-  const Schema& output_schema() const override { return table_->schema(); }
-  std::string name() const override { return "SeqScan(" + table_->name() + ")"; }
+  const Schema& output_schema() const override { return schema_; }
+  std::string name() const override { return "SeqScan(" + label_ + ")"; }
 
  private:
-  const Table* table_;
+  std::vector<const IdTable*> segments_;
+  std::string label_;
+  Schema schema_;
+  size_t segment_ = 0;
   size_t pos_ = 0;
 };
 
@@ -315,89 +320,6 @@ bool AntiJoinBuildRowQualifies(
     const IdTable& build, size_t row,
     const std::vector<std::pair<int, int64_t>>& const_checks,
     const std::vector<std::pair<int, int>>& dup_checks);
-
-/// Materializes and sorts child output by the given column indices.
-class SortOp final : public PhysicalOp {
- public:
-  SortOp(PhysicalOpPtr child, std::vector<int> sort_cols)
-      : child_(std::move(child)), sort_cols_(std::move(sort_cols)) {}
-
-  Status Open() override;
-  Result<bool> Next(Row* out) override;
-  void Close() override;
-  const Schema& output_schema() const override {
-    return child_->output_schema();
-  }
-  std::string name() const override { return "Sort"; }
-  void ForEachChild(const std::function<void(PhysicalOp*)>& fn) override {
-    fn(child_.get());
-  }
-
- private:
-  PhysicalOpPtr child_;
-  std::vector<int> sort_cols_;
-  std::vector<Row> rows_;
-  size_t pos_ = 0;
-};
-
-/// Removes duplicate rows (hash-based).
-class DistinctOp final : public PhysicalOp {
- public:
-  explicit DistinctOp(PhysicalOpPtr child) : child_(std::move(child)) {}
-
-  Status Open() override;
-  Result<bool> Next(Row* out) override;
-  void Close() override;
-  const Schema& output_schema() const override {
-    return child_->output_schema();
-  }
-  std::string name() const override { return "Distinct"; }
-  void ForEachChild(const std::function<void(PhysicalOp*)>& fn) override {
-    fn(child_.get());
-  }
-
- private:
-  struct RowHash {
-    size_t operator()(const Row& row) const {
-      size_t h = 0x9E3779B97F4A7C15ull;
-      for (const Datum& d : row) h = h * 1315423911u ^ d.Hash();
-      return h;
-    }
-  };
-
-  PhysicalOpPtr child_;
-  std::unordered_map<Row, bool, RowHash> seen_;
-};
-
-/// GROUP BY group_cols with COUNT(*) appended as the last output column.
-class HashAggregateOp final : public PhysicalOp {
- public:
-  HashAggregateOp(PhysicalOpPtr child, std::vector<int> group_cols);
-
-  Status Open() override;
-  Result<bool> Next(Row* out) override;
-  void Close() override;
-  const Schema& output_schema() const override { return schema_; }
-  std::string name() const override { return "HashAggregate(count)"; }
-  void ForEachChild(const std::function<void(PhysicalOp*)>& fn) override {
-    fn(child_.get());
-  }
-
- private:
-  struct KeyHash {
-    size_t operator()(const Row& row) const {
-      size_t h = 0x9E3779B97F4A7C15ull;
-      for (const Datum& d : row) h = h * 1315423911u ^ d.Hash();
-      return h;
-    }
-  };
-
-  PhysicalOpPtr child_;
-  std::vector<int> group_cols_;
-  Schema schema_;
-  std::vector<Row> results_;
-  size_t pos_ = 0;
-};
 
 /// Runs a physical plan to completion, materializing the output.
 Result<Table> ExecuteToTable(PhysicalOp* root, const std::string& name);

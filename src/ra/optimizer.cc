@@ -10,15 +10,12 @@ namespace tuffy {
 
 namespace {
 
-/// Per-column distinct-value estimate, falling back to the row count when
-/// the table has not been ANALYZEd.
-double DistinctEstimate(const Table* table, int col) {
-  if (table->stats_valid() &&
-      col < static_cast<int>(table->stats().columns.size()) &&
-      table->stats().columns[col].num_distinct > 0) {
-    return static_cast<double>(table->stats().columns[col].num_distinct);
-  }
-  return std::max<double>(1.0, static_cast<double>(table->num_rows()));
+/// Per-column distinct-value estimate, falling back to the row count
+/// when ANALYZE found no values.
+double DistinctEstimate(const TableRef& ref, int col) {
+  const uint64_t distinct = ref.stats->columns[col].num_distinct;
+  if (distinct > 0) return static_cast<double>(distinct);
+  return std::max<double>(1.0, static_cast<double>(ref.stats->num_rows));
 }
 
 /// Lowers a pushed-down scan filter into VecPredicates. Handles exactly
@@ -60,7 +57,7 @@ bool TryLowerPredicate(const Expr* e, std::vector<VecPredicate>* out) {
 }  // namespace
 
 double Optimizer::EstimateFilteredRows(const TableRef& ref) const {
-  double rows = static_cast<double>(ref.table->num_rows());
+  double rows = static_cast<double>(ref.stats->num_rows);
   return std::max(1.0, rows * ref.selectivity);
 }
 
@@ -68,9 +65,8 @@ double Optimizer::EstimateCardinality(const ConjunctiveQuery& query) const {
   double card = 1.0;
   for (const TableRef& ref : query.tables) card *= EstimateFilteredRows(ref);
   for (const JoinCondition& jc : query.joins) {
-    double dl = DistinctEstimate(query.tables[jc.left_table].table, jc.left_col);
-    double dr =
-        DistinctEstimate(query.tables[jc.right_table].table, jc.right_col);
+    double dl = DistinctEstimate(query.tables[jc.left_table], jc.left_col);
+    double dr = DistinctEstimate(query.tables[jc.right_table], jc.right_col);
     card /= std::max(dl, dr);
   }
   return std::max(1.0, card);
@@ -81,6 +77,19 @@ Result<OptimizedPlan> Optimizer::Plan(ConjunctiveQuery query) const {
     return Status::InvalidArgument("query has no tables");
   }
   const size_t n = query.tables.size();
+  for (const TableRef& ref : query.tables) {
+    if (ref.stats == nullptr) {
+      return Status::InvalidArgument(
+          StrFormat("relation %s has no ANALYZE stats", ref.label.c_str()));
+    }
+    for (const IdTable* seg : ref.segments) {
+      if (seg == nullptr ||
+          (seg->num_rows() > 0 && seg->num_cols() != ref.num_cols())) {
+        return Status::InvalidArgument(StrFormat(
+            "relation %s has a segment of the wrong shape", ref.label.c_str()));
+      }
+    }
+  }
 
   // Estimated cardinality of each base ref after filter pushdown.
   std::vector<double> base_rows(n);
@@ -127,8 +136,8 @@ Result<OptimizedPlan> Optimizer::Plan(ConjunctiveQuery query) const {
             continue;
           }
           connected = true;
-          double dl = DistinctEstimate(query.tables[other].table, other_col);
-          double dr = DistinctEstimate(query.tables[cand].table, cand_col);
+          double dl = DistinctEstimate(query.tables[other], other_col);
+          double dr = DistinctEstimate(query.tables[cand], cand_col);
           est /= std::max(1.0, std::max(dl, dr));
         }
         // Prefer connected joins over cross products at any cost.
@@ -156,10 +165,8 @@ Result<OptimizedPlan> Optimizer::Plan(ConjunctiveQuery query) const {
   std::vector<std::vector<VecPredicate>> scan_preds(n);
   for (size_t t = 0; vec_ok && t < n; ++t) {
     const TableRef& ref = query.tables[t];
-    const IdTable* view = ref.table->id_view();
-    if (view == nullptr || !view->narrow()) {
-      vec_ok = false;
-      break;
+    for (const IdTable* seg : ref.segments) {
+      if (!seg->narrow()) vec_ok = false;
     }
     if (ref.filter != nullptr &&
         !TryLowerPredicate(ref.filter.get(), &scan_preds[t])) {
@@ -181,8 +188,7 @@ Result<OptimizedPlan> Optimizer::Plan(ConjunctiveQuery query) const {
   {
     int t0 = order[0];
     col_offset[t0] = 0;
-    int total_cols =
-        static_cast<int>(query.tables[t0].table->schema().num_columns());
+    int total_cols = static_cast<int>(query.tables[t0].num_cols());
     placed[t0] = true;
     for (size_t step = 1; step < order.size(); ++step) {
       int t = order[step];
@@ -200,8 +206,7 @@ Result<OptimizedPlan> Optimizer::Plan(ConjunctiveQuery query) const {
         }
       }
       col_offset[t] = total_cols;
-      total_cols +=
-          static_cast<int>(query.tables[t].table->schema().num_columns());
+      total_cols += static_cast<int>(query.tables[t].num_cols());
       placed[t] = true;
       // Join conditions whose both sides are now placed but which were
       // not usable as keys (cycles in the join graph).
@@ -224,7 +229,7 @@ Result<OptimizedPlan> Optimizer::Plan(ConjunctiveQuery query) const {
   std::string explain;
   auto make_scan = [&](int t) -> PhysicalOpPtr {
     TableRef& ref = query.tables[t];
-    PhysicalOpPtr op = std::make_unique<SeqScanOp>(ref.table);
+    PhysicalOpPtr op = std::make_unique<SeqScanOp>(ref);
     if (ref.filter != nullptr && !options_.disable_predicate_pushdown) {
       op = std::make_unique<FilterOp>(std::move(op), std::move(ref.filter));
     }
@@ -234,7 +239,7 @@ Result<OptimizedPlan> Optimizer::Plan(ConjunctiveQuery query) const {
   int t0 = order[0];
   PhysicalOpPtr root = make_scan(t0);
   explain += StrFormat("Scan %s (est_rows=%.0f)\n",
-                       query.tables[t0].table->name().c_str(), base_rows[t0]);
+                       query.tables[t0].label.c_str(), base_rows[t0]);
 
   for (size_t step = 1; step < order.size(); ++step) {
     int t = order[step];
@@ -260,7 +265,7 @@ Result<OptimizedPlan> Optimizer::Plan(ConjunctiveQuery query) const {
       algo = "NestedLoopJoin";
     }
     explain += StrFormat("%s with %s (keys=%zu)\n", algo,
-                         query.tables[t].table->name().c_str(), keys.size());
+                         query.tables[t].label.c_str(), keys.size());
 
     if (!steps[step].cycles.empty()) {
       std::vector<ExprPtr> residuals;
@@ -281,7 +286,7 @@ Result<OptimizedPlan> Optimizer::Plan(ConjunctiveQuery query) const {
     for (size_t t = 0; t < n; ++t) {
       TableRef& ref = query.tables[t];
       if (ref.filter == nullptr) continue;
-      int width = static_cast<int>(ref.table->schema().num_columns());
+      int width = static_cast<int>(ref.num_cols());
       top_filters.push_back(std::make_unique<ShiftExpr>(
           std::move(ref.filter), col_offset[t], width));
     }
@@ -337,8 +342,7 @@ Result<OptimizedPlan> Optimizer::Plan(ConjunctiveQuery query) const {
   if (vec_ok) {
     auto make_vec_scan = [&](int t) -> VecOpPtr {
       const TableRef& ref = query.tables[t];
-      VecOpPtr op = std::make_unique<VecScanOp>(ref.table->id_view(),
-                                                ref.table->name());
+      VecOpPtr op = std::make_unique<VecScanOp>(ref);
       if (!scan_preds[t].empty()) {
         op = std::make_unique<VecFilterOp>(std::move(op), scan_preds[t]);
       }

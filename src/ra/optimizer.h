@@ -25,7 +25,7 @@ struct OptimizerOptions {
   /// pushdown). The default pushes filters onto the scans.
   bool disable_predicate_pushdown = false;
   /// If true (default), Plan additionally emits a columnar batch plan
-  /// whenever every input relation has a narrow id view, every pushed
+  /// whenever every input relation's segments are narrow, every pushed
   /// filter fits the VecPredicate grammar, and no join step needs more
   /// than two key columns. Executors prefer vec_root when present; the
   /// Volcano plan remains the lesion baseline.

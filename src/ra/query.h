@@ -9,17 +9,38 @@
 
 namespace tuffy {
 
-/// One relation instance in a conjunctive (select-project-join) query.
-/// `filter` is a predicate over this table's schema alone and is pushed
-/// below the joins by the optimizer (predicate pushdown).
+/// One relation instance in a conjunctive (select-project-join) query:
+/// columnar rows, their ANALYZE statistics, and a label for EXPLAIN and
+/// the scan operators. The rows are one or more IdTable segments read
+/// in order as a single relation — a table's id view, an evidence side
+/// table scanned in place, or the serving path's two-segment union of a
+/// delta's new rows and a side table. The segments and stats must
+/// outlive plan execution and stay unmutated while it runs.
+///
+/// `filter` is a predicate over this relation's columns alone and is
+/// pushed below the joins by the optimizer (predicate pushdown).
 struct TableRef {
-  const Table* table = nullptr;
+  std::vector<const IdTable*> segments;
+  /// Statistics of the concatenated segments; `stats->columns.size()`
+  /// is the relation's width, also when every segment is empty.
+  const TableStats* stats = nullptr;
+  std::string label;
   ExprPtr filter;  // may be null
-  std::string alias;
-  /// Fraction of rows expected to pass `filter`; set by the query builder
-  /// (the grounding compiler knows evidence-truth selectivities).
+  /// Fraction of rows expected to pass `filter`; set by the query builder.
   double selectivity = 1.0;
+
+  size_t num_cols() const { return stats->columns.size(); }
 };
+
+/// A reference to an ANALYZEd all-id table's columnar mirror, labelled
+/// with the table's name.
+inline TableRef RefTo(const Table& table) {
+  TableRef ref;
+  ref.segments = {table.id_view()};
+  ref.stats = &table.stats();
+  ref.label = table.name();
+  return ref;
+}
 
 /// Equality between a column of one table ref and a column of another.
 struct JoinCondition {
@@ -58,10 +79,10 @@ struct AntiJoinRef {
 };
 
 /// The select-project-join query shape that MLN grounding compiles to
-/// (Algorithm 2 in the paper): one TableRef per literal, join conditions
-/// for shared variables, per-ref filters for constants and evidence-truth
-/// pruning, and the atom-id output columns. `anti_joins` run above the
-/// projection, in order.
+/// (Algorithm 2 in the paper): one TableRef per binding literal or free
+/// variable domain, join conditions for shared variables, per-ref
+/// filters for constants and repeated variables, and the atom-id output
+/// columns. `anti_joins` run above the projection, in order.
 struct ConjunctiveQuery {
   std::vector<TableRef> tables;
   std::vector<JoinCondition> joins;

@@ -1,49 +1,14 @@
 #include "ra/table.h"
 
-#include <algorithm>
 #include <cassert>
-#include <cmath>
-#include <unordered_map>
-#include <unordered_set>
 
-#include "util/rng.h"
 #include "util/string_util.h"
 
 namespace tuffy {
 
-namespace {
-
-/// Above this row count ANALYZE samples instead of scanning every row.
-constexpr size_t kExactDistinctRows = 8192;
-/// Sample size for the GEE distinct estimator.
-constexpr size_t kDistinctSampleRows = 4096;
-
-/// Guaranteed-Error Estimator (Charikar et al.): scale the singletons of
-/// a uniform sample by sqrt(n/m) and keep the repeated values as-is.
-/// Exact enough for join ordering, and O(sample) instead of O(table).
-uint64_t SampledDistinct(size_t num_rows, const std::vector<uint64_t>& sample) {
-  std::unordered_map<uint64_t, uint32_t> freq;
-  freq.reserve(sample.size());
-  for (uint64_t v : sample) ++freq[v];
-  size_t f1 = 0;
-  for (const auto& [v, count] : freq) {
-    if (count == 1) ++f1;
-  }
-  double scale = std::sqrt(static_cast<double>(num_rows) /
-                           static_cast<double>(sample.size()));
-  double est = scale * static_cast<double>(f1) +
-               static_cast<double>(freq.size() - f1);
-  est = std::min(est, static_cast<double>(num_rows));
-  est = std::max(est, static_cast<double>(freq.size()));
-  return static_cast<uint64_t>(est);
-}
-
-}  // namespace
-
 void Table::Append(Row row) {
   assert(row.size() == schema_.num_columns());
   rows_.push_back(std::move(row));
-  stats_valid_ = false;
   id_view_.reset();
 }
 
@@ -69,61 +34,21 @@ Status Table::AppendChecked(Row row) {
     }
   }
   rows_.push_back(std::move(row));
-  stats_valid_ = false;
   id_view_.reset();
   return Status::OK();
 }
 
 const TableStats& Table::Analyze() {
-  // Rebuild the columnar mirror first so the distinct estimator can read
-  // flat int64 columns instead of hashing Datums.
   id_view_.reset();
   auto view = std::make_unique<IdTable>();
-  if (IdTable::Build(*this, view.get())) id_view_ = std::move(view);
-
-  const size_t n = rows_.size();
-  stats_.num_rows = n;
-  stats_.columns.assign(schema_.num_columns(), ColumnStats{});
-
-  // Deterministic sample indices shared by every column (fixed seed:
-  // ANALYZE output must not vary run to run or thread count to thread
-  // count — the optimizer's plans feed bit-identical grounding checks).
-  std::vector<size_t> sample_idx;
-  const bool sampled = n > kExactDistinctRows;
-  if (sampled) {
-    Rng rng(0xA11A1);
-    sample_idx.reserve(kDistinctSampleRows);
-    for (size_t i = 0; i < kDistinctSampleRows; ++i) {
-      sample_idx.push_back(static_cast<size_t>(rng.Uniform(n)));
-    }
+  if (IdTable::Build(*this, view.get())) {
+    id_view_ = std::move(view);
+    stats_ = AnalyzeColumns({id_view_.get()}, schema_.num_columns());
+  } else {
+    stats_ = TableStats{};
+    stats_.num_rows = rows_.size();
+    stats_.columns.assign(schema_.num_columns(), ColumnStats{});
   }
-
-  std::vector<uint64_t> values;
-  values.reserve(sampled ? kDistinctSampleRows : n);
-  for (size_t c = 0; c < schema_.num_columns(); ++c) {
-    values.clear();
-    if (id_view_ != nullptr) {
-      const std::vector<int64_t>& col = id_view_->col(c);
-      if (sampled) {
-        for (size_t i : sample_idx) {
-          values.push_back(static_cast<uint64_t>(col[i]));
-        }
-      } else {
-        for (int64_t v : col) values.push_back(static_cast<uint64_t>(v));
-      }
-    } else if (sampled) {
-      for (size_t i : sample_idx) values.push_back(rows_[i][c].Hash());
-    } else {
-      for (const Row& r : rows_) values.push_back(r[c].Hash());
-    }
-    if (sampled) {
-      stats_.columns[c].num_distinct = SampledDistinct(n, values);
-    } else {
-      std::unordered_set<uint64_t> distinct(values.begin(), values.end());
-      stats_.columns[c].num_distinct = distinct.size();
-    }
-  }
-  stats_valid_ = true;
   return stats_;
 }
 

@@ -13,20 +13,11 @@
 
 namespace tuffy {
 
-/// Per-column statistics used by the optimizer's cardinality estimator
-/// (PostgreSQL's pg_statistic, in miniature).
-struct ColumnStats {
-  uint64_t num_distinct = 0;
-};
-
-struct TableStats {
-  uint64_t num_rows = 0;
-  std::vector<ColumnStats> columns;
-};
-
-/// A materialized relation: schema plus row storage. Bulk loading is
-/// append-based, matching the paper's "standard bulk-loading techniques"
-/// for constructing the per-predicate atom tables.
+/// A materialized row-oriented relation: schema plus Datum rows, with
+/// append-based bulk loading. The grounding catalog holds one per type
+/// domain (`_dom_<type>`); the evidence itself lives in the columnar
+/// side tables (storage/evidence_side_tables.h), not here. Plans never
+/// read a Table's rows: they scan the IdTable mirror Analyze builds.
 class Table {
  public:
   Table(std::string name, Schema schema)
@@ -46,30 +37,20 @@ class Table {
   /// Appends with full type checking.
   Status AppendChecked(Row row);
 
-  void Reserve(size_t n) { rows_.reserve(n); }
-  void Clear() {
-    rows_.clear();
-    stats_valid_ = false;
-    id_view_.reset();
-  }
-
-  /// Recomputes and caches table statistics (ANALYZE). num_distinct is
-  /// exact for small tables and a sampled GEE estimate for large ones
-  /// (deterministic sample), so ANALYZE stays linear-ish and the
-  /// optimizer's join ordering does not degenerate on large atom tables.
-  /// Also (re)builds the columnar id view when the schema qualifies.
+  /// ANALYZE: (re)builds the columnar id view when the schema qualifies
+  /// and recomputes the statistics from it with AnalyzeColumns (exact
+  /// up to 8192 rows, a fixed-seed sampled estimate above). A relation
+  /// with no id view gets a row count and zero distinct estimates.
   const TableStats& Analyze();
 
-  /// Columnar mirror for the batch executor: non-null only after Analyze
-  /// on an all-kInt64, NULL-free relation, and invalidated by any
-  /// mutation. Never built lazily — grounding reads tables from many
-  /// threads, so the build happens at ANALYZE time on the loader thread.
+  /// Columnar mirror for both executors: non-null only after Analyze on
+  /// an all-kInt64, NULL-free relation, and invalidated by any mutation.
+  /// Never built lazily — grounding reads tables from many threads, so
+  /// the build happens at ANALYZE time on the loader thread.
   const IdTable* id_view() const { return id_view_.get(); }
 
-  /// Cached stats; if never analyzed, returns row count with zero
-  /// distinct estimates.
+  /// Statistics of the last Analyze (empty before the first).
   const TableStats& stats() const { return stats_; }
-  bool stats_valid() const { return stats_valid_; }
 
   /// Rough payload size in bytes, for memory accounting.
   size_t EstimateBytes() const;
@@ -79,7 +60,6 @@ class Table {
   Schema schema_;
   std::vector<Row> rows_;
   TableStats stats_;
-  bool stats_valid_ = false;
   std::unique_ptr<IdTable> id_view_;
 };
 

@@ -46,6 +46,7 @@ bool EvalPredicates(const std::vector<VecPredicate>& predicates,
 // ---------------------------------------------------------------- VecScan
 
 Status VecScanOp::Open() {
+  segment_ = 0;
   pos_ = 0;
   rows_produced_ = 0;
   chunks_produced_ = 0;
@@ -54,17 +55,22 @@ Status VecScanOp::Open() {
 
 Result<bool> VecScanOp::NextChunk(ColumnChunk* out) {
   ScopedSeconds t(&seconds_);
-  if (pos_ >= table_->num_rows()) return false;
-  const size_t rows =
-      std::min<size_t>(kVecChunkRows, table_->num_rows() - pos_);
-  out->Reset(table_->num_cols());
-  // Borrow the table's columns: a view per column, no copies.
-  for (size_t c = 0; c < table_->num_cols(); ++c) {
-    out->SetView(c, table_->col(c).data() + pos_);
+  while (segment_ < segments_.size() &&
+         pos_ >= segments_[segment_]->num_rows()) {
+    ++segment_;
+    pos_ = 0;
   }
-  out->num_rows = static_cast<uint32_t>(rows);
-  pos_ += rows;
-  rows_produced_ += rows;
+  if (segment_ >= segments_.size()) return false;
+  const IdTable& rows = *segments_[segment_];
+  const size_t n = std::min<size_t>(kVecChunkRows, rows.num_rows() - pos_);
+  out->Reset(num_cols_);
+  // Borrow the segment's columns: a view per column, no copies.
+  for (size_t c = 0; c < num_cols_; ++c) {
+    out->SetView(c, rows.col(c).data() + pos_);
+  }
+  out->num_rows = static_cast<uint32_t>(n);
+  pos_ += n;
+  rows_produced_ += n;
   ++chunks_produced_;
   return true;
 }

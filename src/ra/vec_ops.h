@@ -119,23 +119,26 @@ class VecOp {
 
 using VecOpPtr = std::unique_ptr<VecOp>;
 
-/// Chunked scan over a columnar id view: each emitted chunk *borrows*
-/// the table's column arrays (a view per column, no copies). The IdTable
-/// must outlive the op and stay unmutated while the plan runs.
+/// Chunked scan of a columnar relation (see TableRef): each emitted
+/// chunk *borrows* one segment's column arrays (a view per column, no
+/// copies), so a chunk never spans two segments. The segments must
+/// outlive the op and stay unmutated while the plan runs.
 class VecScanOp final : public VecOp {
  public:
-  VecScanOp(const IdTable* table, std::string label)
-      : table_(table), label_(std::move(label)) {}
+  explicit VecScanOp(const TableRef& ref)
+      : segments_(ref.segments), num_cols_(ref.num_cols()), label_(ref.label) {}
 
   Status Open() override;
   Result<bool> NextChunk(ColumnChunk* out) override;
   void Close() override {}
-  size_t num_output_cols() const override { return table_->num_cols(); }
+  size_t num_output_cols() const override { return num_cols_; }
   std::string name() const override { return "VecScan(" + label_ + ")"; }
 
  private:
-  const IdTable* table_;
+  std::vector<const IdTable*> segments_;
+  size_t num_cols_;
   std::string label_;
+  size_t segment_ = 0;
   size_t pos_ = 0;
 };
 

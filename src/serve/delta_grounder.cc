@@ -1,7 +1,6 @@
 #include "serve/delta_grounder.h"
 
 #include <algorithm>
-#include <memory>
 
 #include "ground/atom_loader.h"
 #include "ground/bottom_up_grounder.h"
@@ -15,6 +14,36 @@ namespace {
 /// full — with a delta that large, per-occurrence semi-joins would do
 /// more work than the rule's whole binding query.
 constexpr size_t kBindingDeltaMaxAtoms = 1024;
+
+/// Refuses a delta atom outside the loaded program: an unknown
+/// predicate, the wrong arity, or a constant that is not in the domain
+/// of its argument's type (sessions serve the universe they were opened
+/// with; an out-of-domain constant would ground atoms no from-scratch
+/// run would, or index past the symbol table).
+Status CheckDeltaAtom(const MlnProgram& program, const GroundAtom& atom,
+                      const char* what) {
+  if (atom.pred < 0 ||
+      atom.pred >= static_cast<PredicateId>(program.num_predicates())) {
+    return Status::InvalidArgument(
+        StrFormat("delta %s: unknown predicate id", what));
+  }
+  const Predicate& pred = program.predicate(atom.pred);
+  if (atom.args.size() != static_cast<size_t>(pred.arity())) {
+    return Status::InvalidArgument(
+        StrFormat("delta %s: %s expects %d arguments, got %zu", what,
+                  pred.name.c_str(), pred.arity(), atom.args.size()));
+  }
+  for (size_t i = 0; i < atom.args.size(); ++i) {
+    if (!program.symbols().InDomain(atom.args[i], pred.arg_types[i])) {
+      return Status::InvalidArgument(StrFormat(
+          "delta %s: %s argument %zu (constant id %d) is not in the %s "
+          "domain",
+          what, pred.name.c_str(), i, atom.args[i],
+          pred.arg_types[i].c_str()));
+    }
+  }
+  return Status::OK();
+}
 }  // namespace
 
 DeltaGrounder::DeltaGrounder(const MlnProgram& program,
@@ -80,30 +109,21 @@ Status DeltaGrounder::BuildDerivedState() {
     }
   }
 
-  // Catalog construction in two steps: table + domain creation against
-  // an *empty* evidence database, then every predicate's rows from the
-  // side tables — the exact code path a per-delta refresh uses. That
-  // makes catalog row order a pure function of the side tables, so a
-  // grounder restored from a snapshot (side tables installed verbatim)
-  // and the never-saved original enumerate future candidate bindings in
-  // the same order and hence assign identical session atom ids.
-  TUFFY_RETURN_IF_ERROR(
-      LoadMlnTables(program_, EvidenceDb(), &catalog_, nullptr));
-  std::vector<PredicateId> all_preds;
-  all_preds.reserve(program_.num_predicates());
-  for (PredicateId p = 0;
-       p < static_cast<PredicateId>(program_.num_predicates()); ++p) {
-    all_preds.push_back(p);
+  // The catalog holds the domain tables only; binding literals scan the
+  // side tables in place. Their stats are a pure function of the rows
+  // and row order, which a snapshot preserves, so a grounder restored
+  // from one plans — and hence enumerates future candidate bindings and
+  // assigns session atom ids — exactly like the never-saved original.
+  TUFFY_RETURN_IF_ERROR(LoadMlnTables(program_, evidence_, &catalog_));
+  for (const Predicate& pred : program_.predicates()) {
+    if (pred.closed_world) side_tables_.AnalyzeTrueRows(pred);
   }
-  TUFFY_RETURN_IF_ERROR(RefreshPredicateTables(program_, side_tables_,
-                                               all_preds, &catalog_,
-                                               &true_counts_));
 
   for (size_t r = 0; r < num_rules; ++r) {
     TUFFY_ASSIGN_OR_RETURN(
         RuleBindingQuery rq,
         BuildRuleBindingQuery(program_, static_cast<int>(r), catalog_,
-                              true_counts_));
+                              side_tables_, /*plan_antijoins=*/false));
     rule_trivial_[r] = rq.trivial ? 1 : 0;
     rule_binding_mask_[r] = rq.binding_lit_mask;
   }
@@ -145,9 +165,9 @@ void DeltaGrounder::RuleMapFromResult(int rule_idx,
 Result<DeltaGrounder::RuleMap> DeltaGrounder::GroundRule(int rule_idx) {
   GroundingContext ctx(program_, evidence_, ground_options_);
   TUFFY_RETURN_IF_ERROR(GroundClauseCandidates(program_, rule_idx, catalog_,
-                                               true_counts_,
+                                               side_tables_,
                                                optimizer_options_, &ctx,
-                                               nullptr, &side_tables_));
+                                               nullptr));
   TUFFY_ASSIGN_OR_RETURN(GroundingResult local, ctx.Finalize());
   rule_fixed_cost_[rule_idx] = local.fixed_cost;
   rule_contradiction_[rule_idx] =
@@ -359,23 +379,11 @@ Result<GroundEdits> DeltaGrounder::ApplyDelta(const EvidenceDelta& delta) {
   enum class NetOp : uint8_t { kRetract, kAssertTrue, kAssertFalse };
   std::unordered_map<GroundAtom, NetOp, GroundAtomHash> net;
   for (const GroundAtom& atom : delta.retractions) {
-    if (atom.pred < 0 ||
-        atom.pred >= static_cast<PredicateId>(program_.num_predicates())) {
-      return Status::InvalidArgument("delta retraction: unknown predicate id");
-    }
+    TUFFY_RETURN_IF_ERROR(CheckDeltaAtom(program_, atom, "retraction"));
     net[atom] = NetOp::kRetract;
   }
   for (const auto& [atom, truth] : delta.assertions) {
-    if (atom.pred < 0 ||
-        atom.pred >= static_cast<PredicateId>(program_.num_predicates())) {
-      return Status::InvalidArgument("delta assertion: unknown predicate id");
-    }
-    const Predicate& pred = program_.predicate(atom.pred);
-    if (atom.args.size() != static_cast<size_t>(pred.arity())) {
-      return Status::InvalidArgument(StrFormat(
-          "delta assertion: %s expects %d arguments, got %zu",
-          pred.name.c_str(), pred.arity(), atom.args.size()));
-    }
+    TUFFY_RETURN_IF_ERROR(CheckDeltaAtom(program_, atom, "assertion"));
     net[atom] = truth ? NetOp::kAssertTrue : NetOp::kAssertFalse;
   }
 
@@ -404,13 +412,13 @@ Result<GroundEdits> DeltaGrounder::ApplyDelta(const EvidenceDelta& delta) {
     return edits;
   }
 
-  std::vector<PredicateId> refresh;
+  std::vector<PredicateId> touched;
   for (PredicateId p = 0;
        p < static_cast<PredicateId>(program_.num_predicates()); ++p) {
-    if (pred_touched[p]) refresh.push_back(p);
+    if (pred_touched[p]) touched.push_back(p);
   }
   std::vector<uint8_t> rule_touched(program_.clauses().size(), 0);
-  for (PredicateId p : refresh) {
+  for (PredicateId p : touched) {
     for (int r : rules_of_predicate_[p]) rule_touched[r] = 1;
   }
 
@@ -426,46 +434,46 @@ Result<GroundEdits> DeltaGrounder::ApplyDelta(const EvidenceDelta& delta) {
       effective_asserts.size() + effective_retracts.size();
   const bool binding_level = ground_options_.binding_level_deltas &&
                              total_changed <= kBindingDeltaMaxAtoms;
-  std::vector<std::unique_ptr<Table>> delta_tables;
-  std::vector<std::unique_ptr<Table>> union_tables;
-  std::unordered_map<PredicateId, const Table*> union_overrides;
+  std::vector<IdTable> changed;
+  std::vector<IdTable> new_true;
+  std::vector<DeltaRelation> deltas;
+  std::unordered_map<PredicateId, DeltaRelation> unions;
   std::vector<std::vector<Assignment>> affected(rule_touched.size());
   std::vector<RulePart> old_parts(rule_touched.size());
   std::vector<uint8_t> rule_binding_path(rule_touched.size(), 0);
   if (binding_level) {
-    delta_tables.resize(program_.num_predicates());
-    union_tables.resize(program_.num_predicates());
-    for (PredicateId p : refresh) {
-      const Predicate& pred = program_.predicate(p);
-      delta_tables[p] = std::make_unique<Table>("delta_" + pred.name,
-                                                PredicateTableSchema(pred));
-      union_tables[p] = std::make_unique<Table>("union_" + pred.name,
-                                                PredicateTableSchema(pred));
+    // The only rows this delta materializes: per touched predicate, its
+    // changed atoms (asserted, then retracted), and per touched
+    // closed-world predicate, its newly-true atoms.
+    changed.resize(program_.num_predicates());
+    new_true.resize(program_.num_predicates());
+    deltas.resize(program_.num_predicates());
+    for (PredicateId p : touched) {
+      changed[p].Init(program_.predicate(p).arity());
+      new_true[p].Init(program_.predicate(p).arity());
     }
     for (const auto& [atom, truth] : effective_asserts) {
-      AppendAtomRow(delta_tables[atom.pred].get(), atom);
-      if (truth) AppendAtomRow(union_tables[atom.pred].get(), atom);
+      changed[atom.pred].AppendRow(atom.args);
+      if (truth) new_true[atom.pred].AppendRow(atom.args);
     }
     for (const GroundAtom& atom : effective_retracts) {
-      AppendAtomRow(delta_tables[atom.pred].get(), atom);
+      changed[atom.pred].AppendRow(atom.args);
     }
-    // Old-true rows complete the old-or-new union (an effective true
-    // assertion is never already old-true, so no duplicates arise). They
-    // come from the touched predicates' side tables — still pre-mutation
-    // here, so these are exactly the old-true rows — instead of a filter
-    // over the whole evidence map.
-    for (PredicateId p : refresh) {
-      const IdTable& old_true = side_tables_.true_rows(p);
-      Table* u = union_tables[p].get();
-      u->Reserve(u->num_rows() + old_true.num_rows());
-      AppendSideRows(u, old_true, /*truth=*/true);
-    }
-    for (PredicateId p : refresh) {
-      delta_tables[p]->Analyze();
-      union_tables[p]->Analyze();
-      union_overrides[p] = union_tables[p].get();
-      edits.maintenance_rows +=
-          delta_tables[p]->num_rows() + union_tables[p]->num_rows();
+    // A union is two segments: the new-true rows, then the touched
+    // predicate's true side table, still pre-mutation here and scanned
+    // in place (an effective true assertion is never already old-true,
+    // so no duplicates arise). Only closed-world predicates get one —
+    // they are the only ones a binding literal reads.
+    for (PredicateId p : touched) {
+      const Predicate& pred = program_.predicate(p);
+      deltas[p].segments = {&changed[p]};
+      deltas[p].stats = AnalyzeColumns(deltas[p].segments, pred.arity());
+      edits.maintenance_rows += changed[p].num_rows();
+      if (!pred.closed_world) continue;
+      DeltaRelation& u = unions[p];
+      u.segments = {&new_true[p], &side_tables_.true_rows(p)};
+      u.stats = AnalyzeColumns(u.segments, pred.arity());
+      edits.maintenance_rows += new_true[p].num_rows();
     }
 
     for (size_t r = 0; r < rule_touched.size(); ++r) {
@@ -483,12 +491,12 @@ Result<GroundEdits> DeltaGrounder::ApplyDelta(const EvidenceDelta& delta) {
         if (!pred_touched[p]) continue;
         DeltaBindingSpec spec;
         spec.delta_lit = static_cast<int>(li);
-        spec.delta_table = delta_tables[p].get();
-        spec.overrides = &union_overrides;
+        spec.delta = &deltas[p];
+        spec.unions = &unions;
         TUFFY_ASSIGN_OR_RETURN(
             RuleBindingQuery rq,
             BuildRuleBindingQuery(program_, static_cast<int>(r), catalog_,
-                                  true_counts_, /*side_tables=*/nullptr,
+                                  side_tables_, /*plan_antijoins=*/false,
                                   &spec));
         TUFFY_RETURN_IF_ERROR(CollectBindings(program_, static_cast<int>(r),
                                               std::move(rq),
@@ -517,12 +525,12 @@ Result<GroundEdits> DeltaGrounder::ApplyDelta(const EvidenceDelta& delta) {
   poisoned_ = true;
   for (auto& [atom, truth] : effective_asserts) evidence_.Add(atom, truth);
   for (const GroundAtom& atom : effective_retracts) evidence_.Remove(atom);
-
-  TUFFY_RETURN_IF_ERROR(RefreshPredicateTables(program_, side_tables_,
-                                               refresh, &catalog_,
-                                               &true_counts_,
-                                               &edits.maintenance_rows));
-  edits.predicates_refreshed = refresh.size();
+  // Re-ANALYZE the touched closed-world predicates' true rows, here on
+  // the mutating thread, before any re-ground plans against them.
+  for (PredicateId p : touched) {
+    const Predicate& pred = program_.predicate(p);
+    if (pred.closed_world) side_tables_.AnalyzeTrueRows(pred);
+  }
 
   // Re-ground the touched rules: binding-level parts where the pre-pass
   // ran, full rule queries otherwise.
@@ -594,12 +602,12 @@ bool DeltaGrounder::hard_contradiction() const {
 }
 
 void DeltaGrounder::SaveState(BinaryWriter* out) const {
-  // Primaries only: side tables (row order included — catalog order is a
-  // function of it), the atom store in id order, the clause list in
+  // Primaries only: side tables (row order included — binding scans and
+  // stats read it), the atom store in id order, the clause list in
   // position order, and the per-rule contribution maps. Everything else
-  // (evidence map, catalog, global index, binding metadata) is derived
-  // on load. Rule-map entries are emitted in sorted literal order so the
-  // snapshot bytes are themselves deterministic.
+  // (evidence map, catalog, stats, global index, binding metadata) is
+  // derived on load. Rule-map entries are emitted in sorted literal order
+  // so the snapshot bytes are themselves deterministic.
   for (PredicateId p = 0;
        p < static_cast<PredicateId>(side_tables_.num_predicates()); ++p) {
     for (int polarity = 0; polarity < 2; ++polarity) {

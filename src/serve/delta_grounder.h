@@ -41,9 +41,8 @@ struct EvidenceDelta {
 struct GroundEdits {
   /// True when the delta was a semantic no-op (every assertion matched
   /// the existing evidence, every retraction named an absent atom): the
-  /// clause set, catalog, and caches were not touched at all.
+  /// clause set, side tables, and caches were not touched at all.
   bool no_op = false;
-  size_t predicates_refreshed = 0;
   size_t rules_reground = 0;
   /// Of rules_reground, how many went through the binding-level path
   /// (delta semi-join) instead of a full rule re-ground.
@@ -55,12 +54,12 @@ struct GroundEdits {
   size_t clauses_added = 0;
   size_t clauses_removed = 0;
   size_t clauses_reweighted = 0;
-  /// Rows materialized for table maintenance this delta: the touched
-  /// predicates' catalog-table refresh plus the binding-level delta and
-  /// union relations. All of these read the touched predicates' evidence
-  /// side tables (kept current incrementally by the EvidenceDb listener
-  /// hook), so this scales with the touched relations — never with
-  /// |evidence| (tests/antijoin_test.cc pins that down).
+  /// Rows materialized for table maintenance this delta: the
+  /// binding-level delta relations (the changed atoms) and the new-true
+  /// segments of the union relations. The side tables themselves are
+  /// updated in place by the EvidenceDb listener hook and scanned in
+  /// place, so this scales with the delta — never with the touched
+  /// relations or |evidence| (tests/antijoin_test.cc pins both down).
   size_t maintenance_rows = 0;
   /// Deduplicated session atom ids appearing in any edited clause.
   std::vector<AtomId> dirty_atoms;
@@ -88,10 +87,11 @@ struct GroundEdits {
 /// touched relations' sizes. Oversized deltas fall back to the full
 /// per-rule re-ground.
 ///
-/// Resident state: the persistent RA catalog (predicate atom tables are
-/// refreshed per touched predicate, never rebuilt wholesale), a grow-only
-/// session AtomStore, and per-rule clause maps keyed by sorted literal
-/// sets so cross-rule weight merging stays exact under any edit order.
+/// Resident state: the evidence side tables (maintained in place per
+/// changed atom, re-ANALYZEd per touched closed-world predicate), an RA
+/// catalog of domain tables, a grow-only session AtomStore, and per-rule
+/// clause maps keyed by sorted literal sets so cross-rule weight merging
+/// stays exact under any edit order.
 ///
 /// Sessions ground *exhaustively* (the lazy-inference closure is forced
 /// off): the closure is a whole-program fixpoint, so one rule's clauses
@@ -107,16 +107,20 @@ class DeltaGrounder {
   DeltaGrounder(const DeltaGrounder&) = delete;
   DeltaGrounder& operator=(const DeltaGrounder&) = delete;
 
-  /// Loads the RA tables and grounds every rule against
-  /// `initial_evidence`. Call exactly once, before any ApplyDelta.
+  /// Builds the side tables and domain tables and grounds every rule
+  /// against `initial_evidence`. Call exactly once, before any
+  /// ApplyDelta.
   Status Initialize(const EvidenceDb& initial_evidence);
 
-  /// Applies one evidence delta: updates the resident evidence copy and
-  /// the touched predicate tables, re-grounds the affected rules, and
-  /// edits the clause list in place. Failure semantics are fail-stop:
-  /// an error after the evidence mutation began leaves the resident
-  /// state inconsistent, so the grounder poisons itself and every later
-  /// call fails rather than silently serving a half-applied state.
+  /// Applies one evidence delta: updates the resident evidence copy (and
+  /// with it the side tables), re-grounds the affected rules, and edits
+  /// the clause list in place. A delta naming an unknown predicate, the
+  /// wrong arity, or a constant outside its argument type's domain is
+  /// refused with InvalidArgument before anything changes. Failure
+  /// semantics are fail-stop: an error after the evidence mutation began
+  /// leaves the resident state inconsistent, so the grounder poisons
+  /// itself and every later call fails rather than silently serving a
+  /// half-applied state.
   Result<GroundEdits> ApplyDelta(const EvidenceDelta& delta);
 
   /// The session's ground atom universe. Grow-only: an atom that loses
@@ -141,7 +145,7 @@ class DeltaGrounder {
   const EvidenceDb& evidence() const { return evidence_; }
 
   /// Rough resident footprint: clause list, per-rule maps, atom store,
-  /// and RA tables.
+  /// side tables, and domain tables.
   size_t EstimateBytes() const;
 
   /// Serializes the full resident state (evidence side tables, atom
@@ -152,9 +156,9 @@ class DeltaGrounder {
 
   /// Counterpart of SaveState: restores a grounder constructed with the
   /// same program and options, *instead of* Initialize. Derived
-  /// structures (catalog, evidence map, global clause index) are rebuilt
-  /// from the serialized primaries; Corruption on any layout or
-  /// invariant violation.
+  /// structures (catalog, side-table stats, evidence map, global clause
+  /// index) are rebuilt from the serialized primaries; Corruption on any
+  /// layout or invariant violation.
   Status LoadState(BinaryReader* in);
 
  private:
@@ -197,11 +201,11 @@ class DeltaGrounder {
       std::unordered_map<std::vector<Lit>, PendingEdit, LitVectorHash>;
 
   /// Builds everything derivable from program + side tables: the
-  /// predicate->rules fan-out, the RA catalog (tables materialized from
-  /// the side tables so row order is a pure function of them — the same
-  /// order whether the grounder was initialized fresh or restored from a
-  /// snapshot), and the per-rule binding-query metadata. Shared by
-  /// Initialize and LoadState.
+  /// predicate->rules fan-out, the domain-table catalog, the closed-world
+  /// side tables' stats (a pure function of their rows and row order, so
+  /// the same whether the grounder was initialized fresh or restored
+  /// from a snapshot), and the per-rule binding-query metadata. Shared
+  /// by Initialize and LoadState.
   Status BuildDerivedState();
 
   /// Re-grounds one rule into a fresh RuleMap (remapped to session atom
@@ -245,12 +249,13 @@ class DeltaGrounder {
   EvidenceDb evidence_;
   /// Per-predicate true/false side tables mirroring `evidence_`, kept
   /// current incrementally (attached as the EvidenceDb's listener after
-  /// the initial Rebuild). Feeds the catalog refresh, the binding-level
-  /// union relations, anti-join pruning, and the pattern-count index —
-  /// the serving path never rescans the evidence map after Initialize.
+  /// the initial Rebuild). The relations binding literals scan (alone or
+  /// as the old-true segment of a union), plus anti-join pruning and the
+  /// pattern-count index — the serving path never rescans the evidence
+  /// map after Initialize.
   EvidenceSideTables side_tables_;
+  /// Domain tables only (LoadMlnTables).
   Catalog catalog_;
-  std::unordered_map<PredicateId, uint64_t> true_counts_;
   /// Predicate -> rules with a literal over it (delta fan-out).
   std::vector<std::vector<int>> rules_of_predicate_;
 

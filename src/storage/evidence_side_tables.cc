@@ -9,6 +9,7 @@ void EvidenceSideTables::Rebuild(const EvidenceDb& evidence) {
       s.row_of.clear();
       s.indexed = false;
     }
+    pt.true_stats = TableStats{};
   }
   // The evidence map holds each atom once, so bulk loading is pure
   // columnar appends — no dedup, and no row index (EnsureIndex builds
@@ -20,6 +21,11 @@ void EvidenceSideTables::Rebuild(const EvidenceDb& evidence) {
     }
     s.rows.AppendRow(atom.args);
   }
+}
+
+void EvidenceSideTables::AnalyzeTrueRows(const Predicate& pred) {
+  preds_[pred.id].true_stats =
+      AnalyzeColumns({&true_rows(pred.id)}, pred.arity());
 }
 
 void EvidenceSideTables::EnsureIndex(Side* side) {

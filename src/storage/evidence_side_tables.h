@@ -16,13 +16,16 @@ namespace tuffy {
 /// the table). This is the relational mirror of the EvidenceDb, split
 /// the way grounding consumes it:
 ///
+/// - A closed-world predicate's true rows are the relation its binding
+///   literals join: both executors scan them in place, with the ANALYZE
+///   statistics kept here (true_stats). There is no second copy of the
+///   evidence in the RA catalog.
 /// - The RA optimizer anti-joins candidate bindings against these
 ///   relations to prune clauses already satisfied by the evidence inside
 ///   the query (Tuffy's satisfied-by-evidence SQL test), so pruned rows
 ///   never reach resolution.
-/// - The grounding pattern-count index and the serving layer's
-///   per-predicate refresh read one predicate's rows directly, instead
-///   of filtering a scan of the whole evidence map.
+/// - The grounding pattern-count index reads one predicate's rows
+///   directly, instead of filtering a scan of the whole evidence map.
 ///
 /// Backed by mutable IdTables plus an args -> row index per polarity, so
 /// maintenance is incremental: attach an instance to an EvidenceDb
@@ -31,8 +34,9 @@ namespace tuffy {
 /// proportional to the delta, not to |evidence|. Rebuild is the one
 /// full-scan operation and runs once per database load.
 ///
-/// Thread safety: mutation must be single-threaded; concurrent reads
-/// (parallel per-rule grounding) are safe once mutation has stopped.
+/// Thread safety: mutation (and AnalyzeTrueRows) must be
+/// single-threaded; concurrent reads (parallel per-rule grounding) are
+/// safe once mutation has stopped.
 class EvidenceSideTables final : public EvidenceListener {
  public:
   explicit EvidenceSideTables(size_t num_predicates)
@@ -57,6 +61,21 @@ class EvidenceSideTables final : public EvidenceListener {
 
   size_t num_predicates() const { return preds_.size(); }
 
+  /// ANALYZE statistics of `pred`'s true rows as of the last
+  /// AnalyzeTrueRows(pred) — empty (zero columns) before the first.
+  /// Rows may change after that without the stats following: the owner
+  /// re-analyzes every predicate it mutated, on the mutating thread,
+  /// before any plan reads them. Never lazily inside a scan — rules plan
+  /// and run on pool workers in parallel.
+  const TableStats& true_stats(PredicateId pred) const {
+    return preds_[pred].true_stats;
+  }
+
+  /// Recomputes true_stats(pred.id) from the current true rows
+  /// (AnalyzeColumns: exact up to 8192 rows, fixed-seed sample above,
+  /// so the result is a function of the rows and their order alone).
+  void AnalyzeTrueRows(const Predicate& pred);
+
   /// Incremental mutations applied since construction (observability for
   /// tests and benches: serving deltas must advance this, never trigger
   /// a Rebuild).
@@ -66,8 +85,8 @@ class EvidenceSideTables final : public EvidenceListener {
   /// (snapshot restore). Replaces any existing rows; the lazy args->row
   /// index is dropped and rebuilt on the first subsequent mutation, so
   /// restored tables behave exactly like Rebuild output — crucially, row
-  /// *order* is whatever the snapshot recorded, keeping downstream
-  /// catalog scans bit-reproducible.
+  /// *order* is whatever the snapshot recorded, keeping binding scans
+  /// bit-reproducible. The caller re-analyzes afterwards.
   void RestoreSide(PredicateId pred, bool truth, IdTable rows) {
     Side& side = preds_[pred].side[truth ? 1 : 0];
     side.rows = std::move(rows);
@@ -96,6 +115,7 @@ class EvidenceSideTables final : public EvidenceListener {
   };
   struct PredTables {
     Side side[2];  // [0] = explicit-false rows, [1] = explicit-true rows
+    TableStats true_stats;
   };
 
   void EnsureIndex(Side* side);

@@ -11,10 +11,11 @@
 // 3. Side tables: incremental maintenance through the EvidenceDb
 //    listener hook equals a from-scratch Rebuild after any add /
 //    overwrite / retract sequence.
-// 4. Serving: per-delta table maintenance reads only the touched
-//    predicates' side tables — growing an untouched predicate's
-//    evidence leaves the per-delta maintenance row count unchanged (the
-//    old implementation rescanned the whole evidence map every delta).
+// 4. Serving: per-delta table maintenance materializes only the
+//    delta's rows — growing an untouched predicate's evidence, or the
+//    touched closed-world relation itself, leaves the per-delta
+//    maintenance row count unchanged (binding literals scan the side
+//    tables in place).
 
 #include <gtest/gtest.h>
 
@@ -96,7 +97,7 @@ void ExpectAntiJoinAgrees(const Table& probe, AntiJoinRef ref,
                           size_t num_cols = 2) {
   auto make_query = [&] {
     ConjunctiveQuery q;
-    q.tables.push_back(TableRef{&probe, nullptr, "t", 1.0});
+    q.tables.push_back(RefTo(probe));
     for (size_t c = 0; c < num_cols; ++c) {
       q.outputs.push_back(OutputCol{0, static_cast<int>(c), "x"});
     }
@@ -267,7 +268,7 @@ TEST(AntiJoinOpTest, FiveKeyFallsBackToVolcano) {
   RowsInt rows = {{0, 1, 2, 0, 1}};
   IdTable build = MakeBuildTable(5, rows);
   ConjunctiveQuery q;
-  q.tables.push_back(TableRef{&probe, nullptr, "w", 1.0});
+  q.tables.push_back(RefTo(probe));
   for (int c = 0; c < 5; ++c) q.outputs.push_back(OutputCol{0, c, "x"});
   AntiJoinRef ref;
   ref.build = &build;
@@ -475,13 +476,15 @@ struct ServeInput {
   EvidenceDb evidence;
 };
 
-/// A program with a delta-facing predicate `a` and an unrelated
-/// closed-world predicate `b` whose evidence we can grow arbitrarily.
+/// A program with an open-world predicate `a` and a closed-world
+/// predicate `b` whose evidence we can grow arbitrarily; the second rule
+/// joins b's true rows as a binding literal.
 ServeInput MakeServeInput(int b_rows) {
   auto program = ParseProgram(
       "a(t)\n"
       "*b(t, t)\n"
-      "2 a(x) => a(y)\n");
+      "2 a(x) => a(y)\n"
+      "1 b(x, y), a(x) => a(y)\n");
   EXPECT_TRUE(program.ok()) << program.status().ToString();
   ServeInput in;
   in.program = program.TakeValue();
@@ -521,6 +524,37 @@ TEST(ServingSideTableTest, DeltaMaintenanceIgnoresUntouchedEvidence) {
   };
   GroundEdits small_edits = run_delta(small);
   GroundEdits big_edits = run_delta(big);
+  EXPECT_GT(small_edits.maintenance_rows, 0u);
+  EXPECT_EQ(small_edits.maintenance_rows, big_edits.maintenance_rows);
+}
+
+TEST(ServingSideTableTest, DeltaMaintenanceIgnoresTouchedRelationSize) {
+  // This time the delta touches the closed-world `b` itself, whose
+  // relation is 8x larger in the second database. Binding literals scan
+  // b's side table in place and the union relation borrows it as a
+  // segment, so per-delta maintenance materializes the delta's own rows
+  // only — never a copy of the touched relation.
+  ServeInput small = MakeServeInput(8);
+  ServeInput big = MakeServeInput(64);
+
+  auto run_delta = [](ServeInput& in) {
+    DeltaGrounder dg(in.program, GroundingOptions{}, OptimizerOptions{});
+    Status st = dg.Initialize(in.evidence);
+    EXPECT_TRUE(st.ok()) << st.ToString();
+    EvidenceDelta delta;
+    GroundAtom g;
+    g.pred = in.program.FindPredicate("b").value();
+    const ConstantId c0 = in.program.symbols().Find("C0");
+    g.args = {c0, c0};
+    delta.Retract(g);  // present in both databases
+    auto r = dg.ApplyDelta(delta);
+    EXPECT_TRUE(r.ok()) << r.status().ToString();
+    return r.TakeValue();
+  };
+  GroundEdits small_edits = run_delta(small);
+  GroundEdits big_edits = run_delta(big);
+  EXPECT_EQ(small_edits.rules_delta_ground, 1u);
+  EXPECT_EQ(big_edits.rules_delta_ground, 1u);
   EXPECT_GT(small_edits.maintenance_rows, 0u);
   EXPECT_EQ(small_edits.maintenance_rows, big_edits.maintenance_rows);
 }

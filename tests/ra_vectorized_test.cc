@@ -82,8 +82,7 @@ void ExpectPlansAgree(ConjunctiveQuery query) {
 TEST(VecPlanTest, SingleTableScanWithConstFilter) {
   Table t = MakeIdTable("t", 500, 7);
   ConjunctiveQuery q;
-  TableRef ref;
-  ref.table = &t;
+  TableRef ref = RefTo(t);
   ref.filter = Eq(Col(0), Val(Datum(int64_t{3})));
   q.tables.push_back(std::move(ref));
   q.outputs.push_back(OutputCol{0, 1, "b"});
@@ -95,8 +94,7 @@ TEST(VecPlanTest, RepeatedVariableResidualFilter) {
   // pushes into scans.
   Table t = MakeIdTable("t", 400, 5);
   ConjunctiveQuery q;
-  TableRef ref;
-  ref.table = &t;
+  TableRef ref = RefTo(t);
   ref.filter = And([] {
     std::vector<ExprPtr> fs;
     fs.push_back(Eq(Col(0), Col(1)));
@@ -111,8 +109,8 @@ TEST(VecPlanTest, SingleKeyHashJoin) {
   Table t1 = MakeIdTable("t1", 300, 11, 1);
   Table t2 = MakeIdTable("t2", 200, 11, 2);
   ConjunctiveQuery q;
-  q.tables.push_back(TableRef{&t1, nullptr, "t1", 1.0});
-  q.tables.push_back(TableRef{&t2, nullptr, "t2", 1.0});
+  q.tables.push_back(RefTo(t1));
+  q.tables.push_back(RefTo(t2));
   q.joins.push_back(JoinCondition{0, 1, 1, 0});
   q.outputs.push_back(OutputCol{0, 0, "x"});
   q.outputs.push_back(OutputCol{1, 1, "y"});
@@ -122,8 +120,8 @@ TEST(VecPlanTest, SingleKeyHashJoin) {
 TEST(VecPlanTest, SelfJoin) {
   Table t = MakeIdTable("t", 250, 9);
   ConjunctiveQuery q;
-  q.tables.push_back(TableRef{&t, nullptr, "l", 1.0});
-  q.tables.push_back(TableRef{&t, nullptr, "r", 1.0});
+  q.tables.push_back(RefTo(t));
+  q.tables.push_back(RefTo(t));
   q.joins.push_back(JoinCondition{0, 0, 1, 0});
   q.outputs.push_back(OutputCol{0, 1, "lb"});
   q.outputs.push_back(OutputCol{1, 1, "rb"});
@@ -134,8 +132,8 @@ TEST(VecPlanTest, DualKeyPackedJoin) {
   Table t1 = MakeIdTable("t1", 300, 6, 3);
   Table t2 = MakeIdTable("t2", 300, 6, 4);
   ConjunctiveQuery q;
-  q.tables.push_back(TableRef{&t1, nullptr, "t1", 1.0});
-  q.tables.push_back(TableRef{&t2, nullptr, "t2", 1.0});
+  q.tables.push_back(RefTo(t1));
+  q.tables.push_back(RefTo(t2));
   q.joins.push_back(JoinCondition{0, 0, 1, 0});
   q.joins.push_back(JoinCondition{0, 1, 1, 1});
   q.outputs.push_back(OutputCol{0, 0, "a"});
@@ -147,8 +145,8 @@ TEST(VecPlanTest, CrossProduct) {
   Table t1 = MakeIdTable("t1", 40, 5, 5);
   Table t2 = MakeIdTable("t2", 60, 5, 6);
   ConjunctiveQuery q;
-  q.tables.push_back(TableRef{&t1, nullptr, "t1", 1.0});
-  q.tables.push_back(TableRef{&t2, nullptr, "t2", 1.0});
+  q.tables.push_back(RefTo(t1));
+  q.tables.push_back(RefTo(t2));
   q.outputs.push_back(OutputCol{0, 0, "a"});
   q.outputs.push_back(OutputCol{1, 0, "b"});
   ExpectPlansAgree(std::move(q));
@@ -164,9 +162,9 @@ TEST(VecPlanTest, ThreeWayJoinMixedShapes) {
   for (int i = 0; i < 4; ++i) dom.Append({Datum(int64_t{i})});
   dom.Analyze();
   ConjunctiveQuery q;
-  q.tables.push_back(TableRef{&t1, nullptr, "t1", 1.0});
-  q.tables.push_back(TableRef{&t2, nullptr, "t2", 1.0});
-  q.tables.push_back(TableRef{&dom, nullptr, "dom", 1.0});
+  q.tables.push_back(RefTo(t1));
+  q.tables.push_back(RefTo(t2));
+  q.tables.push_back(RefTo(dom));
   q.joins.push_back(JoinCondition{0, 1, 1, 0});
   q.outputs.push_back(OutputCol{0, 0, "x"});
   q.outputs.push_back(OutputCol{1, 1, "y"});
@@ -192,8 +190,8 @@ TEST(VecPlanTest, WideKeyJoinFallsBackToVolcano) {
   t1.Analyze();
   t2.Analyze();
   ConjunctiveQuery q;
-  q.tables.push_back(TableRef{&t1, nullptr, "t1", 1.0});
-  q.tables.push_back(TableRef{&t2, nullptr, "t2", 1.0});
+  q.tables.push_back(RefTo(t1));
+  q.tables.push_back(RefTo(t2));
   for (int c = 0; c < 3; ++c) q.joins.push_back(JoinCondition{0, c, 1, c});
   q.outputs.push_back(OutputCol{0, 0, "a"});
   Optimizer optimizer{OptimizerOptions{}};
@@ -208,8 +206,8 @@ TEST(VecPlanTest, LesionConfigsStayOnVolcano) {
   Table t2 = MakeIdTable("t2", 50, 5);
   auto make_query = [&] {
     ConjunctiveQuery q;
-    q.tables.push_back(TableRef{&t1, nullptr, "t1", 1.0});
-    q.tables.push_back(TableRef{&t2, nullptr, "t2", 1.0});
+    q.tables.push_back(RefTo(t1));
+    q.tables.push_back(RefTo(t2));
     q.joins.push_back(JoinCondition{0, 0, 1, 0});
     q.outputs.push_back(OutputCol{0, 1, "b"});
     return q;
@@ -228,19 +226,73 @@ TEST(VecPlanTest, LesionConfigsStayOnVolcano) {
       Optimizer(OptimizerOptions{}).Plan(make_query()).value().vectorized());
 }
 
-TEST(VecPlanTest, NonIdTableFallsBackToVolcano) {
-  Table t("s", Schema({{"a", ColumnType::kString}}));
-  t.Append({Datum("x")});
-  t.Analyze();
-  EXPECT_EQ(t.id_view(), nullptr);
-  ConjunctiveQuery q;
-  q.tables.push_back(TableRef{&t, nullptr, "t", 1.0});
-  auto plan = Optimizer(OptimizerOptions{}).Plan(std::move(q));
-  ASSERT_TRUE(plan.ok());
-  EXPECT_FALSE(plan.value().vectorized());
+/// Splits `table`'s id view into [0, cut) and [cut, n) segments.
+void SplitRows(const Table& table, size_t cut, IdTable* head, IdTable* tail) {
+  const IdTable& rows = *table.id_view();
+  head->Init(rows.num_cols());
+  tail->Init(rows.num_cols());
+  std::vector<int64_t> row(rows.num_cols());
+  for (size_t r = 0; r < rows.num_rows(); ++r) {
+    for (size_t c = 0; c < rows.num_cols(); ++c) row[c] = rows.col(c)[r];
+    (r < cut ? head : tail)->AppendRow(row);
+  }
+}
+
+TEST(VecPlanTest, MultiSegmentRelationScansAsItsConcatenation) {
+  // A relation split into segments — with an empty, zero-column one in
+  // between, as an empty side table is — joins exactly like the whole
+  // relation, in both executors and in the same row order. The split
+  // point is off a chunk boundary so chunks end early at the seam.
+  Table t1 = MakeIdTable("t1", 3000, 40, 1);
+  Table t2 = MakeIdTable("t2", 200, 40, 2);
+  IdTable head, empty, tail;
+  SplitRows(t1, 1500, &head, &tail);
+  const TableStats stats = AnalyzeColumns({&head, &empty, &tail}, 2);
+  auto make_query = [&](bool split) {
+    ConjunctiveQuery q;
+    TableRef ref = RefTo(t1);
+    if (split) {
+      ref.segments = {&head, &empty, &tail};
+      ref.stats = &stats;
+    }
+    q.tables.push_back(std::move(ref));
+    q.tables.push_back(RefTo(t2));
+    q.joins.push_back(JoinCondition{0, 1, 1, 0});
+    q.outputs.push_back(OutputCol{0, 0, "x"});
+    q.outputs.push_back(OutputCol{1, 1, "y"});
+    return q;
+  };
+  ExpectPlansAgree(make_query(true));
+  auto whole = Optimizer(OptimizerOptions{}).Plan(make_query(false));
+  auto split = Optimizer(OptimizerOptions{}).Plan(make_query(true));
+  ASSERT_TRUE(whole.ok());
+  ASSERT_TRUE(split.ok());
+  EXPECT_EQ(whole.value().join_order, split.value().join_order);
+  EXPECT_EQ(MaterializeVec(whole.value().vec_root.get()),
+            MaterializeVec(split.value().vec_root.get()));
 }
 
 // ------------------------------------------------------ ANALYZE estimate
+
+TEST(AnalyzeTest, SegmentSplitDoesNotChangeStats) {
+  // Below and above the sampling threshold, ANALYZE of segments equals
+  // ANALYZE of their concatenation (the serving path's two-segment
+  // unions must plan like one relation).
+  for (int rows : {1000, 20000}) {
+    Table t = MakeIdTable("t", rows, rows / 3, rows);
+    IdTable head, empty, tail;
+    SplitRows(t, static_cast<size_t>(rows) / 3, &head, &tail);
+    const TableStats whole = AnalyzeColumns({t.id_view()}, 2);
+    const TableStats split = AnalyzeColumns({&head, &empty, &tail}, 2);
+    EXPECT_EQ(whole.num_rows, split.num_rows);
+    for (size_t c = 0; c < 2; ++c) {
+      EXPECT_EQ(whole.columns[c].num_distinct, split.columns[c].num_distinct)
+          << rows << " rows, column " << c;
+    }
+    EXPECT_EQ(whole.columns[0].num_distinct,
+              t.stats().columns[0].num_distinct);
+  }
+}
 
 TEST(AnalyzeTest, SmallTableDistinctIsExact) {
   Table t = MakeIdTable("t", 1000, 37);
@@ -251,7 +303,7 @@ TEST(AnalyzeTest, SmallTableDistinctIsExact) {
 TEST(AnalyzeTest, LargeTableDistinctIsSampledEstimate) {
   // 50k rows, 1000 distinct values: the sampled GEE estimate must land
   // in the right order of magnitude (the exact scan would, before this
-  // change, have dominated ANALYZE time on large atom tables).
+  // change, have dominated ANALYZE time on large relations).
   Table t("big", Schema({{"a", ColumnType::kInt64}}));
   Rng rng(3);
   for (int i = 0; i < 50000; ++i) {

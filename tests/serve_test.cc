@@ -376,6 +376,54 @@ TEST(ServeTest, SameAtomAssertAndRetractNetsToAssertion) {
             1u);
 }
 
+TEST(ServeTest, DeltaWithConstantOutsideItsDomainIsRefused) {
+  // Sessions serve the universe they were opened with. A constant id past
+  // the symbol table, a negative id, and an in-table constant of the
+  // wrong type (a node in label's class slot) are each refused before
+  // anything changes, in an assertion and in a retraction alike, and a
+  // valid delta still applies afterwards.
+  MlnProgram program = LinkProgram();
+  EvidenceDb evidence;
+  evidence.Add(Atom(program, "link", {"n0", "n1"}), true);
+  evidence.Add(Atom(program, "label", {"n0", "A"}), true);
+  InferenceSession session(program, TestSessionOptions());
+  ASSERT_TRUE(session.Open(evidence).ok());
+  const size_t atoms_before = session.atoms().num_atoms();
+  const double cost_before = session.map_cost();
+  const size_t applied_before = session.stats().deltas_applied;
+
+  GroundAtom past_table = Atom(program, "label", {"n1", "A"});
+  past_table.args[1] =
+      static_cast<ConstantId>(program.symbols().num_constants() + 100000);
+  GroundAtom negative = Atom(program, "label", {"n1", "A"});
+  negative.args[0] = -1;
+  GroundAtom wrong_type = Atom(program, "label", {"n1", "n2"});
+  for (const GroundAtom& bad : {past_table, negative, wrong_type}) {
+    EvidenceDelta assertion;
+    assertion.Assert(bad, true);
+    auto r = session.ApplyDelta(assertion);
+    ASSERT_FALSE(r.ok());
+    EXPECT_EQ(r.status().code(), StatusCode::kInvalidArgument)
+        << r.status().ToString();
+    EvidenceDelta retraction;
+    retraction.Retract(bad);
+    auto r2 = session.ApplyDelta(retraction);
+    ASSERT_FALSE(r2.ok());
+    EXPECT_EQ(r2.status().code(), StatusCode::kInvalidArgument)
+        << r2.status().ToString();
+  }
+  EXPECT_EQ(session.atoms().num_atoms(), atoms_before);
+  EXPECT_EQ(session.map_cost(), cost_before);
+  EXPECT_EQ(session.stats().deltas_applied, applied_before);
+
+  EvidenceDelta valid;
+  valid.Assert(Atom(program, "label", {"n1", "B"}), true);
+  auto ok = session.ApplyDelta(valid);
+  ASSERT_TRUE(ok.ok()) << ok.status().ToString();
+  EXPECT_FALSE(ok.value().edits.no_op);
+  EXPECT_EQ(session.stats().deltas_applied, applied_before + 1);
+}
+
 TEST(ServeTest, MarginalsTrackFreshMcSat) {
   MlnProgram program = LinkProgram();
   EvidenceDb evidence;
