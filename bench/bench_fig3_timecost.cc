@@ -32,6 +32,7 @@ int main() {
     EngineOptions tuffy;
     tuffy.search_mode = SearchMode::kComponentAware;
     tuffy.total_flips = kFlips;
+    tuffy.exact_fast_path = false;  // the paper's search curve, not exact
     tuffy.rounds = 16;
     tuffy.timeout_seconds = 20.0;
     EngineResult rt = MustRun(ds, tuffy);

@@ -120,6 +120,7 @@ int main(int argc, char** argv) {
     EngineOptions tuffy;
     tuffy.search_mode = SearchMode::kComponentAware;
     tuffy.total_flips = kFlips;
+    tuffy.exact_fast_path = false;  // Theorem 3.1 is about WalkSAT
     tuffy.rounds = 16;
     tuffy.timeout_seconds = 20.0;
     EngineResult rt = MustRun(ds, tuffy);

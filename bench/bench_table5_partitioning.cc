@@ -31,6 +31,7 @@ int main() {
     EngineOptions copts;
     copts.search_mode = SearchMode::kComponentAware;
     copts.total_flips = kFlips;
+    copts.exact_fast_path = false;  // Table 5 compares WalkSAT at one budget
     // Memory budget: the batch scheduler only needs one batch in memory,
     // so cap batches at roughly a quarter of the whole problem.
     copts.memory_budget_bytes = rp.peak_search_bytes / 4;

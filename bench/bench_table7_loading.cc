@@ -26,6 +26,7 @@ ConfigResult RunConfig(const Dataset& ds, bool batch, int threads) {
   EngineOptions opts;
   opts.search_mode = SearchMode::kComponentAware;
   opts.total_flips = 500000;
+  opts.exact_fast_path = false;  // threads divide WalkSAT time, not exact
   opts.rounds = 1;
   opts.num_threads = threads;
   opts.batch_loading = batch;

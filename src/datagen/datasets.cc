@@ -317,10 +317,38 @@ std::vector<GroundClause> MakeTractableMrf(const TractableMrfParams& params,
       clauses.push_back(std::move(c));
     };
 
-    for (int j = 1; j < k; ++j) {
-      parent[j] = static_cast<int>(rng.UniformInt(0, j - 1));
-      add_binary(parent[j], j);
-      if (rng.Bernoulli(params.extra_pair_prob)) add_binary(parent[j], j);
+    auto link = [&](int u, int v) {
+      add_binary(u, v);
+      if (rng.Bernoulli(params.extra_pair_prob)) add_binary(u, v);
+    };
+    if (params.max_width <= 1) {
+      for (int j = 1; j < k; ++j) {
+        parent[j] = static_cast<int>(rng.UniformInt(0, j - 1));
+        link(parent[j], j);
+      }
+    } else {
+      // Partial k-tree: atom j joins a random earlier clique, and the
+      // clique it forms (less one random older member once it holds k)
+      // is a candidate for later atoms, so every elimination of the atoms
+      // in reverse has at most k neighbours.
+      auto pick = [&rng](size_t size) {
+        return static_cast<size_t>(
+            rng.UniformInt(0, static_cast<int64_t>(size) - 1));
+      };
+      std::vector<std::vector<int>> cliques{{0}};
+      for (int j = 1; j < k; ++j) {
+        std::vector<int> clique = cliques[pick(cliques.size())];
+        const size_t anchor = pick(clique.size());
+        parent[j] = clique[anchor];
+        for (size_t m = 0; m < clique.size(); ++m) {
+          if (m == anchor || rng.Bernoulli(0.5)) link(clique[m], j);
+        }
+        if (static_cast<int>(clique.size()) == params.max_width) {
+          clique.erase(clique.begin() + pick(clique.size()));
+        }
+        clique.push_back(j);
+        cliques.push_back(std::move(clique));
+      }
     }
     for (int j = 0; j < k; ++j) {
       if (!rng.Bernoulli(params.unit_prob)) continue;

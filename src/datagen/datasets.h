@@ -85,14 +85,15 @@ std::vector<GroundClause> MakeExample1Mrf(int num_components);
 
 /// Randomized MRF guaranteed inside the tractable fragment of
 /// src/infer/exact (docs/INFERENCE_EXACT.md), for the exact-oracle
-/// harness. Per component: a random spanning tree of binary clauses
-/// (plus optional parallel clauses over existing edges), optional unit
-/// clauses, optional hard binary clauses, and optionally a hard unit
-/// plus a 3-literal clause that hard-unit propagation shrinks to binary
-/// (the conditioned/TML-style case). All weights are dyadic (multiples
-/// of 1/8), so cost sums are FP-exact in any order, and every hard
-/// clause is satisfied by a hidden random assignment — the component is
-/// never hard-unsatisfiable.
+/// harness. Per component: a random pair graph of width at most
+/// `max_width` (a spanning tree at 1, a random partial k-tree above) of
+/// binary clauses (plus optional parallel clauses over existing edges),
+/// optional unit clauses, optional hard binary clauses, and optionally a
+/// hard unit plus a 3-literal clause that hard-unit propagation shrinks
+/// to binary (the conditioned/TML-style case). All weights are dyadic
+/// (multiples of 1/8), so cost sums are FP-exact in any order, and every
+/// hard clause is satisfied by a hidden random assignment — the
+/// component is never hard-unsatisfiable.
 struct TractableMrfParams {
   int num_components = 10;
   int min_atoms = 1;
@@ -108,6 +109,11 @@ struct TractableMrfParams {
   /// Per-component probability of the conditioned case: a hard unit on
   /// atom 0 plus a 3-literal clause it shrinks to binary.
   double conditioned_prob = 0.3;
+  /// Width bound k of each component's pair graph. At 1 each new atom
+  /// links to one random earlier atom (a tree); above 1 it joins a random
+  /// clique of at most k earlier atoms, linking to one member and to each
+  /// other member with probability 1/2.
+  int max_width = 1;
   uint64_t seed = 7;
 };
 /// `num_atoms_out` receives the total atom count (atoms of clause-less

@@ -11,9 +11,10 @@ namespace tuffy {
 
 /// Output of TrySolveExact. When `solved`, `truth`/`map_cost` are the
 /// globally optimal MAP assignment and its EvalCost; `log_z` and
-/// `marginals` (the latter only when requested) are exact under the MLN
-/// distribution Pr[I] ∝ exp(-soft cost), hard-violating worlds excluded
-/// — the same convention as infer/brute_force.
+/// `marginals` (both computed only when marginals are requested) are
+/// exact under the MLN distribution Pr[I] ∝ exp(-soft cost),
+/// hard-violating worlds excluded — the same convention as
+/// infer/brute_force.
 struct ExactSolveResult {
   bool solved = false;
   ExactFragment fragment = ExactFragment::kNotTractable;
@@ -21,9 +22,7 @@ struct ExactSolveResult {
   std::vector<uint8_t> truth;
   double map_cost = 0.0;
 
-  /// ln Z. Only meaningful when `log_z_valid`; false means every world
-  /// consistent with the hard clauses was excluded (Z = 0), in which
-  /// case marginal requests are rejected (solved = false).
+  /// ln Z; `log_z_valid` is set when marginals were requested and solved.
   double log_z = 0.0;
   bool log_z_valid = false;
 
@@ -31,14 +30,16 @@ struct ExactSolveResult {
   std::vector<double> marginals;
 };
 
-/// Attempts an exact linear-time solve of `problem`. Returns
-/// solved=false (with `fragment` saying why-not when detection failed)
-/// when the component is outside the tractable fragment, when a
-/// conditioned MAP optimum still violates a hard clause (conditioning is
-/// then no longer provably optimal), or when marginals are requested but
-/// no world satisfies the hard clauses. Deterministic: identical inputs
-/// produce bit-identical outputs regardless of thread count. Records
-/// search.exact.* metrics.
+/// Attempts an exact solve of `problem` by bucket elimination along the
+/// min-fill order AnalyzeTractable builds, in time linear in the size ×
+/// 2^width. Returns solved=false (with `fragment` saying why-not when
+/// detection failed) when the component is outside the tractable
+/// fragment, when a conditioned MAP optimum still violates a hard clause
+/// (conditioning is then no longer provably optimal), or when marginals
+/// are requested but no world satisfies the hard clauses (Z = 0). A
+/// MAP-only solve skips the sum-product passes. Deterministic: identical
+/// inputs produce bit-identical outputs regardless of thread count.
+/// Records search.exact.* metrics.
 ExactSolveResult TrySolveExact(const Problem& problem, double hard_weight,
                                bool want_marginals);
 

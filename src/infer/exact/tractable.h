@@ -8,33 +8,41 @@
 
 namespace tuffy {
 
+/// Widest bucket the exact solver accepts: an atom is eliminated with at
+/// most this many residual neighbours, so one bucket table holds at most
+/// 2^(kMaxExactWidth + 1) cells (docs/INFERENCE_EXACT.md gives the
+/// measured cost of a full-width bucket).
+constexpr int kMaxExactWidth = 12;
+
 /// Which tractable fragment a component falls into (docs/
-/// INFERENCE_EXACT.md). The fragments nest: kUnitOnly ⊂ kForest, and
-/// kConditioned is "kForest after conditioning on hard-unit-propagated
-/// atoms" — the TML-style case, where conditioning on the forced part of
-/// the domain (alchemy-lite's subclass/fact conditioning) shrinks wider
-/// clauses into the pairwise fragment.
+/// INFERENCE_EXACT.md). The fragments nest: kUnitOnly ⊂ kBoundedWidth,
+/// and kConditioned is "kBoundedWidth after conditioning on
+/// hard-unit-propagated atoms" — the TML-style case, where conditioning
+/// on the forced part of the domain (alchemy-lite's subclass/fact
+/// conditioning) shrinks wider clauses into the pairwise fragment.
 enum class ExactFragment : uint8_t {
   kNotTractable = 0,
   /// Every residual clause is a unit clause (this covers clause-less and
   /// singleton components): atoms are independent.
   kUnitOnly,
-  /// Unit + binary residual clauses whose atom-pair graph is a forest
-  /// (chains and trees; parallel clauses over one pair merge into a
-  /// single pairwise table and do not count as a cycle).
-  kForest,
-  /// kUnitOnly/kForest reached only after hard-unit propagation fixed
-  /// one or more atoms.
+  /// Unit + binary residual clauses whose atom-pair graph has a min-fill
+  /// elimination order of width at most kMaxExactWidth (a forest is
+  /// width 1; parallel clauses over one pair merge into a single
+  /// pairwise table).
+  kBoundedWidth,
+  /// kUnitOnly/kBoundedWidth reached only after hard-unit propagation
+  /// fixed one or more atoms.
   kConditioned,
 };
 
 const char* ExactFragmentName(ExactFragment fragment);
 
-/// The residual pairwise structure of a tractable problem, produced by
-/// AnalyzeTractable and consumed by the exact solver. All costs are the
-/// |w| violation charges of Section 2.2, partially evaluated against the
-/// forced atoms; hard violations are kept as cell flags (the solver
-/// charges hard_weight for MAP and probability zero for marginals).
+/// The residual pairwise structure of a tractable problem and its
+/// elimination order, produced by AnalyzeTractable and consumed by the
+/// exact solver. All costs are the |w| violation charges of Section 2.2,
+/// partially evaluated against the forced atoms; hard violations are
+/// kept as cell counts (the solver charges hard_weight for MAP and
+/// probability zero for marginals).
 struct TractableStructure {
   ExactFragment fragment = ExactFragment::kNotTractable;
   bool tractable() const { return fragment != ExactFragment::kNotTractable; }
@@ -59,20 +67,26 @@ struct TractableStructure {
     uint8_t hard[4] = {0, 0, 0, 0};
   };
   std::vector<Edge> edges;
-  /// Per atom: appears in some residual clause (unary or pairwise).
-  /// Unforced atoms outside every residual clause are free: MAP-default
-  /// false, marginal exactly 1/2, and a factor of 2 in Z.
-  std::vector<uint8_t> touched;
-  /// Adjacency lists into `edges`, for the tree passes.
-  std::vector<std::vector<uint32_t>> adj;
+  /// Every unforced atom, in greedy min-fill elimination order (fewest
+  /// fill edges, then lowest degree, then lowest atom id, among atoms
+  /// whose current degree is at most kMaxExactWidth).
+  std::vector<uint32_t> order;
+  /// The separator of order[i]: the positions in `order` of its
+  /// neighbours when it was eliminated, ascending (all > i), stored as
+  /// sep[sep_off[i] .. sep_off[i + 1]).
+  std::vector<uint32_t> sep_off, sep;
+  /// The order's width: the largest separator.
+  int width = 0;
 };
 
 /// Detects whether `problem` lies in the tractable fragment and, if so,
-/// builds the residual structure the exact solver runs on. Linear in the
-/// problem size for bounded clause width. Not tractable when: hard-unit
-/// propagation derives a contradiction, a residual clause keeps more
-/// than two unforced atoms, or the residual pair graph has a cycle
-/// through distinct atom pairs.
+/// builds the residual structure and the elimination order the exact
+/// solver runs on. Not tractable when: hard-unit propagation derives a
+/// contradiction, a residual clause keeps more than two unforced atoms
+/// (checked before any ordering), or no atom left in the order can be
+/// eliminated with at most kMaxExactWidth neighbours. Linear in the
+/// problem size for bounded clause width and bounded width; the order
+/// updates fill counts only around each eliminated atom.
 TractableStructure AnalyzeTractable(const Problem& problem);
 
 }  // namespace tuffy

@@ -10,6 +10,7 @@
 #include "durability/serialize.h"
 #include "durability/snapshot.h"
 #include "infer/component_solver.h"
+#include "infer/exact/tractable.h"
 #include "obs/flight_recorder.h"
 #include "obs/metrics.h"
 #include "util/logging.h"
@@ -50,6 +51,9 @@ uint64_t OptionsFingerprint(const SessionOptions& o) {
   mix(o.seed);
   mix(o.track_marginals ? 1 : 0);
   mix(o.exact_fast_path ? 1 : 0);
+  // Snapshots cache each component's truth and cost, so a build whose
+  // exact solver takes other components must not restore them.
+  if (o.exact_fast_path) mix(static_cast<uint64_t>(kMaxExactWidth));
   mix(static_cast<uint64_t>(o.mcsat_samples));
   mix(static_cast<uint64_t>(o.mcsat_burn_in));
   mix(o.grounding.keep_zero_weight_clauses ? 1 : 0);

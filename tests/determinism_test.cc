@@ -25,6 +25,7 @@ TEST(DeterminismTest, ComponentWalkSatThreadCountInvariant) {
   ComponentSearchOptions opts;
   opts.total_flips = 30000;
   opts.rounds = 5;
+  opts.use_exact = false;  // the point is the searchers' RNG streams
   for (uint64_t seed : {0ull, 1ull, 42ull}) {
     opts.num_threads = 1;
     ComponentSearchResult serial =
@@ -50,6 +51,9 @@ TEST(DeterminismTest, EngineComponentModeThreadCountInvariant) {
     opts.search_mode = SearchMode::kComponentAware;
     opts.task = task;
     opts.total_flips = 30000;
+    // The samplers' streams are the point; these components are within
+    // the exact solver's width.
+    opts.exact_fast_path = false;
     opts.mcsat_samples = 100;
     opts.num_threads = 1;
     TuffyEngine serial(ds.value().program, ds.value().evidence, opts);
@@ -75,6 +79,7 @@ TEST(DeterminismTest, SessionThreadCountInvariantAcrossDeltas) {
   SessionOptions sopts;
   sopts.total_flips = 30000;
   sopts.seed = 5;
+  sopts.exact_fast_path = false;  // warm re-search is the point
   sopts.num_threads = 1;
   InferenceSession serial(ds.value().program, sopts);
   sopts.num_threads = 4;

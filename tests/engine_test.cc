@@ -30,6 +30,9 @@ TEST_P(EngineModeTest, RunsAndReportsConsistentCost) {
   opts.search_mode = GetParam();
   opts.total_flips = 20000;
   opts.rounds = 4;
+  // The flips check below is about the sampler: SmallRc is ground
+  // lazily, and its components are within the exact solver's width.
+  opts.exact_fast_path = false;
   if (GetParam() == SearchMode::kDisk) {
     opts.total_flips = 200;
     opts.disk_io_latency_us = 0;
@@ -149,6 +152,9 @@ TEST(EngineTest, BatchingNeverChangesTheAnswer) {
   opts.search_mode = SearchMode::kComponentAware;
   opts.total_flips = 60000;
   opts.num_threads = 2;
+  // Seeds and budgets are the point; these lazily ground components are
+  // within the exact solver's width.
+  opts.exact_fast_path = false;
   auto run = [&](const EngineOptions& o) {
     auto r = TuffyEngine(ds.value().program, ds.value().evidence, o).Run();
     EXPECT_TRUE(r.ok()) << r.status().ToString();

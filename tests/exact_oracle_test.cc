@@ -11,6 +11,7 @@
 #include <algorithm>
 #include <cmath>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "exec/tuffy_engine.h"
@@ -44,89 +45,6 @@ Problem P(size_t num_atoms, std::vector<SearchClause> clauses) {
 
 constexpr double kHardWeight = 1e6;
 
-// ---------------------------------------------------------------------
-// Detector classification on hand-built problems.
-
-TEST(TractableDetectorTest, EmptyAndClauseLessProblemsAreUnitOnly) {
-  TractableStructure st = AnalyzeTractable(P(3, {}));
-  EXPECT_EQ(st.fragment, ExactFragment::kUnitOnly);
-  // Free atoms: MAP-default false, marginal 1/2, ln Z = n ln 2.
-  ExactSolveResult ex = TrySolveExact(P(3, {}), kHardWeight, true);
-  ASSERT_TRUE(ex.solved);
-  EXPECT_EQ(ex.truth, (std::vector<uint8_t>{0, 0, 0}));
-  EXPECT_DOUBLE_EQ(ex.map_cost, 0.0);
-  ASSERT_TRUE(ex.log_z_valid);
-  EXPECT_NEAR(ex.log_z, 3 * std::log(2.0), 1e-12);
-  for (double m : ex.marginals) EXPECT_DOUBLE_EQ(m, 0.5);
-}
-
-TEST(TractableDetectorTest, UnitClausesOnlyAreUnitOnly) {
-  Problem p = P(2, {C({MakeLit(0, true)}, 1.0),
-                    C({MakeLit(1, false)}, 0.5)});
-  EXPECT_EQ(AnalyzeTractable(p).fragment, ExactFragment::kUnitOnly);
-  ExactSolveResult ex = TrySolveExact(p, kHardWeight, false);
-  ASSERT_TRUE(ex.solved);
-  EXPECT_EQ(ex.truth, (std::vector<uint8_t>{1, 0}));
-  EXPECT_DOUBLE_EQ(ex.map_cost, 0.0);
-}
-
-TEST(TractableDetectorTest, ChainAndTreeAreForest) {
-  Problem chain = P(3, {C({MakeLit(0, true), MakeLit(1, false)}, 1.0),
-                        C({MakeLit(1, true), MakeLit(2, false)}, 1.0)});
-  EXPECT_EQ(AnalyzeTractable(chain).fragment, ExactFragment::kForest);
-  Problem star = P(4, {C({MakeLit(0, true), MakeLit(1, true)}, 1.0),
-                       C({MakeLit(0, true), MakeLit(2, true)}, 1.0),
-                       C({MakeLit(0, true), MakeLit(3, true)}, 1.0)});
-  EXPECT_EQ(AnalyzeTractable(star).fragment, ExactFragment::kForest);
-}
-
-TEST(TractableDetectorTest, ParallelClausesOverOnePairAreNotACycle) {
-  Problem p = P(2, {C({MakeLit(0, true), MakeLit(1, true)}, 1.0),
-                    C({MakeLit(0, false), MakeLit(1, true)}, 0.25),
-                    C({MakeLit(0, true), MakeLit(1, false)}, 2.0, true)});
-  EXPECT_EQ(AnalyzeTractable(p).fragment, ExactFragment::kForest);
-}
-
-TEST(TractableDetectorTest, TriangleIsRejected) {
-  Problem p = P(3, {C({MakeLit(0, true), MakeLit(1, true)}, 1.0),
-                    C({MakeLit(1, true), MakeLit(2, true)}, 1.0),
-                    C({MakeLit(0, true), MakeLit(2, true)}, 1.0)});
-  EXPECT_EQ(AnalyzeTractable(p).fragment, ExactFragment::kNotTractable);
-  EXPECT_FALSE(TrySolveExact(p, kHardWeight, false).solved);
-}
-
-TEST(TractableDetectorTest, WideClauseIsRejected) {
-  Problem p = P(3, {C({MakeLit(0, true), MakeLit(1, true), MakeLit(2, true)},
-                      1.0)});
-  EXPECT_EQ(AnalyzeTractable(p).fragment, ExactFragment::kNotTractable);
-}
-
-TEST(TractableDetectorTest, HardUnitShrinksWideClauseToConditioned) {
-  // Forcing atom 0 true kills the !0 literal, leaving a binary residual.
-  Problem p = P(3, {C({MakeLit(0, true)}, 0.0, true),
-                    C({MakeLit(0, false), MakeLit(1, true), MakeLit(2, true)},
-                      1.5)});
-  EXPECT_EQ(AnalyzeTractable(p).fragment, ExactFragment::kConditioned);
-  ExactSolveResult ex = TrySolveExact(p, kHardWeight, true);
-  ASSERT_TRUE(ex.solved);
-  EXPECT_EQ(ex.truth[0], 1);
-  auto marg = ExactMarginals(p);
-  ASSERT_TRUE(marg.ok());
-  for (size_t a = 0; a < 3; ++a) {
-    EXPECT_NEAR(ex.marginals[a], marg.value()[a], 1e-12);
-  }
-}
-
-TEST(TractableDetectorTest, ContradictoryHardUnitsAreRejected) {
-  Problem p = P(1, {C({MakeLit(0, true)}, 0.0, true),
-                    C({MakeLit(0, false)}, 0.0, true)});
-  EXPECT_EQ(AnalyzeTractable(p).fragment, ExactFragment::kNotTractable);
-  EXPECT_FALSE(TrySolveExact(p, kHardWeight, false).solved);
-}
-
-// ---------------------------------------------------------------------
-// Exact solver vs brute-force enumeration on randomized programs.
-
 void CheckComponentAgainstBruteForce(const Problem& problem,
                                      const std::string& label) {
   ExactSolveResult ex = TrySolveExact(problem, kHardWeight, true);
@@ -157,41 +75,193 @@ void CheckComponentAgainstBruteForce(const Problem& problem,
       << label;
 }
 
+// ---------------------------------------------------------------------
+// Detector classification on hand-built problems.
+
+TEST(TractableDetectorTest, EmptyAndClauseLessProblemsAreUnitOnly) {
+  TractableStructure st = AnalyzeTractable(P(3, {}));
+  EXPECT_EQ(st.fragment, ExactFragment::kUnitOnly);
+  // Free atoms: MAP-default false, marginal 1/2, ln Z = n ln 2.
+  ExactSolveResult ex = TrySolveExact(P(3, {}), kHardWeight, true);
+  ASSERT_TRUE(ex.solved);
+  EXPECT_EQ(ex.truth, (std::vector<uint8_t>{0, 0, 0}));
+  EXPECT_DOUBLE_EQ(ex.map_cost, 0.0);
+  ASSERT_TRUE(ex.log_z_valid);
+  EXPECT_NEAR(ex.log_z, 3 * std::log(2.0), 1e-12);
+  for (double m : ex.marginals) EXPECT_DOUBLE_EQ(m, 0.5);
+}
+
+TEST(TractableDetectorTest, UnitClausesOnlyAreUnitOnly) {
+  Problem p = P(2, {C({MakeLit(0, true)}, 1.0),
+                    C({MakeLit(1, false)}, 0.5)});
+  EXPECT_EQ(AnalyzeTractable(p).fragment, ExactFragment::kUnitOnly);
+  ExactSolveResult ex = TrySolveExact(p, kHardWeight, false);
+  ASSERT_TRUE(ex.solved);
+  EXPECT_EQ(ex.truth, (std::vector<uint8_t>{1, 0}));
+  EXPECT_DOUBLE_EQ(ex.map_cost, 0.0);
+}
+
+TEST(TractableDetectorTest, ChainAndTreeAreForest) {
+  Problem chain = P(3, {C({MakeLit(0, true), MakeLit(1, false)}, 1.0),
+                        C({MakeLit(1, true), MakeLit(2, false)}, 1.0)});
+  TractableStructure st = AnalyzeTractable(chain);
+  EXPECT_EQ(st.fragment, ExactFragment::kBoundedWidth);
+  EXPECT_EQ(st.width, 1);
+  Problem star = P(4, {C({MakeLit(0, true), MakeLit(1, true)}, 1.0),
+                       C({MakeLit(0, true), MakeLit(2, true)}, 1.0),
+                       C({MakeLit(0, true), MakeLit(3, true)}, 1.0)});
+  st = AnalyzeTractable(star);
+  EXPECT_EQ(st.fragment, ExactFragment::kBoundedWidth);
+  EXPECT_EQ(st.width, 1);
+  // Ties on fill go to the lower degree, then the lower id: leaves 1 and
+  // 2 first, then the hub (now degree 1) before leaf 3.
+  EXPECT_EQ(st.order, (std::vector<uint32_t>{1, 2, 0, 3}));
+}
+
+TEST(TractableDetectorTest, ParallelClausesOverOnePairAreNotACycle) {
+  Problem p = P(2, {C({MakeLit(0, true), MakeLit(1, true)}, 1.0),
+                    C({MakeLit(0, false), MakeLit(1, true)}, 0.25),
+                    C({MakeLit(0, true), MakeLit(1, false)}, 2.0, true)});
+  TractableStructure st = AnalyzeTractable(p);
+  EXPECT_EQ(st.fragment, ExactFragment::kBoundedWidth);
+  EXPECT_EQ(st.edges.size(), 1u);
+  EXPECT_EQ(st.width, 1);
+}
+
+TEST(TractableDetectorTest, TriangleIsSolvedExactly) {
+  Problem p = P(3, {C({MakeLit(0, true), MakeLit(1, true)}, 1.0),
+                    C({MakeLit(1, true), MakeLit(2, true)}, 1.0),
+                    C({MakeLit(0, true), MakeLit(2, true)}, 1.0)});
+  TractableStructure st = AnalyzeTractable(p);
+  EXPECT_EQ(st.fragment, ExactFragment::kBoundedWidth);
+  EXPECT_EQ(st.width, 2);
+  CheckComponentAgainstBruteForce(p, "triangle");
+}
+
+// No atom of a ring has adjacent neighbours, so each elimination adds a
+// fill edge until a triangle remains: this checks the fill bookkeeping.
+TEST(TractableDetectorTest, RingNeedsFillEdges) {
+  std::vector<SearchClause> clauses;
+  for (AtomId a = 0; a < 8; ++a) {
+    clauses.push_back(C({MakeLit(a, true), MakeLit((a + 1) % 8, true)}, 1.0));
+    clauses.push_back(
+        C({MakeLit(a, false), MakeLit((a + 1) % 8, false)}, 0.5));
+  }
+  Problem p = P(8, std::move(clauses));
+  TractableStructure st = AnalyzeTractable(p);
+  EXPECT_EQ(st.fragment, ExactFragment::kBoundedWidth);
+  EXPECT_EQ(st.width, 2);
+  CheckComponentAgainstBruteForce(p, "8-ring");
+}
+
+// A pairwise clique of n atoms has width n - 1 under every order: at the
+// cap it is solved, one atom above it is rejected.
+TEST(TractableDetectorTest, WidthAboveCapIsRejected) {
+  auto clique = [](uint32_t n) {
+    std::vector<SearchClause> clauses;
+    for (AtomId a = 0; a < n; ++a) {
+      for (AtomId b = a + 1; b < n; ++b) {
+        clauses.push_back(C({MakeLit(a, (a + b) % 2 == 0), MakeLit(b, true)},
+                            0.125 * (1 + (a * 7 + b) % 5)));
+      }
+    }
+    return P(n, std::move(clauses));
+  };
+  Problem at_cap = clique(kMaxExactWidth + 1);
+  TractableStructure st = AnalyzeTractable(at_cap);
+  EXPECT_EQ(st.fragment, ExactFragment::kBoundedWidth);
+  EXPECT_EQ(st.width, kMaxExactWidth);
+  CheckComponentAgainstBruteForce(at_cap, "clique at the cap");
+
+  Problem above = clique(kMaxExactWidth + 2);
+  EXPECT_EQ(AnalyzeTractable(above).fragment, ExactFragment::kNotTractable);
+  EXPECT_FALSE(TrySolveExact(above, kHardWeight, false).solved);
+}
+
+TEST(TractableDetectorTest, WideClauseIsRejected) {
+  // The pairs alone would be a chain of width 1; the 3-atom residual
+  // clause rejects the component before any elimination order is built.
+  Problem p = P(3, {C({MakeLit(0, true), MakeLit(1, true), MakeLit(2, true)},
+                      1.0),
+                    C({MakeLit(0, true), MakeLit(1, false)}, 1.0),
+                    C({MakeLit(1, true), MakeLit(2, false)}, 1.0)});
+  TractableStructure st = AnalyzeTractable(p);
+  EXPECT_EQ(st.fragment, ExactFragment::kNotTractable);
+  EXPECT_TRUE(st.order.empty());
+  EXPECT_FALSE(TrySolveExact(p, kHardWeight, false).solved);
+}
+
+TEST(TractableDetectorTest, HardUnitShrinksWideClauseToConditioned) {
+  // Forcing atom 0 true kills the !0 literal, leaving a binary residual.
+  Problem p = P(3, {C({MakeLit(0, true)}, 0.0, true),
+                    C({MakeLit(0, false), MakeLit(1, true), MakeLit(2, true)},
+                      1.5)});
+  EXPECT_EQ(AnalyzeTractable(p).fragment, ExactFragment::kConditioned);
+  ExactSolveResult ex = TrySolveExact(p, kHardWeight, true);
+  ASSERT_TRUE(ex.solved);
+  EXPECT_EQ(ex.truth[0], 1);
+  auto marg = ExactMarginals(p);
+  ASSERT_TRUE(marg.ok());
+  for (size_t a = 0; a < 3; ++a) {
+    EXPECT_NEAR(ex.marginals[a], marg.value()[a], 1e-12);
+  }
+}
+
+TEST(TractableDetectorTest, ContradictoryHardUnitsAreRejected) {
+  Problem p = P(1, {C({MakeLit(0, true)}, 0.0, true),
+                    C({MakeLit(0, false)}, 0.0, true)});
+  EXPECT_EQ(AnalyzeTractable(p).fragment, ExactFragment::kNotTractable);
+  EXPECT_FALSE(TrySolveExact(p, kHardWeight, false).solved);
+}
+
+// ---------------------------------------------------------------------
+// Exact solver vs brute-force enumeration on randomized programs.
+
 TEST(ExactOracleTest, MatchesBruteForceOnRandomizedPrograms) {
   size_t programs = 0;
   size_t components = 0;
-  for (uint64_t idx = 0; idx < 110; ++idx) {
-    TractableMrfParams params = VariedTractableParams(idx);
-    size_t num_atoms = 0;
-    std::vector<GroundClause> clauses = MakeTractableMrf(params, &num_atoms);
-    ASSERT_GT(num_atoms, 0u);
-    std::vector<SubProblem> subs = SplitComponents(num_atoms, clauses);
-    for (size_t c = 0; c < subs.size(); ++c) {
-      CheckComponentAgainstBruteForce(
-          subs[c].problem,
-          "program " + std::to_string(idx) + " comp " + std::to_string(c));
-      ++components;
+  for (int width = 1; width <= 4; ++width) {
+    for (uint64_t idx = 0; idx < 110; ++idx) {
+      TractableMrfParams params = VariedTractableParams(idx);
+      params.max_width = width;
+      size_t num_atoms = 0;
+      std::vector<GroundClause> clauses = MakeTractableMrf(params, &num_atoms);
+      ASSERT_GT(num_atoms, 0u);
+      std::vector<SubProblem> subs = SplitComponents(num_atoms, clauses);
+      for (size_t c = 0; c < subs.size(); ++c) {
+        CheckComponentAgainstBruteForce(
+            subs[c].problem, "width " + std::to_string(width) + " program " +
+                                 std::to_string(idx) + " comp " +
+                                 std::to_string(c));
+        ++components;
+      }
+      ++programs;
     }
-    ++programs;
   }
-  EXPECT_EQ(programs, 110u);
+  EXPECT_EQ(programs, 440u);
   EXPECT_GT(components, programs);
 }
 
 TEST(ExactOracleTest, TwentyAtomComponentsMatchBruteForce) {
-  for (uint64_t seed : {17u, 99u}) {
-    TractableMrfParams params;
-    params.num_components = 1;
-    params.min_atoms = 20;
-    params.max_atoms = 20;
-    params.hard_prob = 0.2;
-    params.conditioned_prob = seed % 2 == 0 ? 0.0 : 1.0;
-    params.seed = seed;
-    size_t num_atoms = 0;
-    std::vector<GroundClause> clauses = MakeTractableMrf(params, &num_atoms);
-    ASSERT_EQ(num_atoms, 20u);
-    CheckComponentAgainstBruteForce(MakeWholeProblem(num_atoms, clauses),
-                                    "seed " + std::to_string(seed));
+  for (int width = 1; width <= 4; ++width) {
+    for (uint64_t seed : {17u, 99u}) {
+      TractableMrfParams params;
+      params.num_components = 1;
+      params.min_atoms = 20;
+      params.max_atoms = 20;
+      params.hard_prob = 0.2;
+      params.conditioned_prob = seed % 2 == 0 ? 0.0 : 1.0;
+      params.max_width = width;
+      params.seed = seed;
+      size_t num_atoms = 0;
+      std::vector<GroundClause> clauses = MakeTractableMrf(params, &num_atoms);
+      ASSERT_EQ(num_atoms, 20u);
+      Problem whole = MakeWholeProblem(num_atoms, clauses);
+      EXPECT_LE(AnalyzeTractable(whole).width, width);
+      CheckComponentAgainstBruteForce(
+          whole,
+          "width " + std::to_string(width) + " seed " + std::to_string(seed));
+    }
   }
 }
 
@@ -199,10 +269,12 @@ TEST(ExactOracleTest, TwentyAtomComponentsMatchBruteForce) {
 // The oracle tests the samplers.
 
 TEST(ExactOracleTest, WalkSatReachesExactMapCost) {
-  for (uint64_t idx : {0u, 3u, 7u, 10u}) {
+  for (auto [idx, width] : std::vector<std::pair<uint64_t, int>>{
+           {0, 1}, {3, 1}, {7, 1}, {10, 1}, {1, 3}, {4, 3}, {8, 3}}) {
     TractableMrfParams params = VariedTractableParams(idx);
     params.num_components = 3;
     params.max_atoms = 6;
+    params.max_width = width;
     size_t num_atoms = 0;
     std::vector<GroundClause> clauses = MakeTractableMrf(params, &num_atoms);
     ComponentSet comps = DetectComponents(num_atoms, clauses);
@@ -224,30 +296,34 @@ TEST(ExactOracleTest, WalkSatReachesExactMapCost) {
 
     // Dyadic weights make per-component costs FP-exact, so a converged
     // sampler lands on the identical double.
-    EXPECT_DOUBLE_EQ(exact.cost, sampler.cost) << "program " << idx;
+    EXPECT_DOUBLE_EQ(exact.cost, sampler.cost)
+        << "program " << idx << " width " << width;
     ASSERT_EQ(exact.truth.size(), sampler.truth.size());
   }
 }
 
-// Routing forest components to the exact solver leaves the sampled ones
-// alone: a cyclic component keeps its seeds and flip budget, so its truth
-// and flips are bit-identical with the fast path on or off.
+// Routing components to the exact solver leaves the sampled ones alone:
+// a component above the width cap keeps its seeds and flip budget, so
+// its truth and flips are bit-identical with the fast path on or off.
 TEST(ExactOracleTest, ExactRoutingLeavesCyclicComponentAlone) {
   TractableMrfParams params = VariedTractableParams(5);
   params.num_components = 4;
   size_t forest_atoms = 0;
   std::vector<GroundClause> clauses = MakeTractableMrf(params, &forest_atoms);
-  // The cyclic component: an 8-ring of "exactly one of two neighbours"
-  // pairs, satisfiable only by alternation.
-  const size_t ring = 8;
-  for (size_t i = 0; i < ring; ++i) {
-    const AtomId a = static_cast<AtomId>(forest_atoms + i);
-    const AtomId b = static_cast<AtomId>(forest_atoms + (i + 1) % ring);
-    clauses.push_back(GroundClause{{MakeLit(a, true), MakeLit(b, true)}, 1.0});
-    clauses.push_back(
-        GroundClause{{MakeLit(a, false), MakeLit(b, false)}, 1.0});
+  // The sampled component: a pairwise clique one atom wider than the cap,
+  // whose "exactly one of each pair" clauses always leave some violated.
+  const size_t wide = kMaxExactWidth + 2;
+  for (size_t i = 0; i < wide; ++i) {
+    for (size_t j = i + 1; j < wide; ++j) {
+      const AtomId a = static_cast<AtomId>(forest_atoms + i);
+      const AtomId b = static_cast<AtomId>(forest_atoms + j);
+      clauses.push_back(
+          GroundClause{{MakeLit(a, true), MakeLit(b, true)}, 1.0});
+      clauses.push_back(
+          GroundClause{{MakeLit(a, false), MakeLit(b, false)}, 1.0});
+    }
   }
-  const size_t num_atoms = forest_atoms + ring;
+  const size_t num_atoms = forest_atoms + wide;
   ComponentSet comps = DetectComponents(num_atoms, clauses);
   ComponentSet forest = comps;
   forest.atoms.pop_back();  // components are ordered by smallest atom

@@ -80,6 +80,7 @@ TEST(ComponentWalkSatTest, BeatsWholeMrfWalkSatOnExample1) {
   ComponentSearchOptions copts;
   copts.total_flips = budget;
   copts.rounds = 1;
+  copts.use_exact = false;  // the claim is about WalkSAT, not the exact solver
   ComponentSearchResult comp =
       RunComponentWalkSat(2 * n, clauses, cs, copts, /*seed=*/11);
 
