@@ -16,8 +16,8 @@
 #include "bench/bench_json.h"
 #include "datagen/datasets.h"
 #include "exec/tuffy_engine.h"
-#include "util/mem_tracker.h"
 #include "infer/walksat.h"
+#include "util/string_util.h"
 
 namespace tuffy {
 namespace bench {

@@ -14,7 +14,7 @@
 
 #include "datagen/datasets.h"
 #include "exec/tuffy_engine.h"
-#include "util/mem_tracker.h"
+#include "util/string_util.h"
 #include "util/union_find.h"
 
 using namespace tuffy;  // NOLINT: example brevity

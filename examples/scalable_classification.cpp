@@ -9,7 +9,7 @@
 
 #include "datagen/datasets.h"
 #include "exec/tuffy_engine.h"
-#include "util/mem_tracker.h"
+#include "util/string_util.h"
 
 using namespace tuffy;  // NOLINT: example brevity
 

@@ -12,23 +12,27 @@
 #include "mrf/bin_packing.h"
 #include "mrf/components.h"
 #include "mrf/partitioner.h"
-#include "util/mem_tracker.h"
 #include "util/string_util.h"
 #include "util/timer.h"
 
 namespace tuffy {
 
 namespace {
-/// Bytes of in-memory search state per size-metric unit (an atom or a
-/// literal), derived from the flat CSR layout: a literal costs 4B in the
-/// arena's lit_data plus a 16B occurrence entry; an atom costs a truth
-/// byte, an 8B cached flip delta, and a 4B occurrence offset; per-clause
-/// overhead (arena offset + weight + abs_weight + flags, ClauseState,
-/// violated bookkeeping ≈ 39B) is amortized over the clause's literals.
-/// The worst case (all unit clauses, where one clause amortizes over a
-/// single literal and the size metric charges 2 units) works out to
-/// (13 + 20 + 39) / 2 = 36 bytes/unit; 40 leaves headroom so the
-/// memory_budget partitioning never under-provisions.
+/// Estimated bytes of in-memory search state per size-metric unit (an
+/// atom or a literal). It turns memory_budget_bytes into the FFD batch
+/// capacity and the partition bound β, and prices a batch or a partition
+/// in peak_search_bytes. The estimate comes from the flat CSR layout: a
+/// literal costs 4B in the arena's lit_data plus a 16B occurrence entry;
+/// an atom costs a truth byte, an 8B cached flip delta, and a 4B
+/// occurrence offset; per-clause overhead (arena offset + weight +
+/// abs_weight + flags, ClauseState, violated bookkeeping ≈ 39B) is
+/// amortized over the clause's literals. It is an estimate, not a bound.
+/// On Table 4's datasets the measured whole-MRF state
+/// (WalkSatResult::state_bytes) exceeds it by 24% on LP (233,157,874 B
+/// measured vs 187,936,000 B estimated) and by 11% on RC (505,004 vs
+/// 456,640 B); it falls 10% under on IE (2,493,251 vs 2,760,480 B) and
+/// 11% under on ER (11,669,508 vs 13,088,640 B). So a budget can
+/// under-provision.
 constexpr uint64_t kBytesPerSizeUnit = 40;
 }  // namespace
 
@@ -84,11 +88,6 @@ Status TuffyEngine::RunSearch(EngineResult* result) {
   switch (marginal ? SearchMode::kComponentAware : options_.search_mode) {
     case SearchMode::kInMemory: {
       Problem whole = MakeWholeProblem(num_atoms, clauses);
-      // The a-priori charge uses the flat-layout constant (arena + state
-      // per size unit); peak_search_bytes below reports the measured
-      // footprint from the run itself.
-      ScopedMemCharge charge(MemCategory::kSearch,
-                             whole.SizeMetric() * kBytesPerSizeUnit);
       WalkSatOptions wopts;
       wopts.max_flips = options_.total_flips;
       wopts.p_random = options_.p_random;
@@ -189,8 +188,6 @@ Status TuffyEngine::RunSearch(EngineResult* result) {
         result->load_seconds += load_timer.ElapsedSeconds();
 
         batch_peak = std::max(batch_peak, batch_size * kBytesPerSizeUnit);
-        ScopedMemCharge charge(MemCategory::kSearch,
-                               batch_size * kBytesPerSizeUnit);
         SolveComponents(sopts, marginal ? 0 : options_.rounds,
                         options_.timeout_seconds, loaded, resident,
                         pool.get(), timer, &cr);
@@ -222,7 +219,6 @@ Status TuffyEngine::RunSearch(EngineResult* result) {
       uint64_t max_part = 0;
       for (uint64_t s : partitions.sizes) max_part = std::max(max_part, s);
       result->peak_search_bytes = max_part * kBytesPerSizeUnit;
-      ScopedMemCharge charge(MemCategory::kSearch, result->peak_search_bytes);
 
       GaussSeidelOptions gopts;
       gopts.sweeps = options_.rounds;
@@ -293,13 +289,7 @@ Result<EngineResult> TuffyEngine::Run() {
   }
   result.grounding_seconds = ground_timer.ElapsedSeconds();
   result.clause_table_bytes = result.grounding.clauses.EstimateBytes();
-  MemTracker::Global().Allocate(MemCategory::kClauseTable,
-                                result.clause_table_bytes);
-
-  Status st = RunSearch(&result);
-  MemTracker::Global().Release(MemCategory::kClauseTable,
-                               result.clause_table_bytes);
-  TUFFY_RETURN_IF_ERROR(st);
+  TUFFY_RETURN_IF_ERROR(RunSearch(&result));
 
   // Uniform cost accounting across all modes.
   const size_t num_atoms = result.grounding.atoms.num_atoms();
@@ -337,9 +327,6 @@ Result<LearnResult> TuffyEngine::Learn(const LearnOptions& learn_options) {
     TopDownGrounder grounder(program_, split.evidence, gopts);
     TUFFY_ASSIGN_OR_RETURN(grounding, grounder.Ground());
   }
-
-  const size_t table_bytes = grounding.clauses.EstimateBytes();
-  ScopedMemCharge charge(MemCategory::kClauseTable, table_bytes);
   return LearnWeights(program_, grounding, split.labels, learn_options);
 }
 

@@ -6,14 +6,11 @@
 #include "obs/metrics.h"
 #include "storage/evidence_side_tables.h"
 #include "util/logging.h"
-#include "util/mem_tracker.h"
 #include "util/timer.h"
 
 namespace tuffy {
 
 namespace {
-/// Flush granularity of the batched MemTracker charge.
-constexpr size_t kChargeFlushBytes = size_t{1} << 20;
 constexpr AtomId kNoAtom = static_cast<AtomId>(-1);
 
 /// Mirrors a finished grounding run's stats into the registry. Called
@@ -33,24 +30,6 @@ GroundingContext::GroundingContext(const MlnProgram& program,
                                    GroundingOptions options)
     : program_(program), evidence_(evidence), options_(options) {
   dense_.resize(program.num_predicates());
-}
-
-GroundingContext::~GroundingContext() {
-  if (charged_bytes_ > 0) {
-    MemTracker::Global().Release(MemCategory::kGrounding, charged_bytes_);
-  }
-}
-
-void GroundingContext::ChargeBytes(size_t bytes) {
-  pending_charge_ += bytes;
-  if (pending_charge_ >= kChargeFlushBytes) FlushCharge();
-}
-
-void GroundingContext::FlushCharge() {
-  if (pending_charge_ == 0) return;
-  MemTracker::Global().Allocate(MemCategory::kGrounding, pending_charge_);
-  charged_bytes_ += pending_charge_;
-  pending_charge_ = 0;
 }
 
 // ------------------------------------------------------- dense interner
@@ -93,7 +72,7 @@ void GroundingContext::InitDense(PredicateId pred) {
     di.arg_dense[i] = TypeDenseIndex(p.arg_types[i]);
   }
   di.cells.assign(slots, kCellUnseen);
-  ChargeBytes(slots * sizeof(int32_t));
+  result_.stats.working_set_bytes += slots * sizeof(int32_t);
   di.state = DenseInterner::State::kUsable;
 }
 
@@ -399,7 +378,8 @@ void GroundingContext::ResolveCandidate(int clause_idx,
                        scratch_open_.end());
   pending_.push_back(PendingClause{
       clause_idx, begin, static_cast<uint32_t>(pending_lits_.size())});
-  ChargeBytes(sizeof(PendingClause) + scratch_open_.size() * sizeof(CandLit));
+  result_.stats.working_set_bytes +=
+      sizeof(PendingClause) + scratch_open_.size() * sizeof(CandLit);
 }
 
 void GroundingContext::AddCandidate(int clause_idx,
@@ -628,8 +608,8 @@ void GroundingContext::AddCandidateChunk(int clause_idx,
                          scratch_open_.end());
     pending_.push_back(PendingClause{
         clause_idx, begin, static_cast<uint32_t>(pending_lits_.size())});
-    ChargeBytes(sizeof(PendingClause) +
-                scratch_open_.size() * sizeof(CandLit));
+    result_.stats.working_set_bytes +=
+        sizeof(PendingClause) + scratch_open_.size() * sizeof(CandLit);
   }
 }
 
@@ -648,11 +628,8 @@ void GroundingContext::AbsorbPending(GroundingContext* local) {
     pending_lits_.swap(local->pending_lits_);
     chunk_plan_ = ChunkPlan{};        // cached cell pointers moved away
     local->chunk_plan_ = ChunkPlan{};
-    charged_bytes_ += local->charged_bytes_;
-    pending_charge_ += local->pending_charge_;
-    local->charged_bytes_ = 0;
-    local->pending_charge_ = 0;
     const GroundingResult& lr0 = local->result_;
+    result_.stats.working_set_bytes += lr0.stats.working_set_bytes;
     result_.stats.candidates += lr0.stats.candidates;
     result_.stats.satisfied_by_evidence += lr0.stats.satisfied_by_evidence;
     result_.stats.pruned_by_antijoin += lr0.stats.pruned_by_antijoin;
@@ -681,14 +658,9 @@ void GroundingContext::AbsorbPending(GroundingContext* local) {
   }
   local->pending_.clear();
   local->pending_lits_.clear();
-  // Take over the local context's MemTracker charge (charged and
-  // not-yet-flushed alike) instead of double-counting.
-  charged_bytes_ += local->charged_bytes_;
-  pending_charge_ += local->pending_charge_;
-  local->charged_bytes_ = 0;
-  local->pending_charge_ = 0;
 
   const GroundingResult& lr = local->result_;
+  result_.stats.working_set_bytes += lr.stats.working_set_bytes;
   result_.stats.candidates += lr.stats.candidates;
   result_.stats.satisfied_by_evidence += lr.stats.satisfied_by_evidence;
   result_.stats.pruned_by_antijoin += lr.stats.pruned_by_antijoin;
@@ -750,9 +722,6 @@ Result<GroundingResult> GroundingContext::Finalize() {
     for (const PendingClause& pc : pending_) Emit(pc);
     pending_.clear();
     pending_lits_.clear();
-    MemTracker::Global().Release(MemCategory::kGrounding, charged_bytes_);
-    charged_bytes_ = 0;
-    pending_charge_ = 0;
     result_.stats.seconds += timer.ElapsedSeconds();
     StampGroundingMetrics(result_.stats);
     return std::move(result_);
@@ -784,9 +753,6 @@ Result<GroundingResult> GroundingContext::Finalize() {
   result_.stats.pruned_inactive = pending_.size();
   pending_.clear();
   pending_lits_.clear();
-  MemTracker::Global().Release(MemCategory::kGrounding, charged_bytes_);
-  charged_bytes_ = 0;
-  pending_charge_ = 0;
   result_.stats.seconds += timer.ElapsedSeconds();
   StampGroundingMetrics(result_.stats);
   return std::move(result_);

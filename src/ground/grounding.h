@@ -75,6 +75,12 @@ struct GroundingStats {
   /// deltas can retract individual violations.
   uint64_t hard_violations = 0;
   int closure_iterations = 0;
+  /// Bytes of grounding state an all-in-RAM grounder holds before the
+  /// closure prunes it: dense candidate cells plus pending clauses (the
+  /// Alchemy term of Table 4). Nothing is freed before Finalize, so this
+  /// total is the state's peak. It depends only on the program and the
+  /// evidence, so it is equal at every thread count.
+  uint64_t working_set_bytes = 0;
 };
 
 /// Output of grounding: the MRF in clause form (Section 2.3), plus the
@@ -110,7 +116,6 @@ class GroundingContext {
  public:
   GroundingContext(const MlnProgram& program, const EvidenceDb& evidence,
                    GroundingOptions options);
-  ~GroundingContext();
 
   /// Registers a candidate grounding of program.clauses()[clause_idx].
   /// Bit k of `skip_lit_mask` marks literal k as resolution-exempt: the
@@ -255,11 +260,6 @@ class GroundingContext {
 
   void Emit(const PendingClause& pc);
 
-  /// Batched MemTracker accounting (a per-clause atomic update would
-  /// serialize parallel rule grounding).
-  void ChargeBytes(size_t bytes);
-  void FlushCharge();
-
   const MlnProgram& program_;
   const EvidenceDb& evidence_;
   GroundingOptions options_;
@@ -320,9 +320,6 @@ class GroundingContext {
   uint32_t CountMatchingTrueRows(PredicateId pred, uint32_t mask,
                                  const std::vector<ConstantId>& bound_vals);
 
-  /// Bytes charged to MemCategory::kGrounding for the intermediate state.
-  size_t charged_bytes_ = 0;
-  size_t pending_charge_ = 0;
   bool finalized_ = false;
 };
 

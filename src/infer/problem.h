@@ -65,7 +65,7 @@ struct ClauseArena {
   }
 
   /// Bytes held by the arena's arrays (capacities, i.e. the real
-  /// footprint of the flat layout — what MemTracker should see).
+  /// footprint of the flat layout).
   size_t EstimateBytes() const;
 
   /// Resets to an empty clause set, keeping allocated capacity.
@@ -85,13 +85,6 @@ struct ClauseArena {
 struct Problem {
   size_t num_atoms = 0;
   std::vector<SearchClause> clauses;
-
-  /// Size metric (atoms + literals), matching ComponentSizeMetric.
-  uint64_t SizeMetric() const {
-    uint64_t s = num_atoms;
-    for (const SearchClause& c : clauses) s += c.lits.size();
-    return s;
-  }
 
   /// Exact cost of a truth assignment, by definition (Eq. 1): the sum of
   /// |w| over violated clauses, where a clause with w > 0 (or hard) is

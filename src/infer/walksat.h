@@ -117,7 +117,7 @@ class WalkSatState {
 
   /// Bytes held by this state's derived arrays (occurrence CSR, cached
   /// deltas, violated bookkeeping) — the search-state footprint that,
-  /// with ClauseArena::EstimateBytes, MemTracker charges as kSearch.
+  /// with ClauseArena::EstimateBytes, WalkSatResult::state_bytes reports.
   size_t EstimateBytes() const;
 
  private:

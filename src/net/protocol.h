@@ -77,7 +77,7 @@ enum class MsgType : uint8_t {
 enum class WireError : uint8_t {
   kNone = 0,
   kOverloaded = 1,         // job queue full; retry after a beat
-  kResourceExhausted = 2,  // MemTracker admission refused the session
+  kResourceExhausted = 2,  // SessionManager admission refused the session
   kNotFound = 3,
   kAlreadyExists = 4,
   kInvalidArgument = 5,

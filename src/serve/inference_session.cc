@@ -729,7 +729,6 @@ Status InferenceSession::SyncWal() {
 void InferenceSession::SearchComponents(const std::vector<size_t>& dirty,
                                         bool cold, DeltaApplyResult* result,
                                         TraceBuilder* trace) {
-  Timer timer;
   result->components_total = comps_.num_components();
   result->components_dirty = dirty.size();
 
@@ -818,7 +817,6 @@ void InferenceSession::SearchComponents(const std::vector<size_t>& dirty,
   stats_.components_researched += dirty.size();
   for (uint8_t f : exact_flags) stats_.components_exact += f;
   stats_.flips += result->flips;
-  result->search_seconds = timer.ElapsedSeconds();
 
   static Counter* researched =
       MetricsRegistry::Global().GetCounter("search.component.count");

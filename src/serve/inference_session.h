@@ -89,9 +89,6 @@ struct DeltaApplyResult {
   size_t components_total = 0;
   size_t components_dirty = 0;
   uint64_t flips = 0;
-  /// Wall clock of the re-search + marginal refresh (grounding time is
-  /// in edits.ground_seconds).
-  double search_seconds = 0.0;
   /// Session MAP cost after the delta (search cost + fixed cost).
   double map_cost = 0.0;
 };

@@ -1,6 +1,5 @@
 #include "serve/session_manager.h"
 
-#include "util/mem_tracker.h"
 #include "util/string_util.h"
 
 namespace tuffy {
@@ -16,16 +15,11 @@ SessionManager::~SessionManager() {
     }
     return true;
   });
-  for (auto& [name, entry] : sessions_) {
-    MemTracker::Global().Release(MemCategory::kSearch, entry.charged_bytes);
-  }
   // Sessions submit to pool_; destroy them before the pool goes away.
   sessions_.clear();
 }
 
 void SessionManager::Recharge(Entry* entry, size_t bytes) {
-  MemTracker::Global().Release(MemCategory::kSearch, entry->charged_bytes);
-  MemTracker::Global().Allocate(MemCategory::kSearch, bytes);
   resident_bytes_ -= entry->charged_bytes;
   resident_bytes_ += bytes;
   entry->charged_bytes = bytes;
@@ -52,7 +46,6 @@ Result<InferenceSession*> SessionManager::Admit(
         static_cast<unsigned long long>(resident_bytes_),
         static_cast<unsigned long long>(options_.memory_budget_bytes)));
   }
-  MemTracker::Global().Allocate(MemCategory::kSearch, bytes);
   resident_bytes_ += bytes;
   Entry& entry = sessions_.at(name);
   entry.session = std::move(session);
@@ -175,7 +168,6 @@ Status SessionManager::Close(const std::string& name) {
   if (it == sessions_.end() || it->second.session == nullptr) {
     return Status::NotFound("no session: " + name);
   }
-  MemTracker::Global().Release(MemCategory::kSearch, it->second.charged_bytes);
   resident_bytes_ -= it->second.charged_bytes;
   sessions_.erase(it);
   return Status::OK();

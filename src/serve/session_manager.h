@@ -38,8 +38,8 @@ struct SessionManagerOptions {
 
 /// Owns the concurrent serving state: named long-lived sessions, the
 /// shared ThreadPool their dirty-component re-search and MC-SAT refresh
-/// run on, and MemTracker-backed admission control over resident session
-/// bytes (charged to MemCategory::kSearch).
+/// run on, and admission control over the summed resident bytes of the
+/// open sessions, an account this manager owns (resident_bytes()).
 class SessionManager {
  public:
   explicit SessionManager(SessionManagerOptions options);

@@ -1,7 +1,6 @@
 #include "storage/buffer_pool.h"
 
 #include "obs/metrics.h"
-#include "util/mem_tracker.h"
 #include "util/string_util.h"
 
 namespace tuffy {
@@ -33,13 +32,6 @@ BufferPool::BufferPool(size_t num_frames, DiskManager* disk) : disk_(disk) {
     frames_.push_back(std::make_unique<Page>());
     free_frames_.push_back(num_frames - 1 - i);
   }
-  MemTracker::Global().Allocate(MemCategory::kBufferPool,
-                                num_frames * sizeof(Page));
-}
-
-BufferPool::~BufferPool() {
-  MemTracker::Global().Release(MemCategory::kBufferPool,
-                               frames_.size() * sizeof(Page));
 }
 
 void BufferPool::TouchLru(size_t frame_idx) {

@@ -28,7 +28,6 @@ struct BufferPoolStats {
 class BufferPool {
  public:
   BufferPool(size_t num_frames, DiskManager* disk);
-  ~BufferPool();
 
   BufferPool(const BufferPool&) = delete;
   BufferPool& operator=(const BufferPool&) = delete;

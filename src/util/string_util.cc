@@ -64,4 +64,12 @@ std::string StrFormat(const char* fmt, ...) {
   return out;
 }
 
+std::string FormatBytes(int64_t bytes) {
+  const double b = static_cast<double>(bytes);
+  if (b >= 1e9) return StrFormat("%.1fGB", b / 1e9);
+  if (b >= 1e6) return StrFormat("%.1fMB", b / 1e6);
+  if (b >= 1e3) return StrFormat("%.1fKB", b / 1e3);
+  return StrFormat("%lldB", static_cast<long long>(bytes));
+}
+
 }  // namespace tuffy

@@ -1,6 +1,7 @@
 #ifndef TUFFY_UTIL_STRING_UTIL_H_
 #define TUFFY_UTIL_STRING_UTIL_H_
 
+#include <cstdint>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -26,6 +27,9 @@ std::string ToLower(std::string_view s);
 /// printf-style formatting into a std::string.
 std::string StrFormat(const char* fmt, ...)
     __attribute__((format(printf, 1, 2)));
+
+/// Formats a byte count as a short human-readable string ("4.8MB").
+std::string FormatBytes(int64_t bytes);
 
 }  // namespace tuffy
 

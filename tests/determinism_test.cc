@@ -135,6 +135,7 @@ TEST(DeterminismTest, GroundingThreadCountInvariant) {
   }
   EXPECT_EQ(serial.fixed_cost, parallel.fixed_cost);
   EXPECT_EQ(serial.stats.candidates, parallel.stats.candidates);
+  EXPECT_EQ(serial.stats.working_set_bytes, parallel.stats.working_set_bytes);
 }
 
 TEST(DeterminismTest, DeriveSeedDecorrelatesAdjacentStreams) {

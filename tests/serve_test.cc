@@ -13,7 +13,6 @@
 #include "oracle_support.h"
 #include "serve/delta_grounder.h"
 #include "serve/session_manager.h"
-#include "util/mem_tracker.h"
 
 namespace tuffy {
 namespace {
@@ -555,14 +554,10 @@ TEST(ServeTest, SessionManagerAdmissionAndRelease) {
   EXPECT_EQ(cramped.num_sessions(), 0u);
 
   // An unlimited manager admits, charges, and releases.
-  const int64_t search_before =
-      MemTracker::Global().CurrentBytes(MemCategory::kSearch);
   SessionManager manager(SessionManagerOptions{});
   auto opened = manager.Open("s", program, evidence, TestSessionOptions());
   ASSERT_TRUE(opened.ok()) << opened.status().ToString();
   EXPECT_GT(manager.resident_bytes(), 0u);
-  EXPECT_GT(MemTracker::Global().CurrentBytes(MemCategory::kSearch),
-            search_before);
   ASSERT_TRUE(manager.Get("s").ok());
   EXPECT_EQ(manager.Get("missing").status().code(), StatusCode::kNotFound);
 
@@ -574,8 +569,6 @@ TEST(ServeTest, SessionManagerAdmissionAndRelease) {
   ASSERT_TRUE(manager.Close("s").ok());
   EXPECT_EQ(manager.num_sessions(), 0u);
   EXPECT_EQ(manager.resident_bytes(), 0u);
-  EXPECT_EQ(MemTracker::Global().CurrentBytes(MemCategory::kSearch),
-            search_before);
 }
 
 TEST(ServeTest, ConcurrentSessionsOnSharedPool) {

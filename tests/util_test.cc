@@ -3,7 +3,6 @@
 #include <atomic>
 #include <set>
 
-#include "util/mem_tracker.h"
 #include "util/result.h"
 #include "util/rng.h"
 #include "util/status.h"
@@ -134,6 +133,13 @@ TEST(StringUtilTest, StrFormatFormats) {
 
 TEST(StringUtilTest, ToLower) { EXPECT_EQ(ToLower("AbC"), "abc"); }
 
+TEST(StringUtilTest, FormatBytesReadable) {
+  EXPECT_EQ(FormatBytes(512), "512B");
+  EXPECT_EQ(FormatBytes(2048), "2.0KB");
+  EXPECT_EQ(FormatBytes(3500000), "3.5MB");
+  EXPECT_EQ(FormatBytes(2100000000), "2.1GB");
+}
+
 // -------------------------------------------------------------------- Rng
 
 TEST(RngTest, DeterministicForSameSeed) {
@@ -225,39 +231,6 @@ TEST(UnionFindTest, LargeRandomChainConnectsAll) {
   for (size_t i = 1; i < n; ++i) uf.Union(i - 1, i);
   EXPECT_EQ(uf.CountSets(), 1u);
   EXPECT_TRUE(uf.Connected(0, n - 1));
-}
-
-// ------------------------------------------------------------- MemTracker
-
-TEST(MemTrackerTest, TracksCurrentAndPeak) {
-  MemTracker& t = MemTracker::Global();
-  t.Reset();
-  t.Allocate(MemCategory::kSearch, 100);
-  t.Allocate(MemCategory::kSearch, 50);
-  EXPECT_EQ(t.CurrentBytes(MemCategory::kSearch), 150);
-  t.Release(MemCategory::kSearch, 100);
-  EXPECT_EQ(t.CurrentBytes(MemCategory::kSearch), 50);
-  EXPECT_EQ(t.PeakBytes(MemCategory::kSearch), 150);
-  t.Reset();
-}
-
-TEST(MemTrackerTest, ScopedChargeReleases) {
-  MemTracker& t = MemTracker::Global();
-  t.Reset();
-  {
-    ScopedMemCharge charge(MemCategory::kClauseTable, 77);
-    EXPECT_EQ(t.CurrentBytes(MemCategory::kClauseTable), 77);
-  }
-  EXPECT_EQ(t.CurrentBytes(MemCategory::kClauseTable), 0);
-  EXPECT_EQ(t.PeakBytes(MemCategory::kClauseTable), 77);
-  t.Reset();
-}
-
-TEST(MemTrackerTest, FormatBytesReadable) {
-  EXPECT_EQ(FormatBytes(512), "512B");
-  EXPECT_EQ(FormatBytes(2048), "2.0KB");
-  EXPECT_EQ(FormatBytes(3500000), "3.5MB");
-  EXPECT_EQ(FormatBytes(2100000000), "2.1GB");
 }
 
 // ------------------------------------------------------------- ThreadPool

@@ -46,13 +46,6 @@ TEST(ProblemTest, EvalCostHardUsesHardWeight) {
   EXPECT_DOUBLE_EQ(p.EvalCost({1}, 1e6), 0.0);
 }
 
-TEST(ProblemTest, SizeMetric) {
-  Problem p = MakeProblem(
-      3, {{{MakeLit(0, true), MakeLit(1, true)}, 1.0},
-          {{MakeLit(2, false)}, 1.0}});
-  EXPECT_EQ(p.SizeMetric(), 3u + 3u);
-}
-
 // -------------------------------------------------------- incremental state
 
 class WalkSatStateParamTest : public ::testing::TestWithParam<int> {};
