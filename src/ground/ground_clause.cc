@@ -4,19 +4,42 @@
 
 namespace tuffy {
 
+double IdIndex::MeanProbeLength() const {
+  if (hashes_.empty()) return 0.0;
+  size_t probes = 0;
+  for (size_t slot = 0; slot < slots_.size(); ++slot) {
+    if (slots_[slot] == 0) continue;
+    const size_t home = HomeSlot(hashes_[slots_[slot] - 1]);
+    probes += ((slot - home) & mask_) + 1;
+  }
+  return static_cast<double>(probes) / static_cast<double>(hashes_.size());
+}
+
+void IdIndex::Grow() {
+  const size_t cap = slots_.empty() ? 1024 : slots_.size() * 2;
+  slots_.assign(cap, 0);
+  mask_ = cap - 1;
+  for (size_t id = 0; id < hashes_.size(); ++id) {
+    size_t slot = HomeSlot(hashes_[id]);
+    while (slots_[slot] != 0) slot = (slot + 1) & mask_;
+    slots_[slot] = static_cast<uint32_t>(id) + 1;
+  }
+}
+
 AtomId AtomStore::GetOrCreate(const GroundAtom& atom) {
-  auto it = ids_.find(atom);
-  if (it != ids_.end()) return it->second;
-  AtomId id = static_cast<AtomId>(atoms_.size());
-  ids_[atom] = id;
-  atoms_.push_back(atom);
+  bool added = false;
+  const AtomId id = index_.FindOrAdd(
+      GroundAtomHash{}(atom),
+      [&](uint32_t i) { return atoms_[i] == atom; }, &added);
+  if (added) atoms_.push_back(atom);
   return id;
 }
 
 bool AtomStore::Find(const GroundAtom& atom, AtomId* out) const {
-  auto it = ids_.find(atom);
-  if (it == ids_.end()) return false;
-  *out = it->second;
+  const uint32_t id = index_.Find(
+      GroundAtomHash{}(atom), [&](uint32_t i) { return atoms_[i] == atom; });
+  if (id == IdIndex::kAbsent) return false;
+  *out = id;
   return true;
 }
 
@@ -31,28 +54,6 @@ std::string AtomStore::AtomName(const MlnProgram& program,
   return out;
 }
 
-size_t GroundClauseStore::FindSlot(const std::vector<Lit>& lits,
-                                   size_t hash) const {
-  size_t slot = hash & index_mask_;
-  while (index_slots_[slot] != 0) {
-    const size_t idx = index_slots_[slot] - 1;
-    if (hashes_[idx] == hash && clauses_[idx].lits == lits) return slot;
-    slot = (slot + 1) & index_mask_;
-  }
-  return slot;
-}
-
-void GroundClauseStore::GrowIndex() {
-  const size_t cap = index_slots_.empty() ? 1024 : index_slots_.size() * 2;
-  index_slots_.assign(cap, 0);
-  index_mask_ = cap - 1;
-  for (size_t i = 0; i < clauses_.size(); ++i) {
-    size_t slot = hashes_[i] & index_mask_;
-    while (index_slots_[slot] != 0) slot = (slot + 1) & index_mask_;
-    index_slots_[slot] = static_cast<uint32_t>(i) + 1;
-  }
-}
-
 size_t GroundClauseStore::AddFromScratch(std::vector<Lit>* lits,
                                          double weight, bool hard,
                                          int rule_id) {
@@ -64,27 +65,23 @@ size_t GroundClauseStore::AddFromScratch(std::vector<Lit>* lits,
       if ((*lits)[i] == -(*lits)[j]) return kTautology;
     }
   }
-  // Keep load factor under 1/2.
-  if ((clauses_.size() + 1) * 2 > index_slots_.size()) GrowIndex();
-  const size_t hash = LitVectorHash{}(*lits);
-  const size_t slot = FindSlot(*lits, hash);
-  if (index_slots_[slot] != 0) {
-    const size_t idx = index_slots_[slot] - 1;
+  bool added = false;
+  const size_t idx = index_.FindOrAdd(
+      LitVectorHash{}(*lits),
+      [&](uint32_t i) { return clauses_[i].lits == *lits; }, &added);
+  if (!added) {
     GroundClause& existing = clauses_[idx];
     existing.weight += weight;
     existing.hard = existing.hard || hard;
     AddContribution(idx, rule_id);
     return idx;
   }
-  size_t idx = clauses_.size();
-  index_slots_[slot] = static_cast<uint32_t>(idx) + 1;
   GroundClause clause;
   clause.lits = *lits;  // copy: the scratch buffer stays with the caller
   clause.weight = weight;
   clause.hard = hard;
   clause.rule_id = rule_id;
   clauses_.push_back(std::move(clause));
-  hashes_.push_back(hash);
   first_contrib_.push_back(RuleContribution{rule_id, 1});
   return idx;
 }

@@ -174,7 +174,8 @@ bool GroundingContext::ExpandLiteral(const Literal& lit,
   // Resolve ground argument values; collect existential positions.
   scratch_atom_.pred = lit.pred;
   scratch_atom_.args.resize(lit.args.size());
-  int exist_pos_buf[8];
+  // MlnProgram::AddClause bounds a literal's existential positions.
+  int exist_pos_buf[kMaxExistentialPositions];
   int num_exist = 0;
   for (size_t i = 0; i < lit.args.size(); ++i) {
     const Term& t = lit.args[i];
@@ -183,8 +184,8 @@ bool GroundingContext::ExpandLiteral(const Literal& lit,
     } else if (assignment[t.id] >= 0) {
       scratch_atom_.args[i] = assignment[t.id];
     } else {
-      if (num_exist < 8) exist_pos_buf[num_exist] = static_cast<int>(i);
-      ++num_exist;
+      assert(num_exist < kMaxExistentialPositions);
+      exist_pos_buf[num_exist++] = static_cast<int>(i);
       scratch_atom_.args[i] = -1;
     }
   }
@@ -204,12 +205,11 @@ bool GroundingContext::ExpandLiteral(const Literal& lit,
   // Expand the existential positions over their domains. Distinct
   // existential variables expand independently per literal because
   // disjunction distributes over existential quantification.
-  assert(num_exist <= 8 && "too many existential positions in one literal");
   const Predicate& pred = program_.predicate(lit.pred);
 
   // Map positions sharing one variable to a single counter.
   std::vector<VarId> exist_vars;
-  int var_of_pos[8];
+  int var_of_pos[kMaxExistentialPositions];
   for (int i = 0; i < num_exist; ++i) {
     VarId v = lit.args[exist_pos_buf[i]].id;
     int idx = -1;

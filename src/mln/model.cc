@@ -66,6 +66,14 @@ Result<PredicateId> MlnProgram::FindPredicate(const std::string& name) const {
 Status MlnProgram::AddClause(Clause clause) {
   // Resolve variable types from the predicate signatures; check arity.
   clause.var_types.assign(clause.num_vars, "");
+  std::vector<bool> existential(clause.num_vars, false);
+  for (VarId v : clause.existential_vars) {
+    if (v < 0 || v >= clause.num_vars) {
+      return Status::InvalidArgument(
+          StrFormat("existential variable id %d out of range", v));
+    }
+    existential[v] = true;
+  }
   for (const Literal& lit : clause.literals) {
     if (lit.pred < 0 || lit.pred >= static_cast<PredicateId>(predicates_.size())) {
       return Status::InvalidArgument("literal references unknown predicate");
@@ -76,6 +84,7 @@ Status MlnProgram::AddClause(Clause clause) {
           StrFormat("predicate %s expects %d args, got %zu",
                     pred.name.c_str(), pred.arity(), lit.args.size()));
     }
+    int exist_positions = 0;
     for (size_t i = 0; i < lit.args.size(); ++i) {
       const Term& t = lit.args[i];
       if (!t.is_var) continue;
@@ -83,6 +92,7 @@ Status MlnProgram::AddClause(Clause clause) {
         return Status::InvalidArgument(
             StrFormat("variable id %d out of range", t.id));
       }
+      if (existential[t.id]) ++exist_positions;
       std::string& vt = clause.var_types[t.id];
       if (vt.empty()) {
         vt = pred.arg_types[i];
@@ -94,6 +104,17 @@ Status MlnProgram::AddClause(Clause clause) {
                  : "?"),
             vt.c_str(), pred.arg_types[i].c_str()));
       }
+    }
+    if (exist_positions > kMaxExistentialPositions) {
+      return Status::InvalidArgument(StrFormat(
+          "literal over %s has %d existential argument positions; the limit "
+          "is %d",
+          pred.name.c_str(), exist_positions, kMaxExistentialPositions));
+    }
+    if (exist_positions > 0 && pred.arity() > kMaxExistentialArity) {
+      return Status::InvalidArgument(StrFormat(
+          "existential literal over %s has %d arguments; the limit is %d",
+          pred.name.c_str(), pred.arity(), kMaxExistentialArity));
     }
   }
   // Variables appearing only in equality constraints have no type source.

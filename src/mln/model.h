@@ -19,6 +19,14 @@ using VarId = int32_t;
 
 constexpr PredicateId kInvalidPredicate = -1;
 
+/// Limits on an existential literal, one with an existentially quantified
+/// variable among its arguments. Grounding expands at most this many
+/// existential argument positions per literal, and keys a closed-world
+/// literal's pattern counts by a 32-bit mask of its bound positions.
+/// MlnProgram::AddClause refuses a literal past either limit.
+constexpr int kMaxExistentialPositions = 8;
+constexpr int kMaxExistentialArity = 32;
+
 /// A first-order predicate symbol, e.g. wrote(Author, Paper). Predicates
 /// marked closed-world are fully specified by the evidence: any atom not
 /// listed is false (the usual assumption for relations like refers).
@@ -168,6 +176,11 @@ struct GroundAtomHash_ArgsOnly {
   }
 };
 
+/// Hash over a whole ground atom. Its low bits depend only on the
+/// predicate's and arguments' low bits, so a power-of-two table must mix
+/// before masking (AtomStore's IdIndex does). Its values must not change:
+/// they order EvidenceDb's map, which EvidenceSideTables::Rebuild walks
+/// into side-table rows, so they feed plans, atom ids and costs.
 struct GroundAtomHash {
   size_t operator()(const GroundAtom& a) const {
     size_t h = std::hash<int32_t>{}(a.pred);

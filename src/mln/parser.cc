@@ -519,6 +519,12 @@ Status ParseEvidence(const std::string& text, MlnProgram* program,
           "line %d: %s expects %d args, got %d", line_no, name.c_str(),
           pred.arity(), arg_idx));
     }
+    ++i;  // past ')'
+    if (toks[i].type != TokType::kEnd) {
+      return Status::ParseError(
+          StrFormat("line %d: trailing tokens starting at '%s'", line_no,
+                    toks[i].text.c_str()));
+    }
     db->Add(std::move(atom), truth);
   }
   return Status::OK();

@@ -23,6 +23,11 @@ namespace tuffy {
 /// EqualityConstraints. Identifiers starting with a lowercase letter are
 /// variables; quoted strings, capitalized identifiers, and numbers are
 /// constants.
+///
+/// An existential literal (one with an EXIST variable among its
+/// arguments) may hold at most 8 existential argument positions, and its
+/// predicate may have at most 32 arguments (kMaxExistentialPositions and
+/// kMaxExistentialArity); a rule past either limit is a ParseError.
 Result<MlnProgram> ParseProgram(const std::string& text);
 
 /// Parses evidence lines into `db`:
@@ -30,6 +35,8 @@ Result<MlnProgram> ParseProgram(const std::string& text);
 ///   wrote(Joe, P1)
 ///   !cat(P3, "AI")     // negative evidence
 ///
+/// One atom per line: anything after it but a `//` comment is a
+/// ParseError ("trailing tokens").
 /// Constants are interned into the program's symbol table using the
 /// declared argument types of each predicate.
 Status ParseEvidence(const std::string& text, MlnProgram* program,

@@ -425,5 +425,127 @@ TEST(GroundingTest, StatsAreTracked) {
   EXPECT_GE(g.stats.seconds, 0.0);
 }
 
+// ------------------------------------------- the stores' shared id index
+
+TEST(GroundClauseStoreTest, ReAddAcrossGrowthMergesIntoFirstInsert) {
+  // 120K clauses take the index from 1024 slots past 2^17 (7+ doublings).
+  constexpr size_t kClauses = 120000;
+  GroundClauseStore store;
+  for (size_t i = 0; i < kClauses; ++i) {
+    const AtomId a = static_cast<AtomId>(i);
+    GroundClause c;
+    c.lits = {MakeLit(a + 1 + i % 7, false), MakeLit(a, true)};
+    c.weight = 1.0 + static_cast<double>(i % 3);
+    c.rule_id = static_cast<int>(i % 5);
+    ASSERT_EQ(store.Add(std::move(c)), i);
+  }
+  // Re-add every clause, literals in the other order; odd clauses from a
+  // second rule, so both the inline and the side-table count are hit.
+  for (size_t i = 0; i < kClauses; ++i) {
+    const AtomId a = static_cast<AtomId>(i);
+    std::vector<Lit> lits = {MakeLit(a, true), MakeLit(a + 1 + i % 7, false)};
+    const int rule = static_cast<int>(i % 5) + (i % 2 == 1 ? 5 : 0);
+    ASSERT_EQ(store.AddFromScratch(&lits, 1.0 + static_cast<double>(i % 3),
+                                   /*hard=*/false, rule),
+              i);
+  }
+  ASSERT_EQ(store.num_clauses(), kClauses);
+  for (size_t i = 0; i < kClauses; ++i) {
+    const AtomId a = static_cast<AtomId>(i);
+    std::vector<Lit> want = {MakeLit(a, true), MakeLit(a + 1 + i % 7, false)};
+    std::sort(want.begin(), want.end());
+    const GroundClause& c = store.clauses()[i];
+    ASSERT_EQ(c.lits, want) << "clause " << i;
+    ASSERT_DOUBLE_EQ(c.weight, 2.0 * (1.0 + static_cast<double>(i % 3)));
+    ASSERT_EQ(c.rule_id, static_cast<int>(i % 5));
+    uint32_t groundings = 0;
+    int sources = 0;
+    store.ForEachContribution(i, [&](int, uint32_t count) {
+      groundings += count;
+      ++sources;
+    });
+    ASSERT_EQ(groundings, 2u) << "clause " << i;
+    ASSERT_EQ(sources, i % 2 == 1 ? 2 : 1) << "clause " << i;
+  }
+}
+
+TEST(AtomStoreTest, GetOrCreateAndFindRoundTripAcrossGrowth) {
+  AtomStore empty;
+  AtomId id = 0;
+  EXPECT_FALSE(empty.Find(GroundAtom{0, {1, 2}}, &id));
+
+  constexpr int kAtoms = 120000;
+  AtomStore store;
+  auto atom_of = [](int i) {
+    return GroundAtom{i % 3, {i, i / 7}};
+  };
+  for (int i = 0; i < kAtoms; ++i) {
+    ASSERT_EQ(store.GetOrCreate(atom_of(i)), static_cast<AtomId>(i));
+  }
+  for (int i = 0; i < kAtoms; ++i) {
+    ASSERT_EQ(store.GetOrCreate(atom_of(i)), static_cast<AtomId>(i));
+    ASSERT_TRUE(store.Find(atom_of(i), &id));
+    ASSERT_EQ(id, static_cast<AtomId>(i));
+    ASSERT_EQ(store.atom(id), atom_of(i));
+  }
+  EXPECT_EQ(store.num_atoms(), static_cast<size_t>(kAtoms));
+  EXPECT_FALSE(store.Find(GroundAtom{3, {0, 0}}, &id));      // no such pred
+  EXPECT_FALSE(store.Find(GroundAtom{0, {kAtoms, 0}}, &id));  // no such args
+  EXPECT_FALSE(store.Find(GroundAtom{1, {0, 0}}, &id));       // other pred
+}
+
+TEST(IdIndexTest, InformationExtractionKeysDoNotCluster) {
+  // IE-shaped clause keys over a citation x position x field atom grid:
+  // per (citation, position), a unit clause for each of its 4 field
+  // atoms, then a negative pair clause for each of the 6 field pairs.
+  // Their LitVectorHash values differ only in low bits, so masking the
+  // hash directly piles them into a few runs.
+  constexpr int kCitations = 3000, kPositions = 5, kFields = 4;
+  std::vector<std::vector<Lit>> keys;
+  for (int c = 0; c < kCitations; ++c) {
+    for (int p = 0; p < kPositions; ++p) {
+      const AtomId base = static_cast<AtomId>((c * kPositions + p) * kFields);
+      for (int f = 0; f < kFields; ++f) {
+        keys.push_back({MakeLit(base + f, true)});
+      }
+      for (int f = 0; f < kFields; ++f) {
+        for (int g = f + 1; g < kFields; ++g) {
+          std::vector<Lit> pair = {MakeLit(base + f, false),
+                                   MakeLit(base + g, false)};
+          std::sort(pair.begin(), pair.end());
+          keys.push_back(std::move(pair));
+        }
+      }
+    }
+  }
+  ASSERT_EQ(keys.size(), 150000u);
+  // The table doubles from a power of two at load 1/2, so 2^17 keys fill
+  // 2^18 slots to exactly one half.
+  constexpr size_t kHalfLoad = size_t{1} << 17;
+  IdIndex index;
+  double at_half_load = 0.0;
+  for (size_t k = 0; k < keys.size(); ++k) {
+    bool added = false;
+    const uint32_t id = index.FindOrAdd(
+        LitVectorHash{}(keys[k]),
+        [&](uint32_t i) { return keys[i] == keys[k]; }, &added);
+    ASSERT_TRUE(added);
+    ASSERT_EQ(id, k);
+    if (index.size() == kHalfLoad) at_half_load = index.MeanProbeLength();
+  }
+  EXPECT_LE(at_half_load, 4.0);
+  EXPECT_GE(at_half_load, 1.0);
+  EXPECT_LE(index.MeanProbeLength(), 4.0);
+  for (size_t k = 0; k < keys.size(); k += 997) {
+    ASSERT_EQ(index.Find(LitVectorHash{}(keys[k]),
+                         [&](uint32_t i) { return keys[i] == keys[k]; }),
+              k);
+  }
+  const std::vector<Lit> absent = {MakeLit(0, false)};
+  EXPECT_EQ(index.Find(LitVectorHash{}(absent),
+                       [&](uint32_t i) { return keys[i] == absent; }),
+            IdIndex::kAbsent);
+}
+
 }  // namespace
 }  // namespace tuffy

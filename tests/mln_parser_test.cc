@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include "ground/bottom_up_grounder.h"
 #include "mln/model.h"
 #include "mln/parser.h"
 
@@ -193,6 +194,96 @@ TEST(ParserTest, CommentsAndBlankLinesIgnored) {
   EXPECT_EQ(result.value().clauses().size(), 1u);
 }
 
+/// `name(t, t, ...)` with `arity` arguments of type t.
+std::string Declaration(const std::string& name, int arity) {
+  std::string out = name + "(";
+  for (int i = 0; i < arity; ++i) out += i > 0 ? ", t" : "t";
+  return out + ")\n";
+}
+
+/// `!name(x, ..., x, z)`: x in every position but the last, z in it.
+std::string LastPositionExistential(const std::string& name, int arity) {
+  std::string out = "1 EXIST z !" + name + "(";
+  for (int i = 0; i + 1 < arity; ++i) out += "x, ";
+  return out + "z) v q(x)\n";
+}
+
+TEST(ParserTest, WideExistentialLiteralsRefused) {
+  // Nine existential positions in one literal.
+  auto nine = ParseProgram(
+      Declaration("r", 9) + "q(t)\n" +
+      "1 EXIST a, b, c, d, e, f, g, h, i !r(a, b, c, d, e, f, g, h, i) v "
+      "q(x)\n");
+  ASSERT_FALSE(nine.ok());
+  EXPECT_EQ(nine.status().code(), StatusCode::kParseError);
+  EXPECT_NE(nine.status().message().find("line 3"), std::string::npos)
+      << nine.status().ToString();
+  EXPECT_NE(nine.status().message().find("limit is 8"), std::string::npos)
+      << nine.status().ToString();
+
+  // A 33-ary closed-world predicate, existential at position 32.
+  auto wide = ParseProgram("*" + Declaration("w", 33) + "q(t)\n" +
+                           LastPositionExistential("w", 33));
+  ASSERT_FALSE(wide.ok());
+  EXPECT_EQ(wide.status().code(), StatusCode::kParseError);
+  EXPECT_NE(wide.status().message().find("line 3"), std::string::npos)
+      << wide.status().ToString();
+  EXPECT_NE(wide.status().message().find("limit is 32"), std::string::npos)
+      << wide.status().ToString();
+
+  // Without an existential, predicate width is not limited.
+  std::string wide_rule = "1 !w(x";
+  for (int i = 1; i < 33; ++i) wide_rule += ", x";
+  auto universal = ParseProgram(Declaration("w", 33) + wide_rule + ")\n");
+  EXPECT_TRUE(universal.ok()) << universal.status().ToString();
+}
+
+/// Grounds `mln` over `evidence` bottom-up and exhaustively (no lazy
+/// closure), returning the clauses.
+std::vector<GroundClause> GroundAll(const std::string& mln,
+                                    const std::string& evidence) {
+  auto program = ParseProgram(mln);
+  EXPECT_TRUE(program.ok()) << program.status().ToString();
+  if (!program.ok()) return {};
+  MlnProgram p = program.TakeValue();
+  EvidenceDb db;
+  Status st = ParseEvidence(evidence, &p, &db);
+  EXPECT_TRUE(st.ok()) << st.ToString();
+  GroundingOptions opts;
+  opts.lazy_closure = false;
+  BottomUpGrounder grounder(p, db, opts);
+  auto g = grounder.Ground();
+  EXPECT_TRUE(g.ok()) << g.status().ToString();
+  return g.ok() ? g.value().clauses.clauses() : std::vector<GroundClause>{};
+}
+
+TEST(ParserTest, ExistentialLiteralsAtTheLimitsParseAndGround) {
+  // Eight existential positions over an open-world predicate, domain
+  // {A, B}: the literal expands to all 256 instances of !r, and both
+  // groundings of x (q is false for each) merge into that one clause.
+  std::vector<GroundClause> eight =
+      GroundAll(Declaration("r", 8) + "q(t)\n" +
+                    "1 EXIST a, b, c, d, e, f, g, h !r(a, b, c, d, e, f, g, "
+                    "h) v q(x)\n",
+                "!q(A)\n!q(B)\n");
+  ASSERT_EQ(eight.size(), 1u);
+  EXPECT_EQ(eight[0].lits.size(), 256u);
+  EXPECT_DOUBLE_EQ(eight[0].weight, 2.0);
+
+  // A 32-ary closed-world predicate, existential at position 31: the
+  // pattern-count path. Its only instance is true, so the existential
+  // disjunct is false and q(A) is left as a unit clause.
+  std::string all_a = "w(A";
+  for (int i = 1; i < 32; ++i) all_a += ", A";
+  std::vector<GroundClause> wide =
+      GroundAll("*" + Declaration("w", 32) + "q(t)\n" +
+                    LastPositionExistential("w", 32),
+                all_a + ")\n");
+  ASSERT_EQ(wide.size(), 1u);
+  ASSERT_EQ(wide[0].lits.size(), 1u);
+  EXPECT_TRUE(LitPositive(wide[0].lits[0]));
+}
+
 TEST(ParserTest, ToStringRoundTripsStructure) {
   auto result = ParseProgram(kFigure1Program);
   ASSERT_TRUE(result.ok());
@@ -278,6 +369,33 @@ TEST(EvidenceParserTest, LaterEntriesOverwrite) {
   a.pred = 0;
   a.args = {p.symbols().Find("A")};
   EXPECT_EQ(db.Lookup(p, a), Truth::kFalse);
+}
+
+TEST(EvidenceParserTest, TrailingTokensAfterAnAtomRefused) {
+  auto program = ParseProgram("*wrote(author, paper)\n");
+  ASSERT_TRUE(program.ok());
+  MlnProgram p = program.TakeValue();
+  EvidenceDb db;
+  Status st = ParseEvidence(
+      "wrote(Joe, P1) wrote(Ann, P2)\n"
+      "wrote(Bob, P3) !\n",
+      &p, &db);
+  EXPECT_EQ(st.code(), StatusCode::kParseError);
+  EXPECT_NE(st.message().find("line 1: trailing tokens"), std::string::npos)
+      << st.ToString();
+
+  EvidenceDb second;
+  st = ParseEvidence("wrote(Joe, P1)\nwrote(Bob, P3) !\n", &p, &second);
+  EXPECT_EQ(st.code(), StatusCode::kParseError);
+  EXPECT_NE(st.message().find("line 2: trailing tokens starting at '!'"),
+            std::string::npos)
+      << st.ToString();
+
+  // A comment after the atom is not a token.
+  EvidenceDb commented;
+  st = ParseEvidence("wrote(Joe, P1)  // first paper\n", &p, &commented);
+  ASSERT_TRUE(st.ok()) << st.ToString();
+  EXPECT_EQ(commented.num_evidence(), 1u);
 }
 
 TEST(SymbolTableTest, InternIsIdempotentAndTracksDomains) {
