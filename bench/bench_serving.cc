@@ -227,7 +227,7 @@ int main() {
       ground_avg > 0 ? full_ground_avg / ground_avg : 0.0);
   std::printf(
       "table maintenance: %.0f rows/delta from the touched predicates' "
-      "side tables (evidence map: %zu entries, never rescanned)\n",
+      "evidence relations (evidence map: %zu entries, never rescanned)\n",
       maintenance_rows_total / kDeltas, accumulated.num_evidence());
 
   double warm_avg = warm_seconds_total / kDeltas;

@@ -18,9 +18,9 @@ std::string DomainTableName(const std::string& type);
 /// statistics. These are the relations a rule's otherwise-unbound
 /// universal variables range over.
 ///
-/// The evidence is not loaded here: binding literals scan the evidence
-/// side tables in place (storage/evidence_side_tables.h), so `evidence`
-/// is unused and kept only so existing callers stay source-compatible.
+/// The evidence is not loaded here: binding literals scan EvidenceDb's
+/// relations in place (EvidenceDb::rows), so `evidence` is unused and
+/// kept only so existing callers stay source-compatible.
 Status LoadMlnTables(const MlnProgram& program, const EvidenceDb& evidence,
                      Catalog* catalog);
 

@@ -24,10 +24,23 @@ BottomUpGrounder::BottomUpGrounder(const MlnProgram& program,
       ground_options_(ground_options),
       optimizer_options_(optimizer_options) {}
 
+TableStats AnalyzeTrueRows(const Predicate& pred, const EvidenceDb& evidence) {
+  return AnalyzeColumns({&evidence.rows(pred.id, true)}, pred.arity());
+}
+
+std::vector<TableStats> AnalyzeClosedWorldEvidence(const MlnProgram& program,
+                                                   const EvidenceDb& evidence) {
+  std::vector<TableStats> stats(program.num_predicates());
+  for (const Predicate& pred : program.predicates()) {
+    if (pred.closed_world) stats[pred.id] = AnalyzeTrueRows(pred, evidence);
+  }
+  return stats;
+}
+
 Result<RuleBindingQuery> BuildRuleBindingQuery(
     const MlnProgram& program, int clause_idx, const Catalog& catalog,
-    const EvidenceSideTables& side_tables, bool plan_antijoins,
-    const DeltaBindingSpec* delta) {
+    const EvidenceDb& evidence, const std::vector<TableStats>& true_stats,
+    bool plan_antijoins, const DeltaBindingSpec* delta) {
   const Clause& clause = program.clauses()[clause_idx];
   RuleBindingQuery out;
   std::vector<uint8_t> is_binding_ref(clause.literals.size(), 0);
@@ -136,9 +149,8 @@ Result<RuleBindingQuery> BuildRuleBindingQuery(
                                             /*skip_existential=*/false));
     } else {
       TUFFY_RETURN_IF_ERROR(add_binding_ref(
-          lit, {&side_tables.true_rows(pred.id)},
-          &side_tables.true_stats(pred.id), "ev_true_" + pred.name,
-          /*skip_existential=*/false));
+          lit, {&evidence.rows(pred.id, true)}, &true_stats[pred.id],
+          "ev_true_" + pred.name, /*skip_existential=*/false));
     }
     is_binding_ref[li] = 1;
     if (delta == nullptr && li < 64) out.binding_lit_mask |= uint64_t{1} << li;
@@ -181,8 +193,7 @@ Result<RuleBindingQuery> BuildRuleBindingQuery(
         if (t.is_var && var_out[t.id] < 0) resolvable = false;  // existential
       }
       if (!resolvable) continue;
-      const IdTable& build = lit.positive ? side_tables.true_rows(lit.pred)
-                                          : side_tables.false_rows(lit.pred);
+      const IdTable& build = evidence.rows(lit.pred, lit.positive);
       if (build.num_rows() == 0) continue;
       AntiJoinRef ref;
       ref.build = &build;
@@ -205,13 +216,14 @@ Result<RuleBindingQuery> BuildRuleBindingQuery(
 
 Status GroundClauseCandidates(const MlnProgram& program, int clause_idx,
                               const Catalog& catalog,
-                              const EvidenceSideTables& side_tables,
+                              const EvidenceDb& evidence,
+                              const std::vector<TableStats>& true_stats,
                               const OptimizerOptions& optimizer_options,
                               GroundingContext* ctx, std::string* explain) {
   const Clause& clause = program.clauses()[clause_idx];
   TUFFY_ASSIGN_OR_RETURN(
       RuleBindingQuery rq,
-      BuildRuleBindingQuery(program, clause_idx, catalog, side_tables,
+      BuildRuleBindingQuery(program, clause_idx, catalog, evidence, true_stats,
                             optimizer_options.enable_antijoin_pruning));
   if (rq.trivial) {
     ctx->AddCandidate(clause_idx, Assignment(clause.num_vars, -1));
@@ -336,23 +348,16 @@ Result<GroundingResult> BottomUpGrounder::Ground() {
   explain_.clear();
   TUFFY_RETURN_IF_ERROR(LoadMlnTables(program_, evidence_, &catalog));
 
-  // Evidence side tables for this run: binding literals scan their true
-  // rows in place (in evidence-map order, which Rebuild preserves), and
-  // the anti-join build relations and the pattern-count index read
-  // per-predicate rows from here instead of scanning the evidence map.
-  // The stats are computed here, before any rule plans. Read-only while
-  // rules ground, so sharing across worker threads is safe.
-  EvidenceSideTables side_tables(program_.num_predicates());
-  side_tables.Rebuild(evidence_);
-  for (const Predicate& pred : program_.predicates()) {
-    if (pred.closed_world) side_tables.AnalyzeTrueRows(pred);
-  }
-  GroundingOptions opts = ground_options_;
-  opts.side_tables = &side_tables;
+  // Binding literals, anti-joins and the pattern-count index read the
+  // evidence relations in place. Their stats are computed here, before
+  // any rule plans; workers share both read-only.
+  const std::vector<TableStats> true_stats =
+      AnalyzeClosedWorldEvidence(program_, evidence_);
 
-  GroundingContext ctx(program_, evidence_, opts);
+  GroundingContext ctx(program_, evidence_, ground_options_);
   const int num_rules = static_cast<int>(program_.clauses().size());
-  const int threads = std::max(1, std::min(opts.num_threads, num_rules));
+  const int threads =
+      std::max(1, std::min(ground_options_.num_threads, num_rules));
 
   // Every rule resolves into its own context — concurrently when a pool
   // is available — and the contexts merge in rule-index order, so the
@@ -366,10 +371,11 @@ Result<GroundingResult> BottomUpGrounder::Ground() {
   std::vector<std::string> explains(num_rules);
   std::vector<Status> statuses(num_rules, Status::OK());
   auto ground_rule = [&](int r) {
-    locals[r] = std::make_unique<GroundingContext>(program_, evidence_, opts);
-    statuses[r] = GroundClauseCandidates(program_, r, catalog, side_tables,
-                                         optimizer_options_, locals[r].get(),
-                                         &explains[r]);
+    locals[r] = std::make_unique<GroundingContext>(program_, evidence_,
+                                                   ground_options_);
+    statuses[r] = GroundClauseCandidates(program_, r, catalog, evidence_,
+                                         true_stats, optimizer_options_,
+                                         locals[r].get(), &explains[r]);
   };
   auto absorb_rule = [&](int r) -> Status {
     TUFFY_RETURN_IF_ERROR(statuses[r]);

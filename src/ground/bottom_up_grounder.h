@@ -9,25 +9,23 @@
 #include "mln/model.h"
 #include "ra/catalog.h"
 #include "ra/optimizer.h"
-#include "storage/evidence_side_tables.h"
 #include "util/result.h"
 
 namespace tuffy {
 
 /// Tuffy's bottom-up grounding (Section 3.1 / Algorithm 2): each MLN
 /// clause is compiled to a select-project-join query over the evidence
-/// side tables and the domain tables, and the relational optimizer
-/// chooses join order and join algorithms. The query enumerates candidate
-/// variable bindings; the shared GroundingContext then resolves evidence
-/// truth per literal, expands existential quantifiers, and applies the
-/// lazy-inference closure.
+/// relations (EvidenceDb::rows) and the domain tables, and the relational
+/// optimizer chooses join order and join algorithms. The query enumerates
+/// candidate variable bindings; the shared GroundingContext then resolves
+/// evidence truth per literal, expands existential quantifiers, and
+/// applies the lazy-inference closure.
 ///
 /// Binding relations per clause: each negative literal over a
-/// closed-world predicate joins that predicate's true evidence rows —
-/// the side table itself, scanned in place (a violable clause needs
-/// those atoms true); every other universal variable ranges over its
-/// type's domain table. Constants and repeated variables become
-/// pushed-down filters.
+/// closed-world predicate joins that predicate's true evidence rows,
+/// scanned in place (a violable clause needs those atoms true); every
+/// other universal variable ranges over its type's domain table.
+/// Constants and repeated variables become pushed-down filters.
 ///
 /// Execution is batch-at-a-time whenever the optimizer can emit a
 /// vectorized plan (see OptimizerOptions::enable_vectorized), and
@@ -86,8 +84,8 @@ struct DeltaRelation {
 /// a binding literal, and its existentially-quantified argument
 /// positions are left unconstrained. Every other binding literal over a
 /// predicate present in `unions` reads that union (the delta's new-true
-/// rows, then the pre-mutation true side table) instead of the side
-/// table alone, which makes the query enumerate a superset of the
+/// rows, then the pre-mutation true rows) instead of the true rows
+/// alone, which makes the query enumerate a superset of the
 /// bindings whose ground clause could have changed.
 struct DeltaBindingSpec {
   int delta_lit = -1;
@@ -95,14 +93,27 @@ struct DeltaBindingSpec {
   const std::unordered_map<PredicateId, DeltaRelation>* unions = nullptr;
 };
 
+/// ANALYZE statistics of a closed-world predicate's true evidence rows,
+/// the relation its binding literals scan (AnalyzeColumns: a function
+/// of the rows and their order alone).
+TableStats AnalyzeTrueRows(const Predicate& pred, const EvidenceDb& evidence);
+
+/// AnalyzeTrueRows of every closed-world predicate, indexed by predicate
+/// id (default-constructed for open-world ones). The planner's
+/// statistics: computed once on the thread that last mutated the
+/// evidence, before any rule plans, and never lazily inside a scan,
+/// because rules plan and run on pool workers in parallel.
+std::vector<TableStats> AnalyzeClosedWorldEvidence(const MlnProgram& program,
+                                                   const EvidenceDb& evidence);
+
 /// Compiles the binding query of clause `clause_idx`: binding literals
-/// scan `side_tables`' true rows (with their true_stats, which must be
-/// current for every closed-world predicate) and free variables scan
-/// `catalog`'s domain tables (see LoadMlnTables). `delta`, if non-null,
-/// applies the substitutions above.
+/// scan `evidence`'s true rows (with `true_stats`, which must be current
+/// for every closed-world predicate; see AnalyzeClosedWorldEvidence) and
+/// free variables scan `catalog`'s domain tables (see LoadMlnTables).
+/// `delta`, if non-null, applies the substitutions above.
 ///
 /// `plan_antijoins` additionally plans **anti-joins** against the
-/// evidence side tables: for every resolvable literal (no existential
+/// evidence relations: for every resolvable literal (no existential
 /// argument, not a binding literal), output bindings whose literal atom
 /// the evidence makes true — positive literals against the predicate's
 /// explicit-true rows, negative ones against its explicit-false rows —
@@ -115,13 +126,13 @@ struct DeltaBindingSpec {
 /// clause store — only how many rows reach resolution.
 Result<RuleBindingQuery> BuildRuleBindingQuery(
     const MlnProgram& program, int clause_idx, const Catalog& catalog,
-    const EvidenceSideTables& side_tables, bool plan_antijoins,
-    const DeltaBindingSpec* delta = nullptr);
+    const EvidenceDb& evidence, const std::vector<TableStats>& true_stats,
+    bool plan_antijoins, const DeltaBindingSpec* delta = nullptr);
 
 /// Compiles and runs the binding query of one first-order clause against
-/// the loaded domain tables and side tables, feeding every candidate
-/// variable assignment into `ctx` (whole chunks at a time on the
-/// vectorized path). This is the per-rule unit of bottom-up grounding;
+/// the loaded domain tables and the evidence relations, feeding every
+/// candidate variable assignment into `ctx` (whole chunks at a time on
+/// the vectorized path). This is the per-rule unit of bottom-up grounding;
 /// BottomUpGrounder::Ground runs it for every clause, and the serving
 /// layer's DeltaGrounder re-runs it for just the rules a delta touches.
 /// `explain`, if non-null, receives the plan's EXPLAIN text (plus
@@ -130,7 +141,8 @@ Result<RuleBindingQuery> BuildRuleBindingQuery(
 /// evidence-satisfaction pruning (see BuildRuleBindingQuery).
 Status GroundClauseCandidates(const MlnProgram& program, int clause_idx,
                               const Catalog& catalog,
-                              const EvidenceSideTables& side_tables,
+                              const EvidenceDb& evidence,
+                              const std::vector<TableStats>& true_stats,
                               const OptimizerOptions& optimizer_options,
                               GroundingContext* ctx, std::string* explain);
 

@@ -4,7 +4,6 @@
 #include <cmath>
 
 #include "obs/metrics.h"
-#include "storage/evidence_side_tables.h"
 #include "util/logging.h"
 #include "util/timer.h"
 
@@ -12,6 +11,8 @@ namespace tuffy {
 
 namespace {
 constexpr AtomId kNoAtom = static_cast<AtomId>(-1);
+/// Safety bound on lazy-closure iterations.
+constexpr int kMaxClosureIterations = 64;
 
 /// Mirrors a finished grounding run's stats into the registry. Called
 /// once per Finalize, not per row — the per-row paths stay untouched.
@@ -27,8 +28,12 @@ void StampGroundingMetrics(const GroundingStats& stats) {
 
 GroundingContext::GroundingContext(const MlnProgram& program,
                                    const EvidenceDb& evidence,
-                                   GroundingOptions options)
-    : program_(program), evidence_(evidence), options_(options) {
+                                   GroundingOptions options,
+                                   bool dense_interner)
+    : program_(program),
+      evidence_(evidence),
+      options_(options),
+      dense_interner_(dense_interner) {
   dense_.resize(program.num_predicates());
 }
 
@@ -77,7 +82,7 @@ void GroundingContext::InitDense(PredicateId pred) {
 }
 
 int32_t* GroundingContext::DenseCell(const GroundAtom& atom) {
-  if (!options_.dense_interner) return nullptr;
+  if (!dense_interner_) return nullptr;
   DenseInterner& di = dense_[atom.pred];
   if (di.state == DenseInterner::State::kUninit) InitDense(atom.pred);
   if (di.state != DenseInterner::State::kUsable) return nullptr;
@@ -294,29 +299,17 @@ uint32_t GroundingContext::CountMatchingTrueRows(
   PatternKey key{pred, mask};
   auto it = pattern_index_.find(key);
   if (it == pattern_index_.end()) {
+    // One predicate's true rows, straight off its evidence relation.
     BoundValsCount counts;
-    if (options_.side_tables != nullptr) {
-      // One predicate's true rows, straight off the side table — no scan
-      // of the whole evidence map.
-      const IdTable& rows = options_.side_tables->true_rows(pred);
-      for (size_t r = 0; r < rows.num_rows(); ++r) {
-        std::vector<ConstantId> vals;
-        for (size_t i = 0; i < rows.num_cols(); ++i) {
-          if (mask & (1u << i)) {
-            vals.push_back(static_cast<ConstantId>(rows.col(i)[r]));
-          }
+    const IdTable& rows = evidence_.rows(pred, true);
+    for (size_t r = 0; r < rows.num_rows(); ++r) {
+      std::vector<ConstantId> vals;
+      for (size_t i = 0; i < rows.num_cols(); ++i) {
+        if (mask & (1u << i)) {
+          vals.push_back(static_cast<ConstantId>(rows.col(i)[r]));
         }
-        ++counts[std::move(vals)];
       }
-    } else {
-      for (const auto& [atom, truth] : evidence_.entries()) {
-        if (atom.pred != pred || !truth) continue;
-        std::vector<ConstantId> vals;
-        for (size_t i = 0; i < atom.args.size(); ++i) {
-          if (mask & (1u << i)) vals.push_back(atom.args[i]);
-        }
-        ++counts[std::move(vals)];
-      }
+      ++counts[std::move(vals)];
     }
     it = pattern_index_.emplace(key, std::move(counts)).first;
   }
@@ -410,7 +403,7 @@ void GroundingContext::BuildChunkPlan(int clause_idx,
     p.usable = true;
     return;
   }
-  if (!options_.dense_interner) return;  // generic per-row path
+  if (!dense_interner_) return;  // generic per-row path
 
   for (const EqualityConstraint& eq : clause.equalities) {
     ChunkEqPlan ep;
@@ -734,7 +727,7 @@ Result<GroundingResult> GroundingContext::Finalize() {
   bool changed = true;
   int iterations = 0;
   std::vector<PendingClause> still_pending;
-  while (changed && iterations < options_.max_closure_iterations) {
+  while (changed && iterations < kMaxClosureIterations) {
     changed = false;
     ++iterations;
     still_pending.clear();

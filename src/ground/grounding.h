@@ -13,8 +13,6 @@
 
 namespace tuffy {
 
-class EvidenceSideTables;
-
 /// Grounding configuration shared by the bottom-up and top-down grounders.
 struct GroundingOptions {
   /// If true, applies the lazy-inference active closure of Appendix A.3:
@@ -22,8 +20,6 @@ struct GroundingOptions {
   /// active atoms, and iterate activation to a fixpoint. If false, every
   /// evidence-undetermined ground clause is kept (exhaustive grounding).
   bool lazy_closure = true;
-  /// Safety bound on closure iterations.
-  int max_closure_iterations = 64;
   /// Keep ground clauses whose soft weight is exactly 0. Inference
   /// drops them (they cannot affect the cost), but weight learning must
   /// ground them: the clause *structure* is weight-independent, and a
@@ -39,19 +35,6 @@ struct GroundingOptions {
   /// the evidence delta against the rest of the rule body) instead of
   /// re-running each touched rule's whole query. See DeltaGrounder.
   bool binding_level_deltas = true;
-  /// Use the direct-addressed candidate interner (one flat cell per
-  /// possible atom of a predicate). Worth it for bulk grounding; callers
-  /// resolving a small candidate batch (binding-level deltas) turn it
-  /// off, since zeroing domain-product-sized arrays would dominate.
-  bool dense_interner = true;
-  /// Per-predicate evidence side tables covering the same evidence the
-  /// context resolves against (storage/evidence_side_tables.h), or null.
-  /// When set, the existential pattern-count index builds from one
-  /// predicate's true rows instead of a scan of the whole evidence map,
-  /// and the grounders plan anti-joins against the side tables (gated by
-  /// OptimizerOptions::enable_antijoin_pruning). The tables must outlive
-  /// the grounding run and stay unmutated during it.
-  const EvidenceSideTables* side_tables = nullptr;
 };
 
 struct GroundingStats {
@@ -66,7 +49,7 @@ struct GroundingStats {
   /// before they left the executor.
   uint64_t satisfied_by_evidence = 0;
   /// Of satisfied_by_evidence, how many were pruned in-plan by
-  /// anti-joins against the evidence side tables.
+  /// anti-joins against the evidence relations.
   uint64_t pruned_by_antijoin = 0;
   /// Candidates discarded by the lazy-closure activity test.
   uint64_t pruned_inactive = 0;
@@ -114,8 +97,14 @@ using Assignment = std::vector<ConstantId>;
 /// predicates fall back to the hash interner.
 class GroundingContext {
  public:
+  /// `dense_interner` selects the direct-addressed candidate interner
+  /// (one flat cell per possible atom of a predicate). Worth it for bulk
+  /// grounding; a caller resolving a small candidate batch (binding-level
+  /// deltas) turns it off, since zeroing domain-product-sized arrays
+  /// would dominate. The context reads `evidence` in place, so it must
+  /// stay unmutated while the context lives.
   GroundingContext(const MlnProgram& program, const EvidenceDb& evidence,
-                   GroundingOptions options);
+                   GroundingOptions options, bool dense_interner = true);
 
   /// Registers a candidate grounding of program.clauses()[clause_idx].
   /// Bit k of `skip_lit_mask` marks literal k as resolution-exempt: the
@@ -263,6 +252,7 @@ class GroundingContext {
   const MlnProgram& program_;
   const EvidenceDb& evidence_;
   GroundingOptions options_;
+  bool dense_interner_;
   GroundingResult result_;
   std::vector<PendingClause> pending_;
   std::vector<CandLit> pending_lits_;

@@ -86,16 +86,19 @@ void TopDownGrounder::Recurse(int clause_idx, size_t lit_pos,
     return;
   }
 
-  // Closed-world negative literal: scan every evidence row and unify.
-  for (const EvidenceRow& row : evidence_rows_[lit.pred]) {
-    if (!row.truth) continue;
+  // Closed-world negative literal: scan every true evidence row and unify.
+  const IdTable& rows = evidence_.rows(lit.pred, true);
+  for (size_t r = 0; r < rows.num_rows(); ++r) {
+    auto arg = [&](size_t i) {
+      return static_cast<ConstantId>(rows.col(i)[r]);
+    };
     bool consistent = true;
     for (size_t i = 0; i < lit.args.size() && consistent; ++i) {
       const Term& t = lit.args[i];
       if (!t.is_var) {
-        consistent = (row.args[i] == t.id);
+        consistent = (arg(i) == t.id);
       } else if ((*assignment)[t.id] >= 0) {
-        consistent = ((*assignment)[t.id] == row.args[i]);
+        consistent = ((*assignment)[t.id] == arg(i));
       }
     }
     if (!consistent) continue;
@@ -104,9 +107,9 @@ void TopDownGrounder::Recurse(int clause_idx, size_t lit_pos,
     for (size_t i = 0; i < lit.args.size(); ++i) {
       const Term& t = lit.args[i];
       if (t.is_var && (*assignment)[t.id] < 0) {
-        (*assignment)[t.id] = row.args[i];
+        (*assignment)[t.id] = arg(i);
         bound_here.push_back(t.id);
-      } else if (t.is_var && (*assignment)[t.id] != row.args[i]) {
+      } else if (t.is_var && (*assignment)[t.id] != arg(i)) {
         // Repeated variable bound earlier in this pass mismatches.
         consistent = false;
         break;
@@ -142,10 +145,6 @@ void TopDownGrounder::GroundClauseLoops(int clause_idx,
 
 Result<GroundingResult> TopDownGrounder::Ground() {
   Timer timer;
-  evidence_rows_.assign(program_.num_predicates(), {});
-  for (const auto& [atom, truth] : evidence_.entries()) {
-    evidence_rows_[atom.pred].push_back(EvidenceRow{atom.args, truth});
-  }
   GroundingContext ctx(program_, evidence_, options_);
   for (int ci = 0; ci < static_cast<int>(program_.clauses().size()); ++ci) {
     GroundClauseLoops(ci, &ctx);

@@ -12,8 +12,8 @@ namespace tuffy {
 
 /// The Alchemy-style top-down grounder (Section 2.3): Prolog-flavored
 /// nested-loop enumeration of variable bindings, literal by literal in
-/// clause order, scanning evidence lists without indexes and looping over
-/// type domains for unbound variables. Produces exactly the same
+/// clause order, scanning the true evidence rows (EvidenceDb::rows)
+/// without indexes and looping over type domains for unbound variables. Produces exactly the same
 /// candidate set as BottomUpGrounder (a property the tests check); the
 /// difference is the enumeration strategy, which is what the paper's
 /// Table 2 measures.
@@ -25,12 +25,6 @@ class TopDownGrounder {
   Result<GroundingResult> Ground();
 
  private:
-  /// One evidence tuple of a predicate.
-  struct EvidenceRow {
-    std::vector<ConstantId> args;
-    bool truth;
-  };
-
   void GroundClauseLoops(int clause_idx, GroundingContext* ctx);
 
   /// Recursively extends the assignment through the binding literals,
@@ -46,8 +40,6 @@ class TopDownGrounder {
   const MlnProgram& program_;
   const EvidenceDb& evidence_;
   GroundingOptions options_;
-  /// Per-predicate evidence lists (built once per Ground call).
-  std::vector<std::vector<EvidenceRow>> evidence_rows_;
 };
 
 }  // namespace tuffy

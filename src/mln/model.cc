@@ -213,23 +213,20 @@ std::string MlnProgram::ToString() const {
 // -------------------------------------------------------------- EvidenceDb
 
 void EvidenceDb::Add(GroundAtom atom, bool truth) {
-  if (listener_ == nullptr) {
-    truth_[std::move(atom)] = truth;
-    return;
-  }
   auto [it, inserted] = truth_.try_emplace(std::move(atom), truth);
-  const bool had_old = !inserted;
-  const bool old_truth = it->second;
-  it->second = truth;
-  listener_->OnEvidenceSet(it->first, truth, had_old, old_truth);
+  if (!inserted) {
+    if (it->second == truth) return;
+    Erase(it->first, it->second);
+    it->second = truth;
+  }
+  Append(it->first, truth);
 }
 
 bool EvidenceDb::Remove(const GroundAtom& atom) {
   auto it = truth_.find(atom);
   if (it == truth_.end()) return false;
-  const bool old_truth = it->second;
+  Erase(it->first, it->second);
   truth_.erase(it);
-  if (listener_ != nullptr) listener_->OnEvidenceErased(atom, old_truth);
   return true;
 }
 
@@ -239,6 +236,77 @@ Truth EvidenceDb::Lookup(const MlnProgram& program,
   if (it != truth_.end()) return it->second ? Truth::kTrue : Truth::kFalse;
   if (program.predicate(atom.pred).closed_world) return Truth::kFalse;
   return Truth::kUnknown;
+}
+
+const IdTable& EvidenceDb::rows(PredicateId pred, bool truth) const {
+  static const IdTable kNoRows;
+  if (pred < 0 || static_cast<size_t>(pred) >= sides_.size()) return kNoRows;
+  return sides_[pred][truth ? 1 : 0].rows;
+}
+
+EvidenceDb::Side& EvidenceDb::MutableSide(PredicateId pred, bool truth) {
+  if (static_cast<size_t>(pred) >= sides_.size()) sides_.resize(pred + 1);
+  return sides_[pred][truth ? 1 : 0];
+}
+
+void EvidenceDb::Append(const GroundAtom& atom, bool truth) {
+  Side& s = MutableSide(atom.pred, truth);
+  // The first row of this polarity fixes the arity.
+  if (s.rows.num_cols() != atom.args.size()) s.rows.Init(atom.args.size());
+  if (s.indexed) {
+    s.row_of.emplace(atom.args, static_cast<uint32_t>(s.rows.num_rows()));
+  }
+  s.rows.AppendRow(atom.args);
+}
+
+void EvidenceDb::EnsureIndex(Side* side) {
+  if (side->indexed) return;
+  side->indexed = true;
+  side->row_of.reserve(side->rows.num_rows());
+  std::vector<ConstantId> args;
+  for (size_t r = 0; r < side->rows.num_rows(); ++r) {
+    args.clear();
+    for (size_t c = 0; c < side->rows.num_cols(); ++c) {
+      args.push_back(static_cast<ConstantId>(side->rows.col(c)[r]));
+    }
+    side->row_of.emplace(args, static_cast<uint32_t>(r));
+  }
+}
+
+void EvidenceDb::Erase(const GroundAtom& atom, bool truth) {
+  Side& s = MutableSide(atom.pred, truth);
+  EnsureIndex(&s);
+  auto it = s.row_of.find(atom.args);
+  if (it == s.row_of.end()) return;
+  const uint32_t row = it->second;
+  s.row_of.erase(it);
+  const size_t last = s.rows.num_rows() - 1;
+  if (row != last) {
+    // The last row moves into the hole; repoint its index entry first.
+    std::vector<ConstantId> moved(s.rows.num_cols());
+    for (size_t c = 0; c < moved.size(); ++c) {
+      moved[c] = static_cast<ConstantId>(s.rows.col(c)[last]);
+    }
+    s.row_of[moved] = row;
+  }
+  s.rows.SwapRemoveRow(row);
+}
+
+size_t EvidenceDb::EstimateBytes() const {
+  constexpr size_t kNodeOverhead = 64;
+  size_t bytes = 0;
+  for (const auto& [atom, truth] : truth_) {
+    bytes += kNodeOverhead + sizeof(GroundAtom) +
+             atom.args.capacity() * sizeof(ConstantId);
+  }
+  for (const auto& pred_sides : sides_) {
+    for (const Side& s : pred_sides) {
+      bytes += s.rows.EstimateBytes();
+      bytes += s.row_of.size() *
+               (kNodeOverhead + s.rows.num_cols() * sizeof(ConstantId));
+    }
+  }
+  return bytes;
 }
 
 Result<TrainingSplit> SplitEvidenceForLearning(
@@ -258,12 +326,23 @@ Result<TrainingSplit> SplitEvidenceForLearning(
     }
     is_query[pid] = 1;
   }
+  // Walks the rows, not the map, so each side keeps the source's row
+  // order.
   TrainingSplit split;
-  for (const auto& [atom, truth] : full.entries()) {
-    if (is_query[atom.pred]) {
-      split.labels.Add(atom, truth);
-    } else {
-      split.evidence.Add(atom, truth);
+  GroundAtom atom;
+  for (PredicateId p = 0;
+       p < static_cast<PredicateId>(program.num_predicates()); ++p) {
+    EvidenceDb& dest = is_query[p] ? split.labels : split.evidence;
+    atom.pred = p;
+    for (bool truth : {false, true}) {
+      const IdTable& rows = full.rows(p, truth);
+      atom.args.resize(rows.num_cols());
+      for (size_t r = 0; r < rows.num_rows(); ++r) {
+        for (size_t c = 0; c < rows.num_cols(); ++c) {
+          atom.args[c] = static_cast<ConstantId>(rows.col(c)[r]);
+        }
+        dest.Add(atom, truth);
+      }
     }
   }
   return split;

@@ -1,12 +1,14 @@
 #ifndef TUFFY_MLN_MODEL_H_
 #define TUFFY_MLN_MODEL_H_
 
+#include <array>
 #include <cstdint>
 #include <limits>
 #include <string>
 #include <unordered_map>
 #include <vector>
 
+#include "ra/id_table.h"
 #include "util/result.h"
 #include "util/status.h"
 
@@ -178,9 +180,11 @@ struct GroundAtomHash_ArgsOnly {
 
 /// Hash over a whole ground atom. Its low bits depend only on the
 /// predicate's and arguments' low bits, so a power-of-two table must mix
-/// before masking (AtomStore's IdIndex does). Its values must not change:
-/// they order EvidenceDb's map, which EvidenceSideTables::Rebuild walks
-/// into side-table rows, so they feed plans, atom ids and costs.
+/// before masking (AtomStore's IdIndex does). Its values order no
+/// evidence scan, but they must not change: they order serving's
+/// per-delta net-op fold (DeltaGrounder::ApplyDelta), which decides the
+/// order a delta's atoms enter the delta relation and EvidenceDb's rows,
+/// so they feed binding order and session atom ids.
 struct GroundAtomHash {
   size_t operator()(const GroundAtom& a) const {
     size_t h = std::hash<int32_t>{}(a.pred);
@@ -192,63 +196,32 @@ struct GroundAtomHash {
 };
 
 /// Three-valued evidence truth (the `truth` attribute of Section 3.1's
-/// atom tables; here the side table an atom's row lives in).
+/// atom tables; here the relation an atom's row lives in).
 enum class Truth : int8_t { kFalse = 0, kTrue = 1, kUnknown = 2 };
 
-/// Observer of explicit evidence mutations. Derived structures that
-/// mirror the evidence (the per-predicate side tables in
-/// `storage/evidence_side_tables.h`) attach one of these so every
-/// Add/Remove keeps them in sync incrementally — no full-evidence rescans
-/// on the serving path.
-class EvidenceListener {
- public:
-  virtual ~EvidenceListener() = default;
-
-  /// An explicit entry was inserted or overwritten. `had_old`/`old_truth`
-  /// describe the previous explicit entry for the atom (old_truth is
-  /// meaningful only when had_old).
-  virtual void OnEvidenceSet(const GroundAtom& atom, bool truth,
-                             bool had_old, bool old_truth) = 0;
-
-  /// An explicit entry was erased.
-  virtual void OnEvidenceErased(const GroundAtom& atom, bool old_truth) = 0;
-};
-
-/// The evidence database: known-true and known-false ground atoms.
+/// The evidence database: known-true and known-false ground atoms, stored
+/// once as relations. For every predicate it holds one columnar relation
+/// of the explicitly-true atoms and one of the explicitly-false atoms
+/// (arg0..argK-1, no truth column: polarity is the relation). These are
+/// the relations grounding reads in place:
+///
+/// - a closed-world predicate's true rows are what its binding literals
+///   join (bottom-up) or unify against (top-down);
+/// - anti-join pruning probes the true and false rows;
+/// - the existential pattern counts and serving's delta unions read one
+///   predicate's true rows.
+///
+/// A hash map from atom to truth is the point-lookup index beside them
+/// (Lookup, entries()). Add and Remove update both in place: a new atom is
+/// appended, a removal swaps the relation's last row into the hole, so
+/// row order is insertion order up to removals and depends on the
+/// mutation history alone. Plans, candidate order and atom ids read it.
+///
+/// Thread safety: mutation must be single-threaded; concurrent reads
+/// (parallel per-rule grounding, sessions opened over one database) are
+/// safe once mutation has stopped.
 class EvidenceDb {
  public:
-  EvidenceDb() = default;
-
-  /// Copying transfers the entries only, never the listener: a mirror is
-  /// in sync with exactly one database instance, so the copy starts
-  /// detached (and an attached destination would silently desync — the
-  /// listener sees no bulk-replace notification). Attach after the
-  /// contents are in place.
-  EvidenceDb(const EvidenceDb& other) : truth_(other.truth_) {}
-  EvidenceDb& operator=(const EvidenceDb& other) {
-    truth_ = other.truth_;
-    listener_ = nullptr;
-    return *this;
-  }
-  // Moves must stay O(1) (datasets hand their EvidenceDb around by
-  // value); like copies, they never carry or preserve a listener — and
-  // the moved-from side is detached too, since its mirror just lost the
-  // contents without notification.
-  EvidenceDb(EvidenceDb&& other) noexcept : truth_(std::move(other.truth_)) {
-    other.listener_ = nullptr;
-  }
-  EvidenceDb& operator=(EvidenceDb&& other) noexcept {
-    truth_ = std::move(other.truth_);
-    listener_ = nullptr;
-    other.listener_ = nullptr;
-    return *this;
-  }
-
-  /// Attaches (or with nullptr detaches) the mutation observer. The
-  /// caller must have brought the listener in sync with the current
-  /// contents first (see EvidenceSideTables::Rebuild).
-  void SetListener(EvidenceListener* listener) { listener_ = listener; }
-
   /// Records evidence; later entries overwrite earlier ones.
   void Add(GroundAtom atom, bool truth);
 
@@ -264,14 +237,43 @@ class EvidenceDb {
 
   size_t num_evidence() const { return truth_.size(); }
 
-  /// Iterates all explicit evidence atoms.
+  /// Every explicit evidence atom, for point lookups. Its iteration order
+  /// depends on the hash and the library's bucket layout: scan rows()
+  /// instead when order matters.
   const std::unordered_map<GroundAtom, bool, GroundAtomHash>& entries() const {
     return truth_;
   }
 
+  /// The explicit evidence rows of `pred` whose truth is `truth`, in row
+  /// order. Zero columns when the predicate has never had such a row. The
+  /// reference is valid until the next Add or Remove.
+  const IdTable& rows(PredicateId pred, bool truth) const;
+
+  /// Resident footprint: map entries at a flat node charge plus their key
+  /// payload, the relations' columns, and any removal index
+  /// (admission-control accounting, not malloc truth).
+  size_t EstimateBytes() const;
+
  private:
+  struct Side {
+    IdTable rows;
+    /// args -> row position, for O(1) removal (swap-with-last). Built on
+    /// the first removal: loading only appends, and indexing there would
+    /// put a second copy of every atom on every parse.
+    std::unordered_map<std::vector<ConstantId>, uint32_t,
+                       GroundAtomHash_ArgsOnly>
+        row_of;
+    bool indexed = false;
+  };
+
+  Side& MutableSide(PredicateId pred, bool truth);
+  void Append(const GroundAtom& atom, bool truth);
+  void Erase(const GroundAtom& atom, bool truth);
+  static void EnsureIndex(Side* side);
+
   std::unordered_map<GroundAtom, bool, GroundAtomHash> truth_;
-  EvidenceListener* listener_ = nullptr;
+  /// [pred][truth]: [0] explicit-false rows, [1] explicit-true rows.
+  std::vector<std::array<Side, 2>> sides_;
 };
 
 /// A fully-labeled database split for discriminative weight learning:

@@ -93,26 +93,6 @@ std::string GetString(BinaryReader* r) {
   return s;
 }
 
-void PutAtom(BinaryWriter* w, const GroundAtom& atom) {
-  w->I32(atom.pred);
-  w->U16(static_cast<uint16_t>(atom.args.size()));
-  for (ConstantId c : atom.args) w->I32(c);
-}
-
-GroundAtom GetAtom(BinaryReader* r) {
-  GroundAtom atom;
-  atom.pred = r->I32();
-  uint16_t n = r->U16();
-  // 4 bytes per arg still unread: a forged count cannot over-reserve.
-  if (static_cast<size_t>(n) * 4 > r->remaining()) {
-    r->Invalidate();
-    return atom;
-  }
-  atom.args.reserve(n);
-  for (uint16_t i = 0; i < n; ++i) atom.args.push_back(r->I32());
-  return atom;
-}
-
 void PutHeader(BinaryWriter* w, MsgType type, uint64_t request_id) {
   w->U8(static_cast<uint8_t>(type));
   w->U64(request_id);
@@ -130,13 +110,7 @@ std::string EncodeRequest(const NetRequest& req) {
       break;
     case MsgType::kApplyDelta: {
       PutString(&w, req.session);
-      w.U32(static_cast<uint32_t>(req.delta.assertions.size()));
-      for (const auto& [atom, truth] : req.delta.assertions) {
-        PutAtom(&w, atom);
-        w.U8(truth ? 1 : 0);
-      }
-      w.U32(static_cast<uint32_t>(req.delta.retractions.size()));
-      for (const GroundAtom& atom : req.delta.retractions) PutAtom(&w, atom);
+      EncodeEvidenceDelta(req.delta, &w);
       break;
     }
     case MsgType::kQueryMap:
@@ -169,16 +143,7 @@ Result<NetRequest> DecodeRequest(const std::string& payload) {
       break;
     case MsgType::kApplyDelta: {
       req.session = GetString(&r);
-      uint32_t n_assert = r.U32();
-      for (uint32_t i = 0; i < n_assert && r.ok(); ++i) {
-        GroundAtom atom = GetAtom(&r);
-        bool truth = r.U8() != 0;
-        req.delta.Assert(std::move(atom), truth);
-      }
-      uint32_t n_retract = r.U32();
-      for (uint32_t i = 0; i < n_retract && r.ok(); ++i) {
-        req.delta.Retract(GetAtom(&r));
-      }
+      DecodeEvidenceDelta(&r, &req.delta);
       break;
     }
     case MsgType::kQueryMap:
@@ -231,12 +196,12 @@ std::string EncodeResponse(const NetResponse& resp) {
     case MsgType::kMapReply:
       w.F64(resp.map_cost);
       w.U32(static_cast<uint32_t>(resp.atoms.size()));
-      for (const GroundAtom& atom : resp.atoms) PutAtom(&w, atom);
+      for (const GroundAtom& atom : resp.atoms) EncodeGroundAtom(atom, &w);
       break;
     case MsgType::kMarginalsReply:
       w.U32(static_cast<uint32_t>(resp.marginals.size()));
       for (const auto& [atom, p] : resp.marginals) {
-        PutAtom(&w, atom);
+        EncodeGroundAtom(atom, &w);
         w.F64(p);
       }
       break;
@@ -298,17 +263,18 @@ Result<NetResponse> DecodeResponse(const std::string& payload) {
     case MsgType::kMapReply: {
       resp.map_cost = r.F64();
       uint32_t n = r.U32();
-      for (uint32_t i = 0; i < n && r.ok(); ++i) {
-        resp.atoms.push_back(GetAtom(&r));
+      GroundAtom atom;
+      for (uint32_t i = 0; i < n && DecodeGroundAtom(&r, &atom); ++i) {
+        resp.atoms.push_back(atom);
       }
       break;
     }
     case MsgType::kMarginalsReply: {
       uint32_t n = r.U32();
-      for (uint32_t i = 0; i < n && r.ok(); ++i) {
-        GroundAtom atom = GetAtom(&r);
-        double p = r.F64();
-        resp.marginals.emplace_back(std::move(atom), p);
+      GroundAtom atom;
+      for (uint32_t i = 0; i < n && DecodeGroundAtom(&r, &atom); ++i) {
+        const double p = r.F64();
+        resp.marginals.emplace_back(atom, p);
       }
       break;
     }

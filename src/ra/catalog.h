@@ -13,7 +13,7 @@ namespace tuffy {
 
 /// Name → relation mapping for the embedded engine. Grounding registers
 /// one domain table per type here (LoadMlnTables); the evidence is not
-/// copied in — binding literals scan the evidence side tables in place.
+/// copied in — binding literals scan EvidenceDb's relations in place.
 class Catalog {
  public:
   Catalog() = default;

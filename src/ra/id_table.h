@@ -16,13 +16,13 @@ class Table;
 /// relations, laid out the way a column store would).
 ///
 /// Two kinds of owner: Table::Analyze builds one as the columnar mirror
-/// of a row-oriented Table (the domain tables), and the evidence side
-/// tables own theirs outright and mutate them per evidence delta. The
-/// side tables' true-row IdTables are the relations grounding's binding
-/// literals join, so their row order is read by binding scans and feeds
-/// candidate order: it is a function of the mutation history (appends
-/// land last, removals swap the last row into the hole), and snapshots
-/// preserve it.
+/// of a row-oriented Table (the domain tables), and EvidenceDb owns its
+/// per-predicate evidence relations outright and mutates them per
+/// Add/Remove. The true-row IdTables are the relations grounding's
+/// binding literals join, so their row order is read by binding scans
+/// and feeds candidate order: it is a function of the mutation history
+/// (appends land last, removals swap the last row into the hole), and
+/// snapshots preserve it.
 class IdTable {
  public:
   IdTable() = default;
@@ -39,9 +39,9 @@ class IdTable {
   /// is NULL; returns false (leaving `out` unspecified) otherwise.
   static bool Build(const Table& table, IdTable* out);
 
-  // ---- Incremental mutation (the evidence side tables own IdTables
-  // directly and keep them current per evidence delta). Removal swaps
-  // with the last row, so row order depends on the mutation history.
+  // ---- Incremental mutation (EvidenceDb owns its IdTables directly and
+  // keeps them current per Add/Remove). Removal swaps with the last
+  // row, so row order depends on the mutation history.
 
   /// Resets to `num_cols` empty columns.
   void Init(size_t num_cols) {

@@ -256,7 +256,7 @@ class SortMergeJoinOp final : public PhysicalOp {
   bool in_group_ = false;
 };
 
-/// Hash anti-join against an evidence side table (see AntiJoinRef): the
+/// Hash anti-join against an evidence relation (see AntiJoinRef): the
 /// build side's qualifying rows — constants matched, repeated-variable
 /// positions equal — are keyed by their variable positions, and child
 /// rows whose probe key is present are dropped. This is the in-plan

@@ -35,7 +35,7 @@ struct OptimizerOptions {
   /// operators are always instrumented (per-chunk cost is negligible).
   bool analyze = false;
   /// If true (default), the grounding compiler plans anti-joins against
-  /// the evidence side tables so bindings whose clause is already
+  /// the evidence relations so bindings whose clause is already
   /// satisfied by the evidence are pruned inside the query (Tuffy's
   /// satisfied-by-evidence SQL test). Disabling it is the Table-6-style
   /// lesion: every candidate flows to resolution, which then discards

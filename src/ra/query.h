@@ -12,9 +12,9 @@ namespace tuffy {
 /// One relation instance in a conjunctive (select-project-join) query:
 /// columnar rows, their ANALYZE statistics, and a label for EXPLAIN and
 /// the scan operators. The rows are one or more IdTable segments read
-/// in order as a single relation — a table's id view, an evidence side
-/// table scanned in place, or the serving path's two-segment union of a
-/// delta's new rows and a side table. The segments and stats must
+/// in order as a single relation — a table's id view, an evidence
+/// relation scanned in place, or the serving path's two-segment union of
+/// a delta's new rows and an evidence relation. The segments and stats must
 /// outlive plan execution and stay unmutated while it runs.
 ///
 /// `filter` is a predicate over this relation's columns alone and is
@@ -68,8 +68,8 @@ struct AntiJoinTerm {
 /// some build-side row matches it on every term (build column i against
 /// the probe column / constant of terms[i]). The grounding compiler
 /// emits one per prunable clause literal, with the build side pointing
-/// at an evidence side table (storage/evidence_side_tables.h) — this is
-/// how the satisfied-by-evidence test is pushed into the RA plan, as
+/// at an evidence relation (EvidenceDb::rows) — this is how the
+/// satisfied-by-evidence test is pushed into the RA plan, as
 /// Tuffy's SQL does, so trivially-satisfied clauses never leave the
 /// executor. The IdTable must outlive plan execution.
 struct AntiJoinRef {

@@ -15,9 +15,9 @@ namespace tuffy {
 
 /// A materialized row-oriented relation: schema plus Datum rows, with
 /// append-based bulk loading. The grounding catalog holds one per type
-/// domain (`_dom_<type>`); the evidence itself lives in the columnar
-/// side tables (storage/evidence_side_tables.h), not here. Plans never
-/// read a Table's rows: they scan the IdTable mirror Analyze builds.
+/// domain (`_dom_<type>`); the evidence itself lives in EvidenceDb's
+/// columnar relations (mln/model.h), not here. Plans never read a
+/// Table's rows: they scan the IdTable mirror Analyze builds.
 class Table {
  public:
   Table(std::string name, Schema schema)

@@ -276,7 +276,7 @@ class VecCrossJoinOp final : public VecOp {
   size_t right_pos_ = 0;
 };
 
-/// Batch hash anti-join against an evidence side table — the vectorized
+/// Batch hash anti-join against an evidence relation — the vectorized
 /// twin of AntiJoinOp, restricted to <= 4 distinct probe columns. Narrow
 /// build sides guarantee 31-bit values, so one or two key columns pack
 /// into a single uint64 (the original fast path, untouched); three or

@@ -46,19 +46,64 @@ Status CheckDeltaAtom(const MlnProgram& program, const GroundAtom& atom,
 }
 }  // namespace
 
+void EncodeGroundAtom(const GroundAtom& atom, BinaryWriter* out) {
+  out->I32(atom.pred);
+  out->U16(static_cast<uint16_t>(atom.args.size()));
+  for (ConstantId c : atom.args) out->I32(c);
+}
+
+bool DecodeGroundAtom(BinaryReader* in, GroundAtom* atom) {
+  atom->pred = in->I32();
+  const uint16_t nargs = in->U16();
+  // 4 bytes per argument still unread: a forged count cannot over-size.
+  if (static_cast<size_t>(nargs) * 4 > in->remaining()) in->Invalidate();
+  if (!in->ok()) return false;
+  atom->args.resize(nargs);
+  for (uint16_t i = 0; i < nargs; ++i) atom->args[i] = in->I32();
+  return in->ok();
+}
+
+void EncodeEvidenceDelta(const EvidenceDelta& delta, BinaryWriter* out) {
+  out->U32(static_cast<uint32_t>(delta.assertions.size()));
+  for (const auto& [atom, truth] : delta.assertions) {
+    EncodeGroundAtom(atom, out);
+    out->U8(truth ? 1 : 0);
+  }
+  out->U32(static_cast<uint32_t>(delta.retractions.size()));
+  for (const GroundAtom& atom : delta.retractions) EncodeGroundAtom(atom, out);
+}
+
+bool DecodeEvidenceDelta(BinaryReader* in, EvidenceDelta* delta) {
+  *delta = EvidenceDelta();
+  // Counts are never trusted to size anything: each entry is read (and
+  // bounds-checked) before the next, so a forged count fails on the
+  // first missing byte.
+  const uint32_t nassert = in->U32();
+  for (uint32_t i = 0; i < nassert && in->ok(); ++i) {
+    GroundAtom atom;
+    if (!DecodeGroundAtom(in, &atom)) return false;
+    const uint8_t truth = in->U8();
+    if (truth > 1) in->Invalidate();
+    delta->Assert(std::move(atom), truth == 1);
+  }
+  const uint32_t nretract = in->U32();
+  for (uint32_t i = 0; i < nretract && in->ok(); ++i) {
+    GroundAtom atom;
+    if (!DecodeGroundAtom(in, &atom)) return false;
+    delta->Retract(std::move(atom));
+  }
+  return in->ok();
+}
+
 DeltaGrounder::DeltaGrounder(const MlnProgram& program,
                              GroundingOptions ground_options,
                              OptimizerOptions optimizer_options)
     : program_(program),
       ground_options_(ground_options),
-      optimizer_options_(optimizer_options),
-      side_tables_(program.num_predicates()) {
+      optimizer_options_(optimizer_options) {
   // Delta composability requires rule-local grounding; the lazy closure
   // is a whole-program fixpoint, so it is forced off (see class comment).
   ground_options_.lazy_closure = false;
-  // Every grounding context this session creates resolves against the
-  // resident evidence, which side_tables_ mirrors for its whole life.
-  ground_options_.side_tables = &side_tables_;
 }
 
 Status DeltaGrounder::Initialize(const EvidenceDb& initial_evidence) {
@@ -67,12 +112,9 @@ Status DeltaGrounder::Initialize(const EvidenceDb& initial_evidence) {
   // Armed for the whole build: a failed initialization is half-loaded
   // state, and ApplyDelta must refuse it just like a half-applied delta.
   poisoned_ = true;
+  // The copy carries the relations; from here on every delta edits them
+  // in place, O(1) per changed atom.
   evidence_ = initial_evidence;
-  // One bulk scan builds the side tables; from here on the listener hook
-  // keeps them in sync with every evidence mutation — O(1) per changed
-  // atom, so per-delta maintenance is delta-proportional.
-  side_tables_.Rebuild(evidence_);
-  evidence_.SetListener(&side_tables_);
 
   const size_t num_rules = program_.clauses().size();
   rule_maps_.resize(num_rules);
@@ -110,20 +152,20 @@ Status DeltaGrounder::BuildDerivedState() {
   }
 
   // The catalog holds the domain tables only; binding literals scan the
-  // side tables in place. Their stats are a pure function of the rows
-  // and row order, which a snapshot preserves, so a grounder restored
-  // from one plans — and hence enumerates future candidate bindings and
-  // assigns session atom ids — exactly like the never-saved original.
+  // evidence relations in place. Their stats are a pure function of the
+  // rows and row order, which a snapshot preserves, so a grounder
+  // restored from one plans — and hence enumerates future candidate
+  // bindings and assigns session atom ids — exactly like the never-saved
+  // original.
   TUFFY_RETURN_IF_ERROR(LoadMlnTables(program_, evidence_, &catalog_));
-  for (const Predicate& pred : program_.predicates()) {
-    if (pred.closed_world) side_tables_.AnalyzeTrueRows(pred);
-  }
+  true_stats_ = AnalyzeClosedWorldEvidence(program_, evidence_);
 
   for (size_t r = 0; r < num_rules; ++r) {
     TUFFY_ASSIGN_OR_RETURN(
         RuleBindingQuery rq,
         BuildRuleBindingQuery(program_, static_cast<int>(r), catalog_,
-                              side_tables_, /*plan_antijoins=*/false));
+                              evidence_, true_stats_,
+                              /*plan_antijoins=*/false));
     rule_trivial_[r] = rq.trivial ? 1 : 0;
     rule_binding_mask_[r] = rq.binding_lit_mask;
   }
@@ -165,7 +207,7 @@ void DeltaGrounder::RuleMapFromResult(int rule_idx,
 Result<DeltaGrounder::RuleMap> DeltaGrounder::GroundRule(int rule_idx) {
   GroundingContext ctx(program_, evidence_, ground_options_);
   TUFFY_RETURN_IF_ERROR(GroundClauseCandidates(program_, rule_idx, catalog_,
-                                               side_tables_,
+                                               evidence_, true_stats_,
                                                optimizer_options_, &ctx,
                                                nullptr));
   TUFFY_ASSIGN_OR_RETURN(GroundingResult local, ctx.Finalize());
@@ -183,9 +225,8 @@ Result<DeltaGrounder::RulePart> DeltaGrounder::ResolveBindings(
   // Delta batches are tiny; a dense interner would spend more time
   // zeroing domain-product-sized cell arrays than the hash probes it
   // saves, so only large batches opt in.
-  GroundingOptions opts = ground_options_;
-  opts.dense_interner = bindings.size() >= 4096;
-  GroundingContext ctx(program_, evidence_, opts);
+  GroundingContext ctx(program_, evidence_, ground_options_,
+                       /*dense_interner=*/bindings.size() >= 4096);
   for (const Assignment& b : bindings) ctx.AddCandidate(rule_idx, b);
   TUFFY_ASSIGN_OR_RETURN(GroundingResult local, ctx.Finalize());
   RulePart part;
@@ -460,9 +501,9 @@ Result<GroundEdits> DeltaGrounder::ApplyDelta(const EvidenceDelta& delta) {
       changed[atom.pred].AppendRow(atom.args);
     }
     // A union is two segments: the new-true rows, then the touched
-    // predicate's true side table, still pre-mutation here and scanned
-    // in place (an effective true assertion is never already old-true,
-    // so no duplicates arise). Only closed-world predicates get one —
+    // predicate's true rows, still pre-mutation here and scanned in
+    // place (an effective true assertion is never already old-true, so
+    // no duplicates arise). Only closed-world predicates get one —
     // they are the only ones a binding literal reads.
     for (PredicateId p : touched) {
       const Predicate& pred = program_.predicate(p);
@@ -471,7 +512,7 @@ Result<GroundEdits> DeltaGrounder::ApplyDelta(const EvidenceDelta& delta) {
       edits.maintenance_rows += changed[p].num_rows();
       if (!pred.closed_world) continue;
       DeltaRelation& u = unions[p];
-      u.segments = {&new_true[p], &side_tables_.true_rows(p)};
+      u.segments = {&new_true[p], &evidence_.rows(p, true)};
       u.stats = AnalyzeColumns(u.segments, pred.arity());
       edits.maintenance_rows += new_true[p].num_rows();
     }
@@ -496,8 +537,8 @@ Result<GroundEdits> DeltaGrounder::ApplyDelta(const EvidenceDelta& delta) {
         TUFFY_ASSIGN_OR_RETURN(
             RuleBindingQuery rq,
             BuildRuleBindingQuery(program_, static_cast<int>(r), catalog_,
-                                  side_tables_, /*plan_antijoins=*/false,
-                                  &spec));
+                                  evidence_, true_stats_,
+                                  /*plan_antijoins=*/false, &spec));
         TUFFY_RETURN_IF_ERROR(CollectBindings(program_, static_cast<int>(r),
                                               std::move(rq),
                                               optimizer_options_, &seen,
@@ -518,10 +559,9 @@ Result<GroundEdits> DeltaGrounder::ApplyDelta(const EvidenceDelta& delta) {
   }
 
   // Mutation begins: any error path from here on leaves evidence,
-  // tables, and rule maps mutually inconsistent, so arm the fail-stop
-  // guard and disarm it only on full success. The Add/Remove calls
-  // notify the listener, so side_tables_ flips to the new evidence here,
-  // one O(1) row edit per changed atom.
+  // stats, and rule maps mutually inconsistent, so arm the fail-stop
+  // guard and disarm it only on full success. Each Add/Remove edits the
+  // evidence relations in place, one O(1) row edit per changed atom.
   poisoned_ = true;
   for (auto& [atom, truth] : effective_asserts) evidence_.Add(atom, truth);
   for (const GroundAtom& atom : effective_retracts) evidence_.Remove(atom);
@@ -529,7 +569,7 @@ Result<GroundEdits> DeltaGrounder::ApplyDelta(const EvidenceDelta& delta) {
   // the mutating thread, before any re-ground plans against them.
   for (PredicateId p : touched) {
     const Predicate& pred = program_.predicate(p);
-    if (pred.closed_world) side_tables_.AnalyzeTrueRows(pred);
+    if (pred.closed_world) true_stats_[p] = AnalyzeTrueRows(pred, evidence_);
   }
 
   // Re-ground the touched rules: binding-level parts where the pre-pass
@@ -602,17 +642,18 @@ bool DeltaGrounder::hard_contradiction() const {
 }
 
 void DeltaGrounder::SaveState(BinaryWriter* out) const {
-  // Primaries only: side tables (row order included — binding scans and
-  // stats read it), the atom store in id order, the clause list in
-  // position order, and the per-rule contribution maps. Everything else
-  // (evidence map, catalog, stats, global index, binding metadata) is
-  // derived on load. Rule-map entries are emitted in sorted literal order
-  // so the snapshot bytes are themselves deterministic.
+  // Primaries only: the evidence relations (row order included — binding
+  // scans and stats read it), the atom store in id order, the clause list
+  // in position order, and the per-rule contribution maps. Everything
+  // else (evidence map, catalog, stats, global index, binding metadata)
+  // is derived on load. An empty relation is written with zero columns
+  // and rule-map entries in sorted literal order, so the snapshot bytes
+  // depend on the logical state alone.
   for (PredicateId p = 0;
-       p < static_cast<PredicateId>(side_tables_.num_predicates()); ++p) {
+       p < static_cast<PredicateId>(program_.num_predicates()); ++p) {
     for (int polarity = 0; polarity < 2; ++polarity) {
-      const IdTable& t = side_tables_.rows(p, polarity == 1);
-      out->U32(static_cast<uint32_t>(t.num_cols()));
+      const IdTable& t = evidence_.rows(p, polarity == 1);
+      out->U32(t.num_rows() == 0 ? 0 : static_cast<uint32_t>(t.num_cols()));
       out->U64(t.num_rows());
       for (size_t c = 0; c < t.num_cols(); ++c) {
         for (int64_t v : t.col(c)) out->I64(v);
@@ -663,54 +704,48 @@ Status DeltaGrounder::LoadState(BinaryReader* in) {
   initialized_ = true;
   poisoned_ = true;  // disarmed only when the whole restore succeeds
 
+  // Each stored row is re-added in its stored order, so every relation
+  // comes back row for row. The map then holds each atom once: a row
+  // repeated within a relation, or listed under both polarities, leaves
+  // it smaller than the row count, and the snapshot is refused — such a
+  // state would double-count a binding or read a true atom as false.
   const size_t num_preds = program_.num_predicates();
-  std::vector<int64_t> row;
+  uint64_t total_rows = 0;
   for (PredicateId p = 0; p < static_cast<PredicateId>(num_preds); ++p) {
     const size_t arity = program_.predicate(p).arity();
     for (int polarity = 0; polarity < 2; ++polarity) {
       const uint32_t ncols = in->U32();
       const uint64_t nrows = in->U64();
       if (!in->ok() || (ncols != 0 && ncols != arity) ||
-          (ncols == 0 && nrows != 0)) {
-        return Status::Corruption("snapshot: malformed side table header");
+          (ncols == 0 && nrows != 0) ||
+          (ncols != 0 &&
+           nrows > in->remaining() / (ncols * sizeof(int64_t)))) {
+        return Status::Corruption("snapshot: malformed evidence relation");
       }
-      // Column-major on the wire, row-major through AppendRow so the
-      // narrow flag is recomputed exactly as live maintenance would.
-      std::vector<std::vector<int64_t>> cols(ncols);
-      for (uint32_t c = 0; c < ncols; ++c) {
-        cols[c].reserve(nrows);
-        for (uint64_t i = 0; i < nrows; ++i) cols[c].push_back(in->I64());
-      }
-      if (!in->ok()) return Status::Corruption("snapshot: side table rows");
-      IdTable t;
-      t.Init(ncols);
-      row.resize(ncols);
-      for (uint64_t i = 0; i < nrows; ++i) {
-        for (uint32_t c = 0; c < ncols; ++c) row[c] = cols[c][i];
-        t.AppendRow(row);
-      }
-      side_tables_.RestoreSide(p, polarity == 1, std::move(t));
-    }
-  }
-
-  // The evidence map re-derives from the side tables (polarity is the
-  // table). The listener attaches only afterwards: these Adds must not
-  // echo back into the tables just installed.
-  for (PredicateId p = 0; p < static_cast<PredicateId>(num_preds); ++p) {
-    for (int polarity = 0; polarity < 2; ++polarity) {
-      const IdTable& t = side_tables_.rows(p, polarity == 1);
-      for (size_t i = 0; i < t.num_rows(); ++i) {
-        GroundAtom atom;
-        atom.pred = p;
-        atom.args.resize(t.num_cols());
-        for (size_t c = 0; c < t.num_cols(); ++c) {
-          atom.args[c] = static_cast<ConstantId>(t.col(c)[i]);
+      // Column-major on the wire.
+      std::vector<int64_t> cells(nrows * ncols);
+      for (int64_t& v : cells) {
+        v = in->I64();
+        if (v < INT32_MIN || v > INT32_MAX) {
+          return Status::Corruption("snapshot: evidence value out of range");
         }
-        evidence_.Add(std::move(atom), polarity == 1);
       }
+      GroundAtom atom;
+      atom.pred = p;
+      atom.args.resize(ncols);
+      for (uint64_t i = 0; i < nrows; ++i) {
+        for (uint32_t c = 0; c < ncols; ++c) {
+          atom.args[c] = static_cast<ConstantId>(cells[c * nrows + i]);
+        }
+        evidence_.Add(atom, polarity == 1);
+      }
+      total_rows += nrows;
     }
   }
-  evidence_.SetListener(&side_tables_);
+  if (!in->ok()) return Status::Corruption("snapshot: evidence rows");
+  if (evidence_.num_evidence() != total_rows) {
+    return Status::Corruption("snapshot: evidence atom stored twice");
+  }
 
   const uint32_t num_atoms = in->U32();
   if (!in->ok()) return Status::Corruption("snapshot: atom count");
@@ -814,7 +849,7 @@ size_t DeltaGrounder::EstimateBytes() const {
   // Hash-map entries are charged a flat node overhead on top of their
   // key payload; this is admission-control accounting, not malloc truth.
   constexpr size_t kNodeOverhead = 64;
-  size_t bytes = catalog_.EstimateBytes() + side_tables_.EstimateBytes();
+  size_t bytes = catalog_.EstimateBytes() + evidence_.EstimateBytes();
   for (const GroundClause& c : clauses_) {
     bytes += sizeof(GroundClause) + c.lits.capacity() * sizeof(Lit);
   }

@@ -12,7 +12,6 @@
 #include "mln/model.h"
 #include "ra/catalog.h"
 #include "ra/optimizer.h"
-#include "storage/evidence_side_tables.h"
 #include "util/result.h"
 
 namespace tuffy {
@@ -35,13 +34,36 @@ struct EvidenceDelta {
   void Retract(GroundAtom atom) { retractions.push_back(std::move(atom)); }
 };
 
+/// The one byte layout of an EvidenceDelta, shared by WAL delta records
+/// and the wire's ApplyDelta body: a u32 assertion count, each assertion
+/// an atom then a u8 truth (0 or 1); a u32 retraction count, each
+/// retraction an atom. Vector order is kept, because the net-op fold
+/// iterates a hash map built by inserting in that order and WAL replay
+/// must walk the same insertion sequence.
+void EncodeEvidenceDelta(const EvidenceDelta& delta, BinaryWriter* out);
+
+/// Reads one EncodeEvidenceDelta layout into `delta`, replacing its
+/// contents. Returns false, with the reader failed, on a short read or a
+/// truth byte other than 0 or 1, so every accepted body re-encodes to
+/// the same bytes. No count sizes an allocation before its bytes are
+/// known to be there. Trailing bytes are the caller's to refuse.
+bool DecodeEvidenceDelta(BinaryReader* in, EvidenceDelta* delta);
+
+/// The atom layout inside EncodeEvidenceDelta, also used by wire
+/// replies: i32 predicate, u16 argument count, one i32 per argument.
+void EncodeGroundAtom(const GroundAtom& atom, BinaryWriter* out);
+
+/// Reads one EncodeGroundAtom layout; false (reader failed) when the
+/// bytes run out, checked before the argument count sizes anything.
+bool DecodeGroundAtom(BinaryReader* in, GroundAtom* atom);
+
 /// Outcome of one DeltaGrounder::ApplyDelta call: what changed in the
 /// ground clause set, and which session atoms the edits touched (the seed
 /// set of the dirty-component computation).
 struct GroundEdits {
   /// True when the delta was a semantic no-op (every assertion matched
   /// the existing evidence, every retraction named an absent atom): the
-  /// clause set, side tables, and caches were not touched at all.
+  /// clause set, evidence, and caches were not touched at all.
   bool no_op = false;
   size_t rules_reground = 0;
   /// Of rules_reground, how many went through the binding-level path
@@ -56,8 +78,8 @@ struct GroundEdits {
   size_t clauses_reweighted = 0;
   /// Rows materialized for table maintenance this delta: the
   /// binding-level delta relations (the changed atoms) and the new-true
-  /// segments of the union relations. The side tables themselves are
-  /// updated in place by the EvidenceDb listener hook and scanned in
+  /// segments of the union relations. The evidence relations themselves
+  /// are updated in place by EvidenceDb::Add/Remove and scanned in
   /// place, so this scales with the delta — never with the touched
   /// relations or |evidence| (tests/antijoin_test.cc pins both down).
   size_t maintenance_rows = 0;
@@ -87,9 +109,10 @@ struct GroundEdits {
 /// touched relations' sizes. Oversized deltas fall back to the full
 /// per-rule re-ground.
 ///
-/// Resident state: the evidence side tables (maintained in place per
-/// changed atom, re-ANALYZEd per touched closed-world predicate), an RA
-/// catalog of domain tables, a grow-only session AtomStore, and per-rule
+/// Resident state: a copy of the evidence, whose relations are
+/// maintained in place per changed atom, their ANALYZE statistics
+/// (re-computed per touched closed-world predicate), an RA catalog of
+/// domain tables, a grow-only session AtomStore, and per-rule
 /// clause maps keyed by sorted literal sets so cross-rule weight merging
 /// stays exact under any edit order.
 ///
@@ -107,13 +130,13 @@ class DeltaGrounder {
   DeltaGrounder(const DeltaGrounder&) = delete;
   DeltaGrounder& operator=(const DeltaGrounder&) = delete;
 
-  /// Builds the side tables and domain tables and grounds every rule
-  /// against `initial_evidence`. Call exactly once, before any
+  /// Copies `initial_evidence`, builds the domain tables and stats, and
+  /// grounds every rule against it. Call exactly once, before any
   /// ApplyDelta.
   Status Initialize(const EvidenceDb& initial_evidence);
 
   /// Applies one evidence delta: updates the resident evidence copy (and
-  /// with it the side tables), re-grounds the affected rules, and edits
+  /// with it its relations), re-grounds the affected rules, and edits
   /// the clause list in place. A delta naming an unknown predicate, the
   /// wrong arity, or a constant outside its argument type's domain is
   /// refused with InvalidArgument before anything changes. Failure
@@ -145,20 +168,22 @@ class DeltaGrounder {
   const EvidenceDb& evidence() const { return evidence_; }
 
   /// Rough resident footprint: clause list, per-rule maps, atom store,
-  /// side tables, and domain tables.
+  /// evidence (map and relations), and domain tables.
   size_t EstimateBytes() const;
 
-  /// Serializes the full resident state (evidence side tables, atom
+  /// Serializes the full resident state (evidence relations, atom
   /// store, clause list, per-rule contribution maps) into `out`.
   /// Everything a snapshot needs to reconstruct a grounder whose later
   /// deltas evolve bit-identically to the never-saved original.
   void SaveState(BinaryWriter* out) const;
 
   /// Counterpart of SaveState: restores a grounder constructed with the
-  /// same program and options, *instead of* Initialize. Derived
-  /// structures (catalog, side-table stats, evidence map, global clause
-  /// index) are rebuilt from the serialized primaries; Corruption on any
-  /// layout or invariant violation.
+  /// same program and options, *instead of* Initialize. The evidence is
+  /// re-added row by row in the stored order, so its relations equal the
+  /// saved ones row for row; derived structures (catalog, stats, global
+  /// clause index) are rebuilt. Corruption on any layout or invariant
+  /// violation, including an atom stored twice (in one relation or in
+  /// both polarities).
   Status LoadState(BinaryReader* in);
 
  private:
@@ -200,9 +225,9 @@ class DeltaGrounder {
   using PendingEdits =
       std::unordered_map<std::vector<Lit>, PendingEdit, LitVectorHash>;
 
-  /// Builds everything derivable from program + side tables: the
+  /// Builds everything derivable from program + evidence: the
   /// predicate->rules fan-out, the domain-table catalog, the closed-world
-  /// side tables' stats (a pure function of their rows and row order, so
+  /// true rows' stats (a pure function of the rows and their order, so
   /// the same whether the grounder was initialized fresh or restored
   /// from a snapshot), and the per-rule binding-query metadata. Shared
   /// by Initialize and LoadState.
@@ -246,14 +271,15 @@ class DeltaGrounder {
   GroundingOptions ground_options_;
   OptimizerOptions optimizer_options_;
 
+  /// The resident evidence. Its relations are what binding literals scan
+  /// (alone or as the old-true segment of a union) and what the
+  /// pattern-count index reads; deltas update them in place, so the
+  /// serving path never rescans the evidence.
   EvidenceDb evidence_;
-  /// Per-predicate true/false side tables mirroring `evidence_`, kept
-  /// current incrementally (attached as the EvidenceDb's listener after
-  /// the initial Rebuild). The relations binding literals scan (alone or
-  /// as the old-true segment of a union), plus anti-join pruning and the
-  /// pattern-count index — the serving path never rescans the evidence
-  /// map after Initialize.
-  EvidenceSideTables side_tables_;
+  /// ANALYZE statistics of each closed-world predicate's true rows
+  /// (AnalyzeClosedWorldEvidence), re-computed for the touched ones on
+  /// the mutating thread after every delta.
+  std::vector<TableStats> true_stats_;
   /// Domain tables only (LoadMlnTables).
   Catalog catalog_;
   /// Predicate -> rules with a literal over it (delta fan-out).

@@ -58,7 +58,7 @@ uint64_t OptionsFingerprint(const SessionOptions& o) {
   mix(static_cast<uint64_t>(o.mcsat_burn_in));
   mix(o.grounding.keep_zero_weight_clauses ? 1 : 0);
   mix(o.grounding.binding_level_deltas ? 1 : 0);
-  mix(o.grounding.dense_interner ? 1 : 0);
+  mix(1);  // the retired dense_interner knob, so old fingerprints match
   mix(o.optimizer.enable_hash_join ? 1 : 0);
   mix(o.optimizer.enable_merge_join ? 1 : 0);
   mix(o.optimizer.fixed_join_order ? 1 : 0);
@@ -69,35 +69,13 @@ uint64_t OptionsFingerprint(const SessionOptions& o) {
   return h;
 }
 
-void EncodeAtom(const GroundAtom& atom, BinaryWriter* out) {
-  out->I32(atom.pred);
-  out->U16(static_cast<uint16_t>(atom.args.size()));
-  for (ConstantId c : atom.args) out->I32(c);
-}
+}  // namespace
 
-bool DecodeAtom(BinaryReader* in, GroundAtom* atom) {
-  atom->pred = in->I32();
-  const uint16_t nargs = in->U16();
-  atom->args.resize(nargs);
-  for (uint16_t i = 0; i < nargs; ++i) atom->args[i] = in->I32();
-  return in->ok();
-}
-
-/// One WAL delta record: the batch verbatim — original vector order and
-/// all, because the net-op fold iterates a hash map built by inserting
-/// in that order, and replay must walk the exact same insertion
-/// sequence to reproduce the original binding-enumeration order.
 void EncodeDeltaRecord(const EvidenceDelta& delta, uint64_t epoch,
                        BinaryWriter* out) {
   out->U8(kWalRecordDelta);
   out->U64(epoch);
-  out->U32(static_cast<uint32_t>(delta.assertions.size()));
-  for (const auto& [atom, truth] : delta.assertions) {
-    EncodeAtom(atom, out);
-    out->U8(truth ? 1 : 0);
-  }
-  out->U32(static_cast<uint32_t>(delta.retractions.size()));
-  for (const GroundAtom& atom : delta.retractions) EncodeAtom(atom, out);
+  EncodeEvidenceDelta(delta, out);
 }
 
 Status DecodeDeltaRecord(const std::string& payload, EvidenceDelta* delta,
@@ -107,30 +85,14 @@ Status DecodeDeltaRecord(const std::string& payload, EvidenceDelta* delta,
     return Status::Corruption("wal record is not a delta record");
   }
   *epoch = in.U64();
-  const uint32_t nassert = in.U32();
-  if (!in.ok()) return Status::Corruption("wal delta record header");
-  for (uint32_t i = 0; i < nassert; ++i) {
-    GroundAtom atom;
-    if (!DecodeAtom(&in, &atom)) {
-      return Status::Corruption("wal delta record assertion");
-    }
-    delta->Assert(std::move(atom), in.U8() != 0);
-  }
-  const uint32_t nretract = in.U32();
-  for (uint32_t i = 0; i < nretract; ++i) {
-    GroundAtom atom;
-    if (!DecodeAtom(&in, &atom)) {
-      return Status::Corruption("wal delta record retraction");
-    }
-    delta->Retract(std::move(atom));
+  if (!DecodeEvidenceDelta(&in, delta)) {
+    return Status::Corruption("wal delta record is malformed");
   }
   if (!in.Exhausted()) {
     return Status::Corruption("wal delta record has trailing bytes");
   }
   return Status::OK();
 }
-
-}  // namespace
 
 Status ParseWalHeader(const std::string& payload, WalHeaderInfo* out) {
   BinaryReader hdr(payload);

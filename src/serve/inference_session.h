@@ -127,6 +127,17 @@ struct WalHeaderInfo {
   uint64_t base_records = 0;
 };
 
+/// Appends one WAL delta record payload to `out`: a u8 record type, the
+/// u64 epoch, then the delta in EncodeEvidenceDelta's layout, vector
+/// order and all (replay must fold the same insertion sequence).
+void EncodeDeltaRecord(const EvidenceDelta& delta, uint64_t epoch,
+                       BinaryWriter* out);
+
+/// Counterpart of EncodeDeltaRecord. Corruption on another record type,
+/// malformed bytes, or trailing bytes.
+Status DecodeDeltaRecord(const std::string& payload, EvidenceDelta* delta,
+                         uint64_t* epoch);
+
 /// Parses a WAL header record payload (Corruption on malformed bytes or
 /// a bad magic/version). Headers written before base_records existed
 /// parse with base_records = 0.

@@ -1,4 +1,4 @@
-// Anti-join evidence pruning and the per-predicate side tables:
+// Anti-join evidence pruning and the per-predicate evidence relations:
 //
 // 1. RA level: AntiJoinOp and VecAntiJoinOp drop exactly the same rows
 //    in the same order on every key shape the grounding compiler emits
@@ -8,14 +8,14 @@
 //    bit-identical on the RC and LP generators — same atoms, same
 //    clauses, same order, same fixed cost — while resolving strictly
 //    fewer rows.
-// 3. Side tables: incremental maintenance through the EvidenceDb
-//    listener hook equals a from-scratch Rebuild after any add /
-//    overwrite / retract sequence.
+// 3. Evidence relations: EvidenceDb's rows hold exactly its map's
+//    entries after any add / overwrite / retract sequence, and a copy's
+//    rows are its own.
 // 4. Serving: per-delta table maintenance materializes only the
 //    delta's rows — growing an untouched predicate's evidence, or the
 //    touched closed-world relation itself, leaves the per-delta
-//    maintenance row count unchanged (binding literals scan the side
-//    tables in place).
+//    maintenance row count unchanged (binding literals scan the
+//    evidence relations in place).
 
 #include <gtest/gtest.h>
 
@@ -30,7 +30,6 @@
 #include "ra/optimizer.h"
 #include "ra/vec_ops.h"
 #include "serve/delta_grounder.h"
-#include "storage/evidence_side_tables.h"
 #include "util/rng.h"
 
 namespace tuffy {
@@ -398,9 +397,9 @@ TEST(AntiJoinGroundingTest, GroundLiteralMatchAllKeepsAccountingExact) {
   EXPECT_EQ(pruned_vec.stats.candidates, pruned_vol.stats.candidates);
 }
 
-// --------------------------------------------------- side-table upkeep
+// ---------------------------------------------- evidence relations
 
-/// Sorted row set of one side-table relation.
+/// Sorted row set of one evidence relation.
 std::multiset<std::vector<int64_t>> RowSet(const IdTable& t) {
   std::multiset<std::vector<int64_t>> out;
   for (size_t r = 0; r < t.num_rows(); ++r) {
@@ -411,28 +410,37 @@ std::multiset<std::vector<int64_t>> RowSet(const IdTable& t) {
   return out;
 }
 
-TEST(EvidenceSideTablesTest, IncrementalEqualsRebuilt) {
+/// The map's entries of one predicate and polarity, as rows.
+std::multiset<std::vector<int64_t>> MapRowSet(const EvidenceDb& db,
+                                              PredicateId pred, bool truth) {
+  std::multiset<std::vector<int64_t>> out;
+  for (const auto& [atom, t] : db.entries()) {
+    if (atom.pred == pred && t == truth) {
+      out.insert(std::vector<int64_t>(atom.args.begin(), atom.args.end()));
+    }
+  }
+  return out;
+}
+
+GroundAtom PairAtom(PredicateId pred, ConstantId a, ConstantId b) {
+  GroundAtom g;
+  g.pred = pred;
+  g.args = {a, b};
+  return g;
+}
+
+TEST(EvidenceDbTest, RowsEqualTheMapUnderChurn) {
   constexpr PredicateId kP = 0, kQ = 1;
   EvidenceDb db;
-  EvidenceSideTables incremental(2);
-  incremental.Rebuild(db);
-  db.SetListener(&incremental);
-
   Rng rng(11);
-  auto atom = [&](PredicateId pred, ConstantId a, ConstantId b) {
-    GroundAtom g;
-    g.pred = pred;
-    g.args = {a, b};
-    return g;
-  };
   // Random add / overwrite / flip / remove churn.
   std::vector<GroundAtom> live;
   for (int step = 0; step < 2000; ++step) {
     const int op = static_cast<int>(rng.Uniform(4));
     if (op < 2 || live.empty()) {
-      GroundAtom g = atom(rng.Uniform(2) == 0 ? kP : kQ,
-                          static_cast<ConstantId>(rng.Uniform(20)),
-                          static_cast<ConstantId>(rng.Uniform(20)));
+      GroundAtom g = PairAtom(rng.Uniform(2) == 0 ? kP : kQ,
+                              static_cast<ConstantId>(rng.Uniform(20)),
+                              static_cast<ConstantId>(rng.Uniform(20)));
       db.Add(g, rng.Uniform(2) == 0);
       live.push_back(std::move(g));
     } else if (op == 2) {
@@ -441,32 +449,59 @@ TEST(EvidenceSideTablesTest, IncrementalEqualsRebuilt) {
       db.Remove(live[rng.Uniform(live.size())]);
     }
   }
-  EXPECT_GT(incremental.mutations_applied(), 0u);
-
-  EvidenceSideTables rebuilt(2);
-  rebuilt.Rebuild(db);
+  size_t total_rows = 0;
   for (PredicateId p : {kP, kQ}) {
     for (bool truth : {false, true}) {
-      EXPECT_EQ(RowSet(incremental.rows(p, truth)),
-                RowSet(rebuilt.rows(p, truth)))
+      EXPECT_EQ(RowSet(db.rows(p, truth)), MapRowSet(db, p, truth))
           << "pred " << p << " truth " << truth;
-      EXPECT_EQ(incremental.rows(p, truth).narrow(), true);
+      EXPECT_TRUE(db.rows(p, truth).narrow());
+      total_rows += db.rows(p, truth).num_rows();
     }
   }
+  EXPECT_GT(total_rows, 0u);
+  EXPECT_EQ(total_rows, db.num_evidence());
+  // A predicate the database never saw has no rows, of either polarity.
+  EXPECT_EQ(db.rows(7, true).num_rows(), 0u);
+  EXPECT_EQ(db.rows(7, false).num_cols(), 0u);
 }
 
-TEST(EvidenceSideTablesTest, CopyingTheDbDetachesTheListener) {
+TEST(EvidenceDbTest, CopyHasItsOwnRows) {
   EvidenceDb db;
-  EvidenceSideTables tables(1);
-  tables.Rebuild(db);
-  db.SetListener(&tables);
+  db.Add(PairAtom(0, 1, 2), true);
+  db.Add(PairAtom(0, 3, 4), true);
+  db.Add(PairAtom(0, 5, 6), false);
+  db.Remove(PairAtom(0, 9, 9));  // absent: a no-op
+  const auto true_rows = RowSet(db.rows(0, true));
+  const auto false_rows = RowSet(db.rows(0, false));
+
   EvidenceDb copy = db;
-  GroundAtom g;
-  g.pred = 0;
-  g.args = {1};
-  copy.Add(g, true);  // must not reach the original's side tables
-  EXPECT_EQ(tables.mutations_applied(), 0u);
-  EXPECT_EQ(tables.true_rows(0).num_rows(), 0u);
+  copy.Add(PairAtom(0, 7, 8), true);   // append
+  copy.Remove(PairAtom(0, 1, 2));      // swap-remove through the index
+  copy.Add(PairAtom(0, 5, 6), true);   // flip false -> true
+  // None of that reaches the original's relations.
+  EXPECT_EQ(RowSet(db.rows(0, true)), true_rows);
+  EXPECT_EQ(RowSet(db.rows(0, false)), false_rows);
+  EXPECT_EQ(db.num_evidence(), 3u);
+  EXPECT_EQ(RowSet(copy.rows(0, true)), MapRowSet(copy, 0, true));
+  EXPECT_EQ(RowSet(copy.rows(0, false)), MapRowSet(copy, 0, false));
+  EXPECT_EQ(copy.rows(0, true).num_rows(), 3u);
+  EXPECT_EQ(copy.rows(0, false).num_rows(), 0u);
+
+  // And the original's later mutations do not reach the copy.
+  db.Remove(PairAtom(0, 3, 4));
+  EXPECT_EQ(copy.rows(0, true).num_rows(), 3u);
+  EXPECT_EQ(RowSet(db.rows(0, true)), MapRowSet(db, 0, true));
+}
+
+TEST(EvidenceDbTest, RowsKeepInsertionOrder) {
+  EvidenceDb db;
+  for (ConstantId i : {5, 3, 9, 1}) db.Add(PairAtom(0, i, i), true);
+  const IdTable& rows = db.rows(0, true);
+  ASSERT_EQ(rows.num_cols(), 2u);
+  EXPECT_EQ(rows.col(0), (std::vector<int64_t>{5, 3, 9, 1}));
+  // A removal moves the last row into the hole.
+  db.Remove(PairAtom(0, 3, 3));
+  EXPECT_EQ(db.rows(0, true).col(0), (std::vector<int64_t>{5, 1, 9}));
 }
 
 // ----------------------------------------------- serving maintenance

@@ -17,6 +17,7 @@
 #include "net/client.h"
 #include "net/protocol.h"
 #include "net/server.h"
+#include "serve/inference_session.h"
 #include "obs/metrics.h"
 #include "util/rng.h"
 
@@ -235,6 +236,98 @@ TEST(NetProtocolTest, ForgedCountsFailDecodeInsteadOfAllocating) {
   EXPECT_FALSE(DecodeRequest(payload).ok());
 }
 
+std::string ToHex(const std::string& bytes) {
+  static const char kDigits[] = "0123456789abcdef";
+  std::string out;
+  for (unsigned char c : bytes) {
+    out += kDigits[c >> 4];
+    out += kDigits[c & 15];
+  }
+  return out;
+}
+
+/// A delta whose encoding exercises every field: two assertions (true
+/// and false), one retraction, and argument values wider than a byte.
+EvidenceDelta GoldenDelta() {
+  EvidenceDelta delta;
+  GroundAtom a;
+  a.pred = 1;
+  a.args = {258, 3};
+  delta.Assert(a, true);
+  a.pred = 0;
+  a.args = {7};
+  delta.Assert(a, false);
+  a.pred = 1;
+  a.args = {4, 65536};
+  delta.Retract(a);
+  return delta;
+}
+
+// The delta layout both paths share, as existing logs and clients hold
+// it: u32 assertion count, then per assertion (i32 pred, u16 arg count,
+// i32 args, u8 truth); u32 retraction count, then per retraction (i32
+// pred, u16 arg count, i32 args).
+const char kGoldenDeltaBody[] =
+    "02000000"
+    "01000000" "0200" "02010000" "03000000" "01"
+    "00000000" "0100" "07000000" "00"
+    "01000000"
+    "01000000" "0200" "04000000" "00000100";
+
+// The WAL delta record and the wire's ApplyDelta request are persisted
+// and exchanged formats: these bytes must not change, or existing logs
+// stop recovering and existing clients stop interoperating.
+TEST(NetProtocolTest, DeltaBodiesMatchGoldenBytes) {
+  const EvidenceDelta delta = GoldenDelta();
+  NetRequest req;
+  req.type = MsgType::kApplyDelta;
+  req.request_id = 0x0102030405060708ull;
+  req.session = "s1";
+  req.delta = delta;
+  const std::string request = EncodeRequest(req);
+  EXPECT_EQ(ToHex(request), std::string("02" "0807060504030201" "02000000"
+                                        "7331") +
+                                kGoldenDeltaBody);
+  BinaryWriter wal;
+  EncodeDeltaRecord(delta, 0, &wal);
+  EXPECT_EQ(ToHex(wal.data()),
+            std::string("01" "0000000000000000") + kGoldenDeltaBody);
+
+  auto decoded = DecodeRequest(request);
+  ASSERT_TRUE(decoded.ok()) << decoded.status().ToString();
+  EvidenceDelta replayed;
+  uint64_t epoch = 1;
+  ASSERT_TRUE(DecodeDeltaRecord(wal.data(), &replayed, &epoch).ok());
+  EXPECT_EQ(epoch, 0u);
+  for (const EvidenceDelta* d : {&decoded.value().delta, &replayed}) {
+    EXPECT_EQ(d->assertions, delta.assertions);
+    EXPECT_EQ(d->retractions, delta.retractions);
+  }
+}
+
+TEST(NetProtocolTest, EveryTruncatedDeltaIsRefused) {
+  const EvidenceDelta delta = GoldenDelta();
+  NetRequest req;
+  req.type = MsgType::kApplyDelta;
+  req.request_id = 7;
+  req.session = "s1";
+  req.delta = delta;
+  const std::string request = EncodeRequest(req);
+  BinaryWriter wal;
+  EncodeDeltaRecord(delta, 4, &wal);
+  const std::string record = wal.Take();
+  for (size_t n = 0; n < record.size(); ++n) {
+    EvidenceDelta d;
+    uint64_t epoch = 0;
+    EXPECT_FALSE(DecodeDeltaRecord(record.substr(0, n), &d, &epoch).ok())
+        << "WAL record cut at " << n;
+  }
+  for (size_t n = 0; n < request.size(); ++n) {
+    EXPECT_FALSE(DecodeRequest(request.substr(0, n)).ok())
+        << "request cut at " << n;
+  }
+}
+
 // Seeded protocol fuzz: random bytes, bit-flipped mutations of valid
 // frames, and truncations must all come back as a clean verdict — no
 // crash, no allocation sized by attacker-controlled bytes. The frame
@@ -367,6 +460,40 @@ TEST(NetProtocolTest, FuzzMutatedFramesAreRejectedWithoutCrashing) {
         break;
       }
     }
+  }
+
+  // WAL delta records share the delta layout: a mutated or cut record is
+  // refused, or it decodes to a delta that re-encodes to the same bytes.
+  std::vector<std::string> records;
+  {
+    EvidenceDelta d;
+    d.Assert(Atom(program, "link", {"n0", "n1"}), true);
+    d.Assert(Atom(program, "label", {"n1", "B"}), false);
+    d.Retract(Atom(program, "link", {"n2", "n3"}));
+    BinaryWriter w;
+    EncodeDeltaRecord(d, 3, &w);
+    records.push_back(w.Take());
+    BinaryWriter empty;
+    EncodeDeltaRecord(EvidenceDelta{}, 0, &empty);
+    records.push_back(empty.Take());
+  }
+  for (int it = 0; it < kIters; ++it) {
+    std::string rec = records[rng.Uniform(records.size())];
+    if (rng.Uniform(2) == 0) {
+      const int flips = 1 + static_cast<int>(rng.Uniform(4));
+      for (int k = 0; k < flips; ++k) {
+        rec[rng.Uniform(rec.size())] ^=
+            static_cast<char>(1u << rng.Uniform(8));
+      }
+    } else {
+      rec.resize(rng.Uniform(rec.size() + 8));
+    }
+    EvidenceDelta d;
+    uint64_t epoch = 0;
+    if (!DecodeDeltaRecord(rec, &d, &epoch).ok()) continue;
+    BinaryWriter again;
+    EncodeDeltaRecord(d, epoch, &again);
+    ASSERT_EQ(ToHex(again.data()), ToHex(rec)) << "iteration " << it;
   }
 
   // A tiny payload cap must veto every corpus frame from the header

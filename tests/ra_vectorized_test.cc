@@ -240,9 +240,9 @@ void SplitRows(const Table& table, size_t cut, IdTable* head, IdTable* tail) {
 
 TEST(VecPlanTest, MultiSegmentRelationScansAsItsConcatenation) {
   // A relation split into segments — with an empty, zero-column one in
-  // between, as an empty side table is — joins exactly like the whole
-  // relation, in both executors and in the same row order. The split
-  // point is off a chunk boundary so chunks end early at the seam.
+  // between, as an empty evidence relation is — joins exactly like the
+  // whole relation, in both executors and in the same row order. The
+  // split point is off a chunk boundary so chunks end early at the seam.
   Table t1 = MakeIdTable("t1", 3000, 40, 1);
   Table t2 = MakeIdTable("t2", 200, 40, 2);
   IdTable head, empty, tail;

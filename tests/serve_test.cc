@@ -7,11 +7,13 @@
 #include <map>
 
 #include "datagen/datasets.h"
+#include "durability/serialize.h"
 #include "exec/tuffy_engine.h"
 #include "infer/exact/exact_solver.h"
 #include "mln/parser.h"
 #include "oracle_support.h"
 #include "serve/delta_grounder.h"
+#include "serve/inference_session.h"
 #include "serve/session_manager.h"
 
 namespace tuffy {
@@ -569,6 +571,132 @@ TEST(ServeTest, SessionManagerAdmissionAndRelease) {
   ASSERT_TRUE(manager.Close("s").ok());
   EXPECT_EQ(manager.num_sessions(), 0u);
   EXPECT_EQ(manager.resident_bytes(), 0u);
+}
+
+// A session's footprint counts its resident evidence, hash map
+// included. Two sessions whose evidence differs only by kRows atoms of a
+// closed-world predicate no rule mentions ground identically, so their
+// estimates differ by the evidence alone: at least one map node per atom.
+TEST(ServeTest, FootprintCountsTheEvidenceMap) {
+  auto parsed = ParseProgram(
+      "*link(node, node)\n"
+      "*note(node, node)\n"
+      "label(node, cls)\n"
+      "2 link(x, y), label(x, c) => label(y, c)\n");
+  ASSERT_TRUE(parsed.ok()) << parsed.status().ToString();
+  MlnProgram program = parsed.TakeValue();
+  program.symbols().Intern("A", "cls");
+  for (int i = 0; i < 8; ++i) {
+    program.symbols().Intern("n" + std::to_string(i), "node");
+  }
+  EvidenceDb base;
+  base.Add(Atom(program, "link", {"n0", "n1"}), true);
+  base.Add(Atom(program, "label", {"n0", "A"}), true);
+  EvidenceDb grown = base;
+  constexpr size_t kRows = 40;
+  for (size_t i = 0; i < kRows; ++i) {
+    grown.Add(Atom(program, "note",
+                   {"n" + std::to_string(i % 8), "n" + std::to_string(i / 8)}),
+              true);
+  }
+  ASSERT_EQ(grown.num_evidence(), base.num_evidence() + kRows);
+
+  InferenceSession small(program, TestSessionOptions());
+  InferenceSession big(program, TestSessionOptions());
+  ASSERT_TRUE(small.Open(base).ok());
+  ASSERT_TRUE(big.Open(grown).ok());
+  ASSERT_EQ(small.atoms().num_atoms(), big.atoms().num_atoms());
+  EXPECT_GE(big.EstimateBytes(), small.EstimateBytes() + kRows * 64);
+}
+
+/// One predicate-and-polarity relation of DeltaGrounder's snapshot
+/// layout: u32 columns, u64 rows, then column-major i64 cells.
+struct SnapshotRelation {
+  uint32_t cols = 0;
+  std::vector<std::vector<int64_t>> columns;
+
+  uint64_t rows() const { return columns.empty() ? 0 : columns[0].size(); }
+};
+
+/// Splits a DeltaGrounder snapshot into its evidence relations (two per
+/// predicate, false then true) and the bytes after them.
+void SplitSnapshot(const std::string& bytes, size_t num_preds,
+                   std::vector<SnapshotRelation>* relations,
+                   std::string* rest) {
+  BinaryReader in(bytes);
+  for (size_t i = 0; i < 2 * num_preds; ++i) {
+    SnapshotRelation rel;
+    rel.cols = in.U32();
+    const uint64_t rows = in.U64();
+    rel.columns.assign(rel.cols, std::vector<int64_t>(rows));
+    for (auto& col : rel.columns) {
+      for (int64_t& v : col) v = in.I64();
+    }
+    relations->push_back(std::move(rel));
+  }
+  ASSERT_TRUE(in.ok());
+  *rest = bytes.substr(bytes.size() - in.remaining());
+}
+
+std::string JoinSnapshot(const std::vector<SnapshotRelation>& relations,
+                         const std::string& rest) {
+  BinaryWriter out;
+  for (const SnapshotRelation& rel : relations) {
+    out.U32(rel.cols);
+    out.U64(rel.rows());
+    for (const auto& col : rel.columns) {
+      for (int64_t v : col) out.I64(v);
+    }
+  }
+  return out.Take() + rest;
+}
+
+Status LoadForged(const MlnProgram& program, const std::string& bytes) {
+  DeltaGrounder restored(program, GroundingOptions{}, OptimizerOptions{});
+  BinaryReader in(bytes);
+  return restored.LoadState(&in);
+}
+
+// Replication ships snapshots over the wire, so LoadState must refuse a
+// CRC-valid snapshot that stores an evidence atom twice: repeated within
+// one relation (a re-ground would double-count its binding), or listed
+// under both polarities (anti-join pruning would read a true atom as
+// explicit-false).
+TEST(ServeTest, ForgedSnapshotStoringAnEvidenceAtomTwiceIsRefused) {
+  MlnProgram program = LinkProgram();
+  EvidenceDb evidence;
+  evidence.Add(Atom(program, "link", {"n0", "n1"}), true);
+  evidence.Add(Atom(program, "link", {"n1", "n2"}), true);
+  evidence.Add(Atom(program, "label", {"n0", "A"}), true);
+  evidence.Add(Atom(program, "label", {"n2", "B"}), false);
+  DeltaGrounder original(program, GroundingOptions{}, OptimizerOptions{});
+  ASSERT_TRUE(original.Initialize(evidence).ok());
+  BinaryWriter saved;
+  original.SaveState(&saved);
+
+  std::vector<SnapshotRelation> relations;
+  std::string rest;
+  SplitSnapshot(saved.data(), program.num_predicates(), &relations, &rest);
+  const size_t link_false = 2 * program.FindPredicate("link").value();
+  const size_t link_true = link_false + 1;
+  ASSERT_EQ(relations[link_true].rows(), 2u);
+  ASSERT_EQ(relations[link_false].rows(), 0u);
+  // The harness itself round-trips: the unmodified split loads.
+  ASSERT_EQ(JoinSnapshot(relations, rest), saved.data());
+  ASSERT_TRUE(LoadForged(program, saved.data()).ok());
+
+  std::vector<SnapshotRelation> repeated = relations;
+  for (auto& col : repeated[link_true].columns) col.push_back(col[0]);
+  Status st = LoadForged(program, JoinSnapshot(repeated, rest));
+  EXPECT_EQ(st.code(), StatusCode::kCorruption) << st.ToString();
+
+  std::vector<SnapshotRelation> both = relations;
+  both[link_false].cols = relations[link_true].cols;
+  for (const auto& col : relations[link_true].columns) {
+    both[link_false].columns.push_back({col[0]});
+  }
+  st = LoadForged(program, JoinSnapshot(both, rest));
+  EXPECT_EQ(st.code(), StatusCode::kCorruption) << st.ToString();
 }
 
 TEST(ServeTest, ConcurrentSessionsOnSharedPool) {
