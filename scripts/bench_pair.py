@@ -3,14 +3,16 @@
 
 Measure (run from anywhere; both checkouts hold the whole repository):
 
-    python3 scripts/bench_pair.py --parent P --change C --out BENCH_<N>.json \\
+    python3 scripts/bench_pair.py --parent P --parent-label SHA \\
+        --change C --out BENCH_<N>.json \\
         --pairs batch_search_ie=1-10,7919 --pairs batch_ground_lp=1-5 \\
         --pairs serve_rc_wire=1-5 --traced-seed 1
 
 runs `python3 perfbench/run.py` in checkout P and checkout C, one
 untraced run per side for every (workload, seed) pair. The side that runs
 first alternates from pair to pair. --traced-seed adds one traced run per
-side per workload. The two checkout paths must have equal length, so that
+side per workload. SHA, the parent's commit id, is stored as the file's
+`parent`. The two checkout paths must have equal length, so that
 path strings cannot move memory layout between the sides. Every result
 line is stored, and the file is rewritten after each run; --resume keeps
 the runs of an existing --out file and measures only what is missing.
@@ -19,7 +21,8 @@ Check (times nothing; CI runs it over every committed BENCH_*.json):
 
     python3 scripts/bench_pair.py --check BENCH_*.json
 
-validates each file's schema and recomputes its summary from its stored
+validates each file's schema (its `parent` must be a commit id of 7-40
+hex digits) and recomputes its summary from its stored
 runs: per workload and metric, each side's median, quartiles and spread
 (IQR / median), the median paired delta (change - parent) and its ratio
 to the parent's median, the win fraction (pairs where the change is
@@ -31,6 +34,7 @@ import argparse
 import json
 import os
 import platform
+import re
 import statistics
 import subprocess
 import sys
@@ -39,6 +43,8 @@ SCHEMA = "tuffy-bench-pair/1"
 SIDES = ("parent", "change")
 RESULT_KEYS = {"correct", "attempted", "failed", "metrics"}
 RUN_KEYS = ("workload", "seed", "trace", "side", "first", "result")
+# The parent is named by its commit id, so a file says what it compared.
+COMMIT_ID = re.compile(r"[0-9a-fA-F]{7,40}")
 
 
 def metric_directions(benchmark_path):
@@ -142,6 +148,10 @@ def check(path):
         return ["missing keys %s" % missing]
     if doc["schema"] != SCHEMA:
         problems.append("schema is %r, not %r" % (doc["schema"], SCHEMA))
+    if not (isinstance(doc["parent"], str) and
+            COMMIT_ID.fullmatch(doc["parent"])):
+        problems.append("parent is %r, not a commit id (7-40 hex digits)" %
+                        (doc["parent"],))
     for name, way in doc["better"].items():
         if way not in ("lower", "higher"):
             problems.append("metric %s: better is %r" % (name, way))
@@ -269,9 +279,10 @@ def main():
     parser.add_argument("--check", nargs="+", metavar="FILE")
     parser.add_argument("--parent", help="parent checkout")
     parser.add_argument("--change", help="change checkout")
-    parser.add_argument("--parent-label", default="parent",
-                        help="what the parent is, e.g. its commit id")
-    parser.add_argument("--change-label", default="change")
+    parser.add_argument("--parent-label",
+                        help="the parent's commit id (7-40 hex digits)")
+    parser.add_argument("--change-label", default="change",
+                        help="what the change is, e.g. a short description")
     parser.add_argument("--out", help="BENCH_<N>.json to write")
     parser.add_argument("--pairs", action="append", default=[],
                         metavar="WORKLOAD=SEEDS",
@@ -290,8 +301,12 @@ def main():
             if not problems:
                 print("%s: OK" % path)
         return 1 if failed else 0
-    if not (args.parent and args.change and args.out and args.pairs):
-        parser.error("measuring needs --parent, --change, --out and --pairs")
+    if not (args.parent and args.parent_label and args.change and args.out
+            and args.pairs):
+        parser.error("measuring needs --parent, --parent-label, --change, "
+                     "--out and --pairs")
+    if not COMMIT_ID.fullmatch(args.parent_label):
+        parser.error("--parent-label must be the parent's commit id")
     measure(args)
     return 0
 

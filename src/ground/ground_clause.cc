@@ -4,28 +4,6 @@
 
 namespace tuffy {
 
-double IdIndex::MeanProbeLength() const {
-  if (hashes_.empty()) return 0.0;
-  size_t probes = 0;
-  for (size_t slot = 0; slot < slots_.size(); ++slot) {
-    if (slots_[slot] == 0) continue;
-    const size_t home = HomeSlot(hashes_[slots_[slot] - 1]);
-    probes += ((slot - home) & mask_) + 1;
-  }
-  return static_cast<double>(probes) / static_cast<double>(hashes_.size());
-}
-
-void IdIndex::Grow() {
-  const size_t cap = slots_.empty() ? 1024 : slots_.size() * 2;
-  slots_.assign(cap, 0);
-  mask_ = cap - 1;
-  for (size_t id = 0; id < hashes_.size(); ++id) {
-    size_t slot = HomeSlot(hashes_[id]);
-    while (slots_[slot] != 0) slot = (slot + 1) & mask_;
-    slots_[slot] = static_cast<uint32_t>(id) + 1;
-  }
-}
-
 AtomId AtomStore::GetOrCreate(const GroundAtom& atom) {
   bool added = false;
   const AtomId id = index_.FindOrAdd(

@@ -7,7 +7,7 @@
 #include <vector>
 
 #include "mln/model.h"
-#include "util/rng.h"
+#include "util/id_index.h"
 
 namespace tuffy {
 
@@ -36,77 +36,6 @@ struct GroundClause {
   bool hard = false;
   /// Source rule, for diagnostics and provenance.
   int rule_id = -1;
-};
-
-/// Open-addressing id index behind grounding's two duplicate merges
-/// (AtomStore and GroundClauseStore). The owner keeps its keys in its own
-/// vector, indexed by id; the index holds only slot -> id + 1 (0 = empty)
-/// and each id's cached key hash. So no second copy of a key is kept, a
-/// probe costs one flat-array read plus one in-place key compare, and
-/// growth never touches the keys. Ids are dense and follow insertion
-/// order, never slot layout.
-///
-/// A key's home slot is SplitMix64(hash) & mask: LitVectorHash and
-/// GroundAtomHash end each step with `h * K ^ x`, so their low bits
-/// depend only on the inputs' low bits, and masking them directly
-/// clusters (IE's 106,269 clauses cost 1,239 probes per insert that way,
-/// 1.7 mixed).
-class IdIndex {
- public:
-  static constexpr uint32_t kAbsent = static_cast<uint32_t>(-1);
-
-  /// Number of ids handed out; the next new key gets id size().
-  size_t size() const { return hashes_.size(); }
-
-  /// Returns the id whose key has hash `hash` and satisfies `eq(id)`, or
-  /// kAbsent.
-  template <typename Eq>
-  uint32_t Find(size_t hash, const Eq& eq) const {
-    if (slots_.empty()) return kAbsent;
-    return slots_[Probe(hash, eq)] - 1;  // an empty slot yields kAbsent
-  }
-
-  /// Returns the matching id as Find does; if there is none, records
-  /// `hash` under the new id size(), sets `*added`, and returns it. The
-  /// caller then appends that id's key to its own vector.
-  template <typename Eq>
-  uint32_t FindOrAdd(size_t hash, const Eq& eq, bool* added) {
-    // Keep the load factor at most 1/2.
-    if ((hashes_.size() + 1) * 2 > slots_.size()) Grow();
-    const size_t slot = Probe(hash, eq);
-    *added = slots_[slot] == 0;
-    if (!*added) return slots_[slot] - 1;
-    const uint32_t id = static_cast<uint32_t>(hashes_.size());
-    slots_[slot] = id + 1;
-    hashes_.push_back(hash);
-    return id;
-  }
-
-  /// Mean slots read by a lookup of a present key (1 = every key sits in
-  /// its home slot). A diagnostic of the slot rule; nothing reads it on
-  /// the grounding path.
-  double MeanProbeLength() const;
-
- private:
-  /// The slot holding the matching id, or the empty slot ending the run.
-  template <typename Eq>
-  size_t Probe(size_t hash, const Eq& eq) const {
-    size_t slot = HomeSlot(hash);
-    while (slots_[slot] != 0) {
-      const uint32_t id = slots_[slot] - 1;
-      if (hashes_[id] == hash && eq(id)) return slot;
-      slot = (slot + 1) & mask_;
-    }
-    return slot;
-  }
-  size_t HomeSlot(size_t hash) const { return SplitMix64(hash) & mask_; }
-  void Grow();
-
-  std::vector<uint32_t> slots_;
-  /// Per id: its key's hash, so growth and collision rejection never
-  /// touch the owner's keys.
-  std::vector<size_t> hashes_;
-  size_t mask_ = 0;
 };
 
 /// Registry of the ground atoms that appear in surviving ground clauses

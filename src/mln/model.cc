@@ -1,5 +1,10 @@
 #include "mln/model.h"
 
+#include <algorithm>
+#include <cassert>
+#include <cctype>
+#include <charconv>
+
 #include "util/string_util.h"
 
 namespace tuffy {
@@ -8,18 +13,17 @@ namespace tuffy {
 
 ConstantId SymbolTable::Intern(const std::string& symbol,
                                const std::string& type) {
-  ConstantId id;
-  auto it = ids_.find(symbol);
-  if (it != ids_.end()) {
-    id = it->second;
-  } else {
-    id = static_cast<ConstantId>(names_.size());
-    ids_[symbol] = id;
-    names_.push_back(symbol);
+  const auto [it, added] =
+      ids_.try_emplace(symbol, static_cast<ConstantId>(names_.size()));
+  if (added) names_.push_back(symbol);
+  const ConstantId id = it->second;
+  TypeDomain& domain = domains_[type];
+  if (static_cast<size_t>(id) >= domain.is_member.size()) {
+    domain.is_member.resize(id + 1, 0);
   }
-  auto& members = domain_members_[type];
-  if (members.emplace(id, true).second) {
-    domains_[type].push_back(id);
+  if (!domain.is_member[id]) {
+    domain.is_member[id] = 1;
+    domain.members.push_back(id);
   }
   return id;
 }
@@ -33,12 +37,14 @@ const std::vector<ConstantId>& SymbolTable::Domain(
     const std::string& type) const {
   static const std::vector<ConstantId> kEmpty;
   auto it = domains_.find(type);
-  return it == domains_.end() ? kEmpty : it->second;
+  return it == domains_.end() ? kEmpty : it->second.members;
 }
 
 bool SymbolTable::InDomain(ConstantId id, const std::string& type) const {
-  auto it = domain_members_.find(type);
-  return it != domain_members_.end() && it->second.count(id) > 0;
+  auto it = domains_.find(type);
+  if (it == domains_.end() || id < 0) return false;
+  const std::vector<uint8_t>& is_member = it->second.is_member;
+  return static_cast<size_t>(id) < is_member.size() && is_member[id] != 0;
 }
 
 // ------------------------------------------------------------- MlnProgram
@@ -148,6 +154,26 @@ Status MlnProgram::AddClause(Clause clause) {
   return Status::OK();
 }
 
+std::string ConstantLiteral(const std::string& symbol) {
+  const auto word = [](char c) {
+    return std::isalnum(static_cast<unsigned char>(c)) || c == '_';
+  };
+  const auto digit = [](char c) {
+    return std::isdigit(static_cast<unsigned char>(c)) != 0;
+  };
+  if (!symbol.empty()) {
+    const bool capitalized =
+        std::isupper(static_cast<unsigned char>(symbol[0])) ||
+        symbol[0] == '_';
+    if (capitalized && std::all_of(symbol.begin(), symbol.end(), word)) {
+      return symbol;
+    }
+    if (std::all_of(symbol.begin(), symbol.end(), digit)) return symbol;
+  }
+  const char quote = symbol.find('"') == std::string::npos ? '"' : '\'';
+  return quote + symbol + quote;
+}
+
 std::string MlnProgram::ToString() const {
   std::string out;
   for (const Predicate& p : predicates_) {
@@ -161,16 +187,22 @@ std::string MlnProgram::ToString() const {
   }
   for (const Clause& c : clauses_) {
     if (!c.hard) {
-      out += StrFormat("%g ", c.weight);
+      // The shortest text that parses back to the same double.
+      char buf[64];
+      out.append(buf, std::to_chars(buf, buf + sizeof(buf), c.weight).ptr);
+      out += " ";
     }
+    const auto term_str = [&](const Term& t) {
+      if (!t.is_var) return ConstantLiteral(symbols_.SymbolName(t.id));
+      return static_cast<size_t>(t.id) < c.var_names.size()
+                 ? c.var_names[t.id]
+                 : StrFormat("v%d", t.id);
+    };
     if (!c.existential_vars.empty()) {
       out += "EXIST ";
       for (size_t i = 0; i < c.existential_vars.size(); ++i) {
         if (i > 0) out += ", ";
-        VarId v = c.existential_vars[i];
-        out += (static_cast<size_t>(v) < c.var_names.size()
-                    ? c.var_names[v]
-                    : StrFormat("v%d", v));
+        out += term_str(Term::Var(c.existential_vars[i]));
       }
       out += " ";
     }
@@ -181,25 +213,12 @@ std::string MlnProgram::ToString() const {
       out += predicates_[lit.pred].name + "(";
       for (size_t j = 0; j < lit.args.size(); ++j) {
         if (j > 0) out += ", ";
-        const Term& t = lit.args[j];
-        if (t.is_var) {
-          out += (static_cast<size_t>(t.id) < c.var_names.size()
-                      ? c.var_names[t.id]
-                      : StrFormat("v%d", t.id));
-        } else {
-          out += symbols_.SymbolName(t.id);
-        }
+        out += term_str(lit.args[j]);
       }
       out += ")";
     }
     for (const EqualityConstraint& eq : c.equalities) {
       out += " v ";
-      auto term_str = [&](const Term& t) {
-        return t.is_var ? (static_cast<size_t>(t.id) < c.var_names.size()
-                               ? c.var_names[t.id]
-                               : StrFormat("v%d", t.id))
-                        : symbols_.SymbolName(t.id);
-      };
       out += term_str(eq.lhs);
       out += eq.equal ? " = " : " != ";
       out += term_str(eq.rhs);
@@ -212,29 +231,72 @@ std::string MlnProgram::ToString() const {
 
 // -------------------------------------------------------------- EvidenceDb
 
-void EvidenceDb::Add(GroundAtom atom, bool truth) {
-  auto [it, inserted] = truth_.try_emplace(std::move(atom), truth);
-  if (!inserted) {
-    if (it->second == truth) return;
-    Erase(it->first, it->second);
-    it->second = truth;
+bool EvidenceDb::Side::RowHolds(uint32_t row,
+                                const std::vector<ConstantId>& args) const {
+  for (size_t c = 0; c < args.size(); ++c) {
+    if (rows.col(c)[row] != args[c]) return false;
   }
-  Append(it->first, truth);
-}
-
-bool EvidenceDb::Remove(const GroundAtom& atom) {
-  auto it = truth_.find(atom);
-  if (it == truth_.end()) return false;
-  Erase(it->first, it->second);
-  truth_.erase(it);
   return true;
 }
 
-Truth EvidenceDb::Lookup(const MlnProgram& program,
-                         const GroundAtom& atom) const {
-  auto it = truth_.find(atom);
-  if (it != truth_.end()) return it->second ? Truth::kTrue : Truth::kFalse;
-  if (program.predicate(atom.pred).closed_world) return Truth::kFalse;
+uint32_t EvidenceDb::Side::Find(size_t hash,
+                                const std::vector<ConstantId>& args) const {
+  if (rows.num_rows() == 0 || rows.num_cols() != args.size()) {
+    return IdIndex::kAbsent;
+  }
+  return index.Find(hash, [&](uint32_t row) { return RowHolds(row, args); });
+}
+
+void EvidenceDb::Add(const GroundAtom& atom, bool truth) {
+  const size_t hash = GroundAtomHash_ArgsOnly{}(atom.args);
+  Side& side = MutableSide(atom.pred, truth);
+  // The first row of a relation fixes its arity; rows are never wiped.
+  if (side.rows.num_rows() == 0 && side.rows.num_cols() != atom.args.size()) {
+    side.rows.Init(atom.args.size());
+  }
+  assert(side.rows.num_cols() == atom.args.size());
+  bool added = false;
+  side.index.FindOrAdd(
+      hash, [&](uint32_t row) { return side.RowHolds(row, atom.args); },
+      &added);
+  if (!added) return;  // already recorded with this truth
+  side.rows.AppendRow(atom.args);
+  ++num_rows_;
+  // A truth flip: the atom leaves the other relation.
+  Side& other = sides_[atom.pred][truth ? 0 : 1];
+  const uint32_t row = other.Find(hash, atom.args);
+  if (row != IdIndex::kAbsent) {
+    other.SwapRemove(row);
+    --num_rows_;
+  }
+}
+
+bool EvidenceDb::Remove(const GroundAtom& atom) {
+  if (atom.pred < 0 || static_cast<size_t>(atom.pred) >= sides_.size()) {
+    return false;
+  }
+  const size_t hash = GroundAtomHash_ArgsOnly{}(atom.args);
+  for (Side& side : sides_[atom.pred]) {
+    const uint32_t row = side.Find(hash, atom.args);
+    if (row == IdIndex::kAbsent) continue;
+    side.SwapRemove(row);
+    --num_rows_;
+    return true;
+  }
+  return false;
+}
+
+Truth EvidenceDb::Explicit(const GroundAtom& atom) const {
+  if (atom.pred < 0 || static_cast<size_t>(atom.pred) >= sides_.size()) {
+    return Truth::kUnknown;
+  }
+  const std::array<Side, 2>& sides = sides_[atom.pred];
+  if (sides[0].rows.num_rows() == 0 && sides[1].rows.num_rows() == 0) {
+    return Truth::kUnknown;
+  }
+  const size_t hash = GroundAtomHash_ArgsOnly{}(atom.args);
+  if (sides[1].Find(hash, atom.args) != IdIndex::kAbsent) return Truth::kTrue;
+  if (sides[0].Find(hash, atom.args) != IdIndex::kAbsent) return Truth::kFalse;
   return Truth::kUnknown;
 }
 
@@ -249,64 +311,38 @@ EvidenceDb::Side& EvidenceDb::MutableSide(PredicateId pred, bool truth) {
   return sides_[pred][truth ? 1 : 0];
 }
 
-void EvidenceDb::Append(const GroundAtom& atom, bool truth) {
-  Side& s = MutableSide(atom.pred, truth);
-  // The first row of this polarity fixes the arity.
-  if (s.rows.num_cols() != atom.args.size()) s.rows.Init(atom.args.size());
-  if (s.indexed) {
-    s.row_of.emplace(atom.args, static_cast<uint32_t>(s.rows.num_rows()));
-  }
-  s.rows.AppendRow(atom.args);
-}
-
-void EvidenceDb::EnsureIndex(Side* side) {
-  if (side->indexed) return;
-  side->indexed = true;
-  side->row_of.reserve(side->rows.num_rows());
-  std::vector<ConstantId> args;
-  for (size_t r = 0; r < side->rows.num_rows(); ++r) {
-    args.clear();
-    for (size_t c = 0; c < side->rows.num_cols(); ++c) {
-      args.push_back(static_cast<ConstantId>(side->rows.col(c)[r]));
-    }
-    side->row_of.emplace(args, static_cast<uint32_t>(r));
-  }
-}
-
-void EvidenceDb::Erase(const GroundAtom& atom, bool truth) {
-  Side& s = MutableSide(atom.pred, truth);
-  EnsureIndex(&s);
-  auto it = s.row_of.find(atom.args);
-  if (it == s.row_of.end()) return;
-  const uint32_t row = it->second;
-  s.row_of.erase(it);
-  const size_t last = s.rows.num_rows() - 1;
-  if (row != last) {
-    // The last row moves into the hole; repoint its index entry first.
-    std::vector<ConstantId> moved(s.rows.num_cols());
-    for (size_t c = 0; c < moved.size(); ++c) {
-      moved[c] = static_cast<ConstantId>(s.rows.col(c)[last]);
-    }
-    s.row_of[moved] = row;
-  }
-  s.rows.SwapRemoveRow(row);
-}
-
 size_t EvidenceDb::EstimateBytes() const {
-  constexpr size_t kNodeOverhead = 64;
   size_t bytes = 0;
-  for (const auto& [atom, truth] : truth_) {
-    bytes += kNodeOverhead + sizeof(GroundAtom) +
-             atom.args.capacity() * sizeof(ConstantId);
-  }
   for (const auto& pred_sides : sides_) {
     for (const Side& s : pred_sides) {
-      bytes += s.rows.EstimateBytes();
-      bytes += s.row_of.size() *
-               (kNodeOverhead + s.rows.num_cols() * sizeof(ConstantId));
+      bytes += s.rows.EstimateBytes() + s.index.EstimateBytes();
     }
   }
   return bytes;
+}
+
+EvidenceDb::EntryIterator::value_type EvidenceDb::EntryIterator::operator*()
+    const {
+  const IdTable& rows = db_->sides_[pred_][side_].rows;
+  value_type out;
+  out.first.pred = static_cast<PredicateId>(pred_);
+  out.first.args.resize(rows.num_cols());
+  for (size_t c = 0; c < rows.num_cols(); ++c) {
+    out.first.args[c] = static_cast<ConstantId>(rows.col(c)[row_]);
+  }
+  out.second = side_ == 1;
+  return out;
+}
+
+void EvidenceDb::EntryIterator::SkipEmpty() {
+  while (pred_ < db_->sides_.size() &&
+         row_ >= db_->sides_[pred_][side_].rows.num_rows()) {
+    row_ = 0;
+    if (++side_ == 2) {
+      side_ = 0;
+      ++pred_;
+    }
+  }
 }
 
 Result<TrainingSplit> SplitEvidenceForLearning(
@@ -326,8 +362,7 @@ Result<TrainingSplit> SplitEvidenceForLearning(
     }
     is_query[pid] = 1;
   }
-  // Walks the rows, not the map, so each side keeps the source's row
-  // order.
+  // Walks the rows in order, so each side keeps the source's row order.
   TrainingSplit split;
   GroundAtom atom;
   for (PredicateId p = 0;

@@ -2,13 +2,17 @@
 #define TUFFY_MLN_MODEL_H_
 
 #include <array>
+#include <cstddef>
 #include <cstdint>
+#include <iterator>
 #include <limits>
 #include <string>
 #include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "ra/id_table.h"
+#include "util/id_index.h"
 #include "util/result.h"
 #include "util/status.h"
 
@@ -113,12 +117,23 @@ class SymbolTable {
   bool InDomain(ConstantId id, const std::string& type) const;
 
  private:
+  /// One type's domain: its members in first-intern order, and a
+  /// membership flag per ConstantId (ids past the end are not members).
+  struct TypeDomain {
+    std::vector<ConstantId> members;
+    std::vector<uint8_t> is_member;
+  };
+
   std::unordered_map<std::string, ConstantId> ids_;
   std::vector<std::string> names_;
-  std::unordered_map<std::string, std::vector<ConstantId>> domains_;
-  std::unordered_map<std::string, std::unordered_map<ConstantId, bool>>
-      domain_members_;
+  std::unordered_map<std::string, TypeDomain> domains_;
 };
+
+/// The source text of constant `symbol`, as ParseProgram and
+/// ParseEvidence read it back: bare when it lexes as that same constant
+/// (an uppercase letter or `_`, then letters, digits and `_`; or all
+/// digits), otherwise quoted, with `'` when it contains `"`.
+std::string ConstantLiteral(const std::string& symbol);
 
 /// A parsed MLN program: predicate declarations plus weighted clauses,
 /// with a shared symbol table (Figure 1 of the paper).
@@ -147,6 +162,9 @@ class MlnProgram {
   SymbolTable& symbols() { return symbols_; }
   const SymbolTable& symbols() const { return symbols_; }
 
+  /// Program text that ParseProgram reads back to the same predicates
+  /// and clauses: constants through ConstantLiteral, weights in their
+  /// shortest round-tripping form.
   std::string ToString() const;
 
  private:
@@ -166,8 +184,9 @@ struct GroundAtom {
   }
 };
 
-/// Hash over a bare argument vector (used by index structures that key
-/// on partial argument tuples).
+/// Hash over a bare argument vector: the key of EvidenceDb's per-relation
+/// IdIndex (which mixes before masking) and of index structures that key
+/// on partial argument tuples.
 struct GroundAtomHash_ArgsOnly {
   size_t operator()(const std::vector<ConstantId>& args) const {
     size_t h = 0x9E3779B97F4A7C15ull;
@@ -211,19 +230,26 @@ enum class Truth : int8_t { kFalse = 0, kTrue = 1, kUnknown = 2 };
 /// - the existential pattern counts and serving's delta unions read one
 ///   predicate's true rows.
 ///
-/// A hash map from atom to truth is the point-lookup index beside them
-/// (Lookup, entries()). Add and Remove update both in place: a new atom is
-/// appended, a removal swaps the relation's last row into the hole, so
-/// row order is insertion order up to removals and depends on the
-/// mutation history alone. Plans, candidate order and atom ids read it.
+/// Point lookups (Explicit, Lookup, Add, Remove) go through one IdIndex
+/// per relation whose ids are its row numbers, keyed by
+/// GroundAtomHash_ArgsOnly and compared in place against the columns, so
+/// no atom is stored twice. Add and Remove update rows and index
+/// together: a new atom is appended, a removal swaps the relation's last
+/// row into the hole, so row order is insertion order up to removals and
+/// depends on the mutation history alone. Plans, candidate order and
+/// atom ids read it.
 ///
 /// Thread safety: mutation must be single-threaded; concurrent reads
 /// (parallel per-rule grounding, sessions opened over one database) are
 /// safe once mutation has stopped.
 class EvidenceDb {
  public:
-  /// Records evidence; later entries overwrite earlier ones.
-  void Add(GroundAtom atom, bool truth);
+  class EntryIterator;
+  class Entries;
+
+  /// Records evidence; later entries overwrite earlier ones. Atoms of one
+  /// predicate share its arity.
+  void Add(const GroundAtom& atom, bool truth);
 
   /// Retracts an explicit evidence entry, returning true if one existed.
   /// The atom reverts to unknown (or to false, under a closed-world
@@ -231,50 +257,111 @@ class EvidenceDb {
   /// session's evidence delta.
   bool Remove(const GroundAtom& atom);
 
+  /// The atom's explicit evidence: kTrue or kFalse when it has a row,
+  /// kUnknown when it has none (no closed-world default applied).
+  Truth Explicit(const GroundAtom& atom) const;
+
   /// Evidence lookup honoring the closed-world assumption for predicates
   /// marked closed_world (absent => false).
-  Truth Lookup(const MlnProgram& program, const GroundAtom& atom) const;
-
-  size_t num_evidence() const { return truth_.size(); }
-
-  /// Every explicit evidence atom, for point lookups. Its iteration order
-  /// depends on the hash and the library's bucket layout: scan rows()
-  /// instead when order matters.
-  const std::unordered_map<GroundAtom, bool, GroundAtomHash>& entries() const {
-    return truth_;
+  Truth Lookup(const MlnProgram& program, const GroundAtom& atom) const {
+    const Truth t = Explicit(atom);
+    if (t != Truth::kUnknown) return t;
+    return program.predicate(atom.pred).closed_world ? Truth::kFalse
+                                                     : Truth::kUnknown;
   }
+
+  /// Total rows over every relation.
+  size_t num_evidence() const { return num_rows_; }
+
+  /// Every explicit evidence atom with its truth, by value: predicate id
+  /// ascending, then false rows before true rows, each in row order.
+  Entries entries() const;
 
   /// The explicit evidence rows of `pred` whose truth is `truth`, in row
   /// order. Zero columns when the predicate has never had such a row. The
   /// reference is valid until the next Add or Remove.
   const IdTable& rows(PredicateId pred, bool truth) const;
 
-  /// Resident footprint: map entries at a flat node charge plus their key
-  /// payload, the relations' columns, and any removal index
-  /// (admission-control accounting, not malloc truth).
+  /// Resident footprint: the relations' columns, index slots and cached
+  /// hashes (admission-control accounting, not malloc truth).
   size_t EstimateBytes() const;
 
  private:
+  /// One relation and its index; index ids are row numbers.
   struct Side {
     IdTable rows;
-    /// args -> row position, for O(1) removal (swap-with-last). Built on
-    /// the first removal: loading only appends, and indexing there would
-    /// put a second copy of every atom on every parse.
-    std::unordered_map<std::vector<ConstantId>, uint32_t,
-                       GroundAtomHash_ArgsOnly>
-        row_of;
-    bool indexed = false;
+    IdIndex index;
+
+    /// True when row `row` holds `args` (of the relation's arity).
+    bool RowHolds(uint32_t row, const std::vector<ConstantId>& args) const;
+    /// The row holding `args` (hashed to `hash`), or IdIndex::kAbsent.
+    uint32_t Find(size_t hash, const std::vector<ConstantId>& args) const;
+    void SwapRemove(uint32_t row) {
+      index.SwapRemove(row);
+      rows.SwapRemoveRow(row);
+    }
   };
 
   Side& MutableSide(PredicateId pred, bool truth);
-  void Append(const GroundAtom& atom, bool truth);
-  void Erase(const GroundAtom& atom, bool truth);
-  static void EnsureIndex(Side* side);
 
-  std::unordered_map<GroundAtom, bool, GroundAtomHash> truth_;
   /// [pred][truth]: [0] explicit-false rows, [1] explicit-true rows.
   std::vector<std::array<Side, 2>> sides_;
+  size_t num_rows_ = 0;
 };
+
+/// Input iterator behind EvidenceDb::entries(): a position (predicate,
+/// polarity, row) that builds each pair on dereference.
+class EvidenceDb::EntryIterator {
+ public:
+  using iterator_category = std::input_iterator_tag;
+  using value_type = std::pair<GroundAtom, bool>;
+  using difference_type = std::ptrdiff_t;
+  using pointer = void;
+  using reference = value_type;
+
+  EntryIterator(const EvidenceDb* db, size_t pred) : db_(db), pred_(pred) {
+    SkipEmpty();
+  }
+
+  value_type operator*() const;
+  EntryIterator& operator++() {
+    ++row_;
+    SkipEmpty();
+    return *this;
+  }
+  EntryIterator operator++(int) {
+    EntryIterator old = *this;
+    ++*this;
+    return old;
+  }
+  bool operator==(const EntryIterator& o) const {
+    return pred_ == o.pred_ && side_ == o.side_ && row_ == o.row_;
+  }
+  bool operator!=(const EntryIterator& o) const { return !(*this == o); }
+
+ private:
+  /// Advances past exhausted relations to the next row, or to the end.
+  void SkipEmpty();
+
+  const EvidenceDb* db_;
+  size_t pred_;
+  size_t side_ = 0;
+  size_t row_ = 0;
+};
+
+class EvidenceDb::Entries {
+ public:
+  explicit Entries(const EvidenceDb* db) : db_(db) {}
+  EntryIterator begin() const { return EntryIterator(db_, 0); }
+  EntryIterator end() const { return EntryIterator(db_, db_->sides_.size()); }
+
+ private:
+  const EvidenceDb* db_;
+};
+
+inline EvidenceDb::Entries EvidenceDb::entries() const {
+  return Entries(this);
+}
 
 /// A fully-labeled database split for discriminative weight learning:
 /// `evidence` holds the non-query relations (the conditioned-on side X),

@@ -1,6 +1,7 @@
 #include "mln/parser.h"
 
 #include <cctype>
+#include <cmath>
 #include <cstdlib>
 #include <unordered_map>
 
@@ -422,6 +423,13 @@ Result<MlnProgram> ParseProgram(const std::string& text) {
       if (toks.size() > 1 && (toks[1].type == TokType::kIdent ||
                               toks[1].type == TokType::kBang)) {
         weight = std::strtod(toks[0].text.c_str(), nullptr);
+        if (!std::isfinite(weight)) {
+          // A hard rule is written with a trailing '.', not an infinite
+          // weight; ToString could not print this one back.
+          return Status::ParseError(StrFormat(
+              "line %d: weight %s is not finite", line_no,
+              toks[0].text.c_str()));
+        }
         has_weight = true;
         start = 1;
       }

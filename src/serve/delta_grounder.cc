@@ -431,16 +431,15 @@ Result<GroundEdits> DeltaGrounder::ApplyDelta(const EvidenceDelta& delta) {
   std::vector<uint8_t> pred_touched(program_.num_predicates(), 0);
   std::vector<std::pair<GroundAtom, bool>> effective_asserts;
   std::vector<GroundAtom> effective_retracts;
-  const auto& entries = evidence_.entries();
   for (const auto& [atom, op] : net) {
-    auto it = entries.find(atom);
+    const Truth current = evidence_.Explicit(atom);
     if (op == NetOp::kRetract) {
-      if (it == entries.end()) continue;
+      if (current == Truth::kUnknown) continue;
       effective_retracts.push_back(atom);
     } else {
       const bool truth = op == NetOp::kAssertTrue;
-      if (it != entries.end() && it->second == truth) continue;
-      if (it == entries.end() && !truth &&
+      if (current == (truth ? Truth::kTrue : Truth::kFalse)) continue;
+      if (current == Truth::kUnknown && !truth &&
           program_.predicate(atom.pred).closed_world) {
         continue;
       }
@@ -645,7 +644,7 @@ void DeltaGrounder::SaveState(BinaryWriter* out) const {
   // Primaries only: the evidence relations (row order included — binding
   // scans and stats read it), the atom store in id order, the clause list
   // in position order, and the per-rule contribution maps. Everything
-  // else (evidence map, catalog, stats, global index, binding metadata)
+  // else (evidence index, catalog, stats, global index, binding metadata)
   // is derived on load. An empty relation is written with zero columns
   // and rule-map entries in sorted literal order, so the snapshot bytes
   // depend on the logical state alone.
@@ -705,9 +704,9 @@ Status DeltaGrounder::LoadState(BinaryReader* in) {
   poisoned_ = true;  // disarmed only when the whole restore succeeds
 
   // Each stored row is re-added in its stored order, so every relation
-  // comes back row for row. The map then holds each atom once: a row
+  // comes back row for row. Add keeps each atom in one row: a row
   // repeated within a relation, or listed under both polarities, leaves
-  // it smaller than the row count, and the snapshot is refused — such a
+  // fewer rows than were stored, and the snapshot is refused — such a
   // state would double-count a binding or read a true atom as false.
   const size_t num_preds = program_.num_predicates();
   uint64_t total_rows = 0;

@@ -20,7 +20,10 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <map>
 #include <set>
+#include <tuple>
+#include <utility>
 #include <vector>
 
 #include "datagen/datasets.h"
@@ -410,11 +413,19 @@ std::multiset<std::vector<int64_t>> RowSet(const IdTable& t) {
   return out;
 }
 
-/// The map's entries of one predicate and polarity, as rows.
-std::multiset<std::vector<int64_t>> MapRowSet(const EvidenceDb& db,
-                                              PredicateId pred, bool truth) {
+/// The test's own record of the evidence: atom -> truth.
+struct AtomLess {
+  bool operator()(const GroundAtom& a, const GroundAtom& b) const {
+    return std::tie(a.pred, a.args) < std::tie(b.pred, b.args);
+  }
+};
+using EvidenceModel = std::map<GroundAtom, bool, AtomLess>;
+
+/// The model's atoms of one predicate and polarity, as rows.
+std::multiset<std::vector<int64_t>> ModelRowSet(const EvidenceModel& model,
+                                                PredicateId pred, bool truth) {
   std::multiset<std::vector<int64_t>> out;
-  for (const auto& [atom, t] : db.entries()) {
+  for (const auto& [atom, t] : model) {
     if (atom.pred == pred && t == truth) {
       out.insert(std::vector<int64_t>(atom.args.begin(), atom.args.end()));
     }
@@ -429,68 +440,110 @@ GroundAtom PairAtom(PredicateId pred, ConstantId a, ConstantId b) {
   return g;
 }
 
-TEST(EvidenceDbTest, RowsEqualTheMapUnderChurn) {
-  constexpr PredicateId kP = 0, kQ = 1;
-  EvidenceDb db;
-  Rng rng(11);
-  // Random add / overwrite / flip / remove churn.
-  std::vector<GroundAtom> live;
-  for (int step = 0; step < 2000; ++step) {
-    const int op = static_cast<int>(rng.Uniform(4));
-    if (op < 2 || live.empty()) {
-      GroundAtom g = PairAtom(rng.Uniform(2) == 0 ? kP : kQ,
-                              static_cast<ConstantId>(rng.Uniform(20)),
-                              static_cast<ConstantId>(rng.Uniform(20)));
-      db.Add(g, rng.Uniform(2) == 0);
-      live.push_back(std::move(g));
-    } else if (op == 2) {
-      db.Add(live[rng.Uniform(live.size())], rng.Uniform(2) == 0);
-    } else {
-      db.Remove(live[rng.Uniform(live.size())]);
-    }
-  }
-  size_t total_rows = 0;
-  for (PredicateId p : {kP, kQ}) {
+/// Checks `db` against `model` over predicates 0 and 1 and the argument
+/// universe [0, n)^2: every (predicate, polarity) row multiset, every
+/// Lookup (explicit truth, closed-world default, or unknown), and the
+/// row total.
+void ExpectMatchesModel(const MlnProgram& program, const EvidenceDb& db,
+                        const EvidenceModel& model, ConstantId n) {
+  for (PredicateId p : {0, 1}) {
     for (bool truth : {false, true}) {
-      EXPECT_EQ(RowSet(db.rows(p, truth)), MapRowSet(db, p, truth))
+      EXPECT_EQ(RowSet(db.rows(p, truth)), ModelRowSet(model, p, truth))
           << "pred " << p << " truth " << truth;
       EXPECT_TRUE(db.rows(p, truth).narrow());
-      total_rows += db.rows(p, truth).num_rows();
+    }
+    for (ConstantId a = 0; a < n; ++a) {
+      for (ConstantId b = 0; b < n; ++b) {
+        const GroundAtom g = PairAtom(p, a, b);
+        const auto it = model.find(g);
+        const Truth want =
+            it != model.end() ? (it->second ? Truth::kTrue : Truth::kFalse)
+            : program.predicate(p).closed_world ? Truth::kFalse
+                                                : Truth::kUnknown;
+        ASSERT_EQ(db.Lookup(program, g), want)
+            << "pred " << p << " args " << a << "," << b;
+      }
     }
   }
-  EXPECT_GT(total_rows, 0u);
-  EXPECT_EQ(total_rows, db.num_evidence());
+  EXPECT_EQ(db.num_evidence(), model.size());
+}
+
+/// Predicate 0 is closed-world, predicate 1 open-world.
+MlnProgram ChurnProgram() {
+  auto parsed = ParseProgram("*p(t, t)\nq(t, t)\n");
+  EXPECT_TRUE(parsed.ok()) << parsed.status().ToString();
+  return parsed.TakeValue();
+}
+
+TEST(EvidenceDbTest, RowsEqualTheMapUnderChurn) {
+  const MlnProgram program = ChurnProgram();
+  constexpr ConstantId kN = 64;
+  EvidenceDb db;
+  EvidenceModel model;
+  Rng rng(11);
+  // Random add / overwrite / flip / remove churn, mostly adds and mostly
+  // true, so p's true relation passes 2048 rows and its index grows
+  // through three doublings from 1024 slots; removals of absent atoms
+  // are no-ops.
+  size_t peak_rows = 0;
+  for (int step = 0; step < 20000; ++step) {
+    GroundAtom g = PairAtom(static_cast<PredicateId>(rng.Uniform(2)),
+                            static_cast<ConstantId>(rng.Uniform(kN)),
+                            static_cast<ConstantId>(rng.Uniform(kN)));
+    if (rng.Uniform(5) != 0) {
+      const bool truth = rng.Uniform(5) != 0;
+      db.Add(g, truth);
+      model[g] = truth;
+    } else {
+      EXPECT_EQ(db.Remove(g), model.erase(g) == 1);
+    }
+    peak_rows = std::max(peak_rows, db.rows(0, true).num_rows());
+    if (step % 5000 == 4999) ExpectMatchesModel(program, db, model, kN);
+  }
+  EXPECT_GT(peak_rows, 2048u);
+  ExpectMatchesModel(program, db, model, kN);
+  // entries() yields every row once, with its truth.
+  EvidenceModel listed;
+  for (const auto& [atom, truth] : db.entries()) {
+    EXPECT_TRUE(listed.emplace(atom, truth).second);
+  }
+  EXPECT_EQ(listed, model);
   // A predicate the database never saw has no rows, of either polarity.
   EXPECT_EQ(db.rows(7, true).num_rows(), 0u);
   EXPECT_EQ(db.rows(7, false).num_cols(), 0u);
 }
 
 TEST(EvidenceDbTest, CopyHasItsOwnRows) {
+  const MlnProgram program = ChurnProgram();
   EvidenceDb db;
-  db.Add(PairAtom(0, 1, 2), true);
-  db.Add(PairAtom(0, 3, 4), true);
-  db.Add(PairAtom(0, 5, 6), false);
-  db.Remove(PairAtom(0, 9, 9));  // absent: a no-op
-  const auto true_rows = RowSet(db.rows(0, true));
-  const auto false_rows = RowSet(db.rows(0, false));
+  EvidenceModel model;
+  for (const auto& [g, truth] :
+       {std::pair{PairAtom(0, 1, 2), true}, std::pair{PairAtom(0, 3, 4), true},
+        std::pair{PairAtom(0, 5, 6), false}}) {
+    db.Add(g, truth);
+    model[g] = truth;
+  }
+  EXPECT_FALSE(db.Remove(PairAtom(0, 9, 9)));  // absent: a no-op
+  EvidenceModel copy_model = model;
 
   EvidenceDb copy = db;
   copy.Add(PairAtom(0, 7, 8), true);   // append
   copy.Remove(PairAtom(0, 1, 2));      // swap-remove through the index
   copy.Add(PairAtom(0, 5, 6), true);   // flip false -> true
+  copy_model[PairAtom(0, 7, 8)] = true;
+  copy_model.erase(PairAtom(0, 1, 2));
+  copy_model[PairAtom(0, 5, 6)] = true;
   // None of that reaches the original's relations.
-  EXPECT_EQ(RowSet(db.rows(0, true)), true_rows);
-  EXPECT_EQ(RowSet(db.rows(0, false)), false_rows);
-  EXPECT_EQ(db.num_evidence(), 3u);
-  EXPECT_EQ(RowSet(copy.rows(0, true)), MapRowSet(copy, 0, true));
-  EXPECT_EQ(RowSet(copy.rows(0, false)), MapRowSet(copy, 0, false));
+  ExpectMatchesModel(program, db, model, 10);
+  ExpectMatchesModel(program, copy, copy_model, 10);
   EXPECT_EQ(copy.rows(0, true).num_rows(), 3u);
   EXPECT_EQ(copy.rows(0, false).num_rows(), 0u);
 
   // And the original's later mutations do not reach the copy.
   db.Remove(PairAtom(0, 3, 4));
-  EXPECT_EQ(copy.rows(0, true).num_rows(), 3u);
-  EXPECT_EQ(RowSet(db.rows(0, true)), MapRowSet(db, 0, true));
+  model.erase(PairAtom(0, 3, 4));
+  ExpectMatchesModel(program, db, model, 10);
+  ExpectMatchesModel(program, copy, copy_model, 10);
 }
 
 TEST(EvidenceDbTest, RowsKeepInsertionOrder) {
@@ -502,6 +555,31 @@ TEST(EvidenceDbTest, RowsKeepInsertionOrder) {
   // A removal moves the last row into the hole.
   db.Remove(PairAtom(0, 3, 3));
   EXPECT_EQ(db.rows(0, true).col(0), (std::vector<int64_t>{5, 1, 9}));
+}
+
+TEST(EvidenceDbTest, EntriesWalkTheRowsInOrder) {
+  EvidenceDb db;
+  db.Add(PairAtom(1, 4, 4), true);
+  db.Add(PairAtom(0, 2, 2), true);
+  db.Add(PairAtom(1, 3, 3), false);
+  db.Add(PairAtom(0, 1, 1), true);
+  db.Add(PairAtom(0, 5, 5), false);
+  db.Add(PairAtom(3, 6, 6), true);  // predicate 2 never gets a row
+  // Predicate ascending, false rows before true rows, each in row order.
+  using Entry = std::pair<GroundAtom, bool>;
+  const std::vector<Entry> listed(db.entries().begin(), db.entries().end());
+  const std::vector<Entry> want = {
+      {PairAtom(0, 5, 5), false}, {PairAtom(0, 2, 2), true},
+      {PairAtom(0, 1, 1), true},  {PairAtom(1, 3, 3), false},
+      {PairAtom(1, 4, 4), true},  {PairAtom(3, 6, 6), true}};
+  EXPECT_TRUE(listed == want);
+  EXPECT_EQ(db.Explicit(PairAtom(1, 3, 3)), Truth::kFalse);
+  EXPECT_EQ(db.Explicit(PairAtom(0, 1, 1)), Truth::kTrue);
+  EXPECT_EQ(db.Explicit(PairAtom(0, 9, 9)), Truth::kUnknown);
+  EXPECT_EQ(db.Explicit(PairAtom(2, 1, 1)), Truth::kUnknown);  // no rows
+  EXPECT_EQ(db.Explicit(PairAtom(9, 1, 1)), Truth::kUnknown);  // unseen
+  const EvidenceDb empty;
+  EXPECT_TRUE(empty.entries().begin() == empty.entries().end());
 }
 
 // ----------------------------------------------- serving maintenance

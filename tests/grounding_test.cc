@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <map>
+#include <unordered_map>
+#include <unordered_set>
 
 #include "datagen/datasets.h"
 #include "ground/bottom_up_grounder.h"
@@ -340,7 +342,7 @@ TEST_P(GrounderEquivalenceTest, DatasetsGroundIdentically) {
         for (ConstantId x : xs) {
           for (ConstantId y : ys) {
             atom.args = {x, y};
-            if (ds.evidence.entries().count(atom) == 0) {
+            if (ds.evidence.Explicit(atom) == Truth::kUnknown) {
               ds.evidence.Add(atom, false);
             }
           }
@@ -545,6 +547,86 @@ TEST(IdIndexTest, InformationExtractionKeysDoNotCluster) {
   EXPECT_EQ(index.Find(LitVectorHash{}(absent),
                        [&](uint32_t i) { return keys[i] == absent; }),
             IdIndex::kAbsent);
+}
+
+TEST(IdIndexTest, SwapRemoveMatchesAModelUnderChurn) {
+  // The owner's keys, indexed by id and swap-removed in step with the
+  // index (as EvidenceDb swap-removes a relation's rows). Two keys share
+  // each hash, so probes also reject equal cached hashes by key.
+  std::vector<uint64_t> keys;
+  IdIndex index;
+  std::unordered_map<uint64_t, uint32_t> model;  // live key -> id
+  std::unordered_set<uint64_t> removed;
+  const auto hash = [](uint64_t key) { return static_cast<size_t>(key / 2); };
+  const auto find = [&](uint64_t key) {
+    return index.Find(hash(key), [&](uint32_t i) { return keys[i] == key; });
+  };
+  const auto check = [&] {
+    for (const auto& [key, id] : model) ASSERT_EQ(find(key), id) << key;
+    for (uint64_t key : removed) ASSERT_EQ(find(key), IdIndex::kAbsent) << key;
+  };
+  Rng rng(2026);
+  for (int step = 0; step < 20000; ++step) {
+    if (keys.empty() || rng.Uniform(3) != 0) {
+      const uint64_t key = rng.Uniform(1 << 16);
+      bool added = false;
+      const uint32_t id = index.FindOrAdd(
+          hash(key), [&](uint32_t i) { return keys[i] == key; }, &added);
+      ASSERT_EQ(added, model.count(key) == 0);
+      if (added) {
+        ASSERT_EQ(id, keys.size());
+        keys.push_back(key);
+        model[key] = id;
+        removed.erase(key);
+      } else {
+        ASSERT_EQ(id, model[key]);
+      }
+    } else {
+      const uint32_t id = static_cast<uint32_t>(rng.Uniform(keys.size()));
+      const uint64_t key = keys[id];
+      index.SwapRemove(id);
+      keys[id] = keys.back();
+      keys.pop_back();
+      model.erase(key);
+      if (id < keys.size()) model[keys[id]] = id;
+      removed.insert(key);
+    }
+    ASSERT_EQ(index.size(), keys.size());
+    if (step % 1000 == 999) check();
+  }
+  check();
+  EXPECT_GT(keys.size(), 4096u);  // grown through at least three doublings
+  EXPECT_LT(index.MeanProbeLength(), 2.0);
+}
+
+TEST(IdIndexTest, SwapRemoveAcrossTheWrapPoint) {
+  // Keys homed on the last two of the first table's 1024 slots: their
+  // probe run wraps to slot 0. Removing from anywhere in the run keeps
+  // the rest reachable, and renumbering moves the last id.
+  std::vector<size_t> hashes;
+  for (size_t h = 0; hashes.size() < 8; ++h) {
+    if ((SplitMix64(h) & 1023) >= 1022) hashes.push_back(h);
+  }
+  IdIndex index;
+  std::vector<size_t> keys;  // id -> hash; the hash is the key
+  for (size_t h : hashes) {
+    bool added = false;
+    index.FindOrAdd(h, [&](uint32_t i) { return keys[i] == h; }, &added);
+    ASSERT_TRUE(added);
+    keys.push_back(h);
+  }
+  for (uint32_t id : {2u, 0u, 3u, 1u}) {
+    const size_t gone = keys[id];
+    index.SwapRemove(id);
+    keys[id] = keys.back();
+    keys.pop_back();
+    EXPECT_EQ(index.Find(gone, [&](uint32_t i) { return keys[i] == gone; }),
+              IdIndex::kAbsent);
+    for (uint32_t i = 0; i < keys.size(); ++i) {
+      const size_t h = keys[i];
+      EXPECT_EQ(index.Find(h, [&](uint32_t j) { return keys[j] == h; }), i);
+    }
+  }
 }
 
 }  // namespace

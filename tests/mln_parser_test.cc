@@ -1,8 +1,13 @@
 #include <gtest/gtest.h>
 
+#include <sstream>
+#include <string>
+#include <vector>
+
 #include "ground/bottom_up_grounder.h"
 #include "mln/model.h"
 #include "mln/parser.h"
+#include "util/rng.h"
 
 namespace tuffy {
 namespace {
@@ -284,18 +289,88 @@ TEST(ParserTest, ExistentialLiteralsAtTheLimitsParseAndGround) {
   EXPECT_TRUE(LitPositive(wide[0].lits[0]));
 }
 
+/// One clause's content, independent of variable numbering (the parser
+/// numbers variables by first appearance, and ToString prints EXIST
+/// first): weight bits, hardness, existential variables by name, then
+/// each literal's sign, predicate and terms (variables by name,
+/// constants by symbol), then each equality.
+std::string ClauseContent(const MlnProgram& p, const Clause& c) {
+  auto term = [&](const Term& t) {
+    return t.is_var ? "var:" + c.var_names[t.id]
+                    : "const:" + p.symbols().SymbolName(t.id);
+  };
+  std::ostringstream out;
+  out << std::hexfloat << c.weight << (c.hard ? " hard" : " soft") << " exist{";
+  for (VarId v : c.existential_vars) out << c.var_names[v] << ";";
+  out << "} vars=" << c.num_vars;
+  for (const Literal& lit : c.literals) {
+    out << " | " << (lit.positive ? "+" : "-") << p.predicate(lit.pred).name
+        << "(";
+    for (const Term& t : lit.args) out << term(t) << ";";
+    out << ")";
+  }
+  for (const EqualityConstraint& eq : c.equalities) {
+    out << " | " << term(eq.lhs) << (eq.equal ? " = " : " != ")
+        << term(eq.rhs);
+  }
+  return out.str();
+}
+
+std::vector<std::string> ProgramContent(const MlnProgram& p) {
+  std::vector<std::string> out;
+  for (const Predicate& pred : p.predicates()) {
+    std::string decl = (pred.closed_world ? "*" : "") + pred.name + "(";
+    for (const std::string& t : pred.arg_types) decl += t + ";";
+    out.push_back(decl + ")");
+  }
+  for (const Clause& c : p.clauses()) out.push_back(ClauseContent(p, c));
+  return out;
+}
+
 TEST(ParserTest, ToStringRoundTripsStructure) {
-  auto result = ParseProgram(kFigure1Program);
-  ASSERT_TRUE(result.ok());
-  std::string printed = result.value().ToString();
-  // The printed program must itself parse to the same shape.
-  auto reparsed = ParseProgram(printed);
-  ASSERT_TRUE(reparsed.ok()) << reparsed.status().ToString() << "\n"
-                             << printed;
-  EXPECT_EQ(reparsed.value().clauses().size(),
-            result.value().clauses().size());
-  EXPECT_EQ(reparsed.value().num_predicates(),
-            result.value().num_predicates());
+  // Quoted constants that are not bare constants (a space, a lowercase
+  // first letter, a `"` inside, an empty string, a sign), and weights
+  // that need more than six significant digits.
+  const std::string quoted =
+      "*link(node, node)\n"
+      "label(node, cls)\n"
+      "1.23456789 link(x, y), label(x, c) => label(y, c)\n"
+      "-0.123456789012 label(n, \"foo bar\")\n"
+      "2 label(n, \"lower\") v label(n, 'say \"hi\"') v label(n, \"\")\n"
+      "3 label(N1, _C2) v x != y v link(x, y) v label(x, \"-5\")\n"
+      "100000 label(007, C) v x = \"lower\" v link(x, N1)\n"
+      "label(x, c1), label(x, c2) => c1 = c2.\n"
+      "0.25 label(x, c) => EXIST y link(x, y)\n";
+  for (const std::string& text : {std::string(kFigure1Program), quoted}) {
+    auto result = ParseProgram(text);
+    ASSERT_TRUE(result.ok()) << result.status().ToString();
+    std::string printed = result.value().ToString();
+    // The printed program must itself parse to the same clauses.
+    auto reparsed = ParseProgram(printed);
+    ASSERT_TRUE(reparsed.ok()) << reparsed.status().ToString() << "\n"
+                               << printed;
+    EXPECT_EQ(ProgramContent(reparsed.value()),
+              ProgramContent(result.value()))
+        << printed;
+    EXPECT_EQ(reparsed.value().ToString(), printed);
+  }
+}
+
+TEST(ParserTest, NonFiniteWeightRefused) {
+  auto result = ParseProgram("q(t)\n1e999 q(x)\n");
+  EXPECT_EQ(result.status().code(), StatusCode::kParseError);
+}
+
+TEST(ParserTest, ConstantLiteralQuotesOnlyWhatWouldNotLexBack) {
+  EXPECT_EQ(ConstantLiteral("Networking"), "Networking");
+  EXPECT_EQ(ConstantLiteral("_x9"), "_x9");
+  EXPECT_EQ(ConstantLiteral("0042"), "0042");
+  EXPECT_EQ(ConstantLiteral("lower"), "\"lower\"");
+  EXPECT_EQ(ConstantLiteral("foo bar"), "\"foo bar\"");
+  EXPECT_EQ(ConstantLiteral(""), "\"\"");
+  EXPECT_EQ(ConstantLiteral("-5"), "\"-5\"");
+  EXPECT_EQ(ConstantLiteral("1.5"), "\"1.5\"");
+  EXPECT_EQ(ConstantLiteral("say \"hi\""), "'say \"hi\"'");
 }
 
 // --------------------------------------------------------------- Evidence
@@ -396,6 +471,178 @@ TEST(EvidenceParserTest, TrailingTokensAfterAnAtomRefused) {
   st = ParseEvidence("wrote(Joe, P1)  // first paper\n", &p, &commented);
   ASSERT_TRUE(st.ok()) << st.ToString();
   EXPECT_EQ(commented.num_evidence(), 1u);
+}
+
+// ------------------------------------------------------------------ Fuzz
+
+/// Evidence text printed back from the rows: one atom per line, false
+/// rows then true rows per predicate, constants through ConstantLiteral.
+std::string PrintEvidence(const MlnProgram& p, const EvidenceDb& db) {
+  std::string out;
+  for (const auto& [atom, truth] : db.entries()) {
+    if (!truth) out += "!";
+    out += p.predicate(atom.pred).name + "(";
+    for (size_t i = 0; i < atom.args.size(); ++i) {
+      if (i > 0) out += ", ";
+      out += ConstantLiteral(p.symbols().SymbolName(atom.args[i]));
+    }
+    out += ")\n";
+  }
+  return out;
+}
+
+/// Applies 1-3 random edits: byte flips, inserted bytes (often lexer
+/// punctuation), deleted runs, truncation and duplicated lines.
+std::string Mutate(std::string text, Rng* rng) {
+  static const std::string kAlphabet = "(),!=>.\"' vV*-+019eEaAxX_/#\t\n";
+  const int edits = 1 + static_cast<int>(rng->Uniform(3));
+  for (int k = 0; k < edits; ++k) {
+    const size_t pos = rng->Uniform(text.size() + 1);
+    switch (rng->Uniform(5)) {
+      case 0:  // flip one bit
+        if (pos < text.size()) {
+          text[pos] ^= static_cast<char>(1u << rng->Uniform(8));
+        }
+        break;
+      case 1: {  // insert a byte
+        const char c = rng->Uniform(2) == 0
+                           ? kAlphabet[rng->Uniform(kAlphabet.size())]
+                           : static_cast<char>(rng->Uniform(256));
+        text.insert(text.begin() + pos, c);
+        break;
+      }
+      case 2:  // delete a short run
+        text.erase(pos, 1 + rng->Uniform(4));
+        break;
+      case 3:  // truncate
+        text.resize(pos);
+        break;
+      case 4: {  // duplicate the line holding `pos`
+        const size_t begin =
+            pos == 0 ? 0 : text.rfind('\n', pos - 1) + 1;  // npos + 1 == 0
+        size_t end = text.find('\n', pos);
+        end = end == std::string::npos ? text.size() : end + 1;
+        const std::string line = text.substr(begin, end - begin);
+        text.insert(end, line.empty() || line.back() == '\n' ? line
+                                                             : "\n" + line);
+        break;
+      }
+    }
+  }
+  return text;
+}
+
+// Seeded mutational fuzzing of both parsers. Every input is refused with
+// a status or parses; a parsed program is a ToString fixpoint, and parsed
+// evidence printed back from its rows parses to the same rows in the
+// same order. A failure prints its seed and input; each seed's input is
+// a function of the seed alone, so the seed replays it.
+TEST(ParserFuzzTest, MutatedTextIsRefusedOrRoundTrips) {
+  const std::vector<std::string> programs = {
+      kFigure1Program,
+      "*link(node, node)\n"
+      "label(node, cls)\n"
+      "1.23456789 link(x, y), label(x, c) => label(y, c)\n"
+      "-0.5 label(n, \"foo bar\")\n"
+      "3 label(n, 'say \"hi\"') v label(n, C2)\n"
+      "0.25 !label(N1, \"lower\") v x != y v link(x, y)\n"
+      "label(x, c1), label(x, c2) => c1 = c2.\n"
+      "2 label(x, c) => EXIST y link(x, y)\n",
+  };
+  const std::vector<std::pair<size_t, std::string>> evidence = {
+      {0,
+       "wrote(Joe, P1)\n"
+       "wrote(Joe, P2)\n"
+       "refers(P1, P2)\n"
+       "cat(P1, \"DB\")\n"
+       "!cat(P2, \"AI\")\n"
+       "// a comment\n"
+       "paper(P1, U1)\n"},
+      {1,
+       "link(N0, N1)\n"
+       "!link(N1, N0)\n"
+       "label(N0, \"foo bar\")\n"
+       "label(N1, 'say \"hi\"')\n"
+       "!label(N2, C2)\n"
+       "label(42, \"lower\")\n"
+       "link(N0, N2)\n"},
+  };
+  std::vector<MlnProgram> bases;
+  for (const std::string& text : programs) {
+    auto parsed = ParseProgram(text);
+    ASSERT_TRUE(parsed.ok()) << parsed.status().ToString();
+    bases.push_back(parsed.TakeValue());
+  }
+
+  constexpr uint64_t kSeeds = 20000;
+  size_t programs_parsed = 0, evidence_parsed = 0;
+  for (uint64_t seed = 0; seed < kSeeds; ++seed) {
+    Rng rng(seed);
+    // Even seeds fuzz program text, odd seeds evidence text.
+    if (seed % 2 == 0) {
+      const std::string text =
+          Mutate(programs[(seed / 2) % programs.size()], &rng);
+      auto parsed = ParseProgram(text);
+      if (!parsed.ok()) continue;
+      ++programs_parsed;
+      const std::string printed = parsed.value().ToString();
+      auto reparsed = ParseProgram(printed);
+      ASSERT_TRUE(reparsed.ok())
+          << "seed " << seed << ": " << reparsed.status().ToString()
+          << "\ninput:\n" << text << "\nprinted:\n" << printed;
+      ASSERT_EQ(reparsed.value().ToString(), printed)
+          << "seed " << seed << "\ninput:\n" << text;
+      ASSERT_EQ(ProgramContent(reparsed.value()),
+                ProgramContent(parsed.value()))
+          << "seed " << seed << "\ninput:\n" << text;
+    } else {
+      const auto& [base, source] = evidence[(seed / 2) % evidence.size()];
+      const std::string text = Mutate(source, &rng);
+      MlnProgram program = bases[base];
+      EvidenceDb db;
+      if (!ParseEvidence(text, &program, &db).ok()) continue;
+      ++evidence_parsed;
+      // Re-parsed into the same program, constants keep their ids.
+      const std::string printed = PrintEvidence(program, db);
+      EvidenceDb again;
+      const Status st = ParseEvidence(printed, &program, &again);
+      ASSERT_TRUE(st.ok()) << "seed " << seed << ": " << st.ToString()
+                           << "\ninput:\n" << text << "\nprinted:\n"
+                           << printed;
+      ASSERT_EQ(again.num_evidence(), db.num_evidence()) << "seed " << seed;
+      for (PredicateId pred = 0;
+           pred < static_cast<PredicateId>(program.num_predicates());
+           ++pred) {
+        for (bool truth : {false, true}) {
+          const IdTable& want = db.rows(pred, truth);
+          const IdTable& got = again.rows(pred, truth);
+          ASSERT_EQ(got.num_rows(), want.num_rows()) << "seed " << seed;
+          for (size_t c = 0; c < want.num_cols() && want.num_rows() > 0;
+               ++c) {
+            ASSERT_EQ(got.col(c), want.col(c))
+                << "seed " << seed << "\ninput:\n" << text;
+          }
+        }
+      }
+    }
+  }
+  // The mutations must leave a fair share of inputs parseable, or the
+  // round trips above check nothing.
+  EXPECT_GT(programs_parsed, kSeeds / 20);
+  EXPECT_GT(evidence_parsed, kSeeds / 20);
+}
+
+TEST(SymbolTableTest, InDomainIsFalseOutsideTheTable) {
+  SymbolTable symbols;
+  const ConstantId a = symbols.Intern("A", "letter");
+  const ConstantId one = symbols.Intern("1", "digit");
+  EXPECT_TRUE(symbols.InDomain(a, "letter"));
+  EXPECT_FALSE(symbols.InDomain(a, "digit"));
+  EXPECT_FALSE(symbols.InDomain(one, "letter"));
+  EXPECT_FALSE(symbols.InDomain(-1, "letter"));
+  EXPECT_FALSE(symbols.InDomain(2, "letter"));
+  EXPECT_FALSE(symbols.InDomain(a, "missing"));
+  EXPECT_EQ(symbols.Domain("digit"), std::vector<ConstantId>{one});
 }
 
 TEST(SymbolTableTest, InternIsIdempotentAndTracksDomains) {
