@@ -72,8 +72,10 @@ int main() {
     return 1;
   }
 
+  // Returns the reply by value: `r` is usually a temporary that dies at
+  // the end of the caller's full expression.
   auto check = [](const char* what,
-                  const Result<NetResponse>& r) -> const NetResponse& {
+                  const Result<NetResponse>& r) -> NetResponse {
     if (!r.ok()) {
       std::fprintf(stderr, "%s transport error: %s\n", what,
                    r.status().ToString().c_str());
@@ -88,7 +90,7 @@ int main() {
     return r.value();
   };
 
-  const NetResponse& open =
+  const NetResponse open =
       check("open", client.OpenSession("demo", ProgramFingerprint(program)));
   std::printf("opened session: %llu atoms, %llu clauses, %llu components, "
               "cost %.4f\n",
@@ -116,7 +118,7 @@ int main() {
   EvidenceDb accumulated = evidence;
   double served_cost = 0.0;
   for (size_t i = 0; i < deltas.size(); ++i) {
-    const NetResponse& applied =
+    const NetResponse applied =
         check("delta", client.ApplyDelta("demo", deltas[i]));
     FoldDelta(deltas[i], &accumulated);
     served_cost = applied.map_cost;
@@ -128,7 +130,7 @@ int main() {
                 (unsigned long long)applied.flips, applied.map_cost);
   }
 
-  const NetResponse& marginals =
+  const NetResponse marginals =
       check("marginals", client.QueryMarginals("demo", "cat"));
   std::printf("marginals: %zu cat atoms tracked\n",
               marginals.marginals.size());
@@ -137,7 +139,7 @@ int main() {
     return 1;
   }
 
-  const NetResponse& map = check("map", client.QueryMap("demo", "cat"));
+  const NetResponse map = check("map", client.QueryMap("demo", "cat"));
   std::printf("MAP: cost %.4f, %zu true cat atoms\n", map.map_cost,
               map.atoms.size());
   if (map.map_cost != served_cost) {

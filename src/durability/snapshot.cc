@@ -11,6 +11,7 @@
 #include <cstdio>
 #include <cstring>
 
+#include "durability/wal.h"
 #include "util/crc32.h"
 #include "util/fault_points.h"
 #include "util/string_util.h"
@@ -22,20 +23,6 @@ namespace {
 constexpr char kSnapshotMagic[8] = {'T', 'F', 'Y', 'S', 'N', 'A', 'P', '1'};
 constexpr size_t kEnvelopeBytes = 8 + 4 + 8;  // magic + crc + payload length
 constexpr const char* kSnapshotSuffix = ".snap";
-
-Status WriteFully(int fd, const char* data, size_t n) {
-  size_t done = 0;
-  while (done < n) {
-    ssize_t w = ::write(fd, data + done, n - done);
-    if (w < 0) {
-      if (errno == EINTR) continue;
-      return Status::IOError(StrFormat("snapshot write failed: %s",
-                                       std::strerror(errno)));
-    }
-    done += static_cast<size_t>(w);
-  }
-  return Status::OK();
-}
 
 uint64_t FnvMix(uint64_t h, const void* data, size_t n) {
   const unsigned char* p = static_cast<const unsigned char*>(data);
@@ -115,12 +102,15 @@ Status WriteSnapshotFile(const std::string& dir, uint64_t seq,
   // (or a crash there) leaves a half-written temp file — which recovery
   // must ignore outright, since only the rename publishes a snapshot.
   const size_t half = envelope.size() / 2;
-  Status st = WriteFully(fd, envelope.data(), half);
+  Status st = WriteFully(fd, envelope.data(), half, "snapshot");
   if (st.ok() &&
       FaultPoints::Global().Hit("snapshot.write.mid") != FaultAction::kNone) {
     st = Status::IOError("injected fault mid-snapshot-write");
   }
-  if (st.ok()) st = WriteFully(fd, envelope.data() + half, envelope.size() - half);
+  if (st.ok()) {
+    st = WriteFully(fd, envelope.data() + half, envelope.size() - half,
+                    "snapshot");
+  }
   if (st.ok() && ::fsync(fd) != 0) {
     st = Status::IOError(StrFormat("fsync of %s failed: %s", tmp_path.c_str(),
                                    std::strerror(errno)));
@@ -165,21 +155,7 @@ Result<std::vector<SnapshotRef>> ListSnapshots(const std::string& dir) {
 }
 
 Result<std::string> ReadSnapshotFile(const std::string& path) {
-  std::FILE* f = std::fopen(path.c_str(), "rb");
-  if (f == nullptr) {
-    return Status::NotFound("no snapshot at " + path);
-  }
-  std::string bytes;
-  char buf[1 << 16];
-  size_t n;
-  while ((n = std::fread(buf, 1, sizeof(buf), f)) > 0) {
-    bytes.append(buf, n);
-  }
-  const bool read_error = std::ferror(f) != 0;
-  std::fclose(f);
-  if (read_error) {
-    return Status::IOError("error reading snapshot " + path);
-  }
+  TUFFY_ASSIGN_OR_RETURN(std::string bytes, ReadWholeFile(path, "snapshot"));
 
   if (bytes.size() < kEnvelopeBytes ||
       std::memcmp(bytes.data(), kSnapshotMagic, sizeof(kSnapshotMagic)) != 0) {

@@ -15,28 +15,67 @@
 
 namespace tuffy {
 
-namespace {
+std::string EncodeFrame(const std::string& payload) {
+  const uint32_t crc = Crc32(payload.data(), payload.size());
+  const uint32_t len = static_cast<uint32_t>(payload.size());
+  std::string frame;
+  frame.reserve(kFrameHeaderBytes + payload.size());
+  frame.append(reinterpret_cast<const char*>(&crc), sizeof(crc));
+  frame.append(reinterpret_cast<const char*>(&len), sizeof(len));
+  frame.append(payload);
+  return frame;
+}
 
-/// Frames larger than this are treated as corruption during scans: no
-/// legitimate delta batch serializes to gigabytes, and a garbage length
-/// prefix must not drive a gigabyte allocation.
-constexpr uint32_t kMaxRecordBytes = 1u << 30;
+FrameDecode TryDecodeFrame(const char* data, size_t size, size_t max_payload,
+                           std::string* payload, size_t* consumed) {
+  if (size < kFrameHeaderBytes) return FrameDecode::kNeedMore;
+  uint32_t crc, len;
+  std::memcpy(&crc, data, sizeof(crc));
+  std::memcpy(&len, data + sizeof(crc), sizeof(len));
+  // The length is checked before it sizes anything: a hostile or
+  // desynchronized peer must not drive an allocation.
+  if (len > max_payload) return FrameDecode::kTooLarge;
+  if (size < kFrameHeaderBytes + len) return FrameDecode::kNeedMore;
+  const char* body = data + kFrameHeaderBytes;
+  if (Crc32(body, len) != crc) return FrameDecode::kBadCrc;
+  payload->assign(body, len);
+  *consumed = kFrameHeaderBytes + len;
+  return FrameDecode::kFrame;
+}
 
-Status WriteFully(int fd, const char* data, size_t n) {
+Status WriteFully(int fd, const char* data, size_t n, const char* what) {
   size_t done = 0;
   while (done < n) {
     ssize_t w = ::write(fd, data + done, n - done);
     if (w < 0) {
       if (errno == EINTR) continue;
-      return Status::IOError(StrFormat("wal write failed: %s",
-                                       std::strerror(errno)));
+      return Status::IOError(
+          StrFormat("%s write failed: %s", what, std::strerror(errno)));
     }
     done += static_cast<size_t>(w);
   }
   return Status::OK();
 }
 
-}  // namespace
+Result<std::string> ReadWholeFile(const std::string& path, const char* what) {
+  std::FILE* f = std::fopen(path.c_str(), "rb");
+  if (f == nullptr) {
+    return Status::NotFound(StrFormat("no %s at %s", what, path.c_str()));
+  }
+  std::string bytes;
+  char buf[1 << 16];
+  size_t n;
+  while ((n = std::fread(buf, 1, sizeof(buf), f)) > 0) {
+    bytes.append(buf, n);
+  }
+  const bool read_error = std::ferror(f) != 0;
+  std::fclose(f);
+  if (read_error) {
+    return Status::IOError(StrFormat("error reading %s %s", what,
+                                     path.c_str()));
+  }
+  return bytes;
+}
 
 Result<std::unique_ptr<WalWriter>> WalWriter::Create(const std::string& path) {
   int fd = ::open(path.c_str(), O_WRONLY | O_CREAT | O_TRUNC, 0644);
@@ -71,13 +110,7 @@ Status WalWriter::Append(const std::string& payload) {
   if (FaultPoints::Global().Hit("wal.append.before") != FaultAction::kNone) {
     return Status::IOError("injected wal fault before append");
   }
-  std::string frame;
-  frame.reserve(8 + payload.size());
-  const uint32_t crc = Crc32(payload.data(), payload.size());
-  const uint32_t len = static_cast<uint32_t>(payload.size());
-  frame.append(reinterpret_cast<const char*>(&crc), sizeof(crc));
-  frame.append(reinterpret_cast<const char*>(&len), sizeof(len));
-  frame.append(payload);
+  const std::string frame = EncodeFrame(payload);
 
   // The frame goes out in three slices with a fault point between each,
   // so an armed fault (or an injected crash) leaves exactly the torn
@@ -86,19 +119,19 @@ Status WalWriter::Append(const std::string& payload) {
   // short_write. Unarmed, the extra write() calls are noise next to the
   // per-batch fsync.
   const size_t half = frame.size() / 2;
-  TUFFY_RETURN_IF_ERROR(WriteFully(fd_, frame.data(), half));
+  TUFFY_RETURN_IF_ERROR(WriteFully(fd_, frame.data(), half, "wal"));
   if (FaultPoints::Global().Hit("wal.append.mid_record") !=
       FaultAction::kNone) {
     return Status::IOError("injected wal fault mid-record");
   }
   TUFFY_RETURN_IF_ERROR(WriteFully(fd_, frame.data() + half,
-                                   frame.size() - half - 1));
+                                   frame.size() - half - 1, "wal"));
   if (FaultPoints::Global().Hit("wal.append.short_write") !=
       FaultAction::kNone) {
     return Status::IOError("injected wal short write");
   }
   TUFFY_RETURN_IF_ERROR(
-      WriteFully(fd_, frame.data() + frame.size() - 1, 1));
+      WriteFully(fd_, frame.data() + frame.size() - 1, 1, "wal"));
   offset_ += frame.size();
   ++records_;
   static Counter* appends =
@@ -125,33 +158,16 @@ Status WalWriter::Sync() {
 }
 
 Result<WalScan> ScanWal(const std::string& path) {
-  std::FILE* f = std::fopen(path.c_str(), "rb");
-  if (f == nullptr) {
-    return Status::NotFound("no wal at " + path);
-  }
-  std::string bytes;
-  char buf[1 << 16];
-  size_t n;
-  while ((n = std::fread(buf, 1, sizeof(buf), f)) > 0) {
-    bytes.append(buf, n);
-  }
-  const bool read_error = std::ferror(f) != 0;
-  std::fclose(f);
-  if (read_error) {
-    return Status::IOError("error reading wal " + path);
-  }
-
+  TUFFY_ASSIGN_OR_RETURN(std::string bytes, ReadWholeFile(path, "wal"));
   WalScan scan;
   size_t pos = 0;
-  while (true) {
-    if (bytes.size() - pos < 8) break;  // no room for a frame header
-    uint32_t crc, len;
-    std::memcpy(&crc, bytes.data() + pos, sizeof(crc));
-    std::memcpy(&len, bytes.data() + pos + 4, sizeof(len));
-    if (len > kMaxRecordBytes || bytes.size() - pos - 8 < len) break;
-    if (Crc32(bytes.data() + pos + 8, len) != crc) break;
-    scan.payloads.emplace_back(bytes.data() + pos + 8, len);
-    pos += 8 + len;
+  std::string payload;
+  size_t consumed = 0;
+  while (TryDecodeFrame(bytes.data() + pos, bytes.size() - pos,
+                        kMaxRecordBytes, &payload,
+                        &consumed) == FrameDecode::kFrame) {
+    scan.payloads.push_back(std::move(payload));
+    pos += consumed;
   }
   scan.valid_bytes = pos;
   scan.truncated_bytes = bytes.size() - pos;

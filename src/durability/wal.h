@@ -1,6 +1,7 @@
 #ifndef TUFFY_DURABILITY_WAL_H_
 #define TUFFY_DURABILITY_WAL_H_
 
+#include <cstddef>
 #include <cstdint>
 #include <memory>
 #include <string>
@@ -10,6 +11,48 @@
 #include "util/status.h"
 
 namespace tuffy {
+
+// ------------------------------------------------------------ framing
+
+/// The one [u32 crc over payload][u32 payload length][payload bytes]
+/// frame, shared by WAL records on disk and messages on the wire
+/// (net/protocol.h). crc and length are little-endian.
+constexpr size_t kFrameHeaderBytes = 8;
+
+/// Frames larger than this are treated as corruption when the log is
+/// read: no legitimate delta batch serializes to gigabytes, and a
+/// garbage length prefix must not drive a gigabyte allocation.
+constexpr uint32_t kMaxRecordBytes = 1u << 30;
+
+/// Wraps `payload` in the [crc][len][payload] frame.
+std::string EncodeFrame(const std::string& payload);
+
+enum class FrameDecode {
+  kFrame,     // *payload filled, *consumed bytes eaten
+  kNeedMore,  // prefix of a valid frame; read more bytes
+  kBadCrc,    // checksum mismatch: close the connection
+  kTooLarge,  // announced length exceeds max_payload: close
+};
+
+/// Decodes the frame at the start of a buffer. On kFrame, `payload`
+/// holds the verified payload and `consumed` the frame's total size; the
+/// caller erases the consumed prefix and calls again (a buffer may hold
+/// several frames). The length is checked against `max_payload` before
+/// it sizes anything.
+FrameDecode TryDecodeFrame(const char* data, size_t size, size_t max_payload,
+                           std::string* payload, size_t* consumed);
+
+// ---------------------------------------------------------- file bytes
+
+/// Writes all `n` bytes to `fd`, retrying short writes and EINTR. `what`
+/// names the file kind in the error ("wal", "snapshot").
+Status WriteFully(int fd, const char* data, size_t n, const char* what);
+
+/// Reads the whole file at `path`. NotFound if it does not exist; `what`
+/// names the file kind in the errors.
+Result<std::string> ReadWholeFile(const std::string& path, const char* what);
+
+// ----------------------------------------------------------------- log
 
 /// Append-only write-ahead log of length-prefixed, CRC32-checksummed
 /// records (the NuDB idiom: append atomically, never rewrite, rebuild

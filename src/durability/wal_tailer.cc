@@ -6,16 +6,13 @@
 #include <cerrno>
 #include <cstring>
 
+#include "durability/wal.h"
 #include "util/crc32.h"
 #include "util/string_util.h"
 
 namespace tuffy {
 
 namespace {
-
-// Mirrors ScanWal's cap: a garbage length prefix must not drive a
-// gigabyte allocation on the serving loop.
-constexpr uint32_t kMaxRecordBytes = 1u << 30;
 
 /// pread exactly n bytes at off; short reads mean the file ends there.
 Result<size_t> PreadFully(int fd, char* buf, size_t n, uint64_t off) {
@@ -53,7 +50,7 @@ WalTailer::~WalTailer() {
 }
 
 Result<bool> WalTailer::ReadOne(std::string* payload) {
-  char header[8];
+  char header[kFrameHeaderBytes];
   auto got = PreadFully(fd_, header, sizeof header, offset_);
   if (!got.ok()) return got.status();
   if (got.value() < sizeof header) return false;  // frame still arriving

@@ -11,7 +11,6 @@
 #include "ra/vec_ops.h"
 #include "util/string_util.h"
 #include "util/thread_pool.h"
-#include "util/timer.h"
 
 namespace tuffy {
 
@@ -343,7 +342,6 @@ Status CollectBindings(
 }
 
 Result<GroundingResult> BottomUpGrounder::Ground() {
-  Timer timer;
   Catalog catalog;
   explain_.clear();
   TUFFY_RETURN_IF_ERROR(LoadMlnTables(program_, evidence_, &catalog));
@@ -423,9 +421,7 @@ Result<GroundingResult> BottomUpGrounder::Ground() {
     }
   }
 
-  TUFFY_ASSIGN_OR_RETURN(GroundingResult result, ctx.Finalize());
-  result.stats.seconds = timer.ElapsedSeconds();
-  return result;
+  return ctx.Finalize();
 }
 
 }  // namespace tuffy

@@ -5,7 +5,6 @@
 
 #include "obs/metrics.h"
 #include "util/logging.h"
-#include "util/timer.h"
 
 namespace tuffy {
 
@@ -708,14 +707,12 @@ void GroundingContext::Emit(const PendingClause& pc) {
 Result<GroundingResult> GroundingContext::Finalize() {
   if (finalized_) return Status::Internal("Finalize called twice");
   finalized_ = true;
-  Timer timer;
   cid_atom_.assign(cand_atoms_.size(), kNoAtom);
 
   if (!options_.lazy_closure) {
     for (const PendingClause& pc : pending_) Emit(pc);
     pending_.clear();
     pending_lits_.clear();
-    result_.stats.seconds += timer.ElapsedSeconds();
     StampGroundingMetrics(result_.stats);
     return std::move(result_);
   }
@@ -746,7 +743,6 @@ Result<GroundingResult> GroundingContext::Finalize() {
   result_.stats.pruned_inactive = pending_.size();
   pending_.clear();
   pending_lits_.clear();
-  result_.stats.seconds += timer.ElapsedSeconds();
   StampGroundingMetrics(result_.stats);
   return std::move(result_);
 }

@@ -38,7 +38,6 @@ struct GroundingOptions {
 };
 
 struct GroundingStats {
-  double seconds = 0.0;
   /// Candidate variable assignments that reached evidence resolution.
   /// With anti-join pruning on, bindings pruned inside the plan are not
   /// counted here — the drop versus the unpruned configuration is the

@@ -1,7 +1,5 @@
 #include "ground/top_down_grounder.h"
 
-#include "util/timer.h"
-
 namespace tuffy {
 
 TopDownGrounder::TopDownGrounder(const MlnProgram& program,
@@ -144,14 +142,11 @@ void TopDownGrounder::GroundClauseLoops(int clause_idx,
 }
 
 Result<GroundingResult> TopDownGrounder::Ground() {
-  Timer timer;
   GroundingContext ctx(program_, evidence_, options_);
   for (int ci = 0; ci < static_cast<int>(program_.clauses().size()); ++ci) {
     GroundClauseLoops(ci, &ctx);
   }
-  TUFFY_ASSIGN_OR_RETURN(GroundingResult result, ctx.Finalize());
-  result.stats.seconds = timer.ElapsedSeconds();
-  return result;
+  return ctx.Finalize();
 }
 
 }  // namespace tuffy

@@ -1,10 +1,15 @@
 #include "infer/brute_force.h"
 
 #include <cmath>
+#include <limits>
 
 #include "util/string_util.h"
 
 namespace tuffy {
+
+namespace {
+constexpr double kInf = std::numeric_limits<double>::infinity();
+}  // namespace
 
 Result<ExactMapResult> ExactMap(const Problem& problem, double hard_weight,
                                 size_t max_atoms) {
@@ -42,29 +47,11 @@ Result<std::vector<double>> ExactMarginals(const Problem& problem,
   std::vector<uint8_t> truth(problem.num_atoms, 0);
   uint64_t worlds = 1ull << problem.num_atoms;
   for (uint64_t w = 0; w < worlds; ++w) {
-    bool hard_violated = false;
     for (size_t i = 0; i < problem.num_atoms; ++i) {
       truth[i] = (w >> i) & 1 ? 1 : 0;
     }
-    double cost = 0.0;
-    for (const SearchClause& c : problem.clauses) {
-      bool is_true = false;
-      for (Lit l : c.lits) {
-        if ((truth[LitAtom(l)] != 0) == LitPositive(l)) {
-          is_true = true;
-          break;
-        }
-      }
-      if (c.hard) {
-        if (!is_true) hard_violated = true;
-      } else if (c.weight > 0 && !is_true) {
-        cost += c.weight;
-      } else if (c.weight < 0 && is_true) {
-        cost += -c.weight;
-      }
-    }
-    if (hard_violated) continue;
-    double p = std::exp(-cost);
+    // A world violating a hard clause costs +inf: probability exactly 0.
+    const double p = std::exp(-problem.EvalCost(truth, kInf));
     z += p;
     for (size_t i = 0; i < problem.num_atoms; ++i) {
       if (truth[i]) numer[i] += p;
@@ -85,29 +72,10 @@ Result<double> ExactLogZ(const Problem& problem, size_t max_atoms) {
   std::vector<uint8_t> truth(problem.num_atoms, 0);
   uint64_t worlds = 1ull << problem.num_atoms;
   for (uint64_t w = 0; w < worlds; ++w) {
-    bool hard_violated = false;
     for (size_t i = 0; i < problem.num_atoms; ++i) {
       truth[i] = (w >> i) & 1 ? 1 : 0;
     }
-    double cost = 0.0;
-    for (const SearchClause& c : problem.clauses) {
-      bool is_true = false;
-      for (Lit l : c.lits) {
-        if ((truth[LitAtom(l)] != 0) == LitPositive(l)) {
-          is_true = true;
-          break;
-        }
-      }
-      if (c.hard) {
-        if (!is_true) hard_violated = true;
-      } else if (c.weight > 0 && !is_true) {
-        cost += c.weight;
-      } else if (c.weight < 0 && is_true) {
-        cost += -c.weight;
-      }
-    }
-    if (hard_violated) continue;
-    z += std::exp(-cost);
+    z += std::exp(-problem.EvalCost(truth, kInf));
   }
   if (z <= 0) return Status::Internal("no world satisfies the hard clauses");
   return std::log(z);

@@ -67,7 +67,7 @@ uint64_t ComponentSolver::flips() const {
 
 size_t ComponentSolver::state_bytes() const {
   if (search_ == nullptr) return 0;
-  return sub_.problem.arena().EstimateBytes() + search_->state_bytes();
+  return sub_.problem.EstimateBytes() + search_->state_bytes();
 }
 
 void ComponentSolver::Scatter(std::vector<uint8_t>* truth,

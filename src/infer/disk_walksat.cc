@@ -21,20 +21,25 @@ Result<std::unique_ptr<DiskWalkSat>> DiskWalkSat::Create(
     const Problem& problem, const DiskWalkSatOptions& options) {
   std::unique_ptr<DiskWalkSat> ws(
       new DiskWalkSat(problem.num_atoms, options));
-  for (const SearchClause& c : problem.clauses) {
-    double abs_eff = std::fabs(c.hard ? options.hard_weight : c.weight);
-    if (c.lits.size() > kMaxLitsPerClause) {
-      ws->overflow_.push_back(c);
+  ws->overflow_.num_atoms = problem.num_atoms;
+  for (uint32_t c = 0; c < problem.num_clauses(); ++c) {
+    const Lit* lits = problem.clause_lits(c);
+    const uint32_t len = problem.clause_size(c);
+    const double w = problem.weight[c];
+    const bool hard = problem.hard[c] != 0;
+    double abs_eff = std::fabs(hard ? options.hard_weight : w);
+    if (len > kMaxLitsPerClause) {
+      ws->overflow_.AddClause(lits, len, w, hard);
       ws->overflow_abs_w_.push_back(abs_eff);
       continue;
     }
     ClauseRecord rec;
     std::memset(&rec, 0, sizeof(rec));
-    rec.weight = c.weight;
+    rec.weight = w;
     rec.abs_eff_weight = abs_eff;
-    rec.hard = c.hard ? 1 : 0;
-    rec.num_lits = static_cast<uint8_t>(c.lits.size());
-    for (size_t i = 0; i < c.lits.size(); ++i) rec.lits[i] = c.lits[i];
+    rec.hard = hard ? 1 : 0;
+    rec.num_lits = static_cast<uint8_t>(len);
+    for (uint32_t i = 0; i < len; ++i) rec.lits[i] = lits[i];
     TUFFY_ASSIGN_OR_RETURN(RecordId rid,
                            ws->file_->Append(reinterpret_cast<char*>(&rec)));
     (void)rid;
@@ -75,23 +80,16 @@ Result<bool> DiskWalkSat::ScanForViolated(Rng* rng, double* total_cost,
   });
   TUFFY_RETURN_IF_ERROR(st);
   // Memory-side overflow clauses (no I/O charged).
-  for (size_t oi = 0; oi < overflow_.size(); ++oi) {
-    const SearchClause& c = overflow_[oi];
-    bool is_true = false;
-    for (Lit l : c.lits) {
-      if ((truth_[LitAtom(l)] != 0) == LitPositive(l)) {
-        is_true = true;
-        break;
-      }
-    }
-    bool violated = (c.hard || c.weight >= 0) ? !is_true : is_true;
-    if (!violated) continue;
+  for (uint32_t oi = 0; oi < overflow_.num_clauses(); ++oi) {
+    const bool is_true = overflow_.Satisfied(oi, truth_);
+    if (overflow_.positive[oi] ? is_true : !is_true) continue;
     *total_cost += overflow_abs_w_[oi];
     ++violated_seen;
     if (rng->Uniform(violated_seen) == 0) {
-      out->lits = c.lits;
-      out->weight = c.weight;
-      out->hard = c.hard;
+      const Lit* lits = overflow_.clause_lits(oi);
+      out->lits.assign(lits, lits + overflow_.clause_size(oi));
+      out->weight = overflow_.weight[oi];
+      out->hard = overflow_.hard[oi] != 0;
     }
   }
   return violated_seen > 0;
@@ -135,10 +133,10 @@ Status DiskWalkSat::ComputeDeltas(const std::vector<AtomId>& candidates,
             rec.abs_eff_weight);
     return Status::OK();
   }));
-  for (size_t oi = 0; oi < overflow_.size(); ++oi) {
-    const SearchClause& c = overflow_[oi];
-    account(c.lits.data(), static_cast<int>(c.lits.size()), c.weight,
-            c.hard, overflow_abs_w_[oi]);
+  for (uint32_t oi = 0; oi < overflow_.num_clauses(); ++oi) {
+    account(overflow_.clause_lits(oi),
+            static_cast<int>(overflow_.clause_size(oi)), overflow_.weight[oi],
+            overflow_.hard[oi] != 0, overflow_abs_w_[oi]);
   }
   return Status::OK();
 }

@@ -85,9 +85,6 @@ class DiskWalkSat {
   Status ComputeDeltas(const std::vector<AtomId>& candidates,
                        std::vector<double>* deltas);
 
-  double EffectiveWeight(const ClauseRecord& rec) const {
-    return rec.hard ? options_.hard_weight : rec.weight;
-  }
   bool ClauseTrue(const ClauseRecord& rec) const;
   bool IsViolated(const ClauseRecord& rec) const {
     bool is_true = ClauseTrue(rec);
@@ -102,7 +99,7 @@ class DiskWalkSat {
   /// Atom truth values, cached in memory per Appendix B.2.
   std::vector<uint8_t> truth_;
   /// Clauses too long for fixed-size records (see Create).
-  std::vector<SearchClause> overflow_;
+  Problem overflow_;
   /// Precomputed |effective weight| per overflow clause.
   std::vector<double> overflow_abs_w_;
 };

@@ -226,46 +226,15 @@ TractableStructure AnalyzeTractable(const Problem& problem) {
   st.forced.assign(n, -1);
   st.unary.assign(2 * n, 0.0);
 
-  // Normalize: dedupe literals per clause, fold tautologies into the
-  // constant (a negative-weight tautology is permanently violated; a
-  // positive or hard one is permanently satisfied), mirroring
-  // ClauseArena's frozen handling.
-  const size_t max_clauses = problem.clauses.size();
-  size_t max_lits = 0;
-  for (const SearchClause& c : problem.clauses) max_lits += c.lits.size();
-  std::vector<Lit> nlits;
-  nlits.reserve(max_lits);
-  std::vector<uint32_t> noff;
-  noff.reserve(max_clauses + 1);
-  noff.push_back(0);
-  std::vector<double> nweight;
-  nweight.reserve(max_clauses);
-  std::vector<uint8_t> nhard;
-  nhard.reserve(max_clauses);
-  std::vector<Lit> tmp;
-  for (const SearchClause& c : problem.clauses) {
-    tmp.assign(c.lits.begin(), c.lits.end());
-    std::sort(tmp.begin(), tmp.end(), [](Lit a, Lit b) {
-      if (LitAtom(a) != LitAtom(b)) return LitAtom(a) < LitAtom(b);
-      return a < b;
-    });
-    tmp.erase(std::unique(tmp.begin(), tmp.end()), tmp.end());
-    bool taut = false;
-    for (size_t i = 0; i + 1 < tmp.size(); ++i) {
-      if (LitAtom(tmp[i]) == LitAtom(tmp[i + 1])) taut = true;
+  // The problem's clauses hold no duplicate literals, and its tautologies
+  // are `frozen`: constants that take no part below. A negative-weight
+  // tautology is permanently violated; a positive or hard one never is.
+  const size_t nc = problem.num_clauses();
+  for (uint32_t c = 0; c < nc; ++c) {
+    if (problem.frozen[c] && !problem.hard[c] && problem.weight[c] < 0) {
+      st.constant_cost += -problem.weight[c];
     }
-    if (taut) {
-      if (!c.hard && c.weight < 0) st.constant_cost += -c.weight;
-      continue;
-    }
-    nlits.insert(nlits.end(), tmp.begin(), tmp.end());
-    noff.push_back(static_cast<uint32_t>(nlits.size()));
-    nweight.push_back(c.weight);
-    nhard.push_back(c.hard ? 1 : 0);
   }
-  const size_t nc = nweight.size();
-  auto clause_lits = [&](size_t c) { return nlits.data() + noff[c]; };
-  auto clause_len = [&](size_t c) { return noff[c + 1] - noff[c]; };
 
   // Hard-unit propagation: a hard clause whose other literals are all
   // forced false forces its remaining literal true. Counter-based, over
@@ -273,11 +242,11 @@ TractableStructure AnalyzeTractable(const Problem& problem) {
   std::vector<std::vector<uint32_t>> occ(n);
   std::vector<uint32_t> remaining(nc, 0);
   std::vector<uint8_t> sat(nc, 0);
-  for (size_t c = 0; c < nc; ++c) {
-    if (!nhard[c]) continue;
-    remaining[c] = clause_len(c);
-    for (uint32_t i = 0; i < clause_len(c); ++i) {
-      occ[LitAtom(clause_lits(c)[i])].push_back(static_cast<uint32_t>(c));
+  for (uint32_t c = 0; c < nc; ++c) {
+    if (!problem.hard[c] || problem.frozen[c]) continue;
+    remaining[c] = problem.clause_size(c);
+    for (uint32_t i = 0; i < remaining[c]; ++i) {
+      occ[LitAtom(problem.clause_lits(c)[i])].push_back(c);
     }
   }
   std::vector<AtomId> queue;
@@ -291,11 +260,12 @@ TractableStructure AnalyzeTractable(const Problem& problem) {
     st.forced[a] = value;
     queue.push_back(a);
   };
-  for (size_t c = 0; c < nc && !contradiction; ++c) {
-    if (!nhard[c]) continue;
-    if (clause_len(c) == 0) contradiction = true;  // empty hard clause
-    if (clause_len(c) == 1) {
-      Lit l = clause_lits(c)[0];
+  for (uint32_t c = 0; c < nc && !contradiction; ++c) {
+    if (!problem.hard[c] || problem.frozen[c]) continue;
+    const uint32_t len = problem.clause_size(c);
+    if (len == 0) contradiction = true;  // empty hard clause
+    if (len == 1) {
+      Lit l = problem.clause_lits(c)[0];
       force(LitAtom(l), LitPositive(l) ? 1 : 0);
     }
   }
@@ -304,9 +274,11 @@ TractableStructure AnalyzeTractable(const Problem& problem) {
     queue.pop_back();
     for (uint32_t c : occ[a]) {
       if (sat[c] || contradiction) continue;
+      const Lit* lits = problem.clause_lits(c);
+      const uint32_t len = problem.clause_size(c);
       Lit mine = 0;
-      for (uint32_t i = 0; i < clause_len(c); ++i) {
-        if (LitAtom(clause_lits(c)[i]) == a) mine = clause_lits(c)[i];
+      for (uint32_t i = 0; i < len; ++i) {
+        if (LitAtom(lits[i]) == a) mine = lits[i];
       }
       if ((st.forced[a] != 0) == LitPositive(mine)) {
         sat[c] = 1;
@@ -317,8 +289,8 @@ TractableStructure AnalyzeTractable(const Problem& problem) {
         break;
       }
       if (remaining[c] == 1) {
-        for (uint32_t i = 0; i < clause_len(c); ++i) {
-          Lit l = clause_lits(c)[i];
+        for (uint32_t i = 0; i < len; ++i) {
+          Lit l = lits[i];
           if (st.forced[LitAtom(l)] == -1) {
             force(LitAtom(l), LitPositive(l) ? 1 : 0);
             break;
@@ -342,12 +314,13 @@ TractableStructure AnalyzeTractable(const Problem& problem) {
   std::vector<PairClause> binary;
   binary.reserve(nc);
   Lit res[2];
-  for (size_t c = 0; c < nc; ++c) {
+  for (uint32_t c = 0; c < nc; ++c) {
+    if (problem.frozen[c]) continue;
     bool sat_by_forced = false;
     uint32_t nres = 0;
     bool wide = false;
-    for (uint32_t i = 0; i < clause_len(c); ++i) {
-      Lit l = clause_lits(c)[i];
+    for (uint32_t i = 0; i < problem.clause_size(c); ++i) {
+      Lit l = problem.clause_lits(c)[i];
       int8_t f = st.forced[LitAtom(l)];
       if (f == -1) {
         if (nres < 2) res[nres] = l;
@@ -356,24 +329,24 @@ TractableStructure AnalyzeTractable(const Problem& problem) {
         sat_by_forced = true;
       }
     }
-    const bool positive = nhard[c] || nweight[c] >= 0;
+    const bool positive = problem.positive[c] != 0;
     if (positive) {
       // Violated iff no literal is true.
       if (sat_by_forced) continue;
       if (nres == 0) {
-        if (nhard[c]) {
+        if (problem.hard[c]) {
           // Unsatisfiable hard clause propagation did not flag (cannot
           // happen by construction; belt-and-braces).
           st.fragment = ExactFragment::kNotTractable;
           return st;
         }
-        st.constant_cost += nweight[c];  // permanently violated soft
+        st.constant_cost += problem.weight[c];  // permanently violated soft
         continue;
       }
     } else {
       // w < 0: violated iff some literal is true.
       if (sat_by_forced) {
-        st.constant_cost += -nweight[c];
+        st.constant_cost += -problem.weight[c];
         continue;
       }
       if (nres == 0) continue;  // permanently false, never violated
@@ -388,9 +361,9 @@ TractableStructure AnalyzeTractable(const Problem& problem) {
       // Positive: violated when the atom takes the literal-falsifying
       // value. Negative: violated when the literal is true.
       if (positive) {
-        st.unary[2 * a + (1 - s)] += nweight[c];
+        st.unary[2 * a + (1 - s)] += problem.weight[c];
       } else {
-        st.unary[2 * a + s] += -nweight[c];
+        st.unary[2 * a + s] += -problem.weight[c];
       }
       continue;
     }
@@ -401,8 +374,7 @@ TractableStructure AnalyzeTractable(const Problem& problem) {
       std::swap(u, v);
       std::swap(su, sv);
     }
-    binary.push_back(PairClause{(static_cast<uint64_t>(u) << 32) | v,
-                                static_cast<uint32_t>(c),
+    binary.push_back(PairClause{(static_cast<uint64_t>(u) << 32) | v, c,
                                 static_cast<uint8_t>(su),
                                 static_cast<uint8_t>(sv)});
   }
@@ -431,15 +403,15 @@ TractableStructure AnalyzeTractable(const Problem& problem) {
       st.edges.push_back(e);
     }
     TractableStructure::Edge& e = st.edges.back();
-    const size_t c = b.clause;
+    const uint32_t c = b.clause;
     const int su = b.su, sv = b.sv;
-    if (nhard[c]) {
+    if (problem.hard[c]) {
       e.hard[2 * (1 - su) + (1 - sv)] += 1;
-    } else if (nweight[c] >= 0) {
-      e.cost[2 * (1 - su) + (1 - sv)] += nweight[c];
+    } else if (problem.weight[c] >= 0) {
+      e.cost[2 * (1 - su) + (1 - sv)] += problem.weight[c];
     } else {
       // Violated in the three cells where some literal is true.
-      const double w = -nweight[c];
+      const double w = -problem.weight[c];
       e.cost[2 * su + sv] += w;
       e.cost[2 * su + (1 - sv)] += w;
       e.cost[2 * (1 - su) + sv] += w;

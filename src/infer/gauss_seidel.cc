@@ -65,7 +65,6 @@ GaussSeidelResult RunGaussSeidel(size_t num_atoms,
 
   result.truth = best_truth;
   result.cost = best_cost;
-  result.seconds = timer.ElapsedSeconds();
   return result;
 }
 

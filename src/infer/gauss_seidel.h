@@ -25,7 +25,6 @@ struct GaussSeidelResult {
   /// Exact global cost of `truth` over all clauses (including cut).
   double cost = 0.0;
   uint64_t flips = 0;
-  double seconds = 0.0;
   /// One point per sweep: global cost after the sweep.
   std::vector<TracePoint> trace;
 };

@@ -7,13 +7,13 @@ namespace tuffy {
 
 namespace {
 
-/// SampleSAT moves (WalkSAT + simulated annealing) on a state whose arena
+/// SampleSAT moves (WalkSAT + simulated annealing) on a state whose problem
 /// holds the slice's constraints as unit-cost positive clauses. Runs until
 /// every constraint is satisfied or the flip budget is exhausted. The
 /// caller seeds the assignment (MC-SAT requires a random restart).
 bool SampleSatMoves(WalkSatState* state, const SampleSatOptions& options,
                     Rng* rng, std::vector<uint8_t>* out) {
-  const ClauseArena& arena = state->arena();
+  const size_t num_atoms = state->problem().num_atoms;
   for (uint64_t flip = 0; flip < options.max_flips; ++flip) {
     if (!state->HasViolated()) {
       *out = state->truth();
@@ -21,7 +21,7 @@ bool SampleSatMoves(WalkSatState* state, const SampleSatOptions& options,
     }
     if (rng->NextDouble() < options.p_anneal) {
       // Simulated-annealing move: random atom, Metropolis acceptance.
-      AtomId a = static_cast<AtomId>(rng->Uniform(arena.num_atoms));
+      AtomId a = static_cast<AtomId>(rng->Uniform(num_atoms));
       double delta = state->FlipDelta(a);
       if (delta <= 0 ||
           rng->NextDouble() < std::exp(-delta / options.temperature)) {
@@ -43,15 +43,14 @@ bool SampleSatMoves(WalkSatState* state, const SampleSatOptions& options,
 
 bool SampleSat(const Problem& problem, const SampleSatOptions& options,
                Rng* rng, std::vector<uint8_t>* out) {
-  // Every clause becomes a unit-cost constraint directly in the arena —
-  // no copy of the Problem is made; weight 1 keeps the annealing deltas
-  // well-scaled.
-  ClauseArena constraints;
-  constraints.Clear();
-  for (const SearchClause& c : problem.clauses) {
-    constraints.AddClause(c.lits.data(), c.lits.size(), 1.0, false);
+  // Every clause becomes a unit-cost constraint; weight 1 keeps the
+  // annealing deltas well-scaled.
+  Problem constraints;
+  constraints.num_atoms = problem.num_atoms;
+  for (uint32_t c = 0; c < problem.num_clauses(); ++c) {
+    constraints.AddClause(problem.clause_lits(c), problem.clause_size(c), 1.0,
+                          false);
   }
-  constraints.Finish(problem.num_atoms);
   WalkSatState state(&constraints, /*hard_weight=*/1.0);
   state.RandomAssignment(rng);
   return SampleSatMoves(&state, options, rng, out);
@@ -66,8 +65,11 @@ McSatResult RunMcSat(const Problem& problem, const McSatOptions& options,
   // Initial state: satisfy the hard clauses with plain WalkSAT.
   Problem hard_only;
   hard_only.num_atoms = problem.num_atoms;
-  for (const SearchClause& c : problem.clauses) {
-    if (c.hard) hard_only.clauses.push_back(c);
+  for (uint32_t c = 0; c < problem.num_clauses(); ++c) {
+    if (problem.hard[c]) {
+      hard_only.AddClause(problem.clause_lits(c), problem.clause_size(c),
+                          problem.weight[c], true);
+    }
   }
   WalkSatOptions init_opts;
   init_opts.max_flips = options.init_flips;
@@ -76,12 +78,11 @@ McSatResult RunMcSat(const Problem& problem, const McSatOptions& options,
   std::vector<uint8_t> state = init_search.Run().best_truth;
   if (state.empty()) state.assign(problem.num_atoms, 0);
 
-  // One slice arena and one search state, allocated once and reused for
-  // every sample: each round rewrites the arena in place (capacity is
-  // retained) and re-attaches the sampler — no per-sample Problem copy,
-  // no per-sample occurrence-list allocation.
-  ClauseArena slice;
-  slice.Clear();
+  // One slice problem and one search state, allocated once and reused
+  // for every sample: each round rewrites the slice in place (capacity is
+  // retained) and re-attaches the sampler — no per-sample allocation.
+  Problem slice;
+  slice.num_atoms = problem.num_atoms;
   WalkSatState sampler(&slice, /*hard_weight=*/1.0);
   std::vector<uint8_t> next;
 
@@ -111,42 +112,36 @@ McSatResult RunMcSat(const Problem& problem, const McSatOptions& options,
   for (int round = 0; round < total_rounds; ++round) {
     const bool collect_counts = count_index != nullptr &&
                                 round > options.burn_in;
-    // Build the slice M as unit-cost constraints in the reused arena.
+    // Build the slice M as unit-cost constraints in the reused problem.
     slice.Clear();
-    for (size_t ci = 0; ci < problem.clauses.size(); ++ci) {
-      const SearchClause& c = problem.clauses[ci];
-      bool is_true = false;
-      for (Lit l : c.lits) {
-        if ((state[LitAtom(l)] != 0) == LitPositive(l)) {
-          is_true = true;
-          break;
-        }
-      }
+    for (uint32_t ci = 0; ci < problem.num_clauses(); ++ci) {
+      const bool is_true = problem.Satisfied(ci, state);
       if (collect_counts && is_true) {
-        count_index->AccumulateClause(static_cast<uint32_t>(ci), 1.0,
-                                      &sample_counts);
+        count_index->AccumulateClause(ci, 1.0, &sample_counts);
       }
-      if (c.hard) {
-        slice.AddClause(c.lits.data(), c.lits.size(), 1.0, false);
+      const Lit* lits = problem.clause_lits(ci);
+      const uint32_t len = problem.clause_size(ci);
+      const double w = problem.weight[ci];
+      if (problem.hard[ci]) {
+        slice.AddClause(lits, len, 1.0, false);
         continue;
       }
-      if (c.weight > 0 && is_true) {
-        if (rng.NextDouble() < 1.0 - std::exp(-c.weight)) {
-          slice.AddClause(c.lits.data(), c.lits.size(), 1.0, false);
+      if (w > 0 && is_true) {
+        if (rng.NextDouble() < 1.0 - std::exp(-w)) {
+          slice.AddClause(lits, len, 1.0, false);
         }
-      } else if (c.weight < 0 && !is_true) {
+      } else if (w < 0 && !is_true) {
         // A false negative-weight clause is currently *satisfying* the
         // model (not violated); keep it false via unit constraints on
         // the negations of its literals.
-        if (rng.NextDouble() < 1.0 - std::exp(c.weight)) {
-          for (Lit l : c.lits) {
-            Lit unit = -l;
+        if (rng.NextDouble() < 1.0 - std::exp(w)) {
+          for (uint32_t i = 0; i < len; ++i) {
+            Lit unit = -lits[i];
             slice.AddClause(&unit, 1, 1.0, false);
           }
         }
       }
     }
-    slice.Finish(problem.num_atoms);
     if (collect_counts) fold_sample_counts();
     sampler.Attach(&slice, /*hard_weight=*/1.0);
     sampler.RandomAssignment(&rng);
@@ -167,14 +162,9 @@ McSatResult RunMcSat(const Problem& problem, const McSatOptions& options,
   }
   if (count_index != nullptr && kept > 0) {
     // The slice loops covered all kept samples but the last; scan it.
-    for (size_t ci = 0; ci < problem.clauses.size(); ++ci) {
-      const SearchClause& c = problem.clauses[ci];
-      for (Lit l : c.lits) {
-        if ((state[LitAtom(l)] != 0) == LitPositive(l)) {
-          count_index->AccumulateClause(static_cast<uint32_t>(ci), 1.0,
-                                        &sample_counts);
-          break;
-        }
+    for (uint32_t ci = 0; ci < problem.num_clauses(); ++ci) {
+      if (problem.Satisfied(ci, state)) {
+        count_index->AccumulateClause(ci, 1.0, &sample_counts);
       }
     }
     fold_sample_counts();

@@ -25,8 +25,8 @@ struct SampleSatOptions {
 /// clauses are all treated as hard constraints. Starts from a *random*
 /// assignment — the random restart plus the annealing moves are what make
 /// successive MC-SAT samples mix. Returns true on success and writes the
-/// sample to `out`. The constraints are staged directly into a CSR clause
-/// arena; the problem itself is never copied.
+/// sample to `out`. The constraints are staged into one unit-weight copy
+/// of the problem's clauses.
 bool SampleSat(const Problem& problem, const SampleSatOptions& options,
                Rng* rng, std::vector<uint8_t>* out);
 
@@ -41,7 +41,7 @@ struct McSatOptions {
   /// accumulated over the kept samples (mean and variance land in
   /// McSatResult) — the E[n_i] / Var[n_i] statistics weight learning
   /// consumes. The index must be built over the same clause ids as
-  /// `problem.clauses` and outlive the run. The accumulation rides the
+  /// `problem` and outlive the run. The accumulation rides the
   /// per-round slice-construction scan, which already evaluates every
   /// clause's truth; only the final sample costs one extra scan.
   const RuleCountIndex* count_index = nullptr;

@@ -5,7 +5,7 @@
 
 namespace tuffy {
 
-void ClauseArena::Clear() {
+void Problem::Clear() {
   clause_offsets.clear();
   clause_offsets.push_back(0);
   lit_data.clear();
@@ -14,12 +14,9 @@ void ClauseArena::Clear() {
   hard.clear();
   positive.clear();
   frozen.clear();
-  num_atoms = 0;
 }
 
-void ClauseArena::AddClause(const Lit* lits, size_t n, double w,
-                            bool is_hard) {
-  if (clause_offsets.empty()) clause_offsets.push_back(0);
+void Problem::AddClause(const Lit* lits, size_t n, double w, bool is_hard) {
   const size_t start = lit_data.size();
   bool taut = false;
   for (size_t i = 0; i < n; ++i) {
@@ -42,7 +39,13 @@ void ClauseArena::AddClause(const Lit* lits, size_t n, double w,
   frozen.push_back(taut ? 1 : 0);
 }
 
-size_t ClauseArena::EstimateBytes() const {
+void Problem::SetWeight(uint32_t c, double w) {
+  weight[c] = w;
+  abs_weight[c] = std::fabs(w);
+  positive[c] = (hard[c] || w >= 0) ? 1 : 0;
+}
+
+size_t Problem::EstimateBytes() const {
   return clause_offsets.capacity() * sizeof(uint32_t) +
          lit_data.capacity() * sizeof(Lit) +
          weight.capacity() * sizeof(double) +
@@ -52,33 +55,17 @@ size_t ClauseArena::EstimateBytes() const {
          frozen.capacity() * sizeof(uint8_t);
 }
 
-void ClauseArena::BuildFrom(size_t n_atoms,
-                            const std::vector<SearchClause>& clauses) {
-  Clear();
-  for (const SearchClause& c : clauses) {
-    AddClause(c.lits.data(), c.lits.size(), c.weight, c.hard);
-  }
-  Finish(n_atoms);
-}
-
 double Problem::EvalCost(const std::vector<uint8_t>& truth,
                          double hard_weight) const {
   double cost = 0.0;
-  for (const SearchClause& c : clauses) {
-    bool is_true = false;
-    for (Lit l : c.lits) {
-      bool atom_true = truth[LitAtom(l)] != 0;
-      if (atom_true == LitPositive(l)) {
-        is_true = true;
-        break;
-      }
-    }
-    if (c.hard) {
+  for (uint32_t c = 0; c < num_clauses(); ++c) {
+    const bool is_true = Satisfied(c, truth);
+    if (hard[c]) {
       if (!is_true) cost += hard_weight;
-    } else if (c.weight > 0) {
-      if (!is_true) cost += c.weight;
+    } else if (weight[c] > 0) {
+      if (!is_true) cost += weight[c];
     } else {
-      if (is_true) cost += -c.weight;
+      if (is_true) cost += -weight[c];
     }
   }
   return cost;
@@ -88,9 +75,8 @@ Problem MakeWholeProblem(size_t num_atoms,
                          const std::vector<GroundClause>& clauses) {
   Problem p;
   p.num_atoms = num_atoms;
-  p.clauses.reserve(clauses.size());
   for (const GroundClause& c : clauses) {
-    p.clauses.push_back(SearchClause{c.lits, c.weight, c.hard});
+    p.AddClause(c.lits.data(), c.lits.size(), c.weight, c.hard);
   }
   return p;
 }
@@ -106,17 +92,14 @@ SubProblem BuildSubProblem(const std::vector<GroundClause>& all_clauses,
   for (size_t i = 0; i < atom_ids.size(); ++i) {
     local[atom_ids[i]] = static_cast<AtomId>(i);
   }
-  sub.problem.clauses.reserve(clause_ids.size());
+  std::vector<Lit> lits;
   for (uint32_t ci : clause_ids) {
     const GroundClause& c = all_clauses[ci];
-    SearchClause sc;
-    sc.weight = c.weight;
-    sc.hard = c.hard;
-    sc.lits.reserve(c.lits.size());
+    lits.clear();
     for (Lit l : c.lits) {
-      sc.lits.push_back(MakeLit(local.at(LitAtom(l)), LitPositive(l)));
+      lits.push_back(MakeLit(local.at(LitAtom(l)), LitPositive(l)));
     }
-    sub.problem.clauses.push_back(std::move(sc));
+    sub.problem.AddClause(lits.data(), lits.size(), c.weight, c.hard);
   }
   return sub;
 }
@@ -134,6 +117,7 @@ SubProblem BuildConditionedSubProblem(
   for (size_t i = 0; i < atom_ids.size(); ++i) {
     local[atom_ids[i]] = static_cast<AtomId>(i);
   }
+  std::vector<Lit> lits;
   for (uint32_t ci : cut_clause_ids) {
     const GroundClause& c = all_clauses[ci];
     // Skip cut clauses that do not touch this partition.
@@ -142,14 +126,12 @@ SubProblem BuildConditionedSubProblem(
       if (partition_of_atom[LitAtom(l)] == partition) touches = true;
     }
     if (!touches) continue;
-    SearchClause sc;
-    sc.weight = c.weight;
-    sc.hard = c.hard;
+    lits.clear();
     bool satisfied_external = false;
     for (Lit l : c.lits) {
       AtomId g = LitAtom(l);
       if (partition_of_atom[g] == partition) {
-        sc.lits.push_back(MakeLit(local.at(g), LitPositive(l)));
+        lits.push_back(MakeLit(local.at(g), LitPositive(l)));
         continue;
       }
       bool atom_true = global_truth[g] != 0;
@@ -165,8 +147,8 @@ SubProblem BuildConditionedSubProblem(
       // the local search cannot change, so it is also dropped.
       continue;
     }
-    if (sc.lits.empty()) continue;  // constant for this sweep
-    sub.problem.clauses.push_back(std::move(sc));
+    if (lits.empty()) continue;  // constant for this sweep
+    sub.problem.AddClause(lits.data(), lits.size(), c.weight, c.hard);
   }
   return sub;
 }

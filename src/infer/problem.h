@@ -8,17 +8,12 @@
 
 namespace tuffy {
 
-/// A weighted ground clause in search form. Literals use the same signed
-/// encoding as GroundClause but reference *local* atom ids when the
-/// problem is a sub-MRF.
-struct SearchClause {
-  std::vector<Lit> lits;
-  double weight = 0.0;
-  bool hard = false;
-};
-
-/// Flat CSR ("arena") view of a clause set — the search-kernel layout
-/// shared by every WalkSatState over a problem (see docs/INFER_KERNEL.md).
+/// A self-contained MaxSAT search problem: the whole MRF, one connected
+/// component, or one partition with its cut clauses conditioned on the
+/// frozen values of external atoms. Its clauses are stored once, in the
+/// flat CSR ("arena") layout every WalkSatState over the problem reads
+/// (see docs/INFER_KERNEL.md). Literals use GroundClause's signed
+/// encoding but reference *local* atom ids when the problem is a sub-MRF.
 ///
 /// The literals of clause `c` live contiguously in
 /// `lit_data[clause_offsets[c] .. clause_offsets[c+1])`, with the signed
@@ -28,7 +23,8 @@ struct SearchClause {
 /// violated when no literal is true, a clause with w < 0 when some
 /// literal is true. `abs_weight` is precomputed so search states resolve
 /// effective clause costs with a single load — no fabs() or hard-ness
-/// branch anywhere near the flip loop.
+/// branch anywhere near the flip loop. SetWeight keeps both in step with
+/// `weight`.
 ///
 /// The atom-side occurrence lists live in WalkSatState, not here: their
 /// entries embed the effective clause cost, which depends on the state's
@@ -39,24 +35,23 @@ struct SearchClause {
 /// both x and !x is marked `frozen` — its truth value is constant, so it
 /// is kept for cost accounting (a negative-weight tautology is
 /// permanently violated) but excluded from the flip bookkeeping, where
-/// the counter arithmetic assumes one literal per atom.
+/// the counter arithmetic assumes one literal per atom. Ground clauses
+/// from a GroundClauseStore are already sorted, duplicate-free and
+/// non-tautological, so for them the normalization changes nothing.
 ///
-/// The appending API (Clear / AddClause / Finish) reuses vector capacity,
-/// which lets MC-SAT rebuild its per-round slice arena with no
-/// steady-state allocation.
-struct ClauseArena {
-  std::vector<uint32_t> clause_offsets;  // size num_clauses() + 1
+/// Clear keeps vector capacity, which lets MC-SAT rebuild its per-round
+/// slice with no steady-state allocation.
+struct Problem {
+  size_t num_atoms = 0;
+  std::vector<uint32_t> clause_offsets{0};  // size num_clauses() + 1
   std::vector<Lit> lit_data;
   std::vector<double> weight;      // signed rule weight
   std::vector<double> abs_weight;  // fabs(weight), a single load
   std::vector<uint8_t> hard;
   std::vector<uint8_t> positive;  // hard || weight >= 0
   std::vector<uint8_t> frozen;    // tautology: constant truth value
-  size_t num_atoms = 0;
 
-  size_t num_clauses() const {
-    return clause_offsets.empty() ? 0 : clause_offsets.size() - 1;
-  }
+  size_t num_clauses() const { return clause_offsets.size() - 1; }
   uint32_t clause_size(uint32_t c) const {
     return clause_offsets[c + 1] - clause_offsets[c];
   }
@@ -64,51 +59,37 @@ struct ClauseArena {
     return lit_data.data() + clause_offsets[c];
   }
 
-  /// Bytes held by the arena's arrays (capacities, i.e. the real
-  /// footprint of the flat layout).
-  size_t EstimateBytes() const;
-
-  /// Resets to an empty clause set, keeping allocated capacity.
-  void Clear();
-  /// Appends one clause.
-  void AddClause(const Lit* lits, size_t n, double w, bool is_hard);
-  /// Records the atom count. Must be called after the last AddClause and
-  /// before the arena is searched.
-  void Finish(size_t n_atoms) { num_atoms = n_atoms; }
-  /// Clear + AddClause for each + Finish.
-  void BuildFrom(size_t n_atoms, const std::vector<SearchClause>& clauses);
-};
-
-/// A self-contained MaxSAT search problem: the whole MRF, one connected
-/// component, or one partition with its cut clauses conditioned on the
-/// frozen values of external atoms.
-struct Problem {
-  size_t num_atoms = 0;
-  std::vector<SearchClause> clauses;
+  /// True iff clause `c` has a true literal under `truth`.
+  bool Satisfied(uint32_t c, const std::vector<uint8_t>& truth) const {
+    const Lit* lits = clause_lits(c);
+    const uint32_t len = clause_size(c);
+    for (uint32_t i = 0; i < len; ++i) {
+      if ((truth[LitAtom(lits[i])] != 0) == LitPositive(lits[i])) return true;
+    }
+    return false;
+  }
 
   /// Exact cost of a truth assignment, by definition (Eq. 1): the sum of
   /// |w| over violated clauses, where a clause with w > 0 (or hard) is
   /// violated when false and a clause with w < 0 is violated when true.
-  /// Hard clauses contribute `hard_weight` each.
+  /// Hard clauses contribute `hard_weight` each. Reads only the literals,
+  /// `weight` and `hard` — none of the kernel's derived arrays — so it is
+  /// the reference the search kernel is checked against.
   double EvalCost(const std::vector<uint8_t>& truth,
                   double hard_weight) const;
 
-  /// The CSR search view of `clauses`, built on first use and cached.
-  /// `clauses` and `num_atoms` must not change afterwards (call
-  /// InvalidateArena() if they do). Not safe to trigger the first build
-  /// from multiple threads concurrently.
-  const ClauseArena& arena() const {
-    if (!arena_built_) {
-      arena_.BuildFrom(num_atoms, clauses);
-      arena_built_ = true;
-    }
-    return arena_;
-  }
-  void InvalidateArena() { arena_built_ = false; }
+  /// Rewrites clause `c`'s weight in place, with its `abs_weight` and
+  /// `positive`. A WalkSatState over the problem must be re-attached.
+  void SetWeight(uint32_t c, double w);
 
- private:
-  mutable ClauseArena arena_;
-  mutable bool arena_built_ = false;
+  /// Bytes held by the clause arrays (capacities, i.e. the real
+  /// footprint of the flat layout).
+  size_t EstimateBytes() const;
+
+  /// Drops every clause, keeping allocated capacity and num_atoms.
+  void Clear();
+  /// Appends one clause.
+  void AddClause(const Lit* lits, size_t n, double w, bool is_hard);
 };
 
 /// A sub-problem over a subset of the global atoms, with the local-to-

@@ -7,23 +7,18 @@
 namespace tuffy {
 
 WalkSatState::WalkSatState(const Problem* problem, double hard_weight) {
-  Attach(&problem->arena(), hard_weight);
-  Rebuild();
-}
-
-WalkSatState::WalkSatState(const ClauseArena* arena, double hard_weight) {
-  Attach(arena, hard_weight);
+  Attach(problem, hard_weight);
   Rebuild();
 }
 
 double WalkSatState::SignedCost(uint32_t clause) const {
   const double w =
-      arena_->hard[clause] ? hard_weight_ : arena_->abs_weight[clause];
-  return arena_->positive[clause] ? w : -w;
+      problem_->hard[clause] ? hard_weight_ : problem_->abs_weight[clause];
+  return problem_->positive[clause] ? w : -w;
 }
 
 void WalkSatState::BuildOccurrences() {
-  const ClauseArena& a = *arena_;
+  const Problem& a = *problem_;
   const size_t n_atoms = a.num_atoms;
   const size_t n_clauses = a.num_clauses();
   // Counting sort of occurrence entries by atom. Frozen clauses have a
@@ -70,14 +65,14 @@ void WalkSatState::BuildOccurrences() {
   occ_offsets_[0] = 0;
 }
 
-void WalkSatState::Attach(const ClauseArena* arena, double hard_weight) {
-  arena_ = arena;
+void WalkSatState::Attach(const Problem* problem, double hard_weight) {
+  problem_ = problem;
   hard_weight_ = hard_weight;
   // A statistics index is keyed by clause id, which just changed meaning.
   stats_index_ = nullptr;
-  cstate_.resize(arena_->num_clauses());
+  cstate_.resize(problem_->num_clauses());
   BuildOccurrences();
-  truth_.assign(arena_->num_atoms, 0);
+  truth_.assign(problem_->num_atoms, 0);
   // No Rebuild here: every assignment setter rebuilds, so doing it now
   // would double the per-attach cost (MC-SAT attaches once per sample
   // and immediately draws a random assignment).
@@ -101,7 +96,7 @@ void WalkSatState::AllFalseAssignment() {
 }
 
 void WalkSatState::Rebuild() {
-  const ClauseArena& a = *arena_;
+  const Problem& a = *problem_;
   const size_t n_clauses = a.num_clauses();
   flip_delta_.assign(a.num_atoms, 0.0);
   violated_.clear();
@@ -162,22 +157,12 @@ void WalkSatState::EnableFormulaStats(const RuleCountIndex* index) {
 }
 
 void WalkSatState::RecomputeFormulaCounts() {
-  const ClauseArena& a = *arena_;
-  const size_t n_clauses = a.num_clauses();
+  const size_t n_clauses = problem_->num_clauses();
   formula_true_.assign(stats_index_->num_rules, 0);
   for (uint32_t c = 0; c < n_clauses; ++c) {
-    bool is_true = a.frozen[c] != 0;  // a tautology is always true
-    if (!is_true) {
-      const Lit* lits = a.clause_lits(c);
-      const uint32_t len = a.clause_size(c);
-      for (uint32_t i = 0; i < len; ++i) {
-        if ((truth_[LitAtom(lits[i])] != 0) == LitPositive(lits[i])) {
-          is_true = true;
-          break;
-        }
-      }
+    if (problem_->Satisfied(c, truth_)) {
+      stats_index_->AccumulateClause(c, int64_t{1}, &formula_true_);
     }
-    if (is_true) stats_index_->AccumulateClause(c, int64_t{1}, &formula_true_);
   }
 }
 
@@ -198,7 +183,7 @@ void WalkSatState::SetViolated(uint32_t clause, bool violated, double cost) {
   if (stats_index_ != nullptr) {
     // Violation toggles exactly when truth toggles; the convention bit
     // turns the new violation status back into the new truth value.
-    const bool now_true = (arena_->positive[clause] != 0) != violated;
+    const bool now_true = (problem_->positive[clause] != 0) != violated;
     stats_index_->AccumulateClause(clause, now_true ? int64_t{1} : int64_t{-1},
                                    &formula_true_);
   }
@@ -218,7 +203,7 @@ void WalkSatState::SetViolated(uint32_t clause, bool violated, double cost) {
 }
 
 void WalkSatState::Flip(AtomId atom) {
-  const ClauseArena& a = *arena_;
+  const Problem& a = *problem_;
   const bool was_true = truth_[atom] != 0;
   truth_[atom] = was_true ? 0 : 1;
   const OccEntry* occ = occ_entries_.data();
@@ -312,8 +297,7 @@ WalkSatResult WalkSat::Run() {
   Timer timer;
   WalkSatResult result;
   WalkSatState state(problem_, options_.hard_weight);
-  result.state_bytes =
-      state.EstimateBytes() + problem_->arena().EstimateBytes();
+  result.state_bytes = state.EstimateBytes() + problem_->EstimateBytes();
   BestTruthTracker best;
   bool best_init = false;
 

@@ -42,8 +42,8 @@ struct WalkSatResult {
   uint64_t flips = 0;
   double seconds = 0.0;
   std::vector<TracePoint> trace;
-  /// Actual bytes of the search state + arena this run held in memory
-  /// (WalkSatState::EstimateBytes + ClauseArena::EstimateBytes).
+  /// Actual bytes of the search state + problem this run held in memory
+  /// (WalkSatState::EstimateBytes + Problem::EstimateBytes).
   size_t state_bytes = 0;
 
   double FlipsPerSecond() const {
@@ -52,7 +52,7 @@ struct WalkSatResult {
 };
 
 /// Incremental clause-evaluation state shared by WalkSAT, SampleSAT, and
-/// the Gauss-Seidel driver, running off a flat ClauseArena: per-clause
+/// the Gauss-Seidel sweeps, running off a Problem's flat arrays: per-clause
 /// true-literal counts, the violated set, cached per-atom flip-cost
 /// deltas (UBCSAT-style make/break bookkeeping), and O(degree(atom))
 /// flips with O(1) FlipDelta reads. A clause with w >= 0 (or hard) is
@@ -62,17 +62,15 @@ struct WalkSatResult {
 /// cost_ together.
 class WalkSatState {
  public:
+  /// The problem must outlive the state.
   WalkSatState(const Problem* problem, double hard_weight);
-  /// Runs directly off an arena that is not owned by a Problem (MC-SAT
-  /// slice sampling). The arena must outlive the state.
-  WalkSatState(const ClauseArena* arena, double hard_weight);
 
-  /// Re-attaches to a (possibly different) arena, reusing this state's
-  /// buffers — the zero-allocation path MC-SAT uses once per sample. The
-  /// assignment is reset to all-false but the derived bookkeeping is NOT
-  /// rebuilt: call one of the assignment setters below (each rebuilds)
-  /// before querying or flipping.
-  void Attach(const ClauseArena* arena, double hard_weight);
+  /// Re-attaches to a (possibly different or re-weighted) problem, reusing
+  /// this state's buffers — the zero-allocation path MC-SAT uses once per
+  /// sample. The assignment is reset to all-false but the derived
+  /// bookkeeping is NOT rebuilt: call one of the assignment setters below
+  /// (each rebuilds) before querying or flipping.
+  void Attach(const Problem* problem, double hard_weight);
 
   void SetAssignment(const std::vector<uint8_t>& truth);
   void RandomAssignment(Rng* rng);
@@ -95,20 +93,20 @@ class WalkSatState {
   void Flip(AtomId atom);
 
   const std::vector<uint8_t>& truth() const { return truth_; }
-  const ClauseArena& arena() const { return *arena_; }
+  const Problem& problem() const { return *problem_; }
   double hard_weight() const { return hard_weight_; }
 
   /// Enables per-first-order-formula satisfied-grounding statistics (the
   /// n_i of weight learning): formula_true_counts()[r] is the number of
   /// true ground clauses attributable to rule r in the *current*
   /// assignment, weighted by grounding multiplicity. `index` must be
-  /// built over the same clause ids as this state's arena and must
+  /// built over the same clause ids as this state's problem and must
   /// outlive the state. Counts are initialized from the current
   /// assignment (one scan), then maintained incrementally: a flip costs
   /// O(index entries of the clauses whose truth toggled) — almost always
   /// one entry per toggled clause — riding the same make/break
   /// bookkeeping that maintains the violated set; no rescan ever
-  /// happens. Attach() detaches the index (slice arenas have different
+  /// happens. Attach() detaches the index (slice problems have different
   /// clause ids); re-enable after attaching if needed.
   void EnableFormulaStats(const RuleCountIndex* index);
   const std::vector<int64_t>& formula_true_counts() const {
@@ -117,7 +115,7 @@ class WalkSatState {
 
   /// Bytes held by this state's derived arrays (occurrence CSR, cached
   /// deltas, violated bookkeeping) — the search-state footprint that,
-  /// with ClauseArena::EstimateBytes, WalkSatResult::state_bytes reports.
+  /// with Problem::EstimateBytes, WalkSatResult::state_bytes reports.
   size_t EstimateBytes() const;
 
  private:
@@ -159,7 +157,7 @@ class WalkSatState {
   double SignedCost(uint32_t clause) const;
   void RecomputeFormulaCounts();
 
-  const ClauseArena* arena_;
+  const Problem* problem_;
   double hard_weight_;
   std::vector<uint8_t> truth_;
   /// Atom-side occurrence CSR (see OccEntry).
@@ -182,10 +180,10 @@ class WalkSatState {
 /// state.HasViolated().
 inline AtomId ChooseWalkSatMove(const WalkSatState& state, double p_random,
                                 Rng* rng) {
-  const ClauseArena& arena = state.arena();
+  const Problem& problem = state.problem();
   const uint32_t ci = state.SampleViolated(rng);
-  const Lit* lits = arena.clause_lits(ci);
-  const uint32_t len = arena.clause_size(ci);
+  const Lit* lits = problem.clause_lits(ci);
+  const uint32_t len = problem.clause_size(ci);
   if (rng->NextDouble() <= p_random) {
     return LitAtom(lits[rng->Uniform(len)]);
   }

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 
 #include "util/string_util.h"
 
@@ -17,26 +18,13 @@ std::vector<uint8_t> LabelAssignment(const MlnProgram& program,
   return truth;
 }
 
-namespace {
-
-/// True iff the clause has at least one true literal under `truth`.
-inline bool ClauseTrue(const SearchClause& c,
-                       const std::vector<uint8_t>& truth) {
-  for (Lit l : c.lits) {
-    if ((truth[LitAtom(l)] != 0) == LitPositive(l)) return true;
-  }
-  return false;
-}
-
-}  // namespace
-
 std::vector<int64_t> CountSatisfiedGroundings(
     const Problem& problem, const RuleCountIndex& index,
     const std::vector<uint8_t>& truth) {
   std::vector<int64_t> counts(index.num_rules, 0);
-  for (size_t ci = 0; ci < problem.clauses.size(); ++ci) {
-    if (ClauseTrue(problem.clauses[ci], truth)) {
-      index.AccumulateClause(static_cast<uint32_t>(ci), int64_t{1}, &counts);
+  for (uint32_t ci = 0; ci < problem.num_clauses(); ++ci) {
+    if (problem.Satisfied(ci, truth)) {
+      index.AccumulateClause(ci, int64_t{1}, &counts);
     }
   }
   return counts;
@@ -60,28 +48,16 @@ Result<FormulaExpectations> ExactFormulaExpectations(
     for (size_t i = 0; i < problem.num_atoms; ++i) {
       truth[i] = (w >> i) & 1 ? 1 : 0;
     }
-    // Soft cost and count accumulation in one pass; hard-violating
-    // worlds are excluded (probability zero), as in ExactMarginals.
-    bool hard_violated = false;
-    double cost = 0.0;
+    // A world violating a hard clause costs +inf: probability exactly 0,
+    // as in ExactMarginals.
+    const double p = std::exp(
+        -problem.EvalCost(truth, std::numeric_limits<double>::infinity()));
     std::fill(counts.begin(), counts.end(), 0);
-    for (size_t ci = 0; ci < problem.clauses.size(); ++ci) {
-      const SearchClause& c = problem.clauses[ci];
-      const bool is_true = ClauseTrue(c, truth);
-      if (is_true) {
-        index.AccumulateClause(static_cast<uint32_t>(ci), int64_t{1},
-                               &counts);
-      }
-      if (c.hard) {
-        if (!is_true) hard_violated = true;
-      } else if (c.weight > 0 && !is_true) {
-        cost += c.weight;
-      } else if (c.weight < 0 && is_true) {
-        cost += -c.weight;
+    for (uint32_t ci = 0; ci < problem.num_clauses(); ++ci) {
+      if (problem.Satisfied(ci, truth)) {
+        index.AccumulateClause(ci, int64_t{1}, &counts);
       }
     }
-    if (hard_violated) continue;
-    const double p = std::exp(-cost);
     z += p;
     for (size_t r = 0; r < num_rules; ++r) {
       sum[r] += p * static_cast<double>(counts[r]);

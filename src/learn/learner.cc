@@ -83,12 +83,10 @@ WeightLearner::WeightLearner(const MlnProgram& program,
       options_(std::move(options)) {}
 
 void WeightLearner::RefreshClauseWeights() {
-  RecomputeClauseWeights(index_, weights_, clause_hard_, &clause_weights_);
-  for (size_t c = 0; c < problem_.clauses.size(); ++c) {
-    problem_.clauses[c].weight = clause_weights_[c];
+  RecomputeClauseWeights(index_, weights_, problem_.hard, &clause_weights_);
+  for (uint32_t c = 0; c < problem_.num_clauses(); ++c) {
+    problem_.SetWeight(c, clause_weights_[c]);
   }
-  // The arena is rebuilt in place on next use, reusing its capacity.
-  problem_.InvalidateArena();
 }
 
 void WeightLearner::ExpectedCountsMap(uint64_t seed,
@@ -97,14 +95,13 @@ void WeightLearner::ExpectedCountsMap(uint64_t seed,
   // maintains the per-rule counts O(1) per flip alongside the make/break
   // bookkeeping, and the best state's counts are captured by snapshot
   // whenever the cost improves — never by rescanning the clause set.
-  // Attach reuses this state's buffers across epochs (the arena was
-  // rebuilt in place with the new weights); the index must be re-enabled
-  // after it.
+  // Attach reuses this state's buffers across epochs (the weights were
+  // rewritten in place); the index must be re-enabled after it.
   Rng rng(seed);
   if (!stats_state_.has_value()) {
-    stats_state_.emplace(&problem_.arena(), options_.hard_weight);
+    stats_state_.emplace(&problem_, options_.hard_weight);
   } else {
-    stats_state_->Attach(&problem_.arena(), options_.hard_weight);
+    stats_state_->Attach(&problem_, options_.hard_weight);
   }
   // Seed the assignment before enabling stats: Rebuild skips the count
   // scan while the hook is off, so the counts are derived exactly once.
@@ -156,12 +153,7 @@ Result<LearnResult> WeightLearner::Learn() {
 
   problem_ = MakeWholeProblem(num_atoms, clauses);
   index_ = BuildRuleCountIndex(grounding_.clauses, num_rules);
-  clause_hard_.resize(clauses.size());
-  clause_weights_.resize(clauses.size());
-  for (size_t c = 0; c < clauses.size(); ++c) {
-    clause_hard_[c] = clauses[c].hard ? 1 : 0;
-    clause_weights_[c] = clauses[c].weight;
-  }
+  clause_weights_ = problem_.weight;  // hard clauses keep theirs
 
   LearnResult result;
   result.num_atoms = num_atoms;

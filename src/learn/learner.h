@@ -48,7 +48,7 @@ struct LearnResult {
 /// log-likelihood, with the expectation estimated per LearnAlgorithm.
 /// Between epochs the ground clause *structure* is reused — only the
 /// per-clause summed weights are recomputed from the rule count index
-/// and the arena is rebuilt through its capacity-reusing appending API.
+/// and rewritten in place with Problem::SetWeight.
 ///
 /// The grounding must be exhaustive (lazy_closure = false): the lazy
 /// closure prunes clauses that cannot be violated near the evidence
@@ -65,7 +65,7 @@ class WeightLearner {
 
  private:
   /// Re-derives every soft ground clause's weight from the current rule
-  /// weights and invalidates the arena (rebuilt in place on next use).
+  /// weights and writes it into the problem in place.
   void RefreshClauseWeights();
   /// Voted perceptron: counts at the best state of a WalkSAT run
   /// executed on the stats-enabled state itself — the formula hook
@@ -83,7 +83,6 @@ class WeightLearner {
 
   Problem problem_;
   RuleCountIndex index_;
-  std::vector<uint8_t> clause_hard_;
   std::vector<double> clause_weights_;  // scratch for RecomputeClauseWeights
   std::vector<double> weights_;         // current rule weights
   std::vector<uint8_t> learnable_;      // soft rules only

@@ -86,34 +86,8 @@ Status Client::SendPayload(const std::string& payload) {
 }
 
 Result<NetResponse> Client::Receive() {
-  if (fd_ < 0) return Status::InvalidArgument("not connected");
-  char buf[65536];
-  while (true) {
-    std::string payload;
-    size_t consumed = 0;
-    FrameDecode fd = TryDecodeFrame(in_.data(), in_.size(),
-                                    max_frame_bytes_, &payload, &consumed);
-    if (fd == FrameDecode::kFrame) {
-      in_.erase(0, consumed);
-      return DecodeResponse(payload);
-    }
-    if (fd == FrameDecode::kBadCrc) {
-      return Status::Corruption("response frame failed crc check");
-    }
-    if (fd == FrameDecode::kTooLarge) {
-      return Status::Corruption("response frame exceeds size limit");
-    }
-    ssize_t n = ::recv(fd_, buf, sizeof(buf), 0);
-    if (n > 0) {
-      in_.append(buf, static_cast<size_t>(n));
-      continue;
-    }
-    if (n == 0) {
-      return Status::IOError("server closed the connection");
-    }
-    if (errno == EINTR) continue;
-    return Status::IOError(std::string("recv: ") + std::strerror(errno));
-  }
+  TUFFY_ASSIGN_OR_RETURN(std::string payload, ReceiveFrame(-1));
+  return DecodeResponse(payload);
 }
 
 Result<std::string> Client::ReceiveFrame(int timeout_ms) {
@@ -134,13 +108,15 @@ Result<std::string> Client::ReceiveFrame(int timeout_ms) {
     if (fd == FrameDecode::kTooLarge) {
       return Status::Corruption("frame exceeds size limit");
     }
-    pollfd pfd{fd_, POLLIN, 0};
-    int ready = ::poll(&pfd, 1, timeout_ms);
-    if (ready < 0) {
-      if (errno == EINTR) continue;
-      return Status::IOError(std::string("poll: ") + std::strerror(errno));
+    if (timeout_ms >= 0) {
+      pollfd pfd{fd_, POLLIN, 0};
+      int ready = ::poll(&pfd, 1, timeout_ms);
+      if (ready < 0) {
+        if (errno == EINTR) continue;
+        return Status::IOError(std::string("poll: ") + std::strerror(errno));
+      }
+      if (ready == 0) return Status::NotFound("no frame within the timeout");
     }
-    if (ready == 0) return Status::NotFound("no frame within the timeout");
     ssize_t n = ::recv(fd_, buf, sizeof(buf), 0);
     if (n > 0) {
       in_.append(buf, static_cast<size_t>(n));
@@ -175,13 +151,8 @@ Result<NetResponse> Client::CallWithRetry(const NetRequest& request,
     if (attempt > 0) {
       retries->Add(1);
       std::this_thread::sleep_for(std::chrono::duration<double>(sleep));
-      // Decorrelated jitter: next wait is uniform in [base, 3 * this
-      // one], capped — growth is exponential in expectation without
-      // synchronizing concurrent retriers.
-      const double hi = std::min(policy.max_seconds, sleep * 3.0);
-      sleep = policy.base_seconds +
-              retry_rng_.NextDouble() *
-                  std::max(0.0, hi - policy.base_seconds);
+      sleep = NextBackoff(sleep, policy.base_seconds, policy.max_seconds,
+                          &retry_rng_);
     }
     NetRequest copy = request;
     copy.request_id = 0;  // fresh id per attempt

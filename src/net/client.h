@@ -91,11 +91,12 @@ class Client {
   /// handshake and acks, whose codecs live in repl/repl_protocol.h).
   Status SendPayload(const std::string& payload);
 
-  /// Blocks up to `timeout_ms` (-1 = forever) for one complete frame and
-  /// returns its verified payload undecoded — the follower's pull point
-  /// for replication pushes, which are not NetResponses. NotFound means
-  /// the timeout elapsed with no frame (the heartbeat-miss signal);
-  /// IOError / Corruption mean the connection is unusable.
+  /// Blocks up to `timeout_ms` (negative = forever, in recv with no poll)
+  /// for one complete frame and returns its verified payload undecoded —
+  /// Receive's frame source, and the follower's pull point for
+  /// replication pushes, which are not NetResponses. NotFound means the
+  /// timeout elapsed with no frame (the heartbeat-miss signal); IOError /
+  /// Corruption mean the connection is unusable.
   Result<std::string> ReceiveFrame(int timeout_ms);
 
   // ---- convenience wrappers (synchronous) ----

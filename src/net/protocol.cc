@@ -3,7 +3,6 @@
 #include <cstring>
 
 #include "durability/serialize.h"
-#include "util/crc32.h"
 
 namespace tuffy {
 
@@ -41,36 +40,6 @@ WireError WireErrorFromStatus(const Status& status) {
     case StatusCode::kUnavailable: return WireError::kNotPrimary;
     default: return WireError::kInternal;
   }
-}
-
-// ------------------------------------------------------------ framing
-
-std::string EncodeFrame(const std::string& payload) {
-  const uint32_t crc = Crc32(payload.data(), payload.size());
-  const uint32_t len = static_cast<uint32_t>(payload.size());
-  std::string frame;
-  frame.reserve(kFrameHeaderBytes + payload.size());
-  frame.append(reinterpret_cast<const char*>(&crc), sizeof(crc));
-  frame.append(reinterpret_cast<const char*>(&len), sizeof(len));
-  frame.append(payload);
-  return frame;
-}
-
-FrameDecode TryDecodeFrame(const char* data, size_t size, size_t max_payload,
-                           std::string* payload, size_t* consumed) {
-  if (size < kFrameHeaderBytes) return FrameDecode::kNeedMore;
-  uint32_t crc, len;
-  std::memcpy(&crc, data, sizeof(crc));
-  std::memcpy(&len, data + sizeof(crc), sizeof(len));
-  // The length is checked before it sizes anything: a hostile or
-  // desynchronized peer must not drive an allocation.
-  if (len > max_payload) return FrameDecode::kTooLarge;
-  if (size < kFrameHeaderBytes + len) return FrameDecode::kNeedMore;
-  const char* body = data + kFrameHeaderBytes;
-  if (Crc32(body, len) != crc) return FrameDecode::kBadCrc;
-  payload->assign(body, len);
-  *consumed = kFrameHeaderBytes + len;
-  return FrameDecode::kFrame;
 }
 
 // ------------------------------------------------------------- codecs

@@ -6,6 +6,7 @@
 #include <utility>
 #include <vector>
 
+#include "durability/wal.h"
 #include "mln/model.h"
 #include "serve/delta_grounder.h"
 #include "serve/inference_session.h"
@@ -158,29 +159,14 @@ struct NetResponse {
 
 // ------------------------------------------------------------ framing
 
-constexpr size_t kFrameHeaderBytes = 8;  // u32 crc + u32 len
+// The frame codec (EncodeFrame, TryDecodeFrame) is the WAL's, in
+// durability/wal.h.
+
 /// Default cap on a single frame's payload. A peer announcing a larger
 /// frame is a protocol violation and the connection is dropped — the
 /// length field is attacker-controlled bytes and must never size an
 /// allocation unchecked.
 constexpr size_t kDefaultMaxFrameBytes = 16u << 20;
-
-/// Wraps `payload` in the [crc][len][payload] frame.
-std::string EncodeFrame(const std::string& payload);
-
-enum class FrameDecode {
-  kFrame,     // *payload filled, *consumed bytes eaten
-  kNeedMore,  // prefix of a valid frame; read more bytes
-  kBadCrc,    // checksum mismatch: close the connection
-  kTooLarge,  // announced length exceeds max_payload: close
-};
-
-/// Streaming frame decoder over a receive buffer. On kFrame, `payload`
-/// holds the verified payload and `consumed` the frame's total size;
-/// the caller erases the consumed prefix and calls again (a buffer may
-/// hold several pipelined frames).
-FrameDecode TryDecodeFrame(const char* data, size_t size, size_t max_payload,
-                           std::string* payload, size_t* consumed);
 
 // ------------------------------------------------------------- codecs
 

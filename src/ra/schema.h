@@ -24,16 +24,6 @@ class Schema {
   const Column& column(size_t i) const { return columns_[i]; }
   const std::vector<Column>& columns() const { return columns_; }
 
-  /// Index of the column named `name`, or -1 if absent.
-  int FindColumn(const std::string& name) const {
-    for (size_t i = 0; i < columns_.size(); ++i) {
-      if (columns_[i].name == name) return static_cast<int>(i);
-    }
-    return -1;
-  }
-
-  void AddColumn(Column col) { columns_.push_back(std::move(col)); }
-
   /// Concatenation of two schemas (join output).
   static Schema Concat(const Schema& left, const Schema& right) {
     std::vector<Column> cols = left.columns_;

@@ -86,15 +86,10 @@ void FollowerManager::Run() {
     if (!first) {
       reconnects_.fetch_add(1, std::memory_order_acq_rel);
       reconnect_count->Add(1);
-      // Decorrelated jitter between base and 3x the previous wait,
-      // capped: repeated failures back off exponentially in expectation
-      // without synchronizing a fleet of followers.
-      const double hi = std::min(options_.reconnect_max_seconds,
-                                 std::max(backoff * 3.0,
-                                          options_.reconnect_base_seconds));
-      backoff = options_.reconnect_base_seconds +
-                jitter.NextDouble() *
-                    std::max(0.0, hi - options_.reconnect_base_seconds);
+      // Decorrelated jitter: a fleet of followers does not reconnect in
+      // lockstep.
+      backoff = NextBackoff(backoff, options_.reconnect_base_seconds,
+                            options_.reconnect_max_seconds, &jitter);
       // Sleep in slices so Stop() stays responsive.
       double slept = 0.0;
       while (slept < backoff && !stop_.load(std::memory_order_acquire)) {

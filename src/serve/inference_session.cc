@@ -94,6 +94,25 @@ Status DecodeDeltaRecord(const std::string& payload, EvidenceDelta* delta,
   return Status::OK();
 }
 
+namespace {
+
+/// The header record ParseWalHeader reads back: a u8 record type, the
+/// u32 magic and version, then the program and options fingerprints and
+/// the log's base position, each a u64.
+std::string EncodeWalHeader(uint64_t program_fp, uint64_t options_fp,
+                            uint64_t base_records) {
+  BinaryWriter hdr;
+  hdr.U8(kWalRecordHeader);
+  hdr.U32(kWalMagic);
+  hdr.U32(kWalVersion);
+  hdr.U64(program_fp);
+  hdr.U64(options_fp);
+  hdr.U64(base_records);
+  return hdr.Take();
+}
+
+}  // namespace
+
 Status ParseWalHeader(const std::string& payload, WalHeaderInfo* out) {
   BinaryReader hdr(payload);
   const uint8_t type = hdr.U8();
@@ -204,32 +223,10 @@ Status InferenceSession::Open(const EvidenceDb& initial_evidence,
     }
     program_fp_ = ProgramFingerprint(program_);
     options_fp_ = OptionsFingerprint(options_);
-    // Initialization happens under a temp name and publishes wal.log
-    // last: its presence is the commit point. A crash or error anywhere
-    // before the rename leaves only wal.log.init (plus a snapshot-0
-    // orphan), both of which the next Open simply overwrites — the
-    // directory is never wedged half-initialized.
-    const std::string init_path = wal_path + ".init";
-    TUFFY_ASSIGN_OR_RETURN(wal_, WalWriter::Create(init_path));
-    BinaryWriter hdr;
-    hdr.U8(kWalRecordHeader);
-    hdr.U32(kWalMagic);
-    hdr.U32(kWalVersion);
-    hdr.U64(program_fp_);
-    hdr.U64(options_fp_);
-    hdr.U64(wal_base_);  // 0: this session originates its own timeline
-    TUFFY_RETURN_IF_ERROR(wal_->Append(hdr.Take()));
-    TUFFY_RETURN_IF_ERROR(wal_->Sync());
-    // Snapshot 0: the cold-start state. Recovery always has a snapshot
-    // to stand on, so it never re-runs the cold search — and the initial
-    // evidence never needs to be in the log.
-    TUFFY_RETURN_IF_ERROR(WriteSnapshot());
-    if (std::rename(init_path.c_str(), wal_path.c_str()) != 0) {
-      return Status::IOError(StrFormat("cannot publish wal %s: %s",
-                                       wal_path.c_str(),
-                                       std::strerror(errno)));
-    }
-    TUFFY_RETURN_IF_ERROR(SyncDir(options_.wal_dir));
+    // wal_base_ is 0: this session originates its own timeline. Snapshot
+    // 0 is the cold-start state, so recovery never re-runs the cold
+    // search and the initial evidence never needs to be in the log.
+    TUFFY_RETURN_IF_ERROR(CreateLog());
   }
   open_ = true;  // only a fully-initialized session accepts deltas
   return Status::OK();
@@ -378,6 +375,26 @@ void InferenceSession::FinishDeltaTrace(TraceBuilder* trace, int apply_span,
                        << finished.Render();
   }
   traces_.Push(std::move(finished));
+}
+
+Status InferenceSession::CreateLog() {
+  // Initialization happens under a temp name and publishes wal.log last:
+  // its presence is the commit point. A crash or error anywhere before
+  // the rename leaves only wal.log.init (plus a snapshot-0 orphan), both
+  // of which the next attempt simply overwrites — the directory is never
+  // wedged half-initialized.
+  const std::string wal_path = options_.wal_dir + "/wal.log";
+  const std::string init_path = wal_path + ".init";
+  TUFFY_ASSIGN_OR_RETURN(wal_, WalWriter::Create(init_path));
+  TUFFY_RETURN_IF_ERROR(
+      wal_->Append(EncodeWalHeader(program_fp_, options_fp_, wal_base_)));
+  TUFFY_RETURN_IF_ERROR(wal_->Sync());
+  TUFFY_RETURN_IF_ERROR(WriteSnapshot());
+  if (std::rename(init_path.c_str(), wal_path.c_str()) != 0) {
+    return Status::IOError(StrFormat("cannot publish wal %s: %s",
+                                     wal_path.c_str(), std::strerror(errno)));
+  }
+  return SyncDir(options_.wal_dir);
 }
 
 Status InferenceSession::WriteSnapshot() {
@@ -640,28 +657,9 @@ Result<std::unique_ptr<InferenceSession>> InferenceSession::BootstrapFollower(
         "shipped snapshot was not rebased to the follower timeline");
   }
   session->wal_base_ = primary_position;
-
-  // Same init-under-temp-name discipline as Open: wal.log's presence is
-  // the commit point, and everything before it is overwritable litter.
-  const std::string init_path = wal_path + ".init";
-  TUFFY_ASSIGN_OR_RETURN(session->wal_, WalWriter::Create(init_path));
-  BinaryWriter hdr;
-  hdr.U8(kWalRecordHeader);
-  hdr.U32(kWalMagic);
-  hdr.U32(kWalVersion);
-  hdr.U64(program_fp);
-  hdr.U64(options_fp);
-  hdr.U64(primary_position);
-  TUFFY_RETURN_IF_ERROR(session->wal_->Append(hdr.Take()));
-  TUFFY_RETURN_IF_ERROR(session->wal_->Sync());
-  // Local snapshot 0 = the shipped state, so a restart recovers without
+  // Local snapshot 0 is the shipped state, so a restart recovers without
   // the primary's help.
-  TUFFY_RETURN_IF_ERROR(session->WriteSnapshot());
-  if (std::rename(init_path.c_str(), wal_path.c_str()) != 0) {
-    return Status::IOError(StrFormat("cannot publish wal %s: %s",
-                                     wal_path.c_str(), std::strerror(errno)));
-  }
-  TUFFY_RETURN_IF_ERROR(SyncDir(options.wal_dir));
+  TUFFY_RETURN_IF_ERROR(session->CreateLog());
   session->committed_.store(0, std::memory_order_release);
   return session;
 }
@@ -796,30 +794,15 @@ double InferenceSession::map_cost() const {
 double InferenceSession::EvalCurrentCost() {
   if (arena_dirty_) {
     arena_.Clear();
+    arena_.num_atoms = grounder_.atoms().num_atoms();
     for (const GroundClause& c : grounder_.clauses()) {
       arena_.AddClause(c.lits.data(), c.lits.size(), c.weight, c.hard);
     }
-    arena_.Finish(grounder_.atoms().num_atoms());
     arena_dirty_ = false;
     ++stats_.arena_rebuilds;
   }
-  double cost = grounder_.fixed_cost();
-  for (uint32_t c = 0; c < arena_.num_clauses(); ++c) {
-    const Lit* lits = arena_.clause_lits(c);
-    const uint32_t len = arena_.clause_size(c);
-    bool is_true = false;
-    for (uint32_t i = 0; i < len; ++i) {
-      if ((truth_[LitAtom(lits[i])] != 0) == LitPositive(lits[i])) {
-        is_true = true;
-        break;
-      }
-    }
-    const bool violated = arena_.positive[c] ? !is_true : is_true;
-    if (violated) {
-      cost += arena_.hard[c] ? options_.hard_weight : arena_.abs_weight[c];
-    }
-  }
-  return cost;
+  return grounder_.fixed_cost() +
+         arena_.EvalCost(truth_, options_.hard_weight);
 }
 
 size_t InferenceSession::EstimateBytes() const {

@@ -314,6 +314,12 @@ class InferenceSession {
   void FinishDeltaTrace(TraceBuilder* trace, int apply_span, double seconds,
                         const DeltaApplyResult* result);
 
+  /// Creates the durable log in options_.wal_dir: a header carrying
+  /// program_fp_, options_fp_ and wal_base_, fsynced, then snapshot 0 of
+  /// the current state, then the rename that publishes wal.log and the
+  /// directory fsync.
+  Status CreateLog();
+
   /// Serializes the full session state and writes it as snapshot
   /// `wal_records_` (atomically; see durability/snapshot.h).
   Status WriteSnapshot();
@@ -338,7 +344,7 @@ class InferenceSession {
   std::vector<double> marginals_;
 
   /// Verification arena (EvalCurrentCost); rebuilt with capacity reuse.
-  ClauseArena arena_;
+  Problem arena_;
   bool arena_dirty_ = true;
 
   /// Delta epoch, folded into per-component seed derivation so repeated

@@ -56,8 +56,6 @@ class HeapFile {
       const std::function<Status(RecordId, const char*)>& fn) const;
 
  private:
-  Status LocatePage(RecordId rid, PageId* page_id, uint32_t* offset) const;
-
   BufferPool* pool_;
   uint32_t record_size_;
   uint32_t records_per_page_;

@@ -1,6 +1,7 @@
 #ifndef TUFFY_UTIL_RNG_H_
 #define TUFFY_UTIL_RNG_H_
 
+#include <algorithm>
 #include <cstdint>
 
 namespace tuffy {
@@ -78,6 +79,16 @@ class Rng {
 
   uint64_t s_[4];
 };
+
+/// Decorrelated-jitter backoff: the wait after `previous` is uniform in
+/// [base, min(cap, 3 * previous)], or exactly `base` when that range is
+/// empty. Waits grow exponentially in expectation without synchronizing
+/// concurrent retriers. Draws one NextDouble().
+inline double NextBackoff(double previous, double base, double cap,
+                          Rng* rng) {
+  const double hi = std::min(cap, previous * 3.0);
+  return base + rng->NextDouble() * std::max(0.0, hi - base);
+}
 
 }  // namespace tuffy
 

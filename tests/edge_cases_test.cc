@@ -146,13 +146,10 @@ TEST(EdgeCaseTest, WalkSatMaxTriesRestarts) {
   // A frustrated pair: restarts must not crash and best tracking holds.
   Problem p;
   p.num_atoms = 1;
-  SearchClause c1;
-  c1.lits = {MakeLit(0, true)};
-  c1.weight = 1.0;
-  SearchClause c2;
-  c2.lits = {MakeLit(0, false)};
-  c2.weight = 1.0;
-  p.clauses = {c1, c2};
+  const Lit pos = MakeLit(0, true);
+  const Lit neg = MakeLit(0, false);
+  p.AddClause(&pos, 1, 1.0, false);
+  p.AddClause(&neg, 1, 1.0, false);
   WalkSatOptions opts;
   opts.max_flips = 50;
   opts.max_tries = 4;

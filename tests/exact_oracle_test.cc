@@ -28,19 +28,16 @@
 namespace tuffy {
 namespace {
 
-SearchClause C(std::vector<Lit> lits, double w, bool hard = false) {
-  SearchClause c;
+GroundClause C(std::vector<Lit> lits, double w, bool hard = false) {
+  GroundClause c;
   c.lits = std::move(lits);
   c.weight = w;
   c.hard = hard;
   return c;
 }
 
-Problem P(size_t num_atoms, std::vector<SearchClause> clauses) {
-  Problem p;
-  p.num_atoms = num_atoms;
-  p.clauses = std::move(clauses);
-  return p;
+Problem P(size_t num_atoms, const std::vector<GroundClause>& clauses) {
+  return MakeWholeProblem(num_atoms, clauses);
 }
 
 constexpr double kHardWeight = 1e6;
@@ -141,13 +138,13 @@ TEST(TractableDetectorTest, TriangleIsSolvedExactly) {
 // No atom of a ring has adjacent neighbours, so each elimination adds a
 // fill edge until a triangle remains: this checks the fill bookkeeping.
 TEST(TractableDetectorTest, RingNeedsFillEdges) {
-  std::vector<SearchClause> clauses;
+  std::vector<GroundClause> clauses;
   for (AtomId a = 0; a < 8; ++a) {
     clauses.push_back(C({MakeLit(a, true), MakeLit((a + 1) % 8, true)}, 1.0));
     clauses.push_back(
         C({MakeLit(a, false), MakeLit((a + 1) % 8, false)}, 0.5));
   }
-  Problem p = P(8, std::move(clauses));
+  Problem p = P(8, clauses);
   TractableStructure st = AnalyzeTractable(p);
   EXPECT_EQ(st.fragment, ExactFragment::kBoundedWidth);
   EXPECT_EQ(st.width, 2);
@@ -158,14 +155,14 @@ TEST(TractableDetectorTest, RingNeedsFillEdges) {
 // cap it is solved, one atom above it is rejected.
 TEST(TractableDetectorTest, WidthAboveCapIsRejected) {
   auto clique = [](uint32_t n) {
-    std::vector<SearchClause> clauses;
+    std::vector<GroundClause> clauses;
     for (AtomId a = 0; a < n; ++a) {
       for (AtomId b = a + 1; b < n; ++b) {
         clauses.push_back(C({MakeLit(a, (a + b) % 2 == 0), MakeLit(b, true)},
                             0.125 * (1 + (a * 7 + b) % 5)));
       }
     }
-    return P(n, std::move(clauses));
+    return P(n, clauses);
   };
   Problem at_cap = clique(kMaxExactWidth + 1);
   TractableStructure st = AnalyzeTractable(at_cap);

@@ -424,7 +424,6 @@ TEST(GroundingTest, StatsAreTracked) {
   GroundingResult g = GroundBottomUp({std::move(ds.program), ds.evidence});
   EXPECT_GT(g.stats.candidates, 0u);
   EXPECT_GT(g.stats.working_set_bytes, 0u);
-  EXPECT_GE(g.stats.seconds, 0.0);
 }
 
 // ------------------------------------------- the stores' shared id index

@@ -110,14 +110,14 @@ TEST(GaussSeidelTest, ConditionedSubProblemResolvesExternalLiterals) {
   std::vector<uint8_t> global = {0, 0};
   SubProblem sub = BuildConditionedSubProblem(clauses, {}, cut, {0}, part, 0,
                                               global);
-  ASSERT_EQ(sub.problem.clauses.size(), 1u);
-  EXPECT_EQ(sub.problem.clauses[0].lits.size(), 1u);
+  ASSERT_EQ(sub.problem.num_clauses(), 1u);
+  EXPECT_EQ(sub.problem.clause_size(0), 1u);
 
   // External atom a1 true: the clause is satisfied and dropped.
   global[1] = 1;
   SubProblem sub2 = BuildConditionedSubProblem(clauses, {}, cut, {0}, part, 0,
                                                global);
-  EXPECT_EQ(sub2.problem.clauses.size(), 0u);
+  EXPECT_EQ(sub2.problem.num_clauses(), 0u);
 }
 
 TEST(GaussSeidelTest, ReachesOptimumOnChain) {
@@ -200,13 +200,10 @@ TEST(GaussSeidelTest, TraceMonotoneAndCostConsistent) {
 TEST(DiskWalkSatTest, SolvesTinyProblem) {
   Problem p;
   p.num_atoms = 2;
-  SearchClause c1;
-  c1.lits = {MakeLit(0, true)};
-  c1.weight = 1.0;
-  SearchClause c2;
-  c2.lits = {MakeLit(1, true)};
-  c2.weight = 1.0;
-  p.clauses = {c1, c2};
+  const Lit a = MakeLit(0, true);
+  const Lit b = MakeLit(1, true);
+  p.AddClause(&a, 1, 1.0, false);
+  p.AddClause(&b, 1, 1.0, false);
   DiskWalkSatOptions opts;
   opts.max_flips = 100;
   opts.io_latency_us = 0;
@@ -251,10 +248,9 @@ TEST(DiskWalkSatTest, OverlongClausesGoToOverflow) {
   // handled via the memory-side overflow and still steer the search.
   Problem p;
   p.num_atoms = 30;
-  SearchClause big;
-  for (AtomId a = 0; a < 30; ++a) big.lits.push_back(MakeLit(a, true));
-  big.weight = 5.0;
-  p.clauses.push_back(big);
+  std::vector<Lit> big;
+  for (AtomId a = 0; a < 30; ++a) big.push_back(MakeLit(a, true));
+  p.AddClause(big.data(), big.size(), 5.0, false);
   DiskWalkSatOptions opts;
   opts.max_flips = 200;
   opts.io_latency_us = 0;
@@ -296,10 +292,8 @@ TEST(SampleSatTest, FindsSatisfyingAssignment) {
   Problem p;
   p.num_atoms = 4;
   for (AtomId a = 0; a < 4; ++a) {
-    SearchClause c;
-    c.lits = {MakeLit(a, true)};
-    c.weight = 1.0;
-    p.clauses.push_back(c);
+    const Lit l = MakeLit(a, true);
+    p.AddClause(&l, 1, 1.0, false);
   }
   Rng rng(1);
   std::vector<uint8_t> out;
@@ -321,10 +315,8 @@ TEST(SampleSatTest, EmptyConstraintSetSamplesFreely) {
 TEST(McSatTest, MarginalsMatchExactOnSingleAtom) {
   Problem p;
   p.num_atoms = 1;
-  SearchClause c;
-  c.lits = {MakeLit(0, true)};
-  c.weight = 1.5;
-  p.clauses.push_back(c);
+  const Lit l = MakeLit(0, true);
+  p.AddClause(&l, 1, 1.5, false);
   McSatOptions opts;
   opts.num_samples = 3000;
   opts.burn_in = 100;
@@ -338,13 +330,10 @@ TEST(McSatTest, MarginalsMatchExactOnSmallNetwork) {
   // a => b (w=2), unit a (w=1).
   Problem p;
   p.num_atoms = 2;
-  SearchClause imp;
-  imp.lits = {MakeLit(0, false), MakeLit(1, true)};
-  imp.weight = 2.0;
-  SearchClause unit;
-  unit.lits = {MakeLit(0, true)};
-  unit.weight = 1.0;
-  p.clauses = {imp, unit};
+  const Lit imp[] = {MakeLit(0, false), MakeLit(1, true)};
+  const Lit unit = MakeLit(0, true);
+  p.AddClause(imp, 2, 2.0, false);
+  p.AddClause(&unit, 1, 1.0, false);
   McSatOptions opts;
   opts.num_samples = 4000;
   opts.burn_in = 200;
@@ -358,10 +347,8 @@ TEST(McSatTest, MarginalsMatchExactOnSmallNetwork) {
 TEST(McSatTest, HardClausesAlwaysSatisfiedInSamples) {
   Problem p;
   p.num_atoms = 2;
-  SearchClause hard;
-  hard.lits = {MakeLit(0, true), MakeLit(1, true)};
-  hard.hard = true;
-  p.clauses.push_back(hard);
+  const Lit hard[] = {MakeLit(0, true), MakeLit(1, true)};
+  p.AddClause(hard, 2, 0.0, true);
   McSatOptions opts;
   opts.num_samples = 2000;
   McSatResult r = RunMcSat(p, opts, /*seed=*/7);
@@ -377,10 +364,8 @@ TEST(McSatTest, HardClausesAlwaysSatisfiedInSamples) {
 TEST(McSatTest, NegativeWeightSuppressesAtom) {
   Problem p;
   p.num_atoms = 1;
-  SearchClause c;
-  c.lits = {MakeLit(0, true)};
-  c.weight = -2.0;
-  p.clauses.push_back(c);
+  const Lit l = MakeLit(0, true);
+  p.AddClause(&l, 1, -2.0, false);
   McSatOptions opts;
   opts.num_samples = 3000;
   opts.burn_in = 100;

@@ -344,8 +344,8 @@ TEST(WeightRecoveryTest, DiagonalNewtonRecoversSignAndOrdering) {
 TEST(EstimateBytesTest, ArenaAndStateEstimatesArePositiveAndOrdered) {
   GroundClauseStore store = RandomStore(30, 80, 5, /*seed=*/3);
   Problem problem = MakeWholeProblem(30, store.clauses());
-  const size_t arena_bytes = problem.arena().EstimateBytes();
-  EXPECT_GT(arena_bytes, problem.arena().lit_data.size() * sizeof(Lit));
+  const size_t arena_bytes = problem.EstimateBytes();
+  EXPECT_GT(arena_bytes, problem.lit_data.size() * sizeof(Lit));
 
   WalkSatState state(&problem, 10.0);
   // The state's occurrence entries alone (16B per literal occurrence)

@@ -492,7 +492,7 @@ TEST(ServeTest, ServedMarginalsMatchFreshExactSolveAfterEveryDelta) {
         SplitComponents(session.atoms().num_atoms(), session.clauses());
     size_t exact_comps = 0;
     for (const SubProblem& sub : subs) {
-      if (sub.problem.clauses.empty()) continue;
+      if (sub.problem.num_clauses() == 0) continue;
       ExactSolveResult ex =
           TrySolveExact(sub.problem, opts.hard_weight, /*want_marginals=*/true);
       if (!ex.solved) continue;  // intractable: served by MC-SAT

@@ -25,7 +25,7 @@ Problem RandomProblem(uint64_t seed, size_t num_atoms, int num_clauses) {
   Problem p;
   p.num_atoms = num_atoms;
   for (int c = 0; c < num_clauses; ++c) {
-    SearchClause sc;
+    GroundClause sc;
     int len = 1 + static_cast<int>(rng.Uniform(4));
     for (int i = 0; i < len; ++i) {
       AtomId a = static_cast<AtomId>(rng.Uniform(num_atoms));
@@ -41,7 +41,7 @@ Problem RandomProblem(uint64_t seed, size_t num_atoms, int num_clauses) {
       sc.hard = true;
       sc.weight = 0;
     }
-    p.clauses.push_back(std::move(sc));
+    p.AddClause(sc.lits.data(), sc.lits.size(), sc.weight, sc.hard);
   }
   return p;
 }
@@ -97,17 +97,11 @@ TEST(IncrementalEquivalenceTest, DegenerateDuplicateAtomBinaryClause) {
   // cost stays exact and their atoms' cached deltas stay zero.
   Problem p;
   p.num_atoms = 2;
-  SearchClause taut;
-  taut.lits = {MakeLit(0, true), MakeLit(0, false)};
-  taut.weight = 2.0;
-  p.clauses.push_back(taut);
-  SearchClause neg_taut = taut;
-  neg_taut.weight = -3.0;
-  p.clauses.push_back(neg_taut);
-  SearchClause unit;
-  unit.lits = {MakeLit(1, true)};
-  unit.weight = 1.5;
-  p.clauses.push_back(unit);
+  const Lit taut[] = {MakeLit(0, true), MakeLit(0, false)};
+  p.AddClause(taut, 2, 2.0, false);
+  p.AddClause(taut, 2, -3.0, false);
+  const Lit unit = MakeLit(1, true);
+  p.AddClause(&unit, 1, 1.5, false);
 
   WalkSatState state(&p, kHardWeight);
   state.AllFalseAssignment();
@@ -131,7 +125,7 @@ TEST(IncrementalEquivalenceTest, AttachReusesStateAcrossArenas) {
   }
   ExpectStateMatchesScratch(p1, state);
 
-  state.Attach(&p2.arena(), kHardWeight);
+  state.Attach(&p2, kHardWeight);
   state.RandomAssignment(&rng);
   for (int i = 0; i < 50; ++i) {
     state.Flip(static_cast<AtomId>(rng.Uniform(p2.num_atoms)));
@@ -144,10 +138,8 @@ TEST(IncrementalEquivalenceTest, HardClausesUseHardWeightInDeltas) {
   // a delta of exactly -hard_weight.
   Problem p;
   p.num_atoms = 3;
-  SearchClause hc;
-  hc.lits = {MakeLit(0, true), MakeLit(1, true), MakeLit(2, true)};
-  hc.hard = true;
-  p.clauses.push_back(hc);
+  const Lit hc[] = {MakeLit(0, true), MakeLit(1, true), MakeLit(2, true)};
+  p.AddClause(hc, 3, 0.0, true);
   WalkSatState state(&p, kHardWeight);
   state.AllFalseAssignment();
   EXPECT_DOUBLE_EQ(state.cost(), kHardWeight);

@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 
 #include "datagen/datasets.h"
@@ -16,13 +17,11 @@ Problem MakeProblem(size_t num_atoms,
                     std::vector<size_t> hard = {}) {
   Problem p;
   p.num_atoms = num_atoms;
-  for (auto& [lits, w] : clauses) {
-    SearchClause c;
-    c.lits = lits;
-    c.weight = w;
-    p.clauses.push_back(std::move(c));
+  for (size_t c = 0; c < clauses.size(); ++c) {
+    const std::vector<Lit>& lits = clauses[c].first;
+    const bool is_hard = std::find(hard.begin(), hard.end(), c) != hard.end();
+    p.AddClause(lits.data(), lits.size(), clauses[c].second, is_hard);
   }
-  for (size_t h : hard) p.clauses[h].hard = true;
   return p;
 }
 
@@ -46,6 +45,61 @@ TEST(ProblemTest, EvalCostHardUsesHardWeight) {
   EXPECT_DOUBLE_EQ(p.EvalCost({1}, 1e6), 0.0);
 }
 
+TEST(ProblemTest, SetWeightEqualsRebuild) {
+  // Soft positive, soft negative, hard, and a second soft clause.
+  const std::vector<std::vector<Lit>> lits = {
+      {MakeLit(0, true), MakeLit(1, false)},
+      {MakeLit(1, true)},
+      {MakeLit(0, false), MakeLit(2, true), MakeLit(3, true)},
+      {MakeLit(2, false), MakeLit(3, false)}};
+  const std::vector<uint8_t> hard = {0, 0, 1, 0};
+  std::vector<double> weights = {1.5, -0.75, 2.0, 0.5};
+  auto build = [&]() {
+    Problem p;
+    p.num_atoms = 4;
+    for (size_t c = 0; c < lits.size(); ++c) {
+      p.AddClause(lits[c].data(), lits[c].size(), weights[c], hard[c] != 0);
+    }
+    return p;
+  };
+  const double hard_weight = 100.0;
+  Problem p = build();
+  // The learner's pattern: one state, re-attached after each rewrite.
+  WalkSatState state(&p, hard_weight);
+  auto rewrite_and_compare = [&](uint32_t c, double w, const char* step) {
+    SCOPED_TRACE(step);
+    weights[c] = w;
+    p.SetWeight(c, w);
+    state.Attach(&p, hard_weight);
+    const Problem fresh = build();
+    EXPECT_EQ(p.num_atoms, fresh.num_atoms);
+    EXPECT_EQ(p.clause_offsets, fresh.clause_offsets);
+    EXPECT_EQ(p.lit_data, fresh.lit_data);
+    EXPECT_EQ(p.weight, fresh.weight);
+    EXPECT_EQ(p.abs_weight, fresh.abs_weight);
+    EXPECT_EQ(p.hard, fresh.hard);
+    EXPECT_EQ(p.positive, fresh.positive);
+    EXPECT_EQ(p.frozen, fresh.frozen);
+    WalkSatState fresh_state(&fresh, hard_weight);
+    for (uint32_t bits = 0; bits < 16; ++bits) {
+      std::vector<uint8_t> truth(4);
+      for (uint32_t a = 0; a < 4; ++a) truth[a] = (bits >> a) & 1;
+      state.SetAssignment(truth);
+      fresh_state.SetAssignment(truth);
+      EXPECT_EQ(state.cost(), fresh_state.cost()) << "world " << bits;
+      EXPECT_EQ(state.cost(), fresh.EvalCost(truth, hard_weight));
+      for (AtomId a = 0; a < 4; ++a) {
+        EXPECT_EQ(state.FlipDelta(a), fresh_state.FlipDelta(a))
+            << "world " << bits << " atom " << a;
+      }
+    }
+  };
+  rewrite_and_compare(0, -1.5, "soft clause turns negative");
+  rewrite_and_compare(0, 1.5, "soft clause turns back");
+  rewrite_and_compare(2, 7.0, "hard clause reweighted");
+  rewrite_and_compare(3, 3.25, "soft clause rescaled");
+}
+
 // -------------------------------------------------------- incremental state
 
 class WalkSatStateParamTest : public ::testing::TestWithParam<int> {};
@@ -58,7 +112,7 @@ TEST_P(WalkSatStateParamTest, IncrementalCostMatchesRecompute) {
   Problem p;
   p.num_atoms = num_atoms;
   for (int c = 0; c < 30; ++c) {
-    SearchClause sc;
+    GroundClause sc;
     int len = 1 + static_cast<int>(rng.Uniform(3));
     for (int i = 0; i < len; ++i) {
       AtomId a = static_cast<AtomId>(rng.Uniform(num_atoms));
@@ -75,7 +129,7 @@ TEST_P(WalkSatStateParamTest, IncrementalCostMatchesRecompute) {
       sc.hard = true;
       sc.weight = 0;
     }
-    p.clauses.push_back(std::move(sc));
+    p.AddClause(sc.lits.data(), sc.lits.size(), sc.weight, sc.hard);
   }
   const double hard_weight = 50.0;
   WalkSatState state(&p, hard_weight);
@@ -141,14 +195,14 @@ TEST(WalkSatTest, MatchesExactMapOnRandomProblems) {
     Problem p;
     p.num_atoms = 8;
     for (int c = 0; c < 15; ++c) {
-      SearchClause sc;
+      GroundClause sc;
       for (int i = 0; i < 2; ++i) {
         sc.lits.push_back(MakeLit(static_cast<AtomId>(rng.Uniform(8)),
                                   rng.Bernoulli(0.5)));
       }
       if (LitAtom(sc.lits[0]) == LitAtom(sc.lits[1])) sc.lits.pop_back();
       sc.weight = 0.5 + rng.NextDouble();
-      p.clauses.push_back(std::move(sc));
+      p.AddClause(sc.lits.data(), sc.lits.size(), sc.weight, sc.hard);
     }
     auto exact = ExactMap(p, 1e6);
     ASSERT_TRUE(exact.ok());
