@@ -27,7 +27,7 @@ uint64_t WholeMrfHittingFlips(int n, uint64_t max_flips, uint64_t seed) {
   Problem whole = MakeWholeProblem(2 * n, clauses);
   WalkSatOptions opts;
   Rng rng(seed);
-  IncrementalWalkSat search(&whole, opts, &rng);
+  WalkSat search(&whole, opts, &rng);
   const double optimum = static_cast<double>(n);
   uint64_t done = 0;
   while (done < max_flips && search.best_cost() > optimum + 1e-9) {
@@ -49,7 +49,7 @@ uint64_t ComponentHittingFlips(int n, uint64_t max_flips, uint64_t seed) {
     SubProblem sub = BuildSubProblem(clauses, cs.clauses[i], cs.atoms[i]);
     WalkSatOptions opts;
     Rng rng(seed * 1315423911u + i);
-    IncrementalWalkSat search(&sub.problem, opts, &rng);
+    WalkSat search(&sub.problem, opts, &rng);
     while (search.best_cost() > 1.0 + 1e-9 && total < max_flips) {
       total += search.RunFlips(1);
     }

@@ -1,12 +1,8 @@
 // Weight-learning throughput: epochs/s and count-statistics rates for
-// both learners on the RC workload, plus the flip-rate overhead of the
-// WalkSatState formula-statistics hook (which must stay O(1) per flip).
+// both learners on the RC workload.
 
 #include "bench/bench_common.h"
-#include "ground/bottom_up_grounder.h"
-#include "ground/rule_count_index.h"
 #include "learn/learner.h"
-#include "util/timer.h"
 
 namespace tuffy {
 namespace bench {
@@ -59,8 +55,9 @@ void RunLearner(const Dataset& ds, LearnAlgorithm algo, const char* system) {
     std::exit(1);
   }
   const LearnResult& lr = result.value();
-  // Clause-truth evaluations feeding the count statistics: one sweep
-  // per MAP epoch (perceptron), one per MC-SAT round (Newton).
+  // Clause-truth evaluations feeding the count statistics: one recount
+  // of the MAP state per epoch (perceptron), one sweep per MC-SAT round
+  // (Newton).
   const double sweeps =
       algo == LearnAlgorithm::kVotedPerceptron
           ? static_cast<double>(lr.epochs)
@@ -71,52 +68,6 @@ void RunLearner(const Dataset& ds, LearnAlgorithm algo, const char* system) {
           ? sweeps * static_cast<double>(lr.num_ground_clauses) / lr.seconds
           : 0.0;
   PrintLearnJson(system, lr, counts_per_sec);
-}
-
-/// Flip-rate with and without the formula-statistics hook enabled: the
-/// hook must not perturb the WalkSAT hot path measurably.
-void HookOverhead(const Dataset& ds) {
-  EngineOptions eopts;
-  TuffyEngine engine(ds.program, ds.evidence, eopts);
-  LearnOptions lopts;
-  lopts.query_predicates = {"cat"};
-  // Reuse Learn's grounding path by grounding through the engine once:
-  // simplest is to re-ground here with the split evidence.
-  auto split = SplitEvidenceForLearning(ds.program, ds.evidence, {"cat"});
-  if (!split.ok()) std::exit(1);
-  GroundingOptions gopts;
-  gopts.lazy_closure = false;
-  gopts.keep_zero_weight_clauses = true;
-  BottomUpGrounder grounder(ds.program, split.value().evidence, gopts,
-                            OptimizerOptions{});
-  auto grounding = grounder.Ground();
-  if (!grounding.ok()) std::exit(1);
-  const GroundingResult& g = grounding.value();
-  Problem problem =
-      MakeWholeProblem(g.atoms.num_atoms(), g.clauses.clauses());
-  RuleCountIndex index = BuildRuleCountIndex(
-      g.clauses, static_cast<int32_t>(ds.program.clauses().size()));
-
-  constexpr uint64_t kFlips = 2000000;
-  for (int with_stats = 0; with_stats <= 1; ++with_stats) {
-    Rng rng(77);
-    WalkSatState state(&problem, /*hard_weight=*/1e6);
-    if (with_stats) state.EnableFormulaStats(&index);
-    state.RandomAssignment(&rng);
-    Timer timer;
-    uint64_t done = 0;
-    for (uint64_t f = 0; f < kFlips; ++f) {
-      // Random restart on satisfaction so the whole budget measures the
-      // steady-state flip rate.
-      if (!state.HasViolated()) state.RandomAssignment(&rng);
-      state.Flip(ChooseWalkSatMove(state, 0.5, &rng));
-      ++done;
-    }
-    double secs = timer.ElapsedSeconds();
-    PrintJsonLine("learning_hook_overhead", "RC",
-                  with_stats ? "walksat_stats_on" : "walksat_stats_off",
-                  secs > 0 ? done / secs : 0.0, secs, done, state.cost());
-  }
 }
 
 }  // namespace
@@ -130,6 +81,5 @@ int main() {
   Dataset ds = LearnScaleRc();
   RunLearner(ds, LearnAlgorithm::kVotedPerceptron, "voted_perceptron");
   RunLearner(ds, LearnAlgorithm::kDiagonalNewton, "diagonal_newton");
-  HookOverhead(ds);
   return 0;
 }

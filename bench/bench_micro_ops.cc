@@ -64,7 +64,7 @@ void BM_WalkSatFlips(benchmark::State& state) {
   Problem p = MakeWholeProblem(2 * n, clauses);
   WalkSatOptions opts;
   Rng rng(3);
-  IncrementalWalkSat search(&p, opts, &rng);
+  WalkSat search(&p, opts, &rng);
   for (auto _ : state) {
     benchmark::DoNotOptimize(search.RunFlips(1000));
   }
@@ -147,7 +147,7 @@ int main(int argc, char** argv) {
   Problem p = MakeWholeProblem(20000, clauses);
   WalkSatOptions opts;
   Rng rng(3);
-  IncrementalWalkSat search(&p, opts, &rng);
+  WalkSat search(&p, opts, &rng);
   Timer timer;
   const uint64_t kFlips = 2000000;
   uint64_t done = search.RunFlips(kFlips);

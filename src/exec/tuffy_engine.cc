@@ -93,7 +93,6 @@ Status TuffyEngine::RunSearch(EngineResult* result) {
       wopts.p_random = options_.p_random;
       wopts.hard_weight = options_.hard_weight;
       wopts.timeout_seconds = options_.timeout_seconds;
-      wopts.init_random = options_.init_random;
       wopts.trace_every_flips =
           std::max<uint64_t>(1, options_.total_flips / 200);
       Rng rng(options_.seed);
@@ -151,7 +150,6 @@ Status TuffyEngine::RunSearch(EngineResult* result) {
       sopts.seed = options_.seed;
       sopts.p_random = options_.p_random;
       sopts.hard_weight = options_.hard_weight;
-      sopts.init_random = options_.init_random;
       sopts.use_exact = options_.exact_fast_path;
       sopts.marginals = marginal;
       sopts.mcsat_samples = options_.mcsat_samples;
@@ -230,7 +228,6 @@ Status TuffyEngine::RunSearch(EngineResult* result) {
       gopts.p_random = options_.p_random;
       gopts.hard_weight = options_.hard_weight;
       gopts.timeout_seconds = options_.timeout_seconds;
-      gopts.init_random = options_.init_random;
       GaussSeidelResult gr = RunGaussSeidel(num_atoms, clauses, partitions,
                                             gopts, options_.seed);
       result->truth = std::move(gr.truth);
@@ -249,7 +246,6 @@ Status TuffyEngine::RunSearch(EngineResult* result) {
       dopts.buffer_frames = options_.disk_buffer_frames;
       dopts.io_latency_us = options_.disk_io_latency_us;
       dopts.trace_every_flips = 1;
-      dopts.init_random = options_.init_random;
       TUFFY_ASSIGN_OR_RETURN(std::unique_ptr<DiskWalkSat> ws,
                              DiskWalkSat::Create(whole, dopts));
       // Only the atom array lives in RAM for Tuffy-mm.
@@ -336,7 +332,6 @@ SessionOptions TranslateSessionOptions(const EngineOptions& options) {
   sopts.p_random = options.p_random;
   sopts.hard_weight = options.hard_weight;
   sopts.num_threads = options.num_threads;
-  sopts.init_random = options.init_random;
   sopts.seed = options.seed;
   sopts.exact_fast_path = options.exact_fast_path;
   sopts.track_marginals = options.task == InferenceTask::kMarginal;

@@ -58,7 +58,6 @@ struct EngineOptions {
   /// Rounds for round-robin scheduling / Gauss-Seidel sweeps.
   int rounds = 8;
   int num_threads = 1;
-  bool init_random = true;
 
   /// Route tractable components (src/infer/exact) to the exact
   /// linear-time solver instead of WalkSAT / MC-SAT. Lesion toggle:

@@ -26,13 +26,13 @@ struct RuleCountIndex {
     return offsets.empty() ? 0 : offsets.size() - 1;
   }
 
-  /// Adds `sign` * (multiplicity of each rule contributing to clause
-  /// `c`) into `counts`. The O(1)-per-toggle core of the sampler
-  /// statistics hooks (clauses almost always have exactly one entry).
+  /// Adds the multiplicity of each rule contributing to clause `c` into
+  /// `counts`: the per-true-clause step of every count (clauses almost
+  /// always have exactly one entry).
   template <typename T>
-  void AccumulateClause(uint32_t c, T sign, std::vector<T>* counts) const {
+  void AccumulateClause(uint32_t c, std::vector<T>* counts) const {
     for (uint32_t e = offsets[c]; e < offsets[c + 1]; ++e) {
-      (*counts)[rule[e]] += sign * static_cast<T>(count[e]);
+      (*counts)[rule[e]] += static_cast<T>(count[e]);
     }
   }
 

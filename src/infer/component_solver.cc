@@ -33,10 +33,8 @@ void ComponentSolver::SearchRound(int round, int rounds) {
     WalkSatOptions wopts;
     wopts.p_random = options_.p_random;
     wopts.hard_weight = options_.hard_weight;
-    wopts.init_random = options_.init_random;
     if (!warm_.empty()) wopts.initial = &warm_;
-    search_ =
-        std::make_unique<IncrementalWalkSat>(&sub_.problem, wopts, &rng_);
+    search_ = std::make_unique<WalkSat>(&sub_.problem, wopts, &rng_);
   }
   uint64_t chunk = budget_ / rounds;
   if (round == rounds - 1) chunk = budget_ - chunk * (rounds - 1);

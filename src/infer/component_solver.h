@@ -20,7 +20,6 @@ struct ComponentSolverOptions {
   uint64_t epoch = 0;
   double p_random = 0.5;
   double hard_weight = 1e6;
-  bool init_random = true;
   bool use_exact = true;   // the exact_fast_path lesion toggle
   bool marginals = false;  // exact, or by MC-SAT
   int mcsat_samples = 200;
@@ -37,7 +36,7 @@ class ComponentSolver {
  public:
   /// Builds the sub-problem of `clauses[clause_ids]` over the ascending
   /// global `atoms` and tries the exact solver. A later search starts
-  /// from `warm_truth` (by global atom id), or per init_random if null.
+  /// from `warm_truth` (by global atom id), or at random if null.
   ComponentSolver(const ComponentSolverOptions& options,
                   const std::vector<GroundClause>& clauses,
                   const std::vector<uint32_t>& clause_ids,
@@ -70,7 +69,7 @@ class ComponentSolver {
   std::optional<ExactSolveResult> exact_;
   std::vector<double> marginals_;  // MC-SAT's
   std::vector<uint8_t> warm_;      // the searcher's options point at it
-  std::unique_ptr<IncrementalWalkSat> search_;
+  std::unique_ptr<WalkSat> search_;
 };
 
 }  // namespace tuffy

@@ -16,7 +16,6 @@ ComponentSearchResult RunComponentWalkSat(
   sopts.seed = seed;
   sopts.p_random = options.p_random;
   sopts.hard_weight = options.hard_weight;
-  sopts.init_random = options.init_random;
   sopts.use_exact = options.use_exact;
   std::unique_ptr<ThreadPool> pool = MakeWorkerPool(options.num_threads);
   ComponentSearchResult result;

@@ -25,7 +25,6 @@ struct ComponentSearchOptions {
   double p_random = 0.5;
   double hard_weight = 1e6;
   double timeout_seconds = std::numeric_limits<double>::infinity();
-  bool init_random = true;
   /// Route components in the tractable fragment (infer/exact) to the
   /// exact linear-time solver instead of WalkSAT. Lesion toggle: off
   /// reproduces pure sampler behavior.

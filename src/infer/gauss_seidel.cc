@@ -13,12 +13,10 @@ GaussSeidelResult RunGaussSeidel(size_t num_atoms,
   Rng rng(seed);
   GaussSeidelResult result;
 
-  // Global state initialization.
+  // Random global start.
   result.truth.assign(num_atoms, 0);
-  if (options.init_random) {
-    for (size_t i = 0; i < num_atoms; ++i) {
-      result.truth[i] = rng.Bernoulli(0.5) ? 1 : 0;
-    }
+  for (size_t i = 0; i < num_atoms; ++i) {
+    result.truth[i] = rng.Bernoulli(0.5) ? 1 : 0;
   }
 
   Problem whole = MakeWholeProblem(num_atoms, clauses);
@@ -45,7 +43,7 @@ GaussSeidelResult RunGaussSeidel(size_t num_atoms,
       for (size_t j = 0; j < sub.global_atom.size(); ++j) {
         init[j] = result.truth[sub.global_atom[j]];
       }
-      IncrementalWalkSat searcher(&sub.problem, wopts, &rng);
+      WalkSat searcher(&sub.problem, wopts, &rng);
       searcher.RunFlips(options.flips_per_partition);
       result.flips += searcher.flips();
       const std::vector<uint8_t>& local_best = searcher.best_truth();

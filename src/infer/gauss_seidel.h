@@ -17,7 +17,6 @@ struct GaussSeidelOptions {
   double p_random = 0.5;
   double hard_weight = 1e6;
   double timeout_seconds = std::numeric_limits<double>::infinity();
-  bool init_random = true;
 };
 
 struct GaussSeidelResult {

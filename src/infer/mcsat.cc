@@ -7,29 +7,38 @@ namespace tuffy {
 
 namespace {
 
+/// SampleSAT's flip budget per sample, the probability of a simulated-
+/// annealing move instead of a WalkSAT move, the annealing temperature,
+/// and the WalkSAT move's random-walk probability.
+constexpr uint64_t kSampleSatMaxFlips = 100000;
+constexpr double kSampleSatAnneal = 0.5;
+constexpr double kSampleSatTemperature = 0.5;
+constexpr double kSampleSatRandom = 0.5;
+/// WalkSAT flip budget for MC-SAT's initial hard-clause solution.
+constexpr uint64_t kHardStartFlips = 100000;
+
 /// SampleSAT moves (WalkSAT + simulated annealing) on a state whose problem
 /// holds the slice's constraints as unit-cost positive clauses. Runs until
 /// every constraint is satisfied or the flip budget is exhausted. The
 /// caller seeds the assignment (MC-SAT requires a random restart).
-bool SampleSatMoves(WalkSatState* state, const SampleSatOptions& options,
-                    Rng* rng, std::vector<uint8_t>* out) {
+bool SampleSatMoves(WalkSatState* state, Rng* rng, std::vector<uint8_t>* out) {
   const size_t num_atoms = state->problem().num_atoms;
-  for (uint64_t flip = 0; flip < options.max_flips; ++flip) {
+  for (uint64_t flip = 0; flip < kSampleSatMaxFlips; ++flip) {
     if (!state->HasViolated()) {
       *out = state->truth();
       return true;
     }
-    if (rng->NextDouble() < options.p_anneal) {
+    if (rng->NextDouble() < kSampleSatAnneal) {
       // Simulated-annealing move: random atom, Metropolis acceptance.
       AtomId a = static_cast<AtomId>(rng->Uniform(num_atoms));
       double delta = state->FlipDelta(a);
       if (delta <= 0 ||
-          rng->NextDouble() < std::exp(-delta / options.temperature)) {
+          rng->NextDouble() < std::exp(-delta / kSampleSatTemperature)) {
         state->Flip(a);
       }
     } else {
       // WalkSAT move on a random violated clause.
-      state->Flip(ChooseWalkSatMove(*state, options.p_random, rng));
+      state->Flip(ChooseWalkSatMove(*state, kSampleSatRandom, rng));
     }
   }
   if (!state->HasViolated()) {
@@ -41,8 +50,7 @@ bool SampleSatMoves(WalkSatState* state, const SampleSatOptions& options,
 
 }  // namespace
 
-bool SampleSat(const Problem& problem, const SampleSatOptions& options,
-               Rng* rng, std::vector<uint8_t>* out) {
+bool SampleSat(const Problem& problem, Rng* rng, std::vector<uint8_t>* out) {
   // Every clause becomes a unit-cost constraint; weight 1 keeps the
   // annealing deltas well-scaled.
   Problem constraints;
@@ -53,7 +61,7 @@ bool SampleSat(const Problem& problem, const SampleSatOptions& options,
   }
   WalkSatState state(&constraints, /*hard_weight=*/1.0);
   state.RandomAssignment(rng);
-  return SampleSatMoves(&state, options, rng, out);
+  return SampleSatMoves(&state, rng, out);
 }
 
 McSatResult RunMcSat(const Problem& problem, const McSatOptions& options,
@@ -72,11 +80,10 @@ McSatResult RunMcSat(const Problem& problem, const McSatOptions& options,
     }
   }
   WalkSatOptions init_opts;
-  init_opts.max_flips = options.init_flips;
+  init_opts.max_flips = kHardStartFlips;
   init_opts.hard_weight = options.hard_weight;
-  WalkSat init_search(&hard_only, init_opts, &rng);
-  std::vector<uint8_t> state = init_search.Run().best_truth;
-  if (state.empty()) state.assign(problem.num_atoms, 0);
+  std::vector<uint8_t> state =
+      WalkSat(&hard_only, init_opts, &rng).Run().best_truth;
 
   // One slice problem and one search state, allocated once and reused
   // for every sample: each round rewrites the slice in place (capacity is
@@ -117,7 +124,7 @@ McSatResult RunMcSat(const Problem& problem, const McSatOptions& options,
     for (uint32_t ci = 0; ci < problem.num_clauses(); ++ci) {
       const bool is_true = problem.Satisfied(ci, state);
       if (collect_counts && is_true) {
-        count_index->AccumulateClause(ci, 1.0, &sample_counts);
+        count_index->AccumulateClause(ci, &sample_counts);
       }
       const Lit* lits = problem.clause_lits(ci);
       const uint32_t len = problem.clause_size(ci);
@@ -145,7 +152,7 @@ McSatResult RunMcSat(const Problem& problem, const McSatOptions& options,
     if (collect_counts) fold_sample_counts();
     sampler.Attach(&slice, /*hard_weight=*/1.0);
     sampler.RandomAssignment(&rng);
-    if (SampleSatMoves(&sampler, options.sample_sat, &rng, &next)) {
+    if (SampleSatMoves(&sampler, &rng, &next)) {
       state.swap(next);
     }
     // else: keep the previous state (rejected move). The retained state
@@ -164,7 +171,7 @@ McSatResult RunMcSat(const Problem& problem, const McSatOptions& options,
     // The slice loops covered all kept samples but the last; scan it.
     for (uint32_t ci = 0; ci < problem.num_clauses(); ++ci) {
       if (problem.Satisfied(ci, state)) {
-        count_index->AccumulateClause(ci, 1.0, &sample_counts);
+        count_index->AccumulateClause(ci, &sample_counts);
       }
     }
     fold_sample_counts();

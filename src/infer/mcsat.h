@@ -11,31 +11,19 @@
 
 namespace tuffy {
 
-struct SampleSatOptions {
-  uint64_t max_flips = 100000;
-  /// Probability of a simulated-annealing move instead of a WalkSAT move
-  /// (Wei et al.: SampleSAT = WalkSAT + annealing for near-uniform
-  /// sampling of satisfying assignments).
-  double p_anneal = 0.5;
-  double temperature = 0.5;
-  double p_random = 0.5;
-};
-
 /// Draws a (near-uniform) satisfying assignment of `problem`, whose
-/// clauses are all treated as hard constraints. Starts from a *random*
-/// assignment — the random restart plus the annealing moves are what make
-/// successive MC-SAT samples mix. Returns true on success and writes the
-/// sample to `out`. The constraints are staged into one unit-weight copy
-/// of the problem's clauses.
-bool SampleSat(const Problem& problem, const SampleSatOptions& options,
-               Rng* rng, std::vector<uint8_t>* out);
+/// clauses are all treated as hard constraints: SampleSAT (Wei et al.),
+/// WalkSAT moves mixed half and half with simulated-annealing moves, for
+/// at most 100000 flips. Starts from a *random* assignment — the random
+/// restart plus the annealing moves are what make successive MC-SAT
+/// samples mix. Returns true on success and writes the sample to `out`.
+/// The constraints are staged into one unit-weight copy of the problem's
+/// clauses.
+bool SampleSat(const Problem& problem, Rng* rng, std::vector<uint8_t>* out);
 
 struct McSatOptions {
   int num_samples = 200;
   int burn_in = 20;
-  SampleSatOptions sample_sat;
-  /// Flip budget for the initial hard-clause solution.
-  uint64_t init_flips = 100000;
   double hard_weight = 1e6;
   /// If non-null, per-first-order-formula satisfied-grounding counts are
   /// accumulated over the kept samples (mean and variance land in

@@ -81,27 +81,40 @@ Problem MakeWholeProblem(size_t num_atoms,
   return p;
 }
 
-SubProblem BuildSubProblem(const std::vector<GroundClause>& all_clauses,
-                           const std::vector<uint32_t>& clause_ids,
-                           const std::vector<AtomId>& atom_ids) {
+namespace {
+
+/// BuildSubProblem, also returning its global-to-local atom id map.
+SubProblem BuildSubProblemWithMap(
+    const std::vector<GroundClause>& all_clauses,
+    const std::vector<uint32_t>& clause_ids,
+    const std::vector<AtomId>& atom_ids,
+    std::unordered_map<AtomId, AtomId>* local) {
   SubProblem sub;
   sub.global_atom = atom_ids;
   sub.problem.num_atoms = atom_ids.size();
-  std::unordered_map<AtomId, AtomId> local;
-  local.reserve(atom_ids.size());
+  local->reserve(atom_ids.size());
   for (size_t i = 0; i < atom_ids.size(); ++i) {
-    local[atom_ids[i]] = static_cast<AtomId>(i);
+    (*local)[atom_ids[i]] = static_cast<AtomId>(i);
   }
   std::vector<Lit> lits;
   for (uint32_t ci : clause_ids) {
     const GroundClause& c = all_clauses[ci];
     lits.clear();
     for (Lit l : c.lits) {
-      lits.push_back(MakeLit(local.at(LitAtom(l)), LitPositive(l)));
+      lits.push_back(MakeLit(local->at(LitAtom(l)), LitPositive(l)));
     }
     sub.problem.AddClause(lits.data(), lits.size(), c.weight, c.hard);
   }
   return sub;
+}
+
+}  // namespace
+
+SubProblem BuildSubProblem(const std::vector<GroundClause>& all_clauses,
+                           const std::vector<uint32_t>& clause_ids,
+                           const std::vector<AtomId>& atom_ids) {
+  std::unordered_map<AtomId, AtomId> local;
+  return BuildSubProblemWithMap(all_clauses, clause_ids, atom_ids, &local);
 }
 
 SubProblem BuildConditionedSubProblem(
@@ -111,12 +124,9 @@ SubProblem BuildConditionedSubProblem(
     const std::vector<AtomId>& atom_ids,
     const std::vector<int32_t>& partition_of_atom, int32_t partition,
     const std::vector<uint8_t>& global_truth) {
-  SubProblem sub = BuildSubProblem(all_clauses, clause_ids, atom_ids);
   std::unordered_map<AtomId, AtomId> local;
-  local.reserve(atom_ids.size());
-  for (size_t i = 0; i < atom_ids.size(); ++i) {
-    local[atom_ids[i]] = static_cast<AtomId>(i);
-  }
+  SubProblem sub =
+      BuildSubProblemWithMap(all_clauses, clause_ids, atom_ids, &local);
   std::vector<Lit> lits;
   for (uint32_t ci : cut_clause_ids) {
     const GroundClause& c = all_clauses[ci];

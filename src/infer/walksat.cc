@@ -1,8 +1,7 @@
 #include "infer/walksat.h"
 
+#include <algorithm>
 #include <cmath>
-
-#include "util/timer.h"
 
 namespace tuffy {
 
@@ -68,8 +67,6 @@ void WalkSatState::BuildOccurrences() {
 void WalkSatState::Attach(const Problem* problem, double hard_weight) {
   problem_ = problem;
   hard_weight_ = hard_weight;
-  // A statistics index is keyed by clause id, which just changed meaning.
-  stats_index_ = nullptr;
   cstate_.resize(problem_->num_clauses());
   BuildOccurrences();
   truth_.assign(problem_->num_atoms, 0);
@@ -87,11 +84,6 @@ void WalkSatState::RandomAssignment(Rng* rng) {
   for (size_t i = 0; i < truth_.size(); ++i) {
     truth_[i] = rng->Bernoulli(0.5) ? 1 : 0;
   }
-  Rebuild();
-}
-
-void WalkSatState::AllFalseAssignment() {
-  std::fill(truth_.begin(), truth_.end(), 0);
   Rebuild();
 }
 
@@ -148,22 +140,6 @@ void WalkSatState::Rebuild() {
       cost_ += w;
     }
   }
-  if (stats_index_ != nullptr) RecomputeFormulaCounts();
-}
-
-void WalkSatState::EnableFormulaStats(const RuleCountIndex* index) {
-  stats_index_ = index;
-  RecomputeFormulaCounts();
-}
-
-void WalkSatState::RecomputeFormulaCounts() {
-  const size_t n_clauses = problem_->num_clauses();
-  formula_true_.assign(stats_index_->num_rules, 0);
-  for (uint32_t c = 0; c < n_clauses; ++c) {
-    if (problem_->Satisfied(c, truth_)) {
-      stats_index_->AccumulateClause(c, int64_t{1}, &formula_true_);
-    }
-  }
 }
 
 size_t WalkSatState::EstimateBytes() const {
@@ -173,20 +149,12 @@ size_t WalkSatState::EstimateBytes() const {
          cstate_.capacity() * sizeof(ClauseState) +
          flip_delta_.capacity() * sizeof(double) +
          violated_.capacity() * sizeof(uint32_t) +
-         violated_pos_.capacity() * sizeof(int32_t) +
-         formula_true_.capacity() * sizeof(int64_t);
+         violated_pos_.capacity() * sizeof(int32_t);
 }
 
 void WalkSatState::SetViolated(uint32_t clause, bool violated, double cost) {
   bool currently = violated_pos_[clause] >= 0;
   if (currently == violated) return;
-  if (stats_index_ != nullptr) {
-    // Violation toggles exactly when truth toggles; the convention bit
-    // turns the new violation status back into the new truth value.
-    const bool now_true = (problem_->positive[clause] != 0) != violated;
-    stats_index_->AccumulateClause(clause, now_true ? int64_t{1} : int64_t{-1},
-                                   &formula_true_);
-  }
   if (violated) {
     violated_pos_[clause] = static_cast<int32_t>(violated_.size());
     violated_.push_back(clause);
@@ -293,91 +261,28 @@ void WalkSatState::Flip(AtomId atom) {
   }
 }
 
-WalkSatResult WalkSat::Run() {
-  Timer timer;
-  WalkSatResult result;
-  WalkSatState state(problem_, options_.hard_weight);
-  result.state_bytes = state.EstimateBytes() + problem_->EstimateBytes();
-  BestTruthTracker best;
-  bool best_init = false;
-
-  for (int attempt = 0; attempt < options_.max_tries; ++attempt) {
-    if (options_.initial != nullptr) {
-      state.SetAssignment(*options_.initial);
-    } else if (options_.init_random) {
-      state.RandomAssignment(rng_);
-    } else {
-      state.AllFalseAssignment();
-    }
-    if (!best_init) {
-      best.Reset(state.truth(), state.cost());
-      best_init = true;
-    } else {
-      best.RebaseTo(state.truth());
-      if (state.cost() < best.best_cost()) best.OnImproved(state.cost());
-    }
-
-    for (uint64_t flip = 0; flip < options_.max_flips; ++flip) {
-      if (!state.HasViolated()) break;  // optimal (cost 0)
-      if ((flip & 1023) == 0 &&
-          timer.ElapsedSeconds() > options_.timeout_seconds) {
-        break;
-      }
-      AtomId chosen = ChooseWalkSatMove(state, options_.p_random, rng_);
-      state.Flip(chosen);
-      best.OnFlip(chosen);
-      ++result.flips;
-      if (state.cost() < best.best_cost()) {
-        best.OnImproved(state.cost());
-      } else {
-        best.MaybeRebase(state.truth());
-      }
-      if (options_.trace_every_flips > 0 &&
-          result.flips % options_.trace_every_flips == 0) {
-        result.trace.push_back(
-            TracePoint{timer.ElapsedSeconds(), result.flips, best.best_cost()});
-      }
-    }
-    if (best.best_cost() == 0.0) break;
-    if (timer.ElapsedSeconds() > options_.timeout_seconds) break;
-  }
-  result.seconds = timer.ElapsedSeconds();
-  if (best_init) {
-    result.best_cost = best.best_cost();
-    result.best_truth = best.best_truth();
-  } else {
-    result.best_truth.assign(problem_->num_atoms, 0);
-    result.best_cost = state.cost();
-  }
-  return result;
-}
-
-IncrementalWalkSat::IncrementalWalkSat(const Problem* problem,
-                                       WalkSatOptions options, Rng* rng)
+WalkSat::WalkSat(const Problem* problem, WalkSatOptions options, Rng* rng)
     : problem_(problem),
       options_(options),
       rng_(rng),
-      state_(problem, options.hard_weight) {
-  if (options_.initial != nullptr) {
-    state_.SetAssignment(*options_.initial);
-  } else if (options_.init_random) {
-    state_.RandomAssignment(rng_);
-  } else {
-    state_.AllFalseAssignment();
-  }
+      state_(problem, options.hard_weight),
+      unstarted_bytes_(state_.EstimateBytes()) {
+  DrawStart();
   best_.Reset(state_.truth(), state_.cost());
 }
 
-void IncrementalWalkSat::SetAssignment(const std::vector<uint8_t>& truth) {
-  state_.SetAssignment(truth);
-  best_.RebaseTo(state_.truth());
-  if (state_.cost() < best_.best_cost()) best_.OnImproved(state_.cost());
+void WalkSat::DrawStart() {
+  if (options_.initial != nullptr) {
+    state_.SetAssignment(*options_.initial);
+  } else {
+    state_.RandomAssignment(rng_);
+  }
 }
 
-uint64_t IncrementalWalkSat::RunFlips(uint64_t n) {
+uint64_t WalkSat::RunFlips(uint64_t n) {
   uint64_t done = 0;
   while (done < n) {
-    if (!state_.HasViolated()) break;
+    if (!state_.HasViolated()) break;  // optimal (cost 0)
     AtomId chosen = ChooseWalkSatMove(state_, options_.p_random, rng_);
     state_.Flip(chosen);
     best_.OnFlip(chosen);
@@ -390,6 +295,44 @@ uint64_t IncrementalWalkSat::RunFlips(uint64_t n) {
   }
   flips_ += done;
   return done;
+}
+
+WalkSatResult WalkSat::Run() {
+  WalkSatResult result;
+  result.state_bytes = unstarted_bytes_ + problem_->EstimateBytes();
+  const uint64_t trace_every = options_.trace_every_flips;
+  for (int attempt = 0; attempt < options_.max_tries; ++attempt) {
+    if (attempt > 0) {
+      DrawStart();
+      best_.RebaseTo(state_.truth());
+      if (state_.cost() < best_.best_cost()) best_.OnImproved(state_.cost());
+    }
+    // Chunks end at every 1024th flip of the try, where the deadline is
+    // checked, and at every trace point.
+    uint64_t done = 0;
+    while (done < options_.max_flips && state_.HasViolated()) {
+      if (done % 1024 == 0 &&
+          clock_.ElapsedSeconds() > options_.timeout_seconds) {
+        break;
+      }
+      uint64_t chunk = std::min(options_.max_flips - done, 1024 - done % 1024);
+      if (trace_every > 0) {
+        chunk = std::min(chunk, trace_every - flips_ % trace_every);
+      }
+      done += RunFlips(chunk);
+      if (trace_every > 0 && flips_ % trace_every == 0) {
+        result.trace.push_back(
+            TracePoint{clock_.ElapsedSeconds(), flips_, best_.best_cost()});
+      }
+    }
+    if (best_.best_cost() == 0.0) break;
+    if (clock_.ElapsedSeconds() > options_.timeout_seconds) break;
+  }
+  result.seconds = clock_.ElapsedSeconds();
+  result.best_truth = best_.best_truth();
+  result.best_cost = best_.best_cost();
+  result.flips = flips_;
+  return result;
 }
 
 }  // namespace tuffy

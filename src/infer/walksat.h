@@ -5,9 +5,9 @@
 #include <limits>
 #include <vector>
 
-#include "ground/rule_count_index.h"
 #include "infer/problem.h"
 #include "util/rng.h"
+#include "util/timer.h"
 
 namespace tuffy {
 
@@ -28,11 +28,8 @@ struct WalkSatOptions {
   double timeout_seconds = std::numeric_limits<double>::infinity();
   /// If > 0, appends a TracePoint to the result every N flips.
   uint64_t trace_every_flips = 0;
-  /// Start from a random assignment (true) or all-false (false). The
-  /// all-false start matches the lazy-inference hypothesis.
-  bool init_random = true;
-  /// Optional externally supplied initial assignment (overrides
-  /// init_random when non-null). Must have problem.num_atoms entries.
+  /// Optional externally supplied start (a random assignment when null).
+  /// Must have problem.num_atoms entries.
   const std::vector<uint8_t>* initial = nullptr;
 };
 
@@ -43,7 +40,8 @@ struct WalkSatResult {
   double seconds = 0.0;
   std::vector<TracePoint> trace;
   /// Actual bytes of the search state + problem this run held in memory
-  /// (WalkSatState::EstimateBytes + Problem::EstimateBytes).
+  /// (WalkSatState::EstimateBytes before the start is drawn +
+  /// Problem::EstimateBytes).
   size_t state_bytes = 0;
 
   double FlipsPerSecond() const {
@@ -51,18 +49,18 @@ struct WalkSatResult {
   }
 };
 
-/// Incremental clause-evaluation state shared by WalkSAT, SampleSAT, and
-/// the Gauss-Seidel sweeps, running off a Problem's flat arrays: per-clause
-/// true-literal counts, the violated set, cached per-atom flip-cost
-/// deltas (UBCSAT-style make/break bookkeeping), and O(degree(atom))
-/// flips with O(1) FlipDelta reads. A clause with w >= 0 (or hard) is
-/// violated when no literal is true; a clause with w < 0 is violated when
-/// some literal is true (Section 2.2). See docs/INFER_KERNEL.md for the
-/// layout and the invariants tying truth_, num_true_, flip_delta_, and
-/// cost_ together.
+/// Incremental clause-evaluation state shared by WalkSAT and SampleSAT,
+/// running off a Problem's flat arrays: per-clause true-literal counts,
+/// the violated set, cached per-atom flip-cost deltas (UBCSAT-style
+/// make/break bookkeeping), and O(degree(atom)) flips with O(1)
+/// FlipDelta reads. A clause with w >= 0 (or hard) is violated when no
+/// literal is true; a clause with w < 0 is violated when some literal is
+/// true (Section 2.2). See docs/INFER_KERNEL.md for the layout and the
+/// invariants tying truth_, num_true_, flip_delta_, and cost_ together.
 class WalkSatState {
  public:
-  /// The problem must outlive the state.
+  /// The problem must outlive the state. Starts all-false, bookkeeping
+  /// built.
   WalkSatState(const Problem* problem, double hard_weight);
 
   /// Re-attaches to a (possibly different or re-weighted) problem, reusing
@@ -74,7 +72,6 @@ class WalkSatState {
 
   void SetAssignment(const std::vector<uint8_t>& truth);
   void RandomAssignment(Rng* rng);
-  void AllFalseAssignment();
 
   double cost() const { return cost_; }
   size_t num_violated() const { return violated_.size(); }
@@ -95,23 +92,6 @@ class WalkSatState {
   const std::vector<uint8_t>& truth() const { return truth_; }
   const Problem& problem() const { return *problem_; }
   double hard_weight() const { return hard_weight_; }
-
-  /// Enables per-first-order-formula satisfied-grounding statistics (the
-  /// n_i of weight learning): formula_true_counts()[r] is the number of
-  /// true ground clauses attributable to rule r in the *current*
-  /// assignment, weighted by grounding multiplicity. `index` must be
-  /// built over the same clause ids as this state's problem and must
-  /// outlive the state. Counts are initialized from the current
-  /// assignment (one scan), then maintained incrementally: a flip costs
-  /// O(index entries of the clauses whose truth toggled) — almost always
-  /// one entry per toggled clause — riding the same make/break
-  /// bookkeeping that maintains the violated set; no rescan ever
-  /// happens. Attach() detaches the index (slice problems have different
-  /// clause ids); re-enable after attaching if needed.
-  void EnableFormulaStats(const RuleCountIndex* index);
-  const std::vector<int64_t>& formula_true_counts() const {
-    return formula_true_;
-  }
 
   /// Bytes held by this state's derived arrays (occurrence CSR, cached
   /// deltas, violated bookkeeping) — the search-state footprint that,
@@ -155,7 +135,6 @@ class WalkSatState {
   void Rebuild();
   void SetViolated(uint32_t clause, bool violated, double cost);
   double SignedCost(uint32_t clause) const;
-  void RecomputeFormulaCounts();
 
   const Problem* problem_;
   double hard_weight_;
@@ -169,13 +148,10 @@ class WalkSatState {
   std::vector<uint32_t> violated_;
   std::vector<int32_t> violated_pos_;  // index into violated_, or -1
   double cost_ = 0.0;
-  /// Optional formula-statistics hook (see EnableFormulaStats).
-  const RuleCountIndex* stats_index_ = nullptr;
-  std::vector<int64_t> formula_true_;
 };
 
-/// One WalkSAT move (Algorithm 1, lines 5-10), shared by WalkSat,
-/// IncrementalWalkSat, and SampleSAT: sample a violated clause, then pick
+/// One WalkSAT move (Algorithm 1, lines 5-10), shared by
+/// WalkSat::RunFlips and SampleSAT: sample a violated clause, then pick
 /// either a random atom of it or the cached-delta minimizer. Requires
 /// state.HasViolated().
 inline AtomId ChooseWalkSatMove(const WalkSatState& state, double p_random,
@@ -258,53 +234,46 @@ class BestTruthTracker {
   std::vector<uint8_t> cache_;
 };
 
-/// The WalkSAT local search of Algorithm 1 (Kautz et al.), with best-
-/// so-far tracking, flip accounting, optional deadline, and optional
-/// time-cost tracing.
+/// The WalkSAT local search of Algorithm 1 (Kautz et al.), resumable: the
+/// searcher owns its state across calls, so a scheduler can interleave
+/// many sub-problems (weighted round-robin over MRF components, Section
+/// 3.3) or search one partition per Gauss-Seidel step. It tracks the best
+/// state seen on *this* problem, which is exactly the component-aware
+/// bookkeeping of Theorem 3.1. RunFlips is the one flip loop; Run adds
+/// Algorithm 1's restarts, a deadline and a time-cost trace around it.
 class WalkSat {
  public:
-  WalkSat(const Problem* problem, WalkSatOptions options, Rng* rng)
-      : problem_(problem), options_(options), rng_(rng) {}
-
-  WalkSatResult Run();
-
- private:
-  const Problem* problem_;
-  WalkSatOptions options_;
-  Rng* rng_;
-};
-
-/// Resumable WalkSAT: owns its search state across calls so a scheduler
-/// can interleave many sub-problems (weighted round-robin over MRF
-/// components, Section 3.3) or resume between Gauss-Seidel sweeps. Tracks
-/// the best state seen on *this* problem, which is exactly the
-/// component-aware bookkeeping of Theorem 3.1.
-class IncrementalWalkSat {
- public:
-  /// `options.max_flips/max_tries/trace_*` are ignored; flips are driven
-  /// by RunFlips.
-  IncrementalWalkSat(const Problem* problem, WalkSatOptions options, Rng* rng);
+  /// Draws the start: `options.initial` if set, else a random assignment.
+  WalkSat(const Problem* problem, WalkSatOptions options, Rng* rng);
 
   /// Continues the search for up to `n` more flips (stops early at cost
-  /// 0). Returns the number of flips actually performed.
+  /// 0). Returns the number of flips actually performed. Ignores the
+  /// options' flip budget, tries, deadline and trace.
   uint64_t RunFlips(uint64_t n);
+
+  /// Up to `max_tries` tries of up to `max_flips` flips each: the first
+  /// continues from the current state, each later one from a fresh start.
+  /// Stops at cost 0, or once `timeout_seconds` since construction have
+  /// passed (checked every 1024 flips of a try and after each try).
+  WalkSatResult Run();
 
   double best_cost() const { return best_.best_cost(); }
   const std::vector<uint8_t>& best_truth() const { return best_.best_truth(); }
-  double current_cost() const { return state_.cost(); }
-  const std::vector<uint8_t>& current_truth() const { return state_.truth(); }
   uint64_t flips() const { return flips_; }
   /// Bytes of the owned search state's derived arrays.
   size_t state_bytes() const { return state_.EstimateBytes(); }
 
-  /// Re-seeds the current state (keeps the best-so-far bookkeeping).
-  void SetAssignment(const std::vector<uint8_t>& truth);
-
  private:
+  void DrawStart();
+
   const Problem* problem_;
   WalkSatOptions options_;
   Rng* rng_;
+  Timer clock_;  // Run's deadline and seconds count from construction
   WalkSatState state_;
+  /// state_bytes() before the start is drawn — Run's WalkSatResult::
+  /// state_bytes, so the measure does not depend on the start.
+  size_t unstarted_bytes_;
   BestTruthTracker best_;
   uint64_t flips_ = 0;
 };

@@ -24,7 +24,7 @@ std::vector<int64_t> CountSatisfiedGroundings(
   std::vector<int64_t> counts(index.num_rules, 0);
   for (uint32_t ci = 0; ci < problem.num_clauses(); ++ci) {
     if (problem.Satisfied(ci, truth)) {
-      index.AccumulateClause(ci, int64_t{1}, &counts);
+      index.AccumulateClause(ci, &counts);
     }
   }
   return counts;
@@ -55,7 +55,7 @@ Result<FormulaExpectations> ExactFormulaExpectations(
     std::fill(counts.begin(), counts.end(), 0);
     for (uint32_t ci = 0; ci < problem.num_clauses(); ++ci) {
       if (problem.Satisfied(ci, truth)) {
-        index.AccumulateClause(ci, int64_t{1}, &counts);
+        index.AccumulateClause(ci, &counts);
       }
     }
     z += p;

@@ -20,9 +20,8 @@ std::vector<uint8_t> LabelAssignment(const MlnProgram& program,
                                      const EvidenceDb& labels);
 
 /// Per-rule satisfied-grounding counts n_i of one world, by direct scan
-/// of the clause set. The reference implementation the incremental
-/// WalkSatState / MC-SAT statistics hooks are tested against, and the
-/// one-shot path for the (fixed) data counts.
+/// of the clause set: the (fixed) data counts, and the voted
+/// perceptron's per-epoch counts of its MAP state.
 std::vector<int64_t> CountSatisfiedGroundings(
     const Problem& problem, const RuleCountIndex& index,
     const std::vector<uint8_t>& truth);

@@ -4,6 +4,7 @@
 #include <cmath>
 
 #include "infer/mcsat.h"
+#include "infer/walksat.h"
 #include "learn/counts.h"
 #include "util/string_util.h"
 #include "util/timer.h"
@@ -91,34 +92,15 @@ void WeightLearner::RefreshClauseWeights() {
 
 void WeightLearner::ExpectedCountsMap(uint64_t seed,
                                       std::vector<double>* mean) {
-  // The MAP search runs directly on a stats-enabled state: the hook
-  // maintains the per-rule counts O(1) per flip alongside the make/break
-  // bookkeeping, and the best state's counts are captured by snapshot
-  // whenever the cost improves — never by rescanning the clause set.
-  // Attach reuses this state's buffers across epochs (the weights were
-  // rewritten in place); the index must be re-enabled after it.
   Rng rng(seed);
-  if (!stats_state_.has_value()) {
-    stats_state_.emplace(&problem_, options_.hard_weight);
-  } else {
-    stats_state_->Attach(&problem_, options_.hard_weight);
-  }
-  // Seed the assignment before enabling stats: Rebuild skips the count
-  // scan while the hook is off, so the counts are derived exactly once.
-  stats_state_->RandomAssignment(&rng);
-  stats_state_->EnableFormulaStats(&index_);
-  WalkSatState& state = *stats_state_;
-  double best_cost = state.cost();
-  const std::vector<int64_t>& counts = state.formula_true_counts();
+  WalkSatOptions wopts;
+  wopts.p_random = options_.p_random;
+  wopts.hard_weight = options_.hard_weight;
+  WalkSat search(&problem_, wopts, &rng);
+  search.RunFlips(options_.map_flips);
+  const std::vector<int64_t> counts =
+      CountSatisfiedGroundings(problem_, index_, search.best_truth());
   mean->assign(counts.begin(), counts.end());
-  for (uint64_t flip = 0; flip < options_.map_flips; ++flip) {
-    if (!state.HasViolated()) break;  // cost 0: optimal
-    state.Flip(ChooseWalkSatMove(state, options_.p_random, &rng));
-    if (state.cost() < best_cost) {
-      best_cost = state.cost();
-      mean->assign(counts.begin(), counts.end());
-    }
-  }
 }
 
 void WeightLearner::ExpectedCountsMcSat(uint64_t seed,

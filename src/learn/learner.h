@@ -2,13 +2,11 @@
 #define TUFFY_LEARN_LEARNER_H_
 
 #include <cstdint>
-#include <optional>
 #include <vector>
 
 #include "ground/grounding.h"
 #include "ground/rule_count_index.h"
 #include "infer/problem.h"
-#include "infer/walksat.h"
 #include "learn/learn_options.h"
 #include "mln/model.h"
 #include "util/result.h"
@@ -67,10 +65,8 @@ class WeightLearner {
   /// Re-derives every soft ground clause's weight from the current rule
   /// weights and writes it into the problem in place.
   void RefreshClauseWeights();
-  /// Voted perceptron: counts at the best state of a WalkSAT run
-  /// executed on the stats-enabled state itself — the formula hook
-  /// maintains the counts per flip and the best state's counts are
-  /// snapshotted on each improvement.
+  /// Voted perceptron: the counts of the best state of a `map_flips`
+  /// WalkSAT search, recounted once.
   void ExpectedCountsMap(uint64_t seed, std::vector<double>* mean);
   /// Diagonal Newton: MC-SAT sample mean/variance of the counts.
   void ExpectedCountsMcSat(uint64_t seed, std::vector<double>* mean,
@@ -86,8 +82,6 @@ class WeightLearner {
   std::vector<double> clause_weights_;  // scratch for RecomputeClauseWeights
   std::vector<double> weights_;         // current rule weights
   std::vector<uint8_t> learnable_;      // soft rules only
-  /// Reused across epochs (buffers survive re-Attach).
-  std::optional<WalkSatState> stats_state_;
 };
 
 /// Convenience wrapper: construct + Learn.

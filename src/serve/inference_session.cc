@@ -47,7 +47,7 @@ uint64_t OptionsFingerprint(const SessionOptions& o) {
   mix(o.total_flips);
   mixd(o.p_random);
   mixd(o.hard_weight);
-  mix(o.init_random ? 1 : 0);
+  mix(1);  // the retired init_random knob (always a random start)
   mix(o.seed);
   mix(o.track_marginals ? 1 : 0);
   mix(o.exact_fast_path ? 1 : 0);
@@ -699,7 +699,6 @@ void InferenceSession::SearchComponents(const std::vector<size_t>& dirty,
   sopts.epoch = epoch_;
   sopts.p_random = options_.p_random;
   sopts.hard_weight = options_.hard_weight;
-  sopts.init_random = options_.init_random;
   sopts.use_exact = options_.exact_fast_path;
   sopts.marginals = options_.track_marginals;
   sopts.mcsat_samples = options_.mcsat_samples;

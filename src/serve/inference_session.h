@@ -30,7 +30,6 @@ struct SessionOptions {
   /// pool is passed to Open (the SessionManager case). Thread count
   /// never affects results, only wall clock.
   int num_threads = 1;
-  bool init_random = true;
   uint64_t seed = 42;
   /// If true, per-atom marginals are maintained: MC-SAT runs per dirty
   /// component (the MRF distribution factorizes over components, so

@@ -297,7 +297,7 @@ TEST(SampleSatTest, FindsSatisfyingAssignment) {
   }
   Rng rng(1);
   std::vector<uint8_t> out;
-  ASSERT_TRUE(SampleSat(p, SampleSatOptions{}, &rng, &out));
+  ASSERT_TRUE(SampleSat(p, &rng, &out));
   for (uint8_t t : out) EXPECT_EQ(t, 1);
 }
 
@@ -306,7 +306,7 @@ TEST(SampleSatTest, EmptyConstraintSetSamplesFreely) {
   p.num_atoms = 3;
   Rng rng(2);
   std::vector<uint8_t> out;
-  ASSERT_TRUE(SampleSat(p, SampleSatOptions{}, &rng, &out));
+  ASSERT_TRUE(SampleSat(p, &rng, &out));
   EXPECT_EQ(out.size(), 3u);
 }
 

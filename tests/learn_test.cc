@@ -1,5 +1,4 @@
-// Weight-learning subsystem tests: rule count index provenance, the
-// incremental formula-statistics hooks against direct recounts, MC-SAT
+// Weight-learning subsystem tests: rule count index provenance, MC-SAT
 // expected counts against brute-force enumeration (the gradient check),
 // option validation, and generative-weight recovery for both learners.
 
@@ -47,10 +46,10 @@ TEST(RuleCountIndexTest, MergedDuplicatesKeepPerRuleMultiplicity) {
   RuleCountIndex index = BuildRuleCountIndex(store, 2);
   ASSERT_EQ(index.num_clauses(), 2u);
   std::vector<int64_t> counts(2, 0);
-  index.AccumulateClause(0, int64_t{1}, &counts);
+  index.AccumulateClause(0, &counts);
   EXPECT_EQ(counts[0], 2);  // two groundings of rule 0
   EXPECT_EQ(counts[1], 1);
-  index.AccumulateClause(1, int64_t{1}, &counts);
+  index.AccumulateClause(1, &counts);
   EXPECT_EQ(counts[1], 2);
 }
 
@@ -74,7 +73,7 @@ TEST(RuleCountIndexTest, RecomputeClauseWeightsSumsContributions) {
   EXPECT_DOUBLE_EQ(clause_weights[0], 7.0);
 }
 
-// ------------------------------------------------- incremental hook
+// ------------------------------------------------ random MRFs
 
 /// Random MRF with provenance: rule ids cycle over `num_rules`.
 GroundClauseStore RandomStore(size_t num_atoms, int num_clauses,
@@ -97,31 +96,6 @@ GroundClauseStore RandomStore(size_t num_atoms, int num_clauses,
     store.Add(std::move(c));
   }
   return store;
-}
-
-TEST(FormulaStatsTest, IncrementalCountsMatchRecountUnderRandomFlips) {
-  for (uint64_t seed = 1; seed <= 4; ++seed) {
-    GroundClauseStore store = RandomStore(30, 80, 5, seed);
-    RuleCountIndex index = BuildRuleCountIndex(store, 5);
-    Problem problem = MakeWholeProblem(30, store.clauses());
-
-    Rng rng(seed * 17 + 3);
-    WalkSatState state(&problem, /*hard_weight=*/10.0);
-    state.EnableFormulaStats(&index);
-    state.RandomAssignment(&rng);
-    for (int step = 0; step < 300; ++step) {
-      state.Flip(static_cast<AtomId>(rng.Uniform(30)));
-      std::vector<int64_t> expect =
-          CountSatisfiedGroundings(problem, index, state.truth());
-      ASSERT_EQ(state.formula_true_counts(), expect)
-          << "seed " << seed << " step " << step;
-    }
-    // Resetting the assignment rebuilds the counts too.
-    state.AllFalseAssignment();
-    EXPECT_EQ(state.formula_true_counts(),
-              CountSatisfiedGroundings(
-                  problem, index, std::vector<uint8_t>(30, 0)));
-  }
 }
 
 // ------------------------------------------------- MC-SAT gradient check
@@ -151,7 +125,7 @@ TEST(FormulaStatsTest, McSatExpectedCountsMatchBruteForce) {
   // but errors partially cancel across groundings).
   std::vector<double> groundings(4, 0.0);
   for (size_t c = 0; c < index.num_clauses(); ++c) {
-    index.AccumulateClause(static_cast<uint32_t>(c), 1.0, &groundings);
+    index.AccumulateClause(static_cast<uint32_t>(c), &groundings);
   }
   for (int rule = 0; rule < 4; ++rule) {
     const double tol = std::max(0.15, 0.08 * groundings[rule]);

@@ -103,8 +103,7 @@ TEST(IncrementalEquivalenceTest, DegenerateDuplicateAtomBinaryClause) {
   const Lit unit = MakeLit(1, true);
   p.AddClause(&unit, 1, 1.5, false);
 
-  WalkSatState state(&p, kHardWeight);
-  state.AllFalseAssignment();
+  WalkSatState state(&p, kHardWeight);  // starts all-false
   ExpectStateMatchesScratch(p, state);
   for (AtomId a : {0u, 1u, 0u, 0u, 1u}) {
     state.Flip(a);
@@ -140,8 +139,7 @@ TEST(IncrementalEquivalenceTest, HardClausesUseHardWeightInDeltas) {
   p.num_atoms = 3;
   const Lit hc[] = {MakeLit(0, true), MakeLit(1, true), MakeLit(2, true)};
   p.AddClause(hc, 3, 0.0, true);
-  WalkSatState state(&p, kHardWeight);
-  state.AllFalseAssignment();
+  WalkSatState state(&p, kHardWeight);  // starts all-false
   EXPECT_DOUBLE_EQ(state.cost(), kHardWeight);
   for (AtomId a = 0; a < 3; ++a) {
     EXPECT_DOUBLE_EQ(state.FlipDelta(a), -kHardWeight);

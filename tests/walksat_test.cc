@@ -150,8 +150,7 @@ INSTANTIATE_TEST_SUITE_P(Seeds, WalkSatStateParamTest,
 TEST(WalkSatStateTest, ViolatedSetTracksCount) {
   Problem p = MakeProblem(2, {{{MakeLit(0, true)}, 1.0},
                               {{MakeLit(1, true)}, 1.0}});
-  WalkSatState state(&p, 100.0);
-  state.AllFalseAssignment();
+  WalkSatState state(&p, 100.0);  // starts all-false
   EXPECT_EQ(state.num_violated(), 2u);
   state.Flip(0);
   EXPECT_EQ(state.num_violated(), 1u);
@@ -164,8 +163,7 @@ TEST(WalkSatStateTest, SampleViolatedReturnsViolated) {
   Problem p = MakeProblem(3, {{{MakeLit(0, true)}, 1.0},
                               {{MakeLit(1, true)}, 1.0},
                               {{MakeLit(2, true)}, 1.0}});
-  WalkSatState state(&p, 100.0);
-  state.AllFalseAssignment();
+  WalkSatState state(&p, 100.0);  // starts all-false
   state.Flip(1);
   Rng rng(5);
   for (int i = 0; i < 50; ++i) {
@@ -293,15 +291,60 @@ TEST(WalkSatTest, InitialAssignmentHonored) {
   EXPECT_DOUBLE_EQ(r.best_cost, 0.0);
 }
 
-// ---------------------------------------------------- IncrementalWalkSat
+TEST(WalkSatTest, RunMatchesChunkedRunFlips) {
+  // Run's chunked driver must perform exactly the flips RunFlips would:
+  // a driver that drops or repeats one flip at a deadline-check or trace
+  // boundary changes the flip count or the random stream.
+  auto random_problem = [](uint64_t seed) {
+    Rng rng(seed);
+    Problem p;
+    p.num_atoms = 24;
+    for (int c = 0; c < 70; ++c) {
+      std::vector<Lit> lits;
+      const int len = 1 + static_cast<int>(rng.Uniform(3));
+      for (int i = 0; i < len; ++i) {
+        lits.push_back(MakeLit(static_cast<AtomId>(rng.Uniform(24)),
+                               rng.Bernoulli(0.5)));
+      }
+      const double w = rng.Bernoulli(0.3) ? -(0.5 + rng.NextDouble())
+                                          : 0.5 + rng.NextDouble();
+      p.AddClause(lits.data(), lits.size(), w, rng.Bernoulli(0.1));
+    }
+    return p;
+  };
+  const std::vector<GroundClause> example1 = MakeExample1Mrf(30);
+  constexpr uint64_t kFlips = 3000;
+  for (uint64_t seed = 1; seed <= 4; ++seed) {
+    for (const Problem& p :
+         {MakeWholeProblem(60, example1), random_problem(seed)}) {
+      WalkSatOptions opts;
+      opts.max_flips = kFlips;
+      opts.hard_weight = 20.0;
+      opts.trace_every_flips = 7;
+      Rng r1(seed), r2(seed);
+      WalkSatResult run = WalkSat(&p, opts, &r1).Run();
+      WalkSat chunked(&p, opts, &r2);
+      for (uint64_t n : {uint64_t{1}, uint64_t{1023}, uint64_t{7}}) {
+        chunked.RunFlips(n);
+      }
+      chunked.RunFlips(kFlips - chunked.flips());
+      EXPECT_EQ(run.flips, chunked.flips()) << "seed " << seed;
+      EXPECT_EQ(run.best_cost, chunked.best_cost()) << "seed " << seed;
+      EXPECT_EQ(run.best_truth, chunked.best_truth()) << "seed " << seed;
+      ASSERT_EQ(run.trace.size(), run.flips / 7) << "seed " << seed;
+      for (size_t i = 0; i < run.trace.size(); ++i) {
+        EXPECT_EQ(run.trace[i].flips, 7 * (i + 1)) << "seed " << seed;
+      }
+    }
+  }
+}
 
-TEST(IncrementalWalkSatTest, ResumesAcrossCalls) {
+TEST(WalkSatTest, RunFlipsResumesAcrossCalls) {
   std::vector<GroundClause> clauses = MakeExample1Mrf(20);
   Problem p = MakeWholeProblem(40, clauses);
   WalkSatOptions opts;
-  opts.init_random = true;
   Rng rng(9);
-  IncrementalWalkSat search(&p, opts, &rng);
+  WalkSat search(&p, opts, &rng);
   search.RunFlips(100);
   uint64_t first = search.flips();
   double cost_after_first = search.best_cost();
@@ -310,23 +353,24 @@ TEST(IncrementalWalkSatTest, ResumesAcrossCalls) {
   EXPECT_LE(search.best_cost(), cost_after_first);
 }
 
-TEST(IncrementalWalkSatTest, StopsAtZeroCost) {
+TEST(WalkSatTest, RunFlipsStopsAtZeroCost) {
   Problem p = MakeProblem(1, {{{MakeLit(0, true)}, 1.0}});
+  const std::vector<uint8_t> all_false = {0};
   WalkSatOptions opts;
-  opts.init_random = false;
+  opts.initial = &all_false;
   Rng rng(2);
-  IncrementalWalkSat search(&p, opts, &rng);
+  WalkSat search(&p, opts, &rng);
   uint64_t done = search.RunFlips(1000);
   EXPECT_LE(done, 2u);
   EXPECT_DOUBLE_EQ(search.best_cost(), 0.0);
 }
 
-TEST(IncrementalWalkSatTest, BestTracksMinimumSeen) {
+TEST(WalkSatTest, BestTracksMinimumSeen) {
   std::vector<GroundClause> clauses = MakeExample1Mrf(10);
   Problem p = MakeWholeProblem(20, clauses);
   WalkSatOptions opts;
   Rng rng(13);
-  IncrementalWalkSat search(&p, opts, &rng);
+  WalkSat search(&p, opts, &rng);
   double prev_best = search.best_cost();
   for (int i = 0; i < 20; ++i) {
     search.RunFlips(50);
