@@ -1,6 +1,7 @@
 // Microbenchmarks (google-benchmark) for the performance-critical
 // primitives underneath the experiments: join operators, WalkSAT flips,
-// buffer-pool access, union-find, and grounding of the RC program.
+// buffer-pool access, union-find, grounding of the RC program, and
+// parsing LP's evidence text.
 
 #include <benchmark/benchmark.h>
 
@@ -9,6 +10,7 @@
 #include "util/timer.h"
 #include "ground/bottom_up_grounder.h"
 #include "infer/walksat.h"
+#include "mln/parser.h"
 #include "mrf/components.h"
 #include "ra/operators.h"
 #include "storage/buffer_pool.h"
@@ -129,12 +131,62 @@ void BM_GroundRc(benchmark::State& state) {
 }
 BENCHMARK(BM_GroundRc)->Arg(10)->Arg(40)->Unit(benchmark::kMillisecond);
 
+/// LP evidence text in perfbench's LP shape at 1/16 of its publications
+/// (64,289 rows), one atom per line, and the program it is read into.
+struct EvidenceText {
+  MlnProgram program;
+  std::string text;
+  size_t rows = 0;
+};
+
+EvidenceText MakeLpEvidenceText() {
+  LpParams params;
+  params.num_professors = 10;
+  params.num_students = 40;
+  params.num_courses = 100;
+  params.num_publications = 32000;
+  Dataset ds = MakeLpDataset(params).TakeValue();
+  EvidenceText out;
+  for (const auto& [atom, truth] : ds.evidence.entries()) {
+    if (!truth) out.text += '!';
+    out.text += ds.program.predicate(atom.pred).name + "(";
+    for (size_t i = 0; i < atom.args.size(); ++i) {
+      if (i > 0) out.text += ", ";
+      out.text += ConstantLiteral(ds.program.symbols().SymbolName(atom.args[i]));
+    }
+    out.text += ")\n";
+  }
+  out.program = ParseProgram(ds.program.ToString()).TakeValue();
+  out.rows = ds.evidence.num_evidence();
+  return out;
+}
+
+/// Parses `ev.text` into a copy of its program; returns the rows read.
+size_t ParseEvidenceOnce(const EvidenceText& ev) {
+  MlnProgram program = ev.program;
+  EvidenceDb db;
+  Status st = ParseEvidence(ev.text, &program, &db);
+  if (!st.ok()) {
+    std::fprintf(stderr, "evidence parse: %s\n", st.ToString().c_str());
+    std::exit(1);
+  }
+  return db.num_evidence();
+}
+
+void BM_ParseEvidence(benchmark::State& state) {
+  const EvidenceText ev = MakeLpEvidenceText();
+  for (auto _ : state) benchmark::DoNotOptimize(ParseEvidenceOnce(ev));
+  state.SetItemsProcessed(state.iterations() * ev.rows);
+}
+BENCHMARK(BM_ParseEvidence)->Unit(benchmark::kMillisecond);
+
 }  // namespace
 }  // namespace tuffy
 
-// Custom main: run the registered microbenchmarks, then emit one
-// machine-readable flip-rate line (see bench_common.h) so the search-
-// kernel trajectory can be tracked across PRs alongside the
+// Custom main: run the registered microbenchmarks, then emit two
+// machine-readable lines (see bench_json.h), the flip rate and the
+// evidence-parse rate, so the search kernel's and the text front end's
+// trajectories can be tracked across PRs alongside the
 // --benchmark_format=json output.
 int main(int argc, char** argv) {
   benchmark::Initialize(&argc, argv);
@@ -156,5 +208,21 @@ int main(int argc, char** argv) {
                        "incremental",
                        seconds > 0 ? static_cast<double>(done) / seconds : 0,
                        seconds, done, search.best_cost());
+
+  // The fastest of three parses, so one slow run does not set the rate.
+  const EvidenceText ev = MakeLpEvidenceText();
+  double parse_s = 0.0;
+  for (int rep = 0; rep < 3; ++rep) {
+    Timer parse_timer;
+    ParseEvidenceOnce(ev);
+    const double s = parse_timer.ElapsedSeconds();
+    if (rep == 0 || s < parse_s) parse_s = s;
+  }
+  bench::BenchJson("micro_ops_parse_evidence")
+      .Str("dataset", "lp_64k")
+      .Int("rows", ev.rows)
+      .Num("seconds", parse_s, 6)
+      .Num("rows_per_s", parse_s > 0 ? ev.rows / parse_s : 0, 1)
+      .Emit();
   return 0;
 }

@@ -28,11 +28,11 @@ namespace {
 /// abs_weight + flags, ClauseState, violated bookkeeping ≈ 39B) is
 /// amortized over the clause's literals. It is an estimate, not a bound.
 /// On Table 4's datasets the measured whole-MRF state
-/// (WalkSatResult::state_bytes) exceeds it by 24% on LP (233,157,874 B
-/// measured vs 187,936,000 B estimated) and by 11% on RC (505,004 vs
-/// 456,640 B); it falls 10% under on IE (2,493,251 vs 2,760,480 B) and
-/// 11% under on ER (11,669,508 vs 13,088,640 B). So a budget can
-/// under-provision.
+/// (WalkSatResult::state_bytes, taken when the search ends) exceeds it by
+/// 26% on LP (237,348,082 B measured vs 187,936,000 B estimated) and by
+/// 11% on RC (509,100 vs 456,640 B); it falls 8% under on IE (2,526,019
+/// vs 2,760,480 B) and 10% under on ER (11,732,996 vs 13,088,640 B). So
+/// a budget can under-provision.
 constexpr uint64_t kBytesPerSizeUnit = 40;
 }  // namespace
 

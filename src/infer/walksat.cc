@@ -265,8 +265,7 @@ WalkSat::WalkSat(const Problem* problem, WalkSatOptions options, Rng* rng)
     : problem_(problem),
       options_(options),
       rng_(rng),
-      state_(problem, options.hard_weight),
-      unstarted_bytes_(state_.EstimateBytes()) {
+      state_(problem, options.hard_weight) {
   DrawStart();
   best_.Reset(state_.truth(), state_.cost());
 }
@@ -299,7 +298,6 @@ uint64_t WalkSat::RunFlips(uint64_t n) {
 
 WalkSatResult WalkSat::Run() {
   WalkSatResult result;
-  result.state_bytes = unstarted_bytes_ + problem_->EstimateBytes();
   const uint64_t trace_every = options_.trace_every_flips;
   for (int attempt = 0; attempt < options_.max_tries; ++attempt) {
     if (attempt > 0) {
@@ -332,6 +330,8 @@ WalkSatResult WalkSat::Run() {
   result.best_truth = best_.best_truth();
   result.best_cost = best_.best_cost();
   result.flips = flips_;
+  // Measured when the search ends, as ComponentSolver::state_bytes is.
+  result.state_bytes = state_bytes() + problem_->EstimateBytes();
   return result;
 }
 

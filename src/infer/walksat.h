@@ -40,7 +40,7 @@ struct WalkSatResult {
   double seconds = 0.0;
   std::vector<TracePoint> trace;
   /// Actual bytes of the search state + problem this run held in memory
-  /// (WalkSatState::EstimateBytes before the start is drawn +
+  /// (WalkSatState::EstimateBytes when the search ends +
   /// Problem::EstimateBytes).
   size_t state_bytes = 0;
 
@@ -271,9 +271,6 @@ class WalkSat {
   Rng* rng_;
   Timer clock_;  // Run's deadline and seconds count from construction
   WalkSatState state_;
-  /// state_bytes() before the start is drawn — Run's WalkSatResult::
-  /// state_bytes, so the measure does not depend on the start.
-  size_t unstarted_bytes_;
   BestTruthTracker best_;
   uint64_t flips_ = 0;
 };

@@ -11,36 +11,43 @@ namespace tuffy {
 
 // ------------------------------------------------------------ SymbolTable
 
-ConstantId SymbolTable::Intern(const std::string& symbol,
-                               const std::string& type) {
-  const auto [it, added] =
-      ids_.try_emplace(symbol, static_cast<ConstantId>(names_.size()));
-  if (added) names_.push_back(symbol);
-  const ConstantId id = it->second;
-  TypeDomain& domain = domains_[type];
-  if (static_cast<size_t>(id) >= domain.is_member.size()) {
-    domain.is_member.resize(id + 1, 0);
+ConstantId SymbolTable::Intern(std::string_view symbol, TypeDomain* domain) {
+  bool added = false;
+  const ConstantId id = static_cast<ConstantId>(ids_.FindOrAdd(
+      std::hash<std::string_view>{}(symbol),
+      [&](uint32_t i) { return names_[i] == symbol; }, &added));
+  if (added) names_.emplace_back(symbol);
+  if (static_cast<size_t>(id) >= domain->is_member.size()) {
+    domain->is_member.resize(id + 1, 0);
   }
-  if (!domain.is_member[id]) {
-    domain.is_member[id] = 1;
-    domain.members.push_back(id);
+  if (!domain->is_member[id]) {
+    domain->is_member[id] = 1;
+    domain->members.push_back(id);
   }
   return id;
 }
 
-ConstantId SymbolTable::Find(const std::string& symbol) const {
-  auto it = ids_.find(symbol);
-  return it == ids_.end() ? -1 : it->second;
+SymbolTable::TypeDomain* SymbolTable::DomainOf(std::string_view type) {
+  auto it = domains_.find(type);
+  if (it == domains_.end()) it = domains_.emplace(type, TypeDomain{}).first;
+  return &it->second;
+}
+
+ConstantId SymbolTable::Find(std::string_view symbol) const {
+  const uint32_t id =
+      ids_.Find(std::hash<std::string_view>{}(symbol),
+                [&](uint32_t i) { return names_[i] == symbol; });
+  return id == IdIndex::kAbsent ? -1 : static_cast<ConstantId>(id);
 }
 
 const std::vector<ConstantId>& SymbolTable::Domain(
-    const std::string& type) const {
+    std::string_view type) const {
   static const std::vector<ConstantId> kEmpty;
   auto it = domains_.find(type);
   return it == domains_.end() ? kEmpty : it->second.members;
 }
 
-bool SymbolTable::InDomain(ConstantId id, const std::string& type) const {
+bool SymbolTable::InDomain(ConstantId id, std::string_view type) const {
   auto it = domains_.find(type);
   if (it == domains_.end() || id < 0) return false;
   const std::vector<uint8_t>& is_member = it->second.is_member;
@@ -61,10 +68,11 @@ Result<PredicateId> MlnProgram::AddPredicate(Predicate pred) {
   return id;
 }
 
-Result<PredicateId> MlnProgram::FindPredicate(const std::string& name) const {
+Result<PredicateId> MlnProgram::FindPredicate(std::string_view name) const {
   auto it = predicate_ids_.find(name);
   if (it == predicate_ids_.end()) {
-    return Status::NotFound(StrFormat("predicate %s", name.c_str()));
+    return Status::NotFound(
+        StrFormat("predicate %s", std::string(name).c_str()));
   }
   return it->second;
 }

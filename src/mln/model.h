@@ -4,9 +4,11 @@
 #include <array>
 #include <cstddef>
 #include <cstdint>
+#include <functional>
 #include <iterator>
 #include <limits>
 #include <string>
+#include <string_view>
 #include <unordered_map>
 #include <utility>
 #include <vector>
@@ -97,26 +99,21 @@ struct Clause {
   int rule_id = -1;
 };
 
-/// Interns constant symbols and tracks per-type domains.
+/// Hashes std::string keys and std::string_view probes alike, so a map
+/// keyed by std::string is searched with a view and no copy.
+struct StringViewHash {
+  using is_transparent = void;
+  size_t operator()(std::string_view s) const {
+    return std::hash<std::string_view>{}(s);
+  }
+};
+
+/// Interns constant symbols and tracks per-type domains. Each symbol is
+/// held once, in names_; the IdIndex over it holds only slots and cached
+/// hashes, and its probes compare against names_ in place. Ids follow
+/// first-intern order.
 class SymbolTable {
  public:
-  /// Interns `symbol`, registering it in the domain of `type`.
-  ConstantId Intern(const std::string& symbol, const std::string& type);
-
-  /// Looks up an existing symbol; returns -1 if unknown.
-  ConstantId Find(const std::string& symbol) const;
-
-  const std::string& SymbolName(ConstantId id) const { return names_[id]; }
-  size_t num_constants() const { return names_.size(); }
-
-  /// All constants registered under `type` (empty vector if none).
-  const std::vector<ConstantId>& Domain(const std::string& type) const;
-
-  /// True when `id` is registered under `type` (false for any id outside
-  /// the table, negative ones included).
-  bool InDomain(ConstantId id, const std::string& type) const;
-
- private:
   /// One type's domain: its members in first-intern order, and a
   /// membership flag per ConstantId (ids past the end are not members).
   struct TypeDomain {
@@ -124,9 +121,39 @@ class SymbolTable {
     std::vector<uint8_t> is_member;
   };
 
-  std::unordered_map<std::string, ConstantId> ids_;
+  /// Interns `symbol`, registering it in the domain of `type`.
+  ConstantId Intern(std::string_view symbol, std::string_view type) {
+    return Intern(symbol, DomainOf(type));
+  }
+
+  /// Interns `symbol` into `domain`, a handle from DomainOf, so a caller
+  /// interning many constants of one type resolves the type once.
+  ConstantId Intern(std::string_view symbol, TypeDomain* domain);
+
+  /// The domain of `type`, created empty when new. The handle stays valid
+  /// as long as this table does.
+  TypeDomain* DomainOf(std::string_view type);
+
+  /// Looks up an existing symbol; returns -1 if unknown.
+  ConstantId Find(std::string_view symbol) const;
+
+  const std::string& SymbolName(ConstantId id) const { return names_[id]; }
+  size_t num_constants() const { return names_.size(); }
+
+  /// All constants registered under `type` (empty vector if none).
+  const std::vector<ConstantId>& Domain(std::string_view type) const;
+
+  /// True when `id` is registered under `type` (false for any id outside
+  /// the table, negative ones included).
+  bool InDomain(ConstantId id, std::string_view type) const;
+
+ private:
+  /// Symbol names by ConstantId: the only copy of each symbol.
   std::vector<std::string> names_;
-  std::unordered_map<std::string, TypeDomain> domains_;
+  /// Ids are ConstantIds, keyed by the symbol's std::hash.
+  IdIndex ids_;
+  std::unordered_map<std::string, TypeDomain, StringViewHash, std::equal_to<>>
+      domains_;
 };
 
 /// The source text of constant `symbol`, as ParseProgram and
@@ -142,7 +169,7 @@ class MlnProgram {
   /// Declares a predicate; fails on duplicate names.
   Result<PredicateId> AddPredicate(Predicate pred);
 
-  Result<PredicateId> FindPredicate(const std::string& name) const;
+  Result<PredicateId> FindPredicate(std::string_view name) const;
 
   const Predicate& predicate(PredicateId id) const { return predicates_[id]; }
   const std::vector<Predicate>& predicates() const { return predicates_; }
@@ -169,7 +196,9 @@ class MlnProgram {
 
  private:
   std::vector<Predicate> predicates_;
-  std::unordered_map<std::string, PredicateId> predicate_ids_;
+  std::unordered_map<std::string, PredicateId, StringViewHash,
+                     std::equal_to<>>
+      predicate_ids_;
   std::vector<Clause> clauses_;
   SymbolTable symbols_;
 };

@@ -1,9 +1,9 @@
 #include "mln/parser.h"
 
-#include <cctype>
 #include <cmath>
 #include <cstdlib>
 #include <unordered_map>
+#include <vector>
 
 #include "util/string_util.h"
 
@@ -12,7 +12,7 @@ namespace tuffy {
 namespace {
 
 enum class TokType {
-  kIdent,    // bare identifier or quoted string (quoted_ set)
+  kIdent,    // bare identifier or quoted string (quoted set)
   kNumber,   // numeric literal
   kLParen,
   kRParen,
@@ -25,140 +25,202 @@ enum class TokType {
   kEnd,
 };
 
+/// A token: a view into the parsed text (a quoted string's view excludes
+/// its quotes), valid while that text lives.
 struct Token {
   TokType type = TokType::kEnd;
-  std::string text;
+  std::string_view text;
   bool quoted = false;
 };
 
-/// Tokenizes one source line.
+// The C locale's character classes, spelled out so that no process
+// locale can change what lexes.
+bool IsSpace(char c) { return c == ' ' || (c >= '\t' && c <= '\r'); }
+bool IsDigit(char c) { return c >= '0' && c <= '9'; }
+bool IsLower(char c) { return c >= 'a' && c <= 'z'; }
+bool IsAlpha(char c) { return IsLower(c) || (c >= 'A' && c <= 'Z'); }
+bool IsWord(char c) { return IsAlpha(c) || IsDigit(c) || c == '_'; }
+
+/// A token's text as a string, for messages and strtod.
+std::string Text(const Token& t) { return std::string(t.text); }
+
+/// `st`'s message, prefixed with its line number.
+Status LineError(int line_no, const Status& st) {
+  return Status::ParseError(
+      StrFormat("line %d: %s", line_no, st.message().c_str()));
+}
+
+/// The lexer of both parsers. It walks the text a line at a time and
+/// lexes each line's tokens, as views into the text, into one vector
+/// reused across lines, so no line and no token is copied.
 class Lexer {
  public:
-  explicit Lexer(std::string_view line) : line_(line) {}
+  explicit Lexer(std::string_view text) : text_(text) {}
 
-  Result<std::vector<Token>> Tokenize() {
-    std::vector<Token> out;
-    while (pos_ < line_.size()) {
-      char c = line_[pos_];
-      if (std::isspace(static_cast<unsigned char>(c))) {
-        ++pos_;
-        continue;
-      }
-      if (c == '/' && pos_ + 1 < line_.size() && line_[pos_ + 1] == '/') break;
-      if (c == '(') {
-        out.push_back({TokType::kLParen, "("});
-        ++pos_;
+  /// Lexes the next line into tokens(), which then ends with a kEnd
+  /// token (and holds only that for a blank or comment line). Returns
+  /// false once the text is exhausted, or on a lexing error, which
+  /// *error then holds.
+  bool NextLine(Status* error) {
+    if (next_ > text_.size()) return false;
+    size_t end = text_.find('\n', next_);
+    if (end == std::string_view::npos) end = text_.size();
+    const std::string_view line = text_.substr(next_, end - next_);
+    next_ = end + 1;
+    ++line_no_;
+    tokens_.clear();
+    Status st = Tokenize(line);
+    if (!st.ok()) {
+      *error = LineError(line_no_, st);
+      return false;
+    }
+    tokens_.push_back({TokType::kEnd, {}, false});
+    return true;
+  }
+
+  const std::vector<Token>& tokens() const { return tokens_; }
+  int line_no() const { return line_no_; }
+
+ private:
+  Status Tokenize(std::string_view line) {
+    size_t pos = 0;
+    while (pos < line.size() && IsSpace(line[pos])) ++pos;
+    if (pos < line.size() && line[pos] == '#') return Status::OK();
+    const auto punct = [&](TokType type, size_t len) {
+      tokens_.push_back({type, line.substr(pos, len), false});
+      pos += len;
+    };
+    while (pos < line.size()) {
+      const char c = line[pos];
+      const char next = pos + 1 < line.size() ? line[pos + 1] : '\0';
+      if (IsSpace(c)) {
+        ++pos;
+      } else if (c == '/' && next == '/') {
+        break;  // a comment runs to the end of the line
+      } else if (c == '(') {
+        punct(TokType::kLParen, 1);
       } else if (c == ')') {
-        out.push_back({TokType::kRParen, ")"});
-        ++pos_;
+        punct(TokType::kRParen, 1);
       } else if (c == ',') {
-        out.push_back({TokType::kComma, ","});
-        ++pos_;
+        punct(TokType::kComma, 1);
       } else if (c == '!') {
-        if (pos_ + 1 < line_.size() && line_[pos_ + 1] == '=') {
-          out.push_back({TokType::kNeq, "!="});
-          pos_ += 2;
-        } else {
-          out.push_back({TokType::kBang, "!"});
-          ++pos_;
-        }
+        next == '=' ? punct(TokType::kNeq, 2) : punct(TokType::kBang, 1);
       } else if (c == '=') {
-        if (pos_ + 1 < line_.size() && line_[pos_ + 1] == '>') {
-          out.push_back({TokType::kImplies, "=>"});
-          pos_ += 2;
-        } else {
-          out.push_back({TokType::kEq, "="});
-          ++pos_;
-        }
+        next == '>' ? punct(TokType::kImplies, 2) : punct(TokType::kEq, 1);
       } else if (c == '.') {
-        out.push_back({TokType::kPeriod, "."});
-        ++pos_;
+        punct(TokType::kPeriod, 1);
+      } else if (c == '*') {
+        punct(TokType::kIdent, 1);
       } else if (c == '"' || c == '\'') {
-        char quote = c;
-        size_t end = line_.find(quote, pos_ + 1);
+        const size_t end = line.find(c, pos + 1);
         if (end == std::string_view::npos) {
           return Status::ParseError("unterminated string literal");
         }
-        Token t;
-        t.type = TokType::kIdent;
-        t.text = std::string(line_.substr(pos_ + 1, end - pos_ - 1));
-        t.quoted = true;
-        out.push_back(std::move(t));
-        pos_ = end + 1;
-      } else if (std::isdigit(static_cast<unsigned char>(c)) || c == '-' ||
-                 c == '+') {
-        size_t start = pos_;
-        ++pos_;
-        while (pos_ < line_.size() &&
-               (std::isdigit(static_cast<unsigned char>(line_[pos_])) ||
-                line_[pos_] == '.' || line_[pos_] == 'e' ||
-                line_[pos_] == 'E' ||
-                ((line_[pos_] == '-' || line_[pos_] == '+') &&
-                 (line_[pos_ - 1] == 'e' || line_[pos_ - 1] == 'E')))) {
-          ++pos_;
+        tokens_.push_back(
+            {TokType::kIdent, line.substr(pos + 1, end - pos - 1), true});
+        pos = end + 1;
+      } else if (IsDigit(c) || c == '-' || c == '+') {
+        const size_t start = pos++;
+        while (pos < line.size() &&
+               (IsDigit(line[pos]) || line[pos] == '.' || line[pos] == 'e' ||
+                line[pos] == 'E' ||
+                ((line[pos] == '-' || line[pos] == '+') &&
+                 (line[pos - 1] == 'e' || line[pos - 1] == 'E')))) {
+          ++pos;
         }
-        out.push_back(
-            {TokType::kNumber, std::string(line_.substr(start, pos_ - start))});
-      } else if (std::isalpha(static_cast<unsigned char>(c)) || c == '_') {
-        size_t start = pos_;
-        while (pos_ < line_.size() &&
-               (std::isalnum(static_cast<unsigned char>(line_[pos_])) ||
-                line_[pos_] == '_')) {
-          ++pos_;
-        }
-        out.push_back(
-            {TokType::kIdent, std::string(line_.substr(start, pos_ - start))});
-      } else if (c == '*') {
-        out.push_back({TokType::kIdent, "*"});
-        ++pos_;
+        tokens_.push_back(
+            {TokType::kNumber, line.substr(start, pos - start), false});
+      } else if (IsAlpha(c) || c == '_') {
+        const size_t start = pos;
+        while (pos < line.size() && IsWord(line[pos])) ++pos;
+        tokens_.push_back(
+            {TokType::kIdent, line.substr(start, pos - start), false});
       } else {
         return Status::ParseError(StrFormat("unexpected character '%c'", c));
       }
     }
-    out.push_back({TokType::kEnd, ""});
-    return out;
+    return Status::OK();
   }
 
- private:
-  std::string_view line_;
-  size_t pos_ = 0;
+  std::string_view text_;
+  size_t next_ = 0;  // start of the next line
+  int line_no_ = 0;
+  std::vector<Token> tokens_;
 };
 
 /// True if the identifier denotes a variable (starts lowercase, unquoted).
 bool IsVariableName(const Token& t) {
   return t.type == TokType::kIdent && !t.quoted && !t.text.empty() &&
-         std::islower(static_cast<unsigned char>(t.text[0]));
+         IsLower(t.text[0]);
 }
 
-/// Parses the body of one rule line into a Clause.
+/// Reads `pred`'s argument list `(t1, ..., tk)` starting at toks[*pos],
+/// calling `on_term(token, position)` for each term, and leaves *pos past
+/// the ')'. Both parsers read argument lists here, so both refuse a
+/// missing comma, a trailing comma and a missing ')'.
+template <typename OnTerm>
+Status ReadArguments(const std::vector<Token>& toks, size_t* pos,
+                     const Predicate& pred, const OnTerm& on_term) {
+  size_t i = *pos;
+  if (toks[i].type != TokType::kLParen) {
+    return Status::ParseError(
+        StrFormat("expected '(' after %s", pred.name.c_str()));
+  }
+  ++i;
+  int n = 0;
+  // An empty list falls through to the arity check.
+  while (n > 0 || toks[i].type != TokType::kRParen) {
+    if (toks[i].type != TokType::kIdent && toks[i].type != TokType::kNumber) {
+      return Status::ParseError(StrFormat(
+          "bad term '%s' in %s", Text(toks[i]).c_str(), pred.name.c_str()));
+    }
+    if (n >= pred.arity()) {
+      return Status::ParseError(
+          StrFormat("too many arguments to %s", pred.name.c_str()));
+    }
+    on_term(toks[i], n);
+    ++n;
+    ++i;
+    if (toks[i].type == TokType::kRParen) break;
+    if (toks[i].type != TokType::kComma) {
+      return Status::ParseError("expected ',' or ')' in argument list");
+    }
+    ++i;
+  }
+  ++i;  // past ')'
+  if (n != pred.arity()) {
+    return Status::ParseError(StrFormat("predicate %s expects %d args, got %d",
+                                        pred.name.c_str(), pred.arity(), n));
+  }
+  *pos = i;
+  return Status::OK();
+}
+
+/// Parses the body of one rule line, tokens[start..], into a Clause.
 class RuleParser {
  public:
-  RuleParser(std::vector<Token> tokens, MlnProgram* program)
-      : tokens_(std::move(tokens)), program_(program) {}
+  RuleParser(const std::vector<Token>& tokens, size_t start,
+             MlnProgram* program)
+      : tokens_(tokens), pos_(start), program_(program) {}
 
   Result<Clause> Parse(double weight, bool* hard_out) {
     clause_.weight = weight;
 
-    // Collect the left-hand side (conjunction) if an implication exists.
-    // We scan for a top-level "=>" first.
+    // A top-level "=>" splits a conjunctive body from the head.
     int implies_pos = -1;
-    for (size_t i = 0; i < tokens_.size(); ++i) {
+    for (size_t i = pos_; i < tokens_.size(); ++i) {
       if (tokens_[i].type == TokType::kImplies) {
         implies_pos = static_cast<int>(i);
         break;
       }
     }
-
     if (implies_pos >= 0) {
       // Parse body atoms (comma-separated), negating each into the clause.
       TUFFY_RETURN_IF_ERROR(ParseAtomList(/*end=*/implies_pos,
-                                          /*negate=*/true,
-                                          /*allow_exist=*/false));
+                                          /*negate=*/true));
       pos_ = static_cast<size_t>(implies_pos) + 1;
-      TUFFY_RETURN_IF_ERROR(ParseDisjunction(/*negate=*/false));
-    } else {
-      TUFFY_RETURN_IF_ERROR(ParseDisjunction(/*negate=*/false));
     }
+    TUFFY_RETURN_IF_ERROR(ParseDisjunction(/*negate=*/false));
 
     if (Cur().type == TokType::kPeriod) {
       *hard_out = true;
@@ -166,7 +228,7 @@ class RuleParser {
     }
     if (Cur().type != TokType::kEnd) {
       return Status::ParseError(
-          StrFormat("trailing tokens starting at '%s'", Cur().text.c_str()));
+          StrFormat("trailing tokens starting at '%s'", Text(Cur()).c_str()));
     }
     clause_.num_vars = static_cast<int>(var_ids_.size());
     return std::move(clause_);
@@ -179,21 +241,17 @@ class RuleParser {
     return i < tokens_.size() ? tokens_[i] : tokens_.back();
   }
 
-  Result<Term> MakeTerm(const Token& tok, const std::string& type) {
-    if (IsVariableName(tok) && !tok.quoted) {
-      auto it = var_ids_.find(tok.text);
-      VarId v;
-      if (it != var_ids_.end()) {
-        v = it->second;
-      } else {
-        v = static_cast<VarId>(var_ids_.size());
-        var_ids_[tok.text] = v;
-        clause_.var_names.push_back(tok.text);
-      }
-      return Term::Var(v);
-    }
-    ConstantId c = program_->symbols().Intern(tok.text, type);
-    return Term::Const(c);
+  /// The variable named `name`, numbered by first appearance.
+  VarId Variable(std::string_view name) {
+    const auto [it, added] =
+        var_ids_.try_emplace(name, static_cast<VarId>(var_ids_.size()));
+    if (added) clause_.var_names.emplace_back(name);
+    return it->second;
+  }
+
+  Term MakeTerm(const Token& tok, const std::string& type) {
+    if (IsVariableName(tok)) return Term::Var(Variable(tok.text));
+    return Term::Const(program_->symbols().Intern(tok.text, type));
   }
 
   /// Parses `[!]name(t1,...,tk)` or `t1 = t2` / `t1 != t2`.
@@ -208,23 +266,23 @@ class RuleParser {
     }
     if (Cur().type != TokType::kIdent && Cur().type != TokType::kNumber) {
       return Status::ParseError(
-          StrFormat("expected atom, got '%s'", Cur().text.c_str()));
+          StrFormat("expected atom, got '%s'", Text(Cur()).c_str()));
     }
     // Equality disjunct: term (=|!=) term.
     if (Peek().type == TokType::kEq || Peek().type == TokType::kNeq) {
-      Token lhs_tok = Cur();
+      const Token& lhs_tok = Cur();
       ++pos_;
       bool equal = Cur().type == TokType::kEq;
       ++pos_;
-      Token rhs_tok = Cur();
+      const Token& rhs_tok = Cur();
       if (rhs_tok.type != TokType::kIdent && rhs_tok.type != TokType::kNumber) {
         return Status::ParseError("expected term after (in)equality");
       }
       ++pos_;
       // Types are resolved later from literal usage; intern constants into
       // the anonymous type "_const".
-      TUFFY_ASSIGN_OR_RETURN(Term lhs, MakeTerm(lhs_tok, "_const"));
-      TUFFY_ASSIGN_OR_RETURN(Term rhs, MakeTerm(rhs_tok, "_const"));
+      const Term lhs = MakeTerm(lhs_tok, "_const");
+      const Term rhs = MakeTerm(rhs_tok, "_const");
       if (bang) equal = !equal;
       if (negate) equal = !equal;
       clause_.equalities.push_back(EqualityConstraint{lhs, rhs, equal});
@@ -234,46 +292,16 @@ class RuleParser {
     if (Cur().type != TokType::kIdent || Cur().quoted) {
       return Status::ParseError("expected predicate name");
     }
-    std::string pred_name = Cur().text;
-    ++pos_;
     TUFFY_ASSIGN_OR_RETURN(PredicateId pid,
-                           program_->FindPredicate(pred_name));
-    const Predicate& pred = program_->predicate(pid);
-    if (Cur().type != TokType::kLParen) {
-      return Status::ParseError(
-          StrFormat("expected '(' after %s", pred_name.c_str()));
-    }
+                           program_->FindPredicate(Cur().text));
     ++pos_;
+    const Predicate& pred = program_->predicate(pid);
     Literal lit;
     lit.pred = pid;
-    int arg_idx = 0;
-    while (Cur().type != TokType::kRParen) {
-      if (Cur().type != TokType::kIdent && Cur().type != TokType::kNumber) {
-        return Status::ParseError(
-            StrFormat("bad term '%s' in %s", Cur().text.c_str(),
-                      pred_name.c_str()));
-      }
-      if (arg_idx >= pred.arity()) {
-        return Status::ParseError(
-            StrFormat("too many arguments to %s", pred_name.c_str()));
-      }
-      TUFFY_ASSIGN_OR_RETURN(Term t,
-                             MakeTerm(Cur(), pred.arg_types[arg_idx]));
-      lit.args.push_back(t);
-      ++arg_idx;
-      ++pos_;
-      if (Cur().type == TokType::kComma) {
-        ++pos_;
-      } else if (Cur().type != TokType::kRParen) {
-        return Status::ParseError("expected ',' or ')' in argument list");
-      }
-    }
-    ++pos_;  // consume ')'
-    if (arg_idx != pred.arity()) {
-      return Status::ParseError(
-          StrFormat("predicate %s expects %d args, got %d", pred_name.c_str(),
-                    pred.arity(), arg_idx));
-    }
+    TUFFY_RETURN_IF_ERROR(
+        ReadArguments(tokens_, &pos_, pred, [&](const Token& tok, int i) {
+          lit.args.push_back(MakeTerm(tok, pred.arg_types[i]));
+        }));
     lit.positive = !bang;
     if (negate) lit.positive = !lit.positive;
     clause_.literals.push_back(std::move(lit));
@@ -281,15 +309,14 @@ class RuleParser {
   }
 
   /// Parses a comma-separated atom list up to token index `end`.
-  Status ParseAtomList(int end, bool negate, bool allow_exist) {
-    (void)allow_exist;
+  Status ParseAtomList(int end, bool negate) {
     while (static_cast<int>(pos_) < end) {
       TUFFY_RETURN_IF_ERROR(ParseAtomOrEquality(negate));
       if (static_cast<int>(pos_) < end) {
         if (Cur().type != TokType::kComma) {
           return Status::ParseError(
               StrFormat("expected ',' in rule body, got '%s'",
-                        Cur().text.c_str()));
+                        Text(Cur()).c_str()));
         }
         ++pos_;
       }
@@ -305,44 +332,31 @@ class RuleParser {
          Cur().text == "exist")) {
       ++pos_;
       while (true) {
-        if (Cur().type != TokType::kIdent || !IsVariableName(Cur())) {
+        if (!IsVariableName(Cur())) {
           return Status::ParseError("expected variable after EXIST");
         }
-        auto it = var_ids_.find(Cur().text);
-        VarId v;
-        if (it != var_ids_.end()) {
-          v = it->second;
-        } else {
-          v = static_cast<VarId>(var_ids_.size());
-          var_ids_[Cur().text] = v;
-          clause_.var_names.push_back(Cur().text);
-        }
-        clause_.existential_vars.push_back(v);
+        clause_.existential_vars.push_back(Variable(Cur().text));
         ++pos_;
-        if (Cur().type == TokType::kComma) {
-          ++pos_;
-          continue;
-        }
-        break;
+        if (Cur().type != TokType::kComma) break;
+        ++pos_;
       }
     }
     while (true) {
       TUFFY_RETURN_IF_ERROR(ParseAtomOrEquality(negate));
-      if (Cur().type == TokType::kIdent && !Cur().quoted &&
-          (Cur().text == "v" || Cur().text == "V")) {
-        ++pos_;
-        continue;
+      if (Cur().type != TokType::kIdent || Cur().quoted ||
+          (Cur().text != "v" && Cur().text != "V")) {
+        break;
       }
-      break;
+      ++pos_;
     }
     return Status::OK();
   }
 
-  std::vector<Token> tokens_;
-  size_t pos_ = 0;
+  const std::vector<Token>& tokens_;
+  size_t pos_;
   MlnProgram* program_;
   Clause clause_;
-  std::unordered_map<std::string, VarId> var_ids_;
+  std::unordered_map<std::string_view, VarId> var_ids_;
 };
 
 /// True if the token stream looks like a predicate declaration:
@@ -356,14 +370,10 @@ bool LooksLikeDeclaration(const std::vector<Token>& toks) {
   if (toks[i].type != TokType::kLParen) return false;
   ++i;
   while (true) {
-    if (toks[i].type != TokType::kIdent || toks[i].quoted) return false;
     if (!IsVariableName(toks[i])) return false;
     ++i;
-    if (toks[i].type == TokType::kComma) {
-      ++i;
-      continue;
-    }
-    break;
+    if (toks[i].type != TokType::kComma) break;
+    ++i;
   }
   if (toks[i].type != TokType::kRParen) return false;
   ++i;
@@ -372,23 +382,14 @@ bool LooksLikeDeclaration(const std::vector<Token>& toks) {
 
 }  // namespace
 
-Result<MlnProgram> ParseProgram(const std::string& text) {
+Result<MlnProgram> ParseProgram(std::string_view text) {
   MlnProgram program;
-  int line_no = 0;
-  for (const std::string& raw_line : Split(text, '\n')) {
-    ++line_no;
-    std::string_view line = Trim(raw_line);
-    if (line.empty() || StartsWith(line, "//") || StartsWith(line, "#")) {
-      continue;
-    }
-    Lexer lexer(line);
-    auto toks_result = lexer.Tokenize();
-    if (!toks_result.ok()) {
-      return Status::ParseError(StrFormat(
-          "line %d: %s", line_no, toks_result.status().message().c_str()));
-    }
-    std::vector<Token> toks = toks_result.TakeValue();
+  Lexer lexer(text);
+  Status error;
+  while (lexer.NextLine(&error)) {
+    const std::vector<Token>& toks = lexer.tokens();
     if (toks.size() <= 1) continue;
+    const int line_no = lexer.line_no();
 
     if (LooksLikeDeclaration(toks)) {
       size_t i = 0;
@@ -400,15 +401,12 @@ Result<MlnProgram> ParseProgram(const std::string& text) {
       pred.name = toks[i].text;
       i += 2;  // name, '('
       while (toks[i].type != TokType::kRParen) {
-        pred.arg_types.push_back(toks[i].text);
+        pred.arg_types.emplace_back(toks[i].text);
         ++i;
         if (toks[i].type == TokType::kComma) ++i;
       }
       auto added = program.AddPredicate(std::move(pred));
-      if (!added.ok()) {
-        return Status::ParseError(StrFormat(
-            "line %d: %s", line_no, added.status().message().c_str()));
-      }
+      if (!added.ok()) return LineError(line_no, added.status());
       continue;
     }
 
@@ -417,31 +415,25 @@ Result<MlnProgram> ParseProgram(const std::string& text) {
     double weight = 0.0;
     bool has_weight = false;
     size_t start = 0;
-    if (toks[0].type == TokType::kNumber) {
-      // Disambiguate "a weight" from a formula starting with a numeric
-      // constant: a weight is followed by an identifier or '!'.
-      if (toks.size() > 1 && (toks[1].type == TokType::kIdent ||
-                              toks[1].type == TokType::kBang)) {
-        weight = std::strtod(toks[0].text.c_str(), nullptr);
-        if (!std::isfinite(weight)) {
-          // A hard rule is written with a trailing '.', not an infinite
-          // weight; ToString could not print this one back.
-          return Status::ParseError(StrFormat(
-              "line %d: weight %s is not finite", line_no,
-              toks[0].text.c_str()));
-        }
-        has_weight = true;
-        start = 1;
+    // Disambiguate "a weight" from a formula starting with a numeric
+    // constant: a weight is followed by an identifier or '!'.
+    if (toks[0].type == TokType::kNumber &&
+        (toks[1].type == TokType::kIdent || toks[1].type == TokType::kBang)) {
+      // strtod reads a copy: the view's text runs on past the token.
+      weight = std::strtod(Text(toks[0]).c_str(), nullptr);
+      if (!std::isfinite(weight)) {
+        // A hard rule is written with a trailing '.', not an infinite
+        // weight; ToString could not print this one back.
+        return Status::ParseError(StrFormat("line %d: weight %s is not finite",
+                                            line_no, Text(toks[0]).c_str()));
       }
+      has_weight = true;
+      start = 1;
     }
-    std::vector<Token> rule_toks(toks.begin() + start, toks.end());
-    RuleParser rp(std::move(rule_toks), &program);
+    RuleParser rp(toks, start, &program);
     bool hard = false;
     auto clause_result = rp.Parse(weight, &hard);
-    if (!clause_result.ok()) {
-      return Status::ParseError(StrFormat(
-          "line %d: %s", line_no, clause_result.status().message().c_str()));
-    }
+    if (!clause_result.ok()) return LineError(line_no, clause_result.status());
     Clause clause = clause_result.TakeValue();
     clause.hard = hard;
     if (hard && has_weight) {
@@ -454,31 +446,25 @@ Result<MlnProgram> ParseProgram(const std::string& text) {
           StrFormat("line %d: soft rule is missing a weight", line_no));
     }
     Status st = program.AddClause(std::move(clause));
-    if (!st.ok()) {
-      return Status::ParseError(
-          StrFormat("line %d: %s", line_no, st.message().c_str()));
-    }
+    if (!st.ok()) return LineError(line_no, st);
   }
+  if (!error.ok()) return error;
   return program;
 }
 
-Status ParseEvidence(const std::string& text, MlnProgram* program,
+Status ParseEvidence(std::string_view text, MlnProgram* program,
                      EvidenceDb* db) {
-  int line_no = 0;
-  for (const std::string& raw_line : Split(text, '\n')) {
-    ++line_no;
-    std::string_view line = Trim(raw_line);
-    if (line.empty() || StartsWith(line, "//") || StartsWith(line, "#")) {
-      continue;
-    }
-    Lexer lexer(line);
-    auto toks_result = lexer.Tokenize();
-    if (!toks_result.ok()) {
-      return Status::ParseError(StrFormat(
-          "line %d: %s", line_no, toks_result.status().message().c_str()));
-    }
-    std::vector<Token> toks = toks_result.TakeValue();
+  SymbolTable& symbols = program->symbols();
+  // Each predicate's argument domains, resolved at its first row.
+  std::vector<std::vector<SymbolTable::TypeDomain*>> arg_domains(
+      program->num_predicates());
+  GroundAtom atom;  // one argument vector, reused for every row
+  Lexer lexer(text);
+  Status error;
+  while (lexer.NextLine(&error)) {
+    const std::vector<Token>& toks = lexer.tokens();
     if (toks.size() <= 1) continue;
+    const int line_no = lexer.line_no();
     size_t i = 0;
     bool truth = true;
     if (toks[i].type == TokType::kBang) {
@@ -489,53 +475,33 @@ Status ParseEvidence(const std::string& text, MlnProgram* program,
       return Status::ParseError(
           StrFormat("line %d: expected predicate name", line_no));
     }
-    std::string name = toks[i].text;
-    ++i;
-    auto pid_result = program->FindPredicate(name);
+    auto pid_result = program->FindPredicate(toks[i].text);
     if (!pid_result.ok()) {
       return Status::ParseError(StrFormat("line %d: unknown predicate %s",
-                                          line_no, name.c_str()));
-    }
-    PredicateId pid = pid_result.TakeValue();
-    const Predicate& pred = program->predicate(pid);
-    if (toks[i].type != TokType::kLParen) {
-      return Status::ParseError(StrFormat("line %d: expected '('", line_no));
+                                          line_no, Text(toks[i]).c_str()));
     }
     ++i;
-    GroundAtom atom;
-    atom.pred = pid;
-    int arg_idx = 0;
-    while (toks[i].type != TokType::kRParen) {
-      if (toks[i].type != TokType::kIdent && toks[i].type != TokType::kNumber) {
-        return Status::ParseError(
-            StrFormat("line %d: bad constant '%s'", line_no,
-                      toks[i].text.c_str()));
+    atom.pred = pid_result.value();
+    const Predicate& pred = program->predicate(atom.pred);
+    std::vector<SymbolTable::TypeDomain*>& domains = arg_domains[atom.pred];
+    if (domains.size() != pred.arg_types.size()) {
+      for (const std::string& type : pred.arg_types) {
+        domains.push_back(symbols.DomainOf(type));
       }
-      if (arg_idx >= pred.arity()) {
-        return Status::ParseError(
-            StrFormat("line %d: too many arguments to %s", line_no,
-                      name.c_str()));
-      }
-      atom.args.push_back(
-          program->symbols().Intern(toks[i].text, pred.arg_types[arg_idx]));
-      ++arg_idx;
-      ++i;
-      if (toks[i].type == TokType::kComma) ++i;
     }
-    if (arg_idx != pred.arity()) {
-      return Status::ParseError(StrFormat(
-          "line %d: %s expects %d args, got %d", line_no, name.c_str(),
-          pred.arity(), arg_idx));
-    }
-    ++i;  // past ')'
+    atom.args.clear();
+    Status args = ReadArguments(toks, &i, pred, [&](const Token& tok, int k) {
+      atom.args.push_back(symbols.Intern(tok.text, domains[k]));
+    });
+    if (!args.ok()) return LineError(line_no, args);
     if (toks[i].type != TokType::kEnd) {
       return Status::ParseError(
           StrFormat("line %d: trailing tokens starting at '%s'", line_no,
-                    toks[i].text.c_str()));
+                    Text(toks[i]).c_str()));
     }
-    db->Add(std::move(atom), truth);
+    db->Add(atom, truth);
   }
-  return Status::OK();
+  return error;
 }
 
 }  // namespace tuffy

@@ -1,7 +1,7 @@
 #ifndef TUFFY_MLN_PARSER_H_
 #define TUFFY_MLN_PARSER_H_
 
-#include <string>
+#include <string_view>
 
 #include "mln/model.h"
 #include "util/result.h"
@@ -28,7 +28,7 @@ namespace tuffy {
 /// arguments) may hold at most 8 existential argument positions, and its
 /// predicate may have at most 32 arguments (kMaxExistentialPositions and
 /// kMaxExistentialArity); a rule past either limit is a ParseError.
-Result<MlnProgram> ParseProgram(const std::string& text);
+Result<MlnProgram> ParseProgram(std::string_view text);
 
 /// Parses evidence lines into `db`:
 ///
@@ -39,7 +39,7 @@ Result<MlnProgram> ParseProgram(const std::string& text);
 /// ParseError ("trailing tokens").
 /// Constants are interned into the program's symbol table using the
 /// declared argument types of each predicate.
-Status ParseEvidence(const std::string& text, MlnProgram* program,
+Status ParseEvidence(std::string_view text, MlnProgram* program,
                      EvidenceDb* db);
 
 }  // namespace tuffy

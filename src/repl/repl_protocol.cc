@@ -34,6 +34,20 @@ uint64_t GetHeader(BinaryReader* r, MsgType expected) {
   return r->U64();
 }
 
+/// The header of a push or of the one-way ack, whose encoders write
+/// request id 0: any other id is refused, so a decoded message encodes
+/// back to the same bytes.
+void GetUnsolicitedHeader(BinaryReader* r, MsgType expected) {
+  if (GetHeader(r, expected) != 0) r->Invalidate();
+}
+
+/// A flag byte: 0 or 1, anything else invalidates.
+bool GetFlag(BinaryReader* r) {
+  const uint8_t b = r->U8();
+  if (b > 1) r->Invalidate();
+  return b == 1;
+}
+
 Status Malformed(const char* what) {
   return Status::InvalidArgument(std::string("malformed ") + what +
                                  " payload");
@@ -56,7 +70,7 @@ Result<ReplSubscribe> DecodeReplSubscribe(const std::string& payload) {
   msg.request_id = GetHeader(&r, MsgType::kSubscribe);
   msg.session = GetStr(&r);
   msg.position = r.U64();
-  msg.has_state = r.U8() != 0;
+  msg.has_state = GetFlag(&r);
   if (!r.ok() || !r.Exhausted()) return Malformed("kSubscribe");
   return msg;
 }
@@ -77,7 +91,7 @@ Result<ReplSubscribeReply> DecodeReplSubscribeReply(
   ReplSubscribeReply msg;
   msg.request_id = GetHeader(&r, MsgType::kSubscribeReply);
   msg.committed = r.U64();
-  msg.snapshot = r.U8() != 0;
+  msg.snapshot = GetFlag(&r);
   msg.snapshot_position = r.U64();
   msg.snapshot_bytes = r.U64();
   if (!r.ok() || !r.Exhausted()) return Malformed("kSubscribeReply");
@@ -98,10 +112,10 @@ Result<ReplSnapshotChunk> DecodeReplSnapshotChunk(
     const std::string& payload) {
   BinaryReader r(payload);
   ReplSnapshotChunk msg;
-  GetHeader(&r, MsgType::kSnapshotChunk);
+  GetUnsolicitedHeader(&r, MsgType::kSnapshotChunk);
   msg.offset = r.U64();
   msg.position = r.U64();
-  msg.last = r.U8() != 0;
+  msg.last = GetFlag(&r);
   msg.bytes = GetStr(&r);
   if (!r.ok() || !r.Exhausted()) return Malformed("kSnapshotChunk");
   return msg;
@@ -120,7 +134,7 @@ std::string EncodeReplWalRecords(const ReplWalRecords& msg) {
 Result<ReplWalRecords> DecodeReplWalRecords(const std::string& payload) {
   BinaryReader r(payload);
   ReplWalRecords msg;
-  GetHeader(&r, MsgType::kWalRecords);
+  GetUnsolicitedHeader(&r, MsgType::kWalRecords);
   msg.first = r.U64();
   msg.committed = r.U64();
   const uint32_t n = r.U32();
@@ -145,7 +159,7 @@ std::string EncodeReplAck(const ReplAck& msg) {
 Result<ReplAck> DecodeReplAck(const std::string& payload) {
   BinaryReader r(payload);
   ReplAck msg;
-  GetHeader(&r, MsgType::kReplAck);
+  GetUnsolicitedHeader(&r, MsgType::kReplAck);
   msg.session = GetStr(&r);
   msg.position = r.U64();
   if (!r.ok() || !r.Exhausted()) return Malformed("kReplAck");

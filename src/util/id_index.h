@@ -10,8 +10,9 @@
 namespace tuffy {
 
 /// Open-addressing id index over keys its owner stores: grounding's two
-/// duplicate merges (AtomStore and GroundClauseStore) and each evidence
-/// relation (EvidenceDb, whose ids are row numbers). The owner keeps its
+/// duplicate merges (AtomStore and GroundClauseStore), each evidence
+/// relation (EvidenceDb, whose ids are row numbers) and the symbol table
+/// (SymbolTable, whose ids are ConstantIds). The owner keeps its
 /// keys in its own storage, indexed by id; the index holds only slot ->
 /// id + 1 (0 = empty) and each id's cached key hash. So no second copy of
 /// a key is kept, a probe costs one flat-array read plus one in-place key

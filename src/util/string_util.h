@@ -8,9 +8,6 @@
 
 namespace tuffy {
 
-/// Splits `s` on `delim`, keeping empty fields.
-std::vector<std::string> Split(std::string_view s, char delim);
-
 /// Removes leading and trailing ASCII whitespace.
 std::string_view Trim(std::string_view s);
 

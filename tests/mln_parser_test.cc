@@ -1,9 +1,12 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <sstream>
 #include <string>
+#include <string_view>
 #include <vector>
 
+#include "datagen/datasets.h"
 #include "ground/bottom_up_grounder.h"
 #include "mln/model.h"
 #include "mln/parser.h"
@@ -361,6 +364,30 @@ TEST(ParserTest, NonFiniteWeightRefused) {
   EXPECT_EQ(result.status().code(), StatusCode::kParseError);
 }
 
+TEST(ParserTest, TrailingCommaRefused) {
+  // An argument list is `(t1, ..., tk)`: a comma must be followed by a
+  // term, and terms must be separated by commas.
+  auto trailing = ParseProgram("p(t)\n1 p(x,)\n");
+  ASSERT_EQ(trailing.status().code(), StatusCode::kParseError);
+  EXPECT_NE(trailing.status().message().find("line 2: bad term ')' in p"),
+            std::string::npos)
+      << trailing.status().ToString();
+
+  auto missing = ParseProgram("p(t, t)\n1 p(X Y)\n");
+  ASSERT_EQ(missing.status().code(), StatusCode::kParseError);
+  EXPECT_NE(missing.status().message().find(
+                "line 2: expected ',' or ')' in argument list"),
+            std::string::npos)
+      << missing.status().ToString();
+
+  auto open = ParseProgram("p(t)\n1 p(x\n");
+  ASSERT_EQ(open.status().code(), StatusCode::kParseError);
+  EXPECT_NE(open.status().message().find(
+                "line 2: expected ',' or ')' in argument list"),
+            std::string::npos)
+      << open.status().ToString();
+}
+
 TEST(ParserTest, ConstantLiteralQuotesOnlyWhatWouldNotLexBack) {
   EXPECT_EQ(ConstantLiteral("Networking"), "Networking");
   EXPECT_EQ(ConstantLiteral("_x9"), "_x9");
@@ -473,6 +500,29 @@ TEST(EvidenceParserTest, TrailingTokensAfterAnAtomRefused) {
   EXPECT_EQ(commented.num_evidence(), 1u);
 }
 
+TEST(EvidenceParserTest, ArgumentListNeedsCommas) {
+  auto program = ParseProgram("*wrote(author, paper)\n");
+  ASSERT_TRUE(program.ok());
+  MlnProgram p = program.TakeValue();
+  // The rule parser's message, after the line number.
+  const std::vector<std::pair<std::string, std::string>> refused = {
+      {"wrote(Joe P1)\n", "line 1: expected ',' or ')' in argument list"},
+      {"wrote(Joe, P1)\nwrote(Joe, P1,)\n", "line 2: bad term ')' in wrote"},
+      {"wrote(Joe, P1\n", "line 1: expected ',' or ')' in argument list"},
+      {"wrote(Joe,, P1)\n", "line 1: bad term ',' in wrote"},
+  };
+  for (const auto& [text, message] : refused) {
+    EvidenceDb db;
+    const Status st = ParseEvidence(text, &p, &db);
+    EXPECT_EQ(st.code(), StatusCode::kParseError) << text;
+    EXPECT_NE(st.message().find(message), std::string::npos)
+        << text << st.ToString();
+  }
+  EvidenceDb db;
+  ASSERT_TRUE(ParseEvidence("wrote(Joe , P1 )\n", &p, &db).ok());
+  EXPECT_EQ(db.num_evidence(), 1u);
+}
+
 // ------------------------------------------------------------------ Fuzz
 
 /// Evidence text printed back from the rows: one atom per line, false
@@ -532,13 +582,10 @@ std::string Mutate(std::string text, Rng* rng) {
   return text;
 }
 
-// Seeded mutational fuzzing of both parsers. Every input is refused with
-// a status or parses; a parsed program is a ToString fixpoint, and parsed
-// evidence printed back from its rows parses to the same rows in the
-// same order. A failure prints its seed and input; each seed's input is
-// a function of the seed alone, so the seed replays it.
-TEST(ParserFuzzTest, MutatedTextIsRefusedOrRoundTrips) {
-  const std::vector<std::string> programs = {
+/// The fuzz corpus: program texts, and evidence texts each paired with
+/// the index of the program it is read into.
+const std::vector<std::string>& FuzzPrograms() {
+  static const std::vector<std::string> kPrograms = {
       kFigure1Program,
       "*link(node, node)\n"
       "label(node, cls)\n"
@@ -549,7 +596,11 @@ TEST(ParserFuzzTest, MutatedTextIsRefusedOrRoundTrips) {
       "label(x, c1), label(x, c2) => c1 = c2.\n"
       "2 label(x, c) => EXIST y link(x, y)\n",
   };
-  const std::vector<std::pair<size_t, std::string>> evidence = {
+  return kPrograms;
+}
+
+const std::vector<std::pair<size_t, std::string>>& FuzzEvidence() {
+  static const std::vector<std::pair<size_t, std::string>> kEvidence = {
       {0,
        "wrote(Joe, P1)\n"
        "wrote(Joe, P2)\n"
@@ -567,21 +618,43 @@ TEST(ParserFuzzTest, MutatedTextIsRefusedOrRoundTrips) {
        "label(42, \"lower\")\n"
        "link(N0, N2)\n"},
   };
+  return kEvidence;
+}
+
+constexpr uint64_t kFuzzSeeds = 20000;
+
+/// Seed `seed`'s fuzz input, a function of the seed alone. Even seeds
+/// mutate a program text; odd seeds mutate an evidence text, read into
+/// the program at index `*base`.
+std::string FuzzInput(uint64_t seed, size_t* base) {
+  Rng rng(seed);
+  if (seed % 2 == 0) {
+    return Mutate(FuzzPrograms()[(seed / 2) % FuzzPrograms().size()], &rng);
+  }
+  const auto& [program, source] =
+      FuzzEvidence()[(seed / 2) % FuzzEvidence().size()];
+  *base = program;
+  return Mutate(source, &rng);
+}
+
+// Seeded mutational fuzzing of both parsers. Every input is refused with
+// a status or parses; a parsed program is a ToString fixpoint, and parsed
+// evidence printed back from its rows parses to the same rows in the
+// same order. A failure prints its seed and input; each seed's input is
+// a function of the seed alone, so the seed replays it.
+TEST(ParserFuzzTest, MutatedTextIsRefusedOrRoundTrips) {
   std::vector<MlnProgram> bases;
-  for (const std::string& text : programs) {
+  for (const std::string& text : FuzzPrograms()) {
     auto parsed = ParseProgram(text);
     ASSERT_TRUE(parsed.ok()) << parsed.status().ToString();
     bases.push_back(parsed.TakeValue());
   }
 
-  constexpr uint64_t kSeeds = 20000;
   size_t programs_parsed = 0, evidence_parsed = 0;
-  for (uint64_t seed = 0; seed < kSeeds; ++seed) {
-    Rng rng(seed);
-    // Even seeds fuzz program text, odd seeds evidence text.
+  for (uint64_t seed = 0; seed < kFuzzSeeds; ++seed) {
+    size_t base = 0;
+    const std::string text = FuzzInput(seed, &base);
     if (seed % 2 == 0) {
-      const std::string text =
-          Mutate(programs[(seed / 2) % programs.size()], &rng);
       auto parsed = ParseProgram(text);
       if (!parsed.ok()) continue;
       ++programs_parsed;
@@ -596,8 +669,6 @@ TEST(ParserFuzzTest, MutatedTextIsRefusedOrRoundTrips) {
                 ProgramContent(parsed.value()))
           << "seed " << seed << "\ninput:\n" << text;
     } else {
-      const auto& [base, source] = evidence[(seed / 2) % evidence.size()];
-      const std::string text = Mutate(source, &rng);
       MlnProgram program = bases[base];
       EvidenceDb db;
       if (!ParseEvidence(text, &program, &db).ok()) continue;
@@ -628,8 +699,145 @@ TEST(ParserFuzzTest, MutatedTextIsRefusedOrRoundTrips) {
   }
   // The mutations must leave a fair share of inputs parseable, or the
   // round trips above check nothing.
-  EXPECT_GT(programs_parsed, kSeeds / 20);
-  EXPECT_GT(evidence_parsed, kSeeds / 20);
+  EXPECT_GT(programs_parsed, kFuzzSeeds / 20);
+  EXPECT_GT(evidence_parsed, kFuzzSeeds / 20);
+}
+
+// ------------------------------------------------------------------- Pin
+
+/// FNV-1a over a length-prefixed field, so a sequence of fields folds to
+/// one value that no regrouping of their bytes reproduces.
+uint64_t Fold(uint64_t h, std::string_view field) {
+  const uint64_t n = field.size();
+  for (int b = 0; b < 8; ++b) {
+    h = (h ^ ((n >> (8 * b)) & 0xff)) * 0x100000001b3ull;
+  }
+  for (char c : field) {
+    h = (h ^ static_cast<unsigned char>(c)) * 0x100000001b3ull;
+  }
+  return h;
+}
+
+constexpr uint64_t kFnvBasis = 0xcbf29ce484222325ull;
+
+/// Everything a successful parse produced: the program printed back,
+/// every symbol name in id order, each type's domain in order (the types
+/// the parsers intern under: predicate argument types, and "_const" for
+/// equality operands), and each relation's rows in order.
+std::string ParsedOutcome(const MlnProgram& p, const EvidenceDb* db) {
+  std::string out = p.ToString();
+  out += "symbols:";
+  for (size_t id = 0; id < p.symbols().num_constants(); ++id) {
+    out += " " + p.symbols().SymbolName(static_cast<ConstantId>(id));
+  }
+  std::vector<std::string> types;
+  for (const Predicate& pred : p.predicates()) {
+    for (const std::string& t : pred.arg_types) {
+      if (std::find(types.begin(), types.end(), t) == types.end()) {
+        types.push_back(t);
+      }
+    }
+  }
+  types.push_back("_const");
+  for (const std::string& t : types) {
+    out += "\ndomain " + t + ":";
+    for (ConstantId c : p.symbols().Domain(t)) out += " " + std::to_string(c);
+  }
+  if (db == nullptr) return out;
+  for (PredicateId pred = 0;
+       pred < static_cast<PredicateId>(p.num_predicates()); ++pred) {
+    for (bool truth : {false, true}) {
+      const IdTable& rows = db->rows(pred, truth);
+      out += "\nrows " + std::to_string(pred) + (truth ? "+" : "-") + ":";
+      for (size_t r = 0; r < rows.num_rows(); ++r) {
+        out += " (";
+        for (size_t c = 0; c < rows.num_cols(); ++c) {
+          out += (c > 0 ? "," : "") + std::to_string(rows.col(c)[r]);
+        }
+        out += ")";
+      }
+    }
+  }
+  return out;
+}
+
+std::string RefusedOutcome(const Status& st) {
+  return "refused " + std::to_string(static_cast<int>(st.code())) + " " +
+         st.message();
+}
+
+/// The outcome of parsing program text `program` and, when given,
+/// evidence text `evidence` into it.
+std::string ParseOutcome(const std::string& program,
+                         const std::string* evidence) {
+  auto parsed = ParseProgram(program);
+  if (!parsed.ok()) return RefusedOutcome(parsed.status());
+  MlnProgram p = parsed.TakeValue();
+  if (evidence == nullptr) return ParsedOutcome(p, nullptr);
+  EvidenceDb db;
+  const Status st = ParseEvidence(*evidence, &p, &db);
+  if (!st.ok()) return RefusedOutcome(st);
+  return ParsedOutcome(p, &db);
+}
+
+// Pins both parsers' output, not just its self-consistency: the outcome
+// of every ParserFuzzTest input (status code and message of a refusal;
+// otherwise the printed program, the symbols in id order, every domain
+// in order and every relation's rows in order), folded into one digest
+// per 1,000-seed block, and the outcome of parsing each datagen
+// dataset's program and evidence, printed back as text. The values were
+// recorded before the parser was rewritten to lex without copies, so a
+// rewrite must reproduce the old parser's every id, row and message. A
+// failing block names its seeds; FuzzInput replays each of them.
+TEST(ParserPinTest, OutcomesMatchThePinnedDigests) {
+  constexpr uint64_t kBlock = 1000;
+  const uint64_t kBlockDigests[kFuzzSeeds / kBlock] = {
+      0x8d71642408916a78ull, 0xc71b586e055f3a16ull, 0x2eb04e95689121b0ull,
+      0x1bde2c2e4cb36aadull, 0x48c3daa20caae06cull, 0xfb62cabe2f7d8183ull,
+      0x97b1513150611ac0ull, 0x97cbd9c4febe6b65ull, 0x242ffa5db3bfb3bbull,
+      0x2e4c84780f8ba3e4ull, 0xc3354ceb42be328dull, 0x4faf72654ae24533ull,
+      0x9bb80c96c81194d1ull, 0x58dba5faf2d93b5dull, 0x30168c42b408422full,
+      0xb8caf43613f3594eull, 0xfe7c14000be4f263ull, 0x40bece2a86f8386cull,
+      0x4686bf3023e10655ull, 0x02bcb03b0b68f4faull,
+  };
+  for (uint64_t block = 0; block < kFuzzSeeds / kBlock; ++block) {
+    uint64_t digest = kFnvBasis;
+    for (uint64_t seed = block * kBlock; seed < (block + 1) * kBlock;
+         ++seed) {
+      size_t base = 0;
+      const std::string text = FuzzInput(seed, &base);
+      digest = Fold(digest, seed % 2 == 0
+                                ? ParseOutcome(text, nullptr)
+                                : ParseOutcome(FuzzPrograms()[base], &text));
+    }
+    EXPECT_EQ(digest, kBlockDigests[block])
+        << "block " << block << " (seeds " << block * kBlock << "-"
+        << (block + 1) * kBlock - 1 << "): digest 0x" << std::hex << digest;
+  }
+
+  struct Pinned {
+    const char* name;
+    Result<Dataset> dataset;
+    uint64_t digest;
+  };
+  const Pinned datasets[] = {
+      {"LP", MakeLpDataset(LpParams{}), 0x0cab8bad58f4d660ull},
+      {"IE", MakeIeDataset(IeParams{}), 0x9f73eac428eea6d9ull},
+      {"RC", MakeRcDataset(RcParams{}), 0xc90d75a48e11d272ull},
+      {"ER", MakeErDataset(ErParams{}), 0xa7cca9a41e389435ull},
+  };
+  for (const Pinned& d : datasets) {
+    ASSERT_TRUE(d.dataset.ok()) << d.name;
+    const Dataset& ds = d.dataset.value();
+    const std::string evidence = PrintEvidence(ds.program, ds.evidence);
+    const std::string outcome =
+        ParseOutcome(ds.program.ToString(), &evidence);
+    EXPECT_EQ(outcome.rfind("refused", 0), std::string::npos)
+        << d.name << ": " << outcome;
+    const uint64_t digest = Fold(kFnvBasis, outcome);
+    EXPECT_EQ(digest, d.digest)
+        << d.name << ": digest 0x" << std::hex << digest;
+  }
 }
 
 TEST(SymbolTableTest, InDomainIsFalseOutsideTheTable) {

@@ -26,9 +26,11 @@
 #include "net/protocol.h"
 #include "net/server.h"
 #include "obs/metrics.h"
+#include "repl/repl_protocol.h"
 #include "serve/follower_manager.h"
 #include "serve/inference_session.h"
 #include "util/fault_points.h"
+#include "util/rng.h"
 
 namespace tuffy {
 namespace {
@@ -545,6 +547,77 @@ TEST_F(ReplTest, ThreeFollowerFanOutDoesNotStallOnASlowOne) {
   for (auto& f : followers) ExpectReplicaMatches(*f, *twin);
   for (auto& f : followers) f->Stop();
   server_->Stop();
+}
+
+
+// Seeded mutations of valid replication payloads: bit flips, inserted
+// and deleted bytes, truncations and random bytes. Each of the five
+// decoders must refuse a mutated payload, or decode it to a message that
+// encodes back to exactly those bytes: no flag byte other than 0 or 1,
+// and no non-zero request id in a push or an ack, slips through.
+TEST(ReplProtocolTest, FuzzMutatedPayloadsAreRefusedOrReencodeExactly) {
+  std::vector<std::string> corpus;
+  corpus.push_back(EncodeReplSubscribe({7, "cli", 42, true}));
+  corpus.push_back(EncodeReplSubscribe({8, "", 0, false}));
+  corpus.push_back(EncodeReplSubscribeReply({7, 40, true, 32, 4096}));
+  corpus.push_back(EncodeReplSubscribeReply({9, 40, false, 0, 0}));
+  corpus.push_back(EncodeReplSnapshotChunk({0, "TFYSNAP1 chunk", false, 32}));
+  corpus.push_back(EncodeReplSnapshotChunk({14, "", true, 32}));
+  corpus.push_back(EncodeReplWalRecords({33, 40, {"first", "", "third"}}));
+  corpus.push_back(EncodeReplWalRecords({41, 40, {}}));  // heartbeat
+  corpus.push_back(EncodeReplAck({"cli", 40}));
+
+  // Decodes `bytes` with every decoder; returns how many accepted it.
+  const auto check = [](const std::string& bytes, uint64_t iter) {
+    int accepted = 0;
+    const auto same = [&](const auto& decoded, const auto& encode) {
+      if (!decoded.ok()) return;
+      ++accepted;
+      EXPECT_EQ(encode(decoded.value()), bytes) << "iteration " << iter;
+    };
+    same(DecodeReplSubscribe(bytes), EncodeReplSubscribe);
+    same(DecodeReplSubscribeReply(bytes), EncodeReplSubscribeReply);
+    same(DecodeReplSnapshotChunk(bytes), EncodeReplSnapshotChunk);
+    same(DecodeReplWalRecords(bytes), EncodeReplWalRecords);
+    same(DecodeReplAck(bytes), EncodeReplAck);
+    return accepted;
+  };
+  for (const std::string& p : corpus) ASSERT_EQ(check(p, 0), 1);
+
+  constexpr uint64_t kIters = 20000;
+  uint64_t decoded = 0;
+  for (uint64_t it = 0; it < kIters; ++it) {
+    Rng rng(it);
+    std::string p = corpus[rng.Uniform(corpus.size())];
+    const int edits = 1 + static_cast<int>(rng.Uniform(3));
+    for (int k = 0; k < edits; ++k) {
+      const size_t pos = rng.Uniform(p.size() + 1);
+      switch (rng.Uniform(5)) {
+        case 0:  // flip one bit
+          if (pos < p.size()) {
+            p[pos] ^= static_cast<char>(1u << rng.Uniform(8));
+          }
+          break;
+        case 1:  // insert a byte
+          p.insert(p.begin() + pos, static_cast<char>(rng.Uniform(256)));
+          break;
+        case 2:  // delete a short run
+          p.erase(pos, 1 + rng.Uniform(4));
+          break;
+        case 3:  // truncate
+          p.resize(pos);
+          break;
+        case 4:  // overwrite a run with random bytes
+          for (size_t i = pos; i < p.size() && i < pos + 8; ++i) {
+            p[i] = static_cast<char>(rng.Uniform(256));
+          }
+          break;
+      }
+    }
+    decoded += check(p, it) > 0;
+  }
+  // Enough mutants must decode for the re-encoding check to bite.
+  EXPECT_GT(decoded, kIters / 20);
 }
 
 }  // namespace

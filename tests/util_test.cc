@@ -96,20 +96,6 @@ TEST(ResultTest, TakeValueMoves) {
 
 // ------------------------------------------------------------ string_util
 
-TEST(StringUtilTest, SplitBasic) {
-  auto parts = Split("a,b,,c", ',');
-  ASSERT_EQ(parts.size(), 4u);
-  EXPECT_EQ(parts[0], "a");
-  EXPECT_EQ(parts[2], "");
-  EXPECT_EQ(parts[3], "c");
-}
-
-TEST(StringUtilTest, SplitNoDelimiter) {
-  auto parts = Split("abc", ',');
-  ASSERT_EQ(parts.size(), 1u);
-  EXPECT_EQ(parts[0], "abc");
-}
-
 TEST(StringUtilTest, TrimRemovesWhitespace) {
   EXPECT_EQ(Trim("  x y \t\n"), "x y");
   EXPECT_EQ(Trim(""), "");
