@@ -51,7 +51,7 @@ size_t GroundClauseStore::AddFromScratch(std::vector<Lit>* lits,
     GroundClause& existing = clauses_[idx];
     existing.weight += weight;
     existing.hard = existing.hard || hard;
-    AddContribution(idx, rule_id);
+    AddRuleCount(idx, rule_id, 1);
     return idx;
   }
   GroundClause clause;
@@ -69,20 +69,79 @@ size_t GroundClauseStore::Add(GroundClause clause) {
                         clause.rule_id);
 }
 
-void GroundClauseStore::AddContribution(size_t idx, int rule_id) {
+bool GroundClauseStore::Find(const std::vector<Lit>& lits,
+                             size_t* idx) const {
+  const uint32_t id =
+      index_.Find(LitVectorHash{}(lits),
+                  [&](uint32_t i) { return clauses_[i].lits == lits; });
+  if (id == IdIndex::kAbsent) return false;
+  *idx = id;
+  return true;
+}
+
+size_t GroundClauseStore::FindOrAppend(const std::vector<Lit>& lits,
+                                       bool* added) {
+  const size_t idx = index_.FindOrAdd(
+      LitVectorHash{}(lits),
+      [&](uint32_t i) { return clauses_[i].lits == lits; }, added);
+  if (*added) {
+    GroundClause clause;
+    clause.lits = lits;
+    clauses_.push_back(std::move(clause));
+    first_contrib_.push_back(RuleContribution{});
+  }
+  return idx;
+}
+
+uint32_t GroundClauseStore::AddRuleCount(size_t idx, int32_t rule_id,
+                                         int64_t delta) {
   RuleContribution& first = first_contrib_[idx];
+  if (first.count == 0) first.rule_id = rule_id;
   if (first.rule_id == rule_id) {
-    ++first.count;
-    return;
+    const uint32_t before = first.count;
+    first.count = static_cast<uint32_t>(before + delta);
+    auto it = first.count == 0 ? extra_contribs_.find(idx)
+                               : extra_contribs_.end();
+    if (it != extra_contribs_.end()) {
+      // The next rule moves inline.
+      first = it->second.front();
+      it->second.erase(it->second.begin());
+      if (it->second.empty()) extra_contribs_.erase(it);
+    }
+    return before;
   }
   std::vector<RuleContribution>& extras = extra_contribs_[idx];
-  for (RuleContribution& rc : extras) {
-    if (rc.rule_id == rule_id) {
-      ++rc.count;
-      return;
+  auto rc = std::find_if(
+      extras.begin(), extras.end(),
+      [&](const RuleContribution& c) { return c.rule_id == rule_id; });
+  const uint32_t before = rc == extras.end() ? 0 : rc->count;
+  const uint32_t after = static_cast<uint32_t>(before + delta);
+  if (rc == extras.end()) {
+    if (after != 0) extras.push_back(RuleContribution{rule_id, after});
+  } else if (after != 0) {
+    rc->count = after;
+  } else {
+    extras.erase(rc);
+  }
+  if (extras.empty()) extra_contribs_.erase(idx);
+  return before;
+}
+
+void GroundClauseStore::SwapRemove(size_t idx) {
+  index_.SwapRemove(static_cast<uint32_t>(idx));
+  extra_contribs_.erase(idx);
+  const size_t last = clauses_.size() - 1;
+  if (idx != last) {
+    clauses_[idx] = std::move(clauses_[last]);
+    first_contrib_[idx] = first_contrib_[last];
+    auto extras = extra_contribs_.extract(last);
+    if (!extras.empty()) {
+      extras.key() = idx;
+      extra_contribs_.insert(std::move(extras));
     }
   }
-  extras.push_back(RuleContribution{rule_id, 1});
+  clauses_.pop_back();
+  first_contrib_.pop_back();
 }
 
 size_t GroundClauseStore::EstimateBytes() const {

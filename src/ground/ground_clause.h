@@ -70,17 +70,17 @@ class AtomStore {
 /// One first-order rule's contribution to a ground clause: `count`
 /// groundings of rule `rule_id` produced this literal set. Weight
 /// learning needs the full multiset (a satisfied merged clause counts
-/// once per contributing grounding), so merging keeps every source.
+/// once per contributing grounding), so merging keeps every source; a
+/// serving session adds and retracts single groundings through the
+/// same counts.
 struct RuleContribution {
   int32_t rule_id = -1;
   uint32_t count = 0;
 };
 
-/// Hash over a literal vector, shared by the grounding store's duplicate
-/// index and the serving layer's per-rule/global clause maps. Its low
-/// bits depend only on the literals' low bits, so a power-of-two table
-/// must mix before masking (IdIndex does). Its values must not change:
-/// they order the serving layer's unordered clause maps.
+/// Hash over a literal vector, the key hash of GroundClauseStore's
+/// duplicate index. Its low bits depend only on the literals' low bits,
+/// so a power-of-two table must mix before masking (IdIndex does).
 struct LitVectorHash {
   size_t operator()(const std::vector<Lit>& lits) const {
     size_t h = 0x9E3779B97F4A7C15ull;
@@ -93,7 +93,8 @@ struct LitVectorHash {
 /// set) by summing their weights, the standard grounding optimization.
 /// A hard duplicate keeps the clause hard. Provenance back to the
 /// source rules is retained per clause (see RuleContribution); it is
-/// what BuildRuleCountIndex flattens for the learning subsystem.
+/// what BuildRuleCountIndex flattens for the learning subsystem, and
+/// what a serving session (DeltaGrounder) edits as evidence changes.
 class GroundClauseStore {
  public:
   /// Returned by Add when the clause is a tautology and was dropped.
@@ -110,17 +111,40 @@ class GroundClauseStore {
   size_t AddFromScratch(std::vector<Lit>* lits, double weight, bool hard,
                         int rule_id);
 
+  /// Sets `*idx` to the index of the clause whose literal set is `lits`
+  /// (sorted, as stored) and returns true, or returns false if there is
+  /// none.
+  bool Find(const std::vector<Lit>& lits, size_t* idx) const;
+
+  /// Returns the index of the clause whose literal set is `lits`
+  /// (sorted, as stored) and clears `*added`. If there is none, appends
+  /// one — soft, weight 0, no contributions yet — and sets `*added`; the
+  /// caller then gives it counts with AddRuleCount, or removes it again.
+  size_t FindOrAppend(const std::vector<Lit>& lits, bool* added);
+
+  /// Adds `delta` groundings of rule `rule_id` to clause `idx` (a
+  /// negative delta retracts them) and returns the rule's count before.
+  /// A count that reaches 0 drops the rule from the clause's provenance.
+  /// The clause's weight and hard flag are the caller's to keep.
+  uint32_t AddRuleCount(size_t idx, int32_t rule_id, int64_t delta);
+
+  /// Removes clause `idx`: the last clause, with its provenance, moves
+  /// into its place, and the duplicate index renumbers in step.
+  void SwapRemove(size_t idx);
+
   const std::vector<GroundClause>& clauses() const { return clauses_; }
   std::vector<GroundClause>& mutable_clauses() { return clauses_; }
   size_t num_clauses() const { return clauses_.size(); }
 
   /// Invokes fn(rule_id, count) for each rule contribution merged into
-  /// clause `idx` (at least one). The first contribution — almost
-  /// always the only one — is stored inline; only clauses fed by
-  /// multiple distinct rules touch the side table.
+  /// clause `idx` (none only for a clause FindOrAppend just added). The
+  /// first contribution — almost always the only one — is stored
+  /// inline; only clauses fed by multiple distinct rules touch the side
+  /// table.
   template <typename Fn>
   void ForEachContribution(size_t idx, Fn&& fn) const {
     const RuleContribution& first = first_contrib_[idx];
+    if (first.count == 0) return;
     fn(first.rule_id, first.count);
     auto it = extra_contribs_.find(idx);
     if (it == extra_contribs_.end()) return;
@@ -131,14 +155,14 @@ class GroundClauseStore {
   size_t EstimateBytes() const;
 
  private:
-  void AddContribution(size_t idx, int rule_id);
-
   std::vector<GroundClause> clauses_;
   /// Duplicate index keyed by LitVectorHash of the sorted literal set,
   /// compared against clauses_ in place.
   IdIndex index_;
   /// Parallel to clauses_: the first rule's grounding multiplicity,
   /// inline so the common single-rule clause costs no extra allocation.
+  /// Count 0 means no contributions; a clause with extras always has a
+  /// first.
   std::vector<RuleContribution> first_contrib_;
   /// Clause index -> further distinct rules' multiplicities (rare).
   std::unordered_map<size_t, std::vector<RuleContribution>> extra_contribs_;

@@ -1,6 +1,7 @@
 #include "serve/delta_grounder.h"
 
 #include <algorithm>
+#include <unordered_map>
 
 #include "ground/atom_loader.h"
 #include "ground/bottom_up_grounder.h"
@@ -43,6 +44,25 @@ Status CheckDeltaAtom(const MlnProgram& program, const GroundAtom& atom,
     }
   }
   return Status::OK();
+}
+
+/// Reads one stored literal set: a u32 count, then that many i32
+/// literals, strictly ascending, each naming one of the first
+/// `num_atoms` atoms. False on a short read or a bad literal; the count
+/// sizes nothing before its bytes are known to be there.
+bool ReadLits(BinaryReader* in, uint32_t num_atoms, std::vector<Lit>* lits) {
+  const uint32_t n = in->U32();
+  if (!in->ok() || size_t{n} * sizeof(Lit) > in->remaining()) return false;
+  lits->resize(n);
+  for (uint32_t i = 0; i < n; ++i) {
+    const Lit l = in->I32();
+    if (l == 0 || l == INT32_MIN || LitAtom(l) >= num_atoms ||
+        (i > 0 && l <= (*lits)[i - 1])) {
+      return false;
+    }
+    (*lits)[i] = l;
+  }
+  return in->ok();
 }
 }  // namespace
 
@@ -117,20 +137,18 @@ Status DeltaGrounder::Initialize(const EvidenceDb& initial_evidence) {
   evidence_ = initial_evidence;
 
   const size_t num_rules = program_.clauses().size();
-  rule_maps_.resize(num_rules);
   rule_fixed_cost_.assign(num_rules, 0.0);
   rule_contradiction_.assign(num_rules, 0);
 
   TUFFY_RETURN_IF_ERROR(BuildDerivedState());
 
-  GroundEdits edits;
-  PendingEdits pending;
+  // Every rule's first re-ground; the old parts are empty.
+  std::vector<CountEdit> parts;
   for (size_t r = 0; r < num_rules; ++r) {
-    TUFFY_ASSIGN_OR_RETURN(RuleMap next, GroundRule(static_cast<int>(r)));
-    DiffRule(static_cast<int>(r), next, &pending);
-    rule_maps_[r] = std::move(next);
+    TUFFY_RETURN_IF_ERROR(GroundRule(static_cast<int>(r), &parts));
   }
-  ApplyPendingEdits(std::move(pending), &edits);
+  GroundEdits edits;
+  ApplyEdits(std::move(parts), &edits);
   poisoned_ = false;
   return Status::OK();
 }
@@ -172,39 +190,30 @@ Status DeltaGrounder::BuildDerivedState() {
   return Status::OK();
 }
 
-void DeltaGrounder::RuleMapFromResult(int rule_idx,
-                                      const GroundingResult& local,
-                                      RuleMap* out) {
+void DeltaGrounder::AppendPart(int rule_idx, const GroundingResult& local,
+                               int sign, std::vector<CountEdit>* edits) {
   // Remap the rule-local atom ids into the session atom universe. The
-  // remap is injective, so the rule-local duplicate merging carries over.
-  // Contribution weights derive as (rule weight) x (grounding count) —
-  // one multiplication, never a running sum — so the full and the
-  // binding-level re-ground paths produce bit-identical weights for any
-  // rule weight, not just ones whose repeated sums happen to be exact.
-  const Clause& rule = program_.clauses()[rule_idx];
-  const double soft_weight = rule.hard ? 0.0 : rule.weight;
-  std::vector<Lit> lits;
+  // remap is injective, so the rule-local duplicate merging carries over:
+  // each local clause is one literal set.
   const std::vector<GroundClause>& clauses = local.clauses.clauses();
   for (size_t i = 0; i < clauses.size(); ++i) {
-    const GroundClause& c = clauses[i];
-    lits.clear();
-    lits.reserve(c.lits.size());
-    for (Lit l : c.lits) {
+    CountEdit edit;
+    edit.rule = rule_idx;
+    edit.lits.reserve(clauses[i].lits.size());
+    for (Lit l : clauses[i].lits) {
       AtomId global = atoms_.GetOrCreate(local.atoms.atom(LitAtom(l)));
-      lits.push_back(MakeLit(global, LitPositive(l)));
+      edit.lits.push_back(MakeLit(global, LitPositive(l)));
     }
-    std::sort(lits.begin(), lits.end());
-    int64_t groundings = 0;
-    local.clauses.ForEachContribution(
-        i, [&](int rule_id, uint32_t count) { groundings += count; });
-    Contribution& contrib = (*out)[lits];
-    contrib.count += groundings;
-    contrib.hard += c.hard ? groundings : 0;
-    contrib.weight = soft_weight * static_cast<double>(contrib.count);
+    std::sort(edit.lits.begin(), edit.lits.end());
+    local.clauses.ForEachContribution(i, [&](int32_t, uint32_t count) {
+      edit.count += sign * static_cast<int64_t>(count);
+    });
+    edits->push_back(std::move(edit));
   }
 }
 
-Result<DeltaGrounder::RuleMap> DeltaGrounder::GroundRule(int rule_idx) {
+Status DeltaGrounder::GroundRule(int rule_idx,
+                                 std::vector<CountEdit>* edits) {
   GroundingContext ctx(program_, evidence_, ground_options_);
   TUFFY_RETURN_IF_ERROR(GroundClauseCandidates(program_, rule_idx, catalog_,
                                                evidence_, true_stats_,
@@ -214,13 +223,11 @@ Result<DeltaGrounder::RuleMap> DeltaGrounder::GroundRule(int rule_idx) {
   rule_fixed_cost_[rule_idx] = local.fixed_cost;
   rule_contradiction_[rule_idx] =
       static_cast<int64_t>(local.stats.hard_violations);
-  RuleMap out;
-  out.reserve(local.clauses.num_clauses());
-  RuleMapFromResult(rule_idx, local, &out);
-  return out;
+  AppendPart(rule_idx, local, +1, edits);
+  return Status::OK();
 }
 
-Result<DeltaGrounder::RulePart> DeltaGrounder::ResolveBindings(
+Result<GroundingResult> DeltaGrounder::ResolveBindings(
     int rule_idx, const std::vector<Assignment>& bindings) {
   // Delta batches are tiny; a dense interner would spend more time
   // zeroing domain-product-sized cell arrays than the hash probes it
@@ -228,13 +235,7 @@ Result<DeltaGrounder::RulePart> DeltaGrounder::ResolveBindings(
   GroundingContext ctx(program_, evidence_, ground_options_,
                        /*dense_interner=*/bindings.size() >= 4096);
   for (const Assignment& b : bindings) ctx.AddCandidate(rule_idx, b);
-  TUFFY_ASSIGN_OR_RETURN(GroundingResult local, ctx.Finalize());
-  RulePart part;
-  part.fixed_cost = local.fixed_cost;
-  part.hard_violations = static_cast<int64_t>(local.stats.hard_violations);
-  part.map.reserve(local.clauses.num_clauses());
-  RuleMapFromResult(rule_idx, local, &part.map);
-  return part;
+  return ctx.Finalize();
 }
 
 bool DeltaGrounder::BindingEnumerated(int rule_idx,
@@ -256,149 +257,78 @@ bool DeltaGrounder::BindingEnumerated(int rule_idx,
   return true;
 }
 
-void DeltaGrounder::ApplyParts(int rule_idx, const RulePart& old_part,
-                               const RulePart& new_part,
-                               PendingEdits* pending) {
-  RuleMap& cur = rule_maps_[rule_idx];
-  const Clause& rule = program_.clauses()[rule_idx];
-  const double soft_weight = rule.hard ? 0.0 : rule.weight;
-  const Contribution kZero;
-  auto process = [&](const std::vector<Lit>& lits) {
-    auto o = old_part.map.find(lits);
-    auto n = new_part.map.find(lits);
-    const Contribution& oc = o != old_part.map.end() ? o->second : kZero;
-    const Contribution& nc = n != new_part.map.end() ? n->second : kZero;
-    auto it = cur.find(lits);
-    const Contribution pre = it != cur.end() ? it->second : kZero;
-    Contribution post;
-    post.hard = pre.hard - oc.hard + nc.hard;
-    post.count = pre.count - oc.count + nc.count;
-    // Re-derived, not accumulated: matches what a full re-ground would
-    // compute for the same grounding count, bit for bit.
-    post.weight = soft_weight * static_cast<double>(post.count);
-
-    PendingEdit& pe = (*pending)[lits];
-    pe.dweight += post.weight - pre.weight;
-    pe.dhard += (post.hard > 0 ? 1 : 0) - (pre.hard > 0 ? 1 : 0);
-    pe.dcontribs += (post.count > 0 ? 1 : 0) - (pre.count > 0 ? 1 : 0);
-
-    if (post.count <= 0) {
-      if (it != cur.end()) cur.erase(it);
-    } else if (it != cur.end()) {
-      it->second = post;
-    } else {
-      cur.emplace(lits, post);
+void DeltaGrounder::ApplyEdits(std::vector<CountEdit> edits,
+                               GroundEdits* out) {
+  // Edits apply in sorted literal order (rules ascending within one
+  // literal set), not in the order the re-grounds produced them. The
+  // clause list evolves by append and swap-with-last removal, so the
+  // order edits land decides every clause's final position. Sorting
+  // makes the clause list a pure function of the logical state, which
+  // the crash-recovery bit-identity guarantee (docs/DURABILITY.md) rests
+  // on.
+  std::sort(edits.begin(), edits.end(),
+            [](const CountEdit& a, const CountEdit& b) {
+              const auto order = a.lits <=> b.lits;
+              return order != 0 ? order < 0 : a.rule < b.rule;
+            });
+  // Net count change per rule on the current literal set.
+  std::vector<std::pair<int32_t, int64_t>> changes;
+  for (size_t i = 0; i < edits.size();) {
+    const std::vector<Lit>& lits = edits[i].lits;
+    changes.clear();
+    for (; i < edits.size() && edits[i].lits == lits; ++i) {
+      if (changes.empty() || changes.back().first != edits[i].rule) {
+        changes.emplace_back(edits[i].rule, 0);
+      }
+      changes.back().second += edits[i].count;
     }
-  };
-  for (const auto& [lits, contrib] : old_part.map) process(lits);
-  for (const auto& [lits, contrib] : new_part.map) {
-    if (old_part.map.count(lits) > 0) continue;
-    process(lits);
-  }
-  rule_fixed_cost_[rule_idx] += new_part.fixed_cost - old_part.fixed_cost;
-  rule_contradiction_[rule_idx] +=
-      new_part.hard_violations - old_part.hard_violations;
-}
+    // An old and a new part that agree cancel out: nothing to look up.
+    std::erase_if(changes, [](const auto& c) { return c.second == 0; });
+    if (changes.empty()) continue;
 
-void DeltaGrounder::DiffRule(int rule_idx, const RuleMap& next,
-                             PendingEdits* pending) {
-  const RuleMap& prev = rule_maps_[rule_idx];
-  for (const auto& [lits, contrib] : next) {
-    auto it = prev.find(lits);
-    if (it == prev.end()) {
-      PendingEdit& pe = (*pending)[lits];
-      pe.dweight += contrib.weight;
-      pe.dhard += contrib.hard > 0 ? 1 : 0;
-      pe.dcontribs += 1;
-    } else if (it->second.weight != contrib.weight ||
-               (it->second.hard > 0) != (contrib.hard > 0)) {
-      PendingEdit& pe = (*pending)[lits];
-      pe.dweight += contrib.weight - it->second.weight;
-      pe.dhard += (contrib.hard > 0 ? 1 : 0) - (it->second.hard > 0 ? 1 : 0);
+    bool added = false;
+    const size_t idx = store_.FindOrAppend(lits, &added);
+    // A rule's share of the weight is its soft weight x its grounding
+    // count, re-derived rather than accumulated, so the full and the
+    // binding-level paths agree bit for bit; the clause's weight moves
+    // by the shares' summed change, in rule order.
+    double dweight = 0.0;
+    for (const auto& [rule, delta] : changes) {
+      const Clause& source = program_.clauses()[rule];
+      const double soft = source.hard ? 0.0 : source.weight;
+      const int64_t before = store_.AddRuleCount(idx, rule, delta);
+      dweight += soft * static_cast<double>(before + delta) -
+                 soft * static_cast<double>(before);
     }
-  }
-  for (const auto& [lits, contrib] : prev) {
-    if (next.find(lits) != next.end()) continue;
-    PendingEdit& pe = (*pending)[lits];
-    pe.dweight -= contrib.weight;
-    pe.dhard -= contrib.hard > 0 ? 1 : 0;
-    pe.dcontribs -= 1;
-  }
-}
+    bool contributed = false;
+    bool hard = false;
+    store_.ForEachContribution(idx, [&](int32_t rule, uint32_t) {
+      contributed = true;
+      hard = hard || program_.clauses()[rule].hard;
+    });
 
-void DeltaGrounder::ApplyPendingEdits(PendingEdits pending,
-                                      GroundEdits* edits) {
-  // Edits apply in sorted literal order, not hash-map order. The clause
-  // list evolves by append and swap-with-last removal, so the order
-  // edits land decides every clause's final position — and hash-map
-  // iteration order depends on the map's insertion history, which
-  // differs between a snapshot-restored grounder and the never-saved
-  // original. Sorting makes the clause list a pure function of the
-  // logical state, which the crash-recovery bit-identity guarantee
-  // (docs/DURABILITY.md) rests on.
-  std::vector<std::pair<const std::vector<Lit>*, PendingEdit*>> order;
-  order.reserve(pending.size());
-  for (auto& [key, value] : pending) order.emplace_back(&key, &value);
-  std::sort(order.begin(), order.end(),
-            [](const auto& a, const auto& b) { return *a.first < *b.first; });
-  for (auto& [lits_ptr, pe_ptr] : order) {
-    const std::vector<Lit>& lits = *lits_ptr;
-    PendingEdit& pe = *pe_ptr;
-    auto it = global_.find(lits);
-    if (it == global_.end()) {
-      if (pe.dcontribs <= 0) continue;  // cancelled within one delta
-      GlobalEntry entry;
-      entry.weight = pe.dweight;
-      entry.hard_refs = pe.dhard;
-      entry.contribs = pe.dcontribs;
-      entry.index = static_cast<uint32_t>(clauses_.size());
-      GroundClause gc;
-      gc.lits = lits;
-      gc.weight = entry.weight;
-      gc.hard = entry.hard_refs > 0;
-      clauses_.push_back(std::move(gc));
-      global_.emplace(lits, entry);
-      ++edits->clauses_added;
-      for (Lit l : lits) edits->dirty_atoms.push_back(LitAtom(l));
+    GroundClause& clause = store_.mutable_clauses()[idx];
+    if (!contributed) {
+      // Last contribution gone (or, for a just-appended clause, none
+      // arrived): swap-remove it.
+      if (!added) {
+        for (Lit l : clause.lits) out->dirty_atoms.push_back(LitAtom(l));
+        ++out->clauses_removed;
+      }
+      store_.SwapRemove(idx);
       continue;
     }
-
-    GlobalEntry& entry = it->second;
-    const double old_weight = entry.weight;
-    const bool old_hard = entry.hard_refs > 0;
-    entry.weight += pe.dweight;
-    entry.hard_refs += pe.dhard;
-    entry.contribs += pe.dcontribs;
-
-    if (entry.contribs <= 0) {
-      // Last contribution gone: swap-remove from the clause list.
-      const uint32_t idx = entry.index;
-      for (Lit l : clauses_[idx].lits) {
-        edits->dirty_atoms.push_back(LitAtom(l));
-      }
-      const uint32_t last = static_cast<uint32_t>(clauses_.size()) - 1;
-      if (idx != last) {
-        clauses_[idx] = std::move(clauses_[last]);
-        global_.at(clauses_[idx].lits).index = idx;
-      }
-      clauses_.pop_back();
-      global_.erase(it);
-      ++edits->clauses_removed;
-      continue;
-    }
-
-    const bool new_hard = entry.hard_refs > 0;
-    if (entry.weight != old_weight || new_hard != old_hard) {
-      clauses_[entry.index].weight = entry.weight;
-      clauses_[entry.index].hard = new_hard;
-      ++edits->clauses_reweighted;
-      for (Lit l : lits) edits->dirty_atoms.push_back(LitAtom(l));
-    }
+    const double weight = clause.weight + dweight;
+    if (!added && weight == clause.weight && hard == clause.hard) continue;
+    clause.weight = weight;
+    clause.hard = hard;
+    ++(added ? out->clauses_added : out->clauses_reweighted);
+    for (Lit l : clause.lits) out->dirty_atoms.push_back(LitAtom(l));
   }
-  std::sort(edits->dirty_atoms.begin(), edits->dirty_atoms.end());
-  edits->dirty_atoms.erase(
-      std::unique(edits->dirty_atoms.begin(), edits->dirty_atoms.end()),
-      edits->dirty_atoms.end());
+  std::sort(out->dirty_atoms.begin(), out->dirty_atoms.end());
+  out->dirty_atoms.erase(
+      std::unique(out->dirty_atoms.begin(), out->dirty_atoms.end()),
+      out->dirty_atoms.end());
 }
 
 Result<GroundEdits> DeltaGrounder::ApplyDelta(const EvidenceDelta& delta) {
@@ -479,8 +409,11 @@ Result<GroundEdits> DeltaGrounder::ApplyDelta(const EvidenceDelta& delta) {
   std::vector<DeltaRelation> deltas;
   std::unordered_map<PredicateId, DeltaRelation> unions;
   std::vector<std::vector<Assignment>> affected(rule_touched.size());
-  std::vector<RulePart> old_parts(rule_touched.size());
   std::vector<uint8_t> rule_binding_path(rule_touched.size(), 0);
+  // The delta's old and new contribution parts, applied in one pass.
+  std::vector<CountEdit> parts;
+  std::vector<double> old_fixed_cost(rule_touched.size(), 0.0);
+  std::vector<int64_t> old_violations(rule_touched.size(), 0);
   if (binding_level) {
     // The only rows this delta materializes: per touched predicate, its
     // changed atoms (asserted, then retracted), and per touched
@@ -552,13 +485,17 @@ Result<GroundEdits> DeltaGrounder::ApplyDelta(const EvidenceDelta& delta) {
       }
       edits.bindings_resolved += old_enumerated.size();
       TUFFY_ASSIGN_OR_RETURN(
-          old_parts[r],
+          GroundingResult old_part,
           ResolveBindings(static_cast<int>(r), old_enumerated));
+      old_fixed_cost[r] = old_part.fixed_cost;
+      old_violations[r] =
+          static_cast<int64_t>(old_part.stats.hard_violations);
+      AppendPart(static_cast<int>(r), old_part, -1, &parts);
     }
   }
 
   // Mutation begins: any error path from here on leaves evidence,
-  // stats, and rule maps mutually inconsistent, so arm the fail-stop
+  // stats, and the clause store mutually inconsistent, so arm the fail-stop
   // guard and disarm it only on full success. Each Add/Remove edits the
   // evidence relations in place, one O(1) row edit per changed atom.
   poisoned_ = true;
@@ -571,9 +508,10 @@ Result<GroundEdits> DeltaGrounder::ApplyDelta(const EvidenceDelta& delta) {
     if (pred.closed_world) true_stats_[p] = AnalyzeTrueRows(pred, evidence_);
   }
 
-  // Re-ground the touched rules: binding-level parts where the pre-pass
-  // ran, full rule queries otherwise.
-  PendingEdits pending;
+  // Re-ground the touched rules: binding-level new parts where the
+  // pre-pass ran (their fixed cost and violations move by new - old),
+  // full rule queries otherwise (theirs are replaced).
+  std::vector<uint8_t> rule_full(rule_touched.size(), 0);
   for (size_t r = 0; r < rule_touched.size(); ++r) {
     if (!rule_touched[r]) continue;
     if (rule_binding_path[r]) {
@@ -586,18 +524,50 @@ Result<GroundEdits> DeltaGrounder::ApplyDelta(const EvidenceDelta& delta) {
       }
       edits.bindings_resolved += new_enumerated.size();
       TUFFY_ASSIGN_OR_RETURN(
-          RulePart new_part,
+          GroundingResult new_part,
           ResolveBindings(static_cast<int>(r), new_enumerated));
-      ApplyParts(static_cast<int>(r), old_parts[r], new_part, &pending);
+      rule_fixed_cost_[r] += new_part.fixed_cost - old_fixed_cost[r];
+      rule_contradiction_[r] +=
+          static_cast<int64_t>(new_part.stats.hard_violations) -
+          old_violations[r];
+      AppendPart(static_cast<int>(r), new_part, +1, &parts);
       ++edits.rules_delta_ground;
     } else {
-      TUFFY_ASSIGN_OR_RETURN(RuleMap next, GroundRule(static_cast<int>(r)));
-      DiffRule(static_cast<int>(r), next, &pending);
-      rule_maps_[r] = std::move(next);
+      TUFFY_RETURN_IF_ERROR(GroundRule(static_cast<int>(r), &parts));
+      rule_full[r] = 1;
     }
     ++edits.rules_reground;
   }
-  ApplyPendingEdits(std::move(pending), &edits);
+  // A full re-ground's old part is the rule's current counts, read from
+  // the store in one pass for all such rules. A count the new part
+  // repeats exactly cancels first, so the edit pass sorts only changes.
+  if (std::find(rule_full.begin(), rule_full.end(), 1) != rule_full.end()) {
+    std::vector<std::pair<size_t, int32_t>> repeated;  // (clause, rule)
+    std::erase_if(parts, [&](const CountEdit& e) {
+      size_t idx = 0;
+      if (!rule_full[e.rule] || !store_.Find(e.lits, &idx)) return false;
+      int64_t count = 0;
+      store_.ForEachContribution(idx, [&](int32_t rule, uint32_t n) {
+        if (rule == e.rule) count = n;
+      });
+      if (count != e.count) return false;
+      repeated.emplace_back(idx, e.rule);
+      return true;
+    });
+    std::sort(repeated.begin(), repeated.end());
+    for (size_t c = 0; c < store_.num_clauses(); ++c) {
+      store_.ForEachContribution(c, [&](int32_t rule, uint32_t count) {
+        if (!rule_full[rule] ||
+            std::binary_search(repeated.begin(), repeated.end(),
+                               std::make_pair(c, rule))) {
+          return;
+        }
+        parts.push_back(CountEdit{store_.clauses()[c].lits, rule,
+                                  -static_cast<int64_t>(count)});
+      });
+    }
+  }
+  ApplyEdits(std::move(parts), &edits);
 
   // The delta's own atoms are dirty even without clause edits: an atom
   // that just became evidence leaves every clause, and its cached truth
@@ -643,10 +613,10 @@ bool DeltaGrounder::hard_contradiction() const {
 void DeltaGrounder::SaveState(BinaryWriter* out) const {
   // Primaries only: the evidence relations (row order included — binding
   // scans and stats read it), the atom store in id order, the clause list
-  // in position order, and the per-rule contribution maps. Everything
-  // else (evidence index, catalog, stats, global index, binding metadata)
-  // is derived on load. An empty relation is written with zero columns
-  // and rule-map entries in sorted literal order, so the snapshot bytes
+  // in position order, and each rule's grounding counts. Everything else
+  // (evidence index, catalog, stats, clause index, binding metadata) is
+  // derived on load. An empty relation is written with zero columns and
+  // each rule's counts in sorted literal order, so the snapshot bytes
   // depend on the logical state alone.
   for (PredicateId p = 0;
        p < static_cast<PredicateId>(program_.num_predicates()); ++p) {
@@ -667,33 +637,41 @@ void DeltaGrounder::SaveState(BinaryWriter* out) const {
     for (ConstantId c : atom.args) out->I32(c);
   }
 
-  out->U64(clauses_.size());
-  for (const GroundClause& c : clauses_) {
+  const std::vector<GroundClause>& clauses = store_.clauses();
+  out->U64(clauses.size());
+  for (const GroundClause& c : clauses) {
     out->U32(static_cast<uint32_t>(c.lits.size()));
     for (Lit l : c.lits) out->I32(l);
     out->F64(c.weight);
     out->U8(c.hard ? 1 : 0);
   }
 
-  out->U64(rule_maps_.size());
-  for (size_t r = 0; r < rule_maps_.size(); ++r) {
+  // Per rule: (clause, count) for each clause the rule contributes to.
+  const size_t num_rules = program_.clauses().size();
+  std::vector<std::vector<std::pair<uint32_t, uint32_t>>> counts(num_rules);
+  for (size_t c = 0; c < clauses.size(); ++c) {
+    store_.ForEachContribution(c, [&](int32_t rule, uint32_t count) {
+      counts[rule].emplace_back(static_cast<uint32_t>(c), count);
+    });
+  }
+  out->U64(num_rules);
+  for (size_t r = 0; r < num_rules; ++r) {
     out->F64(rule_fixed_cost_[r]);
     out->I64(rule_contradiction_[r]);
-    const RuleMap& rm = rule_maps_[r];
-    std::vector<const std::vector<Lit>*> keys;
-    keys.reserve(rm.size());
-    for (const auto& [lits, contrib] : rm) keys.push_back(&lits);
-    std::sort(keys.begin(), keys.end(),
-              [](const auto* a, const auto* b) { return *a < *b; });
-    out->U64(keys.size());
-    for (const std::vector<Lit>* lits : keys) {
-      const Contribution& contrib = rm.at(*lits);
-      out->U32(static_cast<uint32_t>(lits->size()));
-      for (Lit l : *lits) out->I32(l);
-      // Weight omitted: it is soft_weight x count by the RuleMapFromResult
-      // invariant, so the load side recomputes it bit-identically.
-      out->I64(contrib.hard);
-      out->I64(contrib.count);
+    std::vector<std::pair<uint32_t, uint32_t>>& entries = counts[r];
+    std::sort(entries.begin(), entries.end(),
+              [&](const auto& a, const auto& b) {
+                return clauses[a.first].lits < clauses[b.first].lits;
+              });
+    out->U64(entries.size());
+    const bool hard = program_.clauses()[r].hard;
+    for (const auto& [c, count] : entries) {
+      out->U32(static_cast<uint32_t>(clauses[c].lits.size()));
+      for (Lit l : clauses[c].lits) out->I32(l);
+      // The rule's weight share is not stored: it is soft weight x count,
+      // recomputed bit-identically. Its hard count is hardness x count.
+      out->I64(hard ? count : 0);
+      out->I64(count);
     }
   }
 }
@@ -746,8 +724,11 @@ Status DeltaGrounder::LoadState(BinaryReader* in) {
     return Status::Corruption("snapshot: evidence atom stored twice");
   }
 
+  // An atom takes at least 4 bytes (its predicate).
   const uint32_t num_atoms = in->U32();
-  if (!in->ok()) return Status::Corruption("snapshot: atom count");
+  if (!in->ok() || num_atoms > in->remaining() / 4) {
+    return Status::Corruption("snapshot: atom count");
+  }
   for (uint32_t a = 0; a < num_atoms; ++a) {
     GroundAtom atom;
     atom.pred = in->I32();
@@ -764,78 +745,77 @@ Status DeltaGrounder::LoadState(BinaryReader* in) {
     }
   }
 
+  // A clause takes at least 13 bytes (literal count, weight, hard flag),
+  // a rule count entry at least 20 (literal count, hard count, count).
   const uint64_t num_clauses = in->U64();
-  if (!in->ok()) return Status::Corruption("snapshot: clause count");
-  clauses_.reserve(num_clauses);
+  if (!in->ok() || num_clauses > in->remaining() / 13) {
+    return Status::Corruption("snapshot: clause count");
+  }
+  std::vector<Lit> lits;
   for (uint64_t i = 0; i < num_clauses; ++i) {
-    GroundClause gc;
-    const uint32_t nlits = in->U32();
-    if (!in->ok()) return Status::Corruption("snapshot: clause header");
-    gc.lits.resize(nlits);
-    for (uint32_t l = 0; l < nlits; ++l) {
-      gc.lits[l] = in->I32();
-      if (LitAtom(gc.lits[l]) >= num_atoms) {
-        return Status::Corruption("snapshot: clause literal out of range");
-      }
+    if (!ReadLits(in, num_atoms, &lits)) {
+      return Status::Corruption("snapshot: clause literals");
     }
-    gc.weight = in->F64();
-    gc.hard = in->U8() != 0;
-    if (!in->ok()) return Status::Corruption("snapshot: clause body");
-    GlobalEntry entry;
-    entry.weight = gc.weight;
-    entry.index = static_cast<uint32_t>(i);
-    if (!global_.emplace(gc.lits, entry).second) {
+    const double weight = in->F64();
+    const uint8_t hard = in->U8();
+    if (!in->ok() || hard > 1) {
+      return Status::Corruption("snapshot: clause body");
+    }
+    bool added = false;
+    GroundClause& gc = store_.mutable_clauses()[store_.FindOrAppend(
+        lits, &added)];
+    if (!added) {
       return Status::Corruption("snapshot: duplicate clause literal set");
     }
-    clauses_.push_back(std::move(gc));
+    gc.weight = weight;
+    gc.hard = hard == 1;
   }
 
   const uint64_t num_rules = in->U64();
   if (!in->ok() || num_rules != program_.clauses().size()) {
     return Status::Corruption("snapshot: rule count mismatch");
   }
-  rule_maps_.resize(num_rules);
   rule_fixed_cost_.assign(num_rules, 0.0);
   rule_contradiction_.assign(num_rules, 0);
   for (size_t r = 0; r < num_rules; ++r) {
     rule_fixed_cost_[r] = in->F64();
     rule_contradiction_[r] = in->I64();
     const uint64_t num_entries = in->U64();
-    if (!in->ok()) return Status::Corruption("snapshot: rule map header");
-    const Clause& rule = program_.clauses()[r];
-    const double soft_weight = rule.hard ? 0.0 : rule.weight;
-    RuleMap& rm = rule_maps_[r];
-    rm.reserve(num_entries);
-    std::vector<Lit> lits;
+    if (!in->ok() || num_entries > in->remaining() / 20) {
+      return Status::Corruption("snapshot: rule count header");
+    }
+    const bool rule_hard = program_.clauses()[r].hard;
     for (uint64_t e = 0; e < num_entries; ++e) {
-      const uint32_t nlits = in->U32();
-      if (!in->ok()) return Status::Corruption("snapshot: rule entry header");
-      lits.resize(nlits);
-      for (uint32_t l = 0; l < nlits; ++l) lits[l] = in->I32();
-      Contribution contrib;
-      contrib.hard = in->I64();
-      contrib.count = in->I64();
-      if (!in->ok() || contrib.count <= 0 || contrib.hard < 0 ||
-          contrib.hard > contrib.count) {
+      if (!ReadLits(in, num_atoms, &lits)) {
+        return Status::Corruption("snapshot: rule count literals");
+      }
+      const int64_t hard = in->I64();
+      const int64_t count = in->I64();
+      if (!in->ok() || count <= 0 || count > UINT32_MAX ||
+          hard != (rule_hard ? count : 0)) {
         return Status::Corruption("snapshot: bad rule contribution");
       }
-      contrib.weight = soft_weight * static_cast<double>(contrib.count);
-      auto git = global_.find(lits);
-      if (git == global_.end()) {
+      size_t idx = 0;
+      if (!store_.Find(lits, &idx)) {
         return Status::Corruption(
             "snapshot: rule contribution for absent clause");
       }
-      git->second.contribs += 1;
-      git->second.hard_refs += contrib.hard > 0 ? 1 : 0;
-      if (!rm.emplace(lits, contrib).second) {
+      if (store_.AddRuleCount(idx, static_cast<int32_t>(r), count) != 0) {
         return Status::Corruption("snapshot: duplicate rule contribution");
       }
     }
   }
-  for (const auto& [lits, entry] : global_) {
-    if (entry.contribs <= 0 ||
-        clauses_[entry.index].hard != (entry.hard_refs > 0)) {
-      return Status::Corruption("snapshot: clause/rule-map inconsistency");
+  // Every clause has a contributing rule, and is hard iff a hard rule
+  // contributes.
+  for (size_t c = 0; c < store_.num_clauses(); ++c) {
+    bool contributed = false;
+    bool hard = false;
+    store_.ForEachContribution(c, [&](int32_t rule, uint32_t) {
+      contributed = true;
+      hard = hard || program_.clauses()[rule].hard;
+    });
+    if (!contributed || store_.clauses()[c].hard != hard) {
+      return Status::Corruption("snapshot: clause/rule-count inconsistency");
     }
   }
 
@@ -845,25 +825,15 @@ Status DeltaGrounder::LoadState(BinaryReader* in) {
 }
 
 size_t DeltaGrounder::EstimateBytes() const {
-  // Hash-map entries are charged a flat node overhead on top of their
-  // key payload; this is admission-control accounting, not malloc truth.
-  constexpr size_t kNodeOverhead = 64;
-  size_t bytes = catalog_.EstimateBytes() + evidence_.EstimateBytes();
-  for (const GroundClause& c : clauses_) {
-    bytes += sizeof(GroundClause) + c.lits.capacity() * sizeof(Lit);
-  }
-  // Each resident clause has one global_ entry and >= 1 rule-map entry,
-  // each keyed by a copy of the literal vector.
-  size_t map_entries = global_.size();
-  for (const RuleMap& rm : rule_maps_) map_entries += rm.size();
-  bytes += map_entries * kNodeOverhead;
-  for (const auto& [lits, entry] : global_) {
-    bytes += 2 * lits.capacity() * sizeof(Lit);  // global + rule copy
-  }
+  // Interned atoms are charged a flat index overhead on top of their
+  // payload; this is admission-control accounting, not malloc truth.
+  constexpr size_t kIndexOverhead = 64;
+  size_t bytes = catalog_.EstimateBytes() + evidence_.EstimateBytes() +
+                 store_.EstimateBytes();
   for (AtomId a = 0; a < atoms_.num_atoms(); ++a) {
     bytes += sizeof(GroundAtom) + atoms_.atom(a).args.capacity() *
                                       sizeof(ConstantId) +
-             kNodeOverhead;  // interner entry
+             kIndexOverhead;
   }
   return bytes;
 }

@@ -2,7 +2,6 @@
 #define TUFFY_SERVE_DELTA_GROUNDER_H_
 
 #include <cstdint>
-#include <unordered_map>
 #include <utility>
 #include <vector>
 
@@ -91,10 +90,12 @@ struct GroundEdits {
 /// Incremental grounding for long-lived inference sessions. Grounds the
 /// whole program once (bottom-up, through the RA layer), then serves
 /// evidence deltas by re-grounding only the first-order rules whose
-/// literals mention a predicate the delta touched, diffing each rule's
-/// new ground clauses against its previous ones, and applying the
-/// resulting add / remove / reweight edits in place to the resident
-/// clause list.
+/// literals mention a predicate the delta touched. Every re-ground is an
+/// old and a new contribution part — per literal set, how many
+/// groundings of the rule produce it before and after the delta — and
+/// one edit pass applies all parts' differences to the resident clause
+/// store in sorted literal order: it appends, re-weights and
+/// swap-removes clauses in place.
 ///
 /// Touched rules re-ground at *binding granularity* when
 /// GroundingOptions::binding_level_deltas is set (the default): instead
@@ -103,18 +104,21 @@ struct GroundEdits {
 /// rest of the rule body — with the other touched binding relations
 /// widened to old-or-new true rows — which enumerates a superset of the
 /// bindings whose ground clause could have changed. Each affected
-/// binding is resolved under the old and the new evidence, and the
-/// contribution difference is applied to the per-rule clause maps, so
-/// the re-ground cost scales with the delta size rather than the
-/// touched relations' sizes. Oversized deltas fall back to the full
-/// per-rule re-ground.
+/// binding is resolved under the old evidence (the old part) and the new
+/// (the new part), so the re-ground cost scales with the delta size
+/// rather than the touched relations' sizes. Oversized deltas fall back
+/// to the full per-rule re-ground, whose old part is the rule's current
+/// counts, read from the store.
 ///
 /// Resident state: a copy of the evidence, whose relations are
 /// maintained in place per changed atom, their ANALYZE statistics
 /// (re-computed per touched closed-world predicate), an RA catalog of
-/// domain tables, a grow-only session AtomStore, and per-rule
-/// clause maps keyed by sorted literal sets so cross-rule weight merging
-/// stays exact under any edit order.
+/// domain tables, a grow-only session AtomStore, and one
+/// GroundClauseStore: each clause's literal set once, behind the store's
+/// duplicate index, with its summed weight, hard flag and per-rule
+/// grounding counts — the same provenance batch grounding keeps, so a
+/// clause merged from several rules loses or gains one rule's
+/// groundings without re-deriving the others'.
 ///
 /// Sessions ground *exhaustively* (the lazy-inference closure is forced
 /// off): the closure is a whole-program fixpoint, so one rule's clauses
@@ -137,7 +141,7 @@ class DeltaGrounder {
 
   /// Applies one evidence delta: updates the resident evidence copy (and
   /// with it its relations), re-grounds the affected rules, and edits
-  /// the clause list in place. A delta naming an unknown predicate, the
+  /// the clause store in place. A delta naming an unknown predicate, the
   /// wrong arity, or a constant outside its argument type's domain is
   /// refused with InvalidArgument before anything changes. Failure
   /// semantics are fail-stop: an error after the evidence mutation began
@@ -151,10 +155,13 @@ class DeltaGrounder {
   /// truth/marginal vectors never shrink or renumber.
   const AtomStore& atoms() const { return atoms_; }
 
-  /// The resident ground clause set. Clause order is not stable across
-  /// deltas (removal is swap-with-last); literal order within a clause is
-  /// sorted.
-  const std::vector<GroundClause>& clauses() const { return clauses_; }
+  /// The resident ground clauses with their per-rule grounding counts.
+  /// Clause order is not stable across deltas (removal is
+  /// swap-with-last); literal order within a clause is sorted.
+  const GroundClauseStore& store() const { return store_; }
+  const std::vector<GroundClause>& clauses() const {
+    return store_.clauses();
+  }
 
   /// Cost contributed by clauses fully determined by the evidence,
   /// summed over rules (same semantics as GroundingResult::fixed_cost).
@@ -167,63 +174,36 @@ class DeltaGrounder {
   /// The accumulated evidence the current clause set reflects.
   const EvidenceDb& evidence() const { return evidence_; }
 
-  /// Rough resident footprint: clause list, per-rule maps, atom store,
-  /// evidence (map and relations), and domain tables.
+  /// Rough resident footprint: clause store, atom store, evidence (index
+  /// and relations), and domain tables.
   size_t EstimateBytes() const;
 
-  /// Serializes the full resident state (evidence relations, atom
-  /// store, clause list, per-rule contribution maps) into `out`.
-  /// Everything a snapshot needs to reconstruct a grounder whose later
-  /// deltas evolve bit-identically to the never-saved original.
+  /// Serializes the full resident state into `out`: evidence relations,
+  /// atom store, clause list, and each rule's grounding counts (rebuilt
+  /// from the store's provenance, in sorted literal order). Everything a
+  /// snapshot needs to reconstruct a grounder whose later deltas evolve
+  /// bit-identically to the never-saved original.
   void SaveState(BinaryWriter* out) const;
 
   /// Counterpart of SaveState: restores a grounder constructed with the
   /// same program and options, *instead of* Initialize. The evidence is
   /// re-added row by row in the stored order, so its relations equal the
-  /// saved ones row for row; derived structures (catalog, stats, global
-  /// clause index) are rebuilt. Corruption on any layout or invariant
+  /// saved ones row for row; derived structures (catalog, stats, binding
+  /// metadata) are rebuilt. Corruption on any layout or invariant
   /// violation, including an atom stored twice (in one relation or in
-  /// both polarities).
+  /// both polarities). No stored count sizes an allocation before the
+  /// bytes it promises are known to be there.
   Status LoadState(BinaryReader* in);
 
  private:
-  /// One rule's merged contribution to a literal set: summed soft weight
-  /// over that rule's duplicate groundings, plus how many groundings
-  /// contribute (and how many of them are hard). Counts — not booleans —
-  /// so the binding-level delta path can retract a single grounding's
-  /// share without re-deriving the rest.
-  struct Contribution {
-    double weight = 0.0;
-    int64_t hard = 0;
+  /// `count` groundings of rule `rule` (negative: retracted) on the
+  /// clause whose sorted session literal set is `lits`: one line of a
+  /// re-ground's old or new contribution part.
+  struct CountEdit {
+    std::vector<Lit> lits;
+    int32_t rule = -1;
     int64_t count = 0;
   };
-  using RuleMap =
-      std::unordered_map<std::vector<Lit>, Contribution, LitVectorHash>;
-
-  /// One side (old or new evidence) of a binding-level re-ground.
-  struct RulePart {
-    RuleMap map;
-    double fixed_cost = 0.0;
-    int64_t hard_violations = 0;
-  };
-
-  /// Aggregated entry across rules for one literal set.
-  struct GlobalEntry {
-    double weight = 0.0;  // sum of soft contributions
-    int32_t hard_refs = 0;
-    int32_t contribs = 0;  // number of rules contributing
-    uint32_t index = 0;    // position in clauses_
-  };
-
-  /// Contribution delta accumulated across all re-ground rules before
-  /// application, so a clause touched by several rules is edited once.
-  struct PendingEdit {
-    double dweight = 0.0;
-    int32_t dhard = 0;
-    int32_t dcontribs = 0;
-  };
-  using PendingEdits =
-      std::unordered_map<std::vector<Lit>, PendingEdit, LitVectorHash>;
 
   /// Builds everything derivable from program + evidence: the
   /// predicate->rules fan-out, the domain-table catalog, the closed-world
@@ -233,39 +213,31 @@ class DeltaGrounder {
   /// by Initialize and LoadState.
   Status BuildDerivedState();
 
-  /// Re-grounds one rule into a fresh RuleMap (remapped to session atom
-  /// ids) and replaces its fixed-cost / contradiction entries.
-  Result<RuleMap> GroundRule(int rule_idx);
-
-  /// Remaps a rule-local grounding result into session atom ids,
-  /// accumulating per-literal-set contributions (grounding counts come
-  /// from the store's rule-contribution index; weights derive as
-  /// rule-weight x count so every re-ground path agrees exactly).
-  void RuleMapFromResult(int rule_idx, const GroundingResult& local,
-                         RuleMap* out);
+  /// Re-grounds one rule in full: replaces its fixed-cost and
+  /// contradiction entries and appends its new part to `edits`.
+  Status GroundRule(int rule_idx, std::vector<CountEdit>* edits);
 
   /// Resolves the given candidate bindings of one rule against the
-  /// *current* resident evidence into a RulePart. Called once before the
-  /// evidence mutation (old side) and once after (new side).
-  Result<RulePart> ResolveBindings(int rule_idx,
-                                   const std::vector<Assignment>& bindings);
+  /// *current* resident evidence. Called once before the evidence
+  /// mutation (old side) and once after (new side).
+  Result<GroundingResult> ResolveBindings(
+      int rule_idx, const std::vector<Assignment>& bindings);
+
+  /// Appends a rule-local grounding result to `edits` as `sign` x its
+  /// grounding counts, remapped into session atom ids (grounding counts
+  /// come from the local store's provenance).
+  void AppendPart(int rule_idx, const GroundingResult& local, int sign,
+                  std::vector<CountEdit>* edits);
 
   /// True when every plain binding literal of the rule holds (atom true)
   /// under the current resident evidence for `binding` — i.e. the full
   /// rule query would enumerate this binding right now.
   bool BindingEnumerated(int rule_idx, const Assignment& binding) const;
 
-  /// Applies (new_part - old_part) of a binding-level re-ground to
-  /// rule_maps_[rule_idx] and records the global pending edits.
-  void ApplyParts(int rule_idx, const RulePart& old_part,
-                  const RulePart& new_part, PendingEdits* pending);
-
-  /// Diffs `next` against rule_maps_[rule_idx] into `pending`.
-  void DiffRule(int rule_idx, const RuleMap& next, PendingEdits* pending);
-
-  /// Applies accumulated contribution deltas to the global map and the
-  /// clause list, recording edit counts and dirty atoms.
-  void ApplyPendingEdits(PendingEdits pending, GroundEdits* edits);
+  /// The one edit pass: applies the summed count changes to the store in
+  /// sorted literal order, re-deriving each touched clause's weight and
+  /// hard flag, and records edit counts and dirty atoms.
+  void ApplyEdits(std::vector<CountEdit> edits, GroundEdits* out);
 
   const MlnProgram& program_;
   GroundingOptions ground_options_;
@@ -286,7 +258,7 @@ class DeltaGrounder {
   std::vector<std::vector<int>> rules_of_predicate_;
 
   AtomStore atoms_;
-  std::vector<RuleMap> rule_maps_;
+  GroundClauseStore store_;
   std::vector<double> rule_fixed_cost_;
   /// Per rule: number of hard-clause groundings violated by evidence
   /// alone (a count so binding-level deltas can add/retract violations).
@@ -295,8 +267,6 @@ class DeltaGrounder {
   /// re-ground in full) and the plain query's binding-literal mask.
   std::vector<uint8_t> rule_trivial_;
   std::vector<uint64_t> rule_binding_mask_;
-  std::unordered_map<std::vector<Lit>, GlobalEntry, LitVectorHash> global_;
-  std::vector<GroundClause> clauses_;
 
   bool initialized_ = false;
   /// Set when a delta failed after mutation began (see ApplyDelta).

@@ -1,18 +1,9 @@
 #include "util/string_util.h"
 
-#include <cctype>
 #include <cstdarg>
 #include <cstdio>
 
 namespace tuffy {
-
-std::string_view Trim(std::string_view s) {
-  size_t b = 0;
-  while (b < s.size() && std::isspace(static_cast<unsigned char>(s[b]))) ++b;
-  size_t e = s.size();
-  while (e > b && std::isspace(static_cast<unsigned char>(s[e - 1]))) --e;
-  return s.substr(b, e - b);
-}
 
 std::string Join(const std::vector<std::string>& parts, std::string_view sep) {
   std::string out;
@@ -20,16 +11,6 @@ std::string Join(const std::vector<std::string>& parts, std::string_view sep) {
     if (i > 0) out.append(sep);
     out += parts[i];
   }
-  return out;
-}
-
-bool StartsWith(std::string_view s, std::string_view prefix) {
-  return s.size() >= prefix.size() && s.substr(0, prefix.size()) == prefix;
-}
-
-std::string ToLower(std::string_view s) {
-  std::string out(s);
-  for (char& c : out) c = static_cast<char>(std::tolower(static_cast<unsigned char>(c)));
   return out;
 }
 

@@ -8,18 +8,9 @@
 
 namespace tuffy {
 
-/// Removes leading and trailing ASCII whitespace.
-std::string_view Trim(std::string_view s);
-
 /// Joins `parts` with `sep`.
 std::string Join(const std::vector<std::string>& parts,
                  std::string_view sep);
-
-/// True if `s` starts with `prefix`.
-bool StartsWith(std::string_view s, std::string_view prefix);
-
-/// Lower-cases ASCII characters.
-std::string ToLower(std::string_view s);
 
 /// printf-style formatting into a std::string.
 std::string StrFormat(const char* fmt, ...)

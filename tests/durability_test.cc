@@ -4,12 +4,15 @@
 
 #include <cstdio>
 #include <cstring>
+#include <fstream>
 #include <string>
 #include <vector>
 
+#include "datagen/datasets.h"
 #include "durability/serialize.h"
 #include "durability/snapshot.h"
 #include "durability/wal.h"
+#include "exec/tuffy_engine.h"
 #include "mln/parser.h"
 #include "serve/session_manager.h"
 #include "util/crc32.h"
@@ -644,6 +647,84 @@ TEST(RecoveryDeathTest, InjectedCrashLeavesRecoverableState) {
   ASSERT_TRUE(twin.Open(evidence).ok());
   ASSERT_TRUE(twin.ApplyDelta(deltas[0]).ok());
   ExpectBitIdentical(*recovered.value(), twin);
+}
+
+// ------------------------------------------------- committed crash fixture
+
+/// tests/fixtures/rc_session_crash_at_delta2 holds what
+/// `serving_session -wal_dir D -crash_at 'wal.append.mid_record=crash@2'`
+/// left on disk before the clause store moved into GroundClauseStore:
+/// snapshot 0 (taken at Open), delta 0's WAL record, and delta 1's torn
+/// record. A change to any durable format regenerates it with the same
+/// command and says so in CHANGES.md.
+std::string CrashFixtureDir() {
+  const std::string source = __FILE__;
+  return source.substr(0, source.rfind('/')) +
+         "/fixtures/rc_session_crash_at_delta2";
+}
+
+void CopyFile(const std::string& from, const std::string& to) {
+  std::ifstream in(from, std::ios::binary);
+  ASSERT_TRUE(in.good()) << "cannot read " << from;
+  std::ofstream out(to, std::ios::binary);
+  out << in.rdbuf();
+  ASSERT_TRUE(out.good()) << "cannot write " << to;
+}
+
+TEST(RecoveryTest, CommittedCrashFixtureRecoversToTheUncrashedAnswer) {
+  // serving_session's program, options and delta stream.
+  RcParams params;
+  params.num_clusters = 4;
+  params.papers_per_cluster = 6;
+  params.num_categories = 3;
+  params.labeled_fraction = 0.6;
+  auto ds = MakeRcDataset(params);
+  ASSERT_TRUE(ds.ok()) << ds.status().ToString();
+  const MlnProgram& program = ds.value().program;
+  const EvidenceDb& evidence = ds.value().evidence;
+  EngineOptions opts;
+  opts.search_mode = SearchMode::kComponentAware;
+  opts.grounding.lazy_closure = false;
+  opts.total_flips = 80000;
+  opts.snapshot_every = 2;
+
+  const PredicateId cat = program.FindPredicate("cat").value();
+  std::vector<EvidenceDelta> deltas(3);
+  for (const auto& [atom, truth] : evidence.entries()) {
+    if (atom.pred == cat && truth) {
+      deltas[0].Retract(atom);
+      break;
+    }
+  }
+  ASSERT_FALSE(deltas[0].empty());
+  deltas[1].Assert(Atom(program, "cat", {"P0", "Networking"}), true);
+  deltas[2].Assert(Atom(program, "refers", {"P0", "P11"}), true);
+
+  // Recovery truncates the torn tail and appends, so it runs on a copy.
+  const std::string dir = MakeTempDir("fixture");
+  for (const char* name : {"wal.log", "snapshot-0000000000.snap"}) {
+    CopyFile(CrashFixtureDir() + "/" + name, dir + "/" + name);
+  }
+  EngineOptions durable = opts;
+  durable.wal_dir = dir;
+  RecoveryStats rstats;
+  auto recovered = TuffyEngine(program, evidence, durable).RecoverSession(
+      &rstats);
+  ASSERT_TRUE(recovered.ok()) << recovered.status().ToString();
+  EXPECT_EQ(rstats.snapshot_seq, 0u);
+  EXPECT_EQ(rstats.records_replayed, 1u);
+  EXPECT_GT(rstats.truncated_bytes, 0u);
+  ASSERT_EQ(recovered.value()->stats().deltas_applied, 1u);
+  for (size_t i = 1; i < deltas.size(); ++i) {
+    ASSERT_TRUE(recovered.value()->ApplyDelta(deltas[i]).ok()) << i;
+  }
+
+  auto twin = TuffyEngine(program, evidence, opts).OpenSession();
+  ASSERT_TRUE(twin.ok()) << twin.status().ToString();
+  for (const EvidenceDelta& delta : deltas) {
+    ASSERT_TRUE(twin.value()->ApplyDelta(delta).ok());
+  }
+  ExpectBitIdentical(*recovered.value(), *twin.value());
 }
 
 // -------------------------------------------------------- session manager

@@ -4,7 +4,9 @@
 #include <vector>
 
 #include <algorithm>
+#include <cstring>
 #include <map>
+#include <tuple>
 
 #include "datagen/datasets.h"
 #include "durability/serialize.h"
@@ -15,6 +17,7 @@
 #include "serve/delta_grounder.h"
 #include "serve/inference_session.h"
 #include "serve/session_manager.h"
+#include "util/rng.h"
 
 namespace tuffy {
 namespace {
@@ -247,16 +250,20 @@ TEST(ServeTest, DeltaSequenceMatchesFreshInferEachStep) {
   EXPECT_EQ(session.stats().deltas_applied, deltas.size());
 }
 
-/// Canonical, atom-id-independent form of a resident clause set: every
-/// literal spelled out as (sign, pred, args), clauses sorted. Two
+/// Canonical, atom-id-independent form of a resident clause store: every
+/// literal spelled out as (sign, pred, args), clauses sorted, each with
+/// its weight, hard flag and per-rule grounding counts (by rule id). Two
 /// grounders that numbered session atoms differently still compare equal
-/// iff their clause sets are semantically identical.
+/// iff their clause sets and their provenance are semantically identical.
 using CanonLit = std::pair<bool, std::pair<PredicateId, std::vector<ConstantId>>>;
 using CanonClause = std::vector<CanonLit>;
-std::map<CanonClause, std::pair<double, bool>> Canonicalize(
+using CanonCounts = std::vector<std::pair<int32_t, uint32_t>>;
+std::map<CanonClause, std::tuple<double, bool, CanonCounts>> Canonicalize(
     const DeltaGrounder& dg) {
-  std::map<CanonClause, std::pair<double, bool>> out;
-  for (const GroundClause& c : dg.clauses()) {
+  std::map<CanonClause, std::tuple<double, bool, CanonCounts>> out;
+  const GroundClauseStore& store = dg.store();
+  for (size_t i = 0; i < store.num_clauses(); ++i) {
+    const GroundClause& c = store.clauses()[i];
     CanonClause cc;
     for (Lit l : c.lits) {
       const GroundAtom& atom = dg.atoms().atom(LitAtom(l));
@@ -264,20 +271,27 @@ std::map<CanonClause, std::pair<double, bool>> Canonicalize(
                       std::make_pair(atom.pred, atom.args));
     }
     std::sort(cc.begin(), cc.end());
-    out[cc] = {c.weight, c.hard};
+    CanonCounts counts;
+    store.ForEachContribution(i, [&](int32_t rule, uint32_t count) {
+      counts.emplace_back(rule, count);
+    });
+    std::sort(counts.begin(), counts.end());
+    EXPECT_FALSE(counts.empty()) << "clause " << i << " has no provenance";
+    out[cc] = {c.weight, c.hard, counts};
   }
+  EXPECT_EQ(out.size(), store.num_clauses()) << "a literal set is stored twice";
   return out;
 }
 
 TEST(ServeTest, BindingLevelDeltaMatchesFullReground) {
   // The same delta stream applied three ways — binding-level semi-joins,
   // full per-rule re-grounds, and a from-scratch grounder over the final
-  // evidence — must produce identical clause sets, weights, and fixed
-  // costs. Covers open-world relabels and closed-world (binding-literal)
-  // link assertion + retraction. The rule weight is deliberately not
-  // exactly representable as a repeated sum (0.1): contribution weights
-  // must derive as weight x count, so incremental and full paths agree
-  // bit for bit anyway.
+  // evidence — must produce identical clause sets, weights, per-rule
+  // grounding counts, and fixed costs. Covers open-world relabels and
+  // closed-world (binding-literal) link assertion + retraction. The rule
+  // weight is deliberately not exactly representable as a repeated sum
+  // (0.1): contribution weights must derive as weight x count, so
+  // incremental and full paths agree bit for bit anyway.
   MlnProgram program = LinkProgram();
   program.SetClauseWeight(0, 0.1);
   EvidenceDb evidence;
@@ -696,6 +710,171 @@ TEST(ServeTest, ForgedSnapshotStoringAnEvidenceAtomTwiceIsRefused) {
   }
   st = LoadForged(program, JoinSnapshot(both, rest));
   EXPECT_EQ(st.code(), StatusCode::kCorruption) << st.ToString();
+}
+
+/// Offsets and widths (4 or 8 bytes) of every count field of a
+/// DeltaGrounder snapshot: each relation's column and row counts; the
+/// atom count; the clause count and each clause's literal count; the
+/// rule count; each rule's contradiction and entry counts; and each
+/// entry's literal count, hard count and count.
+std::vector<std::pair<size_t, size_t>> SnapshotCountFields(
+    const MlnProgram& program, const std::string& bytes) {
+  std::vector<std::pair<size_t, size_t>> fields;
+  BinaryReader in(bytes);
+  const auto count32 = [&] {
+    fields.emplace_back(bytes.size() - in.remaining(), 4);
+    return in.U32();
+  };
+  const auto count64 = [&] {
+    fields.emplace_back(bytes.size() - in.remaining(), 8);
+    return in.U64();
+  };
+  for (size_t i = 0; i < 2 * program.num_predicates(); ++i) {
+    const uint64_t cols = count32();
+    const uint64_t rows = count64();
+    for (uint64_t v = 0; v < cols * rows; ++v) in.I64();
+  }
+  const uint32_t num_atoms = count32();
+  for (uint32_t a = 0; a < num_atoms; ++a) {
+    const PredicateId pred = in.I32();
+    for (int k = 0; k < program.predicate(pred).arity(); ++k) in.I32();
+  }
+  const uint64_t num_clauses = count64();
+  for (uint64_t c = 0; c < num_clauses; ++c) {
+    for (uint32_t n = count32(); n > 0; --n) in.I32();
+    in.F64();
+    in.U8();
+  }
+  const uint64_t num_rules = count64();
+  for (uint64_t r = 0; r < num_rules; ++r) {
+    in.F64();
+    count64();  // contradictions
+    for (uint64_t e = count64(); e > 0; --e) {
+      for (uint32_t n = count32(); n > 0; --n) in.I32();
+      count64();  // hard count
+      count64();  // count
+    }
+  }
+  EXPECT_TRUE(in.Exhausted());
+  return fields;
+}
+
+/// Loads `bytes` into a fresh grounder. A refusal must be Corruption
+/// (returns false); an accepted state must save to bytes that reload and
+/// re-save to themselves (returns true).
+bool LoadsToAFixpoint(const MlnProgram& program, const std::string& bytes) {
+  DeltaGrounder loaded(program, GroundingOptions{}, OptimizerOptions{});
+  BinaryReader in(bytes);
+  const Status st = loaded.LoadState(&in);
+  if (!st.ok()) {
+    EXPECT_EQ(st.code(), StatusCode::kCorruption) << st.ToString();
+    return false;
+  }
+  BinaryWriter saved;
+  loaded.SaveState(&saved);
+  DeltaGrounder reloaded(program, GroundingOptions{}, OptimizerOptions{});
+  BinaryReader again(saved.data());
+  const Status st2 = reloaded.LoadState(&again);
+  EXPECT_TRUE(st2.ok()) << st2.ToString();
+  EXPECT_EQ(again.remaining(), 0u);
+  BinaryWriter resaved;
+  reloaded.SaveState(&resaved);
+  EXPECT_EQ(resaved.data(), saved.data());
+  return true;
+}
+
+// Replication ships snapshots and recovery reads them back, so LoadState
+// meets forged bytes whose CRC is valid. Every mutant of a real RC
+// grounder's state — each count field forged large, then seeded bit
+// flips, inserted and deleted bytes, truncations and overwrites — is
+// refused with Corruption or loads into a state that re-saves exactly,
+// and no count sizes an allocation before its bytes are there. A failure
+// names its seed: set kFirstSeed to it and kSeeds to 1 to replay it.
+TEST(ServeTest, FuzzMutatedSnapshotsAreRefusedOrResaveExactly) {
+  RcParams p;
+  p.num_clusters = 4;
+  p.papers_per_cluster = 6;
+  p.num_categories = 3;
+  p.labeled_fraction = 0.6;
+  auto ds = MakeRcDataset(p);
+  ASSERT_TRUE(ds.ok());
+  const MlnProgram& program = ds.value().program;
+  const EvidenceDb& evidence = ds.value().evidence;
+  DeltaGrounder original(program, GroundingOptions{}, OptimizerOptions{});
+  ASSERT_TRUE(original.Initialize(evidence).ok());
+  const PredicateId cat = program.FindPredicate("cat").value();
+  std::vector<EvidenceDelta> deltas(3);
+  for (const auto& [atom, truth] : evidence.entries()) {
+    if (atom.pred == cat && truth) {
+      deltas[0].Retract(atom);
+      break;
+    }
+  }
+  deltas[1].Assert(Atom(program, "cat", {"P0", "Networking"}), true);
+  deltas[2].Assert(Atom(program, "refers", {"P0", "P11"}), true);
+  for (const EvidenceDelta& d : deltas) {
+    ASSERT_TRUE(original.ApplyDelta(d).ok());
+  }
+  BinaryWriter saved;
+  original.SaveState(&saved);
+  const std::string base = saved.Take();
+  ASSERT_TRUE(LoadsToAFixpoint(program, base));
+
+  const auto fields = SnapshotCountFields(program, base);
+  ASSERT_GT(fields.size(), 100u);
+  for (const auto& [offset, width] : fields) {
+    const std::vector<uint64_t> forged =
+        width == 4 ? std::vector<uint64_t>{0xFFFFFFFFu, 0x80000000u}
+                   : std::vector<uint64_t>{~uint64_t{0}, uint64_t{1} << 40,
+                                           uint64_t{1} << 32};
+    for (uint64_t value : forged) {
+      SCOPED_TRACE("count at byte " + std::to_string(offset) + " forged to " +
+                   std::to_string(value));
+      std::string bytes = base;
+      std::memcpy(&bytes[offset], &value, width);  // little-endian
+      LoadsToAFixpoint(program, bytes);
+    }
+  }
+
+  constexpr uint64_t kFirstSeed = 0;
+  constexpr uint64_t kSeeds = 10000;
+  size_t accepted = 0;
+  for (uint64_t seed = kFirstSeed; seed < kFirstSeed + kSeeds; ++seed) {
+    SCOPED_TRACE("seed " + std::to_string(seed));
+    Rng rng(seed);
+    std::string bytes = base;
+    const int edits = 1 + static_cast<int>(rng.Uniform(3));
+    for (int k = 0; k < edits; ++k) {
+      const size_t pos = rng.Uniform(bytes.size() + 1);
+      switch (rng.Uniform(5)) {
+        case 0:  // flip one bit
+          if (pos < bytes.size()) {
+            bytes[pos] ^= static_cast<char>(1u << rng.Uniform(8));
+          }
+          break;
+        case 1:  // insert a byte
+          bytes.insert(bytes.begin() + pos,
+                       static_cast<char>(rng.Uniform(256)));
+          break;
+        case 2:  // delete a short run
+          bytes.erase(pos, 1 + rng.Uniform(4));
+          break;
+        case 3:  // truncate
+          bytes.resize(pos);
+          break;
+        case 4:  // overwrite a run with random bytes
+          for (size_t i = pos; i < bytes.size() && i < pos + 8; ++i) {
+            bytes[i] = static_cast<char>(rng.Uniform(256));
+          }
+          break;
+      }
+    }
+    accepted += LoadsToAFixpoint(program, bytes) ? 1 : 0;
+  }
+  // Flips inside weights, costs and evidence values load; the property
+  // is checked on both sides.
+  EXPECT_GT(accepted, 0u);
+  EXPECT_LT(accepted, kSeeds);
 }
 
 TEST(ServeTest, ConcurrentSessionsOnSharedPool) {

@@ -96,28 +96,15 @@ TEST(ResultTest, TakeValueMoves) {
 
 // ------------------------------------------------------------ string_util
 
-TEST(StringUtilTest, TrimRemovesWhitespace) {
-  EXPECT_EQ(Trim("  x y \t\n"), "x y");
-  EXPECT_EQ(Trim(""), "");
-  EXPECT_EQ(Trim("   "), "");
-}
-
 TEST(StringUtilTest, JoinBasic) {
   EXPECT_EQ(Join({"a", "b", "c"}, ", "), "a, b, c");
   EXPECT_EQ(Join({}, ","), "");
-}
-
-TEST(StringUtilTest, StartsWith) {
-  EXPECT_TRUE(StartsWith("foobar", "foo"));
-  EXPECT_FALSE(StartsWith("fo", "foo"));
 }
 
 TEST(StringUtilTest, StrFormatFormats) {
   EXPECT_EQ(StrFormat("%d-%s", 7, "x"), "7-x");
   EXPECT_EQ(StrFormat("%.2f", 1.5), "1.50");
 }
-
-TEST(StringUtilTest, ToLower) { EXPECT_EQ(ToLower("AbC"), "abc"); }
 
 TEST(StringUtilTest, FormatBytesReadable) {
   EXPECT_EQ(FormatBytes(512), "512B");
