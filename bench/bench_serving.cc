@@ -9,13 +9,11 @@
 //    "speedup":..., "deltas_per_sec":...,
 //    "frac_components_researched":..., "session_cost":...,
 //    "fresh_cost":..., "ground_seconds_avg":...,
-//    "ground_seconds_avg_full":..., "binding_ground_speedup":...,
 //    "bindings_resolved_avg":...}
 //
 // ground_seconds_avg is the binding-level delta grounding (join only the
-// delta rows against the rest of each touched rule); _full re-runs the
-// touched rules' whole queries. The ratio is the binding-level win; the
-// final costs of both must match the from-scratch run exactly.
+// delta rows against the rest of each touched rule); the final session
+// cost must match the from-scratch run exactly.
 //
 // A durability lesion follows (docs/DURABILITY.md): the same delta
 // stream through wal_off / wal_nosync / wal_fsync+snapshots sessions,
@@ -170,33 +168,6 @@ int main() {
         r.value().map_cost);
   }
 
-  // Binding-level lesion: the same delta stream with full per-rule
-  // re-grounding (binding_level_deltas off). Grounding cost scales with
-  // the touched relations' sizes there; the final cost must not move.
-  SessionOptions full_opts = sopts;
-  full_opts.grounding.binding_level_deltas = false;
-  InferenceSession full_session(ds.program, full_opts);
-  double full_ground_seconds_total = 0.0;
-  double full_session_cost = 0.0;
-  {
-    Status full_open = full_session.Open(ds.evidence);
-    if (!full_open.ok()) {
-      std::fprintf(stderr, "full-reground session open failed: %s\n",
-                   full_open.ToString().c_str());
-      return 1;
-    }
-    for (int d = 0; d < kDeltas; ++d) {
-      auto r = full_session.ApplyDelta(deltas[d]);
-      if (!r.ok()) {
-        std::fprintf(stderr, "full-reground delta %d failed: %s\n", d,
-                     r.status().ToString().c_str());
-        return 1;
-      }
-      full_ground_seconds_total += r.value().edits.ground_seconds;
-    }
-    full_session_cost = full_session.map_cost();
-  }
-
   // Equivalence spot check: a from-scratch run over the accumulated
   // evidence (identical grounding semantics).
   TuffyEngine fresh_engine(ds.program, accumulated, ColdOptions());
@@ -208,23 +179,16 @@ int main() {
   }
   double session_cost = session.map_cost();
   double fresh_cost = fresh.value().total_cost;
-  std::printf(
-      "final: session cost %.4f vs fresh cost %.4f (eval %.4f, "
-      "full-reground session %.4f)\n",
-      session_cost, fresh_cost, session.EvalCurrentCost(),
-      full_session_cost);
-  if (session_cost != fresh_cost || full_session_cost != fresh_cost) {
+  std::printf("final: session cost %.4f vs fresh cost %.4f (eval %.4f)\n",
+              session_cost, fresh_cost, session.EvalCurrentCost());
+  if (session_cost != fresh_cost) {
     std::fprintf(stderr,
-                 "FAIL: session costs diverged from the from-scratch run\n");
+                 "FAIL: session cost diverged from the from-scratch run\n");
     return 1;
   }
   double ground_avg = ground_seconds_total / kDeltas;
-  double full_ground_avg = full_ground_seconds_total / kDeltas;
-  std::printf(
-      "delta grounding: binding-level %.4fs/delta (%.0f bindings avg) vs "
-      "full re-ground %.4fs/delta (%.1fx)\n",
-      ground_avg, bindings_total / kDeltas, full_ground_avg,
-      ground_avg > 0 ? full_ground_avg / ground_avg : 0.0);
+  std::printf("delta grounding: %.4fs/delta (%.0f bindings avg)\n",
+              ground_avg, bindings_total / kDeltas);
   std::printf(
       "table maintenance: %.0f rows/delta from the touched predicates' "
       "evidence relations (evidence map: %zu entries, never rescanned)\n",
@@ -245,9 +209,6 @@ int main() {
         .Num("session_cost", session_cost)
         .Num("fresh_cost", fresh_cost)
         .Num("ground_seconds_avg", ground_avg, 5)
-        .Num("ground_seconds_avg_full", full_ground_avg, 5)
-        .Num("binding_ground_speedup",
-             ground_avg > 0 ? full_ground_avg / ground_avg : 0.0, 2)
         .Num("bindings_resolved_avg", bindings_total / kDeltas, 1)
         .Num("maintenance_rows_avg", maintenance_rows_total / kDeltas, 1)
         .Int("evidence_rows", accumulated.num_evidence())

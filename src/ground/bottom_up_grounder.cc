@@ -152,7 +152,7 @@ Result<RuleBindingQuery> BuildRuleBindingQuery(
           "ev_true_" + pred.name, /*skip_existential=*/false));
     }
     is_binding_ref[li] = 1;
-    if (delta == nullptr && li < 64) out.binding_lit_mask |= uint64_t{1} << li;
+    if (delta == nullptr) out.binding_lit_mask |= uint64_t{1} << li;
   }
 
   // Every unbound universal variable ranges over its type domain.

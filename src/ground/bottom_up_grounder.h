@@ -64,8 +64,9 @@ struct RuleBindingQuery {
   /// Bit k set = literal k joined the predicate's true evidence rows, so
   /// its atom is known true for every output binding and resolution can
   /// skip it (a negative literal over a true atom never satisfies nor
-  /// opens the clause). Only set for plain (non-delta) compilations —
-  /// delta substitutes may contain formerly-true rows.
+  /// opens the clause). kMaxClauseLiterals gives every literal a bit.
+  /// Only set for plain (non-delta) compilations — delta substitutes may
+  /// contain formerly-true rows.
   uint64_t binding_lit_mask = 0;
 };
 

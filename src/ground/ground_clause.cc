@@ -93,9 +93,31 @@ size_t GroundClauseStore::FindOrAppend(const std::vector<Lit>& lits,
   return idx;
 }
 
+bool GroundClauseStore::DeriveWeight(size_t idx,
+                                     const std::vector<double>& rule_weights,
+                                     const std::vector<uint8_t>& rule_hard,
+                                     double* weight, bool* hard) const {
+  bool contributed = false;
+  *weight = 0.0;
+  *hard = false;
+  ForEachContribution(idx, [&](int32_t rule, uint32_t count) {
+    contributed = true;
+    if (rule < 0 || static_cast<size_t>(rule) >= rule_weights.size()) return;
+    *hard = *hard || rule_hard[rule];
+    if (!rule_hard[rule]) *weight += rule_weights[rule] * count;
+  });
+  return contributed;
+}
+
 uint32_t GroundClauseStore::AddRuleCount(size_t idx, int32_t rule_id,
                                          int64_t delta) {
   RuleContribution& first = first_contrib_[idx];
+  if (first.count != 0 && rule_id < first.rule_id) {
+    // A rule that sorts first moves inline; the old first leads the extras.
+    std::vector<RuleContribution>& extras = extra_contribs_[idx];
+    extras.insert(extras.begin(), first);
+    first = RuleContribution{rule_id, 0};
+  }
   if (first.count == 0) first.rule_id = rule_id;
   if (first.rule_id == rule_id) {
     const uint32_t before = first.count;
@@ -111,13 +133,14 @@ uint32_t GroundClauseStore::AddRuleCount(size_t idx, int32_t rule_id,
     return before;
   }
   std::vector<RuleContribution>& extras = extra_contribs_[idx];
-  auto rc = std::find_if(
-      extras.begin(), extras.end(),
-      [&](const RuleContribution& c) { return c.rule_id == rule_id; });
-  const uint32_t before = rc == extras.end() ? 0 : rc->count;
+  auto rc = std::lower_bound(
+      extras.begin(), extras.end(), rule_id,
+      [](const RuleContribution& c, int32_t r) { return c.rule_id < r; });
+  const bool found = rc != extras.end() && rc->rule_id == rule_id;
+  const uint32_t before = found ? rc->count : 0;
   const uint32_t after = static_cast<uint32_t>(before + delta);
-  if (rc == extras.end()) {
-    if (after != 0) extras.push_back(RuleContribution{rule_id, after});
+  if (!found) {
+    if (after != 0) extras.insert(rc, RuleContribution{rule_id, after});
   } else if (after != 0) {
     rc->count = after;
   } else {

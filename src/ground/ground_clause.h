@@ -137,7 +137,8 @@ class GroundClauseStore {
   size_t num_clauses() const { return clauses_.size(); }
 
   /// Invokes fn(rule_id, count) for each rule contribution merged into
-  /// clause `idx` (none only for a clause FindOrAppend just added). The
+  /// clause `idx`, in ascending rule order whatever order the rules
+  /// arrived in (none only for a clause FindOrAppend just added). The
   /// first contribution — almost always the only one — is stored
   /// inline; only clauses fed by multiple distinct rules touch the side
   /// table.
@@ -151,6 +152,16 @@ class GroundClauseStore {
     for (const RuleContribution& rc : it->second) fn(rc.rule_id, rc.count);
   }
 
+  /// Clause `idx`'s weight and hard flag, derived from its rule counts:
+  /// the sum of rule_weights[rule] x count in ascending rule order, where
+  /// a rule flagged in `rule_hard` adds no weight and makes the clause
+  /// hard (a rule outside the vectors, from a hand-built clause, adds
+  /// nothing). Serving edits, snapshot loads and learning epochs all take
+  /// this one sum. Returns false when no rule contributes.
+  bool DeriveWeight(size_t idx, const std::vector<double>& rule_weights,
+                    const std::vector<uint8_t>& rule_hard, double* weight,
+                    bool* hard) const;
+
   /// Rough memory footprint of the clause table, for Table 4.
   size_t EstimateBytes() const;
 
@@ -159,12 +170,13 @@ class GroundClauseStore {
   /// Duplicate index keyed by LitVectorHash of the sorted literal set,
   /// compared against clauses_ in place.
   IdIndex index_;
-  /// Parallel to clauses_: the first rule's grounding multiplicity,
+  /// Parallel to clauses_: the lowest rule's grounding multiplicity,
   /// inline so the common single-rule clause costs no extra allocation.
   /// Count 0 means no contributions; a clause with extras always has a
   /// first.
   std::vector<RuleContribution> first_contrib_;
-  /// Clause index -> further distinct rules' multiplicities (rare).
+  /// Clause index -> further distinct rules' multiplicities, ascending
+  /// by rule (rare).
   std::unordered_map<size_t, std::vector<RuleContribution>> extra_contribs_;
 };
 

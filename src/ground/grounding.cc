@@ -339,7 +339,7 @@ void GroundingContext::ResolveCandidate(int clause_idx,
   scratch_open_.clear();
   if (!satisfied) {
     for (size_t li = 0; li < clause.literals.size(); ++li) {
-      if (li < 64 && ((skip_lit_mask >> li) & 1)) continue;
+      if ((skip_lit_mask >> li) & 1) continue;
       if (!ExpandLiteral(clause.literals[li], assignment, &satisfied)) break;
     }
   }
@@ -350,6 +350,7 @@ void GroundingContext::ResolveCandidate(int clause_idx,
       // A negative-weight clause that evidence makes true is permanently
       // violated (Section 2.2) and contributes constant cost.
       result_.fixed_cost += -clause.weight;
+      ++result_.stats.fixed_cost_groundings;
     }
     return;
   }
@@ -362,6 +363,7 @@ void GroundingContext::ResolveCandidate(int clause_idx,
                          << " violated by evidence";
     } else if (clause.weight > 0) {
       result_.fixed_cost += clause.weight;
+      ++result_.stats.fixed_cost_groundings;
     }
     return;
   }
@@ -423,7 +425,7 @@ void GroundingContext::BuildChunkPlan(int clause_idx,
   }
 
   for (size_t li = 0; li < clause.literals.size(); ++li) {
-    if (li < 64 && ((skip_lit_mask >> li) & 1)) continue;
+    if ((skip_lit_mask >> li) & 1) continue;
     const Literal& lit = clause.literals[li];
     for (const Term& t : lit.args) {
       if (t.is_var && var_col_[t.id] < 0) return;  // existential: generic
@@ -581,6 +583,7 @@ void GroundingContext::AddCandidateChunk(int clause_idx,
       ++result_.stats.satisfied_by_evidence;
       if (!clause.hard && clause.weight < 0) {
         result_.fixed_cost += -clause.weight;
+        ++result_.stats.fixed_cost_groundings;
       }
       continue;
     }
@@ -592,6 +595,7 @@ void GroundingContext::AddCandidateChunk(int clause_idx,
                            << " violated by evidence";
       } else if (clause.weight > 0) {
         result_.fixed_cost += clause.weight;
+        ++result_.stats.fixed_cost_groundings;
       }
       continue;
     }
@@ -626,6 +630,7 @@ void GroundingContext::AbsorbPending(GroundingContext* local) {
     result_.stats.satisfied_by_evidence += lr0.stats.satisfied_by_evidence;
     result_.stats.pruned_by_antijoin += lr0.stats.pruned_by_antijoin;
     result_.stats.hard_violations += lr0.stats.hard_violations;
+    result_.stats.fixed_cost_groundings += lr0.stats.fixed_cost_groundings;
     result_.fixed_cost += lr0.fixed_cost;
     result_.hard_contradiction =
         result_.hard_contradiction || lr0.hard_contradiction;
@@ -657,6 +662,7 @@ void GroundingContext::AbsorbPending(GroundingContext* local) {
   result_.stats.satisfied_by_evidence += lr.stats.satisfied_by_evidence;
   result_.stats.pruned_by_antijoin += lr.stats.pruned_by_antijoin;
   result_.stats.hard_violations += lr.stats.hard_violations;
+  result_.stats.fixed_cost_groundings += lr.stats.fixed_cost_groundings;
   result_.fixed_cost += lr.fixed_cost;
   result_.hard_contradiction =
       result_.hard_contradiction || lr.hard_contradiction;

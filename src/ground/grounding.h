@@ -31,10 +31,6 @@ struct GroundingOptions {
   /// results merge in rule-index order, so the output is bit-identical
   /// for every thread count (see determinism_test).
   int num_threads = 1;
-  /// Serving only: re-ground touched rules at binding granularity (join
-  /// the evidence delta against the rest of the rule body) instead of
-  /// re-running each touched rule's whole query. See DeltaGrounder.
-  bool binding_level_deltas = true;
 };
 
 struct GroundingStats {
@@ -56,6 +52,9 @@ struct GroundingStats {
   /// serving layer tracks this per rule as a count so binding-level
   /// deltas can retract individual violations.
   uint64_t hard_violations = 0;
+  /// Soft candidates whose cost the evidence fixes; each adds its rule's
+  /// |weight| to fixed_cost (serving derives a rule's fixed cost from it).
+  uint64_t fixed_cost_groundings = 0;
   int closure_iterations = 0;
   /// Bytes of grounding state an all-in-RAM grounder holds before the
   /// closure prunes it: dense candidate cells plus pending clauses (the

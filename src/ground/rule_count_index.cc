@@ -20,19 +20,4 @@ RuleCountIndex BuildRuleCountIndex(const GroundClauseStore& store,
   return index;
 }
 
-void RecomputeClauseWeights(const RuleCountIndex& index,
-                            const std::vector<double>& rule_weights,
-                            const std::vector<uint8_t>& clause_hard,
-                            std::vector<double>* clause_weights) {
-  const size_t n = index.num_clauses();
-  for (size_t c = 0; c < n; ++c) {
-    if (clause_hard[c]) continue;
-    double w = 0.0;
-    for (uint32_t e = index.offsets[c]; e < index.offsets[c + 1]; ++e) {
-      w += static_cast<double>(index.count[e]) * rule_weights[index.rule[e]];
-    }
-    (*clause_weights)[c] = w;
-  }
-}
-
 }  // namespace tuffy

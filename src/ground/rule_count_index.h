@@ -49,16 +49,6 @@ struct RuleCountIndex {
 RuleCountIndex BuildRuleCountIndex(const GroundClauseStore& store,
                                    int32_t num_rules);
 
-/// Recomputes each soft ground clause's weight from per-rule weights:
-/// w_c = sum over contributions of count * rule_weight. Hard clauses are
-/// left untouched. `clause_weights` must have one entry per store
-/// clause; this is the between-epoch "re-grounding" of weight learning
-/// (the clause *structure* never changes, only the summed weights).
-void RecomputeClauseWeights(const RuleCountIndex& index,
-                            const std::vector<double>& rule_weights,
-                            const std::vector<uint8_t>& clause_hard,
-                            std::vector<double>* clause_weights);
-
 }  // namespace tuffy
 
 #endif  // TUFFY_GROUND_RULE_COUNT_INDEX_H_

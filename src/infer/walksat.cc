@@ -266,16 +266,12 @@ WalkSat::WalkSat(const Problem* problem, WalkSatOptions options, Rng* rng)
       options_(options),
       rng_(rng),
       state_(problem, options.hard_weight) {
-  DrawStart();
-  best_.Reset(state_.truth(), state_.cost());
-}
-
-void WalkSat::DrawStart() {
   if (options_.initial != nullptr) {
     state_.SetAssignment(*options_.initial);
   } else {
     state_.RandomAssignment(rng_);
   }
+  best_.Reset(state_.truth(), state_.cost());
 }
 
 uint64_t WalkSat::RunFlips(uint64_t n) {
@@ -299,32 +295,23 @@ uint64_t WalkSat::RunFlips(uint64_t n) {
 WalkSatResult WalkSat::Run() {
   WalkSatResult result;
   const uint64_t trace_every = options_.trace_every_flips;
-  for (int attempt = 0; attempt < options_.max_tries; ++attempt) {
-    if (attempt > 0) {
-      DrawStart();
-      best_.RebaseTo(state_.truth());
-      if (state_.cost() < best_.best_cost()) best_.OnImproved(state_.cost());
+  // Chunks end at every 1024th flip, where the deadline is checked, and
+  // at every trace point.
+  uint64_t done = 0;
+  while (done < options_.max_flips && state_.HasViolated()) {
+    if (done % 1024 == 0 &&
+        clock_.ElapsedSeconds() > options_.timeout_seconds) {
+      break;
     }
-    // Chunks end at every 1024th flip of the try, where the deadline is
-    // checked, and at every trace point.
-    uint64_t done = 0;
-    while (done < options_.max_flips && state_.HasViolated()) {
-      if (done % 1024 == 0 &&
-          clock_.ElapsedSeconds() > options_.timeout_seconds) {
-        break;
-      }
-      uint64_t chunk = std::min(options_.max_flips - done, 1024 - done % 1024);
-      if (trace_every > 0) {
-        chunk = std::min(chunk, trace_every - flips_ % trace_every);
-      }
-      done += RunFlips(chunk);
-      if (trace_every > 0 && flips_ % trace_every == 0) {
-        result.trace.push_back(
-            TracePoint{clock_.ElapsedSeconds(), flips_, best_.best_cost()});
-      }
+    uint64_t chunk = std::min(options_.max_flips - done, 1024 - done % 1024);
+    if (trace_every > 0) {
+      chunk = std::min(chunk, trace_every - flips_ % trace_every);
     }
-    if (best_.best_cost() == 0.0) break;
-    if (clock_.ElapsedSeconds() > options_.timeout_seconds) break;
+    done += RunFlips(chunk);
+    if (trace_every > 0 && flips_ % trace_every == 0) {
+      result.trace.push_back(
+          TracePoint{clock_.ElapsedSeconds(), flips_, best_.best_cost()});
+    }
   }
   result.seconds = clock_.ElapsedSeconds();
   result.best_truth = best_.best_truth();

@@ -20,7 +20,6 @@ struct TracePoint {
 
 struct WalkSatOptions {
   uint64_t max_flips = 100000;
-  int max_tries = 1;
   /// Probability of a random (non-greedy) flip, Algorithm 1 line 7.
   double p_random = 0.5;
   /// Effective |weight| of hard clauses during search.
@@ -191,8 +190,8 @@ class BestTruthTracker {
     pinned_ = false;
   }
 
-  /// Restarts the flip log from `current` (e.g. after a reseed or a new
-  /// try) without losing the best seen so far.
+  /// Restarts the flip log from `current` without losing the best seen
+  /// so far.
   void RebaseTo(const std::vector<uint8_t>& current) {
     if (!pinned_) {
       cache_ = base_;  // pin the best before abandoning the log
@@ -240,7 +239,7 @@ class BestTruthTracker {
 /// 3.3) or search one partition per Gauss-Seidel step. It tracks the best
 /// state seen on *this* problem, which is exactly the component-aware
 /// bookkeeping of Theorem 3.1. RunFlips is the one flip loop; Run adds
-/// Algorithm 1's restarts, a deadline and a time-cost trace around it.
+/// a flip budget, a deadline and a time-cost trace around it.
 class WalkSat {
  public:
   /// Draws the start: `options.initial` if set, else a random assignment.
@@ -248,13 +247,12 @@ class WalkSat {
 
   /// Continues the search for up to `n` more flips (stops early at cost
   /// 0). Returns the number of flips actually performed. Ignores the
-  /// options' flip budget, tries, deadline and trace.
+  /// options' flip budget, deadline and trace.
   uint64_t RunFlips(uint64_t n);
 
-  /// Up to `max_tries` tries of up to `max_flips` flips each: the first
-  /// continues from the current state, each later one from a fresh start.
-  /// Stops at cost 0, or once `timeout_seconds` since construction have
-  /// passed (checked every 1024 flips of a try and after each try).
+  /// Up to `max_flips` flips from the current state. Stops at cost 0, or
+  /// once `timeout_seconds` since construction have passed (checked
+  /// every 1024 flips).
   WalkSatResult Run();
 
   double best_cost() const { return best_.best_cost(); }
@@ -264,8 +262,6 @@ class WalkSat {
   size_t state_bytes() const { return state_.EstimateBytes(); }
 
  private:
-  void DrawStart();
-
   const Problem* problem_;
   WalkSatOptions options_;
   Rng* rng_;

@@ -84,9 +84,11 @@ WeightLearner::WeightLearner(const MlnProgram& program,
       options_(std::move(options)) {}
 
 void WeightLearner::RefreshClauseWeights() {
-  RecomputeClauseWeights(index_, weights_, problem_.hard, &clause_weights_);
   for (uint32_t c = 0; c < problem_.num_clauses(); ++c) {
-    problem_.SetWeight(c, clause_weights_[c]);
+    double weight = 0.0;
+    bool hard = false;
+    grounding_.clauses.DeriveWeight(c, weights_, rule_hard_, &weight, &hard);
+    if (!hard) problem_.SetWeight(c, weight);
   }
 }
 
@@ -135,18 +137,17 @@ Result<LearnResult> WeightLearner::Learn() {
 
   problem_ = MakeWholeProblem(num_atoms, clauses);
   index_ = BuildRuleCountIndex(grounding_.clauses, num_rules);
-  clause_weights_ = problem_.weight;  // hard clauses keep theirs
 
   LearnResult result;
   result.num_atoms = num_atoms;
   result.num_ground_clauses = clauses.size();
 
   weights_.resize(num_rules);
-  learnable_.resize(num_rules);
+  rule_hard_.resize(num_rules);
   for (int32_t r = 0; r < num_rules; ++r) {
     const Clause& rule = program_.clauses()[r];
     weights_[r] = rule.weight;
-    learnable_[r] = rule.hard ? 0 : 1;
+    rule_hard_[r] = rule.hard ? 1 : 0;
   }
   result.initial_weights = weights_;
 
@@ -182,7 +183,7 @@ Result<LearnResult> WeightLearner::Learn() {
     stats.epoch = epoch;
     double max_delta = 0.0;
     for (int32_t r = 0; r < num_rules; ++r) {
-      if (!learnable_[r]) continue;
+      if (rule_hard_[r]) continue;
       const double g = static_cast<double>(result.data_counts[r]) -
                        expected[r] - weights_[r] * inv_prior_var;
       stats.max_abs_gradient = std::max(stats.max_abs_gradient, std::fabs(g));
@@ -227,7 +228,7 @@ Result<LearnResult> WeightLearner::Learn() {
 
   if (perceptron && result.epochs > 0) {
     for (int32_t r = 0; r < num_rules; ++r) {
-      if (learnable_[r]) weights_[r] = weight_sum[r] / result.epochs;
+      if (!rule_hard_[r]) weights_[r] = weight_sum[r] / result.epochs;
     }
   }
   result.weights = weights_;

@@ -63,7 +63,8 @@ class WeightLearner {
 
  private:
   /// Re-derives every soft ground clause's weight from the current rule
-  /// weights and writes it into the problem in place.
+  /// weights (GroundClauseStore::DeriveWeight) and writes it into the
+  /// problem in place; hard clauses keep theirs.
   void RefreshClauseWeights();
   /// Voted perceptron: the counts of the best state of a `map_flips`
   /// WalkSAT search, recounted once.
@@ -79,9 +80,8 @@ class WeightLearner {
 
   Problem problem_;
   RuleCountIndex index_;
-  std::vector<double> clause_weights_;  // scratch for RecomputeClauseWeights
-  std::vector<double> weights_;         // current rule weights
-  std::vector<uint8_t> learnable_;      // soft rules only
+  std::vector<double> weights_;     // current rule weights
+  std::vector<uint8_t> rule_hard_;  // hard rules are not learned
 };
 
 /// Convenience wrapper: construct + Learn.

@@ -78,6 +78,11 @@ Result<PredicateId> MlnProgram::FindPredicate(std::string_view name) const {
 }
 
 Status MlnProgram::AddClause(Clause clause) {
+  if (clause.literals.size() > static_cast<size_t>(kMaxClauseLiterals)) {
+    return Status::InvalidArgument(
+        StrFormat("clause has %zu literals; the limit is %d",
+                  clause.literals.size(), kMaxClauseLiterals));
+  }
   // Resolve variable types from the predicate signatures; check arity.
   clause.var_types.assign(clause.num_vars, "");
   std::vector<bool> existential(clause.num_vars, false);

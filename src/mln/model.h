@@ -34,6 +34,10 @@ constexpr PredicateId kInvalidPredicate = -1;
 /// MlnProgram::AddClause refuses a literal past either limit.
 constexpr int kMaxExistentialPositions = 8;
 constexpr int kMaxExistentialArity = 32;
+/// Most literals in one clause. Grounding keys per-literal flags by a
+/// 64-bit mask (bit k is literal k), so every literal has a bit;
+/// MlnProgram::AddClause refuses a wider clause.
+constexpr int kMaxClauseLiterals = 64;
 
 /// A first-order predicate symbol, e.g. wrote(Author, Paper). Predicates
 /// marked closed-world are fully specified by the evidence: any atom not

@@ -1,6 +1,7 @@
 #include "serve/delta_grounder.h"
 
 #include <algorithm>
+#include <cmath>
 #include <unordered_map>
 
 #include "ground/atom_loader.h"
@@ -11,10 +12,13 @@
 namespace tuffy {
 
 namespace {
-/// Above this many changed atoms a delta re-grounds touched rules in
-/// full — with a delta that large, per-occurrence semi-joins would do
-/// more work than the rule's whole binding query.
-constexpr size_t kBindingDeltaMaxAtoms = 1024;
+/// How far a snapshot's clause weight or rule fixed cost may lie from
+/// what its counts derive, relative to the summed magnitude of the
+/// derivation's terms. Builds before the derivation stored running sums,
+/// which drift by more than a few ulps (summing 0.8 two million times
+/// lands 3.6e-11 away, relative). A value within the bound loads as the
+/// derivation; one outside it, or a NaN, is corruption.
+constexpr double kRunningSumDrift = 0x1p-30;  // ~9.3e-10
 
 /// Refuses a delta atom outside the loaded program: an unknown
 /// predicate, the wrong arity, or a constant that is not in the domain
@@ -124,6 +128,10 @@ DeltaGrounder::DeltaGrounder(const MlnProgram& program,
   // Delta composability requires rule-local grounding; the lazy closure
   // is a whole-program fixpoint, so it is forced off (see class comment).
   ground_options_.lazy_closure = false;
+  for (const Clause& rule : program_.clauses()) {
+    rule_weight_.push_back(rule.weight);
+    rule_hard_.push_back(rule.hard ? 1 : 0);
+  }
 }
 
 Status DeltaGrounder::Initialize(const EvidenceDb& initial_evidence) {
@@ -137,7 +145,7 @@ Status DeltaGrounder::Initialize(const EvidenceDb& initial_evidence) {
   evidence_ = initial_evidence;
 
   const size_t num_rules = program_.clauses().size();
-  rule_fixed_cost_.assign(num_rules, 0.0);
+  rule_fixed_groundings_.assign(num_rules, 0);
   rule_contradiction_.assign(num_rules, 0);
 
   TUFFY_RETURN_IF_ERROR(BuildDerivedState());
@@ -220,21 +228,29 @@ Status DeltaGrounder::GroundRule(int rule_idx,
                                                optimizer_options_, &ctx,
                                                nullptr));
   TUFFY_ASSIGN_OR_RETURN(GroundingResult local, ctx.Finalize());
-  rule_fixed_cost_[rule_idx] = local.fixed_cost;
+  rule_fixed_groundings_[rule_idx] =
+      static_cast<int64_t>(local.stats.fixed_cost_groundings);
   rule_contradiction_[rule_idx] =
       static_cast<int64_t>(local.stats.hard_violations);
   AppendPart(rule_idx, local, +1, edits);
   return Status::OK();
 }
 
-Result<GroundingResult> DeltaGrounder::ResolveBindings(
-    int rule_idx, const std::vector<Assignment>& bindings) {
+Result<GroundingResult> DeltaGrounder::ResolveEnumerated(
+    int rule_idx, const std::vector<Assignment>& affected,
+    GroundEdits* edits) {
+  std::vector<const Assignment*> enumerated;
+  enumerated.reserve(affected.size());
+  for (const Assignment& b : affected) {
+    if (BindingEnumerated(rule_idx, b)) enumerated.push_back(&b);
+  }
+  edits->bindings_resolved += enumerated.size();
   // Delta batches are tiny; a dense interner would spend more time
   // zeroing domain-product-sized cell arrays than the hash probes it
   // saves, so only large batches opt in.
   GroundingContext ctx(program_, evidence_, ground_options_,
-                       /*dense_interner=*/bindings.size() >= 4096);
-  for (const Assignment& b : bindings) ctx.AddCandidate(rule_idx, b);
+                       /*dense_interner=*/enumerated.size() >= 4096);
+  for (const Assignment* b : enumerated) ctx.AddCandidate(rule_idx, *b);
   return ctx.Finalize();
 }
 
@@ -243,7 +259,7 @@ bool DeltaGrounder::BindingEnumerated(int rule_idx,
   const Clause& clause = program_.clauses()[rule_idx];
   const uint64_t mask = rule_binding_mask_[rule_idx];
   GroundAtom atom;
-  for (size_t li = 0; li < clause.literals.size() && li < 64; ++li) {
+  for (size_t li = 0; li < clause.literals.size(); ++li) {
     if (((mask >> li) & 1) == 0) continue;
     const Literal& lit = clause.literals[li];
     atom.pred = lit.pred;
@@ -288,27 +304,14 @@ void DeltaGrounder::ApplyEdits(std::vector<CountEdit> edits,
 
     bool added = false;
     const size_t idx = store_.FindOrAppend(lits, &added);
-    // A rule's share of the weight is its soft weight x its grounding
-    // count, re-derived rather than accumulated, so the full and the
-    // binding-level paths agree bit for bit; the clause's weight moves
-    // by the shares' summed change, in rule order.
-    double dweight = 0.0;
     for (const auto& [rule, delta] : changes) {
-      const Clause& source = program_.clauses()[rule];
-      const double soft = source.hard ? 0.0 : source.weight;
-      const int64_t before = store_.AddRuleCount(idx, rule, delta);
-      dweight += soft * static_cast<double>(before + delta) -
-                 soft * static_cast<double>(before);
+      store_.AddRuleCount(idx, rule, delta);
     }
-    bool contributed = false;
-    bool hard = false;
-    store_.ForEachContribution(idx, [&](int32_t rule, uint32_t) {
-      contributed = true;
-      hard = hard || program_.clauses()[rule].hard;
-    });
-
     GroundClause& clause = store_.mutable_clauses()[idx];
-    if (!contributed) {
+    double weight = 0.0;
+    bool hard = false;
+    if (!store_.DeriveWeight(idx, rule_weight_, rule_hard_, &weight,
+                             &hard)) {
       // Last contribution gone (or, for a just-appended clause, none
       // arrived): swap-remove it.
       if (!added) {
@@ -318,7 +321,6 @@ void DeltaGrounder::ApplyEdits(std::vector<CountEdit> edits,
       store_.SwapRemove(idx);
       continue;
     }
-    const double weight = clause.weight + dweight;
     if (!added && weight == clause.weight && hard == clause.hard) continue;
     clause.weight = weight;
     clause.hard = hard;
@@ -392,70 +394,63 @@ Result<GroundEdits> DeltaGrounder::ApplyDelta(const EvidenceDelta& delta) {
     for (int r : rules_of_predicate_[p]) rule_touched[r] = 1;
   }
 
-  // ---- Binding-level pre-pass (read-only; runs before the evidence
-  // mutation so failures here leave the session serviceable). For each
-  // touched rule, enumerate a superset of the bindings whose ground
-  // clause could change — the changed atoms of a touched predicate
-  // semi-joined (per literal occurrence) against the rest of the rule
-  // body, with other touched binding relations widened to old-or-new
-  // true rows — then resolve the ones the old full query would have
-  // enumerated, against the old evidence.
-  const size_t total_changed =
-      effective_asserts.size() + effective_retracts.size();
-  const bool binding_level = ground_options_.binding_level_deltas &&
-                             total_changed <= kBindingDeltaMaxAtoms;
-  std::vector<IdTable> changed;
-  std::vector<IdTable> new_true;
-  std::vector<DeltaRelation> deltas;
+  // ---- Pre-pass (read-only; runs before the evidence mutation so
+  // failures here leave the session serviceable). For each touched rule,
+  // enumerate a superset of the bindings whose ground clause could
+  // change — the changed atoms of a touched predicate semi-joined (per
+  // literal occurrence) against the rest of the rule body, with other
+  // touched binding relations widened to old-or-new true rows — then
+  // resolve the ones the rule's query would have enumerated, against the
+  // old evidence: the rule's old part. A rule with no universal variable
+  // has exactly one binding, the empty one.
+  //
+  // The only rows this delta materializes: per touched predicate, its
+  // changed atoms (asserted, then retracted), and per touched
+  // closed-world predicate, its newly-true atoms.
+  std::vector<IdTable> changed(program_.num_predicates());
+  std::vector<IdTable> new_true(program_.num_predicates());
+  std::vector<DeltaRelation> deltas(program_.num_predicates());
   std::unordered_map<PredicateId, DeltaRelation> unions;
+  for (PredicateId p : touched) {
+    changed[p].Init(program_.predicate(p).arity());
+    new_true[p].Init(program_.predicate(p).arity());
+  }
+  for (const auto& [atom, truth] : effective_asserts) {
+    changed[atom.pred].AppendRow(atom.args);
+    if (truth) new_true[atom.pred].AppendRow(atom.args);
+  }
+  for (const GroundAtom& atom : effective_retracts) {
+    changed[atom.pred].AppendRow(atom.args);
+  }
+  // A union is two segments: the new-true rows, then the touched
+  // predicate's true rows, still pre-mutation here and scanned in place
+  // (an effective true assertion is never already old-true, so no
+  // duplicates arise). Only closed-world predicates get one — they are
+  // the only ones a binding literal reads.
+  for (PredicateId p : touched) {
+    const Predicate& pred = program_.predicate(p);
+    deltas[p].segments = {&changed[p]};
+    deltas[p].stats = AnalyzeColumns(deltas[p].segments, pred.arity());
+    edits.maintenance_rows += changed[p].num_rows();
+    if (!pred.closed_world) continue;
+    DeltaRelation& u = unions[p];
+    u.segments = {&new_true[p], &evidence_.rows(p, true)};
+    u.stats = AnalyzeColumns(u.segments, pred.arity());
+    edits.maintenance_rows += new_true[p].num_rows();
+  }
+
   std::vector<std::vector<Assignment>> affected(rule_touched.size());
-  std::vector<uint8_t> rule_binding_path(rule_touched.size(), 0);
   // The delta's old and new contribution parts, applied in one pass.
   std::vector<CountEdit> parts;
-  std::vector<double> old_fixed_cost(rule_touched.size(), 0.0);
+  std::vector<int64_t> old_fixed(rule_touched.size(), 0);
   std::vector<int64_t> old_violations(rule_touched.size(), 0);
-  if (binding_level) {
-    // The only rows this delta materializes: per touched predicate, its
-    // changed atoms (asserted, then retracted), and per touched
-    // closed-world predicate, its newly-true atoms.
-    changed.resize(program_.num_predicates());
-    new_true.resize(program_.num_predicates());
-    deltas.resize(program_.num_predicates());
-    for (PredicateId p : touched) {
-      changed[p].Init(program_.predicate(p).arity());
-      new_true[p].Init(program_.predicate(p).arity());
-    }
-    for (const auto& [atom, truth] : effective_asserts) {
-      changed[atom.pred].AppendRow(atom.args);
-      if (truth) new_true[atom.pred].AppendRow(atom.args);
-    }
-    for (const GroundAtom& atom : effective_retracts) {
-      changed[atom.pred].AppendRow(atom.args);
-    }
-    // A union is two segments: the new-true rows, then the touched
-    // predicate's true rows, still pre-mutation here and scanned in
-    // place (an effective true assertion is never already old-true, so
-    // no duplicates arise). Only closed-world predicates get one —
-    // they are the only ones a binding literal reads.
-    for (PredicateId p : touched) {
-      const Predicate& pred = program_.predicate(p);
-      deltas[p].segments = {&changed[p]};
-      deltas[p].stats = AnalyzeColumns(deltas[p].segments, pred.arity());
-      edits.maintenance_rows += changed[p].num_rows();
-      if (!pred.closed_world) continue;
-      DeltaRelation& u = unions[p];
-      u.segments = {&new_true[p], &evidence_.rows(p, true)};
-      u.stats = AnalyzeColumns(u.segments, pred.arity());
-      edits.maintenance_rows += new_true[p].num_rows();
-    }
-
-    for (size_t r = 0; r < rule_touched.size(); ++r) {
-      if (!rule_touched[r] || rule_trivial_[r]) continue;
-      const Clause& clause = program_.clauses()[r];
-      // binding_lit_mask only covers the first 64 literals, so wider
-      // rules cannot be enumeration-checked — full re-ground for them.
-      if (clause.literals.size() > 64) continue;
-      rule_binding_path[r] = 1;
+  for (size_t r = 0; r < rule_touched.size(); ++r) {
+    if (!rule_touched[r]) continue;
+    const int rule = static_cast<int>(r);
+    const Clause& clause = program_.clauses()[r];
+    if (rule_trivial_[r]) {
+      affected[r].emplace_back(clause.num_vars, -1);
+    } else {
       std::unordered_map<std::vector<ConstantId>, bool,
                          GroundAtomHash_ArgsOnly>
           seen;
@@ -468,30 +463,19 @@ Result<GroundEdits> DeltaGrounder::ApplyDelta(const EvidenceDelta& delta) {
         spec.unions = &unions;
         TUFFY_ASSIGN_OR_RETURN(
             RuleBindingQuery rq,
-            BuildRuleBindingQuery(program_, static_cast<int>(r), catalog_,
-                                  evidence_, true_stats_,
-                                  /*plan_antijoins=*/false, &spec));
-        TUFFY_RETURN_IF_ERROR(CollectBindings(program_, static_cast<int>(r),
-                                              std::move(rq),
+            BuildRuleBindingQuery(program_, rule, catalog_, evidence_,
+                                  true_stats_, /*plan_antijoins=*/false,
+                                  &spec));
+        TUFFY_RETURN_IF_ERROR(CollectBindings(program_, rule, std::move(rq),
                                               optimizer_options_, &seen,
                                               &affected[r]));
       }
-      std::vector<Assignment> old_enumerated;
-      old_enumerated.reserve(affected[r].size());
-      for (const Assignment& b : affected[r]) {
-        if (BindingEnumerated(static_cast<int>(r), b)) {
-          old_enumerated.push_back(b);
-        }
-      }
-      edits.bindings_resolved += old_enumerated.size();
-      TUFFY_ASSIGN_OR_RETURN(
-          GroundingResult old_part,
-          ResolveBindings(static_cast<int>(r), old_enumerated));
-      old_fixed_cost[r] = old_part.fixed_cost;
-      old_violations[r] =
-          static_cast<int64_t>(old_part.stats.hard_violations);
-      AppendPart(static_cast<int>(r), old_part, -1, &parts);
     }
+    TUFFY_ASSIGN_OR_RETURN(GroundingResult old_part,
+                           ResolveEnumerated(rule, affected[r], &edits));
+    old_fixed[r] = static_cast<int64_t>(old_part.stats.fixed_cost_groundings);
+    old_violations[r] = static_cast<int64_t>(old_part.stats.hard_violations);
+    AppendPart(rule, old_part, -1, &parts);
   }
 
   // Mutation begins: any error path from here on leaves evidence,
@@ -508,64 +492,21 @@ Result<GroundEdits> DeltaGrounder::ApplyDelta(const EvidenceDelta& delta) {
     if (pred.closed_world) true_stats_[p] = AnalyzeTrueRows(pred, evidence_);
   }
 
-  // Re-ground the touched rules: binding-level new parts where the
-  // pre-pass ran (their fixed cost and violations move by new - old),
-  // full rule queries otherwise (theirs are replaced).
-  std::vector<uint8_t> rule_full(rule_touched.size(), 0);
+  // The new parts: the same affected bindings under the new evidence.
+  // Each rule's fixed-cost groundings and violations move by new - old.
   for (size_t r = 0; r < rule_touched.size(); ++r) {
     if (!rule_touched[r]) continue;
-    if (rule_binding_path[r]) {
-      std::vector<Assignment> new_enumerated;
-      new_enumerated.reserve(affected[r].size());
-      for (const Assignment& b : affected[r]) {
-        if (BindingEnumerated(static_cast<int>(r), b)) {
-          new_enumerated.push_back(b);
-        }
-      }
-      edits.bindings_resolved += new_enumerated.size();
-      TUFFY_ASSIGN_OR_RETURN(
-          GroundingResult new_part,
-          ResolveBindings(static_cast<int>(r), new_enumerated));
-      rule_fixed_cost_[r] += new_part.fixed_cost - old_fixed_cost[r];
-      rule_contradiction_[r] +=
-          static_cast<int64_t>(new_part.stats.hard_violations) -
-          old_violations[r];
-      AppendPart(static_cast<int>(r), new_part, +1, &parts);
-      ++edits.rules_delta_ground;
-    } else {
-      TUFFY_RETURN_IF_ERROR(GroundRule(static_cast<int>(r), &parts));
-      rule_full[r] = 1;
-    }
+    const int rule = static_cast<int>(r);
+    TUFFY_ASSIGN_OR_RETURN(GroundingResult new_part,
+                           ResolveEnumerated(rule, affected[r], &edits));
+    rule_fixed_groundings_[r] +=
+        static_cast<int64_t>(new_part.stats.fixed_cost_groundings) -
+        old_fixed[r];
+    rule_contradiction_[r] +=
+        static_cast<int64_t>(new_part.stats.hard_violations) -
+        old_violations[r];
+    AppendPart(rule, new_part, +1, &parts);
     ++edits.rules_reground;
-  }
-  // A full re-ground's old part is the rule's current counts, read from
-  // the store in one pass for all such rules. A count the new part
-  // repeats exactly cancels first, so the edit pass sorts only changes.
-  if (std::find(rule_full.begin(), rule_full.end(), 1) != rule_full.end()) {
-    std::vector<std::pair<size_t, int32_t>> repeated;  // (clause, rule)
-    std::erase_if(parts, [&](const CountEdit& e) {
-      size_t idx = 0;
-      if (!rule_full[e.rule] || !store_.Find(e.lits, &idx)) return false;
-      int64_t count = 0;
-      store_.ForEachContribution(idx, [&](int32_t rule, uint32_t n) {
-        if (rule == e.rule) count = n;
-      });
-      if (count != e.count) return false;
-      repeated.emplace_back(idx, e.rule);
-      return true;
-    });
-    std::sort(repeated.begin(), repeated.end());
-    for (size_t c = 0; c < store_.num_clauses(); ++c) {
-      store_.ForEachContribution(c, [&](int32_t rule, uint32_t count) {
-        if (!rule_full[rule] ||
-            std::binary_search(repeated.begin(), repeated.end(),
-                               std::make_pair(c, rule))) {
-          return;
-        }
-        parts.push_back(CountEdit{store_.clauses()[c].lits, rule,
-                                  -static_cast<int64_t>(count)});
-      });
-    }
   }
   ApplyEdits(std::move(parts), &edits);
 
@@ -597,9 +538,17 @@ Result<GroundEdits> DeltaGrounder::ApplyDelta(const EvidenceDelta& delta) {
   return edits;
 }
 
+double DeltaGrounder::RuleFixedCost(size_t r) const {
+  return rule_hard_[r] ? 0.0
+                       : static_cast<double>(rule_fixed_groundings_[r]) *
+                             std::fabs(rule_weight_[r]);
+}
+
 double DeltaGrounder::fixed_cost() const {
   double total = 0.0;
-  for (double c : rule_fixed_cost_) total += c;
+  for (size_t r = 0; r < rule_fixed_groundings_.size(); ++r) {
+    total += RuleFixedCost(r);
+  }
   return total;
 }
 
@@ -656,7 +605,7 @@ void DeltaGrounder::SaveState(BinaryWriter* out) const {
   }
   out->U64(num_rules);
   for (size_t r = 0; r < num_rules; ++r) {
-    out->F64(rule_fixed_cost_[r]);
+    out->F64(RuleFixedCost(r));
     out->I64(rule_contradiction_[r]);
     std::vector<std::pair<uint32_t, uint32_t>>& entries = counts[r];
     std::sort(entries.begin(), entries.end(),
@@ -775,10 +724,21 @@ Status DeltaGrounder::LoadState(BinaryReader* in) {
   if (!in->ok() || num_rules != program_.clauses().size()) {
     return Status::Corruption("snapshot: rule count mismatch");
   }
-  rule_fixed_cost_.assign(num_rules, 0.0);
+  rule_fixed_groundings_.assign(num_rules, 0);
   rule_contradiction_.assign(num_rules, 0);
   for (size_t r = 0; r < num_rules; ++r) {
-    rule_fixed_cost_[r] = in->F64();
+    // The fixed cost is stored as RuleFixedCost writes it (older builds:
+    // as a running sum); the count it derives from is read back out, and
+    // the stored value must lie within a running sum's drift of it.
+    const double fixed = in->F64();
+    const double unit = rule_hard_[r] ? 0.0 : std::fabs(rule_weight_[r]);
+    const double count = unit > 0.0 ? std::round(fixed / unit) : 0.0;
+    if (!(count >= 0.0 && count <= 0x1p53) ||
+        !(std::fabs(fixed - count * unit) <=
+          kRunningSumDrift * std::max(count, 1.0) * unit)) {
+      return Status::Corruption("snapshot: rule fixed cost");
+    }
+    rule_fixed_groundings_[r] = static_cast<int64_t>(count);
     rule_contradiction_[r] = in->I64();
     const uint64_t num_entries = in->U64();
     if (!in->ok() || num_entries > in->remaining() / 20) {
@@ -805,18 +765,24 @@ Status DeltaGrounder::LoadState(BinaryReader* in) {
       }
     }
   }
-  // Every clause has a contributing rule, and is hard iff a hard rule
-  // contributes.
+  // Every clause has a contributing rule and carries the hard flag its
+  // counts derive. Its weight lies within a running sum's drift of the
+  // derived weight (older builds stored running sums) and loads as the
+  // derived weight, so every loaded state re-saves canonically.
   for (size_t c = 0; c < store_.num_clauses(); ++c) {
-    bool contributed = false;
+    GroundClause& clause = store_.mutable_clauses()[c];
+    double weight = 0.0;
     bool hard = false;
-    store_.ForEachContribution(c, [&](int32_t rule, uint32_t) {
-      contributed = true;
-      hard = hard || program_.clauses()[rule].hard;
+    double magnitude = 0.0;
+    store_.ForEachContribution(c, [&](int32_t rule, uint32_t count) {
+      if (!rule_hard_[rule]) magnitude += std::fabs(rule_weight_[rule]) * count;
     });
-    if (!contributed || store_.clauses()[c].hard != hard) {
+    if (!store_.DeriveWeight(c, rule_weight_, rule_hard_, &weight, &hard) ||
+        clause.hard != hard ||
+        !(std::fabs(clause.weight - weight) <= kRunningSumDrift * magnitude)) {
       return Status::Corruption("snapshot: clause/rule-count inconsistency");
     }
+    clause.weight = weight;
   }
 
   TUFFY_RETURN_IF_ERROR(BuildDerivedState());

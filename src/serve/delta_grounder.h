@@ -65,22 +65,19 @@ struct GroundEdits {
   /// clause set, evidence, and caches were not touched at all.
   bool no_op = false;
   size_t rules_reground = 0;
-  /// Of rules_reground, how many went through the binding-level path
-  /// (delta semi-join) instead of a full rule re-ground.
-  size_t rules_delta_ground = 0;
-  /// Candidate bindings re-resolved by the binding-level path (old and
-  /// new evidence sides combined). The delta path's work scales with
-  /// this, not with the touched relations' sizes.
+  /// Candidate bindings re-resolved (old and new evidence sides
+  /// combined). A delta's grounding work scales with this, not with the
+  /// touched relations' sizes.
   size_t bindings_resolved = 0;
   size_t clauses_added = 0;
   size_t clauses_removed = 0;
   size_t clauses_reweighted = 0;
-  /// Rows materialized for table maintenance this delta: the
-  /// binding-level delta relations (the changed atoms) and the new-true
-  /// segments of the union relations. The evidence relations themselves
-  /// are updated in place by EvidenceDb::Add/Remove and scanned in
-  /// place, so this scales with the delta — never with the touched
-  /// relations or |evidence| (tests/antijoin_test.cc pins both down).
+  /// Rows materialized for table maintenance this delta: the delta
+  /// relations (the changed atoms) and the new-true segments of the
+  /// union relations. The evidence relations themselves are updated in
+  /// place by EvidenceDb::Add/Remove and scanned in place, so this
+  /// scales with the delta — never with the touched relations or
+  /// |evidence| (tests/antijoin_test.cc pins both down).
   size_t maintenance_rows = 0;
   /// Deduplicated session atom ids appearing in any edited clause.
   std::vector<AtomId> dirty_atoms;
@@ -97,18 +94,19 @@ struct GroundEdits {
 /// store in sorted literal order: it appends, re-weights and
 /// swap-removes clauses in place.
 ///
-/// Touched rules re-ground at *binding granularity* when
-/// GroundingOptions::binding_level_deltas is set (the default): instead
-/// of re-running a rule's whole binding query, the changed atoms of each
+/// Touched rules re-ground at *binding granularity*: instead of
+/// re-running a rule's whole binding query, the changed atoms of each
 /// touched predicate are joined (per literal occurrence) against the
 /// rest of the rule body — with the other touched binding relations
 /// widened to old-or-new true rows — which enumerates a superset of the
-/// bindings whose ground clause could have changed. Each affected
+/// bindings whose ground clause could have changed (a rule with no
+/// universal variable has one binding, the empty one). Each affected
 /// binding is resolved under the old evidence (the old part) and the new
 /// (the new part), so the re-ground cost scales with the delta size
-/// rather than the touched relations' sizes. Oversized deltas fall back
-/// to the full per-rule re-ground, whose old part is the rule's current
-/// counts, read from the store.
+/// rather than the touched relations' sizes. Only Initialize grounds a
+/// rule in full. A touched clause's weight and hard flag are derived
+/// from its rule counts, never accumulated, so they match a fresh
+/// Initialize of the same evidence bit for bit.
 ///
 /// Resident state: a copy of the evidence, whose relations are
 /// maintained in place per changed atom, their ANALYZE statistics
@@ -164,7 +162,8 @@ class DeltaGrounder {
   }
 
   /// Cost contributed by clauses fully determined by the evidence,
-  /// summed over rules (same semantics as GroundingResult::fixed_cost).
+  /// summed over rules in rule order (same semantics as
+  /// GroundingResult::fixed_cost). Each rule's share is RuleFixedCost.
   double fixed_cost() const;
 
   /// True if any rule currently has a hard clause violated by evidence
@@ -213,15 +212,17 @@ class DeltaGrounder {
   /// by Initialize and LoadState.
   Status BuildDerivedState();
 
-  /// Re-grounds one rule in full: replaces its fixed-cost and
-  /// contradiction entries and appends its new part to `edits`.
+  /// Grounds one rule in full (Initialize): sets its fixed-cost and
+  /// contradiction entries and appends its part to `edits`.
   Status GroundRule(int rule_idx, std::vector<CountEdit>* edits);
 
-  /// Resolves the given candidate bindings of one rule against the
-  /// *current* resident evidence. Called once before the evidence
-  /// mutation (old side) and once after (new side).
-  Result<GroundingResult> ResolveBindings(
-      int rule_idx, const std::vector<Assignment>& bindings);
+  /// Resolves the affected bindings of one rule that its query would
+  /// enumerate under the *current* resident evidence, counting them in
+  /// `edits->bindings_resolved`. Called once before the evidence
+  /// mutation (the old part) and once after (the new part).
+  Result<GroundingResult> ResolveEnumerated(
+      int rule_idx, const std::vector<Assignment>& affected,
+      GroundEdits* edits);
 
   /// Appends a rule-local grounding result to `edits` as `sign` x its
   /// grounding counts, remapped into session atom ids (grounding counts
@@ -234,14 +235,22 @@ class DeltaGrounder {
   /// rule query would enumerate this binding right now.
   bool BindingEnumerated(int rule_idx, const Assignment& binding) const;
 
+  /// Rule `r`'s fixed cost: its fixed-cost groundings x |weight| (0 for
+  /// a hard rule), so it matches a fresh Initialize's bit for bit.
+  double RuleFixedCost(size_t r) const;
+
   /// The one edit pass: applies the summed count changes to the store in
   /// sorted literal order, re-deriving each touched clause's weight and
-  /// hard flag, and records edit counts and dirty atoms.
+  /// hard flag (GroundClauseStore::DeriveWeight), and records edit
+  /// counts and dirty atoms.
   void ApplyEdits(std::vector<CountEdit> edits, GroundEdits* out);
 
   const MlnProgram& program_;
   GroundingOptions ground_options_;
   OptimizerOptions optimizer_options_;
+  /// Per rule: weight and hard flag (GroundClauseStore::DeriveWeight's).
+  std::vector<double> rule_weight_;
+  std::vector<uint8_t> rule_hard_;
 
   /// The resident evidence. Its relations are what binding literals scan
   /// (alone or as the old-true segment of a union) and what the
@@ -259,12 +268,15 @@ class DeltaGrounder {
 
   AtomStore atoms_;
   GroundClauseStore store_;
-  std::vector<double> rule_fixed_cost_;
+  /// Per rule: soft groundings whose cost the evidence fixes
+  /// (GroundingStats::fixed_cost_groundings). The rule's fixed cost is
+  /// derived from it (RuleFixedCost), never accumulated.
+  std::vector<int64_t> rule_fixed_groundings_;
   /// Per rule: number of hard-clause groundings violated by evidence
   /// alone (a count so binding-level deltas can add/retract violations).
   std::vector<int64_t> rule_contradiction_;
-  /// Per rule: no universal variables (single empty binding; always
-  /// re-ground in full) and the plain query's binding-literal mask.
+  /// Per rule: no universal variables (the one binding is the empty
+  /// one) and the plain query's binding-literal mask.
   std::vector<uint8_t> rule_trivial_;
   std::vector<uint64_t> rule_binding_mask_;
 

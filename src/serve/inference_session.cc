@@ -57,7 +57,7 @@ uint64_t OptionsFingerprint(const SessionOptions& o) {
   mix(static_cast<uint64_t>(o.mcsat_samples));
   mix(static_cast<uint64_t>(o.mcsat_burn_in));
   mix(o.grounding.keep_zero_weight_clauses ? 1 : 0);
-  mix(o.grounding.binding_level_deltas ? 1 : 0);
+  mix(1);  // the retired binding_level_deltas knob (always binding-level)
   mix(1);  // the retired dense_interner knob, so old fingerprints match
   mix(o.optimizer.enable_hash_join ? 1 : 0);
   mix(o.optimizer.enable_merge_join ? 1 : 0);

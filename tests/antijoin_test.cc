@@ -666,8 +666,8 @@ TEST(ServingSideTableTest, DeltaMaintenanceIgnoresTouchedRelationSize) {
   };
   GroundEdits small_edits = run_delta(small);
   GroundEdits big_edits = run_delta(big);
-  EXPECT_EQ(small_edits.rules_delta_ground, 1u);
-  EXPECT_EQ(big_edits.rules_delta_ground, 1u);
+  EXPECT_EQ(small_edits.rules_reground, 1u);
+  EXPECT_EQ(big_edits.rules_reground, 1u);
   EXPECT_GT(small_edits.maintenance_rows, 0u);
   EXPECT_EQ(small_edits.maintenance_rows, big_edits.maintenance_rows);
 }

@@ -651,6 +651,12 @@ TEST(RecoveryDeathTest, InjectedCrashLeavesRecoverableState) {
 
 // ------------------------------------------------- committed crash fixture
 
+/// The directory of committed fixture `name` under tests/fixtures.
+std::string FixtureDir(const std::string& name) {
+  const std::string source = __FILE__;
+  return source.substr(0, source.rfind('/')) + "/fixtures/" + name;
+}
+
 /// tests/fixtures/rc_session_crash_at_delta2 holds what
 /// `serving_session -wal_dir D -crash_at 'wal.append.mid_record=crash@2'`
 /// left on disk before the clause store moved into GroundClauseStore:
@@ -658,9 +664,7 @@ TEST(RecoveryDeathTest, InjectedCrashLeavesRecoverableState) {
 /// record. A change to any durable format regenerates it with the same
 /// command and says so in CHANGES.md.
 std::string CrashFixtureDir() {
-  const std::string source = __FILE__;
-  return source.substr(0, source.rfind('/')) +
-         "/fixtures/rc_session_crash_at_delta2";
+  return FixtureDir("rc_session_crash_at_delta2");
 }
 
 void CopyFile(const std::string& from, const std::string& to) {
@@ -719,6 +723,95 @@ TEST(RecoveryTest, CommittedCrashFixtureRecoversToTheUncrashedAnswer) {
     ASSERT_TRUE(recovered.value()->ApplyDelta(deltas[i]).ok()) << i;
   }
 
+  auto twin = TuffyEngine(program, evidence, opts).OpenSession();
+  ASSERT_TRUE(twin.ok()) << twin.status().ToString();
+  for (const EvidenceDelta& delta : deltas) {
+    ASSERT_TRUE(twin.value()->ApplyDelta(delta).ok());
+  }
+  ExpectBitIdentical(*recovered.value(), *twin.value());
+}
+
+/// tests/fixtures/er_session_running_sums holds the WAL (header and three
+/// delta records) and snapshot 2 of the ER session the test below
+/// builds, as the build at commit 0b7d60f wrote them. That build stored
+/// each clause's weight and each rule's fixed cost as a running sum,
+/// which for ER's fractional weights lies some ulps from what the counts
+/// derive: the twelve sameBib pairs labeled true fix 12 x 0.3 at Open,
+/// and the first delta's simVenue assertion moves a clause three rules
+/// feed. A current build writes the derived values, so regenerating the
+/// fixture would drop what it checks: keep it while its snapshot format
+/// is read.
+TEST(RecoveryTest, RunningSumStateFromAnOlderBuildRecovers) {
+  ErParams params;
+  params.num_records = 10;
+  params.num_entities = 3;
+  auto ds = MakeErDataset(params);
+  ASSERT_TRUE(ds.ok()) << ds.status().ToString();
+  const MlnProgram& program = ds.value().program;
+  const EvidenceDb& base = ds.value().evidence;
+  auto pair_atom = [&](const char* pred, std::pair<int, int> p) {
+    return Atom(program, pred, {"B" + std::to_string(p.first),
+                                "B" + std::to_string(p.second)});
+  };
+  auto holds = [&](const char* pred, std::pair<int, int> p) {
+    return base.Explicit(pair_atom(pred, p)) == Truth::kTrue;
+  };
+  // sameBib is labeled true where simTitle and simAuthor hold and false
+  // where simVenue alone does; two unlabeled pools feed the deltas.
+  EvidenceDb evidence = base;
+  std::vector<std::pair<int, int>> labeled, author_only, plain;
+  for (int a = 0; a < params.num_records; ++a) {
+    for (int b = 0; b < params.num_records; ++b) {
+      if (a == b) continue;
+      const std::pair<int, int> p{a, b};
+      const bool title = holds("simTitle", p);
+      const bool author = holds("simAuthor", p);
+      const bool venue = holds("simVenue", p);
+      if (title && author) {
+        evidence.Add(pair_atom("sameBib", p), true);
+        labeled.push_back(p);
+      } else if (venue && !title && !author) {
+        evidence.Add(pair_atom("sameBib", p), false);
+      } else if (author && !title && !venue) {
+        author_only.push_back(p);
+      } else if (!title && !author && !venue) {
+        plain.push_back(p);
+      }
+    }
+  }
+  ASSERT_EQ(labeled.size(), 12u);
+  ASSERT_GE(author_only.size(), 2u);
+  ASSERT_GE(plain.size(), 5u);
+  std::vector<EvidenceDelta> deltas(3);
+  deltas[0].Assert(pair_atom("simVenue", author_only[0]), true);
+  for (int k = 0; k < 3; ++k) {
+    deltas[0].Assert(pair_atom("sameBib", plain[k]), true);
+  }
+  deltas[1].Retract(pair_atom("sameBib", labeled[0]));
+  deltas[1].Assert(pair_atom("sameBib", plain[3]), false);
+  deltas[2].Assert(pair_atom("simVenue", author_only[1]), true);
+  deltas[2].Assert(pair_atom("simTitle", plain[4]), true);
+
+  EngineOptions opts;
+  opts.search_mode = SearchMode::kComponentAware;
+  opts.total_flips = 20000;
+  opts.snapshot_every = 2;
+  const std::string dir = MakeTempDir("running_sums");
+  for (const char* name : {"wal.log", "snapshot-0000000002.snap"}) {
+    CopyFile(FixtureDir("er_session_running_sums") + "/" + name,
+             dir + "/" + name);
+  }
+  EngineOptions durable = opts;
+  durable.wal_dir = dir;
+  RecoveryStats rstats;
+  auto recovered = TuffyEngine(program, evidence, durable).RecoverSession(
+      &rstats);
+  ASSERT_TRUE(recovered.ok()) << recovered.status().ToString();
+  EXPECT_EQ(rstats.snapshot_seq, 2u);
+  EXPECT_EQ(rstats.records_replayed, 1u);
+
+  // Loaded weights and fixed costs are the derived ones, so the recovered
+  // session equals one that never left this build.
   auto twin = TuffyEngine(program, evidence, opts).OpenSession();
   ASSERT_TRUE(twin.ok()) << twin.status().ToString();
   for (const EvidenceDelta& delta : deltas) {

@@ -142,8 +142,9 @@ TEST(EdgeCaseTest, WalkSatOnEmptyProblem) {
   EXPECT_EQ(r.flips, 0u);
 }
 
-TEST(EdgeCaseTest, WalkSatMaxTriesRestarts) {
-  // A frustrated pair: restarts must not crash and best tracking holds.
+TEST(EdgeCaseTest, WalkSatFrustratedPairKeepsBestCost) {
+  // A frustrated pair: one side is always violated, and best tracking
+  // holds across the whole flip budget.
   Problem p;
   p.num_atoms = 1;
   const Lit pos = MakeLit(0, true);
@@ -151,8 +152,7 @@ TEST(EdgeCaseTest, WalkSatMaxTriesRestarts) {
   p.AddClause(&pos, 1, 1.0, false);
   p.AddClause(&neg, 1, 1.0, false);
   WalkSatOptions opts;
-  opts.max_flips = 50;
-  opts.max_tries = 4;
+  opts.max_flips = 200;
   Rng rng(2);
   WalkSatResult r = WalkSat(&p, opts, &rng).Run();
   EXPECT_DOUBLE_EQ(r.best_cost, 1.0);  // one side always violated

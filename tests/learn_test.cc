@@ -53,7 +53,7 @@ TEST(RuleCountIndexTest, MergedDuplicatesKeepPerRuleMultiplicity) {
   EXPECT_EQ(counts[1], 2);
 }
 
-TEST(RuleCountIndexTest, RecomputeClauseWeightsSumsContributions) {
+TEST(GroundClauseStoreTest, DeriveWeightSumsContributions) {
   GroundClauseStore store;
   GroundClause a;
   a.lits = {MakeLit(0, true)};
@@ -62,15 +62,16 @@ TEST(RuleCountIndexTest, RecomputeClauseWeightsSumsContributions) {
   store.Add(a);
   a.rule_id = 1;
   store.Add(a);  // merged: rule 0 + rule 1
-  RuleCountIndex index = BuildRuleCountIndex(store, 2);
 
-  std::vector<double> clause_weights = {0.0};
-  RecomputeClauseWeights(index, {2.0, -0.5}, {0}, &clause_weights);
-  EXPECT_DOUBLE_EQ(clause_weights[0], 1.5);
-  // Hard clauses are left untouched.
-  clause_weights = {7.0};
-  RecomputeClauseWeights(index, {2.0, -0.5}, {1}, &clause_weights);
-  EXPECT_DOUBLE_EQ(clause_weights[0], 7.0);
+  double weight = 0.0;
+  bool hard = true;
+  ASSERT_TRUE(store.DeriveWeight(0, {2.0, -0.5}, {0, 0}, &weight, &hard));
+  EXPECT_DOUBLE_EQ(weight, 1.5);
+  EXPECT_FALSE(hard);
+  // A hard rule adds no weight and makes the clause hard.
+  ASSERT_TRUE(store.DeriveWeight(0, {2.0, -0.5}, {0, 1}, &weight, &hard));
+  EXPECT_DOUBLE_EQ(weight, 2.0);
+  EXPECT_TRUE(hard);
 }
 
 // ------------------------------------------------ random MRFs

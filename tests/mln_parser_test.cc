@@ -246,6 +246,35 @@ TEST(ParserTest, WideExistentialLiteralsRefused) {
   EXPECT_TRUE(universal.ok()) << universal.status().ToString();
 }
 
+TEST(ParserTest, ClauseOfMoreThan64LiteralsRefused) {
+  // Grounding flags literals in a 64-bit mask: a clause of 64 literals
+  // parses, one of 65 does not.
+  const auto clause_of = [](int n) {
+    std::string out = "1 q(C0)";
+    for (int i = 1; i < n; ++i) out += " v q(C" + std::to_string(i) + ")";
+    return out + "\n";
+  };
+  auto at_limit = ParseProgram("q(t)\n" + clause_of(64));
+  ASSERT_TRUE(at_limit.ok()) << at_limit.status().ToString();
+  EXPECT_EQ(at_limit.value().clauses()[0].literals.size(), 64u);
+
+  auto over = ParseProgram("q(t)\n" + clause_of(65));
+  ASSERT_FALSE(over.ok());
+  EXPECT_EQ(over.status().code(), StatusCode::kParseError);
+  EXPECT_NE(over.status().message().find("line 2"), std::string::npos)
+      << over.status().ToString();
+  EXPECT_NE(over.status().message().find("limit is 64"), std::string::npos)
+      << over.status().ToString();
+
+  // MlnProgram::AddClause is where the limit lives.
+  MlnProgram program = at_limit.TakeValue();
+  Clause wide = program.clauses()[0];
+  wide.literals.push_back(wide.literals[0]);
+  const Status st = program.AddClause(wide);
+  EXPECT_EQ(st.code(), StatusCode::kInvalidArgument) << st.ToString();
+  EXPECT_EQ(program.clauses().size(), 1u);
+}
+
 /// Grounds `mln` over `evidence` bottom-up and exhaustively (no lazy
 /// closure), returning the clauses.
 std::vector<GroundClause> GroundAll(const std::string& mln,

@@ -224,8 +224,7 @@ TEST_P(RandomMlnTest, WalkSatReachesExactMapWhenSmall) {
   auto exact = ExactMap(whole, 1e6);
   ASSERT_TRUE(exact.ok());
   WalkSatOptions wopts;
-  wopts.max_flips = 300000;
-  wopts.max_tries = 3;
+  wopts.max_flips = 900000;
   Rng rng(GetParam() * 31 + 7);
   WalkSatResult r = WalkSat(&whole, wopts, &rng).Run();
   EXPECT_NEAR(r.best_cost, exact.value().cost, 1e-9);

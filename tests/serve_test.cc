@@ -4,7 +4,9 @@
 #include <vector>
 
 #include <algorithm>
+#include <bit>
 #include <cstring>
+#include <iomanip>
 #include <map>
 #include <tuple>
 
@@ -22,23 +24,30 @@
 namespace tuffy {
 namespace {
 
+/// Parses `text` and interns the classes A and B and the nodes n0 ..
+/// n<nodes - 1>.
+MlnProgram NodeProgram(const std::string& text, int nodes) {
+  auto r = ParseProgram(text);
+  EXPECT_TRUE(r.ok()) << r.status().ToString();
+  MlnProgram program = r.TakeValue();
+  program.symbols().Intern("A", "cls");
+  program.symbols().Intern("B", "cls");
+  for (int i = 0; i < nodes; ++i) {
+    program.symbols().Intern("n" + std::to_string(i), "node");
+  }
+  return program;
+}
+
 // A link-propagation program whose MRF components are controlled
 // entirely by `link` evidence: ground clauses exist only where links do,
 // so retracting a link can kill a component's last clause and adding one
 // can merge two components.
 MlnProgram LinkProgram() {
-  auto r = ParseProgram(
+  return NodeProgram(
       "*link(node, node)\n"
       "label(node, cls)\n"
-      "2 link(x, y), label(x, c) => label(y, c)\n");
-  EXPECT_TRUE(r.ok()) << r.status().ToString();
-  MlnProgram program = r.TakeValue();
-  program.symbols().Intern("A", "cls");
-  program.symbols().Intern("B", "cls");
-  for (int i = 0; i < 6; ++i) {
-    program.symbols().Intern("n" + std::to_string(i), "node");
-  }
-  return program;
+      "2 link(x, y), label(x, c) => label(y, c)\n",
+      6);
 }
 
 GroundAtom Atom(const MlnProgram& program, const std::string& pred,
@@ -252,15 +261,16 @@ TEST(ServeTest, DeltaSequenceMatchesFreshInferEachStep) {
 
 /// Canonical, atom-id-independent form of a resident clause store: every
 /// literal spelled out as (sign, pred, args), clauses sorted, each with
-/// its weight, hard flag and per-rule grounding counts (by rule id). Two
-/// grounders that numbered session atoms differently still compare equal
-/// iff their clause sets and their provenance are semantically identical.
+/// its weight's bits, hard flag and per-rule grounding counts (by rule
+/// id). Two grounders that numbered session atoms differently still
+/// compare equal iff their clause sets, weights (bit for bit) and
+/// provenance are identical.
 using CanonLit = std::pair<bool, std::pair<PredicateId, std::vector<ConstantId>>>;
 using CanonClause = std::vector<CanonLit>;
 using CanonCounts = std::vector<std::pair<int32_t, uint32_t>>;
-std::map<CanonClause, std::tuple<double, bool, CanonCounts>> Canonicalize(
+std::map<CanonClause, std::tuple<uint64_t, bool, CanonCounts>> Canonicalize(
     const DeltaGrounder& dg) {
-  std::map<CanonClause, std::tuple<double, bool, CanonCounts>> out;
+  std::map<CanonClause, std::tuple<uint64_t, bool, CanonCounts>> out;
   const GroundClauseStore& store = dg.store();
   for (size_t i = 0; i < store.num_clauses(); ++i) {
     const GroundClause& c = store.clauses()[i];
@@ -277,82 +287,232 @@ std::map<CanonClause, std::tuple<double, bool, CanonCounts>> Canonicalize(
     });
     std::sort(counts.begin(), counts.end());
     EXPECT_FALSE(counts.empty()) << "clause " << i << " has no provenance";
-    out[cc] = {c.weight, c.hard, counts};
+    out[cc] = {std::bit_cast<uint64_t>(c.weight), c.hard, counts};
   }
   EXPECT_EQ(out.size(), store.num_clauses()) << "a literal set is stored twice";
   return out;
 }
 
-TEST(ServeTest, BindingLevelDeltaMatchesFullReground) {
-  // The same delta stream applied three ways — binding-level semi-joins,
-  // full per-rule re-grounds, and a from-scratch grounder over the final
-  // evidence — must produce identical clause sets, weights, per-rule
-  // grounding counts, and fixed costs. Covers open-world relabels and
-  // closed-world (binding-literal) link assertion + retraction. The rule
-  // weight is deliberately not exactly representable as a repeated sum
-  // (0.1): contribution weights must derive as weight x count, so
-  // incremental and full paths agree bit for bit anyway.
-  MlnProgram program = LinkProgram();
-  program.SetClauseWeight(0, 0.1);
-  EvidenceDb evidence;
-  for (int i = 0; i + 1 < 6; ++i) {
-    evidence.Add(
-        Atom(program, "link",
-             {"n" + std::to_string(i), "n" + std::to_string(i + 1)}),
-        true);
-  }
-  evidence.Add(Atom(program, "label", {"n0", "A"}), true);
-
-  GroundingOptions binding_opts;
-  GroundingOptions full_opts;
-  full_opts.binding_level_deltas = false;
-  DeltaGrounder binding(program, binding_opts, OptimizerOptions{});
-  DeltaGrounder full(program, full_opts, OptimizerOptions{});
-  ASSERT_TRUE(binding.Initialize(evidence).ok());
-  ASSERT_TRUE(full.Initialize(evidence).ok());
-
-  std::vector<EvidenceDelta> deltas;
-  {
-    EvidenceDelta d;  // retract a link mid-chain (kills clauses)
-    d.Retract(Atom(program, "link", {"n2", "n3"}));
-    deltas.push_back(d);
-  }
-  {
-    EvidenceDelta d;  // add a new link (new bindings) + relabel
-    d.Assert(Atom(program, "link", {"n0", "n4"}), true);
-    d.Assert(Atom(program, "label", {"n1", "B"}), true);
-    deltas.push_back(d);
-  }
-  {
-    EvidenceDelta d;  // flip a label to false, restore the link
-    d.Assert(Atom(program, "label", {"n0", "A"}), false);
-    d.Assert(Atom(program, "link", {"n2", "n3"}), true);
-    deltas.push_back(d);
-  }
-
+/// Applies `deltas` in turn to a grounder initialized over `evidence`.
+/// After each one the served grounder must equal a fresh Initialize over
+/// the accumulated evidence: the same clauses with the same weights (bit
+/// for bit), hard flags and per-rule counts, the same fixed cost and the
+/// same contradiction flag.
+void ExpectEveryDeltaMatchesFreshInitialize(
+    const MlnProgram& program, const EvidenceDb& evidence,
+    const std::vector<EvidenceDelta>& deltas) {
+  DeltaGrounder served(program, GroundingOptions{}, OptimizerOptions{});
+  ASSERT_TRUE(served.Initialize(evidence).ok());
   EvidenceDb accumulated = evidence;
   for (size_t i = 0; i < deltas.size(); ++i) {
-    auto rb = binding.ApplyDelta(deltas[i]);
-    auto rf = full.ApplyDelta(deltas[i]);
-    ASSERT_TRUE(rb.ok()) << rb.status().ToString();
-    ASSERT_TRUE(rf.ok()) << rf.status().ToString();
-    EXPECT_GT(rb.value().rules_delta_ground, 0u) << "delta " << i;
-    EXPECT_EQ(rf.value().rules_delta_ground, 0u);
-    for (const auto& [atom, truth] : deltas[i].assertions) {
-      accumulated.Add(atom, truth);
-    }
+    auto r = served.ApplyDelta(deltas[i]);
+    ASSERT_TRUE(r.ok()) << r.status().ToString();
+    EXPECT_GT(r.value().rules_reground, 0u) << "delta " << i;
     for (const GroundAtom& atom : deltas[i].retractions) {
       accumulated.Remove(atom);
     }
+    for (const auto& [atom, truth] : deltas[i].assertions) {
+      accumulated.Add(atom, truth);
+    }
 
-    EXPECT_EQ(Canonicalize(binding), Canonicalize(full)) << "delta " << i;
-    EXPECT_EQ(binding.fixed_cost(), full.fixed_cost()) << "delta " << i;
-    EXPECT_EQ(binding.hard_contradiction(), full.hard_contradiction());
-
-    DeltaGrounder fresh(program, binding_opts, OptimizerOptions{});
+    DeltaGrounder fresh(program, GroundingOptions{}, OptimizerOptions{});
     ASSERT_TRUE(fresh.Initialize(accumulated).ok());
-    EXPECT_EQ(Canonicalize(binding), Canonicalize(fresh)) << "delta " << i;
-    EXPECT_EQ(binding.fixed_cost(), fresh.fixed_cost()) << "delta " << i;
+    EXPECT_EQ(Canonicalize(served), Canonicalize(fresh)) << "delta " << i;
+    EXPECT_EQ(served.fixed_cost(), fresh.fixed_cost()) << "delta " << i;
+    EXPECT_EQ(served.hard_contradiction(), fresh.hard_contradiction())
+        << "delta " << i;
+  }
+}
+
+/// Three rules that ground to the same literal sets, each over its own
+/// closed-world relation, at weights 0.1, 0.2 and 0.3: a clause's weight
+/// sums differently by rule arrival order (0.2 + 0.3 + 0.1 is
+/// 0.59999999999999998, 0.1 + 0.2 + 0.3 is 0.60000000000000009).
+MlnProgram ThreeRelationProgram() {
+  return NodeProgram(
+      "*link(node, node)\n"
+      "*friend(node, node)\n"
+      "*peer(node, node)\n"
+      "label(node, cls)\n"
+      "0.1 link(x, y), label(x, c) => label(y, c)\n"
+      "0.2 friend(x, y), label(x, c) => label(y, c)\n"
+      "0.3 peer(x, y), label(x, c) => label(y, c)\n",
+      4);
+}
+
+TEST(ServeTest, ServedGrounderMatchesFreshInitializeAfterEveryDelta) {
+  {
+    // Open-world relabels and closed-world (binding-literal) link
+    // assertion + retraction. The rule weight is deliberately not
+    // exactly representable as a repeated sum (0.1): contribution
+    // weights must derive as weight x count.
+    SCOPED_TRACE("link chain");
+    MlnProgram program = LinkProgram();
+    program.SetClauseWeight(0, 0.1);
+    EvidenceDb evidence;
+    for (int i = 0; i + 1 < 6; ++i) {
+      evidence.Add(
+          Atom(program, "link",
+               {"n" + std::to_string(i), "n" + std::to_string(i + 1)}),
+          true);
+    }
+    evidence.Add(Atom(program, "label", {"n0", "A"}), true);
+    std::vector<EvidenceDelta> deltas(3);
+    // Retract a link mid-chain (kills clauses).
+    deltas[0].Retract(Atom(program, "link", {"n2", "n3"}));
+    // Add a new link (new bindings) + relabel.
+    deltas[1].Assert(Atom(program, "link", {"n0", "n4"}), true);
+    deltas[1].Assert(Atom(program, "label", {"n1", "B"}), true);
+    // Flip a label to false, restore the link.
+    deltas[2].Assert(Atom(program, "label", {"n0", "A"}), false);
+    deltas[2].Assert(Atom(program, "link", {"n2", "n3"}), true);
+    ExpectEveryDeltaMatchesFreshInitialize(program, evidence, deltas);
+  }
+  {
+    // 1,100 link assertions in one delta, then 1,050 retractions with
+    // relabels: more than 1,024 changed atoms each. Three rules merge
+    // clauses, so weights sum over rules that arrive in varying order.
+    SCOPED_TRACE("delta of more than 1024 atoms");
+    constexpr int kNodes = 40;
+    MlnProgram program = NodeProgram(
+        "*link(node, node)\n"
+        "*friend(node, node)\n"
+        "label(node, cls)\n"
+        "0.1 link(x, y), label(x, c) => label(y, c)\n"
+        "0.2 friend(x, y), label(x, c) => label(y, c)\n"
+        "0.3 link(y, x), label(x, c) => label(y, c)\n",
+        kNodes);
+    const auto node = [](int i) { return "n" + std::to_string(i); };
+    EvidenceDb evidence;
+    for (int i = 0; i < kNodes; ++i) {
+      evidence.Add(
+          Atom(program, "friend", {node(i), node((i * 7 + 3) % kNodes)}),
+          true);
+      if (i % 5 == 0) {
+        evidence.Add(Atom(program, "label", {node(i), "A"}), true);
+      }
+      if (i % 7 == 0) {
+        evidence.Add(Atom(program, "label", {node(i), "B"}), false);
+      }
+    }
+    std::vector<GroundAtom> links;
+    for (int i = 0; i < kNodes && links.size() < 1100; ++i) {
+      for (int j = 0; j < kNodes && links.size() < 1100; ++j) {
+        if ((i + j) % 4 != 0) {
+          links.push_back(Atom(program, "link", {node(i), node(j)}));
+        }
+      }
+    }
+    ASSERT_EQ(links.size(), 1100u);
+    std::vector<EvidenceDelta> deltas(2);
+    for (const GroundAtom& atom : links) deltas[0].Assert(atom, true);
+    for (size_t k = 0; k < 1050; ++k) deltas[1].Retract(links[k]);
+    for (int i = 1; i < kNodes; i += 4) {
+      deltas[1].Assert(Atom(program, "label", {node(i), "B"}), true);
+    }
+    ExpectEveryDeltaMatchesFreshInitialize(program, evidence, deltas);
+  }
+  {
+    // Rules with no universal variable — soft, negative-weight, hard and
+    // existential — have one binding, the empty one. Their clauses,
+    // fixed costs and hard violations follow the delta like any other
+    // rule's.
+    SCOPED_TRACE("rules without universal variables");
+    MlnProgram program = NodeProgram(
+        "*link(node, node)\n"
+        "label(node, cls)\n"
+        "2 link(x, y), label(x, c) => label(y, c)\n"
+        "0.7 !link(\"n0\", \"n1\") v label(\"n1\", A)\n"
+        "0.4 EXIST y link(\"n2\", y)\n"
+        "-0.3 label(\"n3\", B)\n"
+        "!link(\"n4\", \"n5\").\n",
+        6);
+    EvidenceDb evidence;
+    evidence.Add(Atom(program, "link", {"n1", "n2"}), true);
+    evidence.Add(Atom(program, "label", {"n1", "A"}), true);
+    std::vector<EvidenceDelta> deltas(4);
+    deltas[0].Assert(Atom(program, "link", {"n0", "n1"}), true);
+    deltas[0].Assert(Atom(program, "link", {"n2", "n3"}), true);
+    deltas[0].Assert(Atom(program, "label", {"n3", "B"}), true);
+    deltas[1].Assert(Atom(program, "link", {"n4", "n5"}), true);
+    deltas[1].Retract(Atom(program, "label", {"n1", "A"}));
+    deltas[2].Retract(Atom(program, "link", {"n2", "n3"}));
+    deltas[2].Assert(Atom(program, "label", {"n3", "B"}), false);
+    deltas[3].Retract(Atom(program, "link", {"n4", "n5"}));
+    deltas[3].Retract(Atom(program, "link", {"n0", "n1"}));
+    ExpectEveryDeltaMatchesFreshInitialize(program, evidence, deltas);
+  }
+  {
+    // Many groundings per rule whose cost the evidence fixes, at weights
+    // that do not sum exactly: each rule's fixed cost must derive as
+    // |weight| x count, however the deltas moved the count.
+    SCOPED_TRACE("fixed costs of many groundings");
+    MlnProgram program = NodeProgram(
+        "*link(node, node)\n"
+        "label(node, cls)\n"
+        "2 link(x, y), label(x, c) => label(y, c)\n"
+        "0.7 !link(x, y) v label(y, A)\n"
+        "0.4 EXIST y link(x, y)\n"
+        "-0.3 label(x, B)\n"
+        "!link(x, x).\n",
+        6);
+    EvidenceDb evidence;
+    evidence.Add(Atom(program, "link", {"n1", "n2"}), true);
+    evidence.Add(Atom(program, "label", {"n1", "A"}), true);
+    std::vector<EvidenceDelta> deltas(3);
+    deltas[0].Assert(Atom(program, "link", {"n0", "n1"}), true);
+    deltas[0].Assert(Atom(program, "link", {"n2", "n3"}), true);
+    deltas[0].Assert(Atom(program, "label", {"n3", "B"}), true);
+    deltas[1].Assert(Atom(program, "link", {"n4", "n5"}), true);
+    deltas[1].Retract(Atom(program, "label", {"n1", "A"}));
+    deltas[2].Retract(Atom(program, "link", {"n2", "n3"}));
+    deltas[2].Assert(Atom(program, "label", {"n3", "B"}), false);
+    ExpectEveryDeltaMatchesFreshInitialize(program, evidence, deltas);
+  }
+  {
+    SCOPED_TRACE("three relations, one clause");
+    MlnProgram program = ThreeRelationProgram();
+    EvidenceDb evidence;
+    evidence.Add(Atom(program, "friend", {"n0", "n1"}), true);
+    evidence.Add(Atom(program, "peer", {"n0", "n1"}), true);
+    std::vector<EvidenceDelta> deltas(3);
+    deltas[0].Assert(Atom(program, "link", {"n0", "n1"}), true);
+    deltas[1].Retract(Atom(program, "friend", {"n0", "n1"}));
+    deltas[1].Assert(Atom(program, "peer", {"n2", "n3"}), true);
+    deltas[2].Assert(Atom(program, "friend", {"n0", "n1"}), true);
+    deltas[2].Assert(Atom(program, "link", {"n2", "n3"}), true);
+    ExpectEveryDeltaMatchesFreshInitialize(program, evidence, deltas);
+  }
+}
+
+TEST(ServeTest, MergedClauseWeightDoesNotDependOnRuleArrivalOrder) {
+  // friend and peer ground !label(n0, c) v label(n1, c) first; the link
+  // delta then adds rule 0's 0.1. The served weight must be the one a
+  // fresh grounding derives (0.1 + 0.2 + 0.3, in rule order), not the
+  // running sum 0.5 + 0.1.
+  MlnProgram program = ThreeRelationProgram();
+  EvidenceDb evidence;
+  evidence.Add(Atom(program, "friend", {"n0", "n1"}), true);
+  evidence.Add(Atom(program, "peer", {"n0", "n1"}), true);
+  DeltaGrounder served(program, GroundingOptions{}, OptimizerOptions{});
+  ASSERT_TRUE(served.Initialize(evidence).ok());
+  EvidenceDelta delta;
+  delta.Assert(Atom(program, "link", {"n0", "n1"}), true);
+  ASSERT_TRUE(served.ApplyDelta(delta).ok());
+  evidence.Add(Atom(program, "link", {"n0", "n1"}), true);
+  DeltaGrounder fresh(program, GroundingOptions{}, OptimizerOptions{});
+  ASSERT_TRUE(fresh.Initialize(evidence).ok());
+
+  ASSERT_EQ(served.clauses().size(), 2u);  // one per class
+  ASSERT_EQ(fresh.clauses().size(), 2u);
+  const double expected = (0.0 + 0.1 + 0.2) + 0.3;
+  for (size_t i = 0; i < 2; ++i) {
+    EXPECT_EQ(std::bit_cast<uint64_t>(fresh.clauses()[i].weight),
+              std::bit_cast<uint64_t>(expected));
+    EXPECT_EQ(std::bit_cast<uint64_t>(served.clauses()[i].weight),
+              std::bit_cast<uint64_t>(expected))
+        << std::setprecision(17) << "served " << served.clauses()[i].weight
+        << ", fresh " << expected;
   }
 }
 
@@ -871,8 +1031,9 @@ TEST(ServeTest, FuzzMutatedSnapshotsAreRefusedOrResaveExactly) {
     }
     accepted += LoadsToAFixpoint(program, bytes) ? 1 : 0;
   }
-  // Flips inside weights, costs and evidence values load; the property
-  // is checked on both sides.
+  // Flips inside evidence values, contradiction counts and the low bits
+  // of weights and fixed costs load (a weight or fixed cost loads as what
+  // its counts derive); the property is checked on both sides.
   EXPECT_GT(accepted, 0u);
   EXPECT_LT(accepted, kSeeds);
 }
