@@ -9,8 +9,12 @@
 // crossovers fall); absolute numbers are not expected to match the 2011
 // testbed.
 
+#include <stdlib.h>
+
 #include <cstdio>
+#include <filesystem>
 #include <string>
+#include <system_error>
 #include <vector>
 
 #include "bench/bench_json.h"
@@ -173,6 +177,30 @@ inline void PrintJsonLine(const char* bench, const std::string& dataset,
       .Num("cost", cost)
       .Emit();
 }
+
+/// A fresh directory `/tmp/<prefix>_XXXXXX` for a bench's durable
+/// state, removed with everything under it when destroyed. ok() is
+/// false when it could not be created.
+class ScratchDir {
+ public:
+  explicit ScratchDir(const std::string& prefix)
+      : path_("/tmp/" + prefix + "_XXXXXX") {
+    ok_ = ::mkdtemp(path_.data()) != nullptr;
+  }
+  ~ScratchDir() {
+    std::error_code ignored;
+    if (ok_) std::filesystem::remove_all(path_, ignored);
+  }
+  ScratchDir(const ScratchDir&) = delete;
+  ScratchDir& operator=(const ScratchDir&) = delete;
+
+  bool ok() const { return ok_; }
+  const std::string& path() const { return path_; }
+
+ private:
+  std::string path_;
+  bool ok_ = false;
+};
 
 inline void PrintHeader(const char* title) {
   std::printf("\n================================================================\n");

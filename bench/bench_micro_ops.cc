@@ -1,5 +1,6 @@
 // Microbenchmarks (google-benchmark) for the performance-critical
-// primitives underneath the experiments: join operators, WalkSAT flips,
+// primitives underneath the experiments: join operators (Volcano, and
+// the batch hash join over LP-shaped relations), WalkSAT flips,
 // buffer-pool access, union-find, grounding of the RC program, and
 // parsing LP's evidence text.
 
@@ -13,6 +14,7 @@
 #include "mln/parser.h"
 #include "mrf/components.h"
 #include "ra/operators.h"
+#include "ra/vec_ops.h"
 #include "storage/buffer_pool.h"
 #include "storage/heap_file.h"
 #include "util/rng.h"
@@ -59,6 +61,113 @@ void BM_NestedLoopJoin(benchmark::State& state) {
 BENCHMARK(BM_HashJoin)->Arg(1000)->Arg(4000);
 BENCHMARK(BM_SortMergeJoin)->Arg(1000)->Arg(4000);
 BENCHMARK(BM_NestedLoopJoin)->Arg(1000)->Arg(4000);
+
+/// perfbench's LP relations at 1/8 of its publications: `publication`
+/// (64,000 publications of one professor and one student each, 128,000
+/// rows of (pub, person)) and `professor` (10 rows), read from
+/// MakeLpDataset's evidence; and `sparse`, the publication rows with
+/// each pub id scattered over [0, 2^31), so the same join is hashed.
+struct LpJoinInput {
+  const IdTable* publication = nullptr;
+  const IdTable* professor = nullptr;
+  IdTable sparse;
+  TableStats publication_stats;
+  TableStats professor_stats;
+  TableStats sparse_stats;
+  Dataset ds;
+};
+
+const LpJoinInput& LpJoin() {
+  static const LpJoinInput* input = [] {
+    auto* in = new LpJoinInput;
+    LpParams params;
+    params.num_professors = 10;
+    params.num_students = 40;
+    params.num_courses = 100;
+    params.num_publications = 64000;
+    in->ds = MakeLpDataset(params).TakeValue();
+    const MlnProgram& program = in->ds.program;
+    in->publication = &in->ds.evidence.rows(
+        program.FindPredicate("publication").value(), true);
+    in->professor = &in->ds.evidence.rows(
+        program.FindPredicate("professor").value(), true);
+    in->sparse.Init(2);
+    for (size_t r = 0; r < in->publication->num_rows(); ++r) {
+      const int64_t pub = in->publication->col(0)[r];
+      in->sparse.AppendRow(std::vector<int64_t>{
+          (pub * 40503) & INT32_MAX, in->publication->col(1)[r]});
+    }
+    in->publication_stats = AnalyzeColumns({in->publication}, 2);
+    in->professor_stats = AnalyzeColumns({in->professor}, 1);
+    in->sparse_stats = AnalyzeColumns({&in->sparse}, 2);
+    return in;
+  }();
+  return *input;
+}
+
+/// The joins of BM_VecHashJoin: LP rule 0's `pb` self-join and its
+/// `person` join (professor ⋈ publication), both direct-addressed, and
+/// the `pb` self-join over sparse pub ids, hashed.
+enum VecJoinCase { kPbSelfJoin, kPersonJoin, kSparseSelfJoin };
+constexpr const char* kVecJoinCaseNames[] = {"pb_self_join", "person_join",
+                                             "sparse_self_join"};
+
+struct VecJoinRun {
+  uint64_t input_rows = 0;
+  uint64_t output_rows = 0;
+  std::string name;
+};
+
+/// Runs one case to completion: the build reads a bare scan in place, as
+/// in a grounding plan.
+VecJoinRun RunVecJoin(VecJoinCase c) {
+  const LpJoinInput& in = LpJoin();
+  auto ref = [](const IdTable* rows, const TableStats& stats) {
+    TableRef r;
+    r.segments = {rows};
+    r.stats = &stats;
+    r.label = "lp";
+    return r;
+  };
+  const IdTable* build = c == kSparseSelfJoin ? &in.sparse : in.publication;
+  const TableStats& build_stats =
+      c == kSparseSelfJoin ? in.sparse_stats : in.publication_stats;
+  const IdTable* probe = c == kPersonJoin ? in.professor : build;
+  const TableStats& probe_stats =
+      c == kPersonJoin ? in.professor_stats : build_stats;
+  const std::vector<JoinKey> keys = {{0, c == kPersonJoin ? 1 : 0}};
+  VecHashJoinOp join(std::make_unique<VecScanOp>(ref(probe, probe_stats)),
+                     std::make_unique<VecScanOp>(ref(build, build_stats)),
+                     keys);
+  VecJoinRun run;
+  Status st = ForEachChunk(&join, [&](const ColumnChunk& chunk) {
+    run.output_rows += chunk.num_rows;
+    return Status::OK();
+  });
+  if (!st.ok()) {
+    std::fprintf(stderr, "vec join: %s\n", st.ToString().c_str());
+    std::exit(1);
+  }
+  run.input_rows = probe->num_rows() + build->num_rows();
+  run.name = join.name();
+  return run;
+}
+
+void BM_VecHashJoin(benchmark::State& state) {
+  const auto c = static_cast<VecJoinCase>(state.range(0));
+  VecJoinRun run;
+  for (auto _ : state) {
+    run = RunVecJoin(c);
+    benchmark::DoNotOptimize(run.output_rows);
+  }
+  state.SetLabel(std::string(kVecJoinCaseNames[c]) + " " + run.name);
+  state.SetItemsProcessed(state.iterations() * run.input_rows);
+}
+BENCHMARK(BM_VecHashJoin)
+    ->Arg(kPbSelfJoin)
+    ->Arg(kPersonJoin)
+    ->Arg(kSparseSelfJoin)
+    ->Unit(benchmark::kMillisecond);
 
 void BM_WalkSatFlips(benchmark::State& state) {
   int n = static_cast<int>(state.range(0));
@@ -183,11 +292,11 @@ BENCHMARK(BM_ParseEvidence)->Unit(benchmark::kMillisecond);
 }  // namespace
 }  // namespace tuffy
 
-// Custom main: run the registered microbenchmarks, then emit two
-// machine-readable lines (see bench_json.h), the flip rate and the
-// evidence-parse rate, so the search kernel's and the text front end's
-// trajectories can be tracked across PRs alongside the
-// --benchmark_format=json output.
+// Custom main: run the registered microbenchmarks, then emit
+// machine-readable lines (see bench_json.h): the flip rate, the
+// evidence-parse rate and one batch hash-join row per case, so the
+// search kernel's, the text front end's and the join's trajectories can
+// be tracked across PRs alongside the --benchmark_format=json output.
 int main(int argc, char** argv) {
   benchmark::Initialize(&argc, argv);
   if (benchmark::ReportUnrecognizedArguments(argc, argv)) return 1;
@@ -224,5 +333,28 @@ int main(int argc, char** argv) {
       .Num("seconds", parse_s, 6)
       .Num("rows_per_s", parse_s > 0 ? ev.rows / parse_s : 0, 1)
       .Emit();
+
+  // Each join case's fastest of five runs; rows are build plus probe
+  // rows, and the mode is the one the join's EXPLAIN name reports.
+  for (VecJoinCase c : {kPbSelfJoin, kPersonJoin, kSparseSelfJoin}) {
+    VecJoinRun run;
+    double join_s = 0.0;
+    for (int rep = 0; rep < 5; ++rep) {
+      Timer join_timer;
+      run = RunVecJoin(c);
+      const double s = join_timer.ElapsedSeconds();
+      if (rep == 0 || s < join_s) join_s = s;
+    }
+    const bool direct = run.name.find("direct") != std::string::npos;
+    bench::BenchJson("micro_ops_vec_join")
+        .Str("dataset", "lp_pub_64k")
+        .Str("case", kVecJoinCaseNames[c])
+        .Str("mode", direct ? "direct" : "hashed")
+        .Int("rows", run.input_rows)
+        .Int("output_rows", run.output_rows)
+        .Num("seconds", join_s, 6)
+        .Num("rows_per_s", join_s > 0 ? run.input_rows / join_s : 0, 1)
+        .Emit();
+  }
   return 0;
 }

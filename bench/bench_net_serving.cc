@@ -276,10 +276,9 @@ RunResult RunInProcess(const Dataset& ds,
 /// the primary's reply (and the caller checks both against fresh_cost).
 RunResult RunReplication(const Dataset& ds,
                          const std::vector<EvidenceDelta>& deltas) {
-  std::string proot = "/tmp/bench_net_repl_p_XXXXXX";
-  std::string froot = "/tmp/bench_net_repl_f_XXXXXX";
-  if (::mkdtemp(proot.data()) == nullptr ||
-      ::mkdtemp(froot.data()) == nullptr) {
+  const ScratchDir proot("bench_net_repl_p");
+  const ScratchDir froot("bench_net_repl_f");
+  if (!proot.ok() || !froot.ok()) {
     std::fprintf(stderr, "mkdtemp failed\n");
     std::exit(1);
   }
@@ -287,7 +286,7 @@ RunResult RunReplication(const Dataset& ds,
   ServerOptions opts;
   opts.session = BenchSessionOptions();
   opts.num_workers = 2;
-  opts.durability_root = proot;
+  opts.durability_root = proot.path();
   opts.wal_fsync = false;  // lag drain is the subject, not fsync latency
   opts.repl_heartbeat_seconds = 0.05;
   Server server(ds.program, ds.evidence, opts);
@@ -315,7 +314,7 @@ RunResult RunReplication(const Dataset& ds,
   fopts.primary_port = server.port();
   fopts.session = session;
   fopts.session_options = BenchSessionOptions();
-  fopts.session_options.wal_dir = froot + "/" + session;
+  fopts.session_options.wal_dir = froot.path() + "/" + session;
   fopts.session_options.wal_fsync = false;
   FollowerManager follower(ds.program, fopts);
   Status fstart = follower.Start();

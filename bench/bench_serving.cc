@@ -32,6 +32,7 @@
 
 #include <cstdio>
 #include <cstdlib>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -235,20 +236,18 @@ int main() {
       {"wal_fsync_snap4", true, true, 4},
   };
   double baseline_avg = 0.0;
-  std::string fsync_dir;  // durable state of the last variant, kept for
-                          // the restart measurement below
   for (const DurabilityVariant& variant : variants) {
     SessionOptions dopts = sopts;
+    std::optional<ScratchDir> wal_root;
     if (variant.wal) {
-      std::string templ = "/tmp/bench_serving_wal_XXXXXX";
-      if (::mkdtemp(templ.data()) == nullptr) {
+      wal_root.emplace("bench_serving_wal");
+      if (!wal_root->ok()) {
         std::fprintf(stderr, "mkdtemp failed\n");
         return 1;
       }
-      dopts.wal_dir = templ + "/session";
+      dopts.wal_dir = wal_root->path() + "/session";
       dopts.wal_fsync = variant.fsync;
       dopts.snapshot_every = variant.snapshot_every;
-      if (variant.fsync) fsync_dir = dopts.wal_dir;
     }
     InferenceSession durable(ds.program, dopts);
     Status dopen = durable.Open(ds.evidence);

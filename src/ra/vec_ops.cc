@@ -75,6 +75,16 @@ Result<bool> VecScanOp::NextChunk(ColumnChunk* out) {
   return true;
 }
 
+const std::vector<const IdTable*>& VecScanOp::DrainInPlace() {
+  for (; segment_ < segments_.size(); ++segment_, pos_ = 0) {
+    const size_t rows = segments_[segment_]->num_rows();
+    if (pos_ >= rows) continue;
+    rows_produced_ += rows - pos_;
+    chunks_produced_ += (rows - pos_ + kVecChunkRows - 1) / kVecChunkRows;
+  }
+  return segments_;
+}
+
 // -------------------------------------------------------------- VecFilter
 
 Status VecFilterOp::Open() {
@@ -142,22 +152,29 @@ std::string VecProjectOp::name() const {
 
 // ------------------------------------------------------------ VecHashJoin
 
+namespace {
+
+/// Marks an unused slot of the hashed mode's slot table.
+constexpr uint32_t kNoKey = UINT32_MAX;
+
+}  // namespace
+
 VecHashJoinOp::VecHashJoinOp(VecOpPtr left, VecOpPtr right,
                              std::vector<JoinKey> keys)
     : left_(std::move(left)), right_(std::move(right)), keys_(std::move(keys)) {
 }
 
-uint64_t VecHashJoinOp::PackBuildKey(size_t row) const {
+uint64_t VecHashJoinOp::BuildKey(const BuildSegment& seg, size_t row) const {
   if (keys_.size() == 1) {
-    return static_cast<uint64_t>(build_cols_[keys_[0].right_col][row]);
+    return static_cast<uint64_t>(seg.cols[keys_[0].right_col][row]);
   }
   return (static_cast<uint64_t>(
-              static_cast<uint32_t>(build_cols_[keys_[0].right_col][row]))
+              static_cast<uint32_t>(seg.cols[keys_[0].right_col][row]))
           << 32) |
-         static_cast<uint32_t>(build_cols_[keys_[1].right_col][row]);
+         static_cast<uint32_t>(seg.cols[keys_[1].right_col][row]);
 }
 
-uint64_t VecHashJoinOp::PackProbeKey(uint32_t row) const {
+uint64_t VecHashJoinOp::ProbeKey(uint32_t row) const {
   if (keys_.size() == 1) {
     return static_cast<uint64_t>(probe_.col(keys_[0].left_col)[row]);
   }
@@ -167,14 +184,140 @@ uint64_t VecHashJoinOp::PackProbeKey(uint32_t row) const {
          static_cast<uint32_t>(probe_.col(keys_[1].left_col)[row]);
 }
 
-int32_t VecHashJoinOp::Lookup(uint64_t key) const {
-  if (build_rows_ == 0) return -1;
-  size_t slot = HashKey(key) & slot_mask_;
-  while (slot_head_[slot] >= 0) {
-    if (slot_key_[slot] == key) return slot_head_[slot];
-    slot = (slot + 1) & slot_mask_;
+void VecHashJoinOp::FindRun(uint64_t key) {
+  run_pos_ = run_end_ = 0;
+  size_t k;
+  if (addressing_ == Addressing::kDirect) {
+    k = key - key_min_;  // a key below the minimum wraps past the end
+    if (k >= run_begin_.size() - 1) return;
+  } else {
+    size_t slot = HashKey(key) & slot_mask_;
+    while (slot_index_[slot] != kNoKey && slot_key_[slot] != key) {
+      slot = (slot + 1) & slot_mask_;
+    }
+    if (slot_index_[slot] == kNoKey) return;
+    k = slot_index_[slot];
   }
-  return -1;
+  run_pos_ = run_begin_[k];
+  run_end_ = run_begin_[k + 1];
+}
+
+Status VecHashJoinOp::LoadBuild() {
+  owned_cols_.clear();
+  segments_.clear();
+  build_rows_ = 0;
+  const size_t ncols = right_->num_output_cols();
+  auto add_segment = [&](size_t rows, auto col_data) {
+    BuildSegment seg;
+    seg.begin = build_rows_;
+    seg.end = build_rows_ + rows;
+    for (size_t c = 0; c < ncols; ++c) seg.cols.push_back(col_data(c));
+    segments_.push_back(std::move(seg));
+    build_rows_ += rows;
+  };
+  if (auto* scan = dynamic_cast<VecScanOp*>(right_.get())) {
+    // A bare scan: gather from its segments in place. An empty segment
+    // may have no columns, and contributes no rows anyway.
+    for (const IdTable* seg : scan->DrainInPlace()) {
+      if (seg->num_rows() == 0) continue;
+      add_segment(seg->num_rows(),
+                  [&](size_t c) { return seg->col(c).data(); });
+    }
+  } else {
+    owned_cols_.assign(ncols, {});
+    size_t rows = 0;
+    ColumnChunk chunk;
+    while (true) {
+      TUFFY_ASSIGN_OR_RETURN(bool has, right_->NextChunk(&chunk));
+      if (!has) break;
+      for (size_t c = 0; c < ncols; ++c) {
+        const int64_t* src = chunk.col(c);
+        owned_cols_[c].insert(owned_cols_[c].end(), src, src + chunk.num_rows);
+      }
+      rows += chunk.num_rows;
+    }
+    if (rows > 0) {
+      add_segment(rows, [&](size_t c) { return owned_cols_[c].data(); });
+    }
+  }
+  if (build_rows_ >= kNoKey) {
+    return Status::ResourceExhausted(
+        StrFormat("hash-join build of %zu rows", build_rows_));
+  }
+  return Status::OK();
+}
+
+void VecHashJoinOp::BuildRuns() {
+  // Pass 1 gives each build row its key's index and counts the rows of
+  // each index in run_begin_; the prefix sum turns the counts into run
+  // ends; pass 2 scatters the row ids in reverse, moving each end down
+  // to its run's start, so every run's row ids ascend.
+  const size_t cap = NextPow2(build_rows_ * 2);
+  uint64_t lo = UINT64_MAX;
+  uint64_t hi = 0;
+  if (keys_.size() == 1) {
+    for (const BuildSegment& seg : segments_) {
+      const int64_t* key = seg.cols[keys_[0].right_col];
+      for (size_t r = 0; r < seg.end - seg.begin; ++r) {
+        lo = std::min(lo, static_cast<uint64_t>(key[r]));
+        hi = std::max(hi, static_cast<uint64_t>(key[r]));
+      }
+    }
+  }
+  std::vector<uint32_t> row_key;  // pass 1's index of each row, if hashed
+  if (build_rows_ == 0 || (keys_.size() == 1 && hi - lo < cap)) {
+    // Direct: a key's index is its distance from the smallest key.
+    addressing_ = Addressing::kDirect;
+    key_min_ = lo;
+    run_begin_.assign(build_rows_ == 0 ? 1 : hi - lo + 2, 0);
+    for (const BuildSegment& seg : segments_) {
+      const int64_t* key = seg.cols[keys_[0].right_col];
+      for (size_t r = 0; r < seg.end - seg.begin; ++r) {
+        ++run_begin_[static_cast<uint64_t>(key[r]) - lo];
+      }
+    }
+  } else {
+    // Hashed: a key's index is its first appearance's rank.
+    addressing_ = Addressing::kHashed;
+    slot_key_.assign(cap, 0);
+    slot_index_.assign(cap, kNoKey);
+    slot_mask_ = cap - 1;
+    run_begin_.clear();
+    row_key.resize(build_rows_);
+    for (const BuildSegment& seg : segments_) {
+      for (size_t r = 0; r < seg.end - seg.begin; ++r) {
+        const uint64_t key = BuildKey(seg, r);
+        size_t slot = HashKey(key) & slot_mask_;
+        while (slot_index_[slot] != kNoKey && slot_key_[slot] != key) {
+          slot = (slot + 1) & slot_mask_;
+        }
+        if (slot_index_[slot] == kNoKey) {
+          slot_key_[slot] = key;
+          slot_index_[slot] = static_cast<uint32_t>(run_begin_.size());
+          run_begin_.push_back(0);
+        }
+        row_key[seg.begin + r] = slot_index_[slot];
+        ++run_begin_[slot_index_[slot]];
+      }
+    }
+    run_begin_.push_back(0);
+  }
+  for (size_t k = 1; k + 1 < run_begin_.size(); ++k) {
+    run_begin_[k] += run_begin_[k - 1];
+  }
+  run_begin_.back() = static_cast<uint32_t>(build_rows_);
+  row_ids_.resize(build_rows_);
+  const bool direct = addressing_ == Addressing::kDirect;
+  for (size_t s = segments_.size(); s-- > 0;) {
+    const BuildSegment& seg = segments_[s];
+    const int64_t* key = seg.cols[keys_[0].right_col];
+    for (size_t i = seg.end; i-- > seg.begin;) {
+      const size_t k = direct
+                           ? static_cast<uint64_t>(key[i - seg.begin]) - lo
+                           : row_key[i];
+      row_ids_[--run_begin_[k]] = static_cast<uint32_t>(i);
+    }
+  }
 }
 
 Status VecHashJoinOp::Open() {
@@ -183,59 +326,66 @@ Status VecHashJoinOp::Open() {
   chunks_produced_ = 0;
   TUFFY_RETURN_IF_ERROR(left_->Open());
   TUFFY_RETURN_IF_ERROR(right_->Open());
-
-  // Materialize the build side column-wise.
-  build_cols_.assign(right_->num_output_cols(), {});
-  build_rows_ = 0;
-  ColumnChunk chunk;
-  while (true) {
-    auto has = right_->NextChunk(&chunk);
-    if (!has.ok()) return has.status();
-    if (!has.value()) break;
-    for (size_t c = 0; c < build_cols_.size(); ++c) {
-      const int64_t* src = chunk.col(c);
-      build_cols_[c].insert(build_cols_[c].end(), src, src + chunk.num_rows);
-    }
-    build_rows_ += chunk.num_rows;
-  }
-
-  // Open-addressing index over packed keys. Rows are inserted in reverse
-  // so each duplicate chain lists build rows in ascending (insertion)
-  // order — the order HashJoinOp's bucket vectors emit.
-  const size_t cap = NextPow2(build_rows_ * 2);
-  slot_key_.assign(cap, 0);
-  slot_head_.assign(cap, -1);
-  slot_mask_ = cap - 1;
-  next_.assign(build_rows_, -1);
-  for (size_t i = build_rows_; i-- > 0;) {
-    const uint64_t key = PackBuildKey(i);
-    size_t slot = HashKey(key) & slot_mask_;
-    while (slot_head_[slot] >= 0 && slot_key_[slot] != key) {
-      slot = (slot + 1) & slot_mask_;
-    }
-    next_[i] = slot_head_[slot];
-    slot_key_[slot] = key;
-    slot_head_[slot] = static_cast<int32_t>(i);
-  }
-
+  TUFFY_RETURN_IF_ERROR(LoadBuild());
+  BuildRuns();
+  probe_sel_.resize(kVecChunkRows);
+  build_sel_.resize(kVecChunkRows);
   probe_valid_ = false;
   probe_row_ = 0;
-  chain_ = -1;
+  run_pos_ = run_end_ = 0;
   return Status::OK();
+}
+
+void VecHashJoinOp::GatherProbe(uint32_t from, uint32_t to,
+                                ColumnChunk* out) const {
+  if (from == to) return;  // probe_ may hold no chunk yet
+  for (size_t c = 0; c < left_->num_output_cols(); ++c) {
+    const int64_t* src = probe_.col(c);
+    int64_t* dst = out->cols[c].data();
+    for (uint32_t i = from; i < to; ++i) dst[i] = src[probe_sel_[i]];
+  }
+}
+
+void VecHashJoinOp::GatherBuild(uint32_t n, ColumnChunk* out) const {
+  const size_t first = left_->num_output_cols();
+  const size_t ncols = right_->num_output_cols();
+  if (segments_.size() == 1) {
+    for (size_t c = 0; c < ncols; ++c) {
+      const int64_t* src = segments_[0].cols[c];
+      int64_t* dst = out->cols[first + c].data();
+      for (uint32_t i = 0; i < n; ++i) dst[i] = src[build_sel_[i]];
+    }
+    return;
+  }
+  // A scan of several segments, read in place: find each row's segment.
+  for (uint32_t i = 0; i < n; ++i) {
+    const size_t row = build_sel_[i];
+    size_t s = 0;
+    while (row >= segments_[s].end) ++s;
+    for (size_t c = 0; c < ncols; ++c) {
+      out->cols[first + c][i] = segments_[s].cols[c][row - segments_[s].begin];
+    }
+  }
 }
 
 Result<bool> VecHashJoinOp::NextChunk(ColumnChunk* out) {
   ScopedSeconds t(&seconds_);
-  const size_t ncols_left = left_->num_output_cols();
   out->Reset(num_output_cols());
   if (build_rows_ == 0) return false;
-  for (auto& col : out->cols) col.reserve(kVecChunkRows);
-  while (out->num_rows < kVecChunkRows) {
-    if (chain_ < 0) {
+  for (auto& col : out->cols) col.resize(kVecChunkRows);
+  uint32_t n = 0;
+  // Output rows [0, gathered) already hold their probe columns; the
+  // rest refer to the current probe chunk, gathered before it is
+  // replaced.
+  uint32_t gathered = 0;
+  while (n < kVecChunkRows) {
+    if (run_pos_ == run_end_) {
       // Current probe row exhausted: advance, refilling the probe chunk
       // as needed.
       if (probe_valid_) ++probe_row_;
       if (!probe_valid_ || probe_row_ >= probe_.num_rows) {
+        GatherProbe(gathered, n, out);
+        gathered = n;
         TUFFY_ASSIGN_OR_RETURN(bool has, left_->NextChunk(&probe_));
         if (!has) {
           probe_valid_ = false;
@@ -244,21 +394,22 @@ Result<bool> VecHashJoinOp::NextChunk(ColumnChunk* out) {
         probe_valid_ = true;
         probe_row_ = 0;
       }
-      chain_ = Lookup(PackProbeKey(probe_row_));
+      FindRun(ProbeKey(probe_row_));
       continue;
     }
-    for (size_t c = 0; c < ncols_left; ++c) {
-      out->cols[c].push_back(probe_.col(c)[probe_row_]);
-    }
-    for (size_t c = 0; c < build_cols_.size(); ++c) {
-      out->cols[ncols_left + c].push_back(build_cols_[c][chain_]);
-    }
-    ++out->num_rows;
-    chain_ = next_[chain_];
+    const uint32_t take = std::min(kVecChunkRows - n, run_end_ - run_pos_);
+    std::fill_n(probe_sel_.data() + n, take, probe_row_);
+    std::copy_n(row_ids_.data() + run_pos_, take, build_sel_.data() + n);
+    n += take;
+    run_pos_ += take;
   }
-  if (out->num_rows == 0) return false;
+  if (n == 0) return false;
+  GatherProbe(gathered, n, out);
+  GatherBuild(n, out);
+  for (auto& col : out->cols) col.resize(n);
   out->SealOwned();
-  rows_produced_ += out->num_rows;
+  out->num_rows = n;
+  rows_produced_ += n;
   ++chunks_produced_;
   return true;
 }
@@ -266,14 +417,24 @@ Result<bool> VecHashJoinOp::NextChunk(ColumnChunk* out) {
 void VecHashJoinOp::Close() {
   left_->Close();
   right_->Close();
-  build_cols_.clear();
-  slot_key_.clear();
-  slot_head_.clear();
-  next_.clear();
+  owned_cols_ = {};
+  segments_ = {};
+  run_begin_ = {};
+  row_ids_ = {};
+  slot_key_ = {};
+  slot_index_ = {};
   build_rows_ = 0;
 }
 
 std::string VecHashJoinOp::name() const {
+  switch (addressing_) {
+    case Addressing::kDirect:
+      return StrFormat("VecHashJoin(keys=%zu, direct)", keys_.size());
+    case Addressing::kHashed:
+      return StrFormat("VecHashJoin(keys=%zu, hashed)", keys_.size());
+    case Addressing::kNone:
+      break;
+  }
   return StrFormat("VecHashJoin(keys=%zu)", keys_.size());
 }
 

@@ -134,6 +134,12 @@ class VecScanOp final : public VecOp {
   size_t num_output_cols() const override { return num_cols_; }
   std::string name() const override { return "VecScan(" + label_ + ")"; }
 
+  /// Hands the remaining rows over in place instead of as chunks: counts
+  /// the rows and chunks NextChunk would have emitted (so ANALYZE reads
+  /// the same), leaves the scan at end of stream, and returns the
+  /// segments. A segment with no rows may have zero columns.
+  const std::vector<const IdTable*>& DrainInPlace();
+
  private:
   std::vector<const IdTable*> segments_;
   size_t num_cols_;
@@ -191,12 +197,26 @@ class VecProjectOp final : public VecOp {
   ColumnChunk scratch_;
 };
 
-/// Batch build/probe equi-join on one or two key columns. The build side
-/// (right input) is materialized into flat columns and indexed by an
-/// open-addressing table: power-of-two slot array of (packed key, chain
-/// head), linear probing, with per-row `next` links for duplicate keys.
-/// Chains preserve build-row order, and the probe side streams in input
-/// order, so output order matches HashJoinOp exactly (grounding equality
+/// Batch build/probe equi-join on one or two key columns. Open sorts the
+/// build side (right input) into ascending key runs by counting: one
+/// pass gives each build row its key's index, a second scatters the row
+/// ids into per-key runs (CSR offsets plus row ids), so a run lists its
+/// key's build rows in ascending order. A key finds its index in one of
+/// two ways, reported by name() after Open:
+///  - direct: a one-column key whose value range fits in NextPow2(2 ×
+///    build rows) entries is its own index (value - minimum), so the
+///    offsets never outgrow the hashed mode's slot array;
+///  - hashed: a two-column key, or a one-column key with a sparse range,
+///    finds it through an open-addressing table of packed keys (linear
+///    probing, power-of-two slot array).
+///
+/// A bare VecScanOp build is read in place: its IdTable segments are
+/// gathered from directly, and the scan still counts its rows and chunks
+/// for ANALYZE. Any other build input is materialized column-wise.
+///
+/// The probe side streams in input order; each probe row's run is
+/// emitted in ascending build-row order, one gather per column per
+/// output chunk. That is HashJoinOp's order exactly (grounding equality
 /// tests compare the two paths bit for bit).
 ///
 /// Keys are packed into one uint64: the single-column key verbatim, the
@@ -220,28 +240,51 @@ class VecHashJoinOp final : public VecOp {
   }
 
  private:
-  uint64_t PackBuildKey(size_t row) const;
-  uint64_t PackProbeKey(uint32_t row) const;
-  /// Returns the chain head for `key`, or -1.
-  int32_t Lookup(uint64_t key) const;
+  enum class Addressing { kNone, kDirect, kHashed };
+
+  /// Build rows [begin, end), with one array per column: an IdTable
+  /// segment read in place, or the materialized build input.
+  struct BuildSegment {
+    size_t begin = 0;
+    size_t end = 0;
+    std::vector<const int64_t*> cols;
+  };
+
+  Status LoadBuild();
+  void BuildRuns();
+  uint64_t BuildKey(const BuildSegment& seg, size_t row) const;
+  uint64_t ProbeKey(uint32_t row) const;
+  /// Points run_pos_/run_end_ at `key`'s run (empty when absent).
+  void FindRun(uint64_t key);
+  void GatherProbe(uint32_t from, uint32_t to, ColumnChunk* out) const;
+  void GatherBuild(uint32_t n, ColumnChunk* out) const;
 
   VecOpPtr left_;
   VecOpPtr right_;
   std::vector<JoinKey> keys_;
 
-  // Build side, materialized column-wise.
-  std::vector<std::vector<int64_t>> build_cols_;
+  // Build side: its rows by segment, and their runs.
+  std::vector<std::vector<int64_t>> owned_cols_;
+  std::vector<BuildSegment> segments_;
   size_t build_rows_ = 0;
+  Addressing addressing_ = Addressing::kNone;
+  uint64_t key_min_ = 0;
+  /// Key index k's run is row_ids_[run_begin_[k], run_begin_[k + 1]).
+  std::vector<uint32_t> run_begin_;
+  std::vector<uint32_t> row_ids_;
   std::vector<uint64_t> slot_key_;
-  std::vector<int32_t> slot_head_;
-  std::vector<int32_t> next_;
+  std::vector<uint32_t> slot_index_;
   uint64_t slot_mask_ = 0;
 
-  // Probe state across NextChunk calls.
+  // Probe state across NextChunk calls, and the output chunk's
+  // (probe row, build row) pairs.
   ColumnChunk probe_;
   uint32_t probe_row_ = 0;
   bool probe_valid_ = false;
-  int32_t chain_ = -1;
+  uint32_t run_pos_ = 0;
+  uint32_t run_end_ = 0;
+  std::vector<uint32_t> probe_sel_;
+  std::vector<uint32_t> build_sel_;
 };
 
 /// Batch cross product: right side materialized, left streamed; for each
@@ -282,10 +325,10 @@ class VecCrossJoinOp final : public VecOp {
 /// into a single uint64 (the original fast path, untouched); three or
 /// four pack into a 128-bit key held as two words in parallel slot
 /// arrays. Both layouts index the same open-addressing set as
-/// VecHashJoinOp (key set only: no chains, a slot is just occupied or
-/// not). Child rows whose packed probe key is present are dropped;
-/// surviving rows keep their order, so the plan stays bit-compatible
-/// with the Volcano translation.
+/// VecHashJoinOp's hashed mode (key set only: no runs, a slot is just
+/// occupied or not). Child rows whose packed probe key is present are
+/// dropped; surviving rows keep their order, so the plan stays
+/// bit-compatible with the Volcano translation.
 class VecAntiJoinOp final : public VecOp {
  public:
   VecAntiJoinOp(VecOpPtr child, AntiJoinRef ref);

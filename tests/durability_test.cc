@@ -15,17 +15,12 @@
 #include "exec/tuffy_engine.h"
 #include "mln/parser.h"
 #include "serve/session_manager.h"
+#include "temp_dir.h"
 #include "util/crc32.h"
 #include "util/fault_points.h"
 
 namespace tuffy {
 namespace {
-
-std::string MakeTempDir(const std::string& tag) {
-  std::string templ = ::testing::TempDir() + "durability_" + tag + "_XXXXXX";
-  EXPECT_NE(::mkdtemp(templ.data()), nullptr);
-  return templ;
-}
 
 /// Flips one byte at `offset` from the file end (negative = from end).
 void CorruptFile(const std::string& path, long offset_from_end) {
@@ -97,7 +92,8 @@ TEST_F(FaultPointTest, SpecGrammar) {
 // ------------------------------------------------------------------ wal
 
 TEST(WalTest, AppendScanRoundTrip) {
-  const std::string dir = MakeTempDir("wal");
+  const ScopedTempDir tmp("durability_wal");
+  const std::string& dir = tmp.path();
   const std::string path = dir + "/wal.log";
   {
     auto w = WalWriter::Create(path);
@@ -118,7 +114,8 @@ TEST(WalTest, AppendScanRoundTrip) {
 }
 
 TEST(WalTest, ScanStopsAtCorruptRecordAndTruncateHeals) {
-  const std::string dir = MakeTempDir("torn");
+  const ScopedTempDir tmp("durability_torn");
+  const std::string& dir = tmp.path();
   const std::string path = dir + "/wal.log";
   {
     auto w = WalWriter::Create(path);
@@ -144,7 +141,8 @@ TEST(WalTest, ScanStopsAtCorruptRecordAndTruncateHeals) {
 
 TEST(WalTest, InjectedMidRecordFaultLeavesTornTail) {
   FaultPoints::Global().Reset();
-  const std::string dir = MakeTempDir("midrec");
+  const ScopedTempDir tmp("durability_midrec");
+  const std::string& dir = tmp.path();
   const std::string path = dir + "/wal.log";
   auto w = WalWriter::Create(path);
   ASSERT_TRUE(w.ok());
@@ -166,7 +164,8 @@ TEST(WalTest, InjectedMidRecordFaultLeavesTornTail) {
 // ------------------------------------------------------------- snapshots
 
 TEST(SnapshotTest, WriteReadRoundTripAndOrdering) {
-  const std::string dir = MakeTempDir("snap");
+  const ScopedTempDir tmp("durability_snap");
+  const std::string& dir = tmp.path();
   ASSERT_TRUE(WriteSnapshotFile(dir, 0, "genesis").ok());
   ASSERT_TRUE(WriteSnapshotFile(dir, 12, "later").ok());
   auto snaps = ListSnapshots(dir);
@@ -180,7 +179,8 @@ TEST(SnapshotTest, WriteReadRoundTripAndOrdering) {
 }
 
 TEST(SnapshotTest, CorruptSnapshotReportsCorruption) {
-  const std::string dir = MakeTempDir("snapbad");
+  const ScopedTempDir tmp("durability_snapbad");
+  const std::string& dir = tmp.path();
   ASSERT_TRUE(WriteSnapshotFile(dir, 1, "precious bytes").ok());
   const std::string path = dir + "/" + SnapshotFileName(1);
   CorruptFile(path, -3);
@@ -189,7 +189,8 @@ TEST(SnapshotTest, CorruptSnapshotReportsCorruption) {
 
 TEST(SnapshotTest, FailedRenameNeverPublishes) {
   FaultPoints::Global().Reset();
-  const std::string dir = MakeTempDir("snaptmp");
+  const ScopedTempDir tmp("durability_snaptmp");
+  const std::string& dir = tmp.path();
   ASSERT_TRUE(
       FaultPoints::Global()
           .Arm("snapshot.rename.before", FaultAction::kIOError)
@@ -311,8 +312,8 @@ TEST_P(RecoveryMatrixTest, RecoveredEqualsUncrashedTwin) {
   // retraction, and the multi-op batch.
   for (size_t k = 0; k < 3; ++k) {
     SCOPED_TRACE(std::string(cc.fault) + " at delta " + std::to_string(k));
-    const std::string dir =
-        MakeTempDir(std::string("matrix") + std::to_string(k));
+    const ScopedTempDir tmp("durability_matrix" + std::to_string(k));
+    const std::string& dir = tmp.path();
     SessionOptions durable = BaseOptions();
     durable.wal_dir = dir;
     durable.snapshot_every = 1;  // snapshot faults need an attempt per delta
@@ -376,7 +377,8 @@ TEST(RecoveryTest, TornTailIsTruncatedAndLoggingContinues) {
   MlnProgram program = LinkProgram();
   const EvidenceDb evidence = InitialEvidence(program);
   const std::vector<EvidenceDelta> deltas = DeltaStream(program);
-  const std::string dir = MakeTempDir("tail");
+  const ScopedTempDir tmp("durability_tail");
+  const std::string& dir = tmp.path();
   SessionOptions durable = BaseOptions();
   durable.wal_dir = dir;
 
@@ -418,7 +420,8 @@ TEST(RecoveryTest, CorruptNewestSnapshotFallsBackAndReplaysMore) {
   MlnProgram program = LinkProgram();
   const EvidenceDb evidence = InitialEvidence(program);
   const std::vector<EvidenceDelta> deltas = DeltaStream(program);
-  const std::string dir = MakeTempDir("stale");
+  const ScopedTempDir tmp("durability_stale");
+  const std::string& dir = tmp.path();
   SessionOptions durable = BaseOptions();
   durable.wal_dir = dir;
   durable.snapshot_every = 1;
@@ -457,7 +460,8 @@ TEST(RecoveryTest, SnapshotNewerThanWalRebasesTimeline) {
   MlnProgram program = LinkProgram();
   const EvidenceDb evidence = InitialEvidence(program);
   const std::vector<EvidenceDelta> deltas = DeltaStream(program);
-  const std::string dir = MakeTempDir("rebase");
+  const ScopedTempDir tmp("durability_rebase");
+  const std::string& dir = tmp.path();
   SessionOptions durable = BaseOptions();
   durable.wal_dir = dir;
   durable.snapshot_every = 1;
@@ -516,7 +520,8 @@ TEST(RecoveryTest, UnreadableSnapshotFallsBackToOlder) {
   MlnProgram program = LinkProgram();
   const EvidenceDb evidence = InitialEvidence(program);
   const std::vector<EvidenceDelta> deltas = DeltaStream(program);
-  const std::string dir = MakeTempDir("unreadable");
+  const ScopedTempDir tmp("durability_unreadable");
+  const std::string& dir = tmp.path();
   SessionOptions durable = BaseOptions();
   durable.wal_dir = dir;
   durable.snapshot_every = 1;
@@ -548,7 +553,8 @@ TEST(RecoveryTest, FailedOpenLeavesDirRetryable) {
   FaultPoints::Global().Reset();
   MlnProgram program = LinkProgram();
   const EvidenceDb evidence = InitialEvidence(program);
-  const std::string dir = MakeTempDir("halfinit");
+  const ScopedTempDir tmp("durability_halfinit");
+  const std::string& dir = tmp.path();
   SessionOptions durable = BaseOptions();
   durable.wal_dir = dir;
 
@@ -577,7 +583,8 @@ TEST(RecoveryTest, FailedOpenLeavesDirRetryable) {
 
 TEST(RecoveryTest, RefusesForeignDurableState) {
   MlnProgram program = LinkProgram();
-  const std::string dir = MakeTempDir("foreign");
+  const ScopedTempDir tmp("durability_foreign");
+  const std::string& dir = tmp.path();
   SessionOptions durable = BaseOptions();
   durable.wal_dir = dir;
   {
@@ -596,7 +603,8 @@ TEST(RecoveryTest, RefusesForeignDurableState) {
 
 TEST(RecoveryTest, OpenRefusesExistingDurableDir) {
   MlnProgram program = LinkProgram();
-  const std::string dir = MakeTempDir("reopen");
+  const ScopedTempDir tmp("durability_reopen");
+  const std::string& dir = tmp.path();
   SessionOptions durable = BaseOptions();
   durable.wal_dir = dir;
   {
@@ -615,7 +623,8 @@ TEST(RecoveryDeathTest, InjectedCrashLeavesRecoverableState) {
   MlnProgram program = LinkProgram();
   const EvidenceDb evidence = InitialEvidence(program);
   const std::vector<EvidenceDelta> deltas = DeltaStream(program);
-  const std::string dir = MakeTempDir("crash");
+  const ScopedTempDir tmp("durability_crash");
+  const std::string& dir = tmp.path();
   SessionOptions durable = BaseOptions();
   durable.wal_dir = dir;
 
@@ -705,7 +714,8 @@ TEST(RecoveryTest, CommittedCrashFixtureRecoversToTheUncrashedAnswer) {
   deltas[2].Assert(Atom(program, "refers", {"P0", "P11"}), true);
 
   // Recovery truncates the torn tail and appends, so it runs on a copy.
-  const std::string dir = MakeTempDir("fixture");
+  const ScopedTempDir tmp("durability_fixture");
+  const std::string& dir = tmp.path();
   for (const char* name : {"wal.log", "snapshot-0000000000.snap"}) {
     CopyFile(CrashFixtureDir() + "/" + name, dir + "/" + name);
   }
@@ -796,7 +806,8 @@ TEST(RecoveryTest, RunningSumStateFromAnOlderBuildRecovers) {
   opts.search_mode = SearchMode::kComponentAware;
   opts.total_flips = 20000;
   opts.snapshot_every = 2;
-  const std::string dir = MakeTempDir("running_sums");
+  const ScopedTempDir tmp("durability_running_sums");
+  const std::string& dir = tmp.path();
   for (const char* name : {"wal.log", "snapshot-0000000002.snap"}) {
     CopyFile(FixtureDir("er_session_running_sums") + "/" + name,
              dir + "/" + name);
@@ -826,7 +837,8 @@ TEST(SessionManagerDurabilityTest, PerSessionDirsAndRecover) {
   MlnProgram program = LinkProgram();
   const EvidenceDb evidence = InitialEvidence(program);
   const std::vector<EvidenceDelta> deltas = DeltaStream(program);
-  const std::string root = MakeTempDir("mgr");
+  const ScopedTempDir tmp("durability_mgr");
+  const std::string& root = tmp.path();
 
   SessionManagerOptions mopts;
   mopts.durability_root = root;

@@ -1,6 +1,5 @@
 #include <gtest/gtest.h>
 
-#include <stdlib.h>
 #include <sys/socket.h>
 #include <unistd.h>
 
@@ -19,16 +18,11 @@
 #include "net/server.h"
 #include "serve/inference_session.h"
 #include "obs/metrics.h"
+#include "temp_dir.h"
 #include "util/rng.h"
 
 namespace tuffy {
 namespace {
-
-std::string MakeTempDir(const std::string& tag) {
-  std::string templ = ::testing::TempDir() + "net_" + tag + "_XXXXXX";
-  EXPECT_NE(::mkdtemp(templ.data()), nullptr);
-  return templ;
-}
 
 MlnProgram LinkProgram() {
   auto r = ParseProgram(
@@ -81,6 +75,12 @@ class NetTest : public ::testing::Test {
     return client;
   }
 
+  /// A fresh directory, removed with its tree when the test ends.
+  std::string MakeTempDir(const std::string& tag) {
+    temp_dirs_.push_back(std::make_unique<ScopedTempDir>("net_" + tag));
+    return temp_dirs_.back()->path();
+  }
+
   EvidenceDelta ToggleDelta(int i) {
     EvidenceDelta delta;
     if (i % 2 == 0) {
@@ -91,6 +91,8 @@ class NetTest : public ::testing::Test {
     return delta;
   }
 
+  /// First, so it is destroyed last: after the server.
+  std::vector<std::unique_ptr<ScopedTempDir>> temp_dirs_;
   MlnProgram program_;
   EvidenceDb evidence_;
   std::unique_ptr<Server> server_;

@@ -29,6 +29,7 @@
 #include "repl/repl_protocol.h"
 #include "serve/follower_manager.h"
 #include "serve/inference_session.h"
+#include "temp_dir.h"
 #include "util/fault_points.h"
 #include "util/rng.h"
 
@@ -36,12 +37,6 @@ namespace tuffy {
 namespace {
 
 constexpr const char* kSession = "cli";
-
-std::string MakeTempDir(const std::string& tag) {
-  std::string templ = ::testing::TempDir() + "repl_" + tag + "_XXXXXX";
-  EXPECT_NE(::mkdtemp(templ.data()), nullptr);
-  return templ;
-}
 
 MlnProgram LinkProgram() {
   auto r = ParseProgram(
@@ -142,6 +137,12 @@ class ReplTest : public ::testing::Test {
   }
   void TearDown() override { FaultPoints::Global().Reset(); }
 
+  /// A fresh directory, removed with its tree when the test ends.
+  std::string MakeTempDir(const std::string& tag) {
+    temp_dirs_.push_back(std::make_unique<ScopedTempDir>("repl_" + tag));
+    return temp_dirs_.back()->path();
+  }
+
   /// A durable primary server plus one connected client with the test
   /// session open. Callable repeatedly (fresh root each time).
   void StartPrimary() {
@@ -198,6 +199,8 @@ class ReplTest : public ::testing::Test {
     ExpectBitIdentical(*follower.replica()->session(), want);
   }
 
+  /// First, so it is destroyed last: after the server and client.
+  std::vector<std::unique_ptr<ScopedTempDir>> temp_dirs_;
   MlnProgram program_;
   EvidenceDb evidence_;
   std::vector<EvidenceDelta> deltas_;
