@@ -161,33 +161,37 @@ Status TuffyEngine::RunSearch(EngineResult* result) {
       uint64_t batch_peak = 0;
       for (const std::vector<size_t>& batch : batches) {
         if (batch.empty()) continue;
-        // Load the batch's clauses (through the warehouse if enabled),
-        // renumbering its components' clause ids into them.
+        // Make the batch's components resident. Through the warehouse,
+        // that loads their clauses and renumbers the components' clause
+        // ids into the loaded vector; otherwise the solvers read the
+        // store's clauses in place, by their original ids.
+        Timer load_timer;
         ComponentSet resident;
         std::vector<uint32_t> ids;
         uint64_t batch_size = 0;
         for (size_t comp : batch) {
           resident.atoms.push_back(components.atoms[comp]);
-          std::vector<uint32_t>& local = resident.clauses.emplace_back();
-          for (uint32_t ci : components.clauses[comp]) {
-            local.push_back(static_cast<uint32_t>(ids.size()));
-            ids.push_back(ci);
+          if (warehouse == nullptr) {
+            resident.clauses.push_back(components.clauses[comp]);
+          } else {
+            std::vector<uint32_t>& local = resident.clauses.emplace_back();
+            for (uint32_t ci : components.clauses[comp]) {
+              local.push_back(static_cast<uint32_t>(ids.size()));
+              ids.push_back(ci);
+            }
           }
           batch_size += sizes[comp];
         }
-        Timer load_timer;
         std::vector<GroundClause> loaded;
         if (warehouse != nullptr) {
           TUFFY_ASSIGN_OR_RETURN(loaded, warehouse->Load(ids));
-        } else {
-          loaded.reserve(ids.size());
-          for (uint32_t ci : ids) loaded.push_back(clauses[ci]);
         }
         result->load_seconds += load_timer.ElapsedSeconds();
 
         batch_peak = std::max(batch_peak, batch_size * kBytesPerSizeUnit);
         SolveComponents(sopts, marginal ? 0 : options_.rounds,
-                        options_.timeout_seconds, loaded, resident,
+                        options_.timeout_seconds,
+                        warehouse != nullptr ? loaded : clauses, resident,
                         pool.get(), timer, &cr);
       }
       // The marginal task's MAP-style fields get a thresholded state.

@@ -1,6 +1,8 @@
 #include "ground/atom_loader.h"
 
-#include <unordered_set>
+#include <set>
+
+#include "ground/bottom_up_grounder.h"
 
 namespace tuffy {
 
@@ -10,9 +12,12 @@ std::string DomainTableName(const std::string& type) {
 
 Status LoadMlnTables(const MlnProgram& program,
                      const EvidenceDb& /*evidence*/, Catalog* catalog) {
-  std::unordered_set<std::string> types;
-  for (const Predicate& pred : program.predicates()) {
-    for (const std::string& t : pred.arg_types) types.insert(t);
+  std::set<std::string> types;
+  for (size_t c = 0; c < program.clauses().size(); ++c) {
+    const Clause& clause = program.clauses()[c];
+    for (VarId v : DomainScannedVars(program, static_cast<int>(c))) {
+      types.insert(clause.var_types[v]);
+    }
   }
   for (const std::string& type : types) {
     TUFFY_ASSIGN_OR_RETURN(

@@ -13,10 +13,12 @@ namespace tuffy {
 std::string DomainTableName(const std::string& type);
 
 /// Loads the MLN's type domains into the relational engine (Section
-/// 3.1): one single-column table `_dom_<type>` per type any predicate
-/// uses, enumerating its constants, ANALYZEd so the optimizer has
-/// statistics. These are the relations a rule's otherwise-unbound
-/// universal variables range over.
+/// 3.1): one single-column table `_dom_<type>` enumerating the type's
+/// constants, ANALYZEd so the optimizer has statistics. A type gets a
+/// table only when some rule's binding query scans it, i.e. a universal
+/// variable of that type that no binding literal binds
+/// (DomainScannedVars); no plan reads any other type's domain as a
+/// relation.
 ///
 /// The evidence is not loaded here: binding literals scan EvidenceDb's
 /// relations in place (EvidenceDb::rows), so `evidence` is unused and

@@ -36,6 +36,46 @@ std::vector<TableStats> AnalyzeClosedWorldEvidence(const MlnProgram& program,
   return stats;
 }
 
+namespace {
+
+std::vector<bool> ExistentialVars(const Clause& clause) {
+  std::vector<bool> existential(clause.num_vars, false);
+  for (VarId v : clause.existential_vars) existential[v] = true;
+  return existential;
+}
+
+/// A binding literal: negative, over a closed-world predicate, with no
+/// existential argument. Its atom must be true in a violable ground
+/// clause, so the binding query joins the predicate's true rows.
+bool IsBindingLiteral(const MlnProgram& program, const Literal& lit,
+                      const std::vector<bool>& existential) {
+  if (lit.positive || !program.predicate(lit.pred).closed_world) return false;
+  for (const Term& t : lit.args) {
+    if (t.is_var && existential[t.id]) return false;
+  }
+  return true;
+}
+
+}  // namespace
+
+std::vector<VarId> DomainScannedVars(const MlnProgram& program,
+                                     int clause_idx) {
+  const Clause& clause = program.clauses()[clause_idx];
+  const std::vector<bool> existential = ExistentialVars(clause);
+  std::vector<bool> bound = existential;
+  for (const Literal& lit : clause.literals) {
+    if (!IsBindingLiteral(program, lit, existential)) continue;
+    for (const Term& t : lit.args) {
+      if (t.is_var) bound[t.id] = true;
+    }
+  }
+  std::vector<VarId> vars;
+  for (VarId v = 0; v < clause.num_vars; ++v) {
+    if (!bound[v]) vars.push_back(v);
+  }
+  return vars;
+}
+
 Result<RuleBindingQuery> BuildRuleBindingQuery(
     const MlnProgram& program, int clause_idx, const Catalog& catalog,
     const EvidenceDb& evidence, const std::vector<TableStats>& true_stats,
@@ -43,10 +83,7 @@ Result<RuleBindingQuery> BuildRuleBindingQuery(
   const Clause& clause = program.clauses()[clause_idx];
   RuleBindingQuery out;
   std::vector<uint8_t> is_binding_ref(clause.literals.size(), 0);
-
-  // Which variables are existential?
-  std::vector<bool> existential(clause.num_vars, false);
-  for (VarId v : clause.existential_vars) existential[v] = true;
+  const std::vector<bool> existential = ExistentialVars(clause);
 
   // Fully ground clause: a single candidate with no bindings.
   bool has_universal = false;
@@ -123,19 +160,12 @@ Result<RuleBindingQuery> BuildRuleBindingQuery(
         /*skip_existential=*/true));
   }
 
-  // Binding literals: negative literals over closed-world predicates with
-  // no existential variables. Their atoms must be true in a violable
-  // ground clause, so we join the true evidence rows.
+  // Binding literals join the true evidence rows.
   for (size_t li = 0; li < clause.literals.size(); ++li) {
     if (delta != nullptr && static_cast<int>(li) == delta->delta_lit) continue;
     const Literal& lit = clause.literals[li];
+    if (!IsBindingLiteral(program, lit, existential)) continue;
     const Predicate& pred = program.predicate(lit.pred);
-    if (lit.positive || !pred.closed_world) continue;
-    bool has_exist = false;
-    for (const Term& t : lit.args) {
-      if (t.is_var && existential[t.id]) has_exist = true;
-    }
-    if (has_exist) continue;
 
     const DeltaRelation* u = nullptr;
     if (delta != nullptr && delta->unions != nullptr) {
@@ -155,9 +185,10 @@ Result<RuleBindingQuery> BuildRuleBindingQuery(
     if (delta == nullptr) out.binding_lit_mask |= uint64_t{1} << li;
   }
 
-  // Every unbound universal variable ranges over its type domain.
-  for (VarId v = 0; v < clause.num_vars; ++v) {
-    if (existential[v] || var_site[v].ref >= 0) continue;
+  // Every other universal variable ranges over its type domain (unless
+  // the delta occurrence bound it).
+  for (VarId v : DomainScannedVars(program, clause_idx)) {
+    if (var_site[v].ref >= 0) continue;
     const std::string& type = clause.var_types[v];
     TUFFY_ASSIGN_OR_RETURN(Table * dom, catalog.GetTable(DomainTableName(type)));
     int ref_idx = static_cast<int>(query.tables.size());
@@ -213,86 +244,172 @@ Result<RuleBindingQuery> BuildRuleBindingQuery(
   return out;
 }
 
+namespace {
+
+/// Rows a morsel feeds its plan's output, about (SplitDrivingScan). Large
+/// enough that a morsel's own costs (a GroundingContext with its dense
+/// cells, a copy of the probe pipeline, an absorb) stay small beside its
+/// resolution work; a rule feeding fewer rows stays whole.
+constexpr double kMorselRows = 65536;
+
+/// Rows dropped by the evidence anti-joins at the top of a plan:
+/// (rows reaching the lowest anti-join) - (rows leaving the top one),
+/// read off the operator counters after execution. These are
+/// evidence-satisfied candidates resolution never saw.
+uint64_t VecPruned(const VecOp* op) {
+  const uint64_t out_rows = op->rows_produced();
+  while (dynamic_cast<const VecAntiJoinOp*>(op) != nullptr) {
+    op = op->probe_child();
+  }
+  return op->rows_produced() - out_rows;
+}
+
+uint64_t VolcanoPruned(PhysicalOp* op) {
+  const uint64_t out_rows = op->rows_produced();
+  while (auto* aj = dynamic_cast<AntiJoinOp*>(op)) {
+    PhysicalOp* child = nullptr;
+    aj->ForEachChild([&](PhysicalOp* c) { child = c; });
+    op = child;
+  }
+  return op->rows_produced() - out_rows;
+}
+
+/// One rule's binding query, planned and opened (its builds made), with
+/// its driving scan cut into morsels, each a CloneProbe copy of the
+/// plan's probe pipeline. A Volcano plan or a fully ground rule is one
+/// morsel. Distinct morsels may Run concurrently, each into its own
+/// context; fed in morsel order into one context, they give exactly the
+/// candidates of the unsplit plan in the same order.
+class RuleMorsels {
+ public:
+  RuleMorsels(const MlnProgram& program, int clause_idx)
+      : program_(program), clause_idx_(clause_idx) {}
+
+  /// Plans and opens rule `clause_idx` (arguments as for
+  /// GroundClauseCandidates); `explain`, if non-null, receives the plan.
+  static Result<std::unique_ptr<RuleMorsels>> Open(
+      const MlnProgram& program, int clause_idx, const Catalog& catalog,
+      const EvidenceDb& evidence, const std::vector<TableStats>& true_stats,
+      const OptimizerOptions& optimizer_options, std::string* explain);
+
+  size_t num_morsels() const {
+    return pipelines_.empty() ? 1 : pipelines_.size();
+  }
+
+  /// Feeds every candidate of morsel `m` into `ctx`.
+  Status Run(size_t m, GroundingContext* ctx);
+
+  /// Once every morsel has run: sums the morsels' operator counters into
+  /// the plan, appends its ANALYZE block to `analyze` when non-null,
+  /// closes the plan (its builds go), and returns the rows the evidence
+  /// anti-joins pruned.
+  uint64_t Finish(std::string* analyze);
+
+ private:
+  const MlnProgram& program_;
+  int clause_idx_;
+  RuleBindingQuery rq_;
+  OptimizedPlan plan_;
+  std::vector<VecOpPtr> pipelines_;  // batch plans: one per morsel
+};
+
+Result<std::unique_ptr<RuleMorsels>> RuleMorsels::Open(
+    const MlnProgram& program, int clause_idx, const Catalog& catalog,
+    const EvidenceDb& evidence, const std::vector<TableStats>& true_stats,
+    const OptimizerOptions& optimizer_options, std::string* explain) {
+  auto rule = std::make_unique<RuleMorsels>(program, clause_idx);
+  TUFFY_ASSIGN_OR_RETURN(
+      rule->rq_,
+      BuildRuleBindingQuery(program, clause_idx, catalog, evidence, true_stats,
+                            optimizer_options.enable_antijoin_pruning));
+  if (rule->rq_.trivial) return rule;
+
+  Optimizer optimizer(optimizer_options);
+  TUFFY_ASSIGN_OR_RETURN(rule->plan_,
+                         optimizer.Plan(std::move(rule->rq_.query)));
+  if (explain != nullptr) {
+    *explain += StrFormat("-- rule %d --\n%s",
+                          program.clauses()[clause_idx].rule_id,
+                          rule->plan_.explain.c_str());
+  }
+  if (VecOp* root = rule->plan_.vec_root.get()) {
+    TUFFY_RETURN_IF_ERROR(root->Open());
+    for (RowRange rows : SplitDrivingScan(*root, kMorselRows)) {
+      rule->pipelines_.push_back(root->CloneProbe(rows));
+    }
+  }
+  return rule;
+}
+
+Status RuleMorsels::Run(size_t m, GroundingContext* ctx) {
+  const Clause& clause = program_.clauses()[clause_idx_];
+  if (rq_.trivial) {
+    ctx->AddCandidate(clause_idx_, Assignment(clause.num_vars, -1));
+    return Status::OK();
+  }
+  if (!pipelines_.empty()) {
+    // Batch path: whole chunks flow from the executor into the resolver.
+    return ForEachChunk(pipelines_[m].get(), [&](const ColumnChunk& chunk) {
+      ctx->AddCandidateChunk(clause_idx_, chunk, rq_.out_vars,
+                             rq_.binding_lit_mask);
+      return Status::OK();
+    });
+  }
+  PhysicalOp* root = plan_.root.get();
+  TUFFY_RETURN_IF_ERROR(root->Open());
+  Row row;
+  Assignment assignment(clause.num_vars, -1);
+  while (true) {
+    auto has = root->Next(&row);
+    if (!has.ok()) return has.status();
+    if (!has.value()) break;
+    for (size_t i = 0; i < rq_.out_vars.size(); ++i) {
+      assignment[rq_.out_vars[i]] = static_cast<ConstantId>(row[i].int64());
+    }
+    ctx->AddCandidate(clause_idx_, assignment, rq_.binding_lit_mask);
+  }
+  root->Close();
+  return Status::OK();
+}
+
+uint64_t RuleMorsels::Finish(std::string* analyze) {
+  if (rq_.trivial) return 0;
+  const int rule_id = program_.clauses()[clause_idx_].rule_id;
+  if (analyze != nullptr) {
+    *analyze += StrFormat("-- analyze rule %d --\n", rule_id);
+  }
+  if (VecOp* root = plan_.vec_root.get()) {
+    for (VecOpPtr& pipeline : pipelines_) {
+      root->AddProbeCounters(*pipeline);
+      pipeline.reset();
+    }
+    const uint64_t pruned = VecPruned(root);
+    if (analyze != nullptr) AppendVecAnalyze(root, 0, analyze);
+    root->Close();
+    return pruned;
+  }
+  const uint64_t pruned = VolcanoPruned(plan_.root.get());
+  if (analyze != nullptr) AppendAnalyze(plan_.root.get(), 0, analyze);
+  return pruned;
+}
+
+}  // namespace
+
 Status GroundClauseCandidates(const MlnProgram& program, int clause_idx,
                               const Catalog& catalog,
                               const EvidenceDb& evidence,
                               const std::vector<TableStats>& true_stats,
                               const OptimizerOptions& optimizer_options,
                               GroundingContext* ctx, std::string* explain) {
-  const Clause& clause = program.clauses()[clause_idx];
   TUFFY_ASSIGN_OR_RETURN(
-      RuleBindingQuery rq,
-      BuildRuleBindingQuery(program, clause_idx, catalog, evidence, true_stats,
-                            optimizer_options.enable_antijoin_pruning));
-  if (rq.trivial) {
-    ctx->AddCandidate(clause_idx, Assignment(clause.num_vars, -1));
-    return Status::OK();
+      std::unique_ptr<RuleMorsels> rule,
+      RuleMorsels::Open(program, clause_idx, catalog, evidence, true_stats,
+                        optimizer_options, explain));
+  for (size_t m = 0; m < rule->num_morsels(); ++m) {
+    TUFFY_RETURN_IF_ERROR(rule->Run(m, ctx));
   }
-
-  Optimizer optimizer(optimizer_options);
-  TUFFY_ASSIGN_OR_RETURN(OptimizedPlan plan, optimizer.Plan(std::move(rq.query)));
-  if (explain != nullptr) {
-    *explain += StrFormat("-- rule %d --\n%s", clause.rule_id,
-                          plan.explain.c_str());
-  }
-
-  // Rows dropped by the evidence anti-joins at the top of the plan:
-  // (rows reaching the lowest anti-join) - (rows leaving the top one),
-  // read off the operator counters after execution. These are
-  // evidence-satisfied candidates resolution never saw.
-  auto vec_pruned = [](const VecOp* op) {
-    uint64_t out_rows = op->rows_produced();
-    while (const auto* aj = dynamic_cast<const VecAntiJoinOp*>(op)) {
-      const VecOp* child = nullptr;
-      aj->ForEachChild([&](const VecOp* c) { child = c; });
-      op = child;
-    }
-    return op->rows_produced() - out_rows;
-  };
-  auto volcano_pruned = [](PhysicalOp* op) {
-    uint64_t out_rows = op->rows_produced();
-    while (auto* aj = dynamic_cast<AntiJoinOp*>(op)) {
-      PhysicalOp* child = nullptr;
-      aj->ForEachChild([&](PhysicalOp* c) { child = c; });
-      op = child;
-    }
-    return op->rows_produced() - out_rows;
-  };
-
-  if (plan.vec_root != nullptr) {
-    // Batch path: whole chunks flow from the executor into the resolver.
-    TUFFY_RETURN_IF_ERROR(
-        ForEachChunk(plan.vec_root.get(), [&](const ColumnChunk& chunk) {
-          ctx->AddCandidateChunk(clause_idx, chunk, rq.out_vars,
-                                 rq.binding_lit_mask);
-          return Status::OK();
-        }));
-    ctx->RecordAntiJoinPruned(vec_pruned(plan.vec_root.get()));
-    if (explain != nullptr && optimizer_options.analyze) {
-      *explain += StrFormat("-- analyze rule %d --\n", clause.rule_id);
-      AppendVecAnalyze(plan.vec_root.get(), 0, explain);
-    }
-    return Status::OK();
-  }
-
-  TUFFY_RETURN_IF_ERROR(plan.root->Open());
-  Row row;
-  Assignment assignment(clause.num_vars, -1);
-  while (true) {
-    auto has = plan.root->Next(&row);
-    if (!has.ok()) return has.status();
-    if (!has.value()) break;
-    for (size_t i = 0; i < rq.out_vars.size(); ++i) {
-      assignment[rq.out_vars[i]] = static_cast<ConstantId>(row[i].int64());
-    }
-    ctx->AddCandidate(clause_idx, assignment, rq.binding_lit_mask);
-  }
-  ctx->RecordAntiJoinPruned(volcano_pruned(plan.root.get()));
-  plan.root->Close();
-  if (explain != nullptr && optimizer_options.analyze) {
-    *explain += StrFormat("-- analyze rule %d --\n", clause.rule_id);
-    AppendAnalyze(plan.root.get(), 0, explain);
-  }
+  ctx->RecordAntiJoinPruned(rule->Finish(
+      explain != nullptr && optimizer_options.analyze ? explain : nullptr));
   return Status::OK();
 }
 
@@ -348,79 +465,155 @@ Result<GroundingResult> BottomUpGrounder::Ground() {
 
   // Binding literals, anti-joins and the pattern-count index read the
   // evidence relations in place. Their stats are computed here, before
-  // any rule plans; workers share both read-only.
+  // any rule plans; workers share both read-only, and the type indexes
+  // of the dense interners too.
   const std::vector<TableStats> true_stats =
       AnalyzeClosedWorldEvidence(program_, evidence_);
-
-  GroundingContext ctx(program_, evidence_, ground_options_);
+  TypeDenseIndexes type_indexes(program_);
+  GroundingContext ctx(program_, evidence_, ground_options_,
+                       /*dense_interner=*/true, &type_indexes);
   const int num_rules = static_cast<int>(program_.clauses().size());
-  const int threads =
-      std::max(1, std::min(ground_options_.num_threads, num_rules));
+  const bool want_analyze = optimizer_options_.analyze;
 
-  // Every rule resolves into its own context — concurrently when a pool
-  // is available — and the contexts merge in rule-index order, so the
-  // grounding result is bit-identical for every thread count. The serial
-  // path absorbs (and frees) each context as soon as its rule finishes;
-  // the parallel path absorbs the completed prefix as it forms (the
-  // merge thread sleeps on the next rule in order), so a local context
-  // lives only until every earlier rule has finished, not until the
-  // whole batch has.
-  std::vector<std::unique_ptr<GroundingContext>> locals(num_rules);
-  std::vector<std::string> explains(num_rules);
-  std::vector<Status> statuses(num_rules, Status::OK());
-  auto ground_rule = [&](int r) {
-    locals[r] = std::make_unique<GroundingContext>(program_, evidence_,
-                                                   ground_options_);
-    statuses[r] = GroundClauseCandidates(program_, r, catalog, evidence_,
-                                         true_stats, optimizer_options_,
-                                         locals[r].get(), &explains[r]);
+  // A rule task plans the rule, makes its builds and cuts its driving
+  // scan into morsels (RuleMorsels); each morsel resolves into its own
+  // context on a pool worker, and the last one to finish closes the
+  // plan, so a rule's builds live only while its morsels run. The
+  // calling thread absorbs the contexts in (rule, morsel) order as the
+  // completed prefix forms, so the result is bit-identical for every
+  // thread count. At one thread the pool is absent and every task runs
+  // inline as it is submitted: the same morsels in the same order.
+  struct Morsel {
+    std::unique_ptr<GroundingContext> ctx;
+    Status status = Status::OK();
+    bool done = false;
   };
-  auto absorb_rule = [&](int r) -> Status {
-    TUFFY_RETURN_IF_ERROR(statuses[r]);
-    explain_ += explains[r];
-    ctx.AbsorbPending(locals[r].get());
-    locals[r].reset();
+  struct Rule {
+    Status status = Status::OK();
+    std::unique_ptr<RuleMorsels> plan;
+    std::string explain;  // plan text, then the ANALYZE block
+    uint64_t pruned = 0;
+    std::vector<Morsel> morsels;
+    size_t running = 0;  // morsels not yet finished
+    bool planned = false;
+    bool finished = false;  // every morsel ran and the plan closed
+  };
+  std::vector<Rule> rules(num_rules);
+  std::mutex mu;
+  std::condition_variable cv;
+
+  auto run_morsel = [&](int r, size_t m) {
+    Rule& rule = rules[r];
+    Morsel& morsel = rule.morsels[m];
+    morsel.ctx = std::make_unique<GroundingContext>(
+        program_, evidence_, ground_options_, /*dense_interner=*/true,
+        &type_indexes);
+    morsel.status = rule.plan->Run(m, morsel.ctx.get());
+    bool last;
+    {
+      std::lock_guard<std::mutex> lock(mu);
+      morsel.done = true;
+      last = --rule.running == 0;
+    }
+    if (last) {
+      // Every morsel of the rule has run: no one else touches the plan.
+      std::string analyze;
+      rule.pruned = rule.plan->Finish(want_analyze ? &analyze : nullptr);
+      rule.plan.reset();
+      std::lock_guard<std::mutex> lock(mu);
+      rule.explain += analyze;
+      rule.finished = true;
+    }
+    cv.notify_one();
+  };
+
+  // Absorbs the ready prefix of (rule, morsel) items; with `block`, waits
+  // for and absorbs every one.
+  int next_rule = 0;
+  size_t next_morsel = 0;
+  uint64_t rule_fixed_groundings = 0;
+  auto absorb = [&](bool block) -> Status {
+    while (next_rule < num_rules) {
+      Rule& rule = rules[next_rule];
+      {
+        std::unique_lock<std::mutex> lock(mu);
+        auto ready = [&] {
+          if (!rule.planned) return false;
+          if (next_morsel < rule.morsels.size()) {
+            return rule.morsels[next_morsel].done;
+          }
+          return rule.finished || !rule.status.ok();
+        };
+        if (!ready()) {
+          if (!block) return Status::OK();
+          cv.wait(lock, ready);
+        }
+      }
+      TUFFY_RETURN_IF_ERROR(rule.status);
+      if (next_morsel < rule.morsels.size()) {
+        Morsel& morsel = rule.morsels[next_morsel++];
+        TUFFY_RETURN_IF_ERROR(morsel.status);
+        rule_fixed_groundings += morsel.ctx->stats().fixed_cost_groundings;
+        ctx.AbsorbPending(morsel.ctx.get());
+        ctx.RecordMorsel();
+        morsel.ctx.reset();
+        continue;
+      }
+      explain_ += rule.explain;
+      ctx.RecordAntiJoinPruned(rule.pruned);
+      ctx.AddRuleFixedCost(next_rule, rule_fixed_groundings);
+      rule_fixed_groundings = 0;
+      next_morsel = 0;
+      ++next_rule;
+    }
     return Status::OK();
   };
-  if (threads > 1) {
-    std::mutex mu;
-    std::condition_variable cv;
-    std::vector<uint8_t> done(num_rules, 0);
-    Status merge_status = Status::OK();
-    {
-      ThreadPool pool(threads);
-      for (int r = 0; r < num_rules; ++r) {
-        pool.Submit([&, r] {
-          ground_rule(r);
-          {
-            std::lock_guard<std::mutex> lock(mu);
-            done[r] = 1;
-          }
-          cv.notify_one();
-        });
-      }
-      for (int r = 0; r < num_rules; ++r) {
-        {
-          std::unique_lock<std::mutex> lock(mu);
-          cv.wait(lock, [&] { return done[r] != 0; });
-        }
-        if (merge_status.ok()) {
-          merge_status = absorb_rule(r);
-        } else {
-          locals[r].reset();  // keep draining; free the orphaned context
-        }
-      }
-      // Pool destructor joins the (now idle) workers before `done`,
-      // `locals`, and friends leave scope.
-    }
-    TUFFY_RETURN_IF_ERROR(merge_status);
-  } else {
-    for (int r = 0; r < num_rules; ++r) {
-      ground_rule(r);
-      TUFFY_RETURN_IF_ERROR(absorb_rule(r));
-    }
-  }
 
+  Status status = Status::OK();
+  {
+    std::unique_ptr<ThreadPool> pool =
+        MakeWorkerPool(ground_options_.num_threads);
+    TaskGroup group(pool.get());
+    auto plan_rule = [&](int r) {
+      Rule& rule = rules[r];
+      auto opened = RuleMorsels::Open(program_, r, catalog, evidence_,
+                                      true_stats, optimizer_options_,
+                                      &rule.explain);
+      size_t n = 0;
+      {
+        std::lock_guard<std::mutex> lock(mu);
+        if (opened.ok()) {
+          rule.plan = opened.TakeValue();
+          n = rule.plan->num_morsels();
+          rule.morsels.resize(n);
+          rule.running = n;
+        } else {
+          rule.status = opened.status();
+        }
+        rule.planned = true;
+      }
+      cv.notify_one();
+      // Morsels 0..n-2 go to the pool ahead of the queued rule tasks:
+      // until they are absorbed, no later rule's context can be, so
+      // running later rules first would only pile those contexts up.
+      // The rule task runs the last morsel itself, so a rule of one
+      // morsel is one task, start to finish.
+      std::vector<std::function<void()>> morsels;
+      for (size_t m = 0; m + 1 < n; ++m) {
+        morsels.push_back([&, r, m] { run_morsel(r, m); });
+      }
+      if (!morsels.empty()) group.SubmitFirst(std::move(morsels));
+      if (n > 0) run_morsel(r, n - 1);
+    };
+    for (int r = 0; r < num_rules && status.ok(); ++r) {
+      group.Submit([&, r] { plan_rule(r); });
+      status = absorb(/*block=*/false);
+    }
+    if (status.ok()) status = absorb(/*block=*/true);
+    // On error the group's destructor still waits for every task before
+    // `rules` and the pool go.
+  }
+  TUFFY_RETURN_IF_ERROR(status);
   return ctx.Finalize();
 }
 

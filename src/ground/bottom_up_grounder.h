@@ -28,10 +28,16 @@ namespace tuffy {
 /// Constants and repeated variables become pushed-down filters.
 ///
 /// Execution is batch-at-a-time whenever the optimizer can emit a
-/// vectorized plan (see OptimizerOptions::enable_vectorized), and
-/// independent rules ground in parallel (GroundingOptions::num_threads)
-/// with a rule-index-order merge, so results are bit-identical across
-/// executors and thread counts.
+/// vectorized plan (see OptimizerOptions::enable_vectorized). Grounding
+/// runs on GroundingOptions::num_threads workers inside a rule as well
+/// as across rules: a batch plan's hash-join and cross-join builds are
+/// made once and shared read-only, and its driving scan is cut into
+/// morsels, row ranges sized by the rows they feed (SplitDrivingScan),
+/// never by the thread count. Each morsel runs the rest of the pipeline
+/// and resolution into its own GroundingContext; the contexts merge in
+/// (rule, morsel) order, and each rule's fixed cost is re-added one
+/// grounding at a time, so results are bit-identical across executors
+/// and thread counts.
 class BottomUpGrounder {
  public:
   BottomUpGrounder(const MlnProgram& program, const EvidenceDb& evidence,
@@ -94,6 +100,15 @@ struct DeltaBindingSpec {
   const std::unordered_map<PredicateId, DeltaRelation>* unions = nullptr;
 };
 
+/// Universal variables of clause `clause_idx` that no binding literal
+/// binds, ascending: the variables its binding query scans a type's
+/// domain table for (a delta plan may bind some of them through its
+/// delta occurrence instead). A binding literal is negative, over a
+/// closed-world predicate, with no existential argument. LoadMlnTables
+/// loads the domains of exactly these variables' types.
+std::vector<VarId> DomainScannedVars(const MlnProgram& program,
+                                     int clause_idx);
+
 /// ANALYZE statistics of a closed-world predicate's true evidence rows,
 /// the relation its binding literals scan (AnalyzeColumns: a function
 /// of the rows and their order alone).
@@ -136,6 +151,8 @@ Result<RuleBindingQuery> BuildRuleBindingQuery(
 /// the vectorized path). This is the per-rule unit of bottom-up grounding;
 /// BottomUpGrounder::Ground runs it for every clause, and the serving
 /// layer's DeltaGrounder re-runs it for just the rules a delta touches.
+/// It runs the rule's morsels in order into `ctx`, which gives the
+/// candidates of the unsplit plan in the same order.
 /// `explain`, if non-null, receives the plan's EXPLAIN text (plus
 /// per-operator ANALYZE lines when optimizer_options.analyze is set).
 /// optimizer_options.enable_antijoin_pruning turns on in-plan

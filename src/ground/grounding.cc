@@ -25,34 +25,50 @@ void StampGroundingMetrics(const GroundingStats& stats) {
 }
 }  // namespace
 
+TypeDenseIndexes::TypeDenseIndexes(const MlnProgram& program)
+    : program_(program) {
+  for (const Predicate& pred : program.predicates()) {
+    for (const std::string& type : pred.arg_types) {
+      if (entries_.count(type) == 0) {
+        entries_.emplace(type, std::make_unique<Entry>());
+      }
+    }
+  }
+}
+
+const std::vector<int32_t>& TypeDenseIndexes::Get(const std::string& type) {
+  Entry& entry = *entries_.at(type);
+  std::call_once(entry.built, [&] {
+    const std::vector<ConstantId>& domain = program_.symbols().Domain(type);
+    entry.index.assign(program_.symbols().num_constants(), -1);
+    for (size_t i = 0; i < domain.size(); ++i) {
+      if (domain[i] >= 0 &&
+          domain[i] < static_cast<int32_t>(entry.index.size())) {
+        entry.index[domain[i]] = static_cast<int32_t>(i);
+      }
+    }
+  });
+  return entry.index;
+}
+
 GroundingContext::GroundingContext(const MlnProgram& program,
                                    const EvidenceDb& evidence,
                                    GroundingOptions options,
-                                   bool dense_interner)
+                                   bool dense_interner,
+                                   TypeDenseIndexes* type_indexes)
     : program_(program),
       evidence_(evidence),
       options_(options),
-      dense_interner_(dense_interner) {
+      dense_interner_(dense_interner),
+      type_indexes_(type_indexes) {
   dense_.resize(program.num_predicates());
+  if (type_indexes_ == nullptr) {
+    own_type_indexes_ = std::make_unique<TypeDenseIndexes>(program);
+    type_indexes_ = own_type_indexes_.get();
+  }
 }
 
 // ------------------------------------------------------- dense interner
-
-const std::vector<int32_t>* GroundingContext::TypeDenseIndex(
-    const std::string& type) {
-  auto it = type_dense_.find(type);
-  if (it == type_dense_.end()) {
-    const std::vector<ConstantId>& domain = program_.symbols().Domain(type);
-    std::vector<int32_t> index(program_.symbols().num_constants(), -1);
-    for (size_t i = 0; i < domain.size(); ++i) {
-      if (domain[i] >= 0 && domain[i] < static_cast<int32_t>(index.size())) {
-        index[domain[i]] = static_cast<int32_t>(i);
-      }
-    }
-    it = type_dense_.emplace(type, std::move(index)).first;
-  }
-  return &it->second;
-}
 
 void GroundingContext::InitDense(PredicateId pred) {
   DenseInterner& di = dense_[pred];
@@ -73,7 +89,7 @@ void GroundingContext::InitDense(PredicateId pred) {
   }
   di.arg_dense.resize(p.arity());
   for (int i = 0; i < p.arity(); ++i) {
-    di.arg_dense[i] = TypeDenseIndex(p.arg_types[i]);
+    di.arg_dense[i] = &type_indexes_->Get(p.arg_types[i]);
   }
   di.cells.assign(slots, kCellUnseen);
   result_.stats.working_set_bytes += slots * sizeof(int32_t);
@@ -611,36 +627,34 @@ void GroundingContext::AddCandidateChunk(int clause_idx,
 
 void GroundingContext::AbsorbPending(GroundingContext* local) {
   assert(!finalized_ && !local->finalized_);
+  const GroundingResult& lr = local->result_;
+  result_.stats.working_set_bytes += lr.stats.working_set_bytes;
+  result_.stats.candidates += lr.stats.candidates;
+  result_.stats.satisfied_by_evidence += lr.stats.satisfied_by_evidence;
+  result_.stats.pruned_by_antijoin += lr.stats.pruned_by_antijoin;
+  result_.stats.hard_violations += lr.stats.hard_violations;
+  result_.stats.fixed_cost_groundings += lr.stats.fixed_cost_groundings;
+  result_.hard_contradiction =
+      result_.hard_contradiction || lr.hard_contradiction;
   if (cand_atoms_.empty() && pending_.empty()) {
     // First absorb into an empty owner: steal the local context's
     // interner and pending arena wholesale — candidate-id numbering is
     // internal, so the result is identical to a remap, minus the work.
+    // The type indexes the dense cells point into outlive both.
+    assert(type_indexes_ == local->type_indexes_);
     cand_atoms_.swap(local->cand_atoms_);
     cand_active_.swap(local->cand_active_);
     cand_ids_.swap(local->cand_ids_);
     dense_.swap(local->dense_);
-    type_dense_.swap(local->type_dense_);
     pending_.swap(local->pending_);
     pending_lits_.swap(local->pending_lits_);
     chunk_plan_ = ChunkPlan{};        // cached cell pointers moved away
     local->chunk_plan_ = ChunkPlan{};
-    const GroundingResult& lr0 = local->result_;
-    result_.stats.working_set_bytes += lr0.stats.working_set_bytes;
-    result_.stats.candidates += lr0.stats.candidates;
-    result_.stats.satisfied_by_evidence += lr0.stats.satisfied_by_evidence;
-    result_.stats.pruned_by_antijoin += lr0.stats.pruned_by_antijoin;
-    result_.stats.hard_violations += lr0.stats.hard_violations;
-    result_.stats.fixed_cost_groundings += lr0.stats.fixed_cost_groundings;
-    result_.fixed_cost += lr0.fixed_cost;
-    result_.hard_contradiction =
-        result_.hard_contradiction || lr0.hard_contradiction;
     return;
   }
   // Remap local candidate ids lazily: only atoms that survived into a
   // pending clause are interned here.
   std::vector<int32_t> remap(local->cand_atoms_.size(), -1);
-  pending_.reserve(pending_.size() + local->pending_.size());
-  pending_lits_.reserve(pending_lits_.size() + local->pending_lits_.size());
   for (const PendingClause& pc : local->pending_) {
     const uint32_t begin = static_cast<uint32_t>(pending_lits_.size());
     for (uint32_t i = pc.begin; i < pc.end; ++i) {
@@ -655,17 +669,13 @@ void GroundingContext::AbsorbPending(GroundingContext* local) {
   }
   local->pending_.clear();
   local->pending_lits_.clear();
+}
 
-  const GroundingResult& lr = local->result_;
-  result_.stats.working_set_bytes += lr.stats.working_set_bytes;
-  result_.stats.candidates += lr.stats.candidates;
-  result_.stats.satisfied_by_evidence += lr.stats.satisfied_by_evidence;
-  result_.stats.pruned_by_antijoin += lr.stats.pruned_by_antijoin;
-  result_.stats.hard_violations += lr.stats.hard_violations;
-  result_.stats.fixed_cost_groundings += lr.stats.fixed_cost_groundings;
-  result_.fixed_cost += lr.fixed_cost;
-  result_.hard_contradiction =
-      result_.hard_contradiction || lr.hard_contradiction;
+void GroundingContext::AddRuleFixedCost(int clause_idx, uint64_t groundings) {
+  const double w = std::fabs(program_.clauses()[clause_idx].weight);
+  double rule_cost = 0.0;
+  for (uint64_t i = 0; i < groundings; ++i) rule_cost += w;
+  result_.fixed_cost += rule_cost;
 }
 
 // --------------------------------------------------------------- closure

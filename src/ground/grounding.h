@@ -2,6 +2,8 @@
 #define TUFFY_GROUND_GROUNDING_H_
 
 #include <cstdint>
+#include <memory>
+#include <mutex>
 #include <string>
 #include <unordered_map>
 #include <vector>
@@ -26,10 +28,11 @@ struct GroundingOptions {
   /// rule initialized at (or passing through) 0 still needs its
   /// groundings counted.
   bool keep_zero_weight_clauses = false;
-  /// Worker threads for bottom-up grounding: independent rules run their
-  /// binding query + evidence resolution concurrently, and the per-rule
-  /// results merge in rule-index order, so the output is bit-identical
-  /// for every thread count (see determinism_test).
+  /// Worker threads for bottom-up grounding: rules, and morsels of one
+  /// rule's binding query, run their pipeline + evidence resolution
+  /// concurrently, and the results merge in (rule, morsel) order, so the
+  /// output is bit-identical for every thread count (see
+  /// determinism_test).
   int num_threads = 1;
 };
 
@@ -56,11 +59,18 @@ struct GroundingStats {
   /// |weight| to fixed_cost (serving derives a rule's fixed cost from it).
   uint64_t fixed_cost_groundings = 0;
   int closure_iterations = 0;
+  /// Pieces bottom-up grounding resolved a rule in: one per rule, plus
+  /// one for every extra morsel a split rule's driving scan was cut into
+  /// (see BottomUpGrounder). A function of the program and the
+  /// evidence, like every count here. Zero for the other grounders.
+  uint64_t morsels = 0;
   /// Bytes of grounding state an all-in-RAM grounder holds before the
   /// closure prunes it: dense candidate cells plus pending clauses (the
   /// Alchemy term of Table 4). Nothing is freed before Finalize, so this
-  /// total is the state's peak. It depends only on the program and the
-  /// evidence, so it is equal at every thread count.
+  /// total is the state's peak. Every context counts its own cells, so a
+  /// rule split into morsels counts its cells once per morsel. It depends
+  /// only on the program and the evidence, so it is equal at every thread
+  /// count.
   uint64_t working_set_bytes = 0;
 };
 
@@ -78,6 +88,27 @@ struct GroundingResult {
 /// A value for every clause variable (ConstantId), indexed by VarId.
 /// Entries for existential variables are ignored (set to -1).
 using Assignment = std::vector<ConstantId>;
+
+/// Global constant -> position in its type's domain (-1 outside it), one
+/// `num_constants`-sized vector per type, built on first use. The dense
+/// interners of every GroundingContext that shares one read the same
+/// vectors, so a Ground builds each at most once however many contexts
+/// its morsels resolve into. Get is safe to call from several threads.
+class TypeDenseIndexes {
+ public:
+  explicit TypeDenseIndexes(const MlnProgram& program);
+
+  const std::vector<int32_t>& Get(const std::string& type);
+
+ private:
+  struct Entry {
+    std::once_flag built;
+    std::vector<int32_t> index;
+  };
+  const MlnProgram& program_;
+  /// One entry per type a predicate uses; the key set never changes.
+  std::unordered_map<std::string, std::unique_ptr<Entry>> entries_;
+};
 
 /// Shared back end of both grounders: takes candidate (clause,
 /// assignment) pairs from the binding phase, resolves literals against
@@ -100,9 +131,12 @@ class GroundingContext {
   /// grounding; a caller resolving a small candidate batch (binding-level
   /// deltas) turns it off, since zeroing domain-product-sized arrays
   /// would dominate. The context reads `evidence` in place, so it must
-  /// stay unmutated while the context lives.
+  /// stay unmutated while the context lives. `type_indexes`, if given,
+  /// is shared with other contexts and must outlive this one; otherwise
+  /// the context builds its own.
   GroundingContext(const MlnProgram& program, const EvidenceDb& evidence,
-                   GroundingOptions options, bool dense_interner = true);
+                   GroundingOptions options, bool dense_interner = true,
+                   TypeDenseIndexes* type_indexes = nullptr);
 
   /// Registers a candidate grounding of program.clauses()[clause_idx].
   /// Bit k of `skip_lit_mask` marks literal k as resolution-exempt: the
@@ -127,14 +161,28 @@ class GroundingContext {
     result_.stats.satisfied_by_evidence += rows;
   }
 
-  /// Merges a rule-local context into this one: pending clauses are
+  /// Records one more morsel (see GroundingStats::morsels).
+  void RecordMorsel() { ++result_.stats.morsels; }
+
+  /// Merges a morsel-local context into this one: pending clauses are
   /// remapped into this context's candidate-atom interner and appended
-  /// in call order, and stats/fixed-cost accumulators are summed. This
-  /// is the join point of parallel per-rule grounding — workers resolve
-  /// rules into local contexts concurrently, and the owner absorbs them
-  /// in rule-index order, so the merged result is independent of thread
-  /// count. `local` is consumed (its pending clauses are moved out).
+  /// in call order, and the stats and the contradiction flag are summed.
+  /// The local fixed cost is not: a rule's fixed cost comes back through
+  /// AddRuleFixedCost. This is the join point of parallel grounding —
+  /// workers resolve morsels into local contexts concurrently, and the
+  /// owner absorbs them in (rule, morsel) order, so the merged result is
+  /// independent of thread count. `local` is consumed (its pending
+  /// clauses are moved out).
   void AbsorbPending(GroundingContext* local);
+
+  /// Adds rule `clause_idx`'s fixed cost for `groundings` groundings the
+  /// evidence fixed: |weight| re-added one grounding at a time into a
+  /// rule sum that starts at zero, then that sum. This is the sum one
+  /// context resolving the whole rule makes, so the total does not
+  /// depend on how the rule was split.
+  void AddRuleFixedCost(int clause_idx, uint64_t groundings);
+
+  const GroundingStats& stats() const { return result_.stats; }
 
   /// Runs the closure and moves the result out. Call once.
   Result<GroundingResult> Finalize();
@@ -170,8 +218,6 @@ class GroundingContext {
     std::vector<const std::vector<int32_t>*> arg_dense;
   };
 
-  /// Global-constant -> position-in-domain map of one type, built once.
-  const std::vector<int32_t>* TypeDenseIndex(const std::string& type);
   void InitDense(PredicateId pred);
   /// Flat cell for the atom, or nullptr when the predicate (or this
   /// atom's arguments) cannot use the dense path.
@@ -264,7 +310,8 @@ class GroundingContext {
     int8_t known_true;  // valid when cid == -1
   };
   std::vector<DenseInterner> dense_;
-  std::unordered_map<std::string, std::vector<int32_t>> type_dense_;
+  std::unique_ptr<TypeDenseIndexes> own_type_indexes_;
+  TypeDenseIndexes* type_indexes_;
   std::unordered_map<GroundAtom, CandInfo, GroundAtomHash> cand_ids_;
   std::vector<GroundAtom> cand_atoms_;
   std::vector<uint8_t> cand_active_;

@@ -43,11 +43,26 @@ bool EvalPredicates(const std::vector<VecPredicate>& predicates,
 
 }  // namespace
 
+// ----------------------------------------------------------------- VecOp
+
+void VecOp::AddProbeCounters(const VecOp& copy) {
+  rows_produced_ += copy.rows_produced_;
+  chunks_produced_ += copy.chunks_produced_;
+  seconds_ += copy.seconds_;
+  if (VecOp* child = probe_child()) child->AddProbeCounters(*copy.probe_child());
+}
+
 // ---------------------------------------------------------------- VecScan
 
 Status VecScanOp::Open() {
   segment_ = 0;
-  pos_ = 0;
+  pos_ = rows_.begin;
+  while (segment_ < segments_.size() &&
+         pos_ >= segments_[segment_]->num_rows()) {
+    pos_ -= segments_[segment_]->num_rows();
+    ++segment_;
+  }
+  left_ = rows_.end - rows_.begin;
   rows_produced_ = 0;
   chunks_produced_ = 0;
   return Status::OK();
@@ -60,9 +75,11 @@ Result<bool> VecScanOp::NextChunk(ColumnChunk* out) {
     ++segment_;
     pos_ = 0;
   }
-  if (segment_ >= segments_.size()) return false;
+  if (segment_ >= segments_.size() || left_ == 0) return false;
   const IdTable& rows = *segments_[segment_];
-  const size_t n = std::min<size_t>(kVecChunkRows, rows.num_rows() - pos_);
+  const size_t n =
+      std::min({static_cast<size_t>(kVecChunkRows), rows.num_rows() - pos_,
+                left_});
   out->Reset(num_cols_);
   // Borrow the segment's columns: a view per column, no copies.
   for (size_t c = 0; c < num_cols_; ++c) {
@@ -70,9 +87,17 @@ Result<bool> VecScanOp::NextChunk(ColumnChunk* out) {
   }
   out->num_rows = static_cast<uint32_t>(n);
   pos_ += n;
+  left_ -= n;
   rows_produced_ += n;
   ++chunks_produced_;
   return true;
+}
+
+VecOpPtr VecScanOp::CloneProbe(RowRange rows) const {
+  auto copy = std::make_unique<VecScanOp>(*this);
+  copy->rows_ = rows;
+  copy->seconds_ = 0.0;
+  return copy;
 }
 
 const std::vector<const IdTable*>& VecScanOp::DrainInPlace() {
@@ -118,6 +143,12 @@ Result<bool> VecFilterOp::NextChunk(ColumnChunk* out) {
   }
 }
 
+double VecFilterOp::FanOut(Fan fan, const ColumnChunk* in,
+                           uint32_t row) const {
+  if (fan != Fan::kRow) return 1.0;
+  return EvalPredicates(predicates_, *in, row) ? 1.0 : 0.0;
+}
+
 std::string VecFilterOp::name() const {
   return StrFormat("VecFilter(%zu preds)", predicates_.size());
 }
@@ -161,7 +192,21 @@ constexpr uint32_t kNoKey = UINT32_MAX;
 
 VecHashJoinOp::VecHashJoinOp(VecOpPtr left, VecOpPtr right,
                              std::vector<JoinKey> keys)
-    : left_(std::move(left)), right_(std::move(right)), keys_(std::move(keys)) {
+    : left_(std::move(left)),
+      right_(std::move(right)),
+      keys_(std::move(keys)),
+      right_cols_(right_->num_output_cols()) {}
+
+VecHashJoinOp::VecHashJoinOp(VecOpPtr left, std::shared_ptr<const Build> build,
+                             std::vector<JoinKey> keys, size_t right_cols)
+    : left_(std::move(left)),
+      keys_(std::move(keys)),
+      right_cols_(right_cols),
+      build_(std::move(build)) {}
+
+VecOpPtr VecHashJoinOp::CloneProbe(RowRange rows) const {
+  return VecOpPtr(
+      new VecHashJoinOp(left_->CloneProbe(rows), build_, keys_, right_cols_));
 }
 
 uint64_t VecHashJoinOp::BuildKey(const BuildSegment& seg, size_t row) const {
@@ -174,46 +219,67 @@ uint64_t VecHashJoinOp::BuildKey(const BuildSegment& seg, size_t row) const {
          static_cast<uint32_t>(seg.cols[keys_[1].right_col][row]);
 }
 
-uint64_t VecHashJoinOp::ProbeKey(uint32_t row) const {
+uint64_t VecHashJoinOp::ProbeKey(const ColumnChunk& probe,
+                                 uint32_t row) const {
   if (keys_.size() == 1) {
-    return static_cast<uint64_t>(probe_.col(keys_[0].left_col)[row]);
+    return static_cast<uint64_t>(probe.col(keys_[0].left_col)[row]);
   }
   return (static_cast<uint64_t>(
-              static_cast<uint32_t>(probe_.col(keys_[0].left_col)[row]))
+              static_cast<uint32_t>(probe.col(keys_[0].left_col)[row]))
           << 32) |
-         static_cast<uint32_t>(probe_.col(keys_[1].left_col)[row]);
+         static_cast<uint32_t>(probe.col(keys_[1].left_col)[row]);
 }
 
-void VecHashJoinOp::FindRun(uint64_t key) {
-  run_pos_ = run_end_ = 0;
+void VecHashJoinOp::FindRun(uint64_t key, uint32_t* pos, uint32_t* end) const {
+  const Build& b = *build_;
+  *pos = *end = 0;
   size_t k;
-  if (addressing_ == Addressing::kDirect) {
-    k = key - key_min_;  // a key below the minimum wraps past the end
-    if (k >= run_begin_.size() - 1) return;
+  if (b.addressing == Addressing::kDirect) {
+    k = key - b.key_min;  // a key below the minimum wraps past the end
+    if (k >= b.run_begin.size() - 1) return;
   } else {
-    size_t slot = HashKey(key) & slot_mask_;
-    while (slot_index_[slot] != kNoKey && slot_key_[slot] != key) {
-      slot = (slot + 1) & slot_mask_;
+    size_t slot = HashKey(key) & b.slot_mask;
+    while (b.slot_index[slot] != kNoKey && b.slot_key[slot] != key) {
+      slot = (slot + 1) & b.slot_mask;
     }
-    if (slot_index_[slot] == kNoKey) return;
-    k = slot_index_[slot];
+    if (b.slot_index[slot] == kNoKey) return;
+    k = b.slot_index[slot];
   }
-  run_pos_ = run_begin_[k];
-  run_end_ = run_begin_[k + 1];
+  *pos = b.run_begin[k];
+  *end = b.run_begin[k + 1];
 }
 
-Status VecHashJoinOp::LoadBuild() {
-  owned_cols_.clear();
-  segments_.clear();
-  build_rows_ = 0;
-  const size_t ncols = right_->num_output_cols();
+double VecHashJoinOp::FanOut(Fan fan, const ColumnChunk* in,
+                             uint32_t row) const {
+  const Build& b = *build_;
+  if (b.rows == 0) return 0.0;
+  if (fan == Fan::kRow) {
+    uint32_t pos, end;
+    FindRun(ProbeKey(*in, row), &pos, &end);
+    return end - pos;
+  }
+  // A pass over the runs, here rather than in the build, which serving's
+  // delta plans make per delta and never weigh.
+  size_t keys = 0;
+  uint32_t longest = 0;
+  for (size_t k = 0; k + 1 < b.run_begin.size(); ++k) {
+    const uint32_t n = b.run_begin[k + 1] - b.run_begin[k];
+    keys += n != 0;
+    longest = std::max(longest, n);
+  }
+  return fan == Fan::kMax ? longest
+                          : static_cast<double>(b.rows) / static_cast<double>(keys);
+}
+
+Status VecHashJoinOp::LoadBuild(Build* b) {
+  const size_t ncols = right_cols_;
   auto add_segment = [&](size_t rows, auto col_data) {
     BuildSegment seg;
-    seg.begin = build_rows_;
-    seg.end = build_rows_ + rows;
+    seg.begin = b->rows;
+    seg.end = b->rows + rows;
     for (size_t c = 0; c < ncols; ++c) seg.cols.push_back(col_data(c));
-    segments_.push_back(std::move(seg));
-    build_rows_ += rows;
+    b->segments.push_back(std::move(seg));
+    b->rows += rows;
   };
   if (auto* scan = dynamic_cast<VecScanOp*>(right_.get())) {
     // A bare scan: gather from its segments in place. An empty segment
@@ -224,7 +290,7 @@ Status VecHashJoinOp::LoadBuild() {
                   [&](size_t c) { return seg->col(c).data(); });
     }
   } else {
-    owned_cols_.assign(ncols, {});
+    b->owned_cols.assign(ncols, {});
     size_t rows = 0;
     ColumnChunk chunk;
     while (true) {
@@ -232,31 +298,32 @@ Status VecHashJoinOp::LoadBuild() {
       if (!has) break;
       for (size_t c = 0; c < ncols; ++c) {
         const int64_t* src = chunk.col(c);
-        owned_cols_[c].insert(owned_cols_[c].end(), src, src + chunk.num_rows);
+        b->owned_cols[c].insert(b->owned_cols[c].end(), src,
+                                src + chunk.num_rows);
       }
       rows += chunk.num_rows;
     }
     if (rows > 0) {
-      add_segment(rows, [&](size_t c) { return owned_cols_[c].data(); });
+      add_segment(rows, [&](size_t c) { return b->owned_cols[c].data(); });
     }
   }
-  if (build_rows_ >= kNoKey) {
+  if (b->rows >= kNoKey) {
     return Status::ResourceExhausted(
-        StrFormat("hash-join build of %zu rows", build_rows_));
+        StrFormat("hash-join build of %zu rows", b->rows));
   }
   return Status::OK();
 }
 
-void VecHashJoinOp::BuildRuns() {
+void VecHashJoinOp::BuildRuns(Build* b) const {
   // Pass 1 gives each build row its key's index and counts the rows of
-  // each index in run_begin_; the prefix sum turns the counts into run
+  // each index in run_begin; the prefix sum turns the counts into run
   // ends; pass 2 scatters the row ids in reverse, moving each end down
   // to its run's start, so every run's row ids ascend.
-  const size_t cap = NextPow2(build_rows_ * 2);
+  const size_t cap = NextPow2(b->rows * 2);
   uint64_t lo = UINT64_MAX;
   uint64_t hi = 0;
   if (keys_.size() == 1) {
-    for (const BuildSegment& seg : segments_) {
+    for (const BuildSegment& seg : b->segments) {
       const int64_t* key = seg.cols[keys_[0].right_col];
       for (size_t r = 0; r < seg.end - seg.begin; ++r) {
         lo = std::min(lo, static_cast<uint64_t>(key[r]));
@@ -265,57 +332,56 @@ void VecHashJoinOp::BuildRuns() {
     }
   }
   std::vector<uint32_t> row_key;  // pass 1's index of each row, if hashed
-  if (build_rows_ == 0 || (keys_.size() == 1 && hi - lo < cap)) {
+  if (b->rows == 0 || (keys_.size() == 1 && hi - lo < cap)) {
     // Direct: a key's index is its distance from the smallest key.
-    addressing_ = Addressing::kDirect;
-    key_min_ = lo;
-    run_begin_.assign(build_rows_ == 0 ? 1 : hi - lo + 2, 0);
-    for (const BuildSegment& seg : segments_) {
+    b->addressing = Addressing::kDirect;
+    b->key_min = lo;
+    b->run_begin.assign(b->rows == 0 ? 1 : hi - lo + 2, 0);
+    for (const BuildSegment& seg : b->segments) {
       const int64_t* key = seg.cols[keys_[0].right_col];
       for (size_t r = 0; r < seg.end - seg.begin; ++r) {
-        ++run_begin_[static_cast<uint64_t>(key[r]) - lo];
+        ++b->run_begin[static_cast<uint64_t>(key[r]) - lo];
       }
     }
   } else {
     // Hashed: a key's index is its first appearance's rank.
-    addressing_ = Addressing::kHashed;
-    slot_key_.assign(cap, 0);
-    slot_index_.assign(cap, kNoKey);
-    slot_mask_ = cap - 1;
-    run_begin_.clear();
-    row_key.resize(build_rows_);
-    for (const BuildSegment& seg : segments_) {
+    b->addressing = Addressing::kHashed;
+    b->slot_key.assign(cap, 0);
+    b->slot_index.assign(cap, kNoKey);
+    b->slot_mask = cap - 1;
+    row_key.resize(b->rows);
+    for (const BuildSegment& seg : b->segments) {
       for (size_t r = 0; r < seg.end - seg.begin; ++r) {
         const uint64_t key = BuildKey(seg, r);
-        size_t slot = HashKey(key) & slot_mask_;
-        while (slot_index_[slot] != kNoKey && slot_key_[slot] != key) {
-          slot = (slot + 1) & slot_mask_;
+        size_t slot = HashKey(key) & b->slot_mask;
+        while (b->slot_index[slot] != kNoKey && b->slot_key[slot] != key) {
+          slot = (slot + 1) & b->slot_mask;
         }
-        if (slot_index_[slot] == kNoKey) {
-          slot_key_[slot] = key;
-          slot_index_[slot] = static_cast<uint32_t>(run_begin_.size());
-          run_begin_.push_back(0);
+        if (b->slot_index[slot] == kNoKey) {
+          b->slot_key[slot] = key;
+          b->slot_index[slot] = static_cast<uint32_t>(b->run_begin.size());
+          b->run_begin.push_back(0);
         }
-        row_key[seg.begin + r] = slot_index_[slot];
-        ++run_begin_[slot_index_[slot]];
+        row_key[seg.begin + r] = b->slot_index[slot];
+        ++b->run_begin[b->slot_index[slot]];
       }
     }
-    run_begin_.push_back(0);
+    b->run_begin.push_back(0);
   }
-  for (size_t k = 1; k + 1 < run_begin_.size(); ++k) {
-    run_begin_[k] += run_begin_[k - 1];
+  for (size_t k = 1; k + 1 < b->run_begin.size(); ++k) {
+    b->run_begin[k] += b->run_begin[k - 1];
   }
-  run_begin_.back() = static_cast<uint32_t>(build_rows_);
-  row_ids_.resize(build_rows_);
-  const bool direct = addressing_ == Addressing::kDirect;
-  for (size_t s = segments_.size(); s-- > 0;) {
-    const BuildSegment& seg = segments_[s];
+  b->run_begin.back() = static_cast<uint32_t>(b->rows);
+  b->row_ids.resize(b->rows);
+  const bool direct = b->addressing == Addressing::kDirect;
+  for (size_t s = b->segments.size(); s-- > 0;) {
+    const BuildSegment& seg = b->segments[s];
     const int64_t* key = seg.cols[keys_[0].right_col];
     for (size_t i = seg.end; i-- > seg.begin;) {
       const size_t k = direct
                            ? static_cast<uint64_t>(key[i - seg.begin]) - lo
                            : row_key[i];
-      row_ids_[--run_begin_[k]] = static_cast<uint32_t>(i);
+      b->row_ids[--b->run_begin[k]] = static_cast<uint32_t>(i);
     }
   }
 }
@@ -325,9 +391,14 @@ Status VecHashJoinOp::Open() {
   rows_produced_ = 0;
   chunks_produced_ = 0;
   TUFFY_RETURN_IF_ERROR(left_->Open());
-  TUFFY_RETURN_IF_ERROR(right_->Open());
-  TUFFY_RETURN_IF_ERROR(LoadBuild());
-  BuildRuns();
+  if (right_ != nullptr) {  // a CloneProbe copy shares its original's
+    TUFFY_RETURN_IF_ERROR(right_->Open());
+    auto build = std::make_shared<Build>();
+    TUFFY_RETURN_IF_ERROR(LoadBuild(build.get()));
+    BuildRuns(build.get());
+    addressing_ = build->addressing;
+    build_ = std::move(build);
+  }
   probe_sel_.resize(kVecChunkRows);
   build_sel_.resize(kVecChunkRows);
   probe_valid_ = false;
@@ -348,10 +419,10 @@ void VecHashJoinOp::GatherProbe(uint32_t from, uint32_t to,
 
 void VecHashJoinOp::GatherBuild(uint32_t n, ColumnChunk* out) const {
   const size_t first = left_->num_output_cols();
-  const size_t ncols = right_->num_output_cols();
-  if (segments_.size() == 1) {
-    for (size_t c = 0; c < ncols; ++c) {
-      const int64_t* src = segments_[0].cols[c];
+  const std::vector<BuildSegment>& segments = build_->segments;
+  if (segments.size() == 1) {
+    for (size_t c = 0; c < right_cols_; ++c) {
+      const int64_t* src = segments[0].cols[c];
       int64_t* dst = out->cols[first + c].data();
       for (uint32_t i = 0; i < n; ++i) dst[i] = src[build_sel_[i]];
     }
@@ -361,9 +432,9 @@ void VecHashJoinOp::GatherBuild(uint32_t n, ColumnChunk* out) const {
   for (uint32_t i = 0; i < n; ++i) {
     const size_t row = build_sel_[i];
     size_t s = 0;
-    while (row >= segments_[s].end) ++s;
-    for (size_t c = 0; c < ncols; ++c) {
-      out->cols[first + c][i] = segments_[s].cols[c][row - segments_[s].begin];
+    while (row >= segments[s].end) ++s;
+    for (size_t c = 0; c < right_cols_; ++c) {
+      out->cols[first + c][i] = segments[s].cols[c][row - segments[s].begin];
     }
   }
 }
@@ -371,7 +442,7 @@ void VecHashJoinOp::GatherBuild(uint32_t n, ColumnChunk* out) const {
 Result<bool> VecHashJoinOp::NextChunk(ColumnChunk* out) {
   ScopedSeconds t(&seconds_);
   out->Reset(num_output_cols());
-  if (build_rows_ == 0) return false;
+  if (build_->rows == 0) return false;
   for (auto& col : out->cols) col.resize(kVecChunkRows);
   uint32_t n = 0;
   // Output rows [0, gathered) already hold their probe columns; the
@@ -394,12 +465,12 @@ Result<bool> VecHashJoinOp::NextChunk(ColumnChunk* out) {
         probe_valid_ = true;
         probe_row_ = 0;
       }
-      FindRun(ProbeKey(probe_row_));
+      FindRun(ProbeKey(probe_, probe_row_), &run_pos_, &run_end_);
       continue;
     }
     const uint32_t take = std::min(kVecChunkRows - n, run_end_ - run_pos_);
     std::fill_n(probe_sel_.data() + n, take, probe_row_);
-    std::copy_n(row_ids_.data() + run_pos_, take, build_sel_.data() + n);
+    std::copy_n(build_->row_ids.data() + run_pos_, take, build_sel_.data() + n);
     n += take;
     run_pos_ += take;
   }
@@ -416,14 +487,8 @@ Result<bool> VecHashJoinOp::NextChunk(ColumnChunk* out) {
 
 void VecHashJoinOp::Close() {
   left_->Close();
-  right_->Close();
-  owned_cols_ = {};
-  segments_ = {};
-  run_begin_ = {};
-  row_ids_ = {};
-  slot_key_ = {};
-  slot_index_ = {};
-  build_rows_ = 0;
+  if (right_ != nullptr) right_->Close();
+  build_.reset();
 }
 
 std::string VecHashJoinOp::name() const {
@@ -445,19 +510,22 @@ Status VecCrossJoinOp::Open() {
   rows_produced_ = 0;
   chunks_produced_ = 0;
   TUFFY_RETURN_IF_ERROR(left_->Open());
-  TUFFY_RETURN_IF_ERROR(right_->Open());
-  right_cols_.assign(right_->num_output_cols(), {});
-  right_rows_ = 0;
-  ColumnChunk chunk;
-  while (true) {
-    auto has = right_->NextChunk(&chunk);
-    if (!has.ok()) return has.status();
-    if (!has.value()) break;
-    for (size_t c = 0; c < right_cols_.size(); ++c) {
-      const int64_t* src = chunk.col(c);
-      right_cols_[c].insert(right_cols_[c].end(), src, src + chunk.num_rows);
+  if (right_ != nullptr) {  // a CloneProbe copy shares its original's
+    TUFFY_RETURN_IF_ERROR(right_->Open());
+    auto build = std::make_shared<Build>();
+    build->cols.assign(right_cols_, {});
+    ColumnChunk chunk;
+    while (true) {
+      auto has = right_->NextChunk(&chunk);
+      if (!has.ok()) return has.status();
+      if (!has.value()) break;
+      for (size_t c = 0; c < right_cols_; ++c) {
+        const int64_t* src = chunk.col(c);
+        build->cols[c].insert(build->cols[c].end(), src, src + chunk.num_rows);
+      }
+      build->rows += chunk.num_rows;
     }
-    right_rows_ += chunk.num_rows;
+    build_ = std::move(build);
   }
   probe_valid_ = false;
   probe_row_ = 0;
@@ -465,15 +533,21 @@ Status VecCrossJoinOp::Open() {
   return Status::OK();
 }
 
+VecOpPtr VecCrossJoinOp::CloneProbe(RowRange rows) const {
+  return VecOpPtr(
+      new VecCrossJoinOp(left_->CloneProbe(rows), build_, right_cols_));
+}
+
 Result<bool> VecCrossJoinOp::NextChunk(ColumnChunk* out) {
   ScopedSeconds t(&seconds_);
   const size_t ncols_left = left_->num_output_cols();
+  const Build& right = *build_;
   out->Reset(num_output_cols());
-  if (right_rows_ == 0) return false;
+  if (right.rows == 0) return false;
   for (auto& col : out->cols) col.reserve(kVecChunkRows);
   while (out->num_rows < kVecChunkRows) {
-    if (!probe_valid_ || right_pos_ >= right_rows_) {
-      if (probe_valid_ && right_pos_ >= right_rows_) {
+    if (!probe_valid_ || right_pos_ >= right.rows) {
+      if (probe_valid_ && right_pos_ >= right.rows) {
         ++probe_row_;
         right_pos_ = 0;
       }
@@ -491,16 +565,16 @@ Result<bool> VecCrossJoinOp::NextChunk(ColumnChunk* out) {
     // Emit the current left row against a whole run of right rows:
     // a value splat per left column, a bulk copy per right column.
     const size_t run = std::min<size_t>(kVecChunkRows - out->num_rows,
-                                        right_rows_ - right_pos_);
+                                        right.rows - right_pos_);
     for (size_t c = 0; c < ncols_left; ++c) {
       out->cols[c].insert(out->cols[c].end(), run,
                           probe_.col(c)[probe_row_]);
     }
-    for (size_t c = 0; c < right_cols_.size(); ++c) {
+    for (size_t c = 0; c < right_cols_; ++c) {
       out->cols[ncols_left + c].insert(
           out->cols[ncols_left + c].end(),
-          right_cols_[c].begin() + right_pos_,
-          right_cols_[c].begin() + right_pos_ + run);
+          right.cols[c].begin() + right_pos_,
+          right.cols[c].begin() + right_pos_ + run);
     }
     out->num_rows += static_cast<uint32_t>(run);
     right_pos_ += run;
@@ -514,9 +588,8 @@ Result<bool> VecCrossJoinOp::NextChunk(ColumnChunk* out) {
 
 void VecCrossJoinOp::Close() {
   left_->Close();
-  right_->Close();
-  right_cols_.clear();
-  right_rows_ = 0;
+  if (right_ != nullptr) right_->Close();
+  build_.reset();
 }
 
 // ------------------------------------------------------------ VecAntiJoin
@@ -586,30 +659,37 @@ uint64_t VecAntiJoinOp::HashSlot(uint64_t lo, uint64_t hi) const {
 }
 
 bool VecAntiJoinOp::Contains(uint64_t lo, uint64_t hi) const {
-  if (build_keys_ == 0) return false;
-  size_t slot = HashSlot(lo, hi) & slot_mask_;
-  while (slot_used_[slot] != 0) {
-    if (slot_key_[slot] == lo && (!wide_ || slot_key_hi_[slot] == hi)) {
+  const KeySet& set = *set_;
+  if (set.keys == 0) return false;
+  size_t slot = HashSlot(lo, hi) & set.slot_mask;
+  while (set.slot_used[slot] != 0) {
+    if (set.slot_key[slot] == lo && (!wide_ || set.slot_key_hi[slot] == hi)) {
       return true;
     }
-    slot = (slot + 1) & slot_mask_;
+    slot = (slot + 1) & set.slot_mask;
   }
   return false;
+}
+
+VecOpPtr VecAntiJoinOp::CloneProbe(RowRange rows) const {
+  auto copy = std::make_unique<VecAntiJoinOp>(child_->CloneProbe(rows), ref_);
+  copy->set_ = set_;
+  return copy;
 }
 
 Status VecAntiJoinOp::Open() {
   ScopedSeconds t(&seconds_);
   rows_produced_ = 0;
   chunks_produced_ = 0;
-  match_all_ = false;
-  build_keys_ = 0;
+  if (set_ != nullptr) return child_->Open();  // shared with a copy's original
 
+  auto set = std::make_shared<KeySet>();
   const IdTable& build = *ref_.build;
   const size_t cap = NextPow2(build.num_rows() * 2);
-  slot_key_.assign(cap, 0);
-  if (wide_) slot_key_hi_.assign(cap, 0);
-  slot_used_.assign(cap, 0);
-  slot_mask_ = cap - 1;
+  set->slot_key.assign(cap, 0);
+  if (wide_) set->slot_key_hi.assign(cap, 0);
+  set->slot_used.assign(cap, 0);
+  set->slot_mask = cap - 1;
   for (size_t r = 0; r < build.num_rows(); ++r) {
     if (!AntiJoinBuildRowQualifies(build, r, const_checks_, dup_checks_)) {
       continue;
@@ -617,23 +697,25 @@ Status VecAntiJoinOp::Open() {
     if (key_build_cols_.empty()) {
       // Fully-ground literal already satisfied by evidence: every child
       // row is pruned.
-      match_all_ = true;
+      set->match_all = true;
       break;
     }
     uint64_t lo, hi;
     PackBuildKey(build, r, &lo, &hi);
-    size_t slot = HashSlot(lo, hi) & slot_mask_;
-    while (slot_used_[slot] != 0 &&
-           !(slot_key_[slot] == lo && (!wide_ || slot_key_hi_[slot] == hi))) {
-      slot = (slot + 1) & slot_mask_;
+    size_t slot = HashSlot(lo, hi) & set->slot_mask;
+    while (set->slot_used[slot] != 0 &&
+           !(set->slot_key[slot] == lo &&
+             (!wide_ || set->slot_key_hi[slot] == hi))) {
+      slot = (slot + 1) & set->slot_mask;
     }
-    if (slot_used_[slot] == 0) {
-      slot_used_[slot] = 1;
-      slot_key_[slot] = lo;
-      if (wide_) slot_key_hi_[slot] = hi;
-      ++build_keys_;
+    if (set->slot_used[slot] == 0) {
+      set->slot_used[slot] = 1;
+      set->slot_key[slot] = lo;
+      if (wide_) set->slot_key_hi[slot] = hi;
+      ++set->keys;
     }
   }
+  set_ = std::move(set);
   return child_->Open();
 }
 
@@ -647,8 +729,8 @@ Result<bool> VecAntiJoinOp::NextChunk(ColumnChunk* out) {
     // the child's row counter, and it must cover these rows too (and
     // the Volcano AntiJoinOp drains identically, keeping stats equal
     // across executors).
-    if (match_all_) continue;
-    if (build_keys_ == 0) {
+    if (set_->match_all) continue;
+    if (set_->keys == 0) {
       // Nothing to prune: forward the child chunk's views unchanged.
       out->Reset(scratch_.num_cols());
       for (size_t c = 0; c < scratch_.num_cols(); ++c) {
@@ -682,10 +764,7 @@ Result<bool> VecAntiJoinOp::NextChunk(ColumnChunk* out) {
 
 void VecAntiJoinOp::Close() {
   child_->Close();
-  slot_key_.clear();
-  slot_key_hi_.clear();
-  slot_used_.clear();
-  build_keys_ = 0;
+  set_.reset();
 }
 
 // --------------------------------------------------------------- Helpers
@@ -702,6 +781,61 @@ Status ForEachChunk(VecOp* root,
   }
   root->Close();
   return Status::OK();
+}
+
+std::vector<RowRange> SplitDrivingScan(const VecOp& root, double morsel_rows) {
+  std::vector<const VecOp*> chain;  // root first, the driving scan last
+  for (const VecOp* op = &root; op != nullptr; op = op->probe_child()) {
+    chain.push_back(op);
+  }
+  const auto* scan = dynamic_cast<const VecScanOp*>(chain.back());
+  // Operators up to the first one that changes the columns (the first
+  // join) see the driving row itself, so their fan-out is exact; every
+  // operator above contributes its mean.
+  size_t exact = chain.size() - 1;
+  while (exact > 0) {
+    const VecOp* op = chain[--exact];
+    if (op->num_output_cols() != op->probe_child()->num_output_cols()) break;
+  }
+  double mean = 1.0;
+  for (size_t i = 0; i < exact; ++i) mean *= chain[i]->FanOut(VecOp::Fan::kMean);
+  size_t scan_rows = 0;
+  for (const IdTable* seg : scan->segments()) scan_rows += seg->num_rows();
+  double bound = static_cast<double>(scan_rows);
+  for (size_t i = 0; i + 1 < chain.size(); ++i) {
+    bound *= chain[i]->FanOut(VecOp::Fan::kMax);
+  }
+  if (bound < morsel_rows) return {RowRange{0, scan_rows}};
+
+  std::vector<RowRange> ranges;
+  size_t row = 0;
+  size_t begin = 0;
+  double weight = 0.0;
+  ColumnChunk chunk;
+  for (const IdTable* seg : scan->segments()) {
+    for (size_t pos = 0; pos < seg->num_rows(); pos += kVecChunkRows) {
+      chunk.Reset(seg->num_cols());
+      for (size_t c = 0; c < seg->num_cols(); ++c) {
+        chunk.SetView(c, seg->col(c).data() + pos);
+      }
+      chunk.num_rows = static_cast<uint32_t>(
+          std::min<size_t>(kVecChunkRows, seg->num_rows() - pos));
+      for (uint32_t r = 0; r < chunk.num_rows; ++r, ++row) {
+        double w = mean;
+        for (size_t i = chain.size() - 1; i-- > exact;) {
+          w *= chain[i]->FanOut(VecOp::Fan::kRow, &chunk, r);
+        }
+        weight += w;
+        if (weight >= morsel_rows) {
+          ranges.push_back(RowRange{begin, row + 1});
+          begin = row + 1;
+          weight = 0.0;
+        }
+      }
+    }
+  }
+  if (begin < row || ranges.empty()) ranges.push_back(RowRange{begin, row});
+  return ranges;
 }
 
 void AppendVecAnalyze(const VecOp* root, int depth, std::string* out) {

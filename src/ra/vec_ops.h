@@ -88,11 +88,29 @@ struct VecPredicate {
   }
 };
 
+/// A half-open range [begin, end) of a driving scan's rows, numbered
+/// across its segments.
+struct RowRange {
+  size_t begin = 0;
+  size_t end = 0;
+};
+
+class VecOp;
+using VecOpPtr = std::unique_ptr<VecOp>;
+
 /// Batch physical operator: Open / NextChunk / Close. NextChunk fills
 /// `out` with up to kVecChunkRows rows and returns true, or returns
 /// false at end-of-stream (emitted chunks are never empty). Every
 /// operator tracks rows, chunks, and inclusive wall time for
 /// EXPLAIN ANALYZE — per-chunk bookkeeping is cheap enough to leave on.
+///
+/// Morsels. A plan is left-deep: every operator streams one input, its
+/// *probe* child (a join's left side), down to the *driving* scan, and a
+/// join's other input is consumed whole by Open (its *build*). Once a
+/// plan is open, CloneProbe copies that probe chain over a row range of
+/// the driving scan; the copies share the original's builds read-only,
+/// so several of them can run at once, each on its own thread, and
+/// their outputs in range order are the plan's output exactly.
 class VecOp {
  public:
   virtual ~VecOp() = default;
@@ -106,6 +124,26 @@ class VecOp {
   virtual void ForEachChild(const std::function<void(const VecOp*)>& fn) const {
   }
 
+  /// The input this operator streams, or null for a scan.
+  virtual VecOp* probe_child() const { return nullptr; }
+  /// Rows this operator emits per row of its probe input, as morsel
+  /// sizing (SplitDrivingScan) reads it: exactly for `row` of `in` (a
+  /// chunk with the probe input's columns), or over every possible row
+  /// on average or at most. Valid once the operator is open.
+  enum class Fan { kRow, kMean, kMax };
+  virtual double FanOut(Fan /*fan*/, const ColumnChunk* /*in*/ = nullptr,
+                        uint32_t /*row*/ = 0) const {
+    return 1.0;
+  }
+  /// A copy of this opened operator's probe chain whose driving scan
+  /// reads `rows` only, sharing every build read-only. The copy's Open
+  /// builds nothing; the original must stay open until the copy closes.
+  virtual VecOpPtr CloneProbe(RowRange rows) const = 0;
+  /// Adds the counters of `copy` (a CloneProbe of this operator, run to
+  /// completion) into this operator's, down the probe chain, so ANALYZE
+  /// reads the sum over a plan's morsels with each build counted once.
+  void AddProbeCounters(const VecOp& copy);
+
   uint64_t rows_produced() const { return rows_produced_; }
   uint64_t chunks_produced() const { return chunks_produced_; }
   /// Inclusive wall time spent in Open + NextChunk (children included).
@@ -117,12 +155,11 @@ class VecOp {
   double seconds_ = 0.0;
 };
 
-using VecOpPtr = std::unique_ptr<VecOp>;
-
 /// Chunked scan of a columnar relation (see TableRef): each emitted
 /// chunk *borrows* one segment's column arrays (a view per column, no
 /// copies), so a chunk never spans two segments. The segments must
-/// outlive the op and stay unmutated while the plan runs.
+/// outlive the op and stay unmutated while the plan runs. A CloneProbe
+/// copy reads one row range of them.
 class VecScanOp final : public VecOp {
  public:
   explicit VecScanOp(const TableRef& ref)
@@ -133,19 +170,25 @@ class VecScanOp final : public VecOp {
   void Close() override {}
   size_t num_output_cols() const override { return num_cols_; }
   std::string name() const override { return "VecScan(" + label_ + ")"; }
+  VecOpPtr CloneProbe(RowRange rows) const override;
 
   /// Hands the remaining rows over in place instead of as chunks: counts
   /// the rows and chunks NextChunk would have emitted (so ANALYZE reads
   /// the same), leaves the scan at end of stream, and returns the
-  /// segments. A segment with no rows may have zero columns.
+  /// segments. A segment with no rows may have zero columns. Only for a
+  /// scan that reads every row (a build input).
   const std::vector<const IdTable*>& DrainInPlace();
+
+  const std::vector<const IdTable*>& segments() const { return segments_; }
 
  private:
   std::vector<const IdTable*> segments_;
   size_t num_cols_;
   std::string label_;
+  RowRange rows_{0, SIZE_MAX};
   size_t segment_ = 0;
   size_t pos_ = 0;
+  size_t left_ = 0;  // rows of rows_ not yet emitted
 };
 
 /// Filters child chunks by a conjunction of VecPredicates: one selection
@@ -165,6 +208,13 @@ class VecFilterOp final : public VecOp {
   void ForEachChild(
       const std::function<void(const VecOp*)>& fn) const override {
     fn(child_.get());
+  }
+  VecOp* probe_child() const override { return child_.get(); }
+  double FanOut(Fan fan, const ColumnChunk* in,
+                uint32_t row) const override;
+  VecOpPtr CloneProbe(RowRange rows) const override {
+    return std::make_unique<VecFilterOp>(child_->CloneProbe(rows),
+                                         predicates_);
   }
 
  private:
@@ -190,6 +240,10 @@ class VecProjectOp final : public VecOp {
       const std::function<void(const VecOp*)>& fn) const override {
     fn(child_.get());
   }
+  VecOp* probe_child() const override { return child_.get(); }
+  VecOpPtr CloneProbe(RowRange rows) const override {
+    return std::make_unique<VecProjectOp>(child_->CloneProbe(rows), columns_);
+  }
 
  private:
   VecOpPtr child_;
@@ -212,7 +266,8 @@ class VecProjectOp final : public VecOp {
 ///
 /// A bare VecScanOp build is read in place: its IdTable segments are
 /// gathered from directly, and the scan still counts its rows and chunks
-/// for ANALYZE. Any other build input is materialized column-wise.
+/// for ANALYZE. Any other build input is materialized column-wise. The
+/// build is immutable once made, and CloneProbe copies share it.
 ///
 /// The probe side streams in input order; each probe row's run is
 /// emitted in ascending build-row order, one gather per column per
@@ -230,14 +285,20 @@ class VecHashJoinOp final : public VecOp {
   Result<bool> NextChunk(ColumnChunk* out) override;
   void Close() override;
   size_t num_output_cols() const override {
-    return left_->num_output_cols() + right_->num_output_cols();
+    return left_->num_output_cols() + right_cols_;
   }
   std::string name() const override;
   void ForEachChild(
       const std::function<void(const VecOp*)>& fn) const override {
     fn(left_.get());
-    fn(right_.get());
+    if (right_ != nullptr) fn(right_.get());
   }
+  VecOp* probe_child() const override { return left_.get(); }
+  /// A probe row's run length; on average, build rows per distinct key;
+  /// at most, the longest run.
+  double FanOut(Fan fan, const ColumnChunk* in,
+                uint32_t row) const override;
+  VecOpPtr CloneProbe(RowRange rows) const override;
 
  private:
   enum class Addressing { kNone, kDirect, kHashed };
@@ -250,31 +311,41 @@ class VecHashJoinOp final : public VecOp {
     std::vector<const int64_t*> cols;
   };
 
-  Status LoadBuild();
-  void BuildRuns();
+  /// The build side: its rows by segment, and their runs.
+  struct Build {
+    std::vector<std::vector<int64_t>> owned_cols;
+    std::vector<BuildSegment> segments;
+    size_t rows = 0;
+    Addressing addressing = Addressing::kNone;
+    uint64_t key_min = 0;
+    /// Key index k's run is row_ids[run_begin[k], run_begin[k + 1]).
+    std::vector<uint32_t> run_begin;
+    std::vector<uint32_t> row_ids;
+    std::vector<uint64_t> slot_key;
+    std::vector<uint32_t> slot_index;
+    uint64_t slot_mask = 0;
+  };
+
+  /// A CloneProbe copy: no right input, `build` shared.
+  VecHashJoinOp(VecOpPtr left, std::shared_ptr<const Build> build,
+                std::vector<JoinKey> keys, size_t right_cols);
+
+  Status LoadBuild(Build* b);
+  void BuildRuns(Build* b) const;
   uint64_t BuildKey(const BuildSegment& seg, size_t row) const;
-  uint64_t ProbeKey(uint32_t row) const;
-  /// Points run_pos_/run_end_ at `key`'s run (empty when absent).
-  void FindRun(uint64_t key);
+  uint64_t ProbeKey(const ColumnChunk& probe, uint32_t row) const;
+  /// The run of `key` as [*pos, *end) (empty when absent).
+  void FindRun(uint64_t key, uint32_t* pos, uint32_t* end) const;
   void GatherProbe(uint32_t from, uint32_t to, ColumnChunk* out) const;
   void GatherBuild(uint32_t n, ColumnChunk* out) const;
 
   VecOpPtr left_;
-  VecOpPtr right_;
+  VecOpPtr right_;  // null in a CloneProbe copy
   std::vector<JoinKey> keys_;
-
-  // Build side: its rows by segment, and their runs.
-  std::vector<std::vector<int64_t>> owned_cols_;
-  std::vector<BuildSegment> segments_;
-  size_t build_rows_ = 0;
+  size_t right_cols_ = 0;
+  std::shared_ptr<const Build> build_;
+  /// The last build's mode, for name() (kept after Close).
   Addressing addressing_ = Addressing::kNone;
-  uint64_t key_min_ = 0;
-  /// Key index k's run is row_ids_[run_begin_[k], run_begin_[k + 1]).
-  std::vector<uint32_t> run_begin_;
-  std::vector<uint32_t> row_ids_;
-  std::vector<uint64_t> slot_key_;
-  std::vector<uint32_t> slot_index_;
-  uint64_t slot_mask_ = 0;
 
   // Probe state across NextChunk calls, and the output chunk's
   // (probe row, build row) pairs.
@@ -289,30 +360,51 @@ class VecHashJoinOp final : public VecOp {
 
 /// Batch cross product: right side materialized, left streamed; for each
 /// left row every right row is emitted in order (matching the Volcano
-/// NestedLoopJoinOp with no keys).
+/// NestedLoopJoinOp with no keys). CloneProbe copies share the
+/// materialized right side.
 class VecCrossJoinOp final : public VecOp {
  public:
   VecCrossJoinOp(VecOpPtr left, VecOpPtr right)
-      : left_(std::move(left)), right_(std::move(right)) {}
+      : left_(std::move(left)),
+        right_(std::move(right)),
+        right_cols_(right_->num_output_cols()) {}
 
   Status Open() override;
   Result<bool> NextChunk(ColumnChunk* out) override;
   void Close() override;
   size_t num_output_cols() const override {
-    return left_->num_output_cols() + right_->num_output_cols();
+    return left_->num_output_cols() + right_cols_;
   }
   std::string name() const override { return "VecCrossJoin"; }
   void ForEachChild(
       const std::function<void(const VecOp*)>& fn) const override {
     fn(left_.get());
-    fn(right_.get());
+    if (right_ != nullptr) fn(right_.get());
   }
+  VecOp* probe_child() const override { return left_.get(); }
+  double FanOut(Fan /*fan*/, const ColumnChunk* /*in*/,
+                uint32_t /*row*/) const override {
+    return static_cast<double>(build_->rows);
+  }
+  VecOpPtr CloneProbe(RowRange rows) const override;
 
  private:
+  struct Build {
+    std::vector<std::vector<int64_t>> cols;
+    size_t rows = 0;
+  };
+
+  /// A CloneProbe copy: no right input, `build` shared.
+  VecCrossJoinOp(VecOpPtr left, std::shared_ptr<const Build> build,
+                 size_t right_cols)
+      : left_(std::move(left)),
+        right_cols_(right_cols),
+        build_(std::move(build)) {}
+
   VecOpPtr left_;
-  VecOpPtr right_;
-  std::vector<std::vector<int64_t>> right_cols_;
-  size_t right_rows_ = 0;
+  VecOpPtr right_;  // null in a CloneProbe copy
+  size_t right_cols_;
+  std::shared_ptr<const Build> build_;
   ColumnChunk probe_;
   uint32_t probe_row_ = 0;
   bool probe_valid_ = false;
@@ -346,8 +438,22 @@ class VecAntiJoinOp final : public VecOp {
       const std::function<void(const VecOp*)>& fn) const override {
     fn(child_.get());
   }
+  VecOp* probe_child() const override { return child_.get(); }
+  VecOpPtr CloneProbe(RowRange rows) const override;
 
  private:
+  /// The build side's key set; CloneProbe copies share it.
+  struct KeySet {
+    /// More than two key columns: slot_key_hi holds each key's second
+    /// word (empty otherwise).
+    std::vector<uint64_t> slot_key;
+    std::vector<uint64_t> slot_key_hi;
+    std::vector<uint8_t> slot_used;
+    uint64_t slot_mask = 0;
+    size_t keys = 0;
+    bool match_all = false;
+  };
+
   void PackProbeKey(const ColumnChunk& chunk, uint32_t row, uint64_t* lo,
                     uint64_t* hi) const;
   void PackBuildKey(const IdTable& build, size_t row, uint64_t* lo,
@@ -361,21 +467,27 @@ class VecAntiJoinOp final : public VecOp {
   std::vector<std::pair<int, int>> dup_checks_;
   std::vector<int> key_build_cols_;
   std::vector<int> key_probe_cols_;
-  /// More than two key columns: keys are 128-bit, slot_key_hi_ holds the
-  /// second word. One or two columns keep the original single-word path
-  /// (slot_key_hi_ stays empty).
+  /// More than two key columns: keys are 128-bit. One or two columns
+  /// keep the original single-word path.
   bool wide_ = false;
-
-  std::vector<uint64_t> slot_key_;
-  std::vector<uint64_t> slot_key_hi_;
-  std::vector<uint8_t> slot_used_;
-  uint64_t slot_mask_ = 0;
-  size_t build_keys_ = 0;
-  bool match_all_ = false;
+  /// Set by Open, or shared by the original of a CloneProbe copy.
+  std::shared_ptr<const KeySet> set_;
 
   ColumnChunk scratch_;
   std::vector<uint32_t> sel_;
 };
+
+/// Cuts the driving scan of an opened plan into row ranges that each
+/// feed about `morsel_rows` rows to the plan's output, estimated from
+/// the builds: a driving row's weight is its exact fan-out through the
+/// scan's filter and the first join, times the mean fan-out of every
+/// operator above. A range ends at the first row that brings its weight
+/// to `morsel_rows`, so the cut is a function of the rows alone. A plan
+/// whose output is bounded below `morsel_rows` (scan rows times every
+/// operator's largest fan-out) stays one range without a weighing pass.
+/// Always returns at least one range; the ranges cover the scan in
+/// order.
+std::vector<RowRange> SplitDrivingScan(const VecOp& root, double morsel_rows);
 
 /// Runs a batch plan to completion, invoking `fn` on every output chunk.
 Status ForEachChunk(VecOp* root,

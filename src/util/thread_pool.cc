@@ -40,6 +40,16 @@ void ThreadPool::Submit(std::function<void()> task) {
   cv_task_.notify_one();
 }
 
+void ThreadPool::SubmitFirst(std::vector<std::function<void()>> tasks) {
+  {
+    std::lock_guard<std::mutex> lock(mu_);
+    queue_.insert(queue_.begin(), std::make_move_iterator(tasks.begin()),
+                  std::make_move_iterator(tasks.end()));
+    QueueDepth()->Set(static_cast<int64_t>(queue_.size()));
+  }
+  cv_task_.notify_all();
+}
+
 void ThreadPool::WaitIdle() {
   std::unique_lock<std::mutex> lock(mu_);
   cv_idle_.wait(lock, [this] { return queue_.empty() && in_flight_ == 0; });
@@ -88,6 +98,25 @@ void TaskGroup::Submit(std::function<void()> task) {
     std::lock_guard<std::mutex> lock(mu_);
     if (--pending_ == 0) cv_done_.notify_all();
   });
+}
+
+void TaskGroup::SubmitFirst(std::vector<std::function<void()>> tasks) {
+  if (pool_ == nullptr) {
+    for (std::function<void()>& task : tasks) task();
+    return;
+  }
+  {
+    std::lock_guard<std::mutex> lock(mu_);
+    pending_ += tasks.size();
+  }
+  for (std::function<void()>& task : tasks) {
+    task = [this, task = std::move(task)] {
+      task();
+      std::lock_guard<std::mutex> lock(mu_);
+      if (--pending_ == 0) cv_done_.notify_all();
+    };
+  }
+  pool_->SubmitFirst(std::move(tasks));
 }
 
 void TaskGroup::Wait() {

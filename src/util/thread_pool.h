@@ -25,6 +25,11 @@ class ThreadPool {
   /// Enqueues a task for execution on some worker.
   void Submit(std::function<void()> task);
 
+  /// Enqueues `tasks`, in their order, ahead of every queued task: work
+  /// that later work waits on (a rule's morsels, whose merge gates every
+  /// later rule's) runs before work queued earlier.
+  void SubmitFirst(std::vector<std::function<void()>> tasks);
+
   /// Blocks until every submitted task has finished executing.
   void WaitIdle();
 
@@ -61,6 +66,9 @@ class TaskGroup {
   TaskGroup& operator=(const TaskGroup&) = delete;
 
   void Submit(std::function<void()> task);
+  /// ThreadPool::SubmitFirst through this group; inline, in order, with a
+  /// null pool.
+  void SubmitFirst(std::vector<std::function<void()>> tasks);
 
   /// Blocks until every task submitted through *this* group has finished.
   void Wait();

@@ -1,9 +1,13 @@
 #include <gtest/gtest.h>
 
+#include <cstring>
+#include <string>
+
 #include "datagen/datasets.h"
 #include "exec/tuffy_engine.h"
 #include "ground/bottom_up_grounder.h"
 #include "infer/component_walksat.h"
+#include "mln/parser.h"
 #include "mrf/components.h"
 #include "serve/inference_session.h"
 #include "util/rng.h"
@@ -136,6 +140,107 @@ TEST(DeterminismTest, GroundingThreadCountInvariant) {
   EXPECT_EQ(serial.fixed_cost, parallel.fixed_cost);
   EXPECT_EQ(serial.stats.candidates, parallel.stats.candidates);
   EXPECT_EQ(serial.stats.working_set_bytes, parallel.stats.working_set_bytes);
+}
+
+/// Grounds `ds` bottom-up at 1, 2 and 4 threads and requires every
+/// result bit-identical to the 1-thread one: atoms, clauses in order
+/// (literals, weight bits, hardness), fixed-cost bits and every stats
+/// counter. Leaves the 1-thread result in `*serial`.
+void GroundAtEveryThreadCount(const MlnProgram& program,
+                              const EvidenceDb& evidence,
+                              GroundingResult* serial_out) {
+  auto ground = [&](int threads) {
+    GroundingOptions gopts;
+    gopts.num_threads = threads;
+    BottomUpGrounder g(program, evidence, gopts, OptimizerOptions{});
+    auto r = g.Ground();
+    EXPECT_TRUE(r.ok()) << r.status().ToString();
+    return r.TakeValue();
+  };
+  auto bits = [](double d) {
+    uint64_t b;
+    std::memcpy(&b, &d, sizeof(b));
+    return b;
+  };
+  GroundingResult& serial = *serial_out;
+  serial = ground(1);
+  for (int threads : {2, 4}) {
+    SCOPED_TRACE(threads);
+    GroundingResult parallel = ground(threads);
+    EXPECT_TRUE(parallel.atoms.num_atoms() == serial.atoms.num_atoms());
+    for (AtomId a = 0; a < serial.atoms.num_atoms(); ++a) {
+      ASSERT_TRUE(serial.atoms.atom(a) == parallel.atoms.atom(a)) << a;
+    }
+    ASSERT_EQ(serial.clauses.num_clauses(), parallel.clauses.num_clauses());
+    for (size_t i = 0; i < serial.clauses.num_clauses(); ++i) {
+      const GroundClause& a = serial.clauses.clauses()[i];
+      const GroundClause& b = parallel.clauses.clauses()[i];
+      ASSERT_EQ(a.lits, b.lits) << i;
+      ASSERT_EQ(bits(a.weight), bits(b.weight)) << i;
+      ASSERT_EQ(a.hard, b.hard) << i;
+    }
+    EXPECT_EQ(bits(serial.fixed_cost), bits(parallel.fixed_cost));
+    EXPECT_EQ(serial.hard_contradiction, parallel.hard_contradiction);
+    const GroundingStats& x = serial.stats;
+    const GroundingStats& y = parallel.stats;
+    EXPECT_EQ(x.candidates, y.candidates);
+    EXPECT_EQ(x.satisfied_by_evidence, y.satisfied_by_evidence);
+    EXPECT_EQ(x.pruned_by_antijoin, y.pruned_by_antijoin);
+    EXPECT_EQ(x.pruned_inactive, y.pruned_inactive);
+    EXPECT_EQ(x.hard_violations, y.hard_violations);
+    EXPECT_EQ(x.fixed_cost_groundings, y.fixed_cost_groundings);
+    EXPECT_EQ(x.closure_iterations, y.closure_iterations);
+    EXPECT_EQ(x.morsels, y.morsels);
+    EXPECT_EQ(x.working_set_bytes, y.working_set_bytes);
+  }
+}
+
+TEST(DeterminismTest, SplitRuleGroundsIdenticallyAtEveryThreadCount) {
+  // 40,000 publications put about 80,000 rows behind the publication
+  // self-join rule, more than one morsel feeds. With 30 people every
+  // other rule stays under a morsel, so a morsel count above the rule
+  // count means the self-join rule was split.
+  LpParams p;
+  p.num_professors = 10;
+  p.num_students = 20;
+  p.num_courses = 20;
+  p.num_publications = 40000;
+  auto ds = MakeLpDataset(p);
+  ASSERT_TRUE(ds.ok());
+  GroundingResult g;
+  ASSERT_NO_FATAL_FAILURE(
+      GroundAtEveryThreadCount(ds.value().program, ds.value().evidence, &g));
+  EXPECT_GT(g.stats.morsels, ds.value().program.clauses().size());
+  EXPECT_GT(g.clauses.num_clauses(), 0u);
+}
+
+TEST(DeterminismTest, FixedCostOfASplitRuleIsTheOneAtATimeSum) {
+  // -0.1 edge(x, y) ranges over all 450 x 450 node pairs, cut into
+  // several morsels; each of the 900 edges is a grounding the evidence
+  // satisfies, and so fixed cost. 0.1 is not dyadic, so summing
+  // per-morsel partial sums could land ulps away from adding 0.1 nine
+  // hundred times in order.
+  const int n = 450;
+  std::string ev;
+  for (int i = 0; i < n; ++i) {
+    ev += "edge(N" + std::to_string(i) + ", N" + std::to_string((i + 1) % n) +
+          ")\n";
+    ev += "edge(N" + std::to_string(i) + ", N" + std::to_string((i + 7) % n) +
+          ")\n";
+  }
+  auto program = ParseProgram("*edge(node, node)\n-0.1 edge(x, y)\n");
+  ASSERT_TRUE(program.ok()) << program.status().ToString();
+  MlnProgram mln = program.TakeValue();
+  EvidenceDb evidence;
+  ASSERT_TRUE(ParseEvidence(ev, &mln, &evidence).ok());
+
+  GroundingResult g;
+  ASSERT_NO_FATAL_FAILURE(GroundAtEveryThreadCount(mln, evidence, &g));
+  EXPECT_GT(g.stats.morsels, 2u);
+  ASSERT_EQ(g.stats.fixed_cost_groundings, 2u * n);
+  double expected = 0.0;
+  for (int i = 0; i < 2 * n; ++i) expected += 0.1;
+  EXPECT_EQ(g.fixed_cost, expected);
 }
 
 TEST(DeterminismTest, DeriveSeedDecorrelatesAdjacentStreams) {

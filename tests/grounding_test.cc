@@ -2,10 +2,12 @@
 
 #include <algorithm>
 #include <map>
+#include <set>
 #include <unordered_map>
 #include <unordered_set>
 
 #include "datagen/datasets.h"
+#include "ground/atom_loader.h"
 #include "ground/bottom_up_grounder.h"
 #include "ground/top_down_grounder.h"
 #include "mln/parser.h"
@@ -424,6 +426,51 @@ TEST(GroundingTest, StatsAreTracked) {
   GroundingResult g = GroundBottomUp({std::move(ds.program), ds.evidence});
   EXPECT_GT(g.stats.candidates, 0u);
   EXPECT_GT(g.stats.working_set_bytes, 0u);
+}
+
+/// The names of the tables LoadMlnTables builds for `program`.
+std::set<std::string> LoadedDomainTables(const MlnProgram& program,
+                                         const EvidenceDb& evidence) {
+  Catalog catalog;
+  EXPECT_TRUE(LoadMlnTables(program, evidence, &catalog).ok());
+  std::set<std::string> names;
+  for (const char* type : {"person", "pub", "course", "term", "t1", "t2",
+                           "t3", "t4", "t5"}) {
+    if (catalog.HasTable(DomainTableName(type))) {
+      names.insert(DomainTableName(type));
+    }
+  }
+  EXPECT_EQ(names.size(), catalog.num_tables());
+  return names;
+}
+
+TEST(GroundingTest, OnlyScannedDomainsAreLoaded) {
+  // LP's plans scan one domain: `person`, for the variables of its
+  // open-world advisedBy literals. `pub`, `course` and `term` are bound
+  // by binding literals wherever they occur.
+  auto lp = MakeLpDataset(LpParams{});
+  ASSERT_TRUE(lp.ok());
+  EXPECT_EQ(LoadedDomainTables(lp.value().program, lp.value().evidence),
+            std::set<std::string>{"_dom_person"});
+
+  // x is bound by a binding literal, z only by a negative open-world
+  // literal, y only by a positive closed-world one, w is existential,
+  // and t5 is used by no rule: only t2 and t3 are scanned.
+  ParsedInput in = Parse(
+      "*a(t1)\n*b(t2)\no(t3)\nc(t4)\n*unused(t5)\n"
+      "1 a(x), o(z) => b(y)\n"
+      "1 a(x) => EXIST w c(w)\n",
+      "a(X1)\nb(Y1)\nunused(U1)\n");
+  EXPECT_EQ(LoadedDomainTables(in.program, in.evidence),
+            (std::set<std::string>{"_dom_t2", "_dom_t3"}));
+  for (size_t c = 0; c < in.program.clauses().size(); ++c) {
+    for (VarId v : DomainScannedVars(in.program, static_cast<int>(c))) {
+      EXPECT_TRUE(in.program.clauses()[c].var_types[v] == "t2" ||
+                  in.program.clauses()[c].var_types[v] == "t3");
+    }
+  }
+  GroundingResult g = GroundBottomUp(in);  // every plan finds its tables
+  EXPECT_GT(g.stats.candidates, 0u);
 }
 
 // ------------------------------------------- the stores' shared id index

@@ -272,6 +272,91 @@ TEST(VecPlanTest, MultiSegmentRelationScansAsItsConcatenation) {
             MaterializeVec(split.value().vec_root.get()));
 }
 
+/// Rows of every operator of `a` and `b`, two plans of one shape, in
+/// the same pre-order, side by side.
+void ExpectSameOperatorRows(const VecOp* a, const VecOp* b) {
+  EXPECT_EQ(a->name(), b->name());
+  EXPECT_EQ(a->rows_produced(), b->rows_produced()) << a->name();
+  std::vector<const VecOp*> ca, cb;
+  a->ForEachChild([&](const VecOp* c) { ca.push_back(c); });
+  b->ForEachChild([&](const VecOp* c) { cb.push_back(c); });
+  ASSERT_EQ(ca.size(), cb.size());
+  for (size_t i = 0; i < ca.size(); ++i) ExpectSameOperatorRows(ca[i], cb[i]);
+}
+
+TEST(VecPlanTest, MorselsConcatenateToThePlan) {
+  // A driving relation of two segments (with an empty one between) joins
+  // a relation on one key, crosses a domain and is anti-joined. Cut into
+  // morsels of a few hundred output rows, the copies' outputs in range
+  // order are the whole plan's rows in its order, and their counters
+  // fold into the plan's: every operator's rows as in one unsplit run.
+  Table t1 = MakeIdTable("t1", 2500, 30, 3);
+  Table t2 = MakeIdTable("t2", 90, 30, 4);
+  Table dom("dom", Schema({{"v", ColumnType::kInt64}}));
+  for (int i = 0; i < 3; ++i) dom.Append({Datum(int64_t{i})});
+  dom.Analyze();
+  IdTable head, empty, tail;
+  SplitRows(t1, 1100, &head, &tail);
+  const TableStats stats = AnalyzeColumns({&head, &empty, &tail}, 2);
+  IdTable pruned;
+  pruned.Init(1);
+  for (int64_t v = 0; v < 30; v += 4) pruned.AppendRow(std::vector<int64_t>{v});
+  auto make_plan = [&] {
+    ConjunctiveQuery q;
+    TableRef ref = RefTo(t1);
+    ref.segments = {&head, &empty, &tail};
+    ref.stats = &stats;
+    q.tables.push_back(std::move(ref));
+    q.tables.push_back(RefTo(t2));
+    q.tables.push_back(RefTo(dom));
+    q.joins.push_back(JoinCondition{0, 1, 1, 0});
+    q.outputs.push_back(OutputCol{0, 0, "x"});
+    q.outputs.push_back(OutputCol{1, 1, "y"});
+    q.outputs.push_back(OutputCol{2, 0, "c"});
+    AntiJoinRef aj;
+    aj.build = &pruned;
+    aj.terms = {AntiJoinTerm{1, 0}};
+    aj.label = "pruned";
+    q.anti_joins.push_back(aj);
+    OptimizerOptions opts;
+    opts.fixed_join_order = true;  // t1 drives
+    auto plan = Optimizer(opts).Plan(std::move(q));
+    EXPECT_TRUE(plan.ok());
+    return plan.TakeValue();
+  };
+  OptimizedPlan whole = make_plan();
+  const RowsInt expected = MaterializeVec(whole.vec_root.get());
+  ASSERT_GT(expected.size(), 2000u);
+
+  OptimizedPlan split = make_plan();
+  VecOp* root = split.vec_root.get();
+  ASSERT_TRUE(root->Open().ok());
+  const std::vector<RowRange> ranges = SplitDrivingScan(*root, 300);
+  ASSERT_GT(ranges.size(), 3u);
+  size_t next = 0;
+  RowsInt got;
+  for (const RowRange& rows : ranges) {
+    EXPECT_EQ(rows.begin, next);
+    next = rows.end;
+    VecOpPtr copy = root->CloneProbe(rows);
+    for (auto& row : MaterializeVec(copy.get())) got.push_back(row);
+    root->AddProbeCounters(*copy);
+  }
+  EXPECT_EQ(next, t1.num_rows());
+  EXPECT_EQ(got, expected);
+  ExpectSameOperatorRows(root, whole.vec_root.get());
+  root->Close();
+
+  // Below the bound (rows times every largest fan-out), one range.
+  OptimizedPlan small = make_plan();
+  ASSERT_TRUE(small.vec_root->Open().ok());
+  const std::vector<RowRange> one = SplitDrivingScan(*small.vec_root, 1e9);
+  ASSERT_EQ(one.size(), 1u);
+  EXPECT_EQ(one[0].begin, 0u);
+  EXPECT_EQ(one[0].end, t1.num_rows());
+  small.vec_root->Close();
+}
+
 // ------------------------------------------------------ ANALYZE estimate
 
 TEST(AnalyzeTest, SegmentSplitDoesNotChangeStats) {

@@ -1,7 +1,11 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <condition_variable>
+#include <mutex>
 #include <set>
+#include <string>
+#include <vector>
 
 #include "util/result.h"
 #include "util/rng.h"
@@ -240,6 +244,44 @@ TEST(ThreadPoolTest, TasksRunConcurrently) {
   }
   pool.WaitIdle();
   EXPECT_GT(max_seen.load(), 1);
+}
+
+TEST(ThreadPoolTest, SubmitFirstRunsAheadOfQueuedTasksInOrder) {
+  // One worker, held by a gate task while A and B queue behind it; X and
+  // Y then go in first. With a null pool the group runs them inline, in
+  // order.
+  ThreadPool pool(1);
+  std::mutex mu;
+  std::condition_variable cv;
+  bool open = false;
+  std::vector<std::string> order;
+  auto record = [&](const char* name) {
+    return [&, name] {
+      std::lock_guard<std::mutex> lock(mu);
+      order.push_back(name);
+    };
+  };
+  {
+    TaskGroup group(&pool);
+    group.Submit([&] {
+      std::unique_lock<std::mutex> lock(mu);
+      cv.wait(lock, [&] { return open; });
+    });
+    group.Submit(record("A"));
+    group.Submit(record("B"));
+    group.SubmitFirst({record("X"), record("Y")});
+    {
+      std::lock_guard<std::mutex> lock(mu);
+      open = true;
+    }
+    cv.notify_all();
+  }
+  EXPECT_EQ(order, (std::vector<std::string>{"X", "Y", "A", "B"}));
+
+  order.clear();
+  TaskGroup inline_group(nullptr);
+  inline_group.SubmitFirst({record("X"), record("Y")});
+  EXPECT_EQ(order, (std::vector<std::string>{"X", "Y"}));
 }
 
 // ------------------------------------------------------------------ Timer
