@@ -46,7 +46,8 @@ uint64_t ComponentHittingFlips(int n, uint64_t max_flips, uint64_t seed) {
   ComponentSet cs = DetectComponents(2 * n, clauses);
   uint64_t total = 0;
   for (size_t i = 0; i < cs.num_components(); ++i) {
-    SubProblem sub = BuildSubProblem(clauses, cs.clauses[i], cs.atoms[i]);
+    SubProblem sub = BuildSubProblem(clauses, cs.clauses[i], cs.atoms[i],
+                                     cs.position_of_atom);
     WalkSatOptions opts;
     Rng rng(seed * 1315423911u + i);
     WalkSat search(&sub.problem, opts, &rng);

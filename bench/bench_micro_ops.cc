@@ -10,6 +10,8 @@
 #include "datagen/datasets.h"
 #include "util/timer.h"
 #include "ground/bottom_up_grounder.h"
+#include "infer/exact/exact_solver.h"
+#include "infer/problem.h"
 #include "infer/walksat.h"
 #include "mln/parser.h"
 #include "mrf/components.h"
@@ -227,6 +229,52 @@ void BM_UnionFindComponents(benchmark::State& state) {
 }
 BENCHMARK(BM_UnionFindComponents)->Arg(10000);
 
+/// The components of an IE dataset with perfbench's IE parameters (3000
+/// citations of 5 positions, 4 fields, 250 token rules) at seed 1,
+/// grounded bottom-up.
+struct IeComponents {
+  std::vector<GroundClause> clauses;
+  ComponentSet components;
+};
+
+IeComponents MakeIeComponents() {
+  IeParams params;
+  params.num_citations = 3000;
+  params.positions_per_citation = 5;
+  params.num_fields = 4;
+  params.vocabulary = 120;
+  params.num_token_rules = 250;
+  params.seed = 1;
+  Dataset ds = MakeIeDataset(params).TakeValue();
+  BottomUpGrounder grounder(ds.program, ds.evidence);
+  GroundingResult g = grounder.Ground().TakeValue();
+  IeComponents out;
+  out.clauses = g.clauses.clauses();
+  out.components = DetectComponents(g.atoms.num_atoms(), out.clauses);
+  return out;
+}
+
+/// Builds every component's sub-problem and solves it exactly, as the
+/// component solver does; returns the number solved.
+size_t SolveEachComponent(const IeComponents& ie) {
+  size_t solved = 0;
+  for (size_t c = 0; c < ie.components.num_components(); ++c) {
+    SubProblem sub =
+        BuildSubProblem(ie.clauses, ie.components.clauses[c],
+                        ie.components.atoms[c], ie.components.position_of_atom);
+    solved += TrySolveExact(sub.problem, 1e6, false).solved ? 1 : 0;
+  }
+  return solved;
+}
+
+void BM_ComponentSolve(benchmark::State& state) {
+  const IeComponents ie = MakeIeComponents();
+  for (auto _ : state) benchmark::DoNotOptimize(SolveEachComponent(ie));
+  state.SetItemsProcessed(state.iterations() *
+                          ie.components.num_components());
+}
+BENCHMARK(BM_ComponentSolve)->Unit(benchmark::kMillisecond);
+
 void BM_GroundRc(benchmark::State& state) {
   RcParams params;
   params.num_clusters = static_cast<int>(state.range(0));
@@ -294,9 +342,10 @@ BENCHMARK(BM_ParseEvidence)->Unit(benchmark::kMillisecond);
 
 // Custom main: run the registered microbenchmarks, then emit
 // machine-readable lines (see bench_json.h): the flip rate, the
-// evidence-parse rate and one batch hash-join row per case, so the
-// search kernel's, the text front end's and the join's trajectories can
-// be tracked across PRs alongside the --benchmark_format=json output.
+// evidence-parse rate, one batch hash-join row per case and the
+// per-component build-and-solve time, so the search kernel's, the text
+// front end's, the join's and the component path's trajectories can be
+// tracked across PRs alongside the --benchmark_format=json output.
 int main(int argc, char** argv) {
   benchmark::Initialize(&argc, argv);
   if (benchmark::ReportUnrecognizedArguments(argc, argv)) return 1;
@@ -356,5 +405,25 @@ int main(int argc, char** argv) {
         .Num("rows_per_s", join_s > 0 ? run.input_rows / join_s : 0, 1)
         .Emit();
   }
+
+  // The fastest of five passes over IE's components.
+  const IeComponents ie = MakeIeComponents();
+  const size_t num_components = ie.components.num_components();
+  double solve_s = 0.0;
+  size_t solved = 0;
+  for (int rep = 0; rep < 5; ++rep) {
+    Timer solve_timer;
+    solved = SolveEachComponent(ie);
+    const double s = solve_timer.ElapsedSeconds();
+    if (rep == 0 || s < solve_s) solve_s = s;
+  }
+  bench::BenchJson("micro_ops_component_solve")
+      .Str("dataset", "ie_seed1")
+      .Int("components", num_components)
+      .Int("exact", solved)
+      .Num("seconds", solve_s, 6)
+      .Num("us_per_component",
+           num_components > 0 ? solve_s * 1e6 / num_components : 0, 3)
+      .Emit();
   return 0;
 }

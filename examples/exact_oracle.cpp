@@ -38,7 +38,8 @@ bool CheckProgram(int width, uint64_t seed, size_t* components_checked) {
   const unsigned long long s = seed;
 
   for (size_t c = 0; c < comps.num_components(); ++c) {
-    SubProblem sub = BuildSubProblem(clauses, comps.clauses[c], comps.atoms[c]);
+    SubProblem sub = BuildSubProblem(clauses, comps.clauses[c], comps.atoms[c],
+                                     comps.position_of_atom);
     ExactSolveResult ex = TrySolveExact(sub.problem, kHardWeight, true);
     if (!ex.solved) {
       std::fprintf(stderr, "width %d seed %llu comp %zu: not solved (%s)\n",

@@ -161,29 +161,25 @@ Status TuffyEngine::RunSearch(EngineResult* result) {
       uint64_t batch_peak = 0;
       for (const std::vector<size_t>& batch : batches) {
         if (batch.empty()) continue;
-        // Make the batch's components resident. Through the warehouse,
-        // that loads their clauses and renumbers the components' clause
-        // ids into the loaded vector; otherwise the solvers read the
-        // store's clauses in place, by their original ids.
+        // Make the batch's components resident. The solvers read the
+        // component set in place; through the warehouse, the batch's
+        // clauses are loaded and its components' clause ids renumbered
+        // into the loaded vector, otherwise they read the store's
+        // clauses by their original ids.
         Timer load_timer;
-        ComponentSet resident;
-        std::vector<uint32_t> ids;
         uint64_t batch_size = 0;
-        for (size_t comp : batch) {
-          resident.atoms.push_back(components.atoms[comp]);
-          if (warehouse == nullptr) {
-            resident.clauses.push_back(components.clauses[comp]);
-          } else {
-            std::vector<uint32_t>& local = resident.clauses.emplace_back();
+        for (size_t comp : batch) batch_size += sizes[comp];
+        std::vector<std::vector<uint32_t>> loaded_ids;
+        std::vector<GroundClause> loaded;
+        if (warehouse != nullptr) {
+          std::vector<uint32_t> ids;
+          for (size_t comp : batch) {
+            std::vector<uint32_t>& local = loaded_ids.emplace_back();
             for (uint32_t ci : components.clauses[comp]) {
               local.push_back(static_cast<uint32_t>(ids.size()));
               ids.push_back(ci);
             }
           }
-          batch_size += sizes[comp];
-        }
-        std::vector<GroundClause> loaded;
-        if (warehouse != nullptr) {
           TUFFY_ASSIGN_OR_RETURN(loaded, warehouse->Load(ids));
         }
         result->load_seconds += load_timer.ElapsedSeconds();
@@ -191,7 +187,8 @@ Status TuffyEngine::RunSearch(EngineResult* result) {
         batch_peak = std::max(batch_peak, batch_size * kBytesPerSizeUnit);
         SolveComponents(sopts, marginal ? 0 : options_.rounds,
                         options_.timeout_seconds,
-                        warehouse != nullptr ? loaded : clauses, resident,
+                        warehouse != nullptr ? loaded : clauses, components,
+                        batch, warehouse != nullptr ? &loaded_ids : nullptr,
                         pool.get(), timer, &cr);
       }
       // The marginal task's MAP-style fields get a thresholded state.

@@ -247,9 +247,9 @@ Result<RuleBindingQuery> BuildRuleBindingQuery(
 namespace {
 
 /// Rows a morsel feeds its plan's output, about (SplitDrivingScan). Large
-/// enough that a morsel's own costs (a GroundingContext with its dense
-/// cells, a copy of the probe pipeline, an absorb) stay small beside its
-/// resolution work; a rule feeding fewer rows stays whole.
+/// enough that a morsel's own costs (a GroundingContext, a copy of the
+/// probe pipeline, an absorb that appends its pending clauses) stay small
+/// beside its resolution work; a rule feeding fewer rows stays whole.
 constexpr double kMorselRows = 65536;
 
 /// Rows dropped by the evidence anti-joins at the top of a plan:
@@ -465,13 +465,13 @@ Result<GroundingResult> BottomUpGrounder::Ground() {
 
   // Binding literals, anti-joins and the pattern-count index read the
   // evidence relations in place. Their stats are computed here, before
-  // any rule plans; workers share both read-only, and the type indexes
-  // of the dense interners too.
+  // any rule plans; workers share both read-only. Every context of the
+  // Ground resolves into one candidate-atom table.
   const std::vector<TableStats> true_stats =
       AnalyzeClosedWorldEvidence(program_, evidence_);
-  TypeDenseIndexes type_indexes(program_);
+  CandidateAtomTable table(program_);
   GroundingContext ctx(program_, evidence_, ground_options_,
-                       /*dense_interner=*/true, &type_indexes);
+                       /*dense_interner=*/true, &table);
   const int num_rules = static_cast<int>(program_.clauses().size());
   const bool want_analyze = optimizer_options_.analyze;
 
@@ -507,7 +507,7 @@ Result<GroundingResult> BottomUpGrounder::Ground() {
     Morsel& morsel = rule.morsels[m];
     morsel.ctx = std::make_unique<GroundingContext>(
         program_, evidence_, ground_options_, /*dense_interner=*/true,
-        &type_indexes);
+        &table);
     morsel.status = rule.plan->Run(m, morsel.ctx.get());
     bool last;
     {

@@ -34,7 +34,8 @@ namespace tuffy {
 /// made once and shared read-only, and its driving scan is cut into
 /// morsels, row ranges sized by the rows they feed (SplitDrivingScan),
 /// never by the thread count. Each morsel runs the rest of the pipeline
-/// and resolution into its own GroundingContext; the contexts merge in
+/// and resolution into its own GroundingContext, and every context of a
+/// Ground shares one CandidateAtomTable; the contexts merge in
 /// (rule, morsel) order, and each rule's fixed cost is re-added one
 /// grounding at a time, so results are bit-identical across executors
 /// and thread counts.

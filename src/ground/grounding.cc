@@ -9,7 +9,6 @@
 namespace tuffy {
 
 namespace {
-constexpr AtomId kNoAtom = static_cast<AtomId>(-1);
 /// Safety bound on lazy-closure iterations.
 constexpr int kMaxClosureIterations = 64;
 
@@ -23,21 +22,51 @@ void StampGroundingMetrics(const GroundingStats& stats) {
   candidates->Add(stats.candidates);
   pruned->Add(stats.pruned_by_antijoin);
 }
+
+/// The table cell value of an atom with evidence truth `truth`.
+int32_t CellOf(Truth truth) {
+  switch (truth) {
+    case Truth::kTrue:
+      return CandidateAtomTable::kKnownTrue;
+    case Truth::kFalse:
+      return CandidateAtomTable::kKnownFalse;
+    default:
+      return CandidateAtomTable::kUnknown;
+  }
+}
 }  // namespace
 
-TypeDenseIndexes::TypeDenseIndexes(const MlnProgram& program)
-    : program_(program) {
+CandidateAtomTable::CandidateAtomTable(const MlnProgram& program)
+    : program_(program), slot_of_pred_(program.num_predicates(), -1) {
+  constexpr size_t kMaxSlots = static_cast<size_t>(kHashKeyBase) >> kCellBits;
+  std::vector<size_t> cells_of(program.num_predicates(), 0);
   for (const Predicate& pred : program.predicates()) {
+    size_t cells = 1;
     for (const std::string& type : pred.arg_types) {
-      if (entries_.count(type) == 0) {
-        entries_.emplace(type, std::make_unique<Entry>());
+      if (types_.count(type) == 0) {
+        types_.emplace(type, std::make_unique<TypeEntry>());
       }
+      const size_t n = program.symbols().Domain(type).size();
+      cells = n == 0 || cells > kMaxCells / n ? 0 : cells * n;
     }
+    if (cells > 0 && num_slots_ < kMaxSlots) {
+      slot_of_pred_[pred.id] = static_cast<int32_t>(num_slots_++);
+      cells_of[pred.id] = cells;
+    }
+  }
+  slots_ = std::make_unique<Slot[]>(num_slots_);
+  for (const Predicate& pred : program.predicates()) {
+    if (slot_of_pred_[pred.id] < 0) continue;
+    Slot& slot = slots_[slot_of_pred_[pred.id]];
+    slot.pred = pred.id;
+    slot.key_base = slot_of_pred_[pred.id] << kCellBits;
+    slot.num_cells = cells_of[pred.id];
   }
 }
 
-const std::vector<int32_t>& TypeDenseIndexes::Get(const std::string& type) {
-  Entry& entry = *entries_.at(type);
+const std::vector<int32_t>& CandidateAtomTable::TypeIndex(
+    const std::string& type) {
+  TypeEntry& entry = *types_.at(type);
   std::call_once(entry.built, [&] {
     const std::vector<ConstantId>& domain = program_.symbols().Domain(type);
     entry.index.assign(program_.symbols().num_constants(), -1);
@@ -51,90 +80,103 @@ const std::vector<int32_t>& TypeDenseIndexes::Get(const std::string& type) {
   return entry.index;
 }
 
+const CandidateAtomTable::Slot* CandidateAtomTable::Get(PredicateId pred) {
+  if (slot_of_pred_[pred] < 0) return nullptr;
+  Slot& slot = slots_[slot_of_pred_[pred]];
+  std::call_once(slot.built, [&] {
+    const Predicate& p = program_.predicate(pred);
+    const int arity = p.arity();
+    slot.arg_index.resize(arity);
+    slot.arg_domain.resize(arity);
+    for (int i = 0; i < arity; ++i) {
+      slot.arg_domain[i] = &program_.symbols().Domain(p.arg_types[i]);
+      slot.arg_index[i] = &TypeIndex(p.arg_types[i]);
+    }
+    slot.stride.assign(arity, 1);
+    for (int i = arity - 2; i >= 0; --i) {
+      slot.stride[i] = slot.stride[i + 1] * slot.arg_domain[i + 1]->size();
+    }
+    // Value-initialized: every cell starts kUnseen (0).
+    slot.cells = std::make_unique<std::atomic<int32_t>[]>(slot.num_cells);
+  });
+  return &slot;
+}
+
+void CandidateAtomTable::Decode(int32_t key, GroundAtom* atom) const {
+  const Slot& slot = slots_[key >> kCellBits];
+  const size_t cell = static_cast<size_t>(key - slot.key_base);
+  atom->pred = slot.pred;
+  atom->args.resize(slot.stride.size());
+  for (size_t i = 0; i < slot.stride.size(); ++i) {
+    const std::vector<ConstantId>& domain = *slot.arg_domain[i];
+    atom->args[i] = domain[(cell / slot.stride[i]) % domain.size()];
+  }
+}
+
 GroundingContext::GroundingContext(const MlnProgram& program,
                                    const EvidenceDb& evidence,
                                    GroundingOptions options,
                                    bool dense_interner,
-                                   TypeDenseIndexes* type_indexes)
+                                   CandidateAtomTable* table)
     : program_(program),
       evidence_(evidence),
       options_(options),
-      dense_interner_(dense_interner),
-      type_indexes_(type_indexes) {
-  dense_.resize(program.num_predicates());
-  if (type_indexes_ == nullptr) {
-    own_type_indexes_ = std::make_unique<TypeDenseIndexes>(program);
-    type_indexes_ = own_type_indexes_.get();
+      table_(table),
+      pred_slots_(program.num_predicates()) {
+  if (!dense_interner) {
+    table_ = nullptr;
+  } else if (table_ == nullptr) {
+    own_table_ = std::make_unique<CandidateAtomTable>(program);
+    table_ = own_table_.get();
   }
 }
 
-// ------------------------------------------------------- dense interner
+// ------------------------------------------------- candidate-atom keys
 
-void GroundingContext::InitDense(PredicateId pred) {
-  DenseInterner& di = dense_[pred];
-  const Predicate& p = program_.predicate(pred);
-  di.state = DenseInterner::State::kUnusable;
-  size_t slots = 1;
-  std::vector<size_t> sizes(p.arity());
-  for (int i = 0; i < p.arity(); ++i) {
-    const std::vector<ConstantId>& dom = program_.symbols().Domain(p.arg_types[i]);
-    if (dom.empty()) return;
-    sizes[i] = dom.size();
-    if (slots > kMaxDenseSlots / dom.size()) return;  // overflow / too wide
-    slots *= dom.size();
+const CandidateAtomTable::Slot* GroundingContext::SlotOf(PredicateId pred) {
+  PredSlot& ps = pred_slots_[pred];
+  if (!ps.looked_up) {
+    ps.looked_up = true;
+    if (table_ != nullptr) ps.slot = table_->Get(pred);
   }
-  di.stride.assign(p.arity(), 1);
-  for (int i = p.arity() - 2; i >= 0; --i) {
-    di.stride[i] = di.stride[i + 1] * sizes[i + 1];
-  }
-  di.arg_dense.resize(p.arity());
-  for (int i = 0; i < p.arity(); ++i) {
-    di.arg_dense[i] = &type_indexes_->Get(p.arg_types[i]);
-  }
-  di.cells.assign(slots, kCellUnseen);
-  result_.stats.working_set_bytes += slots * sizeof(int32_t);
-  di.state = DenseInterner::State::kUsable;
+  return ps.slot;
 }
 
-int32_t* GroundingContext::DenseCell(const GroundAtom& atom) {
-  if (!dense_interner_) return nullptr;
-  DenseInterner& di = dense_[atom.pred];
-  if (di.state == DenseInterner::State::kUninit) InitDense(atom.pred);
-  if (di.state != DenseInterner::State::kUsable) return nullptr;
-  size_t key = 0;
+std::atomic<int32_t>* GroundingContext::DenseCell(const GroundAtom& atom,
+                                                  int32_t* key) {
+  const Slot* slot = SlotOf(atom.pred);
+  if (slot == nullptr) return nullptr;
+  size_t cell = 0;
   for (size_t i = 0; i < atom.args.size(); ++i) {
     const ConstantId a = atom.args[i];
-    const std::vector<int32_t>& index = *di.arg_dense[i];
+    const std::vector<int32_t>& index = *slot->arg_index[i];
     if (a < 0 || static_cast<size_t>(a) >= index.size()) return nullptr;
     const int32_t d = index[a];
     if (d < 0) return nullptr;
-    key += static_cast<size_t>(d) * di.stride[i];
+    cell += static_cast<size_t>(d) * slot->stride[i];
   }
-  return &di.cells[key];
+  *key = slot->key_base + static_cast<int32_t>(cell);
+  return &slot->cells[cell];
 }
 
-int32_t GroundingContext::AllocCid(const GroundAtom& atom) {
-  const int32_t cid = static_cast<int32_t>(cand_atoms_.size());
-  cand_atoms_.push_back(atom);
-  cand_active_.push_back(0);
-  return cid;
+int32_t GroundingContext::AllocHashKey(const GroundAtom& atom) {
+  assert(hash_atoms_.size() <
+         static_cast<size_t>(INT32_MAX - 1 - kHashKeyBase));
+  const int32_t key = kHashKeyBase + static_cast<int32_t>(hash_atoms_.size());
+  hash_atoms_.push_back(atom);
+  return key;
 }
 
 int32_t GroundingContext::InternScratchAtom(bool* known_truth_value) {
-  int32_t* cell = DenseCell(scratch_atom_);
-  if (cell != nullptr) {
-    int32_t v = *cell;
-    if (v == kCellUnseen) {
-      const Truth truth = evidence_.Lookup(program_, scratch_atom_);
-      if (truth == Truth::kUnknown) {
-        v = AllocCid(scratch_atom_);
-      } else {
-        v = truth == Truth::kTrue ? kCellKnownTrue : kCellKnownFalse;
-      }
-      *cell = v;
+  int32_t key;
+  if (std::atomic<int32_t>* cell = DenseCell(scratch_atom_, &key)) {
+    int32_t v = cell->load(std::memory_order_relaxed);
+    if (v == CandidateAtomTable::kUnseen) {
+      v = CellOf(evidence_.Lookup(program_, scratch_atom_));
+      cell->store(v, std::memory_order_relaxed);
     }
-    if (v >= 0) return v;
-    *known_truth_value = v == kCellKnownTrue;
+    if (v == CandidateAtomTable::kUnknown) return key;
+    *known_truth_value = v == CandidateAtomTable::kKnownTrue;
     return -1;
   }
 
@@ -147,43 +189,37 @@ int32_t GroundingContext::InternScratchAtom(bool* known_truth_value) {
         evidence_.Lookup(program_, scratch_atom_) == Truth::kTrue;
     return -1;
   }
-  auto it = cand_ids_.find(scratch_atom_);
-  if (it == cand_ids_.end()) {
+  auto it = hash_keys_.find(scratch_atom_);
+  if (it == hash_keys_.end()) {
     Truth truth = evidence_.Lookup(program_, scratch_atom_);
     CandInfo info;
     if (truth == Truth::kUnknown) {
-      info.cid = AllocCid(scratch_atom_);
+      info.key = AllocHashKey(scratch_atom_);
       info.known_true = 0;
     } else {
-      info.cid = -1;
+      info.key = -1;
       info.known_true = truth == Truth::kTrue ? 1 : 0;
     }
-    it = cand_ids_.emplace(scratch_atom_, info).first;
+    it = hash_keys_.emplace(scratch_atom_, info).first;
   }
   const CandInfo& info = it->second;
-  if (info.cid < 0) {
+  if (info.key < 0) {
     *known_truth_value = info.known_true != 0;
     return -1;
   }
-  return info.cid;
+  return info.key;
 }
 
 int32_t GroundingContext::InternUnknownAtom(const GroundAtom& atom) {
-  int32_t* cell = DenseCell(atom);
-  if (cell != nullptr) {
-    if (*cell == kCellUnseen) *cell = AllocCid(atom);
-    assert(*cell >= 0 && "atom unknown locally but known globally");
-    return *cell;
-  }
-  auto it = cand_ids_.find(atom);
-  if (it == cand_ids_.end()) {
+  auto it = hash_keys_.find(atom);
+  if (it == hash_keys_.end()) {
     CandInfo info;
-    info.cid = AllocCid(atom);
+    info.key = AllocHashKey(atom);
     info.known_true = 0;
-    it = cand_ids_.emplace(atom, info).first;
+    it = hash_keys_.emplace(atom, info).first;
   }
-  assert(it->second.cid >= 0 && "atom unknown locally but known globally");
-  return it->second.cid;
+  assert(it->second.key >= 0 && "atom unknown locally but known globally");
+  return it->second.key;
 }
 
 // ------------------------------------------------------------ resolution
@@ -212,9 +248,9 @@ bool GroundingContext::ExpandLiteral(const Literal& lit,
 
   if (num_exist == 0) {
     bool known_true = false;
-    int32_t cid = InternScratchAtom(&known_true);
-    if (cid >= 0) {
-      scratch_open_.push_back(lit.positive ? cid + 1 : -(cid + 1));
+    int32_t key = InternScratchAtom(&known_true);
+    if (key >= 0) {
+      scratch_open_.push_back(lit.positive ? key + 1 : -(key + 1));
     } else if (known_true == lit.positive) {
       *satisfied = true;
       return false;
@@ -290,9 +326,9 @@ bool GroundingContext::ExpandLiteral(const Literal& lit,
           (*var_domains[var_of_pos[i]])[counter[var_of_pos[i]]];
     }
     bool known_true = false;
-    int32_t cid = InternScratchAtom(&known_true);
-    if (cid >= 0) {
-      scratch_open_.push_back(lit.positive ? cid + 1 : -(cid + 1));
+    int32_t key = InternScratchAtom(&known_true);
+    if (key >= 0) {
+      scratch_open_.push_back(lit.positive ? key + 1 : -(key + 1));
     } else if (known_true == lit.positive) {
       *satisfied = true;
       return false;
@@ -420,7 +456,7 @@ void GroundingContext::BuildChunkPlan(int clause_idx,
     p.usable = true;
     return;
   }
-  if (!dense_interner_) return;  // generic per-row path
+  if (table_ == nullptr) return;  // generic per-row path
 
   for (const EqualityConstraint& eq : clause.equalities) {
     ChunkEqPlan ep;
@@ -446,26 +482,26 @@ void GroundingContext::BuildChunkPlan(int clause_idx,
     for (const Term& t : lit.args) {
       if (t.is_var && var_col_[t.id] < 0) return;  // existential: generic
     }
-    DenseInterner& di = dense_[lit.pred];
-    if (di.state == DenseInterner::State::kUninit) InitDense(lit.pred);
-    if (di.state != DenseInterner::State::kUsable) return;
+    const Slot* slot = SlotOf(lit.pred);
+    if (slot == nullptr) return;
     ChunkLitPlan lp;
     lp.lit_idx = static_cast<int>(li);
     lp.positive = lit.positive;
-    lp.cells = di.cells.data();
+    lp.cells = slot->cells.get();
+    lp.key_base = slot->key_base;
     lp.base = 0;
     for (size_t i = 0; i < lit.args.size(); ++i) {
       const Term& t = lit.args[i];
-      const std::vector<int32_t>& index = *di.arg_dense[i];
+      const std::vector<int32_t>& index = *slot->arg_index[i];
       if (!t.is_var) {
         if (t.id < 0 || static_cast<size_t>(t.id) >= index.size() ||
             index[t.id] < 0) {
           return;  // constant outside its domain: generic path
         }
-        lp.base += static_cast<size_t>(index[t.id]) * di.stride[i];
+        lp.base += static_cast<size_t>(index[t.id]) * slot->stride[i];
       } else {
         lp.vars.push_back(ChunkLitPlan::VarTerm{
-            var_col_[t.id], di.stride[i], index.data(), index.size()});
+            var_col_[t.id], slot->stride[i], index.data(), index.size()});
       }
     }
     p.lits.push_back(std::move(lp));
@@ -476,8 +512,7 @@ void GroundingContext::BuildChunkPlan(int clause_idx,
 int32_t GroundingContext::ResolveUnseenCell(const Literal& lit,
                                             const ColumnChunk& chunk,
                                             uint32_t row,
-                                            const ChunkLitPlan& lp,
-                                            int32_t* cell) {
+                                            std::atomic<int32_t>* cell) {
   scratch_atom_.pred = lit.pred;
   scratch_atom_.args.resize(lit.args.size());
   for (size_t i = 0; i < lit.args.size(); ++i) {
@@ -486,14 +521,8 @@ int32_t GroundingContext::ResolveUnseenCell(const Literal& lit,
         t.is_var ? static_cast<ConstantId>(chunk.col(var_col_[t.id])[row])
                  : t.id;
   }
-  const Truth truth = evidence_.Lookup(program_, scratch_atom_);
-  int32_t v;
-  if (truth == Truth::kUnknown) {
-    v = AllocCid(scratch_atom_);
-  } else {
-    v = truth == Truth::kTrue ? kCellKnownTrue : kCellKnownFalse;
-  }
-  *cell = v;
+  const int32_t v = CellOf(evidence_.Lookup(program_, scratch_atom_));
+  cell->store(v, std::memory_order_relaxed);
   return v;
 }
 
@@ -543,7 +572,7 @@ void GroundingContext::AddCandidateChunk(int clause_idx,
     scratch_open_.clear();
     if (!satisfied) {
       for (const ChunkLitPlan& lp : p.lits) {
-        size_t key = lp.base;
+        size_t index = lp.base;
         bool in_dense = true;
         for (const ChunkLitPlan::VarTerm& vt : lp.vars) {
           const int64_t v = chunk.col(vt.col)[r];
@@ -556,21 +585,21 @@ void GroundingContext::AddCandidateChunk(int clause_idx,
             in_dense = false;
             break;
           }
-          key += static_cast<size_t>(d) * vt.stride;
+          index += static_cast<size_t>(d) * vt.stride;
         }
-        int32_t cid;
+        int32_t cand;
         bool known_true = false;
         if (in_dense) {
-          int32_t cell = lp.cells[key];
-          if (cell == kCellUnseen) {
-            cell = ResolveUnseenCell(clause.literals[lp.lit_idx], chunk, r, lp,
-                                     &lp.cells[key]);
+          int32_t cell = lp.cells[index].load(std::memory_order_relaxed);
+          if (cell == CandidateAtomTable::kUnseen) {
+            cell = ResolveUnseenCell(clause.literals[lp.lit_idx], chunk, r,
+                                     &lp.cells[index]);
           }
-          if (cell >= 0) {
-            cid = cell;
+          if (cell == CandidateAtomTable::kUnknown) {
+            cand = lp.key_base + static_cast<int32_t>(index);
           } else {
-            cid = -1;
-            known_true = cell == kCellKnownTrue;
+            cand = -1;
+            known_true = cell == CandidateAtomTable::kKnownTrue;
           }
         } else {
           // Out-of-domain constant in the row: hash-interner fallback.
@@ -584,10 +613,10 @@ void GroundingContext::AddCandidateChunk(int clause_idx,
                     ? static_cast<ConstantId>(chunk.col(var_col_[t.id])[r])
                     : t.id;
           }
-          cid = InternScratchAtom(&known_true);
+          cand = InternScratchAtom(&known_true);
         }
-        if (cid >= 0) {
-          scratch_open_.push_back(lp.positive ? cid + 1 : -(cid + 1));
+        if (cand >= 0) {
+          scratch_open_.push_back(lp.positive ? cand + 1 : -(cand + 1));
         } else if (known_true == lp.positive) {
           satisfied = true;
           break;
@@ -627,6 +656,7 @@ void GroundingContext::AddCandidateChunk(int clause_idx,
 
 void GroundingContext::AbsorbPending(GroundingContext* local) {
   assert(!finalized_ && !local->finalized_);
+  assert(table_ == local->table_ && "cell keys name atoms of one table");
   const GroundingResult& lr = local->result_;
   result_.stats.working_set_bytes += lr.stats.working_set_bytes;
   result_.stats.candidates += lr.stats.candidates;
@@ -636,36 +666,24 @@ void GroundingContext::AbsorbPending(GroundingContext* local) {
   result_.stats.fixed_cost_groundings += lr.stats.fixed_cost_groundings;
   result_.hard_contradiction =
       result_.hard_contradiction || lr.hard_contradiction;
-  if (cand_atoms_.empty() && pending_.empty()) {
-    // First absorb into an empty owner: steal the local context's
-    // interner and pending arena wholesale — candidate-id numbering is
-    // internal, so the result is identical to a remap, minus the work.
-    // The type indexes the dense cells point into outlive both.
-    assert(type_indexes_ == local->type_indexes_);
-    cand_atoms_.swap(local->cand_atoms_);
-    cand_active_.swap(local->cand_active_);
-    cand_ids_.swap(local->cand_ids_);
-    dense_.swap(local->dense_);
-    pending_.swap(local->pending_);
-    pending_lits_.swap(local->pending_lits_);
-    chunk_plan_ = ChunkPlan{};        // cached cell pointers moved away
-    local->chunk_plan_ = ChunkPlan{};
-    return;
-  }
-  // Remap local candidate ids lazily: only atoms that survived into a
-  // pending clause are interned here.
-  std::vector<int32_t> remap(local->cand_atoms_.size(), -1);
-  for (const PendingClause& pc : local->pending_) {
-    const uint32_t begin = static_cast<uint32_t>(pending_lits_.size());
-    for (uint32_t i = pc.begin; i < pc.end; ++i) {
-      CandLit l = local->pending_lits_[i];
-      const int32_t cid = l > 0 ? l - 1 : -l - 1;
-      int32_t& m = remap[cid];
-      if (m < 0) m = InternUnknownAtom(local->cand_atoms_[cid]);
-      pending_lits_.push_back(l > 0 ? m + 1 : -(m + 1));
+  // The local arena holds the pending spans back to back, in order.
+  // Cell keys name the same atom here; hash-interned keys are local, so
+  // those atoms are re-interned, lazily: only the ones that survived into
+  // a pending clause.
+  const uint32_t shift = static_cast<uint32_t>(pending_lits_.size());
+  std::vector<int32_t> remap(local->hash_atoms_.size(), -1);
+  for (CandLit l : local->pending_lits_) {
+    const int32_t key = l > 0 ? l - 1 : -l - 1;
+    if (key >= kHashKeyBase) {
+      int32_t& m = remap[key - kHashKeyBase];
+      if (m < 0) m = InternUnknownAtom(local->hash_atoms_[key - kHashKeyBase]);
+      l = l > 0 ? m + 1 : -(m + 1);
     }
-    pending_.push_back(PendingClause{
-        pc.clause_idx, begin, static_cast<uint32_t>(pending_lits_.size())});
+    pending_lits_.push_back(l);
+  }
+  for (const PendingClause& pc : local->pending_) {
+    pending_.push_back(
+        PendingClause{pc.clause_idx, pc.begin + shift, pc.end + shift});
   }
   local->pending_.clear();
   local->pending_lits_.clear();
@@ -687,7 +705,7 @@ bool GroundingContext::IsActive(const PendingClause& pc) const {
     // active (unknown atoms default to false under lazy inference).
     for (uint32_t i = pc.begin; i < pc.end; ++i) {
       const CandLit l = pending_lits_[i];
-      if (l < 0 && cand_active_[-l - 1] == 0) return false;
+      if (l < 0 && !IsActiveAtom(-l - 1)) return false;
     }
     return true;
   }
@@ -696,7 +714,7 @@ bool GroundingContext::IsActive(const PendingClause& pc) const {
   for (uint32_t i = pc.begin; i < pc.end; ++i) {
     const CandLit l = pending_lits_[i];
     if (l < 0) return true;  // atom defaults to false => literal true
-    if (cand_active_[l - 1] != 0) return true;
+    if (IsActiveAtom(l - 1)) return true;
   }
   return false;
 }
@@ -706,14 +724,18 @@ void GroundingContext::Emit(const PendingClause& pc) {
   scratch_emit_lits_.clear();
   for (uint32_t i = pc.begin; i < pc.end; ++i) {
     const CandLit l = pending_lits_[i];
-    const int32_t cid = l > 0 ? l - 1 : -l - 1;
-    AtomId id = cid_atom_[cid];
+    const int32_t key = l > 0 ? l - 1 : -l - 1;
+    AtomId& id = AtomMemo(key);
     if (id == kNoAtom) {
-      id = result_.atoms.GetOrCreate(cand_atoms_[cid]);
-      cid_atom_[cid] = id;
+      // First emission: the atom gets its id, and so becomes active.
+      if (key >= kHashKeyBase) {
+        id = result_.atoms.GetOrCreate(hash_atoms_[key - kHashKeyBase]);
+      } else {
+        table_->Decode(key, &scratch_atom_);
+        id = result_.atoms.GetOrCreate(scratch_atom_);
+      }
     }
     scratch_emit_lits_.push_back(MakeLit(id, l > 0));
-    cand_active_[cid] = 1;
   }
   result_.clauses.AddFromScratch(&scratch_emit_lits_,
                                  clause.hard ? 0.0 : clause.weight,
@@ -723,7 +745,16 @@ void GroundingContext::Emit(const PendingClause& pc) {
 Result<GroundingResult> GroundingContext::Finalize() {
   if (finalized_) return Status::Internal("Finalize called twice");
   finalized_ = true;
-  cid_atom_.assign(cand_atoms_.size(), kNoAtom);
+  if (table_ != nullptr) {
+    // The table's cells count here, once, whichever contexts built them.
+    slot_atoms_.resize(table_->num_slots());
+    for (size_t s = 0; s < slot_atoms_.size(); ++s) {
+      const size_t cells = table_->BuiltCells(s);
+      slot_atoms_[s].assign(cells, kNoAtom);
+      result_.stats.working_set_bytes += cells * sizeof(int32_t);
+    }
+  }
+  hash_atom_ids_.assign(hash_atoms_.size(), kNoAtom);
 
   if (!options_.lazy_closure) {
     for (const PendingClause& pc : pending_) Emit(pc);

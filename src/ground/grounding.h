@@ -1,6 +1,7 @@
 #ifndef TUFFY_GROUND_GROUNDING_H_
 #define TUFFY_GROUND_GROUNDING_H_
 
+#include <atomic>
 #include <cstdint>
 #include <memory>
 #include <mutex>
@@ -65,11 +66,12 @@ struct GroundingStats {
   /// evidence, like every count here. Zero for the other grounders.
   uint64_t morsels = 0;
   /// Bytes of grounding state an all-in-RAM grounder holds before the
-  /// closure prunes it: dense candidate cells plus pending clauses (the
+  /// closure prunes it: candidate-atom cells plus pending clauses (the
   /// Alchemy term of Table 4). Nothing is freed before Finalize, so this
-  /// total is the state's peak. Every context counts its own cells, so a
-  /// rule split into morsels counts its cells once per morsel. It depends
-  /// only on the program and the evidence, so it is equal at every thread
+  /// total is the state's peak. Cells count once per CandidateAtomTable,
+  /// at 4 bytes each, however many contexts resolved into it; pending
+  /// clauses count once per context that resolved them. It depends only
+  /// on the program and the evidence, so it is equal at every thread
   /// count.
   uint64_t working_set_bytes = 0;
 };
@@ -89,25 +91,85 @@ struct GroundingResult {
 /// Entries for existential variables are ignored (set to -1).
 using Assignment = std::vector<ConstantId>;
 
-/// Global constant -> position in its type's domain (-1 outside it), one
-/// `num_constants`-sized vector per type, built on first use. The dense
-/// interners of every GroundingContext that shares one read the same
-/// vectors, so a Ground builds each at most once however many contexts
-/// its morsels resolve into. Get is safe to call from several threads.
-class TypeDenseIndexes {
+/// The candidate-atom table of one Ground, shared by every
+/// GroundingContext that resolves into it: the owner and each morsel's
+/// context. A predicate whose argument-domain product is at most
+/// kMaxCells has one cell per possible atom, addressed row-major by the
+/// atom's positions in its argument types' domains; its cells are built
+/// on first use. A cell holds the atom's evidence truth, nothing else:
+/// unseen, true, false or unknown. Writers use relaxed atomic stores, and
+/// a cell's value depends only on the evidence, so concurrent writers
+/// store the same value.
+///
+/// A pending clause names an unknown atom that has a cell by its key,
+/// (slot << kCellBits) | cell, the same in every context. So a context
+/// keeps nothing per such atom, and AbsorbPending appends a morsel's
+/// pending literals unchanged. Keys are identities only: no atom id,
+/// order or stat depends on a key's value or on which thread built a
+/// predicate's cells. Slots go to the predicates with cells in id order,
+/// up to kHashKeyBase >> kCellBits (256) of them; later predicates, like
+/// wide ones, fall back to each context's hash interner. Get is safe to
+/// call from several threads.
+class CandidateAtomTable {
  public:
-  explicit TypeDenseIndexes(const MlnProgram& program);
+  enum CellValue : int32_t {
+    kUnseen = 0,
+    kKnownTrue = 1,
+    kKnownFalse = 2,
+    kUnknown = 3
+  };
+  static constexpr int kCellBits = 22;
+  static constexpr size_t kMaxCells = size_t{1} << kCellBits;
+  /// Keys of cells lie below this; a context numbers the atoms it
+  /// hash-interns from here up.
+  static constexpr int32_t kHashKeyBase = int32_t{1} << 30;
 
-  const std::vector<int32_t>& Get(const std::string& type);
+  /// One predicate's cells, with its key base and per-argument layout.
+  struct Slot {
+    PredicateId pred = -1;
+    int32_t key_base = 0;
+    size_t num_cells = 0;
+    /// Per argument: stride in the row-major cell layout, global
+    /// constant -> position in the type's domain (-1 outside it), and the
+    /// domain itself.
+    std::vector<size_t> stride;
+    std::vector<const std::vector<int32_t>*> arg_index;
+    std::vector<const std::vector<ConstantId>*> arg_domain;
+    std::unique_ptr<std::atomic<int32_t>[]> cells;
+    std::once_flag built;
+  };
+
+  explicit CandidateAtomTable(const MlnProgram& program);
+
+  /// `pred`'s slot, its cells built on first use, or null when the
+  /// predicate has no cells.
+  const Slot* Get(PredicateId pred);
+
+  /// The atom a cell key names.
+  void Decode(int32_t key, GroundAtom* atom) const;
+
+  size_t num_slots() const { return num_slots_; }
+  /// Cells of slot `s` if some context has used it, else 0. Call once no
+  /// other thread uses the table.
+  size_t BuiltCells(size_t s) const {
+    return slots_[s].cells != nullptr ? slots_[s].num_cells : 0;
+  }
 
  private:
-  struct Entry {
+  /// Global constant -> position in `type`'s domain, one
+  /// `num_constants`-sized vector per type, built on first use.
+  const std::vector<int32_t>& TypeIndex(const std::string& type);
+
+  struct TypeEntry {
     std::once_flag built;
     std::vector<int32_t> index;
   };
   const MlnProgram& program_;
   /// One entry per type a predicate uses; the key set never changes.
-  std::unordered_map<std::string, std::unique_ptr<Entry>> entries_;
+  std::unordered_map<std::string, std::unique_ptr<TypeEntry>> types_;
+  std::vector<int32_t> slot_of_pred_;  // -1: no cells
+  std::unique_ptr<Slot[]> slots_;
+  size_t num_slots_ = 0;
 };
 
 /// Shared back end of both grounders: takes candidate (clause,
@@ -116,27 +178,29 @@ class TypeDenseIndexes {
 /// existential quantifiers over their domains), runs the lazy-closure
 /// loop, and assembles the GroundingResult.
 ///
-/// Unknown atoms are interned into dense candidate ids on first sight,
-/// with their evidence truth cached. For predicates whose argument-domain
-/// product is small enough, the interner is a flat direct-addressed
-/// array (one cell per possible atom: candidate id, or the cached
-/// evidence truth) — resolution costs an array index per literal
-/// occurrence instead of a ground-atom hash probe, which is what lets
-/// the columnar binding executor's rows be consumed at full speed. Wide
-/// predicates fall back to the hash interner.
+/// An atom's evidence truth is cached on first sight. For predicates
+/// with cells in the CandidateAtomTable, the cache is the atom's cell,
+/// and an unknown atom is named by its table key — resolution costs an
+/// array index per literal occurrence instead of a ground-atom hash
+/// probe, which is what lets the columnar binding executor's rows be
+/// consumed at full speed. Wide predicates and out-of-domain constants
+/// fall back to the context's hash interner, whose unknown atoms get
+/// context-local keys from kHashKeyBase up.
 class GroundingContext {
  public:
-  /// `dense_interner` selects the direct-addressed candidate interner
-  /// (one flat cell per possible atom of a predicate). Worth it for bulk
+  /// `dense_interner` selects the candidate-atom table. Worth it for bulk
   /// grounding; a caller resolving a small candidate batch (binding-level
   /// deltas) turns it off, since zeroing domain-product-sized arrays
-  /// would dominate. The context reads `evidence` in place, so it must
-  /// stay unmutated while the context lives. `type_indexes`, if given,
-  /// is shared with other contexts and must outlive this one; otherwise
-  /// the context builds its own.
+  /// would dominate, and the context hash-interns every atom. The context
+  /// reads `evidence` in place, so it must stay unmutated while the
+  /// context lives. `table`, if given, is shared with the other contexts
+  /// of one Ground and must outlive this one; otherwise the context
+  /// builds its own. Finalize counts the table's cells, so of the
+  /// contexts sharing a table only one finalizes; the others are merged
+  /// into it by AbsorbPending.
   GroundingContext(const MlnProgram& program, const EvidenceDb& evidence,
                    GroundingOptions options, bool dense_interner = true,
-                   TypeDenseIndexes* type_indexes = nullptr);
+                   CandidateAtomTable* table = nullptr);
 
   /// Registers a candidate grounding of program.clauses()[clause_idx].
   /// Bit k of `skip_lit_mask` marks literal k as resolution-exempt: the
@@ -164,9 +228,10 @@ class GroundingContext {
   /// Records one more morsel (see GroundingStats::morsels).
   void RecordMorsel() { ++result_.stats.morsels; }
 
-  /// Merges a morsel-local context into this one: pending clauses are
-  /// remapped into this context's candidate-atom interner and appended
-  /// in call order, and the stats and the contradiction flag are summed.
+  /// Merges a morsel-local context that shares this one's table: its
+  /// pending clauses are appended in call order, their literals
+  /// unchanged except for hash-interned atoms, whose local keys are
+  /// re-interned here. The stats and the contradiction flag are summed.
   /// The local fixed cost is not: a rule's fixed cost comes back through
   /// AddRuleFixedCost. This is the join point of parallel grounding —
   /// workers resolve morsels into local contexts concurrently, and the
@@ -188,7 +253,12 @@ class GroundingContext {
   Result<GroundingResult> Finalize();
 
  private:
-  /// Signed candidate-id literal: +(cid+1) positive, -(cid+1) negative.
+  using Slot = CandidateAtomTable::Slot;
+  static constexpr int kCellBits = CandidateAtomTable::kCellBits;
+  static constexpr int32_t kCellMask = (int32_t{1} << kCellBits) - 1;
+  static constexpr int32_t kHashKeyBase = CandidateAtomTable::kHashKeyBase;
+
+  /// Signed candidate-key literal: +(key+1) positive, -(key+1) negative.
   using CandLit = int32_t;
 
   /// A clause whose evidence-resolution left open literals, waiting for
@@ -200,40 +270,24 @@ class GroundingContext {
     uint32_t end;
   };
 
-  // Cell states of the direct-addressed interner (values >= 0 are cids).
-  static constexpr int32_t kCellUnseen = INT32_MIN;
-  static constexpr int32_t kCellKnownTrue = -1;
-  static constexpr int32_t kCellKnownFalse = -2;
-  /// Upper bound on a predicate's domain product before the dense
-  /// interner falls back to hashing (cells are 4 bytes each).
-  static constexpr size_t kMaxDenseSlots = size_t{1} << 22;
+  /// `pred`'s table slot (null: no table, or no cells), looked up in the
+  /// table once per context.
+  const Slot* SlotOf(PredicateId pred);
+  /// The atom's table cell, setting *key, or nullptr when it has none
+  /// (see SlotOf, or an argument outside its type's domain).
+  std::atomic<int32_t>* DenseCell(const GroundAtom& atom, int32_t* key);
 
-  struct DenseInterner {
-    enum class State : uint8_t { kUninit, kUsable, kUnusable };
-    State state = State::kUninit;
-    std::vector<int32_t> cells;
-    /// Per argument position: stride in the row-major cell layout and
-    /// the type's global-constant -> dense-domain-index map.
-    std::vector<size_t> stride;
-    std::vector<const std::vector<int32_t>*> arg_dense;
-  };
-
-  void InitDense(PredicateId pred);
-  /// Flat cell for the atom, or nullptr when the predicate (or this
-  /// atom's arguments) cannot use the dense path.
-  int32_t* DenseCell(const GroundAtom& atom);
-
-  /// Allocates a fresh candidate id for `atom`.
-  int32_t AllocCid(const GroundAtom& atom);
+  /// Gives `atom` the next hash-interned key.
+  int32_t AllocHashKey(const GroundAtom& atom);
 
   /// Interns the atom in scratch_atom_, caching its evidence truth.
-  /// Returns the candidate id, or -1 if the atom's truth is known (then
+  /// Returns the candidate key, or -1 if the atom's truth is known (then
   /// *known_truth is set).
   int32_t InternScratchAtom(bool* known_truth_value);
 
-  /// Interns an atom already known to be evidence-unknown (AbsorbPending
-  /// remap: unknown under the same evidence in the local context implies
-  /// unknown here, so no evidence probe is needed).
+  /// Hash-interns an atom already known to be evidence-unknown
+  /// (AbsorbPending remap: unknown under the same evidence in the local
+  /// context implies unknown here, so no evidence probe is needed).
   int32_t InternUnknownAtom(const GroundAtom& atom);
 
   /// Resolves one candidate against the evidence; appends to pending_ if
@@ -243,14 +297,15 @@ class GroundingContext {
 
   /// Compiled per-clause resolution plan for the chunk fast path: every
   /// non-skipped literal is ground (no existential positions) over a
-  /// dense-interned predicate, so resolving a row is a handful of array
+  /// predicate with table cells, so resolving a row is a handful of array
   /// reads — no GroundAtom materialization, no hash probes. Falls back
   /// to ResolveCandidate per row when the clause does not qualify.
   struct ChunkLitPlan {
     int lit_idx;
     bool positive;
-    int32_t* cells;
-    size_t base;  // constants' contribution to the cell key
+    std::atomic<int32_t>* cells;
+    int32_t key_base;
+    size_t base;  // constants' contribution to the cell index
     struct VarTerm {
       int col;  // chunk column holding the variable's value
       size_t stride;
@@ -277,16 +332,31 @@ class GroundingContext {
   };
   void BuildChunkPlan(int clause_idx, const std::vector<VarId>& out_vars,
                       uint64_t skip_lit_mask);
-  /// Slow path of the fast loop: an unseen dense cell needs the atom
-  /// materialized once to probe the evidence.
+  /// Slow path of the fast loop: an unseen cell needs the atom
+  /// materialized once to probe the evidence. Returns the stored value.
   int32_t ResolveUnseenCell(const Literal& lit, const ColumnChunk& chunk,
-                            uint32_t row, const ChunkLitPlan& lp,
-                            int32_t* cell);
+                            uint32_t row, std::atomic<int32_t>* cell);
 
   /// Resolves one literal (expanding existential positions over their
   /// domains). Returns false if the clause became constantly true.
   bool ExpandLiteral(const Literal& lit, const Assignment& assignment,
                      bool* satisfied);
+
+  /// Finalize's memo of a candidate key's result atom id: per cell of
+  /// every table slot some context used, and per hash-interned atom. An
+  /// atom gets its id when a clause holding it is first emitted, which is
+  /// also when it becomes active, so kNoAtom doubles as "inactive".
+  static constexpr AtomId kNoAtom = ~AtomId{0};
+  AtomId& AtomMemo(int32_t key) {
+    if (key >= kHashKeyBase) return hash_atom_ids_[key - kHashKeyBase];
+    return slot_atoms_[key >> kCellBits][key & kCellMask];
+  }
+  bool IsActiveAtom(int32_t key) const {
+    if (key >= kHashKeyBase) {
+      return hash_atom_ids_[key - kHashKeyBase] != kNoAtom;
+    }
+    return slot_atoms_[key >> kCellBits][key & kCellMask] != kNoAtom;
+  }
 
   /// Lazy-closure activity test for a pending clause.
   bool IsActive(const PendingClause& pc) const;
@@ -296,34 +366,37 @@ class GroundingContext {
   const MlnProgram& program_;
   const EvidenceDb& evidence_;
   GroundingOptions options_;
-  bool dense_interner_;
   GroundingResult result_;
   std::vector<PendingClause> pending_;
   std::vector<CandLit> pending_lits_;
   std::vector<CandLit> scratch_open_;
 
-  /// Candidate-atom interner. The dense per-predicate arrays are the
-  /// fast path; the hash map backs wide predicates and out-of-domain
+  /// Candidate-atom interners. The shared table's cells are the fast
+  /// path; the hash map backs wide predicates and out-of-domain
   /// constants. An atom lives in exactly one of the two.
   struct CandInfo {
-    int32_t cid;        // -1 when the truth is evidence-determined
-    int8_t known_true;  // valid when cid == -1
+    int32_t key;        // -1 when the truth is evidence-determined
+    int8_t known_true;  // valid when key == -1
   };
-  std::vector<DenseInterner> dense_;
-  std::unique_ptr<TypeDenseIndexes> own_type_indexes_;
-  TypeDenseIndexes* type_indexes_;
-  std::unordered_map<GroundAtom, CandInfo, GroundAtomHash> cand_ids_;
-  std::vector<GroundAtom> cand_atoms_;
-  std::vector<uint8_t> cand_active_;
+  std::unique_ptr<CandidateAtomTable> own_table_;
+  CandidateAtomTable* table_;  // null: hash interner only
+  struct PredSlot {
+    bool looked_up = false;
+    const Slot* slot = nullptr;
+  };
+  std::vector<PredSlot> pred_slots_;
+  std::unordered_map<GroundAtom, CandInfo, GroundAtomHash> hash_keys_;
+  /// Hash-interned unknown atoms, by key - kHashKeyBase.
+  std::vector<GroundAtom> hash_atoms_;
   GroundAtom scratch_atom_;
   Assignment scratch_assignment_;
   ChunkPlan chunk_plan_;
   /// Chunk-column of each clause variable under the current chunk plan
   /// (-1 for existential variables).
   std::vector<int> var_col_;
-  /// Candidate id -> result atom id, filled during emission so repeated
-  /// emissions of one atom cost an array read, not a hash probe.
-  std::vector<AtomId> cid_atom_;
+  /// AtomMemo's arrays: per table slot, and per hash-interned atom.
+  std::vector<std::vector<AtomId>> slot_atoms_;
+  std::vector<AtomId> hash_atom_ids_;
   std::vector<Lit> scratch_emit_lits_;
 
   /// Count index for closed-world existential literals: for predicate p

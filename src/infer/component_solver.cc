@@ -10,9 +10,10 @@ ComponentSolver::ComponentSolver(const ComponentSolverOptions& options,
                                  const std::vector<GroundClause>& clauses,
                                  const std::vector<uint32_t>& clause_ids,
                                  const std::vector<AtomId>& atoms,
+                                 const std::vector<uint32_t>& position_of_atom,
                                  const std::vector<uint8_t>* warm_truth)
     : options_(options),
-      sub_(BuildSubProblem(clauses, clause_ids, atoms)),
+      sub_(BuildSubProblem(clauses, clause_ids, atoms, position_of_atom)),
       budget_(std::max<uint64_t>(
           1, options.total_flips * atoms.size() /
                  std::max<size_t>(options.mrf_atoms, 1))),

@@ -35,12 +35,15 @@ struct ComponentSolverOptions {
 class ComponentSolver {
  public:
   /// Builds the sub-problem of `clauses[clause_ids]` over the ascending
-  /// global `atoms` and tries the exact solver. A later search starts
-  /// from `warm_truth` (by global atom id), or at random if null.
+  /// global `atoms`, numbered by their positions in `atoms`
+  /// (`position_of_atom`, see BuildSubProblem), and tries the exact
+  /// solver. A later search starts from `warm_truth` (by global atom id),
+  /// or at random if null.
   ComponentSolver(const ComponentSolverOptions& options,
                   const std::vector<GroundClause>& clauses,
                   const std::vector<uint32_t>& clause_ids,
                   const std::vector<AtomId>& atoms,
+                  const std::vector<uint32_t>& position_of_atom,
                   const std::vector<uint8_t>* warm_truth = nullptr);
   // The searcher points into this object.
   ComponentSolver(const ComponentSolver&) = delete;

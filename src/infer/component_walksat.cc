@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <memory>
+#include <numeric>
 
 namespace tuffy {
 
@@ -20,8 +21,11 @@ ComponentSearchResult RunComponentWalkSat(
   std::unique_ptr<ThreadPool> pool = MakeWorkerPool(options.num_threads);
   ComponentSearchResult result;
   result.truth.assign(num_atoms, 0);
+  std::vector<size_t> all(components.num_components());
+  std::iota(all.begin(), all.end(), size_t{0});
   SolveComponents(sopts, std::max(1, options.rounds), options.timeout_seconds,
-                  clauses, components, pool.get(), clock, &result);
+                  clauses, components, all, nullptr, pool.get(), clock,
+                  &result);
   result.seconds = clock.ElapsedSeconds();
   return result;
 }
@@ -29,18 +33,24 @@ ComponentSearchResult RunComponentWalkSat(
 void SolveComponents(const ComponentSolverOptions& options, int rounds,
                      double timeout_seconds,
                      const std::vector<GroundClause>& clauses,
-                     const ComponentSet& components, ThreadPool* pool,
-                     const Timer& clock, ComponentSearchResult* result) {
+                     const ComponentSet& components,
+                     const std::vector<size_t>& batch,
+                     const std::vector<std::vector<uint32_t>>* batch_clauses,
+                     ThreadPool* pool, const Timer& clock,
+                     ComponentSearchResult* result) {
   // Every solver stays resident until the merge; each task touches only
   // its own.
-  std::vector<std::unique_ptr<ComponentSolver>> solvers(
-      components.num_components());
+  std::vector<std::unique_ptr<ComponentSolver>> solvers(batch.size());
   {
     TaskGroup group(pool);
     for (size_t i = 0; i < solvers.size(); ++i) {
       group.Submit([&, i] {
+        const size_t c = batch[i];
         solvers[i] = std::make_unique<ComponentSolver>(
-            options, clauses, components.clauses[i], components.atoms[i]);
+            options, clauses,
+            batch_clauses != nullptr ? (*batch_clauses)[i]
+                                     : components.clauses[c],
+            components.atoms[c], components.position_of_atom);
         solvers[i]->SampleMarginals();
       });
     }

@@ -64,14 +64,21 @@ ComponentSearchResult RunComponentWalkSat(
 
 /// RunComponentWalkSat's scheduler on a caller-owned `pool` (null =
 /// inline), also run per FFD batch and for the marginal task by
-/// TuffyEngine: a ComponentSolver per component, its MC-SAT if asked,
-/// then `rounds` round-robin rounds while `clock` < `timeout_seconds`.
-/// Adds into `result`, scattering into result->truth/marginals if sized.
+/// TuffyEngine: a ComponentSolver for each component of `components`
+/// that `batch` lists, read in place, its MC-SAT if asked, then `rounds`
+/// round-robin rounds while `clock` < `timeout_seconds`. The solvers read
+/// components.clauses as ids into `clauses`, or, when `batch_clauses` is
+/// non-null, entry i of it for batch[i] (the loading lesion's
+/// renumbered clause lists). Adds into `result`, scattering into
+/// result->truth/marginals if sized.
 void SolveComponents(const ComponentSolverOptions& options, int rounds,
                      double timeout_seconds,
                      const std::vector<GroundClause>& clauses,
-                     const ComponentSet& components, ThreadPool* pool,
-                     const Timer& clock, ComponentSearchResult* result);
+                     const ComponentSet& components,
+                     const std::vector<size_t>& batch,
+                     const std::vector<std::vector<uint32_t>>* batch_clauses,
+                     ThreadPool* pool, const Timer& clock,
+                     ComponentSearchResult* result);
 
 }  // namespace tuffy
 

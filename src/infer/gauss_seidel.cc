@@ -37,7 +37,7 @@ GaussSeidelResult RunGaussSeidel(size_t num_atoms,
       SubProblem sub = BuildConditionedSubProblem(
           clauses, partitions.clauses[i], partitions.cut_clauses,
           partitions.atoms[i], partitions.partition_of_atom,
-          static_cast<int32_t>(i), result.truth);
+          partitions.position_of_atom, static_cast<int32_t>(i), result.truth);
       // Seed the local search from the current global state.
       init.resize(sub.global_atom.size());
       for (size_t j = 0; j < sub.global_atom.size(); ++j) {

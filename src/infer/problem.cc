@@ -1,7 +1,6 @@
 #include "infer/problem.h"
 
 #include <cmath>
-#include <unordered_map>
 
 namespace tuffy {
 
@@ -14,6 +13,16 @@ void Problem::Clear() {
   hard.clear();
   positive.clear();
   frozen.clear();
+}
+
+void Problem::Reserve(size_t clauses, size_t lits) {
+  clause_offsets.reserve(clause_offsets.size() + clauses);
+  lit_data.reserve(lit_data.size() + lits);
+  weight.reserve(weight.size() + clauses);
+  abs_weight.reserve(abs_weight.size() + clauses);
+  hard.reserve(hard.size() + clauses);
+  positive.reserve(positive.size() + clauses);
+  frozen.reserve(frozen.size() + clauses);
 }
 
 void Problem::AddClause(const Lit* lits, size_t n, double w, bool is_hard) {
@@ -81,40 +90,27 @@ Problem MakeWholeProblem(size_t num_atoms,
   return p;
 }
 
-namespace {
-
-/// BuildSubProblem, also returning its global-to-local atom id map.
-SubProblem BuildSubProblemWithMap(
-    const std::vector<GroundClause>& all_clauses,
-    const std::vector<uint32_t>& clause_ids,
-    const std::vector<AtomId>& atom_ids,
-    std::unordered_map<AtomId, AtomId>* local) {
+SubProblem BuildSubProblem(const std::vector<GroundClause>& all_clauses,
+                           const std::vector<uint32_t>& clause_ids,
+                           const std::vector<AtomId>& atom_ids,
+                           const std::vector<uint32_t>& position_of_atom) {
   SubProblem sub;
   sub.global_atom = atom_ids;
-  sub.problem.num_atoms = atom_ids.size();
-  local->reserve(atom_ids.size());
-  for (size_t i = 0; i < atom_ids.size(); ++i) {
-    (*local)[atom_ids[i]] = static_cast<AtomId>(i);
-  }
+  Problem& p = sub.problem;
+  p.num_atoms = atom_ids.size();
+  size_t num_lits = 0;
+  for (uint32_t ci : clause_ids) num_lits += all_clauses[ci].lits.size();
+  p.Reserve(clause_ids.size(), num_lits);
   std::vector<Lit> lits;
   for (uint32_t ci : clause_ids) {
     const GroundClause& c = all_clauses[ci];
     lits.clear();
     for (Lit l : c.lits) {
-      lits.push_back(MakeLit(local->at(LitAtom(l)), LitPositive(l)));
+      lits.push_back(MakeLit(position_of_atom[LitAtom(l)], LitPositive(l)));
     }
-    sub.problem.AddClause(lits.data(), lits.size(), c.weight, c.hard);
+    p.AddClause(lits.data(), lits.size(), c.weight, c.hard);
   }
   return sub;
-}
-
-}  // namespace
-
-SubProblem BuildSubProblem(const std::vector<GroundClause>& all_clauses,
-                           const std::vector<uint32_t>& clause_ids,
-                           const std::vector<AtomId>& atom_ids) {
-  std::unordered_map<AtomId, AtomId> local;
-  return BuildSubProblemWithMap(all_clauses, clause_ids, atom_ids, &local);
 }
 
 SubProblem BuildConditionedSubProblem(
@@ -122,11 +118,11 @@ SubProblem BuildConditionedSubProblem(
     const std::vector<uint32_t>& clause_ids,
     const std::vector<uint32_t>& cut_clause_ids,
     const std::vector<AtomId>& atom_ids,
-    const std::vector<int32_t>& partition_of_atom, int32_t partition,
+    const std::vector<int32_t>& partition_of_atom,
+    const std::vector<uint32_t>& position_of_atom, int32_t partition,
     const std::vector<uint8_t>& global_truth) {
-  std::unordered_map<AtomId, AtomId> local;
   SubProblem sub =
-      BuildSubProblemWithMap(all_clauses, clause_ids, atom_ids, &local);
+      BuildSubProblem(all_clauses, clause_ids, atom_ids, position_of_atom);
   std::vector<Lit> lits;
   for (uint32_t ci : cut_clause_ids) {
     const GroundClause& c = all_clauses[ci];
@@ -141,7 +137,7 @@ SubProblem BuildConditionedSubProblem(
     for (Lit l : c.lits) {
       AtomId g = LitAtom(l);
       if (partition_of_atom[g] == partition) {
-        lits.push_back(MakeLit(local.at(g), LitPositive(l)));
+        lits.push_back(MakeLit(position_of_atom[g], LitPositive(l)));
         continue;
       }
       bool atom_true = global_truth[g] != 0;

@@ -88,6 +88,8 @@ struct Problem {
 
   /// Drops every clause, keeping allocated capacity and num_atoms.
   void Clear();
+  /// Makes room for `clauses` more clauses holding `lits` literals.
+  void Reserve(size_t clauses, size_t lits);
   /// Appends one clause.
   void AddClause(const Lit* lits, size_t n, double w, bool is_hard);
 };
@@ -106,22 +108,29 @@ Problem MakeWholeProblem(size_t num_atoms,
 
 /// Builds the sub-problem spanned by `atom_ids`, containing the clauses
 /// `clause_ids` (which must only reference those atoms). Literal atom ids
-/// are renumbered to 0..atom_ids.size()-1.
+/// are renumbered to 0..atom_ids.size()-1: atom a becomes
+/// `position_of_atom[a]`, its position in `atom_ids` (a component's
+/// ComponentSet::position_of_atom). The arrays are sized once, before the
+/// clauses are appended.
 SubProblem BuildSubProblem(const std::vector<GroundClause>& all_clauses,
                            const std::vector<uint32_t>& clause_ids,
-                           const std::vector<AtomId>& atom_ids);
+                           const std::vector<AtomId>& atom_ids,
+                           const std::vector<uint32_t>& position_of_atom);
 
 /// Builds the conditioned sub-problem for Gauss-Seidel partition search
-/// (Section 3.4): like BuildSubProblem, but additionally takes the cut
-/// clauses and the current global truth assignment. A cut literal over an
-/// external atom is resolved against `global_truth`: a true literal
-/// satisfies (drops) the clause, a false one is removed.
+/// (Section 3.4): like BuildSubProblem over partition `partition`
+/// (`position_of_atom` is PartitionResult::position_of_atom), but
+/// additionally takes the cut clauses and the current global truth
+/// assignment. A cut literal over an external atom is resolved against
+/// `global_truth`: a true literal satisfies (drops) the clause, a false
+/// one is removed.
 SubProblem BuildConditionedSubProblem(
     const std::vector<GroundClause>& all_clauses,
     const std::vector<uint32_t>& clause_ids,
     const std::vector<uint32_t>& cut_clause_ids,
     const std::vector<AtomId>& atom_ids,
-    const std::vector<int32_t>& partition_of_atom, int32_t partition,
+    const std::vector<int32_t>& partition_of_atom,
+    const std::vector<uint32_t>& position_of_atom, int32_t partition,
     const std::vector<uint8_t>& global_truth);
 
 }  // namespace tuffy

@@ -1,7 +1,5 @@
 #include "mrf/components.h"
 
-#include <unordered_map>
-
 #include "util/union_find.h"
 
 namespace tuffy {
@@ -18,14 +16,18 @@ ComponentSet DetectComponents(size_t num_atoms,
   }
   ComponentSet out;
   out.component_of_atom.assign(num_atoms, -1);
-  std::unordered_map<uint32_t, int32_t> root_to_comp;
+  out.position_of_atom.resize(num_atoms);
+  // Component of each union-find root, indexed by the root's atom id.
+  std::vector<int32_t> comp_of_root(num_atoms, -1);
   for (AtomId a = 0; a < num_atoms; ++a) {
-    uint32_t root = uf.Find(a);
-    auto [it, inserted] =
-        root_to_comp.emplace(root, static_cast<int32_t>(out.atoms.size()));
-    if (inserted) out.atoms.emplace_back();
-    out.component_of_atom[a] = it->second;
-    out.atoms[it->second].push_back(a);
+    int32_t& comp = comp_of_root[uf.Find(a)];
+    if (comp < 0) {
+      comp = static_cast<int32_t>(out.atoms.size());
+      out.atoms.emplace_back();
+    }
+    out.component_of_atom[a] = comp;
+    out.position_of_atom[a] = static_cast<uint32_t>(out.atoms[comp].size());
+    out.atoms[comp].push_back(a);
   }
   out.clauses.resize(out.atoms.size());
   for (size_t ci = 0; ci < clauses.size(); ++ci) {

@@ -14,7 +14,11 @@ namespace tuffy {
 struct ComponentSet {
   /// Component index of every atom (0..num_components-1).
   std::vector<int32_t> component_of_atom;
-  /// Atom ids per component.
+  /// Position of every atom in its component's atom list, so
+  /// atoms[component_of_atom[a]][position_of_atom[a]] == a: the atom's
+  /// local id in its component's sub-problem (BuildSubProblem).
+  std::vector<uint32_t> position_of_atom;
+  /// Atom ids per component, ascending.
   std::vector<std::vector<AtomId>> atoms;
   /// Clause indices per component (every clause is within one component).
   std::vector<std::vector<uint32_t>> clauses;
@@ -22,8 +26,9 @@ struct ComponentSet {
   size_t num_components() const { return atoms.size(); }
 };
 
-/// Detects components. Atoms that appear in no clause each form their own
-/// singleton component.
+/// Detects components, numbered by their smallest atom, and each atom's
+/// position in its component, in one pass over the atoms. Atoms that
+/// appear in no clause each form their own singleton component.
 ComponentSet DetectComponents(size_t num_atoms,
                               const std::vector<GroundClause>& clauses);
 

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <unordered_map>
 
 #include "util/union_find.h"
 
@@ -71,18 +70,20 @@ PartitionResult PartitionMrf(size_t num_atoms,
 
   PartitionResult out;
   out.partition_of_atom.assign(num_atoms, -1);
-  std::unordered_map<uint32_t, int32_t> root_to_part;
+  out.position_of_atom.resize(num_atoms);
+  // Partition of each union-find root, indexed by the root's atom id.
+  std::vector<int32_t> part_of_root(num_atoms, -1);
   for (AtomId a = 0; a < num_atoms; ++a) {
-    uint32_t root = uf.Find(a);
-    auto [it, inserted] =
-        root_to_part.emplace(root, static_cast<int32_t>(out.atoms.size()));
-    if (inserted) {
+    int32_t& part = part_of_root[uf.Find(a)];
+    if (part < 0) {
+      part = static_cast<int32_t>(out.atoms.size());
       out.atoms.emplace_back();
       out.sizes.push_back(0);
     }
-    out.partition_of_atom[a] = it->second;
-    out.atoms[it->second].push_back(a);
-    ++out.sizes[it->second];
+    out.partition_of_atom[a] = part;
+    out.position_of_atom[a] = static_cast<uint32_t>(out.atoms[part].size());
+    out.atoms[part].push_back(a);
+    ++out.sizes[part];
   }
   out.clauses.resize(out.atoms.size());
   for (uint32_t ci = 0; ci < clauses.size(); ++ci) {

@@ -13,7 +13,10 @@ namespace tuffy {
 struct PartitionResult {
   /// Partition index of every atom.
   std::vector<int32_t> partition_of_atom;
-  /// Atom ids per partition.
+  /// Position of every atom in its partition's atom list: its local id in
+  /// the partition's conditioned sub-problem.
+  std::vector<uint32_t> position_of_atom;
+  /// Atom ids per partition, ascending.
   std::vector<std::vector<AtomId>> atoms;
   /// Clauses fully contained in each partition.
   std::vector<std::vector<uint32_t>> clauses;

@@ -245,7 +245,7 @@ Result<GroundingResult> DeltaGrounder::ResolveEnumerated(
     if (BindingEnumerated(rule_idx, b)) enumerated.push_back(&b);
   }
   edits->bindings_resolved += enumerated.size();
-  // Delta batches are tiny; a dense interner would spend more time
+  // Delta batches are tiny; a candidate-atom table would spend more time
   // zeroing domain-product-sized cell arrays than the hash probes it
   // saves, so only large batches opt in.
   GroundingContext ctx(program_, evidence_, ground_options_,

@@ -738,7 +738,8 @@ void InferenceSession::SearchComponents(const std::vector<size_t>& dirty,
         // Warm runs start from the session's current MAP truth (atoms new
         // this epoch default to false).
         ComponentSolver solver(sopts, grounder_.clauses(), comps_.clauses[c],
-                               comps_.atoms[c], cold ? nullptr : &truth_);
+                               comps_.atoms[c], comps_.position_of_atom,
+                               cold ? nullptr : &truth_);
         solver.SearchRound(0, 1);
         const uint64_t mcsat_start_ns = timing != nullptr ? TraceNowNs() : 0;
         if (solver.SampleMarginals() && timing != nullptr) {
@@ -810,7 +811,8 @@ size_t InferenceSession::EstimateBytes() const {
   bytes += marginals_.capacity() * sizeof(double);
   bytes += comp_cost_.capacity() * sizeof(double) +
            comp_flips_.capacity() * sizeof(uint64_t);
-  bytes += comps_.component_of_atom.capacity() * sizeof(int32_t);
+  bytes += comps_.component_of_atom.capacity() * sizeof(int32_t) +
+           comps_.position_of_atom.capacity() * sizeof(uint32_t);
   for (const std::vector<AtomId>& v : comps_.atoms) {
     bytes += v.capacity() * sizeof(AtomId);
   }

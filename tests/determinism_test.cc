@@ -1,11 +1,14 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstring>
+#include <set>
 #include <string>
 
 #include "datagen/datasets.h"
 #include "exec/tuffy_engine.h"
 #include "ground/bottom_up_grounder.h"
+#include "ground/top_down_grounder.h"
 #include "infer/component_walksat.h"
 #include "mln/parser.h"
 #include "mrf/components.h"
@@ -241,6 +244,104 @@ TEST(DeterminismTest, FixedCostOfASplitRuleIsTheOneAtATimeSum) {
   double expected = 0.0;
   for (int i = 0; i < 2 * n; ++i) expected += 0.1;
   EXPECT_EQ(g.fixed_cost, expected);
+}
+
+/// A store's clauses as sorted literal-name lists with their weight bits,
+/// hardness and rule counts: equal for two stores that hold the same
+/// clauses under any atom numbering and clause order.
+std::multiset<std::string> CanonicalClauses(const MlnProgram& program,
+                                            const GroundingResult& g) {
+  std::multiset<std::string> out;
+  for (size_t i = 0; i < g.clauses.num_clauses(); ++i) {
+    const GroundClause& c = g.clauses.clauses()[i];
+    std::vector<std::string> lits;
+    for (Lit l : c.lits) {
+      lits.push_back((LitPositive(l) ? "" : "!") +
+                     g.atoms.AtomName(program, LitAtom(l)));
+    }
+    std::sort(lits.begin(), lits.end());
+    std::string sig;
+    for (const std::string& lit : lits) sig += lit + " | ";
+    uint64_t bits;
+    std::memcpy(&bits, &c.weight, sizeof(bits));
+    sig += std::to_string(bits) + (c.hard ? " hard" : "");
+    g.clauses.ForEachContribution(i, [&](int32_t rule, uint32_t count) {
+      sig += " r" + std::to_string(rule) + "x" + std::to_string(count);
+    });
+    out.insert(std::move(sig));
+  }
+  return out;
+}
+
+TEST(DeterminismTest, HashAndTableAtomsMixInSplitRules) {
+  // w(node, node, node) spans 170^3 > 2^22 possible atoms, so it has no
+  // table cells and every context hash-interns its atoms; c(node, node)
+  // has cells. Rules 0 and 2 feed 510 e rows x 170 nodes = 86,700 rows
+  // each, more than one morsel, so their morsels hash-intern w atoms
+  // that the merge must re-intern. Rule 2 names the tag constant T0 in a
+  // node position, outside c's domain, so c(x, T0) is hash-interned too,
+  // next to the table atom c(y, z) of the same clause. Rule 1 reaches
+  // w atoms of rule 0 through the closure.
+  const int n = 170;
+  auto parsed = ParseProgram(
+      "*e(node, node)\nw(node, node, node)\nc(node, node)\n*g(tag)\n"
+      "1 e(x, y) => w(x, y, z) v c(y, z)\n"
+      "0.5 c(x, y) => w(x, y, y)\n");
+  ASSERT_TRUE(parsed.ok()) << parsed.status().ToString();
+  MlnProgram program = parsed.TakeValue();
+  const ConstantId t0 = program.symbols().Intern("T0", "tag");
+  const PredicateId e = program.FindPredicate("e").value();
+  const PredicateId c = program.FindPredicate("c").value();
+  Clause rule2;
+  rule2.num_vars = 3;
+  rule2.var_names = {"x", "y", "z"};
+  rule2.weight = 1.0;
+  rule2.literals = {Literal{e, false, {Term::Var(0), Term::Var(1)}},
+                    Literal{c, true, {Term::Var(0), Term::Const(t0)}},
+                    Literal{c, true, {Term::Var(1), Term::Var(2)}}};
+  ASSERT_TRUE(program.AddClause(rule2).ok());
+
+  std::string ev = "g(T0)\n";
+  for (int i = 0; i < n; ++i) {
+    for (int k : {1, 7, 40}) {
+      ev += "e(N" + std::to_string(i) + ", N" + std::to_string((i + k) % n) +
+            ")\n";
+    }
+  }
+  // Evidence on both kinds of open atom: satisfied clauses, dropped
+  // literals.
+  for (int i = 0; i < n; i += 3) {
+    const std::string a = "N" + std::to_string(i);
+    const std::string b = "N" + std::to_string((i + 1) % n);
+    ev += "c(" + a + ", " + b + ")\n!c(" + b + ", " + a + ")\n";
+    ev += "w(" + a + ", " + b + ", " + a + ")\n!w(" + a + ", " + b + ", " +
+          b + ")\n";
+  }
+  EvidenceDb evidence;
+  ASSERT_TRUE(ParseEvidence(ev, &program, &evidence).ok());
+  ASSERT_EQ(program.symbols().Domain("node").size(), static_cast<size_t>(n));
+
+  GroundingResult bottom_up;
+  ASSERT_NO_FATAL_FAILURE(
+      GroundAtEveryThreadCount(program, evidence, &bottom_up));
+  EXPECT_GT(bottom_up.stats.morsels, program.clauses().size());
+  size_t wide_atoms = 0;
+  size_t outside_atoms = 0;
+  for (AtomId a = 0; a < bottom_up.atoms.num_atoms(); ++a) {
+    const GroundAtom& atom = bottom_up.atoms.atom(a);
+    wide_atoms += atom.pred != c;
+    outside_atoms += atom.pred == c && atom.args[1] == t0;
+  }
+  EXPECT_GT(wide_atoms, 0u);
+  EXPECT_GT(outside_atoms, 0u);
+
+  TopDownGrounder top_down_grounder(program, evidence);
+  auto top_down = top_down_grounder.Ground();
+  ASSERT_TRUE(top_down.ok()) << top_down.status().ToString();
+  EXPECT_EQ(top_down.value().atoms.num_atoms(), bottom_up.atoms.num_atoms());
+  EXPECT_EQ(top_down.value().fixed_cost, bottom_up.fixed_cost);
+  EXPECT_EQ(CanonicalClauses(program, top_down.value()),
+            CanonicalClauses(program, bottom_up));
 }
 
 TEST(DeterminismTest, DeriveSeedDecorrelatesAdjacentStreams) {

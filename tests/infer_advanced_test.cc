@@ -104,19 +104,20 @@ TEST(GaussSeidelTest, ConditionedSubProblemResolvesExternalLiterals) {
   c.weight = 1.0;
   clauses.push_back(c);
   std::vector<int32_t> part = {0, 1};
+  std::vector<uint32_t> position = {0, 0};
   std::vector<uint32_t> cut = {0};
 
   // External atom a1 false: the cut clause reduces to unit (a0).
   std::vector<uint8_t> global = {0, 0};
-  SubProblem sub = BuildConditionedSubProblem(clauses, {}, cut, {0}, part, 0,
-                                              global);
+  SubProblem sub = BuildConditionedSubProblem(clauses, {}, cut, {0}, part,
+                                              position, 0, global);
   ASSERT_EQ(sub.problem.num_clauses(), 1u);
   EXPECT_EQ(sub.problem.clause_size(0), 1u);
 
   // External atom a1 true: the clause is satisfied and dropped.
   global[1] = 1;
-  SubProblem sub2 = BuildConditionedSubProblem(clauses, {}, cut, {0}, part, 0,
-                                               global);
+  SubProblem sub2 = BuildConditionedSubProblem(clauses, {}, cut, {0}, part,
+                                               position, 0, global);
   EXPECT_EQ(sub2.problem.num_clauses(), 0u);
 }
 

@@ -4,12 +4,14 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <unordered_map>
 
 #include "infer/brute_force.h"
 #include "infer/component_walksat.h"
 #include "infer/disk_walksat.h"
 #include "infer/gauss_seidel.h"
 #include "infer/mcsat.h"
+#include "infer/problem.h"
 #include "mrf/components.h"
 #include "mrf/partitioner.h"
 #include "util/rng.h"
@@ -136,6 +138,125 @@ TEST_P(InferPropertyTest, McSatTracksExactMarginals) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, InferPropertyTest, ::testing::Range(1, 9));
+
+// ------------------------------------------ component-local atom ids
+
+/// Reference sub-problem builders that number atoms through a
+/// global-to-local map per call; the builders that read position arrays
+/// must reproduce them.
+SubProblem ReferenceSubProblem(const std::vector<GroundClause>& all,
+                               const std::vector<uint32_t>& clause_ids,
+                               const std::vector<AtomId>& atom_ids,
+                               std::unordered_map<AtomId, AtomId>* local) {
+  SubProblem sub;
+  sub.global_atom = atom_ids;
+  sub.problem.num_atoms = atom_ids.size();
+  for (size_t i = 0; i < atom_ids.size(); ++i) {
+    (*local)[atom_ids[i]] = static_cast<AtomId>(i);
+  }
+  for (uint32_t ci : clause_ids) {
+    std::vector<Lit> lits;
+    for (Lit l : all[ci].lits) {
+      lits.push_back(MakeLit(local->at(LitAtom(l)), LitPositive(l)));
+    }
+    sub.problem.AddClause(lits.data(), lits.size(), all[ci].weight,
+                          all[ci].hard);
+  }
+  return sub;
+}
+
+SubProblem ReferenceConditioned(const std::vector<GroundClause>& all,
+                                const PartitionResult& parts, int32_t p,
+                                const std::vector<uint8_t>& truth) {
+  std::unordered_map<AtomId, AtomId> local;
+  SubProblem sub =
+      ReferenceSubProblem(all, parts.clauses[p], parts.atoms[p], &local);
+  for (uint32_t ci : parts.cut_clauses) {
+    bool touches = false;
+    for (Lit l : all[ci].lits) {
+      touches |= parts.partition_of_atom[LitAtom(l)] == p;
+    }
+    if (!touches) continue;
+    std::vector<Lit> lits;
+    bool satisfied = false;
+    for (Lit l : all[ci].lits) {
+      const AtomId g = LitAtom(l);
+      if (parts.partition_of_atom[g] == p) {
+        lits.push_back(MakeLit(local.at(g), LitPositive(l)));
+      } else if ((truth[g] != 0) == LitPositive(l)) {
+        satisfied = true;
+        break;
+      }
+    }
+    if (satisfied || lits.empty()) continue;
+    sub.problem.AddClause(lits.data(), lits.size(), all[ci].weight,
+                          all[ci].hard);
+  }
+  return sub;
+}
+
+void ExpectSameSubProblem(const SubProblem& a, const SubProblem& b) {
+  EXPECT_EQ(a.global_atom, b.global_atom);
+  EXPECT_EQ(a.problem.num_atoms, b.problem.num_atoms);
+  EXPECT_EQ(a.problem.clause_offsets, b.problem.clause_offsets);
+  EXPECT_EQ(a.problem.lit_data, b.problem.lit_data);
+  EXPECT_EQ(a.problem.weight, b.problem.weight);
+  EXPECT_EQ(a.problem.abs_weight, b.problem.abs_weight);
+  EXPECT_EQ(a.problem.hard, b.problem.hard);
+  EXPECT_EQ(a.problem.positive, b.problem.positive);
+  EXPECT_EQ(a.problem.frozen, b.problem.frozen);
+}
+
+TEST(SubProblemPositionsTest, PositionsAreTheLocalIdsAMapWouldGive) {
+  for (uint64_t seed = 1; seed <= 60; ++seed) {
+    SCOPED_TRACE(seed);
+    Rng rng(seed);
+    const size_t num_atoms = 1 + rng.Uniform(40);
+    std::vector<GroundClause> clauses =
+        RandomMrf(num_atoms, static_cast<int>(rng.Uniform(60)), seed, true);
+    // Repeated and complementary literals exercise AddClause's
+    // normalization; hard clauses its flags.
+    if (!clauses.empty() && num_atoms > 1) {
+      clauses[0].lits = {MakeLit(0, true), MakeLit(0, true),
+                         MakeLit(1, false), MakeLit(1, true)};
+      clauses.back().hard = true;
+    }
+
+    ComponentSet cs = DetectComponents(num_atoms, clauses);
+    ASSERT_EQ(cs.position_of_atom.size(), num_atoms);
+    for (AtomId a = 0; a < num_atoms; ++a) {
+      ASSERT_EQ(cs.atoms[cs.component_of_atom[a]][cs.position_of_atom[a]], a);
+    }
+    for (size_t c = 0; c < cs.num_components(); ++c) {
+      std::unordered_map<AtomId, AtomId> local;
+      ExpectSameSubProblem(
+          BuildSubProblem(clauses, cs.clauses[c], cs.atoms[c],
+                          cs.position_of_atom),
+          ReferenceSubProblem(clauses, cs.clauses[c], cs.atoms[c], &local));
+    }
+
+    // A small beta cuts clauses between partitions.
+    const PartitionResult parts =
+        PartitionMrf(num_atoms, clauses, 2 + rng.Uniform(12));
+    ASSERT_EQ(parts.position_of_atom.size(), num_atoms);
+    for (AtomId a = 0; a < num_atoms; ++a) {
+      ASSERT_EQ(
+          parts.atoms[parts.partition_of_atom[a]][parts.position_of_atom[a]],
+          a);
+    }
+    std::vector<uint8_t> truth(num_atoms);
+    for (uint8_t& t : truth) t = rng.Bernoulli(0.5) ? 1 : 0;
+    for (size_t p = 0; p < parts.num_partitions(); ++p) {
+      const int32_t part = static_cast<int32_t>(p);
+      ExpectSameSubProblem(
+          BuildConditionedSubProblem(clauses, parts.clauses[p],
+                                     parts.cut_clauses, parts.atoms[p],
+                                     parts.partition_of_atom,
+                                     parts.position_of_atom, part, truth),
+          ReferenceConditioned(clauses, parts, part, truth));
+    }
+  }
+}
 
 }  // namespace
 }  // namespace tuffy

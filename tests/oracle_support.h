@@ -24,7 +24,8 @@ inline std::vector<SubProblem> SplitComponents(
   std::vector<SubProblem> subs;
   subs.reserve(cs.num_components());
   for (size_t i = 0; i < cs.num_components(); ++i) {
-    subs.push_back(BuildSubProblem(clauses, cs.clauses[i], cs.atoms[i]));
+    subs.push_back(BuildSubProblem(clauses, cs.clauses[i], cs.atoms[i],
+                                   cs.position_of_atom));
   }
   return subs;
 }
