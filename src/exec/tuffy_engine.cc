@@ -57,9 +57,10 @@ Status ValidateEngineOptions(const EngineOptions& options) {
     return Status::InvalidArgument(
         StrFormat("rounds must be positive, got %d", options.rounds));
   }
-  if (options.num_threads <= 0) {
-    return Status::InvalidArgument(StrFormat(
-        "num_threads must be positive, got %d", options.num_threads));
+  if (options.num_threads <= 0 || options.num_threads > kMaxWorkerThreads) {
+    return Status::InvalidArgument(
+        StrFormat("num_threads must be in [1, %d], got %d", kMaxWorkerThreads,
+                  options.num_threads));
   }
   if (std::isnan(options.timeout_seconds) || options.timeout_seconds < 0.0) {
     return Status::InvalidArgument(StrFormat(

@@ -531,7 +531,6 @@ Result<GroundingResult> BottomUpGrounder::Ground() {
   // for and absorbs every one.
   int next_rule = 0;
   size_t next_morsel = 0;
-  uint64_t rule_fixed_groundings = 0;
   auto absorb = [&](bool block) -> Status {
     while (next_rule < num_rules) {
       Rule& rule = rules[next_rule];
@@ -553,7 +552,6 @@ Result<GroundingResult> BottomUpGrounder::Ground() {
       if (next_morsel < rule.morsels.size()) {
         Morsel& morsel = rule.morsels[next_morsel++];
         TUFFY_RETURN_IF_ERROR(morsel.status);
-        rule_fixed_groundings += morsel.ctx->stats().fixed_cost_groundings;
         ctx.AbsorbPending(morsel.ctx.get());
         ctx.RecordMorsel();
         morsel.ctx.reset();
@@ -561,8 +559,6 @@ Result<GroundingResult> BottomUpGrounder::Ground() {
       }
       explain_ += rule.explain;
       ctx.RecordAntiJoinPruned(rule.pruned);
-      ctx.AddRuleFixedCost(next_rule, rule_fixed_groundings);
-      rule_fixed_groundings = 0;
       next_morsel = 0;
       ++next_rule;
     }

@@ -36,8 +36,8 @@ namespace tuffy {
 /// never by the thread count. Each morsel runs the rest of the pipeline
 /// and resolution into its own GroundingContext, and every context of a
 /// Ground shares one CandidateAtomTable; the contexts merge in
-/// (rule, morsel) order, and each rule's fixed cost is re-added one
-/// grounding at a time, so results are bit-identical across executors
+/// (rule, morsel) order, and clause weights and the fixed cost derive
+/// from grounding counts, so results are bit-identical across executors
 /// and thread counts.
 class BottomUpGrounder {
  public:

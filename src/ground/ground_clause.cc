@@ -1,6 +1,7 @@
 #include "ground/ground_clause.h"
 
 #include <algorithm>
+#include <cmath>
 
 namespace tuffy {
 
@@ -32,8 +33,25 @@ std::string AtomStore::AtomName(const MlnProgram& program,
   return out;
 }
 
+RuleWeights::RuleWeights(const MlnProgram& program) {
+  for (const Clause& rule : program.clauses()) {
+    weight.push_back(rule.weight);
+    hard.push_back(rule.hard ? 1 : 0);
+  }
+}
+
+double RuleWeights::FixedCost(size_t rule, uint64_t count) const {
+  return hard[rule] ? 0.0
+                    : static_cast<double>(count) * std::fabs(weight[rule]);
+}
+
+double RuleWeights::FixedCost(const std::vector<uint64_t>& counts) const {
+  double total = 0.0;
+  for (size_t r = 0; r < counts.size(); ++r) total += FixedCost(r, counts[r]);
+  return total;
+}
+
 size_t GroundClauseStore::AddFromScratch(std::vector<Lit>* lits,
-                                         double weight, bool hard,
                                          int rule_id) {
   std::sort(lits->begin(), lits->end());
   lits->erase(std::unique(lits->begin(), lits->end()), lits->end());
@@ -48,16 +66,11 @@ size_t GroundClauseStore::AddFromScratch(std::vector<Lit>* lits,
       LitVectorHash{}(*lits),
       [&](uint32_t i) { return clauses_[i].lits == *lits; }, &added);
   if (!added) {
-    GroundClause& existing = clauses_[idx];
-    existing.weight += weight;
-    existing.hard = existing.hard || hard;
     AddRuleCount(idx, rule_id, 1);
     return idx;
   }
   GroundClause clause;
   clause.lits = *lits;  // copy: the scratch buffer stays with the caller
-  clause.weight = weight;
-  clause.hard = hard;
   clause.rule_id = rule_id;
   clauses_.push_back(std::move(clause));
   first_contrib_.push_back(RuleContribution{rule_id, 1});
@@ -65,8 +78,12 @@ size_t GroundClauseStore::AddFromScratch(std::vector<Lit>* lits,
 }
 
 size_t GroundClauseStore::Add(GroundClause clause) {
-  return AddFromScratch(&clause.lits, clause.weight, clause.hard,
-                        clause.rule_id);
+  const size_t idx = AddFromScratch(&clause.lits, clause.rule_id);
+  if (idx == kTautology) return idx;
+  GroundClause& merged = clauses_[idx];
+  merged.weight += clause.weight;
+  merged.hard = merged.hard || clause.hard;
+  return idx;
 }
 
 bool GroundClauseStore::Find(const std::vector<Lit>& lits,

@@ -27,9 +27,10 @@ inline AtomId LitAtom(Lit lit) {
 inline bool LitPositive(Lit lit) { return lit > 0; }
 
 /// A ground clause of the MRF: a disjunction of literals over ground
-/// atoms, with the weight of its source rule (weights of identical ground
-/// clauses produced by different groundings are summed). Hard clauses
-/// must be satisfied in every world.
+/// atoms. In a GroundClauseStore fed by grounding, its weight and hard
+/// flag derive from the store's per-rule grounding counts
+/// (GroundClauseStore::DeriveWeight). Hard clauses must be satisfied in
+/// every world.
 struct GroundClause {
   std::vector<Lit> lits;
   double weight = 0.0;
@@ -89,27 +90,54 @@ struct LitVectorHash {
   }
 };
 
+/// Each first-order rule's weight and hard flag, indexed by rule id
+/// (the program's clause index): what a ground clause's weight
+/// (GroundClauseStore::DeriveWeight) and the fixed cost (FixedCost)
+/// derive from. Batch grounding, serving, snapshots and learning all
+/// take these two derivations, so neither depends on how a rule was
+/// split or in what order its groundings arrived. A learner rewrites
+/// `weight` between epochs.
+struct RuleWeights {
+  explicit RuleWeights(const MlnProgram& program);
+
+  /// The cost of `count` groundings of rule `rule` whose outcome the
+  /// evidence fixes: count x |weight|, 0 for a hard rule.
+  double FixedCost(size_t rule, uint64_t count) const;
+  /// FixedCost of counts[r] groundings of each rule r, summed in
+  /// ascending rule order.
+  double FixedCost(const std::vector<uint64_t>& counts) const;
+
+  std::vector<double> weight;
+  std::vector<uint8_t> hard;
+};
+
 /// Accumulates ground clauses, merging duplicates (same sorted literal
-/// set) by summing their weights, the standard grounding optimization.
-/// A hard duplicate keeps the clause hard. Provenance back to the
-/// source rules is retained per clause (see RuleContribution); it is
-/// what BuildRuleCountIndex flattens for the learning subsystem, and
-/// what a serving session (DeltaGrounder) edits as evidence changes.
+/// set), the standard grounding optimization. Each clause keeps its
+/// provenance, a grounding count per source rule (see
+/// RuleContribution); its weight and hard flag derive from those counts
+/// (DeriveWeight). The counts are what BuildRuleCountIndex flattens for
+/// the learning subsystem, and what a serving session (DeltaGrounder)
+/// edits as evidence changes.
 class GroundClauseStore {
  public:
   /// Returned by Add when the clause is a tautology and was dropped.
   static constexpr size_t kTautology = static_cast<size_t>(-1);
 
   /// Adds a clause (lits need not be sorted), merging with an existing
-  /// identical clause. Returns the clause index, or kTautology.
+  /// identical clause: its weight adds to the clause's, a hard clause
+  /// makes it hard, and it counts one grounding of its rule_id. For
+  /// stores built by hand, whose rule ids name no program rule. Returns
+  /// the clause index, or kTautology.
   size_t Add(GroundClause clause);
 
-  /// Allocation-free variant for hot emitters: sorts and dedups `*lits`
-  /// (a caller-owned scratch buffer, left in sorted state) and merges it
-  /// into the store, copying the literal vector only when the clause is
-  /// new. Equivalent to Add in every observable way.
-  size_t AddFromScratch(std::vector<Lit>* lits, double weight, bool hard,
-                        int rule_id);
+  /// The emitters' insert: sorts and dedups `*lits` (a caller-owned
+  /// scratch buffer, left in sorted state) and counts one grounding of
+  /// rule `rule_id` on its clause, appending the clause (weight 0, soft)
+  /// if it is new; only then is the literal vector copied. The caller
+  /// derives the weight and hard flag from the counts once every
+  /// grounding is in (DeriveWeight). Returns the clause index, or
+  /// kTautology.
+  size_t AddFromScratch(std::vector<Lit>* lits, int rule_id);
 
   /// Sets `*idx` to the index of the clause whose literal set is `lits`
   /// (sorted, as stored) and returns true, or returns false if there is
@@ -156,8 +184,9 @@ class GroundClauseStore {
   /// the sum of rule_weights[rule] x count in ascending rule order, where
   /// a rule flagged in `rule_hard` adds no weight and makes the clause
   /// hard (a rule outside the vectors, from a hand-built clause, adds
-  /// nothing). Serving edits, snapshot loads and learning epochs all take
-  /// this one sum. Returns false when no rule contributes.
+  /// nothing). Batch grounding, serving edits, snapshot loads and
+  /// learning epochs all take this one sum, over RuleWeights' vectors.
+  /// Returns false when no rule contributes.
   bool DeriveWeight(size_t idx, const std::vector<double>& rule_weights,
                     const std::vector<uint8_t>& rule_hard, double* weight,
                     bool* hard) const;

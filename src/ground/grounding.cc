@@ -1,7 +1,6 @@
 #include "ground/grounding.h"
 
 #include <cassert>
-#include <cmath>
 
 #include "obs/metrics.h"
 #include "util/logging.h"
@@ -121,6 +120,7 @@ GroundingContext::GroundingContext(const MlnProgram& program,
     : program_(program),
       evidence_(evidence),
       options_(options),
+      rule_fixed_groundings_(program.clauses().size(), 0),
       table_(table),
       pred_slots_(program.num_predicates()) {
   if (!dense_interner) {
@@ -396,14 +396,16 @@ void GroundingContext::ResolveCandidate(int clause_idx,
     }
   }
 
+  SettleCandidate(clause_idx, clause, satisfied);
+}
+
+void GroundingContext::SettleCandidate(int clause_idx, const Clause& clause,
+                                       bool satisfied) {
   if (satisfied) {
     ++result_.stats.satisfied_by_evidence;
-    if (!clause.hard && clause.weight < 0) {
-      // A negative-weight clause that evidence makes true is permanently
-      // violated (Section 2.2) and contributes constant cost.
-      result_.fixed_cost += -clause.weight;
-      ++result_.stats.fixed_cost_groundings;
-    }
+    // A negative-weight clause that evidence makes true is permanently
+    // violated (Section 2.2) and contributes constant cost.
+    if (!clause.hard && clause.weight < 0) ++rule_fixed_groundings_[clause_idx];
     return;
   }
   if (scratch_open_.empty()) {
@@ -414,8 +416,7 @@ void GroundingContext::ResolveCandidate(int clause_idx,
       TUFFY_LOG(Warning) << "hard clause " << clause.rule_id
                          << " violated by evidence";
     } else if (clause.weight > 0) {
-      result_.fixed_cost += clause.weight;
-      ++result_.stats.fixed_cost_groundings;
+      ++rule_fixed_groundings_[clause_idx];
     }
     return;
   }
@@ -624,33 +625,7 @@ void GroundingContext::AddCandidateChunk(int clause_idx,
       }
     }
 
-    if (satisfied) {
-      ++result_.stats.satisfied_by_evidence;
-      if (!clause.hard && clause.weight < 0) {
-        result_.fixed_cost += -clause.weight;
-        ++result_.stats.fixed_cost_groundings;
-      }
-      continue;
-    }
-    if (scratch_open_.empty()) {
-      if (clause.hard) {
-        result_.hard_contradiction = true;
-        ++result_.stats.hard_violations;
-        TUFFY_LOG(Warning) << "hard clause " << clause.rule_id
-                           << " violated by evidence";
-      } else if (clause.weight > 0) {
-        result_.fixed_cost += clause.weight;
-        ++result_.stats.fixed_cost_groundings;
-      }
-      continue;
-    }
-    const uint32_t begin = static_cast<uint32_t>(pending_lits_.size());
-    pending_lits_.insert(pending_lits_.end(), scratch_open_.begin(),
-                         scratch_open_.end());
-    pending_.push_back(PendingClause{
-        clause_idx, begin, static_cast<uint32_t>(pending_lits_.size())});
-    result_.stats.working_set_bytes +=
-        sizeof(PendingClause) + scratch_open_.size() * sizeof(CandLit);
+    SettleCandidate(clause_idx, clause, satisfied);
   }
 }
 
@@ -663,7 +638,9 @@ void GroundingContext::AbsorbPending(GroundingContext* local) {
   result_.stats.satisfied_by_evidence += lr.stats.satisfied_by_evidence;
   result_.stats.pruned_by_antijoin += lr.stats.pruned_by_antijoin;
   result_.stats.hard_violations += lr.stats.hard_violations;
-  result_.stats.fixed_cost_groundings += lr.stats.fixed_cost_groundings;
+  for (size_t r = 0; r < rule_fixed_groundings_.size(); ++r) {
+    rule_fixed_groundings_[r] += local->rule_fixed_groundings_[r];
+  }
   result_.hard_contradiction =
       result_.hard_contradiction || lr.hard_contradiction;
   // The local arena holds the pending spans back to back, in order.
@@ -687,13 +664,6 @@ void GroundingContext::AbsorbPending(GroundingContext* local) {
   }
   local->pending_.clear();
   local->pending_lits_.clear();
-}
-
-void GroundingContext::AddRuleFixedCost(int clause_idx, uint64_t groundings) {
-  const double w = std::fabs(program_.clauses()[clause_idx].weight);
-  double rule_cost = 0.0;
-  for (uint64_t i = 0; i < groundings; ++i) rule_cost += w;
-  result_.fixed_cost += rule_cost;
 }
 
 // --------------------------------------------------------------- closure
@@ -720,7 +690,6 @@ bool GroundingContext::IsActive(const PendingClause& pc) const {
 }
 
 void GroundingContext::Emit(const PendingClause& pc) {
-  const Clause& clause = program_.clauses()[pc.clause_idx];
   scratch_emit_lits_.clear();
   for (uint32_t i = pc.begin; i < pc.end; ++i) {
     const CandLit l = pending_lits_[i];
@@ -737,9 +706,7 @@ void GroundingContext::Emit(const PendingClause& pc) {
     }
     scratch_emit_lits_.push_back(MakeLit(id, l > 0));
   }
-  result_.clauses.AddFromScratch(&scratch_emit_lits_,
-                                 clause.hard ? 0.0 : clause.weight,
-                                 clause.hard, clause.rule_id);
+  result_.clauses.AddFromScratch(&scratch_emit_lits_, pc.clause_idx);
 }
 
 Result<GroundingResult> GroundingContext::Finalize() {
@@ -759,37 +726,48 @@ Result<GroundingResult> GroundingContext::Finalize() {
   if (!options_.lazy_closure) {
     for (const PendingClause& pc : pending_) Emit(pc);
     pending_.clear();
-    pending_lits_.clear();
-    StampGroundingMetrics(result_.stats);
-    return std::move(result_);
-  }
-
-  // Active-closure fixpoint (Appendix A.3): emitting a clause activates
-  // its atoms, which may activate further clauses. The literal arena is
-  // left untouched across iterations (spans stay valid); only the span
-  // list is compacted.
-  bool changed = true;
-  int iterations = 0;
-  std::vector<PendingClause> still_pending;
-  while (changed && iterations < kMaxClosureIterations) {
-    changed = false;
-    ++iterations;
-    still_pending.clear();
-    still_pending.reserve(pending_.size());
-    for (const PendingClause& pc : pending_) {
-      if (IsActive(pc)) {
-        Emit(pc);
-        changed = true;
-      } else {
-        still_pending.push_back(pc);
+  } else {
+    // Active-closure fixpoint (Appendix A.3): emitting a clause activates
+    // its atoms, which may activate further clauses. The literal arena is
+    // left untouched across iterations (spans stay valid); only the span
+    // list is compacted.
+    bool changed = true;
+    int iterations = 0;
+    std::vector<PendingClause> still_pending;
+    while (changed && iterations < kMaxClosureIterations) {
+      changed = false;
+      ++iterations;
+      still_pending.clear();
+      still_pending.reserve(pending_.size());
+      for (const PendingClause& pc : pending_) {
+        if (IsActive(pc)) {
+          Emit(pc);
+          changed = true;
+        } else {
+          still_pending.push_back(pc);
+        }
       }
+      pending_.swap(still_pending);
     }
-    pending_.swap(still_pending);
+    result_.stats.closure_iterations = iterations;
+    result_.stats.pruned_inactive = pending_.size();
+    pending_.clear();
   }
-  result_.stats.closure_iterations = iterations;
-  result_.stats.pruned_inactive = pending_.size();
-  pending_.clear();
   pending_lits_.clear();
+
+  // Weights and the fixed cost derive from the counts, so neither depends
+  // on the order groundings arrived in or on how rules were split.
+  const RuleWeights rules(program_);
+  GroundClauseStore& store = result_.clauses;
+  for (size_t c = 0; c < store.num_clauses(); ++c) {
+    GroundClause& clause = store.mutable_clauses()[c];
+    store.DeriveWeight(c, rules.weight, rules.hard, &clause.weight,
+                       &clause.hard);
+  }
+  result_.fixed_cost = rules.FixedCost(rule_fixed_groundings_);
+  for (uint64_t n : rule_fixed_groundings_) {
+    result_.stats.fixed_cost_groundings += n;
+  }
   StampGroundingMetrics(result_.stats);
   return std::move(result_);
 }

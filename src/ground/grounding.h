@@ -56,8 +56,9 @@ struct GroundingStats {
   /// serving layer tracks this per rule as a count so binding-level
   /// deltas can retract individual violations.
   uint64_t hard_violations = 0;
-  /// Soft candidates whose cost the evidence fixes; each adds its rule's
-  /// |weight| to fixed_cost (serving derives a rule's fixed cost from it).
+  /// Soft candidates whose cost the evidence fixes. fixed_cost derives
+  /// from their per-rule counts (RuleWeights::FixedCost), in batch
+  /// grounding and in serving alike.
   uint64_t fixed_cost_groundings = 0;
   int closure_iterations = 0;
   /// Pieces bottom-up grounding resolved a rule in: one per rule, plus
@@ -78,6 +79,8 @@ struct GroundingStats {
 
 /// Output of grounding: the MRF in clause form (Section 2.3), plus the
 /// cost contributed by clauses already fully determined by the evidence.
+/// Clause weights and the fixed cost derive from grounding counts
+/// (RuleWeights), never from running sums.
 struct GroundingResult {
   AtomStore atoms;
   GroundClauseStore clauses;
@@ -231,25 +234,21 @@ class GroundingContext {
   /// Merges a morsel-local context that shares this one's table: its
   /// pending clauses are appended in call order, their literals
   /// unchanged except for hash-interned atoms, whose local keys are
-  /// re-interned here. The stats and the contradiction flag are summed.
-  /// The local fixed cost is not: a rule's fixed cost comes back through
-  /// AddRuleFixedCost. This is the join point of parallel grounding —
-  /// workers resolve morsels into local contexts concurrently, and the
-  /// owner absorbs them in (rule, morsel) order, so the merged result is
-  /// independent of thread count. `local` is consumed (its pending
-  /// clauses are moved out).
+  /// re-interned here. The stats, the per-rule fixed-cost grounding
+  /// counts and the contradiction flag are summed; Finalize derives the
+  /// fixed cost from the counts. This is the join point of parallel
+  /// grounding — workers resolve morsels into local contexts
+  /// concurrently, and the owner absorbs them in (rule, morsel) order, so
+  /// the merged result is independent of thread count. `local` is
+  /// consumed (its pending clauses are moved out).
   void AbsorbPending(GroundingContext* local);
-
-  /// Adds rule `clause_idx`'s fixed cost for `groundings` groundings the
-  /// evidence fixed: |weight| re-added one grounding at a time into a
-  /// rule sum that starts at zero, then that sum. This is the sum one
-  /// context resolving the whole rule makes, so the total does not
-  /// depend on how the rule was split.
-  void AddRuleFixedCost(int clause_idx, uint64_t groundings);
 
   const GroundingStats& stats() const { return result_.stats; }
 
-  /// Runs the closure and moves the result out. Call once.
+  /// Runs the closure, derives every clause's weight and hard flag
+  /// (GroundClauseStore::DeriveWeight) and the fixed cost
+  /// (RuleWeights::FixedCost) from the grounding counts, and moves the
+  /// result out. Call once.
   Result<GroundingResult> Finalize();
 
  private:
@@ -294,6 +293,12 @@ class GroundingContext {
   /// the clause stays open.
   void ResolveCandidate(int clause_idx, const Assignment& assignment,
                         uint64_t skip_lit_mask);
+
+  /// Records a resolved candidate of rule `clause_idx`: satisfied by the
+  /// evidence, constantly false (no literal in scratch_open_), or
+  /// pending on scratch_open_'s literals.
+  void SettleCandidate(int clause_idx, const Clause& clause,
+                       bool satisfied);
 
   /// Compiled per-clause resolution plan for the chunk fast path: every
   /// non-skipped literal is ground (no existential positions) over a
@@ -367,6 +372,8 @@ class GroundingContext {
   const EvidenceDb& evidence_;
   GroundingOptions options_;
   GroundingResult result_;
+  /// Per rule: the groundings counted in stats.fixed_cost_groundings.
+  std::vector<uint64_t> rule_fixed_groundings_;
   std::vector<PendingClause> pending_;
   std::vector<CandLit> pending_lits_;
   std::vector<CandLit> scratch_open_;

@@ -81,13 +81,15 @@ WeightLearner::WeightLearner(const MlnProgram& program,
     : program_(program),
       grounding_(grounding),
       labels_(labels),
-      options_(std::move(options)) {}
+      options_(std::move(options)),
+      rules_(program) {}
 
 void WeightLearner::RefreshClauseWeights() {
   for (uint32_t c = 0; c < problem_.num_clauses(); ++c) {
     double weight = 0.0;
     bool hard = false;
-    grounding_.clauses.DeriveWeight(c, weights_, rule_hard_, &weight, &hard);
+    grounding_.clauses.DeriveWeight(c, rules_.weight, rules_.hard, &weight,
+                                    &hard);
     if (!hard) problem_.SetWeight(c, weight);
   }
 }
@@ -142,14 +144,8 @@ Result<LearnResult> WeightLearner::Learn() {
   result.num_atoms = num_atoms;
   result.num_ground_clauses = clauses.size();
 
-  weights_.resize(num_rules);
-  rule_hard_.resize(num_rules);
-  for (int32_t r = 0; r < num_rules; ++r) {
-    const Clause& rule = program_.clauses()[r];
-    weights_[r] = rule.weight;
-    rule_hard_[r] = rule.hard ? 1 : 0;
-  }
-  result.initial_weights = weights_;
+  std::vector<double>& weights = rules_.weight;
+  result.initial_weights = weights;
 
   // The data-world counts n_i(x, y) are fixed across epochs.
   const std::vector<uint8_t> label_truth =
@@ -165,7 +161,7 @@ Result<LearnResult> WeightLearner::Learn() {
 
   // Voted-perceptron averaging state.
   std::vector<double> weight_sum(num_rules, 0.0);
-  std::vector<double> prev_avg = weights_;
+  std::vector<double> prev_avg = weights;
 
   std::vector<double> expected;
   std::vector<double> variance;
@@ -183,9 +179,9 @@ Result<LearnResult> WeightLearner::Learn() {
     stats.epoch = epoch;
     double max_delta = 0.0;
     for (int32_t r = 0; r < num_rules; ++r) {
-      if (rule_hard_[r]) continue;
+      if (rules_.hard[r]) continue;
       const double g = static_cast<double>(result.data_counts[r]) -
-                       expected[r] - weights_[r] * inv_prior_var;
+                       expected[r] - weights[r] * inv_prior_var;
       stats.max_abs_gradient = std::max(stats.max_abs_gradient, std::fabs(g));
       double step;
       if (perceptron) {
@@ -196,19 +192,19 @@ Result<LearnResult> WeightLearner::Learn() {
         step = options_.learning_rate * g / curvature;
       }
       const double updated =
-          std::clamp(weights_[r] + step, -options_.max_weight,
+          std::clamp(weights[r] + step, -options_.max_weight,
                      options_.max_weight);
       if (!perceptron) {
-        max_delta = std::max(max_delta, std::fabs(updated - weights_[r]));
+        max_delta = std::max(max_delta, std::fabs(updated - weights[r]));
       }
-      weights_[r] = updated;
+      weights[r] = updated;
     }
 
     if (perceptron) {
       // Convergence is judged on the running average (the "voted"
       // weights), which settles even while the raw weights oscillate
       // around the optimum of the MAP approximation.
-      for (int32_t r = 0; r < num_rules; ++r) weight_sum[r] += weights_[r];
+      for (int32_t r = 0; r < num_rules; ++r) weight_sum[r] += weights[r];
       for (int32_t r = 0; r < num_rules; ++r) {
         const double avg = weight_sum[r] / (epoch + 1);
         max_delta = std::max(max_delta, std::fabs(avg - prev_avg[r]));
@@ -228,10 +224,10 @@ Result<LearnResult> WeightLearner::Learn() {
 
   if (perceptron && result.epochs > 0) {
     for (int32_t r = 0; r < num_rules; ++r) {
-      if (!rule_hard_[r]) weights_[r] = weight_sum[r] / result.epochs;
+      if (!rules_.hard[r]) weights[r] = weight_sum[r] / result.epochs;
     }
   }
-  result.weights = weights_;
+  result.weights = weights;
   result.expected_counts = std::move(expected);
   result.seconds = timer.ElapsedSeconds();
   return result;

@@ -80,8 +80,8 @@ class WeightLearner {
 
   Problem problem_;
   RuleCountIndex index_;
-  std::vector<double> weights_;     // current rule weights
-  std::vector<uint8_t> rule_hard_;  // hard rules are not learned
+  /// The current rule weights; hard rules are not learned.
+  RuleWeights rules_;
 };
 
 /// Convenience wrapper: construct + Learn.

@@ -56,6 +56,11 @@ Server::~Server() { Stop(); }
 
 Status Server::Start() {
   if (started_) return Status::InvalidArgument("server already started");
+  if (options_.num_workers > kMaxWorkerThreads) {
+    return Status::InvalidArgument(
+        StrFormat("num_workers must be at most %d, got %d", kMaxWorkerThreads,
+                  options_.num_workers));
+  }
 
   listen_fd_ = ::socket(AF_INET, SOCK_STREAM | SOCK_CLOEXEC, 0);
   if (listen_fd_ < 0) {

@@ -124,14 +124,11 @@ DeltaGrounder::DeltaGrounder(const MlnProgram& program,
                              OptimizerOptions optimizer_options)
     : program_(program),
       ground_options_(ground_options),
-      optimizer_options_(optimizer_options) {
+      optimizer_options_(optimizer_options),
+      rules_(program) {
   // Delta composability requires rule-local grounding; the lazy closure
   // is a whole-program fixpoint, so it is forced off (see class comment).
   ground_options_.lazy_closure = false;
-  for (const Clause& rule : program_.clauses()) {
-    rule_weight_.push_back(rule.weight);
-    rule_hard_.push_back(rule.hard ? 1 : 0);
-  }
 }
 
 Status DeltaGrounder::Initialize(const EvidenceDb& initial_evidence) {
@@ -228,8 +225,7 @@ Status DeltaGrounder::GroundRule(int rule_idx,
                                                optimizer_options_, &ctx,
                                                nullptr));
   TUFFY_ASSIGN_OR_RETURN(GroundingResult local, ctx.Finalize());
-  rule_fixed_groundings_[rule_idx] =
-      static_cast<int64_t>(local.stats.fixed_cost_groundings);
+  rule_fixed_groundings_[rule_idx] = local.stats.fixed_cost_groundings;
   rule_contradiction_[rule_idx] =
       static_cast<int64_t>(local.stats.hard_violations);
   AppendPart(rule_idx, local, +1, edits);
@@ -310,7 +306,7 @@ void DeltaGrounder::ApplyEdits(std::vector<CountEdit> edits,
     GroundClause& clause = store_.mutable_clauses()[idx];
     double weight = 0.0;
     bool hard = false;
-    if (!store_.DeriveWeight(idx, rule_weight_, rule_hard_, &weight,
+    if (!store_.DeriveWeight(idx, rules_.weight, rules_.hard, &weight,
                              &hard)) {
       // Last contribution gone (or, for a just-appended clause, none
       // arrived): swap-remove it.
@@ -442,7 +438,7 @@ Result<GroundEdits> DeltaGrounder::ApplyDelta(const EvidenceDelta& delta) {
   std::vector<std::vector<Assignment>> affected(rule_touched.size());
   // The delta's old and new contribution parts, applied in one pass.
   std::vector<CountEdit> parts;
-  std::vector<int64_t> old_fixed(rule_touched.size(), 0);
+  std::vector<uint64_t> old_fixed(rule_touched.size(), 0);
   std::vector<int64_t> old_violations(rule_touched.size(), 0);
   for (size_t r = 0; r < rule_touched.size(); ++r) {
     if (!rule_touched[r]) continue;
@@ -473,7 +469,7 @@ Result<GroundEdits> DeltaGrounder::ApplyDelta(const EvidenceDelta& delta) {
     }
     TUFFY_ASSIGN_OR_RETURN(GroundingResult old_part,
                            ResolveEnumerated(rule, affected[r], &edits));
-    old_fixed[r] = static_cast<int64_t>(old_part.stats.fixed_cost_groundings);
+    old_fixed[r] = old_part.stats.fixed_cost_groundings;
     old_violations[r] = static_cast<int64_t>(old_part.stats.hard_violations);
     AppendPart(rule, old_part, -1, &parts);
   }
@@ -500,8 +496,7 @@ Result<GroundEdits> DeltaGrounder::ApplyDelta(const EvidenceDelta& delta) {
     TUFFY_ASSIGN_OR_RETURN(GroundingResult new_part,
                            ResolveEnumerated(rule, affected[r], &edits));
     rule_fixed_groundings_[r] +=
-        static_cast<int64_t>(new_part.stats.fixed_cost_groundings) -
-        old_fixed[r];
+        new_part.stats.fixed_cost_groundings - old_fixed[r];
     rule_contradiction_[r] +=
         static_cast<int64_t>(new_part.stats.hard_violations) -
         old_violations[r];
@@ -538,18 +533,8 @@ Result<GroundEdits> DeltaGrounder::ApplyDelta(const EvidenceDelta& delta) {
   return edits;
 }
 
-double DeltaGrounder::RuleFixedCost(size_t r) const {
-  return rule_hard_[r] ? 0.0
-                       : static_cast<double>(rule_fixed_groundings_[r]) *
-                             std::fabs(rule_weight_[r]);
-}
-
 double DeltaGrounder::fixed_cost() const {
-  double total = 0.0;
-  for (size_t r = 0; r < rule_fixed_groundings_.size(); ++r) {
-    total += RuleFixedCost(r);
-  }
-  return total;
+  return rules_.FixedCost(rule_fixed_groundings_);
 }
 
 bool DeltaGrounder::hard_contradiction() const {
@@ -605,7 +590,7 @@ void DeltaGrounder::SaveState(BinaryWriter* out) const {
   }
   out->U64(num_rules);
   for (size_t r = 0; r < num_rules; ++r) {
-    out->F64(RuleFixedCost(r));
+    out->F64(rules_.FixedCost(r, rule_fixed_groundings_[r]));
     out->I64(rule_contradiction_[r]);
     std::vector<std::pair<uint32_t, uint32_t>>& entries = counts[r];
     std::sort(entries.begin(), entries.end(),
@@ -727,18 +712,19 @@ Status DeltaGrounder::LoadState(BinaryReader* in) {
   rule_fixed_groundings_.assign(num_rules, 0);
   rule_contradiction_.assign(num_rules, 0);
   for (size_t r = 0; r < num_rules; ++r) {
-    // The fixed cost is stored as RuleFixedCost writes it (older builds:
-    // as a running sum); the count it derives from is read back out, and
-    // the stored value must lie within a running sum's drift of it.
+    // The fixed cost is stored as RuleWeights::FixedCost derives it
+    // (older builds: as a running sum); the count it derives from is read
+    // back out, and the stored value must lie within a running sum's
+    // drift of it.
     const double fixed = in->F64();
-    const double unit = rule_hard_[r] ? 0.0 : std::fabs(rule_weight_[r]);
+    const double unit = rules_.FixedCost(r, 1);
     const double count = unit > 0.0 ? std::round(fixed / unit) : 0.0;
     if (!(count >= 0.0 && count <= 0x1p53) ||
         !(std::fabs(fixed - count * unit) <=
           kRunningSumDrift * std::max(count, 1.0) * unit)) {
       return Status::Corruption("snapshot: rule fixed cost");
     }
-    rule_fixed_groundings_[r] = static_cast<int64_t>(count);
+    rule_fixed_groundings_[r] = static_cast<uint64_t>(count);
     rule_contradiction_[r] = in->I64();
     const uint64_t num_entries = in->U64();
     if (!in->ok() || num_entries > in->remaining() / 20) {
@@ -773,11 +759,12 @@ Status DeltaGrounder::LoadState(BinaryReader* in) {
     GroundClause& clause = store_.mutable_clauses()[c];
     double weight = 0.0;
     bool hard = false;
+    // The terms' summed magnitude: count x |weight| per soft rule.
     double magnitude = 0.0;
     store_.ForEachContribution(c, [&](int32_t rule, uint32_t count) {
-      if (!rule_hard_[rule]) magnitude += std::fabs(rule_weight_[rule]) * count;
+      magnitude += rules_.FixedCost(rule, count);
     });
-    if (!store_.DeriveWeight(c, rule_weight_, rule_hard_, &weight, &hard) ||
+    if (!store_.DeriveWeight(c, rules_.weight, rules_.hard, &weight, &hard) ||
         clause.hard != hard ||
         !(std::fabs(clause.weight - weight) <= kRunningSumDrift * magnitude)) {
       return Status::Corruption("snapshot: clause/rule-count inconsistency");

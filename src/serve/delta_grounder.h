@@ -104,16 +104,18 @@ struct GroundEdits {
 /// binding is resolved under the old evidence (the old part) and the new
 /// (the new part), so the re-ground cost scales with the delta size
 /// rather than the touched relations' sizes. Only Initialize grounds a
-/// rule in full. A touched clause's weight and hard flag are derived
-/// from its rule counts, never accumulated, so they match a fresh
-/// Initialize of the same evidence bit for bit.
+/// rule in full. A touched clause's weight and hard flag, and every
+/// rule's fixed cost, derive from grounding counts the way batch
+/// grounding derives them (RuleWeights), never accumulated, so they
+/// match a fresh Initialize — and an exhaustive batch Ground — of the
+/// same evidence bit for bit.
 ///
 /// Resident state: a copy of the evidence, whose relations are
 /// maintained in place per changed atom, their ANALYZE statistics
 /// (re-computed per touched closed-world predicate), an RA catalog of
 /// domain tables, a grow-only session AtomStore, and one
 /// GroundClauseStore: each clause's literal set once, behind the store's
-/// duplicate index, with its summed weight, hard flag and per-rule
+/// duplicate index, with its derived weight, hard flag and per-rule
 /// grounding counts — the same provenance batch grounding keeps, so a
 /// clause merged from several rules loses or gains one rule's
 /// groundings without re-deriving the others'.
@@ -161,9 +163,9 @@ class DeltaGrounder {
     return store_.clauses();
   }
 
-  /// Cost contributed by clauses fully determined by the evidence,
-  /// summed over rules in rule order (same semantics as
-  /// GroundingResult::fixed_cost). Each rule's share is RuleFixedCost.
+  /// Cost contributed by clauses fully determined by the evidence: the
+  /// rules' fixed-cost grounding counts through RuleWeights::FixedCost,
+  /// the derivation GroundingResult::fixed_cost takes too.
   double fixed_cost() const;
 
   /// True if any rule currently has a hard clause violated by evidence
@@ -235,10 +237,6 @@ class DeltaGrounder {
   /// rule query would enumerate this binding right now.
   bool BindingEnumerated(int rule_idx, const Assignment& binding) const;
 
-  /// Rule `r`'s fixed cost: its fixed-cost groundings x |weight| (0 for
-  /// a hard rule), so it matches a fresh Initialize's bit for bit.
-  double RuleFixedCost(size_t r) const;
-
   /// The one edit pass: applies the summed count changes to the store in
   /// sorted literal order, re-deriving each touched clause's weight and
   /// hard flag (GroundClauseStore::DeriveWeight), and records edit
@@ -248,9 +246,8 @@ class DeltaGrounder {
   const MlnProgram& program_;
   GroundingOptions ground_options_;
   OptimizerOptions optimizer_options_;
-  /// Per rule: weight and hard flag (GroundClauseStore::DeriveWeight's).
-  std::vector<double> rule_weight_;
-  std::vector<uint8_t> rule_hard_;
+  /// What clause weights and the fixed cost derive from.
+  RuleWeights rules_;
 
   /// The resident evidence. Its relations are what binding literals scan
   /// (alone or as the old-true segment of a union) and what the
@@ -269,9 +266,9 @@ class DeltaGrounder {
   AtomStore atoms_;
   GroundClauseStore store_;
   /// Per rule: soft groundings whose cost the evidence fixes
-  /// (GroundingStats::fixed_cost_groundings). The rule's fixed cost is
-  /// derived from it (RuleFixedCost), never accumulated.
-  std::vector<int64_t> rule_fixed_groundings_;
+  /// (GroundingStats::fixed_cost_groundings). The fixed cost derives from
+  /// these counts, never accumulated.
+  std::vector<uint64_t> rule_fixed_groundings_;
   /// Per rule: number of hard-clause groundings violated by evidence
   /// alone (a count so binding-level deltas can add/retract violations).
   std::vector<int64_t> rule_contradiction_;

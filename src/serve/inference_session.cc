@@ -160,9 +160,10 @@ Status ValidateSessionOptions(const SessionOptions& options) {
     return Status::InvalidArgument(StrFormat(
         "hard_weight must be positive, got %g", options.hard_weight));
   }
-  if (options.num_threads <= 0) {
-    return Status::InvalidArgument(StrFormat(
-        "num_threads must be positive, got %d", options.num_threads));
+  if (options.num_threads <= 0 || options.num_threads > kMaxWorkerThreads) {
+    return Status::InvalidArgument(
+        StrFormat("num_threads must be in [1, %d], got %d", kMaxWorkerThreads,
+                  options.num_threads));
   }
   if (options.track_marginals) {
     if (options.mcsat_samples <= 0) {

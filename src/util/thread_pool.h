@@ -47,6 +47,12 @@ class ThreadPool {
   bool shutdown_ = false;
 };
 
+/// The most workers a thread count read from outside may ask for
+/// (tuffy_cli -threads, EngineOptions and SessionOptions::num_threads,
+/// ServerOptions::num_workers). Their validators refuse a larger count
+/// with InvalidArgument before any thread starts.
+constexpr int kMaxWorkerThreads = 256;
+
 /// A pool of `num_threads` workers, or null for one thread: TaskGroup
 /// then runs tasks inline, with no worker hand-off.
 std::unique_ptr<ThreadPool> MakeWorkerPool(int num_threads);

@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
 #include <cstring>
 #include <set>
 #include <string>
@@ -12,6 +13,8 @@
 #include "infer/component_walksat.h"
 #include "mln/parser.h"
 #include "mrf/components.h"
+#include "oracle_support.h"
+#include "serve/delta_grounder.h"
 #include "serve/inference_session.h"
 #include "util/rng.h"
 
@@ -145,6 +148,12 @@ TEST(DeterminismTest, GroundingThreadCountInvariant) {
   EXPECT_EQ(serial.stats.working_set_bytes, parallel.stats.working_set_bytes);
 }
 
+uint64_t Bits(double d) {
+  uint64_t b;
+  std::memcpy(&b, &d, sizeof(b));
+  return b;
+}
+
 /// Grounds `ds` bottom-up at 1, 2 and 4 threads and requires every
 /// result bit-identical to the 1-thread one: atoms, clauses in order
 /// (literals, weight bits, hardness), fixed-cost bits and every stats
@@ -160,11 +169,6 @@ void GroundAtEveryThreadCount(const MlnProgram& program,
     EXPECT_TRUE(r.ok()) << r.status().ToString();
     return r.TakeValue();
   };
-  auto bits = [](double d) {
-    uint64_t b;
-    std::memcpy(&b, &d, sizeof(b));
-    return b;
-  };
   GroundingResult& serial = *serial_out;
   serial = ground(1);
   for (int threads : {2, 4}) {
@@ -179,10 +183,10 @@ void GroundAtEveryThreadCount(const MlnProgram& program,
       const GroundClause& a = serial.clauses.clauses()[i];
       const GroundClause& b = parallel.clauses.clauses()[i];
       ASSERT_EQ(a.lits, b.lits) << i;
-      ASSERT_EQ(bits(a.weight), bits(b.weight)) << i;
+      ASSERT_EQ(Bits(a.weight), Bits(b.weight)) << i;
       ASSERT_EQ(a.hard, b.hard) << i;
     }
-    EXPECT_EQ(bits(serial.fixed_cost), bits(parallel.fixed_cost));
+    EXPECT_EQ(Bits(serial.fixed_cost), Bits(parallel.fixed_cost));
     EXPECT_EQ(serial.hard_contradiction, parallel.hard_contradiction);
     const GroundingStats& x = serial.stats;
     const GroundingStats& y = parallel.stats;
@@ -217,55 +221,68 @@ TEST(DeterminismTest, SplitRuleGroundsIdenticallyAtEveryThreadCount) {
   EXPECT_GT(g.clauses.num_clauses(), 0u);
 }
 
-TEST(DeterminismTest, FixedCostOfASplitRuleIsTheOneAtATimeSum) {
-  // -0.1 edge(x, y) ranges over all 450 x 450 node pairs, cut into
-  // several morsels; each of the 900 edges is a grounding the evidence
-  // satisfies, and so fixed cost. 0.1 is not dyadic, so summing
-  // per-morsel partial sums could land ulps away from adding 0.1 nine
-  // hundred times in order.
-  const int n = 450;
+/// -0.1 edge(x, y) over 450 nodes with two edges out of each: each of
+/// the 900 groundings the evidence satisfies is fixed cost 0.1. The rule
+/// ranges over all 450 x 450 node pairs, which bottom-up grounding cuts
+/// into several morsels. 0.1 is not dyadic, so a running sum over the
+/// groundings (89.99999999999916 in order) or over per-morsel partial
+/// sums lands ulps away from the derivation, 900 x 0.1.
+void EdgeProgram(MlnProgram* program, EvidenceDb* evidence) {
+  constexpr int kNodes = 450;
   std::string ev;
-  for (int i = 0; i < n; ++i) {
-    ev += "edge(N" + std::to_string(i) + ", N" + std::to_string((i + 1) % n) +
-          ")\n";
-    ev += "edge(N" + std::to_string(i) + ", N" + std::to_string((i + 7) % n) +
-          ")\n";
+  for (int i = 0; i < kNodes; ++i) {
+    for (int k : {1, 7}) {
+      ev += "edge(N" + std::to_string(i) + ", N" +
+            std::to_string((i + k) % kNodes) + ")\n";
+    }
   }
-  auto program = ParseProgram("*edge(node, node)\n-0.1 edge(x, y)\n");
-  ASSERT_TRUE(program.ok()) << program.status().ToString();
-  MlnProgram mln = program.TakeValue();
+  auto parsed = ParseProgram("*edge(node, node)\n-0.1 edge(x, y)\n");
+  ASSERT_TRUE(parsed.ok()) << parsed.status().ToString();
+  *program = parsed.TakeValue();
+  ASSERT_TRUE(ParseEvidence(ev, program, evidence).ok());
+}
+
+TEST(DeterminismTest, FixedCostIsCountTimesWeightOnEveryPath) {
+  MlnProgram program;
   EvidenceDb evidence;
-  ASSERT_TRUE(ParseEvidence(ev, &mln, &evidence).ok());
+  ASSERT_NO_FATAL_FAILURE(EdgeProgram(&program, &evidence));
+  const double expected = 900 * 0.1;
 
   GroundingResult g;
-  ASSERT_NO_FATAL_FAILURE(GroundAtEveryThreadCount(mln, evidence, &g));
+  ASSERT_NO_FATAL_FAILURE(GroundAtEveryThreadCount(program, evidence, &g));
   EXPECT_GT(g.stats.morsels, 2u);
-  ASSERT_EQ(g.stats.fixed_cost_groundings, 2u * n);
-  double expected = 0.0;
-  for (int i = 0; i < 2 * n; ++i) expected += 0.1;
-  EXPECT_EQ(g.fixed_cost, expected);
+  ASSERT_EQ(g.stats.fixed_cost_groundings, 900u);
+  EXPECT_EQ(Bits(g.fixed_cost), Bits(expected));
+
+  TopDownGrounder top_down(program, evidence);
+  auto td = top_down.Ground();
+  ASSERT_TRUE(td.ok()) << td.status().ToString();
+  EXPECT_EQ(Bits(td.value().fixed_cost), Bits(expected));
+
+  DeltaGrounder served(program, GroundingOptions{}, OptimizerOptions{});
+  ASSERT_TRUE(served.Initialize(evidence).ok());
+  EXPECT_EQ(Bits(served.fixed_cost()), Bits(expected));
 }
 
 /// A store's clauses as sorted literal-name lists with their weight bits,
 /// hardness and rule counts: equal for two stores that hold the same
 /// clauses under any atom numbering and clause order.
 std::multiset<std::string> CanonicalClauses(const MlnProgram& program,
-                                            const GroundingResult& g) {
+                                            const AtomStore& atoms,
+                                            const GroundClauseStore& store) {
   std::multiset<std::string> out;
-  for (size_t i = 0; i < g.clauses.num_clauses(); ++i) {
-    const GroundClause& c = g.clauses.clauses()[i];
+  for (size_t i = 0; i < store.num_clauses(); ++i) {
+    const GroundClause& c = store.clauses()[i];
     std::vector<std::string> lits;
     for (Lit l : c.lits) {
       lits.push_back((LitPositive(l) ? "" : "!") +
-                     g.atoms.AtomName(program, LitAtom(l)));
+                     atoms.AtomName(program, LitAtom(l)));
     }
     std::sort(lits.begin(), lits.end());
     std::string sig;
     for (const std::string& lit : lits) sig += lit + " | ";
-    uint64_t bits;
-    std::memcpy(&bits, &c.weight, sizeof(bits));
-    sig += std::to_string(bits) + (c.hard ? " hard" : "");
-    g.clauses.ForEachContribution(i, [&](int32_t rule, uint32_t count) {
+    sig += std::to_string(Bits(c.weight)) + (c.hard ? " hard" : "");
+    store.ForEachContribution(i, [&](int32_t rule, uint32_t count) {
       sig += " r" + std::to_string(rule) + "x" + std::to_string(count);
     });
     out.insert(std::move(sig));
@@ -340,8 +357,139 @@ TEST(DeterminismTest, HashAndTableAtomsMixInSplitRules) {
   ASSERT_TRUE(top_down.ok()) << top_down.status().ToString();
   EXPECT_EQ(top_down.value().atoms.num_atoms(), bottom_up.atoms.num_atoms());
   EXPECT_EQ(top_down.value().fixed_cost, bottom_up.fixed_cost);
-  EXPECT_EQ(CanonicalClauses(program, top_down.value()),
-            CanonicalClauses(program, bottom_up));
+  EXPECT_EQ(CanonicalClauses(program, top_down.value().atoms,
+                             top_down.value().clauses),
+            CanonicalClauses(program, bottom_up.atoms, bottom_up.clauses));
+}
+
+// ---------------------------------------------------------------------
+// Batch Run vs session Open: an exhaustive batch Ground and a serving
+// session's Initialize (what InferenceSession::Open grounds with) derive
+// clause weights and the fixed cost from the same counts, so they agree
+// bit for bit.
+
+void ExpectBatchGroundEqualsSessionOpen(const MlnProgram& program,
+                                        const EvidenceDb& evidence) {
+  GroundingOptions gopts;
+  gopts.lazy_closure = false;
+  BottomUpGrounder batch(program, evidence, gopts, OptimizerOptions{});
+  auto g = batch.Ground();
+  ASSERT_TRUE(g.ok()) << g.status().ToString();
+  DeltaGrounder session(program, gopts, OptimizerOptions{});
+  ASSERT_TRUE(session.Initialize(evidence).ok());
+  EXPECT_EQ(CanonicalClauses(program, g.value().atoms, g.value().clauses),
+            CanonicalClauses(program, session.atoms(), session.store()));
+  EXPECT_EQ(Bits(g.value().fixed_cost), Bits(session.fixed_cost()));
+  EXPECT_EQ(g.value().hard_contradiction, session.hard_contradiction());
+}
+
+TEST(DeterminismTest, BatchGroundEqualsSessionOpenOnDatagenDefaults) {
+  std::vector<std::pair<std::string, Result<Dataset>>> inputs;
+  inputs.emplace_back("rc", MakeRcDataset(RcParams{}));
+  inputs.emplace_back("ie", MakeIeDataset(IeParams{}));
+  inputs.emplace_back("er", MakeErDataset(ErParams{}));
+  inputs.emplace_back("lp", MakeLpDataset(LpParams{}));
+  for (const auto& [name, ds] : inputs) {
+    SCOPED_TRACE(name);
+    ASSERT_TRUE(ds.ok()) << ds.status().ToString();
+    ExpectBatchGroundEqualsSessionOpen(ds.value().program,
+                                       ds.value().evidence);
+  }
+}
+
+TEST(DeterminismTest, BatchGroundEqualsSessionOpenOnMergedGroundings) {
+  // Ten groundings of 0.1 link(x, y) => label(y, A) produce the one unit
+  // clause label(N0, A): 10 x 0.1 = 1, where adding 0.1 ten times in
+  // order gives 0.99999999999999989.
+  auto parsed = ParseProgram(
+      "*link(node, node)\nlabel(node, cls)\n"
+      "0.1 link(x, y) => label(y, A)\n");
+  ASSERT_TRUE(parsed.ok()) << parsed.status().ToString();
+  MlnProgram program = parsed.TakeValue();
+  std::string ev;
+  for (int i = 1; i <= 10; ++i) ev += "link(N" + std::to_string(i) + ", N0)\n";
+  EvidenceDb evidence;
+  ASSERT_TRUE(ParseEvidence(ev, &program, &evidence).ok());
+  ExpectBatchGroundEqualsSessionOpen(program, evidence);
+
+  MlnProgram edge_program;
+  EvidenceDb edge_evidence;
+  ASSERT_NO_FATAL_FAILURE(EdgeProgram(&edge_program, &edge_evidence));
+  ExpectBatchGroundEqualsSessionOpen(edge_program, edge_evidence);
+}
+
+/// An MLN whose exhaustive grounding is `clauses`: one open predicate
+/// holds(atom), a constant per atom, and one variable-free rule per
+/// clause.
+MlnProgram ProgramOfMrf(const std::vector<GroundClause>& clauses,
+                        size_t num_atoms) {
+  auto parsed = ParseProgram("holds(atom)\n");
+  EXPECT_TRUE(parsed.ok()) << parsed.status().ToString();
+  MlnProgram program = parsed.TakeValue();
+  const PredicateId holds = program.FindPredicate("holds").value();
+  std::vector<ConstantId> constant(num_atoms);
+  for (size_t a = 0; a < num_atoms; ++a) {
+    constant[a] = program.symbols().Intern("A" + std::to_string(a), "atom");
+  }
+  for (const GroundClause& gc : clauses) {
+    Clause rule;
+    rule.weight = gc.weight;
+    rule.hard = gc.hard;
+    for (Lit l : gc.lits) {
+      rule.literals.push_back(
+          Literal{holds, LitPositive(l), {Term::Const(constant[LitAtom(l)])}});
+    }
+    EXPECT_TRUE(program.AddClause(std::move(rule)).ok());
+  }
+  return program;
+}
+
+TEST(DeterminismTest, SessionOpenMapCostEqualsRunOnTractablePrograms) {
+  // Every component of these programs is inside the exact solver's
+  // fragment, so both sides answer exactly and need no search budget.
+  // Evidence on every fifth atom outside the hard clauses fixes some
+  // groundings' cost and conditions others; a hard clause keeps its
+  // atoms open, so the evidence cannot contradict it.
+  for (uint64_t idx : {0, 1, 2, 3, 5, 8, 13}) {
+    SCOPED_TRACE(idx);
+    TractableMrfParams params = VariedTractableParams(idx);
+    params.num_components = 8;
+    params.min_atoms = 2;
+    params.max_atoms = 8;
+    params.max_width = 1 + static_cast<int>(idx % 3);
+    size_t num_atoms = 0;
+    const std::vector<GroundClause> mrf = MakeTractableMrf(params, &num_atoms);
+    MlnProgram program = ProgramOfMrf(mrf, num_atoms);
+    std::vector<uint8_t> in_hard(num_atoms, 0);
+    for (const GroundClause& c : mrf) {
+      for (Lit l : c.lits) in_hard[LitAtom(l)] |= c.hard;
+    }
+    EvidenceDb evidence;
+    for (size_t a = 0; a < num_atoms; a += 5) {
+      if (in_hard[a]) continue;
+      GroundAtom atom;
+      atom.pred = program.FindPredicate("holds").value();
+      atom.args = {program.symbols().Find("A" + std::to_string(a))};
+      evidence.Add(atom, a % 2 == 0);
+    }
+    ASSERT_NO_FATAL_FAILURE(
+        ExpectBatchGroundEqualsSessionOpen(program, evidence));
+
+    EngineOptions opts;
+    opts.grounding.lazy_closure = false;
+    TuffyEngine engine(program, evidence, opts);
+    auto run = engine.Run();
+    ASSERT_TRUE(run.ok()) << run.status().ToString();
+    EXPECT_GT(run.value().num_components, 1u);
+    EXPECT_EQ(run.value().exact_components, run.value().num_components);
+
+    InferenceSession session(program, TranslateSessionOptions(opts));
+    ASSERT_TRUE(session.Open(evidence).ok());
+    EXPECT_EQ(session.stats().components_exact, session.num_components());
+    const double total = run.value().total_cost;
+    EXPECT_NEAR(session.map_cost(), total,
+                1e-9 * std::max(1.0, std::fabs(total)));
+  }
 }
 
 TEST(DeterminismTest, DeriveSeedDecorrelatesAdjacentStreams) {

@@ -178,6 +178,33 @@ TEST(EngineTest, BatchingNeverChangesTheAnswer) {
   }
 }
 
+TEST(EngineTest, ThreadCountAboveTheCeilingIsRefused) {
+  // Validation only: no pool is started at either count.
+  EngineOptions engine;
+  engine.num_threads = kMaxWorkerThreads;
+  EXPECT_TRUE(ValidateEngineOptions(engine).ok());
+  engine.num_threads = kMaxWorkerThreads + 1;
+  EXPECT_EQ(ValidateEngineOptions(engine).code(),
+            StatusCode::kInvalidArgument);
+  SessionOptions session;
+  session.num_threads = kMaxWorkerThreads;
+  EXPECT_TRUE(ValidateSessionOptions(session).ok());
+  session.num_threads = kMaxWorkerThreads + 1;
+  EXPECT_EQ(ValidateSessionOptions(session).code(),
+            StatusCode::kInvalidArgument);
+
+  // Run and Open validate before they make a pool.
+  auto parsed = ParseProgram("p(thing)\n1 p(x)\n");
+  ASSERT_TRUE(parsed.ok());
+  MlnProgram program = parsed.TakeValue();
+  program.symbols().Intern("T0", "thing");
+  EvidenceDb evidence;
+  TuffyEngine run(program, evidence, engine);
+  EXPECT_EQ(run.Run().status().code(), StatusCode::kInvalidArgument);
+  InferenceSession open(program, session);
+  EXPECT_EQ(open.Open(evidence).code(), StatusCode::kInvalidArgument);
+}
+
 TEST(EngineTest, TimeoutRespected) {
   Dataset ds = SmallRc();
   EngineOptions opts;

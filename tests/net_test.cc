@@ -856,6 +856,17 @@ TEST_F(NetTest, UnknownTagGetsErrorReplyAndConnectionLives) {
   EXPECT_EQ(stats.value().type, MsgType::kStatsReply);
 }
 
+TEST(NetServerTest, WorkerCountAboveTheCeilingIsRefusedBeforeAnyThread) {
+  MlnProgram program = LinkProgram();
+  EvidenceDb evidence;
+  ServerOptions opts;
+  opts.num_workers = kMaxWorkerThreads + 1;
+  Server server(program, evidence, opts);
+  const Status started = server.Start();
+  EXPECT_EQ(started.code(), StatusCode::kInvalidArgument)
+      << started.ToString();
+}
+
 TEST_F(NetTest, FullQueueShedsWithRetryableOverload) {
   ServerOptions opts;
   opts.num_workers = 1;
