@@ -285,8 +285,11 @@ class RuleMorsels {
   RuleMorsels(const MlnProgram& program, int clause_idx)
       : program_(program), clause_idx_(clause_idx) {}
 
-  /// Plans and opens rule `clause_idx` (arguments as for
-  /// GroundClauseCandidates); `explain`, if non-null, receives the plan.
+  /// Plans and opens rule `clause_idx`: its binding query
+  /// (BuildRuleBindingQuery, with anti-joins when
+  /// optimizer_options.enable_antijoin_pruning is set) over `catalog`'s
+  /// domain tables and `evidence`'s relations. `explain`, if non-null,
+  /// receives the plan.
   static Result<std::unique_ptr<RuleMorsels>> Open(
       const MlnProgram& program, int clause_idx, const Catalog& catalog,
       const EvidenceDb& evidence, const std::vector<TableStats>& true_stats,
@@ -395,24 +398,6 @@ uint64_t RuleMorsels::Finish(std::string* analyze) {
 
 }  // namespace
 
-Status GroundClauseCandidates(const MlnProgram& program, int clause_idx,
-                              const Catalog& catalog,
-                              const EvidenceDb& evidence,
-                              const std::vector<TableStats>& true_stats,
-                              const OptimizerOptions& optimizer_options,
-                              GroundingContext* ctx, std::string* explain) {
-  TUFFY_ASSIGN_OR_RETURN(
-      std::unique_ptr<RuleMorsels> rule,
-      RuleMorsels::Open(program, clause_idx, catalog, evidence, true_stats,
-                        optimizer_options, explain));
-  for (size_t m = 0; m < rule->num_morsels(); ++m) {
-    TUFFY_RETURN_IF_ERROR(rule->Run(m, ctx));
-  }
-  ctx->RecordAntiJoinPruned(rule->Finish(
-      explain != nullptr && optimizer_options.analyze ? explain : nullptr));
-  return Status::OK();
-}
-
 Status CollectBindings(
     const MlnProgram& program, int clause_idx, RuleBindingQuery rule_query,
     const OptimizerOptions& optimizer_options,
@@ -470,8 +455,7 @@ Result<GroundingResult> BottomUpGrounder::Ground() {
   const std::vector<TableStats> true_stats =
       AnalyzeClosedWorldEvidence(program_, evidence_);
   CandidateAtomTable table(program_);
-  GroundingContext ctx(program_, evidence_, ground_options_,
-                       /*dense_interner=*/true, &table);
+  GroundingContext ctx(program_, evidence_, ground_options_, &table);
   const int num_rules = static_cast<int>(program_.clauses().size());
   const bool want_analyze = optimizer_options_.analyze;
 
@@ -506,8 +490,7 @@ Result<GroundingResult> BottomUpGrounder::Ground() {
     Rule& rule = rules[r];
     Morsel& morsel = rule.morsels[m];
     morsel.ctx = std::make_unique<GroundingContext>(
-        program_, evidence_, ground_options_, /*dense_interner=*/true,
-        &table);
+        program_, evidence_, ground_options_, &table);
     morsel.status = rule.plan->Run(m, morsel.ctx.get());
     bool last;
     {

@@ -146,25 +146,6 @@ Result<RuleBindingQuery> BuildRuleBindingQuery(
     const EvidenceDb& evidence, const std::vector<TableStats>& true_stats,
     bool plan_antijoins, const DeltaBindingSpec* delta = nullptr);
 
-/// Compiles and runs the binding query of one first-order clause against
-/// the loaded domain tables and the evidence relations, feeding every
-/// candidate variable assignment into `ctx` (whole chunks at a time on
-/// the vectorized path). This is the per-rule unit of bottom-up grounding;
-/// BottomUpGrounder::Ground runs it for every clause, and the serving
-/// layer's DeltaGrounder re-runs it for just the rules a delta touches.
-/// It runs the rule's morsels in order into `ctx`, which gives the
-/// candidates of the unsplit plan in the same order.
-/// `explain`, if non-null, receives the plan's EXPLAIN text (plus
-/// per-operator ANALYZE lines when optimizer_options.analyze is set).
-/// optimizer_options.enable_antijoin_pruning turns on in-plan
-/// evidence-satisfaction pruning (see BuildRuleBindingQuery).
-Status GroundClauseCandidates(const MlnProgram& program, int clause_idx,
-                              const Catalog& catalog,
-                              const EvidenceDb& evidence,
-                              const std::vector<TableStats>& true_stats,
-                              const OptimizerOptions& optimizer_options,
-                              GroundingContext* ctx, std::string* explain);
-
 /// Runs an already-built binding query, appending every candidate
 /// assignment to `out` (deduplicating against `seen` when non-null).
 /// The workhorse of the delta path, which unions the affected bindings

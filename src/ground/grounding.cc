@@ -115,20 +115,14 @@ void CandidateAtomTable::Decode(int32_t key, GroundAtom* atom) const {
 GroundingContext::GroundingContext(const MlnProgram& program,
                                    const EvidenceDb& evidence,
                                    GroundingOptions options,
-                                   bool dense_interner,
                                    CandidateAtomTable* table)
     : program_(program),
       evidence_(evidence),
       options_(options),
-      rule_fixed_groundings_(program.clauses().size(), 0),
       table_(table),
       pred_slots_(program.num_predicates()) {
-  if (!dense_interner) {
-    table_ = nullptr;
-  } else if (table_ == nullptr) {
-    own_table_ = std::make_unique<CandidateAtomTable>(program);
-    table_ = own_table_.get();
-  }
+  result_.rule_fixed_groundings.assign(program.clauses().size(), 0);
+  result_.rule_hard_violations.assign(program.clauses().size(), 0);
 }
 
 // ------------------------------------------------- candidate-atom keys
@@ -405,18 +399,19 @@ void GroundingContext::SettleCandidate(int clause_idx, const Clause& clause,
     ++result_.stats.satisfied_by_evidence;
     // A negative-weight clause that evidence makes true is permanently
     // violated (Section 2.2) and contributes constant cost.
-    if (!clause.hard && clause.weight < 0) ++rule_fixed_groundings_[clause_idx];
+    if (!clause.hard && clause.weight < 0) {
+      ++result_.rule_fixed_groundings[clause_idx];
+    }
     return;
   }
   if (scratch_open_.empty()) {
     // Constantly false.
     if (clause.hard) {
-      result_.hard_contradiction = true;
-      ++result_.stats.hard_violations;
+      ++result_.rule_hard_violations[clause_idx];
       TUFFY_LOG(Warning) << "hard clause " << clause.rule_id
                          << " violated by evidence";
     } else if (clause.weight > 0) {
-      ++rule_fixed_groundings_[clause_idx];
+      ++result_.rule_fixed_groundings[clause_idx];
     }
     return;
   }
@@ -637,12 +632,10 @@ void GroundingContext::AbsorbPending(GroundingContext* local) {
   result_.stats.candidates += lr.stats.candidates;
   result_.stats.satisfied_by_evidence += lr.stats.satisfied_by_evidence;
   result_.stats.pruned_by_antijoin += lr.stats.pruned_by_antijoin;
-  result_.stats.hard_violations += lr.stats.hard_violations;
-  for (size_t r = 0; r < rule_fixed_groundings_.size(); ++r) {
-    rule_fixed_groundings_[r] += local->rule_fixed_groundings_[r];
+  for (size_t r = 0; r < result_.rule_fixed_groundings.size(); ++r) {
+    result_.rule_fixed_groundings[r] += lr.rule_fixed_groundings[r];
+    result_.rule_hard_violations[r] += lr.rule_hard_violations[r];
   }
-  result_.hard_contradiction =
-      result_.hard_contradiction || lr.hard_contradiction;
   // The local arena holds the pending spans back to back, in order.
   // Cell keys name the same atom here; hash-interned keys are local, so
   // those atoms are re-interned, lazily: only the ones that survived into
@@ -764,10 +757,12 @@ Result<GroundingResult> GroundingContext::Finalize() {
     store.DeriveWeight(c, rules.weight, rules.hard, &clause.weight,
                        &clause.hard);
   }
-  result_.fixed_cost = rules.FixedCost(rule_fixed_groundings_);
-  for (uint64_t n : rule_fixed_groundings_) {
-    result_.stats.fixed_cost_groundings += n;
+  result_.fixed_cost = rules.FixedCost(result_.rule_fixed_groundings);
+  for (size_t r = 0; r < result_.rule_fixed_groundings.size(); ++r) {
+    result_.stats.fixed_cost_groundings += result_.rule_fixed_groundings[r];
+    result_.stats.hard_violations += result_.rule_hard_violations[r];
   }
+  result_.hard_contradiction = result_.stats.hard_violations > 0;
   StampGroundingMetrics(result_.stats);
   return std::move(result_);
 }

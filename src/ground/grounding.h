@@ -52,9 +52,10 @@ struct GroundingStats {
   uint64_t pruned_by_antijoin = 0;
   /// Candidates discarded by the lazy-closure activity test.
   uint64_t pruned_inactive = 0;
-  /// Hard-clause candidates violated outright by the evidence. The
-  /// serving layer tracks this per rule as a count so binding-level
-  /// deltas can retract individual violations.
+  /// Hard-clause candidates violated outright by the evidence, summed
+  /// over GroundingResult::rule_hard_violations. A serving session starts
+  /// its per-rule counts from those, so binding-level deltas can retract
+  /// individual violations.
   uint64_t hard_violations = 0;
   /// Soft candidates whose cost the evidence fixes. fixed_cost derives
   /// from their per-rule counts (RuleWeights::FixedCost), in batch
@@ -88,6 +89,10 @@ struct GroundingResult {
   /// True if a hard clause is violated by evidence alone.
   bool hard_contradiction = false;
   GroundingStats stats;
+  /// Per rule (program clause index): the groundings counted in
+  /// stats.fixed_cost_groundings and in stats.hard_violations.
+  std::vector<uint64_t> rule_fixed_groundings;
+  std::vector<uint64_t> rule_hard_violations;
 };
 
 /// A value for every clause variable (ConstantId), indexed by VarId.
@@ -191,18 +196,16 @@ class CandidateAtomTable {
 /// context-local keys from kHashKeyBase up.
 class GroundingContext {
  public:
-  /// `dense_interner` selects the candidate-atom table. Worth it for bulk
-  /// grounding; a caller resolving a small candidate batch (binding-level
-  /// deltas) turns it off, since zeroing domain-product-sized arrays
-  /// would dominate, and the context hash-interns every atom. The context
-  /// reads `evidence` in place, so it must stay unmutated while the
-  /// context lives. `table`, if given, is shared with the other contexts
-  /// of one Ground and must outlive this one; otherwise the context
-  /// builds its own. Finalize counts the table's cells, so of the
+  /// The context resolves into `table`, which the caller owns and which
+  /// must outlive the context; a context given no table hash-interns
+  /// every atom (the right trade for a small candidate batch, where
+  /// building domain-product-sized cell arrays would dominate). The
+  /// context reads `evidence` in place, so it must stay unmutated while
+  /// the context lives. Finalize counts the table's cells, so of the
   /// contexts sharing a table only one finalizes; the others are merged
   /// into it by AbsorbPending.
   GroundingContext(const MlnProgram& program, const EvidenceDb& evidence,
-                   GroundingOptions options, bool dense_interner = true,
+                   GroundingOptions options,
                    CandidateAtomTable* table = nullptr);
 
   /// Registers a candidate grounding of program.clauses()[clause_idx].
@@ -234,21 +237,19 @@ class GroundingContext {
   /// Merges a morsel-local context that shares this one's table: its
   /// pending clauses are appended in call order, their literals
   /// unchanged except for hash-interned atoms, whose local keys are
-  /// re-interned here. The stats, the per-rule fixed-cost grounding
-  /// counts and the contradiction flag are summed; Finalize derives the
-  /// fixed cost from the counts. This is the join point of parallel
-  /// grounding — workers resolve morsels into local contexts
+  /// re-interned here. The stats and the per-rule fixed-cost and
+  /// hard-violation counts are summed; Finalize derives the fixed cost
+  /// and the contradiction flag from the counts. This is the join point
+  /// of parallel grounding — workers resolve morsels into local contexts
   /// concurrently, and the owner absorbs them in (rule, morsel) order, so
   /// the merged result is independent of thread count. `local` is
   /// consumed (its pending clauses are moved out).
   void AbsorbPending(GroundingContext* local);
 
-  const GroundingStats& stats() const { return result_.stats; }
-
   /// Runs the closure, derives every clause's weight and hard flag
-  /// (GroundClauseStore::DeriveWeight) and the fixed cost
-  /// (RuleWeights::FixedCost) from the grounding counts, and moves the
-  /// result out. Call once.
+  /// (GroundClauseStore::DeriveWeight), the fixed cost
+  /// (RuleWeights::FixedCost) and the contradiction flag from the
+  /// grounding counts, and moves the result out. Call once.
   Result<GroundingResult> Finalize();
 
  private:
@@ -372,8 +373,6 @@ class GroundingContext {
   const EvidenceDb& evidence_;
   GroundingOptions options_;
   GroundingResult result_;
-  /// Per rule: the groundings counted in stats.fixed_cost_groundings.
-  std::vector<uint64_t> rule_fixed_groundings_;
   std::vector<PendingClause> pending_;
   std::vector<CandLit> pending_lits_;
   std::vector<CandLit> scratch_open_;
@@ -385,7 +384,6 @@ class GroundingContext {
     int32_t key;        // -1 when the truth is evidence-determined
     int8_t known_true;  // valid when key == -1
   };
-  std::unique_ptr<CandidateAtomTable> own_table_;
   CandidateAtomTable* table_;  // null: hash interner only
   struct PredSlot {
     bool looked_up = false;

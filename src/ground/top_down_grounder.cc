@@ -142,7 +142,8 @@ void TopDownGrounder::GroundClauseLoops(int clause_idx,
 }
 
 Result<GroundingResult> TopDownGrounder::Ground() {
-  GroundingContext ctx(program_, evidence_, options_);
+  CandidateAtomTable table(program_);
+  GroundingContext ctx(program_, evidence_, options_, &table);
   for (int ci = 0; ci < static_cast<int>(program_.clauses().size()); ++ci) {
     GroundClauseLoops(ci, &ctx);
   }

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <memory>
 #include <unordered_map>
 
 #include "ground/atom_loader.h"
@@ -140,17 +141,20 @@ Status DeltaGrounder::Initialize(const EvidenceDb& initial_evidence) {
   // The copy carries the relations; from here on every delta edits them
   // in place, O(1) per changed atom.
   evidence_ = initial_evidence;
-
-  const size_t num_rules = program_.clauses().size();
-  rule_fixed_groundings_.assign(num_rules, 0);
-  rule_contradiction_.assign(num_rules, 0);
-
   TUFFY_RETURN_IF_ERROR(BuildDerivedState());
 
-  // Every rule's first re-ground; the old parts are empty.
+  // One exhaustive batch Ground is the first new part; the old part is
+  // empty. Its result is released before ApplyEdits builds the store, so
+  // the two never peak together.
   std::vector<CountEdit> parts;
-  for (size_t r = 0; r < num_rules; ++r) {
-    TUFFY_RETURN_IF_ERROR(GroundRule(static_cast<int>(r), &parts));
+  {
+    BottomUpGrounder grounder(program_, evidence_, ground_options_,
+                              optimizer_options_);
+    TUFFY_ASSIGN_OR_RETURN(GroundingResult full, grounder.Ground());
+    rule_fixed_groundings_ = std::move(full.rule_fixed_groundings);
+    rule_contradiction_.assign(full.rule_hard_violations.begin(),
+                               full.rule_hard_violations.end());
+    AppendPart(full, +1, &parts);
   }
   GroundEdits edits;
   ApplyEdits(std::move(parts), &edits);
@@ -195,41 +199,25 @@ Status DeltaGrounder::BuildDerivedState() {
   return Status::OK();
 }
 
-void DeltaGrounder::AppendPart(int rule_idx, const GroundingResult& local,
-                               int sign, std::vector<CountEdit>* edits) {
-  // Remap the rule-local atom ids into the session atom universe. The
-  // remap is injective, so the rule-local duplicate merging carries over:
-  // each local clause is one literal set.
-  const std::vector<GroundClause>& clauses = local.clauses.clauses();
+void DeltaGrounder::AppendPart(const GroundingResult& part, int sign,
+                               std::vector<CountEdit>* edits) {
+  // Remap the part's atom ids into the session atom universe. The remap
+  // is injective, so the part's duplicate merging carries over: each of
+  // its clauses is one literal set.
+  std::vector<Lit> lits;
+  const std::vector<GroundClause>& clauses = part.clauses.clauses();
   for (size_t i = 0; i < clauses.size(); ++i) {
-    CountEdit edit;
-    edit.rule = rule_idx;
-    edit.lits.reserve(clauses[i].lits.size());
+    lits.clear();
     for (Lit l : clauses[i].lits) {
-      AtomId global = atoms_.GetOrCreate(local.atoms.atom(LitAtom(l)));
-      edit.lits.push_back(MakeLit(global, LitPositive(l)));
+      AtomId global = atoms_.GetOrCreate(part.atoms.atom(LitAtom(l)));
+      lits.push_back(MakeLit(global, LitPositive(l)));
     }
-    std::sort(edit.lits.begin(), edit.lits.end());
-    local.clauses.ForEachContribution(i, [&](int32_t, uint32_t count) {
-      edit.count += sign * static_cast<int64_t>(count);
+    std::sort(lits.begin(), lits.end());
+    part.clauses.ForEachContribution(i, [&](int32_t rule, uint32_t count) {
+      edits->push_back(
+          CountEdit{lits, rule, sign * static_cast<int64_t>(count)});
     });
-    edits->push_back(std::move(edit));
   }
-}
-
-Status DeltaGrounder::GroundRule(int rule_idx,
-                                 std::vector<CountEdit>* edits) {
-  GroundingContext ctx(program_, evidence_, ground_options_);
-  TUFFY_RETURN_IF_ERROR(GroundClauseCandidates(program_, rule_idx, catalog_,
-                                               evidence_, true_stats_,
-                                               optimizer_options_, &ctx,
-                                               nullptr));
-  TUFFY_ASSIGN_OR_RETURN(GroundingResult local, ctx.Finalize());
-  rule_fixed_groundings_[rule_idx] = local.stats.fixed_cost_groundings;
-  rule_contradiction_[rule_idx] =
-      static_cast<int64_t>(local.stats.hard_violations);
-  AppendPart(rule_idx, local, +1, edits);
-  return Status::OK();
 }
 
 Result<GroundingResult> DeltaGrounder::ResolveEnumerated(
@@ -243,9 +231,12 @@ Result<GroundingResult> DeltaGrounder::ResolveEnumerated(
   edits->bindings_resolved += enumerated.size();
   // Delta batches are tiny; a candidate-atom table would spend more time
   // zeroing domain-product-sized cell arrays than the hash probes it
-  // saves, so only large batches opt in.
-  GroundingContext ctx(program_, evidence_, ground_options_,
-                       /*dense_interner=*/enumerated.size() >= 4096);
+  // saves, so only large batches get one.
+  std::unique_ptr<CandidateAtomTable> table;
+  if (enumerated.size() >= 4096) {
+    table = std::make_unique<CandidateAtomTable>(program_);
+  }
+  GroundingContext ctx(program_, evidence_, ground_options_, table.get());
   for (const Assignment* b : enumerated) ctx.AddCandidate(rule_idx, *b);
   return ctx.Finalize();
 }
@@ -471,7 +462,7 @@ Result<GroundEdits> DeltaGrounder::ApplyDelta(const EvidenceDelta& delta) {
                            ResolveEnumerated(rule, affected[r], &edits));
     old_fixed[r] = old_part.stats.fixed_cost_groundings;
     old_violations[r] = static_cast<int64_t>(old_part.stats.hard_violations);
-    AppendPart(rule, old_part, -1, &parts);
+    AppendPart(old_part, -1, &parts);
   }
 
   // Mutation begins: any error path from here on leaves evidence,
@@ -500,7 +491,7 @@ Result<GroundEdits> DeltaGrounder::ApplyDelta(const EvidenceDelta& delta) {
     rule_contradiction_[r] +=
         static_cast<int64_t>(new_part.stats.hard_violations) -
         old_violations[r];
-    AppendPart(rule, new_part, +1, &parts);
+    AppendPart(new_part, +1, &parts);
     ++edits.rules_reground;
   }
   ApplyEdits(std::move(parts), &edits);
@@ -621,6 +612,11 @@ Status DeltaGrounder::LoadState(BinaryReader* in) {
   // fewer rows than were stored, and the snapshot is refused — such a
   // state would double-count a binding or read a true atom as false.
   const size_t num_preds = program_.num_predicates();
+  // Every constant a snapshot stores names a symbol of the program; its
+  // domain is not checked, since evidence built through the API may hold
+  // constants outside their type's domain.
+  const int64_t num_constants =
+      static_cast<int64_t>(program_.symbols().num_constants());
   uint64_t total_rows = 0;
   for (PredicateId p = 0; p < static_cast<PredicateId>(num_preds); ++p) {
     const size_t arity = program_.predicate(p).arity();
@@ -637,7 +633,7 @@ Status DeltaGrounder::LoadState(BinaryReader* in) {
       std::vector<int64_t> cells(nrows * ncols);
       for (int64_t& v : cells) {
         v = in->I64();
-        if (v < INT32_MIN || v > INT32_MAX) {
+        if (v < 0 || v >= num_constants) {
           return Status::Corruption("snapshot: evidence value out of range");
         }
       }
@@ -672,7 +668,12 @@ Status DeltaGrounder::LoadState(BinaryReader* in) {
     }
     const size_t arity = program_.predicate(atom.pred).arity();
     atom.args.resize(arity);
-    for (size_t i = 0; i < arity; ++i) atom.args[i] = in->I32();
+    for (size_t i = 0; i < arity; ++i) {
+      atom.args[i] = in->I32();
+      if (atom.args[i] < 0 || atom.args[i] >= num_constants) {
+        return Status::Corruption("snapshot: atom argument out of range");
+      }
+    }
     if (!in->ok()) return Status::Corruption("snapshot: atom args");
     if (atoms_.GetOrCreate(atom) != static_cast<AtomId>(a)) {
       return Status::Corruption("snapshot: duplicate ground atom");
@@ -725,12 +726,17 @@ Status DeltaGrounder::LoadState(BinaryReader* in) {
       return Status::Corruption("snapshot: rule fixed cost");
     }
     rule_fixed_groundings_[r] = static_cast<uint64_t>(count);
-    rule_contradiction_[r] = in->I64();
+    // Only a hard rule's groundings can contradict the evidence.
+    const bool rule_hard = program_.clauses()[r].hard;
+    const int64_t contradictions = in->I64();
+    if (contradictions < 0 || (!rule_hard && contradictions > 0)) {
+      return Status::Corruption("snapshot: rule contradiction count");
+    }
+    rule_contradiction_[r] = contradictions;
     const uint64_t num_entries = in->U64();
     if (!in->ok() || num_entries > in->remaining() / 20) {
       return Status::Corruption("snapshot: rule count header");
     }
-    const bool rule_hard = program_.clauses()[r].hard;
     for (uint64_t e = 0; e < num_entries; ++e) {
       if (!ReadLits(in, num_atoms, &lits)) {
         return Status::Corruption("snapshot: rule count literals");

@@ -84,15 +84,17 @@ struct GroundEdits {
   double ground_seconds = 0.0;
 };
 
-/// Incremental grounding for long-lived inference sessions. Grounds the
-/// whole program once (bottom-up, through the RA layer), then serves
-/// evidence deltas by re-grounding only the first-order rules whose
-/// literals mention a predicate the delta touched. Every re-ground is an
-/// old and a new contribution part — per literal set, how many
-/// groundings of the rule produce it before and after the delta — and
-/// one edit pass applies all parts' differences to the resident clause
-/// store in sorted literal order: it appends, re-weights and
-/// swap-removes clauses in place.
+/// Incremental grounding for long-lived inference sessions. Initialize
+/// grounds the whole program once with the batch grounder Run uses: an
+/// exhaustive BottomUpGrounder::Ground at ground_options.num_threads
+/// threads. Then the grounder serves evidence deltas by re-grounding only
+/// the first-order rules whose literals mention a predicate the delta
+/// touched. Every grounding is an old and a new contribution part — per
+/// literal set and rule, how many groundings of the rule produce it
+/// before and after (Initialize's old part is empty) — and one edit pass
+/// applies all parts' differences to the resident clause store in sorted
+/// literal order: it appends, re-weights and swap-removes clauses in
+/// place.
 ///
 /// Touched rules re-ground at *binding granularity*: instead of
 /// re-running a rule's whole binding query, the changed atoms of each
@@ -107,8 +109,7 @@ struct GroundEdits {
 /// rule in full. A touched clause's weight and hard flag, and every
 /// rule's fixed cost, derive from grounding counts the way batch
 /// grounding derives them (RuleWeights), never accumulated, so they
-/// match a fresh Initialize — and an exhaustive batch Ground — of the
-/// same evidence bit for bit.
+/// match a fresh Initialize of the same evidence bit for bit.
 ///
 /// Resident state: a copy of the evidence, whose relations are
 /// maintained in place per changed atom, their ANALYZE statistics
@@ -135,8 +136,8 @@ class DeltaGrounder {
   DeltaGrounder& operator=(const DeltaGrounder&) = delete;
 
   /// Copies `initial_evidence`, builds the domain tables and stats, and
-  /// grounds every rule against it. Call exactly once, before any
-  /// ApplyDelta.
+  /// grounds the program against it in one exhaustive batch Ground. Call
+  /// exactly once, before any ApplyDelta.
   Status Initialize(const EvidenceDb& initial_evidence);
 
   /// Applies one evidence delta: updates the resident evidence copy (and
@@ -192,8 +193,10 @@ class DeltaGrounder {
   /// saved ones row for row; derived structures (catalog, stats, binding
   /// metadata) are rebuilt. Corruption on any layout or invariant
   /// violation, including an atom stored twice (in one relation or in
-  /// both polarities). No stored count sizes an allocation before the
-  /// bytes it promises are known to be there.
+  /// both polarities), a stored constant outside the symbol table, and a
+  /// contradiction count that is negative or belongs to a soft rule. No
+  /// stored count sizes an allocation before the bytes it promises are
+  /// known to be there.
   Status LoadState(BinaryReader* in);
 
  private:
@@ -214,10 +217,6 @@ class DeltaGrounder {
   /// by Initialize and LoadState.
   Status BuildDerivedState();
 
-  /// Grounds one rule in full (Initialize): sets its fixed-cost and
-  /// contradiction entries and appends its part to `edits`.
-  Status GroundRule(int rule_idx, std::vector<CountEdit>* edits);
-
   /// Resolves the affected bindings of one rule that its query would
   /// enumerate under the *current* resident evidence, counting them in
   /// `edits->bindings_resolved`. Called once before the evidence
@@ -226,10 +225,10 @@ class DeltaGrounder {
       int rule_idx, const std::vector<Assignment>& affected,
       GroundEdits* edits);
 
-  /// Appends a rule-local grounding result to `edits` as `sign` x its
-  /// grounding counts, remapped into session atom ids (grounding counts
-  /// come from the local store's provenance).
-  void AppendPart(int rule_idx, const GroundingResult& local, int sign,
+  /// Appends a grounding result to `edits`: one edit per (clause,
+  /// contributing rule) of its store, `sign` x that rule's count, on the
+  /// clause's literal set remapped into session atom ids.
+  void AppendPart(const GroundingResult& part, int sign,
                   std::vector<CountEdit>* edits);
 
   /// True when every plain binding literal of the rule holds (atom true)
@@ -256,7 +255,8 @@ class DeltaGrounder {
   EvidenceDb evidence_;
   /// ANALYZE statistics of each closed-world predicate's true rows
   /// (AnalyzeClosedWorldEvidence), re-computed for the touched ones on
-  /// the mutating thread after every delta.
+  /// the mutating thread after every delta. Delta plans read these and
+  /// the catalog; Initialize's batch Ground builds its own.
   std::vector<TableStats> true_stats_;
   /// Domain tables only (LoadMlnTables).
   Catalog catalog_;

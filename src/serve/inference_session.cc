@@ -111,6 +111,14 @@ std::string EncodeWalHeader(uint64_t program_fp, uint64_t options_fp,
   return hdr.Take();
 }
 
+/// The grounder's options: the session's grounding options at its own
+/// thread count (see SessionOptions::grounding).
+GroundingOptions SessionGrounding(const SessionOptions& options) {
+  GroundingOptions grounding = options.grounding;
+  grounding.num_threads = options.num_threads;
+  return grounding;
+}
+
 }  // namespace
 
 Status ParseWalHeader(const std::string& payload, WalHeaderInfo* out) {
@@ -183,7 +191,7 @@ InferenceSession::InferenceSession(const MlnProgram& program,
                                    SessionOptions options)
     : program_(program),
       options_(options),
-      grounder_(program, options.grounding, options.optimizer),
+      grounder_(program, SessionGrounding(options), options.optimizer),
       traces_(std::max<uint32_t>(1, options.trace_ring)) {}
 
 void InferenceSession::UsePool(ThreadPool* shared_pool) {

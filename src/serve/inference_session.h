@@ -26,9 +26,10 @@ struct SessionOptions {
   uint64_t total_flips = 1000000;
   double p_random = 0.5;
   double hard_weight = 1e6;
-  /// Worker threads for the session-owned pool. Ignored when a shared
-  /// pool is passed to Open (the SessionManager case). Thread count
-  /// never affects results, only wall clock.
+  /// Worker threads for the session-owned pool (a shared pool passed to
+  /// Open replaces it: the SessionManager case) and, either way, for
+  /// Open's batch Ground, as Run grounds at EngineOptions::num_threads.
+  /// Thread count never affects results, only wall clock.
   int num_threads = 1;
   uint64_t seed = 42;
   /// If true, per-atom marginals are maintained: MC-SAT runs per dirty
@@ -42,7 +43,9 @@ struct SessionOptions {
   /// fingerprint: it changes component truths, so durable state is only
   /// compatible with the setting it was produced under.
   bool exact_fast_path = true;
-  GroundingOptions grounding;  // lazy_closure is forced off
+  /// lazy_closure is forced off. num_threads is unread: Open grounds at
+  /// num_threads above, as Run ignores EngineOptions::grounding's.
+  GroundingOptions grounding;
   OptimizerOptions optimizer;
 
   // ---- Durability (docs/DURABILITY.md). All three are ignored when

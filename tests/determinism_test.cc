@@ -214,11 +214,50 @@ TEST(DeterminismTest, SplitRuleGroundsIdenticallyAtEveryThreadCount) {
   p.num_publications = 40000;
   auto ds = MakeLpDataset(p);
   ASSERT_TRUE(ds.ok());
+  const MlnProgram& program = ds.value().program;
+  const EvidenceDb& evidence = ds.value().evidence;
   GroundingResult g;
-  ASSERT_NO_FATAL_FAILURE(
-      GroundAtEveryThreadCount(ds.value().program, ds.value().evidence, &g));
-  EXPECT_GT(g.stats.morsels, ds.value().program.clauses().size());
+  ASSERT_NO_FATAL_FAILURE(GroundAtEveryThreadCount(program, evidence, &g));
+  EXPECT_GT(g.stats.morsels, program.clauses().size());
   EXPECT_GT(g.clauses.num_clauses(), 0u);
+
+  // A session opens through the same Ground: its saved state after
+  // Initialize, and after one delta that retracts a publication row, is
+  // byte-identical at every grounding thread count.
+  const PredicateId pub = program.FindPredicate("publication").value();
+  const IdTable& rows = evidence.rows(pub, true);
+  ASSERT_GT(rows.num_rows(), 0u);
+  GroundAtom atom;
+  atom.pred = pub;
+  for (size_t c = 0; c < rows.num_cols(); ++c) {
+    atom.args.push_back(static_cast<ConstantId>(rows.col(c)[0]));
+  }
+  EvidenceDelta delta;
+  delta.Retract(atom);
+  std::string serial_open;
+  std::string serial_delta;
+  for (int threads : {1, 2, 4}) {
+    SCOPED_TRACE(threads);
+    GroundingOptions gopts;
+    gopts.num_threads = threads;
+    DeltaGrounder session(program, gopts, OptimizerOptions{});
+    ASSERT_TRUE(session.Initialize(evidence).ok());
+    BinaryWriter opened;
+    session.SaveState(&opened);
+    auto applied = session.ApplyDelta(delta);
+    ASSERT_TRUE(applied.ok()) << applied.status().ToString();
+    EXPECT_GT(applied.value().rules_reground, 0u);
+    BinaryWriter after;
+    session.SaveState(&after);
+    if (threads == 1) {
+      serial_open = opened.Take();
+      serial_delta = after.Take();
+      continue;
+    }
+    EXPECT_TRUE(opened.data() == serial_open);
+    EXPECT_TRUE(after.data() == serial_delta);
+  }
+  EXPECT_TRUE(serial_open != serial_delta);
 }
 
 /// -0.1 edge(x, y) over 450 nodes with two edges out of each: each of

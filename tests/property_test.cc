@@ -1,5 +1,6 @@
 // Property-based tests over randomly generated MLN programs: the two
-// grounders must agree exactly, lazy grounding must be a subset of eager
+// grounders must agree exactly (and exhaustive top-down grounding must
+// agree with a session's Open), lazy grounding must be a subset of eager
 // grounding, the engine's cost accounting must match a from-scratch
 // evaluation, and (when small enough) WalkSAT must reach the exact MAP.
 
@@ -13,6 +14,7 @@
 #include "ground/bottom_up_grounder.h"
 #include "ground/top_down_grounder.h"
 #include "infer/brute_force.h"
+#include "serve/delta_grounder.h"
 #include "util/rng.h"
 #include "util/string_util.h"
 
@@ -142,23 +144,33 @@ RandomMln MakeRandomMln(uint64_t seed) {
   return out;
 }
 
+uint64_t Bits(double d) {
+  uint64_t b;
+  std::memcpy(&b, &d, sizeof(b));
+  return b;
+}
+
 std::multiset<std::string> Signatures(const MlnProgram& program,
-                                      const GroundingResult& g) {
+                                      const AtomStore& atoms,
+                                      const GroundClauseStore& clauses) {
   std::multiset<std::string> out;
-  for (const GroundClause& c : g.clauses.clauses()) {
+  for (const GroundClause& c : clauses.clauses()) {
     std::vector<std::string> lits;
     for (Lit l : c.lits) {
       lits.push_back((LitPositive(l) ? "" : "!") +
-                     g.atoms.AtomName(program, LitAtom(l)));
+                     atoms.AtomName(program, LitAtom(l)));
     }
     std::sort(lits.begin(), lits.end());
     std::string sig = Join(lits, "|");
-    uint64_t bits;
-    std::memcpy(&bits, &c.weight, sizeof(bits));
-    sig += "@" + std::to_string(bits);
+    sig += "@" + std::to_string(Bits(c.weight));
     out.insert(std::move(sig));
   }
   return out;
+}
+
+std::multiset<std::string> Signatures(const MlnProgram& program,
+                                      const GroundingResult& g) {
+  return Signatures(program, g.atoms, g.clauses);
 }
 
 class RandomMlnTest : public ::testing::TestWithParam<int> {};
@@ -175,6 +187,20 @@ TEST_P(RandomMlnTest, GroundersAgreeExactly) {
             Signatures(mln.program, rt.value()));
   EXPECT_EQ(rb.value().fixed_cost, rt.value().fixed_cost);
   EXPECT_EQ(rb.value().hard_contradiction, rt.value().hard_contradiction);
+
+  // A session opens through the batch grounder, so the independent
+  // cross-check of Open is exhaustive top-down grounding.
+  GroundingOptions exhaustive;
+  exhaustive.lazy_closure = false;
+  TopDownGrounder td_exhaustive(mln.program, mln.evidence, exhaustive);
+  auto re = td_exhaustive.Ground();
+  ASSERT_TRUE(re.ok()) << re.status().ToString();
+  DeltaGrounder session(mln.program, exhaustive, OptimizerOptions{});
+  ASSERT_TRUE(session.Initialize(mln.evidence).ok());
+  EXPECT_EQ(Signatures(mln.program, re.value()),
+            Signatures(mln.program, session.atoms(), session.store()));
+  EXPECT_EQ(Bits(re.value().fixed_cost), Bits(session.fixed_cost()));
+  EXPECT_EQ(re.value().hard_contradiction, session.hard_contradiction());
 }
 
 TEST_P(RandomMlnTest, LazyGroundingIsSubsetOfEager) {

@@ -876,9 +876,11 @@ TEST(ServeTest, ForgedSnapshotStoringAnEvidenceAtomTwiceIsRefused) {
 /// DeltaGrounder snapshot: each relation's column and row counts; the
 /// atom count; the clause count and each clause's literal count; the
 /// rule count; each rule's contradiction and entry counts; and each
-/// entry's literal count, hard count and count.
+/// entry's literal count, hard count and count. `contradictions`, if
+/// given, receives the offset of each rule's contradiction count.
 std::vector<std::pair<size_t, size_t>> SnapshotCountFields(
-    const MlnProgram& program, const std::string& bytes) {
+    const MlnProgram& program, const std::string& bytes,
+    std::vector<size_t>* contradictions = nullptr) {
   std::vector<std::pair<size_t, size_t>> fields;
   BinaryReader in(bytes);
   const auto count32 = [&] {
@@ -908,6 +910,9 @@ std::vector<std::pair<size_t, size_t>> SnapshotCountFields(
   const uint64_t num_rules = count64();
   for (uint64_t r = 0; r < num_rules; ++r) {
     in.F64();
+    if (contradictions != nullptr) {
+      contradictions->push_back(bytes.size() - in.remaining());
+    }
     count64();  // contradictions
     for (uint64_t e = count64(); e > 0; --e) {
       for (uint32_t n = count32(); n > 0; --n) in.I32();
@@ -1031,11 +1036,91 @@ TEST(ServeTest, FuzzMutatedSnapshotsAreRefusedOrResaveExactly) {
     }
     accepted += LoadsToAFixpoint(program, bytes) ? 1 : 0;
   }
-  // Flips inside evidence values, contradiction counts and the low bits
-  // of weights and fixed costs load (a weight or fixed cost loads as what
-  // its counts derive); the property is checked on both sides.
+  // Flips that keep an evidence value inside the symbol table, flips in
+  // a hard rule's contradiction count that keep it non-negative, and
+  // flips in the low bits of weights and fixed costs load (a weight or
+  // fixed cost loads as what its counts derive); the property is checked
+  // on both sides.
   EXPECT_GT(accepted, 0u);
   EXPECT_LT(accepted, kSeeds);
+}
+
+// A CRC-valid snapshot can still hold state no session reaches: a
+// constant past the symbol table (AtomStore::AtomName would index past
+// it), or a contradiction count that is negative or belongs to a soft
+// rule (hard_contradiction() would report a soft rule). LoadState
+// refuses each forgery of a real RC grounder's state.
+TEST(ServeTest, ForgedSnapshotConstantsAndContradictionCountsAreRefused) {
+  RcParams p;
+  p.num_clusters = 4;
+  p.papers_per_cluster = 6;
+  p.num_categories = 3;
+  p.labeled_fraction = 0.6;
+  auto ds = MakeRcDataset(p);
+  ASSERT_TRUE(ds.ok());
+  const MlnProgram& program = ds.value().program;
+  DeltaGrounder original(program, GroundingOptions{}, OptimizerOptions{});
+  ASSERT_TRUE(original.Initialize(ds.value().evidence).ok());
+  BinaryWriter saved;
+  original.SaveState(&saved);
+  const std::string base = saved.Take();
+  ASSERT_TRUE(LoadForged(program, base).ok());
+  const int32_t num_constants =
+      static_cast<int32_t>(program.symbols().num_constants());
+  const auto expect_refused = [&](const std::string& bytes) {
+    const Status st = LoadForged(program, bytes);
+    EXPECT_EQ(st.code(), StatusCode::kCorruption) << st.ToString();
+  };
+
+  // The first paper row names a constant past the table.
+  std::vector<SnapshotRelation> relations;
+  std::string rest;
+  SplitSnapshot(base, program.num_predicates(), &relations, &rest);
+  const size_t paper_true = 2 * program.FindPredicate("paper").value() + 1;
+  ASSERT_GT(relations[paper_true].rows(), 0u);
+  relations[paper_true].columns[0][0] = num_constants + 5;
+  {
+    SCOPED_TRACE("evidence value");
+    expect_refused(JoinSnapshot(relations, rest));
+  }
+
+  // The first atom's first argument lies past the table: the atom count,
+  // then the atom's predicate, then its arguments.
+  std::vector<size_t> contradictions;
+  const auto fields = SnapshotCountFields(program, base, &contradictions);
+  const size_t atom_count = fields[4 * program.num_predicates()].first;
+  const auto forge_i32 = [&](size_t offset, int32_t value) {
+    std::string bytes = base;
+    std::memcpy(&bytes[offset], &value, sizeof(value));  // little-endian
+    return bytes;
+  };
+  {
+    SCOPED_TRACE("atom argument");
+    expect_refused(forge_i32(atom_count + 8, num_constants));
+  }
+
+  // A soft rule's contradiction count is 1; a hard rule's is -1.
+  ASSERT_EQ(contradictions.size(), program.clauses().size());
+  int soft = -1;
+  int hard = -1;
+  for (size_t r = 0; r < program.clauses().size(); ++r) {
+    (program.clauses()[r].hard ? hard : soft) = static_cast<int>(r);
+  }
+  ASSERT_GE(soft, 0);
+  ASSERT_GE(hard, 0);
+  const auto forge_i64 = [&](size_t offset, int64_t value) {
+    std::string bytes = base;
+    std::memcpy(&bytes[offset], &value, sizeof(value));
+    return bytes;
+  };
+  {
+    SCOPED_TRACE("soft rule contradiction");
+    expect_refused(forge_i64(contradictions[soft], 1));
+  }
+  {
+    SCOPED_TRACE("negative contradiction");
+    expect_refused(forge_i64(contradictions[hard], -1));
+  }
 }
 
 TEST(ServeTest, ConcurrentSessionsOnSharedPool) {
